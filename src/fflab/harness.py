@@ -45,7 +45,8 @@ from .latgon import (SpecialLatticePair, check_cape, check_ratio_lemma,
                      check_sandwich, random_symmetric_gamma)
 from .moduli import count_cone, count_morphisms, langweil_report
 from .reporting import ReportRecord
-from .weyl import canonical_shape_report, check_shrink, check_weyl
+from .weyl import (canonical_shape_report, check_shrink_batch,
+                   check_weyl_batch)
 from .work import map_reduce
 
 __all__ = ["TASKS", "TASK_PARAMS", "RunConfig", "RunResult", "load_config",
@@ -361,13 +362,10 @@ def _problem_from_recipe(recipe: tuple) -> CountingProblem:
 
 def _weyl_chunk(recipe: tuple, tails):
     prob = _problem_from_recipe(recipe)
-    out = []
-    for tail in tails:
-        alpha = LaurentElement.from_tail(prob.spec, tail)
-        rep = check_weyl(prob, alpha)
-        out.append((tail, rep.passed, rep.details["N"],
-                    rep.details["bound"], rep.details["cmp"]))
-    return out
+    alphas = [LaurentElement.from_tail(prob.spec, tail) for tail in tails]
+    return [(tail, rep.passed, rep.details["N"], rep.details["bound"],
+             rep.details["cmp"])
+            for tail, rep in zip(tails, check_weyl_batch(prob, alphas))]
 
 
 def _run_weyl(config: RunConfig):
@@ -424,10 +422,10 @@ def _run_shrink(config: RunConfig):
     rng = random.Random(config.seed)
     records = []
     for eta in etas:
-        for _ in range(samples):
-            tail = tuple(rng.randrange(spec.q) for _ in range(prob.char_depth))
-            alpha = LaurentElement.from_tail(spec, tail)
-            rep = check_shrink(prob, alpha, eta)
+        tails = [tuple(rng.randrange(spec.q) for _ in range(prob.char_depth))
+                 for _ in range(samples)]
+        alphas = [LaurentElement.from_tail(spec, tail) for tail in tails]
+        for tail, rep in zip(tails, check_shrink_batch(prob, alphas, eta)):
             records.append(ReportRecord(
                 task=config.task,
                 inputs={**base, "eta": eta, "alpha_tail": tail},

@@ -32,7 +32,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BudgetExceededError, ConfigError, PrecisionError
+from .errors import (BudgetExceededError, ConfigError, PrecisionError,
+                     VerificationFailure)
 from .fields import FieldSpec
 from .laurent import LaurentElement
 from .linalg import poly_matrix_rank, rank_mod_q, solve_nullspace
@@ -178,8 +179,8 @@ class FunctionFieldLattice:
         width = dbound + 1
         nvars = self.dim * width
         if nvars > _MAX_VARS:
-            raise BudgetExceededError(
-                f"lattice count needs {nvars} unknowns (cap {_MAX_VARS})")
+            raise BudgetExceededError(nvars, _MAX_VARS,
+                                      "lattice count unknowns")
         rows = []
         for i in range(self.dim):
             entries = self.matrix[i]
@@ -247,7 +248,7 @@ class FunctionFieldLattice:
             degs[target] = col_deg(target)
             budget -= 1
             if budget < 0:
-                raise BudgetExceededError(
+                raise VerificationFailure(
                     "column reduction failed to terminate")
 
     def successive_minima(self, convention: str = "closed",
@@ -519,8 +520,8 @@ def count_NaZ(spec: FieldSpec, gamma, a, z) -> int:
     w2 = max(0, d2 + 1)
     nvars = n * (w1 + w2)
     if nvars > _MAX_VARS:
-        raise BudgetExceededError(
-            f"skew box count needs {nvars} unknowns (cap {_MAX_VARS})")
+        raise BudgetExceededError(nvars, _MAX_VARS,
+                                  "skew box count unknowns")
     rows = []
     for j in range(n):
         for w in range(v2, d2 + 1):

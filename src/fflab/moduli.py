@@ -239,8 +239,7 @@ def _is_diagonal(form: HypersurfaceForm) -> bool:
 
 def _charge(budget_cells: int, what: str):
     if budget_cells > _MAX_CELLS:
-        raise BudgetExceededError(
-            f"{what} needs {budget_cells} cells (cap {_MAX_CELLS})")
+        raise BudgetExceededError(budget_cells, _MAX_CELLS, what)
 
 
 def _total_enumerate(spec: FieldSpec, form: HypersurfaceForm, e: int) -> int:

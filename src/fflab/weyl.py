@@ -8,11 +8,39 @@ where box j allows C_j coefficients per coordinate (|u_j| < q^{C_j}) and the
 norm looks at the coefficients of t^{-1},...,t^{-m}.  The count is computed
 by enumerating all but one block and counting the last block as an F_q-linear
 solution space: for fixed prefix the map u -> (alpha Psi_i(prefix,u) tail
-coefficients) is linear in the coefficients of u.  Since the Psi_i are
-symmetric in their slots, the largest box is always moved to the linear slot.
+coefficients) is linear in the coefficients of u, so a prefix contributes
+q^(n C_last - rank A(prefix)).  Since the Psi_i are symmetric in their
+slots, the largest box is always moved to the linear slot.
 
-A fully naive enumerator (no linear algebra, direct norm tests) is kept as
-the independent oracle.
+The fast route (d = 3, prime q, at least 512 prefixes) uses two facts:
+
+* Projective reduction.  For d = 3 the condition matrix A(u) is linear in
+  the prefix u, so A(cu) = c A(u) has the rank of A(u) for every c != 0.
+  Only one representative per F_q-line of prefixes is ranked, the one whose
+  first nonzero coordinate is 1, and its term is weighted by q - 1; the
+  zero prefix adds q^(n C_last) without a rank.  This ranks
+  (q^(n C_1) - 1)/(q - 1) matrices per phase instead of q^(n C_1).
+* Batching across phases.  approx_zero_counts takes a stack of phases that
+  share boxes and m.  It builds the prefix -> matrix map K of every phase
+  at once (one einsum over the stacked tails), multiplies the line
+  representatives into it and ranks matrices of many phases in one
+  batched_rank call.  A batch holds at most _MAX_BATCH_ENTRIES matrix
+  entries, and for large prefix spaces the representatives are generated
+  chunk by chunk, so the working set of a batch does not grow with the
+  number of phases or of prefixes.
+
+The product u K runs in int64: each entry is a sum of n C_1 products of
+residues below q, so n C_1 (q - 1)^2 < 2^62 bounds it; this is asserted
+next to the product.
+
+The generic route (any d, any q) builds each prefix's matrix through the
+multilinear system and ranks it alone.  A fully naive enumerator (no linear
+algebra, direct norm tests) is kept as the independent oracle.
+
+Every count charges the problem's budget with its number of prefix tuples
+before any work.  approx_zero_counts itself charges nothing: its callers
+(approx_zero_count, check_weyl_batch, check_shrink_batch) charge every
+phase first, in the order a loop of one-phase calls would.
 
 Instances: N (boxes e+1, m = e+1), N_eta (boxes (e+1)eta, m =
 (e+1)(d - (d-1)eta)), M^(v) (first v-1 boxes constant), curly-N (boxes
@@ -29,7 +57,7 @@ import numpy as np
 from .audit import eta_choice, gamma_budget, kappa_of
 from .circle import ArcPoint, CountingProblem
 from .cyclotomic import CyclotomicValue, compare_abs_power, real_sign
-from .errors import BudgetExceededError, ConfigError, PrecisionError
+from .errors import ConfigError, PrecisionError
 from .laurent import LaurentElement
 from .linalg import batched_rank, rank_mod_q
 from .polys import Polynomial
@@ -48,27 +76,54 @@ def _tail_array(alpha, depth: int):
     return [0] + [alpha.coeff(-k) for k in range(1, depth + 1)]
 
 
-def approx_zero_count(prob: CountingProblem, alpha, box_list, m: int) -> int:
-    """The boxed norm-condition count described in the module docstring."""
+def _check_boxes(prob: CountingProblem, box_list):
     if len(box_list) != prob.d - 1:
         raise ValueError(f"need {prob.d - 1} boxes")
     if any(c < 0 for c in box_list):
         raise ValueError("negative box size")
+
+
+def _vacuous(box_list, m: int) -> bool:
+    # no conditions, or a forced-zero block makes every Psi_i vanish
+    return m <= 0 or 0 in box_list
+
+
+def _charge_count(prob: CountingProblem, box_list, m: int):
+    """Charge the budget for one count: its number of prefix tuples, or
+    nothing when the count is vacuous."""
+    _check_boxes(prob, box_list)
+    if not _vacuous(box_list, m):
+        prob._charge(prob.spec.q ** (sum(sorted(box_list)[:-1]) * prob.n),
+                     "approx-zero count")
+
+
+def approx_zero_count(prob: CountingProblem, alpha, box_list, m: int) -> int:
+    """The boxed norm-condition count described in the module docstring."""
+    _charge_count(prob, box_list, m)
+    return approx_zero_counts(prob, [alpha], box_list, m)[0]
+
+
+def approx_zero_counts(prob: CountingProblem, alphas, box_list,
+                       m: int) -> list:
+    """approx_zero_count at every phase of `alphas` (same boxes and m), as a
+    list of ints in input order.  Charges no budget: the caller charges
+    each phase first."""
+    _check_boxes(prob, box_list)
     q, n = prob.spec.q, prob.n
-    total_coeffs = sum(box_list) * n
-    if m <= 0 or 0 in box_list:
-        # vacuous conditions, or a forced-zero block makes every Psi_i vanish
-        return q ** total_coeffs
+    if not alphas:
+        return []
+    if _vacuous(box_list, m):
+        return [q ** (sum(box_list) * n)] * len(alphas)
     boxes = sorted(box_list)
     c_last = boxes[-1]
     prefix_boxes = boxes[:-1]
     depth = m + (c_last - 1) + sum(c - 1 for c in prefix_boxes)
-    tail = _tail_array(alpha, depth)
+    tails = [_tail_array(alpha, depth) for alpha in alphas]
     prefix_total = q ** (sum(prefix_boxes) * n)
-    prob._charge(prefix_total, "approx-zero count")
     if prob.d == 3 and prob.spec.f == 1 and prefix_total >= 512:
-        return _count_fast_d3(prob, tail, prefix_boxes[0], c_last, m)
-    return _count_generic(prob, tail, prefix_boxes, c_last, m)
+        return _count_fast_d3(prob, tails, prefix_boxes[0], c_last, m)
+    return [_count_generic(prob, tail, prefix_boxes, c_last, m)
+            for tail in tails]
 
 
 def _count_generic(prob, tail, prefix_boxes, c_last, m) -> int:
@@ -103,50 +158,85 @@ def _count_generic(prob, tail, prefix_boxes, c_last, m) -> int:
     return count
 
 
-def _count_fast_d3(prob, tail, c1, c_last, m) -> int:
-    """d = 3, prime q: the condition matrix is linear in the prefix block, so
-    all prefixes are processed as one integer matrix product mod q."""
+# matrix entries per batched_rank call; bounds the working set of a batch
+_MAX_BATCH_ENTRIES = 1 << 19
+
+
+def _prefix_maps(prob, tails, c1, c_last, m) -> np.ndarray:
+    """K, shape (phases, n*c1, n*m * n*c_last): row j*c1+sp of K[a] is the
+    flattened condition matrix of phase a at the prefix with a single 1 at
+    coefficient sp of coordinate j.  A(u) = u K[a] mod q."""
+    import itertools
+    q, n = prob.spec.q, prob.n
+    # g[i, k, j] = symmetric tensor entry at {i, j, k}
+    g = np.zeros((n, n, n), dtype=np.int64)
+    for rep, c in prob.form.tensor.items():
+        for perm in set(itertools.permutations(rep)):
+            g[perm] = c
+    # window[a, sp, w-1, s] = tail coefficient at t^-(w + s + sp), w = 1..m
+    offsets = (np.arange(c1)[:, None, None] + np.arange(1, m + 1)[None, :, None]
+               + np.arange(c_last)[None, None, :])
+    window = np.array(tails, dtype=np.int64)[:, offsets]
+    kmat = np.einsum("ikj,apws->ajpiwks", g, window) % q
+    return kmat.reshape(len(tails), n * c1, n * m * n * c_last)
+
+
+def _line_representatives(q: int, width: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the projective representatives of F_q^width: the
+    vectors whose first nonzero coordinate is 1.  They come in blocks by
+    the position t of that coordinate, block t holding q^(width-1-t) rows."""
+    pieces = []
+    start = 0
+    for t in range(width):
+        size = q ** (width - 1 - t)
+        a, b = max(lo, start), min(hi, start + size)
+        if a < b:
+            idx = np.arange(a - start, b - start, dtype=np.int64)
+            block = np.zeros((b - a, width), dtype=np.int64)
+            block[:, t] = 1
+            for col in range(t + 1, width):
+                block[:, col] = idx // q ** (col - t - 1) % q
+            pieces.append(block)
+        start += size
+    return np.concatenate(pieces)
+
+
+def _condition_matrices(reps, kmat, q, nrows, ncols) -> np.ndarray:
+    """A(u) = u K mod q for every representative u and every phase's K, as
+    one int16 stack of shape (phases * len(reps), nrows, ncols)."""
+    assert reps.shape[1] * (q - 1) ** 2 < 1 << 62   # int64 bound of u K
+    amat = np.matmul(reps, kmat)
+    amat %= q
+    return amat.astype(np.int16).reshape(-1, nrows, ncols)
+
+
+def _count_fast_d3(prob, tails, c1, c_last, m) -> list:
+    """d = 3, prime q: one rank per F_q-line of prefixes, with the matrices
+    of many phases ranked together (see the module docstring)."""
     spec = prob.spec
     q, n = spec.q, prob.n
-    import itertools
-    tensor = prob.form.tensor
-    # G[i][k][j] = symmetric tensor entry at {i, j, k}
-    g = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for rep, c in tensor.items():
-        for perm in set(itertools.permutations(rep)):
-            g[perm[0]][perm[1]][perm[2]] = c
-    nrows = n * m
-    ncols = n * c_last
-    kmat = np.zeros((n * c1, nrows * ncols), dtype=np.int64)
-    for j in range(n):
-        for sp in range(c1):
-            prow = kmat[j * c1 + sp]
-            for i in range(n):
-                for w in range(1, m + 1):
-                    for k in range(n):
-                        gv = g[i][k][j]
-                        if not gv:
-                            continue
-                        for s in range(c_last):
-                            prow[(i * m + (w - 1)) * ncols + k * c_last + s] \
-                                = gv * tail[w + s + sp] % q
-    prefix_total = q ** (n * c1)
-    count = 0
-    chunk = 1 << 16
-    ar = np.arange(prefix_total, dtype=np.int64)
-    for start in range(0, prefix_total, chunk):
-        idx = ar[start:start + chunk]
-        u = np.empty((idx.shape[0], n * c1), dtype=np.int64)
-        for col in range(n * c1):
-            u[:, col] = (idx // q ** col) % q
-        amat = (u @ kmat) % q
-        amat = amat.reshape(idx.shape[0], nrows, ncols).astype(np.int16)
-        ranks = batched_rank(spec, amat)
-        counts = np.bincount(ranks, minlength=ncols + 1)
-        for r, cnt in enumerate(counts):
-            if cnt:
-                count += int(cnt) * q ** (ncols - r)
-    return count
+    width = n * c1
+    nrows, ncols = n * m, n * c_last
+    kmat = _prefix_maps(prob, tails, c1, c_last, m)
+    lines = (q ** width - 1) // (q - 1)
+    per_batch = max(1, _MAX_BATCH_ENTRIES // (nrows * ncols))
+    # rank histogram of the nonzero lines, per phase
+    hist = np.zeros((len(tails), ncols + 1), dtype=np.int64)
+    for lo in range(0, lines, per_batch):
+        reps = _line_representatives(q, width, lo, min(lines, lo + per_batch))
+        group = max(1, per_batch // len(reps))
+        for a0 in range(0, len(tails), group):
+            block = kmat[a0:a0 + group]
+            ranks = batched_rank(spec, _condition_matrices(reps, block, q,
+                                                           nrows, ncols))
+            phases = block.shape[0]
+            keys = (np.arange(phases).repeat(len(reps)) * (ncols + 1)
+                    + ranks)
+            hist[a0:a0 + phases] += np.bincount(
+                keys, minlength=phases * (ncols + 1)).reshape(phases, -1)
+    weights = [q ** (ncols - r) for r in range(ncols + 1)]
+    return [q ** ncols + (q - 1) * sum(h * w for h, w in zip(row, weights))
+            for row in hist.tolist()]
 
 
 def naive_approx_zero_count(prob: CountingProblem, alpha, box_list,
@@ -187,9 +277,14 @@ def naive_approx_zero_count(prob: CountingProblem, alpha, box_list,
 # -- the named counters ------------------------------------------------------------
 
 
+def _shape_N(prob: CountingProblem) -> tuple:
+    """(boxes, m) of N."""
+    return [prob.e + 1] * (prob.d - 1), prob.e + 1
+
+
 def count_N(prob: CountingProblem, alpha, oracle: bool = False) -> int:
     fn = naive_approx_zero_count if oracle else approx_zero_count
-    return fn(prob, alpha, [prob.e + 1] * (prob.d - 1), prob.e + 1)
+    return fn(prob, alpha, *_shape_N(prob))
 
 
 def _eta_box(prob, eta) -> int:
@@ -199,11 +294,15 @@ def _eta_box(prob, eta) -> int:
     return int(c)
 
 
-def count_N_eta(prob: CountingProblem, alpha, eta, oracle: bool = False) -> int:
+def _shape_N_eta(prob: CountingProblem, eta) -> tuple:
+    """(boxes, m) of N_eta."""
     c = _eta_box(prob, eta)
-    m = (prob.e + 1) * prob.d - (prob.d - 1) * c
+    return [c] * (prob.d - 1), (prob.e + 1) * prob.d - (prob.d - 1) * c
+
+
+def count_N_eta(prob: CountingProblem, alpha, eta, oracle: bool = False) -> int:
     fn = naive_approx_zero_count if oracle else approx_zero_count
-    return fn(prob, alpha, [c] * (prob.d - 1), m)
+    return fn(prob, alpha, *_shape_N_eta(prob, eta))
 
 
 def count_M_v(prob: CountingProblem, alpha, v: int,
@@ -243,36 +342,66 @@ class InequalityReport:
 
 def check_weyl(prob: CountingProblem, alpha) -> InequalityReport:
     """|S(alpha)|^(2^(d-1)) <= |P|^((2^(d-1)-d+1)n) N(alpha), exactly."""
+    return check_weyl_batch(prob, [alpha])[0]
+
+
+def check_weyl_batch(prob: CountingProblem, alphas) -> list:
+    """check_weyl at every phase of `alphas`, in input order.  S and the
+    budget charge of N are taken phase by phase, as a loop of check_weyl
+    calls would take them; then N is counted for all phases at once."""
     d, n, q = prob.d, prob.n, prob.spec.q
-    s_val = prob.exp_sum(alpha)
-    n_count = count_N(prob, alpha)
+    boxes, m = _shape_N(prob)
+    s_vals = []
+    for alpha in alphas:
+        s_vals.append(prob.exp_sum(alpha))
+        _charge_count(prob, boxes, m)
+    n_counts = approx_zero_counts(prob, alphas, boxes, m)
     power = 1 << (d - 1)
-    bound = Fraction(q) ** ((prob.e + 1) * (power - d + 1) * n) * n_count
-    cmp = compare_abs_power(s_val, power, bound)
-    return InequalityReport(
-        cmp <= 0, "weyl",
-        f"|S|^{power}", f"q^{(prob.e + 1) * (power - d + 1) * n} * N",
-        {"S": s_val, "N": n_count, "bound": bound, "cmp": cmp})
+    exp = (prob.e + 1) * (power - d + 1) * n
+    reports = []
+    for s_val, n_count in zip(s_vals, n_counts):
+        bound = Fraction(q) ** exp * n_count
+        cmp = compare_abs_power(s_val, power, bound)
+        reports.append(InequalityReport(
+            cmp <= 0, "weyl", f"|S|^{power}", f"q^{exp} * N",
+            {"S": s_val, "N": n_count, "bound": bound, "cmp": cmp}))
+    return reports
 
 
 def check_shrink(prob: CountingProblem, alpha, eta) -> InequalityReport:
     """N(alpha) <= |P|^((n - eta n)(d-1)) N_eta(alpha) under the parity
     hypothesis (e+1)(eta+1)/2 integral."""
+    return check_shrink_batch(prob, [alpha], eta)[0]
+
+
+def check_shrink_batch(prob: CountingProblem, alphas, eta) -> list:
+    """check_shrink at every phase of `alphas`, in input order.  The budget
+    is charged phase by phase (N, then N_eta), as a loop of check_shrink
+    calls would charge it; then each count is made for all phases at once,
+    and at eta = 1, where N_eta has N's boxes and m, N is reused."""
     eta = Fraction(eta)
     hyp = (prob.e + 1) * (eta + 1) / 2
     if hyp.denominator != 1:
         raise ConfigError(f"(e+1)(eta+1)/2 = {hyp} is not an integer")
     if not 0 <= eta <= 1:
         raise ConfigError("eta must lie in [0, 1]")
-    big_n = count_N(prob, alpha)
-    small_n = count_N_eta(prob, alpha, eta)
+    big_shape, small_shape = _shape_N(prob), _shape_N_eta(prob, eta)
+    for _ in alphas:
+        _charge_count(prob, *big_shape)
+        _charge_count(prob, *small_shape)
+    big_counts = approx_zero_counts(prob, alphas, *big_shape)
+    small_counts = (big_counts if small_shape == big_shape else
+                    approx_zero_counts(prob, alphas, *small_shape))
     exp = (prob.e + 1) * (prob.d - 1) * prob.n * (1 - eta)
     assert exp.denominator == 1
-    rhs = Fraction(prob.spec.q) ** int(exp) * small_n
-    return InequalityReport(
-        big_n <= rhs, "shrink",
-        "N", f"q^{int(exp)} * N_eta",
-        {"N": big_n, "N_eta": small_n, "eta": eta, "rhs": rhs})
+    reports = []
+    for big_n, small_n in zip(big_counts, small_counts):
+        rhs = Fraction(prob.spec.q) ** int(exp) * small_n
+        reports.append(InequalityReport(
+            big_n <= rhs, "shrink",
+            "N", f"q^{int(exp)} * N_eta",
+            {"N": big_n, "N_eta": small_n, "eta": eta, "rhs": rhs}))
+    return reports
 
 
 def check_smallbox_chain(prob: CountingProblem, alpha,
@@ -432,34 +561,6 @@ def compare_pointwise(rep_a: PointwiseReport,
                                 xb, Fraction(rep_b.q) ** -int(eb))
 
 
-def max_shape_ratio(prob: CountingProblem, lemma: str, r_degree: int,
-                    beta) -> PointwiseReport:
-    """Worst case of a pointwise bound over an arc shape.
-
-    Enumerates every point alpha = a/r + theta with r monic of the given
-    degree, a coprime, and |theta| = q^-beta exactly (beta None for theta
-    = 0), and returns the report of the |S|-maximizing point.  The max is
-    what any admissible lemma constant has to dominate, so it is the
-    quantity tracked across q."""
-    spec = prob.spec
-    q, b = spec.q, prob.char_depth
-    best = None
-    probe_arc = None
-    for r_poly in prob.monic_polys(r_degree):
-        arc = ArcPoint(r_poly, Polynomial.zero(spec), r_degree + prob.arc_floor)
-        for a_poly in prob.coprime_residues(r_poly):
-            arc_a = ArcPoint(r_poly, a_poly, r_degree + prob.arc_floor)
-            for tail in _tails_at_valuation(q, b, beta):
-                rep = measure_pointwise(prob, arc_a, tail, lemma)
-                if not rep.hypothesis_ok:
-                    return rep
-                if best is None or real_sign(
-                        rep.s_value.abs_squared()
-                        - best.s_value.abs_squared()) > 0:
-                    best = rep
-    return best
-
-
 def canonical_point(prob: CountingProblem, r_degree: int, beta):
     """The canonical point of an arc shape: r = t^deg, a = 1 (a = 0 when
     r = 1), theta = t^-beta.  Returns (arc, theta_tail)."""
@@ -482,18 +583,6 @@ def canonical_shape_report(prob: CountingProblem, lemma: str, r_degree: int,
     """measure_pointwise at the canonical point of the shape."""
     arc, tail = canonical_point(prob, r_degree, beta)
     return measure_pointwise(prob, arc, tail, lemma)
-
-
-def _tails_at_valuation(q: int, depth: int, beta):
-    import itertools
-    if beta is None:
-        yield (0,) * depth
-        return
-    if not 1 <= beta <= depth:
-        raise ValueError("beta out of the representable window")
-    for lead in range(1, q):
-        for rest in itertools.product(range(q), repeat=depth - beta):
-            yield (0,) * (beta - 1) + (lead,) + rest
 
 
 # -- flat solution-count measurement --------------------------------------------------

@@ -113,3 +113,15 @@ def test_seeded_rerun_is_byte_identical(tmp_path):
     assert filecmp.cmp(str(tmp_path / "a" / "shrink-check.csv"),
                        str(tmp_path / "b" / "shrink-check.csv"),
                        shallow=False)
+
+
+def test_moduli_cell_cap_exits_3(tmp_path):
+    # the cone convolution needs more cells than the moduli cap allows
+    body = CONE.replace("n = 2", "n = 3").replace("e = 1", "e = 2") + \
+        "    ell = 3\n"
+    cfg = write_cfg(tmp_path, body)
+    code = main(["count-cone", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 3
+    rows = read_rows(str(tmp_path / "o" / "count-cone.csv"))
+    assert rows[0]["out.status"] == "budget-exhausted"
+    assert rows[0]["out.detail"] == "cone convolution"

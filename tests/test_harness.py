@@ -1,12 +1,15 @@
+import filecmp
+import os
 import textwrap
 from fractions import Fraction
 
 import pytest
 
+from fflab.cli import main
 from fflab.errors import ConfigError, VerificationFailure
 from fflab.harness import (TASKS, _admissible_etas, _TASK_BUILDERS,
                            build_problem, load_config, run_task)
-from fflab.reporting import ReportRecord, flatten_records
+from fflab.reporting import ReportRecord
 
 BASE = """
     [field]
@@ -187,7 +190,63 @@ def test_run_task_wraps_verification_failure(tmp_path, monkeypatch):
 def test_weyl_workers_do_not_change_rows(tmp_path):
     text = BASE.replace("name = count-cone",
                         "name = weyl-check\n    limit = 30")
-    path = write_cfg(tmp_path, text)
-    rows_1 = flatten_records(run_task(load_config(path, workers=1)).records)
-    rows_2 = flatten_records(run_task(load_config(path, workers=2)).records)
-    assert rows_1 == rows_2
+    sweep = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                         "weyl_sweep_q5.cfg")
+    for cfg in (write_cfg(tmp_path, text), sweep):
+        outs = [str(tmp_path / f"{os.path.basename(cfg)}-{workers}")
+                for workers in ("1", "2")]
+        for out, workers in zip(outs, ("1", "2")):
+            assert main(["weyl-check", "--config", cfg, "--workers", workers,
+                         "--out", out]) == 0
+        assert filecmp.cmp(os.path.join(outs[0], "weyl-check.csv"),
+                           os.path.join(outs[1], "weyl-check.csv"),
+                           shallow=False)
+
+
+def _first_overdraft(charges, budget):
+    """The (needed, budget, detail) of the first charge that overdraws."""
+    spent = 0
+    for cost, what in charges:
+        if spent + cost > budget:
+            return cost, budget - spent, what
+        spent += cost
+    return None
+
+
+def _budget_record(path):
+    result = run_task(load_config(path))
+    assert result.status == "budget-exhausted"
+    [record] = result.records
+    out = record.outputs
+    return out["needed"], out["budget"], out["detail"]
+
+
+@pytest.mark.parametrize("short", [1, 390000])
+def test_weyl_budget_record_follows_charge_order(tmp_path, short):
+    # per phase, in order: S (the phase distribution, charged once), then N
+    q, n, box = 5, 2, 2
+    charges = [(q ** (box * n), "phase distribution build")]
+    charges += [(q ** (box * n), "approx-zero count")] * q ** 4
+    budget = sum(cost for cost, _ in charges) - short
+    text = BASE.replace("name = count-cone", "name = weyl-check") + \
+        f"\n    [run]\n    budget = {budget}\n"
+    want = _first_overdraft(charges, budget)
+    assert _budget_record(write_cfg(tmp_path, text)) == want
+
+
+@pytest.mark.parametrize("short", [1, 4000])
+def test_shrink_budget_record_follows_charge_order(tmp_path, short):
+    # e = 1, eta in (0, 1); per sample: N, then N_eta (vacuous at eta = 0)
+    samples, count = 5, 5 ** 4
+    charges = []
+    for eta in (0, 1):
+        for _ in range(samples):
+            charges.append((count, "approx-zero count"))
+            if eta:
+                charges.append((count, "approx-zero count"))
+    budget = sum(cost for cost, _ in charges) - short
+    text = BASE.replace("name = count-cone",
+                        f"name = shrink-check\n    samples = {samples}") + \
+        f"\n    [run]\n    budget = {budget}\n"
+    want = _first_overdraft(charges, budget)
+    assert _budget_record(write_cfg(tmp_path, text)) == want

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from fflab.errors import ConfigError, PrecisionError
+from fflab import latgon
+from fflab.errors import (BudgetExceededError, ConfigError, PrecisionError,
+                         VerificationFailure)
 from fflab.latgon import (FunctionFieldLattice, SpecialLatticePair,
                           check_cape, check_ratio_lemma, check_sandwich,
                           count_NaZ, diagonal_lattice, gamma_from_problem,
@@ -150,3 +152,24 @@ def test_nonsquare_matrix_rejected(spec5):
     one = LaurentElement.monomial(spec5, 0)
     with pytest.raises(ConfigError):
         FunctionFieldLattice(spec5, [[one, one]])
+
+
+def test_counts_past_the_unknowns_cap_are_budget_records(spec5):
+    # 2 coordinates times 9000 coefficients each: 18000 > 2^14 unknowns
+    with pytest.raises(BudgetExceededError) as exc:
+        diagonal_lattice(spec5, [0, 0]).count_points(9000)
+    assert (exc.value.needed, exc.value.budget, exc.value.what) == \
+        (18000, 1 << 14, "lattice count unknowns")
+    # |u| < q^9001 and |u'| < q^8999: 9001 + 8999 unknowns
+    with pytest.raises(BudgetExceededError) as exc:
+        count_NaZ(spec5, [[_zero(spec5)]], 1, 9000)
+    assert (exc.value.needed, exc.value.budget, exc.value.what) == \
+        (18000, 1 << 14, "skew box count unknowns")
+
+
+def test_column_reduction_that_never_ends_is_a_failure(spec5, monkeypatch):
+    # a nullspace that always offers the trivial move keeps the degree sum
+    lat = diagonal_lattice(spec5, [0, 1])
+    monkeypatch.setattr(latgon, "solve_nullspace", lambda spec, m: [[1, 0]])
+    with pytest.raises(VerificationFailure):
+        lat.reduced_basis()

@@ -1,15 +1,26 @@
+import itertools
+import os
+import random
 from fractions import Fraction
 
 import pytest
 
+from fflab import weyl
+from fflab.audit import kappa_of
 from fflab.circle import CountingProblem
 from fflab.fields import FieldSpec
-from fflab.forms import fermat_form
+from fflab.forms import fermat_form, parse_form_file
+from fflab.harness import _problem_recipe, _weyl_chunk, load_config
 from fflab.laurent import LaurentElement
-from fflab.weyl import (canonical_point, canonical_shape_report, check_shrink,
+from fflab.linalg import batched_rank
+from fflab.weyl import (_count_generic, _shape_N, _shape_N_eta, _tail_array,
+                        approx_zero_count,
+                        approx_zero_counts, canonical_point,
+                        canonical_shape_report, check_shrink,
                         check_smallbox_chain, check_weyl, compare_pointwise,
                         count_M_v, count_N, count_N_eta, count_curly_N,
-                        eta_from_arc, measure_flat_count, measure_pointwise)
+                        eta_from_arc, measure_flat_count, measure_pointwise,
+                        naive_approx_zero_count)
 
 
 def tail_alpha(prob, tail):
@@ -157,3 +168,97 @@ def test_measure_pointwise_matches_canonical(prob_n2):
 def test_measure_flat_count_smoke(prob_n2):
     got = measure_flat_count(prob_n2, 1)
     assert isinstance(got, tuple) and len(got) >= 2
+
+
+# -- the batched fast route against its oracles ---------------------------------------
+
+
+MIXED_FORM = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                          "forms", "mixed_cubic_n2.form")
+
+
+def _mixed_problem(spec, e):
+    return CountingProblem(spec, parse_form_file(MIXED_FORM, spec, 2, 3), e)
+
+
+def _random_tails(prob, count, seed):
+    rng = random.Random(seed)
+    return [tuple(rng.randrange(prob.spec.q) for _ in range(prob.char_depth))
+            for _ in range(count)]
+
+
+def _curly_shape(prob):
+    kappa = kappa_of(prob.e)
+    return ([kappa + 1] * (prob.d - 1),
+            prob.d * prob.e + 1 - kappa * (prob.d - 1))
+
+
+def _generic(prob, tail, box_list, m):
+    boxes = sorted(box_list)
+    depth = m + sum(c - 1 for c in boxes)
+    return _count_generic(prob, _tail_array(tail, depth), boxes[:-1],
+                          boxes[-1], m)
+
+
+@pytest.mark.slow
+def test_batched_counts_match_naive_oracle_on_mixed_cubic(spec5):
+    # [2, 2] is the smallest box pair that takes the fast route for n = 2
+    for e, shape, tails in [
+            (1, None, [(0, 1, 0, 0), (3, 1, 4, 2)]),
+            (3, Fraction(1, 2), [(2, 0, 4, 1, 1, 3, 0, 2, 4, 1)])]:
+        prob = _mixed_problem(spec5, e)
+        boxes, m = _shape_N(prob) if shape is None else _shape_N_eta(prob, shape)
+        got = approx_zero_counts(prob, tails, boxes, m)
+        want = [naive_approx_zero_count(prob, tail, boxes, m)
+                for tail in tails]
+        assert got == want
+
+
+@pytest.mark.parametrize("form,e,shape,count", [
+    ("fermat3", 1, "N", 3),
+    ("mixed", 1, "N", 6),
+    ("mixed", 3, "N_eta", 6),
+    ("fermat2", 3, "curly", 5),
+])
+def test_batched_counts_match_generic_route(spec5, form, e, shape, count):
+    if form == "mixed":
+        prob = _mixed_problem(spec5, e)
+    else:
+        prob = CountingProblem(spec5, fermat_form(spec5, int(form[-1]), 3), e)
+    boxes, m = {"N": lambda: _shape_N(prob),
+                "N_eta": lambda: _shape_N_eta(prob, Fraction(1, 2)),
+                "curly": lambda: _curly_shape(prob)}[shape]()
+    assert prob.spec.q ** (prob.n * min(boxes)) >= 512   # the fast route
+    tails = _random_tails(prob, count, seed=len(form) + 10 * e)
+    got = approx_zero_counts(prob, tails, boxes, m)
+    assert got == [_generic(prob, tail, boxes, m) for tail in tails]
+    # the one-phase entry point is the same route
+    assert approx_zero_count(prob, tails[0], boxes, m) == got[0]
+
+
+def test_batch_size_does_not_change_counts(spec5, monkeypatch):
+    prob = _mixed_problem(spec5, 1)
+    boxes, m = _shape_N(prob)
+    tails = _random_tails(prob, 7, seed=3)
+    whole = approx_zero_counts(prob, tails, boxes, m)
+    # 16 entries per 4x4 matrix: batches of 5 matrices, so line chunks cross
+    # the blocks of representatives and each phase is split across calls
+    monkeypatch.setattr(weyl, "_MAX_BATCH_ENTRIES", 5 * 16)
+    assert approx_zero_counts(prob, tails, boxes, m) == whole
+
+
+def test_one_sweep_chunk_ranks_one_matrix_per_line(monkeypatch):
+    config = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                      "configs", "weyl_sweep_q5.cfg"))
+    ranked = []
+
+    def counting(spec, mats):
+        ranked.append(mats.shape[0])
+        return batched_rank(spec, mats)
+
+    monkeypatch.setattr(weyl, "batched_rank", counting)
+    tails = list(itertools.product(range(5), repeat=4))
+    out = _weyl_chunk(_problem_recipe(config), tails)
+    assert len(out) == 625 and all(row[1] for row in out)
+    # 625 phases times (5^4 - 1) / 4 = 156 lines of prefixes
+    assert sum(ranked) == 97500
