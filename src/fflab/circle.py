@@ -15,8 +15,9 @@ depends on the coefficients of alpha at t^{-1},...,t^{-B} because
 deg(F(x)) <= de.  Everything lands in Z[zeta_p], compared bit-exactly.
 
 The sum S is computed through the phase distribution D(c) = #{x in box :
-coeffs(F(x)) = c}, built once per problem; a plain direct summation path is
-kept as an independent oracle, as is the brute-force root count.
+coeffs(F(x)) = c}, built once per problem by the vectorized box kernel
+(forms.BoxKernel).  The scalar loops over box points remain only in the
+oracles: the plain direct summation of S and the brute-force root count.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .cyclotomic import CyclotomicValue
 from .errors import BudgetExceededError, ConfigError
 from .fields import FieldSpec
-from .forms import HypersurfaceForm
+from .forms import BoxKernel, HypersurfaceForm
 from .laurent import LaurentElement, expand_rational
 from .polys import Polynomial, poly_gcd
 
@@ -157,17 +158,23 @@ class CountingProblem:
     # -- the exponential sum -----------------------------------------------------
 
     def phase_distribution(self):
-        """D: coefficient tuple of F(x) (length B) -> #x.  Built once."""
+        """D: coefficient tuple of F(x) (length B) -> #x.  Built once, by
+        the box kernel: per block, the distinct keys of the coefficient
+        vectors with their counts, merged over blocks at the end."""
         if self._distribution is None:
             self._charge(self.spec.q ** (self.box * self.n),
                          "phase distribution build")
-            dist = {}
-            pad = self.char_depth
-            for x in self.box_vectors():
-                v = self.form.eval_form(list(x))
-                key = tuple(v.coeff(k) for k in range(pad))
-                dist[key] = dist.get(key, 0) + 1
-            self._distribution = dist
+            kernel = BoxKernel(self.form, self.e)
+            blocks = [np.unique(kernel.encode(images), return_counts=True)
+                      for _, images in kernel.box()]
+            keys, where = np.unique(np.concatenate([k for k, _ in blocks]),
+                                    return_inverse=True)
+            counts = np.zeros(len(keys), dtype=np.int64)
+            np.add.at(counts, where, np.concatenate([c for _, c in blocks]))
+            q = self.spec.q
+            digits = keys[:, None] // q ** np.arange(self.char_depth) % q
+            self._distribution = dict(zip(map(tuple, digits.tolist()),
+                                          counts.tolist()))
         return self._distribution
 
     def exp_sum(self, alpha, method: str = "table") -> CyclotomicValue:

@@ -15,7 +15,10 @@ The derived multilinear system is the n forms in d-1 vector arguments
 satisfying sum_i x_i Psi_i(x,...,x) = F(x) identically.
 
 Evaluation is ring-generic: vectors of field elements, Polynomial, BinaryForm
-or LaurentElement all work (anything with +, * and scale_idx).
+or LaurentElement all work (anything with +, * and scale_idx).  For whole
+coefficient boxes, BoxKernel evaluates F(f_1,...,f_n) on blocks of tuples of
+degree-e forms at once, through the numpy field tables; eval_form stays the
+scalar oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial, prod
+
+import numpy as np
 
 from .errors import BudgetExceededError, ConfigError
 from .fields import FieldElement, FieldSpec
@@ -79,25 +84,10 @@ class HypersurfaceForm:
         if len(x) != self.n:
             raise ValueError(f"expected {self.n} coordinates, got {len(x)}")
         if all(isinstance(c, (FieldElement, int)) for c in x):
-            return self._eval_field([self.spec.element(c).idx for c in x])
+            spec = self.spec
+            return spec.from_index(self.eval_indices(
+                [spec.element(c).idx for c in x], spec))
         return self._eval_ring(x)
-
-    def _eval_field(self, idxs):
-        spec = self.spec
-        mul, add = spec.tables["mul"], spec.tables["add"]
-        acc = 0
-        for exps, c in self.monomials.items():
-            term = c
-            for i, e in enumerate(exps):
-                xi = idxs[i]
-                for _ in range(e):
-                    term = mul[term][xi]
-                    if term == 0:
-                        break
-                if term == 0:
-                    break
-            acc = add[acc][term]
-        return spec.from_index(acc)
 
     def _eval_ring(self, x):
         acc = None
@@ -257,6 +247,80 @@ class MultilinearSystem:
                 if out[i][k] is None:
                     out[i][k] = zero
         return out
+
+
+# tuples per kernel block: bounds every array BoxKernel.box makes
+_BOX_CHUNK = 1 << 13
+
+
+def _mul_rows(spec: FieldSpec, a, b):
+    """Row-wise polynomial products of two stacks of coefficient vectors,
+    (N, la) and (N, lb) -> (N, la + lb - 1), through the field tables."""
+    np_mul, np_add = spec.tables["np_mul"], spec.tables["np_add"]
+    lb = b.shape[1]
+    out = np.zeros((a.shape[0], a.shape[1] + lb - 1), dtype=np.int16)
+    for i in range(a.shape[1]):
+        out[:, i:i + lb] = np_add[out[:, i:i + lb], np_mul[a[:, i:i + 1], b]]
+    return out
+
+
+class BoxKernel:
+    """F(f_1,...,f_n) for blocks of tuples of degree-e forms (or of
+    polynomials of degree <= e), as (N, de+1) int16 coefficient vectors.
+
+    A tuple is given as n codes into the coefficient space of q^(e+1)
+    vectors, numbered in itertools.product order: code c names the c-th
+    tuple of itertools.product(range(q), repeat=e+1), and coefficient k of a
+    vector multiplies t^k (u^k v^(e-k) for a binary form).  powers[k] holds
+    the coefficient vectors of g^k for every g of the space, built once;
+    a monomial is a table product of gathered powers."""
+
+    def __init__(self, form: HypersurfaceForm, e: int):
+        spec = form.spec
+        q = spec.q
+        self.form = form
+        self.width = form.d * e + 1
+        self.space_size = q ** (e + 1)
+        codes = np.arange(self.space_size, dtype=np.int64)
+        space = np.stack([(codes // q ** (e - j)) % q for j in range(e + 1)],
+                         axis=1).astype(np.int16)
+        self.powers = [None, space]
+        for _ in range(2, form.d + 1):
+            self.powers.append(_mul_rows(spec, self.powers[-1], space))
+
+    def images(self, codes) -> np.ndarray:
+        """Coefficient vectors of F at the tuples of an (N, n) code array."""
+        spec = self.form.spec
+        np_mul, np_add = spec.tables["np_mul"], spec.tables["np_add"]
+        out = np.zeros((codes.shape[0], self.width), dtype=np.int16)
+        for exps, c in self.form.monomials.items():
+            term = None
+            for i, k in enumerate(exps):
+                if k:
+                    g = self.powers[k][codes[:, i]]
+                    term = g if term is None else _mul_rows(spec, term, g)
+            out = np_add[out, np_mul[c, term]]
+        return out
+
+    def box(self):
+        """(codes, images) over every tuple of the box, in
+        itertools.product order, _BOX_CHUNK tuples at a time."""
+        n, size = self.form.n, self.space_size
+        total = size ** n
+        assert total < 1 << 63, "tuple numbers overflow int64"
+        for start in range(0, total, _BOX_CHUNK):
+            tup = np.arange(start, min(start + _BOX_CHUNK, total),
+                            dtype=np.int64)
+            codes = np.stack([(tup // size ** (n - 1 - i)) % size
+                              for i in range(n)], axis=1)
+            yield codes, self.images(codes)
+
+    def encode(self, images) -> np.ndarray:
+        """One int64 key per coefficient vector: sum_k v_k q^k."""
+        q = self.form.spec.q
+        assert q ** self.width < 1 << 62, "coefficient keys overflow int64"
+        return images.astype(np.int64) @ (q ** np.arange(self.width,
+                                                         dtype=np.int64))
 
 
 def symmetrize(spec: FieldSpec, n: int, d: int, monomials) -> HypersurfaceForm:

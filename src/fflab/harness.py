@@ -43,9 +43,9 @@ from .forms import fermat_form, parse_form_file
 from .laurent import LaurentElement
 from .latgon import (SpecialLatticePair, check_cape, check_ratio_lemma,
                      check_sandwich, random_symmetric_gamma)
-from .moduli import count_cone, count_morphisms, langweil_report
+from .moduli import _is_diagonal, count_cone, count_morphisms, langweil_report
 from .reporting import ReportRecord
-from .weyl import (canonical_shape_report, check_shrink_batch,
+from .weyl import (_charge_weyl, canonical_shape_report, check_shrink_batch,
                    check_weyl_batch)
 from .work import map_reduce
 
@@ -388,6 +388,7 @@ def _run_weyl(config: RunConfig):
         limit = config.param_int("limit", minimum=1)
         if limit is not None:
             tails = tails[:limit]
+    _charge_weyl(prob, len(tails))
     fn = functools.partial(_weyl_chunk, _problem_recipe(config))
     results = map_reduce(fn, tails, workers=config.workers)
     records = []
@@ -594,10 +595,6 @@ def _run_cone(config: RunConfig):
         passed=divisible)]
 
 
-def _is_diagonal_config(form) -> bool:
-    return all(sum(1 for x in exps if x) == 1 for exps in form.monomials)
-
-
 def _run_morphisms(config: RunConfig):
     prob = build_problem(config)
     base = _base_inputs(config, prob.spec)
@@ -611,7 +608,7 @@ def _run_morphisms(config: RunConfig):
     passed = True
     tuple_space = prob.spec.q ** (ell * (config.e + 1) * config.n)
     want_cross = cross == "always" or (
-        cross == "auto" and _is_diagonal_config(prob.form)
+        cross == "auto" and _is_diagonal(prob.form)
         and method != "enumerate" and tuple_space <= 2 * 10 ** 6)
     if want_cross:
         other = count_morphisms(prob, ell, method="enumerate")

@@ -16,13 +16,25 @@ ratio reports of counts against the expected dimension powers.
 
 Counting routes, kept separate so they can cross-check each other:
 
-  enumerate  walk every tuple, test the de+1 conditions, filter coprimality
-             by a gcd cascade (common projective zero iff the dehomogenized
-             gcd is non-constant or every form is divisible by v);
+  enumerate  evaluate F(f) on every tuple with the box kernel
+             (forms.BoxKernel, blocks of 2^13 tuples through the numpy field
+             tables), count the all-zero condition vectors, and filter the
+             solutions alone for coprimality by a gcd cascade (common
+             projective zero iff the dehomogenized gcd is non-constant or
+             every form is divisible by v);
   convolve   for diagonal forms only: F(f) = sum_i c_i f_i^d means the
              condition vector is a sum of independent per-coordinate
              contributions, so the count is a group convolution over
-             F_{q^l}^{de+1}, folded coordinate by coordinate;
+             F_{q^l}^{de+1}, met in the middle.  Each coordinate's
+             distribution of c_i f^d is a sparse list of at most q^(e+1)
+             keys; the first ceil(n/2) are folded into A and the rest into
+             B, a fold scattering every pair of support points (keys added
+             digit by digit mod p) into one dense array of q^(de+1) cells,
+             and the count is sum_k B(k) A(-k).  A fold costs (support of
+             the running half) x (keys of the next coordinate) pairs, never
+             more than the q^(de+1) cells per key that shifting a dense
+             array costs; the F_25 surface (n = 4, e = 1) needs one
+             625 x 625 fold per half;
   factor     every nonzero solution tuple splits uniquely as (normalized
              common factor) x (coprime solution of lower degree), so
              coprime counts follow from total counts by subtracting
@@ -46,12 +58,14 @@ import numpy as np
 from .audit import dims
 from .errors import BudgetExceededError, ConfigError
 from .fields import FieldSpec
-from .forms import HypersurfaceForm, symmetrize
+from .forms import BoxKernel, HypersurfaceForm, symmetrize
 from .linalg import rank_mod_q
 from .polys import BinaryForm, poly_gcd
 
 # dense convolution arrays and enumerations are capped at this many cells
 _MAX_CELLS = 1 << 24
+# support pairs per scatter block of a convolution fold
+_FOLD_BLOCK = 1 << 15
 
 
 # -- extension embedding ----------------------------------------------------------
@@ -246,70 +260,75 @@ def _total_enumerate(spec: FieldSpec, form: HypersurfaceForm, e: int) -> int:
     """#{tuples of degree-e forms, zero included, with F(f) = 0}."""
     q, n = spec.q, form.n
     _charge(q ** ((e + 1) * n), "morphism-space enumeration")
-    coeff_space = list(itertools.product(range(q), repeat=e + 1))
-    count = 0
-    for tup in itertools.product(coeff_space, repeat=n):
-        forms = [BinaryForm(spec, e, cs) for cs in tup]
-        if form.eval_form(forms).is_zero():
-            count += 1
-    return count
+    return sum(int(np.count_nonzero(~images.any(axis=1)))
+               for _, images in BoxKernel(form, e).box())
 
 
-def _axis_shifts(spec: FieldSpec, vec_idx, width: int):
-    """Per-axis roll amounts for adding a fixed F_q^width vector, on a dense
-    array reshaped to (p,) * (f*width) in C order (last axis = lowest digit)."""
-    p, f = spec.p, spec.f
-    naxes = f * width
-    shifts = [0] * naxes
-    for pos in range(width):
-        idx = vec_idx[pos]
-        for dig in range(f):
-            shifts[naxes - 1 - (pos * f + dig)] = idx % p
-            idx //= p
-    return tuple(shifts)
+def _add_keys(p: int, a, b, digits: int):
+    """Keys of sums: a condition-vector key (BoxKernel.encode) read as a
+    base-p numeral has f digits per F_q coordinate, and F_q addition is
+    digit-wise addition mod p."""
+    out = np.zeros(len(a), dtype=np.int64)
+    scale = 1
+    for _ in range(digits):
+        out += (a // scale + b // scale) % p * scale
+        scale *= p
+    return out
+
+
+def _fold(spec: FieldSpec, left, right, width: int):
+    """The distribution of x + y for x ~ left, y ~ right, each given as
+    (sorted keys, counts) over F_q^width: every pair of support points is
+    scattered into one dense array, _FOLD_BLOCK pairs at a time."""
+    lkeys, lcounts = left
+    rkeys, rcounts = right
+    dense = np.zeros(spec.q ** width, dtype=np.int64)
+    pairs = len(lkeys) * len(rkeys)
+    for start in range(0, pairs, _FOLD_BLOCK):
+        idx = np.arange(start, min(start + _FOLD_BLOCK, pairs),
+                        dtype=np.int64)
+        li, ri = idx // len(rkeys), idx % len(rkeys)
+        np.add.at(dense, _add_keys(spec.p, lkeys[li], rkeys[ri],
+                                   spec.f * width),
+                  lcounts[li] * rcounts[ri])
+    keys = np.flatnonzero(dense)
+    return keys, dense[keys]
 
 
 def _total_convolve(spec: FieldSpec, form: HypersurfaceForm, e: int) -> int:
     """Diagonal forms: the condition vector of F(f) = sum c_i f_i^d splits
-    per coordinate, so fold the per-coordinate distributions by group
-    convolution over F_q^{de+1} (dense array + rolls)."""
+    per coordinate, so the count is a group convolution over F_q^{de+1} of
+    the per-coordinate distributions, met in the middle: fold the first
+    ceil(n/2) of them into A and the negated rest into B, then sum
+    A(k) * B(k) over the keys the two share."""
     if not _is_diagonal(form):
         raise ConfigError("convolution route needs a diagonal form")
     q, n, d = spec.q, form.n, form.d
     width = d * e + 1
     cells = q ** width
     _charge(cells * (n - 1), "cone convolution")
-    coeff = {}
+    assert q ** ((e + 1) * n) < 1 << 63, "solution counts overflow int64"
+    coeff = [0] * n
     for exps, c in form.monomials.items():
         coeff[next(i for i, v in enumerate(exps) if v)] = c
-    p, f = spec.p, spec.f
-    shape = (p,) * (f * width)
-    dists = []
-    for i in range(form.n):
-        dist = {}
-        for cs in itertools.product(range(q), repeat=e + 1):
-            g = BinaryForm(spec, e, cs)
-            power = g
-            for _ in range(d - 1):
-                power = power * g
-            vec = power.scale_idx(coeff.get(i, 0)).coeffs
-            key = 0
-            for pos, idx in enumerate(vec):
-                key += idx * q ** pos
-            dist[key] = dist.get(key, 0) + 1
-        dists.append(dist)
-    acc = np.zeros(cells, dtype=np.int64)
-    for key, mult in dists[0].items():
-        acc[key] = mult
-    acc = acc.reshape(shape)
-    for dist in dists[1:]:
-        nxt = np.zeros(shape, dtype=np.int64)
-        for key, mult in dist.items():
-            vec_idx = [(key // q ** pos) % q for pos in range(width)]
-            nxt += mult * np.roll(acc, _axis_shifts(spec, vec_idx, width),
-                                  axis=tuple(range(len(shape))))
-        acc = nxt
-    return int(acc.reshape(-1)[0])
+    half = (n + 1) // 2
+    neg = spec.tables["neg"]
+    signed = coeff[:half] + [neg[c] for c in coeff[half:]]
+    kernel = BoxKernel(form, e)
+    np_mul = spec.tables["np_mul"]
+    dists = [np.unique(kernel.encode(np_mul[c, kernel.powers[d]]),
+                       return_counts=True) for c in signed]
+    halves = []
+    for part in (dists[:half], dists[half:]):
+        acc = part[0] if part else (np.zeros(1, dtype=np.int64),
+                                    np.ones(1, dtype=np.int64))
+        for dist in part[1:]:
+            acc = _fold(spec, acc, dist, width)
+        halves.append(acc)
+    (akeys, acounts), (bkeys, bcounts) = halves
+    _, ia, ib = np.intersect1d(akeys, bkeys, assume_unique=True,
+                               return_indices=True)
+    return int(np.sum(acounts[ia] * bcounts[ib]))
 
 
 def total_solutions(spec: FieldSpec, form: HypersurfaceForm, e: int,
@@ -362,12 +381,11 @@ def _morphisms_enumerate(spec: FieldSpec, form: HypersurfaceForm,
     _charge(q ** ((e + 1) * n), "morphism enumeration")
     coeff_space = list(itertools.product(range(q), repeat=e + 1))
     count = 0
-    for tup in itertools.product(coeff_space, repeat=n):
-        forms = [BinaryForm(spec, e, cs) for cs in tup]
-        if not form.eval_form(forms).is_zero():
-            continue
-        if gcd_coprime(forms):
-            count += 1
+    for codes, images in BoxKernel(form, e).box():
+        for row in codes[~images.any(axis=1)].tolist():
+            if gcd_coprime([BinaryForm(spec, e, coeff_space[c])
+                            for c in row]):
+                count += 1
     if count % (q - 1):
         raise ConfigError("scalar orbits do not divide the coprime count")
     return count // (q - 1)

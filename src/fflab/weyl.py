@@ -340,22 +340,33 @@ class InequalityReport:
         return self.passed
 
 
+def _charge_weyl(prob: CountingProblem, phases: int):
+    """Charge the budget of check_weyl_batch on `phases` phases, in the
+    order a loop of check_weyl calls would: the phase distribution that S
+    is read from (once, with the first phase), then one count of N per
+    phase.  A sweep charges its whole tail list this way before it fans
+    out, so its status does not depend on how the tails are chunked."""
+    if phases:
+        prob.phase_distribution()
+    boxes, m = _shape_N(prob)
+    for _ in range(phases):
+        _charge_count(prob, boxes, m)
+
+
 def check_weyl(prob: CountingProblem, alpha) -> InequalityReport:
     """|S(alpha)|^(2^(d-1)) <= |P|^((2^(d-1)-d+1)n) N(alpha), exactly."""
     return check_weyl_batch(prob, [alpha])[0]
 
 
 def check_weyl_batch(prob: CountingProblem, alphas) -> list:
-    """check_weyl at every phase of `alphas`, in input order.  S and the
-    budget charge of N are taken phase by phase, as a loop of check_weyl
-    calls would take them; then N is counted for all phases at once."""
+    """check_weyl at every phase of `alphas`, in input order.  The budget
+    is charged first (_charge_weyl), as a loop of check_weyl calls would
+    charge it; then S is taken phase by phase and N is counted for all
+    phases at once."""
     d, n, q = prob.d, prob.n, prob.spec.q
-    boxes, m = _shape_N(prob)
-    s_vals = []
-    for alpha in alphas:
-        s_vals.append(prob.exp_sum(alpha))
-        _charge_count(prob, boxes, m)
-    n_counts = approx_zero_counts(prob, alphas, boxes, m)
+    _charge_weyl(prob, len(alphas))
+    s_vals = [prob.exp_sum(alpha) for alpha in alphas]
+    n_counts = approx_zero_counts(prob, alphas, *_shape_N(prob))
     power = 1 << (d - 1)
     exp = (prob.e + 1) * (power - d + 1) * n
     reports = []

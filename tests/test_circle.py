@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from fflab.circle import CountingProblem
 from fflab.errors import BudgetExceededError
 from fflab.fields import FieldSpec
-from fflab.forms import fermat_form, symmetrize
+from fflab.forms import fermat_form, parse_form_file, symmetrize
 from fflab.laurent import LaurentElement
 
 
@@ -112,3 +113,16 @@ def test_mixed_form_identity(spec5):
     brute = prob.brute_count()
     assert brute == 1
     assert prob.dissection_total() == brute
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_phase_distribution_matches_scalar_loop(spec5, e):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "forms", "mixed_cubic_n2.form")
+    prob = CountingProblem(spec5, parse_form_file(path, spec5, 2, 3), e)
+    want = {}
+    for x in prob.box_vectors():
+        value = prob.form.eval_form(list(x))
+        key = tuple(value.coeff(k) for k in range(prob.char_depth))
+        want[key] = want.get(key, 0) + 1
+    assert prob.phase_distribution() == want

@@ -1,9 +1,13 @@
+import itertools
+import random
+
+import numpy as np
 import pytest
 
 from fflab.errors import ConfigError
 from fflab.fields import FieldSpec
-from fflab.forms import (fermat_form, parse_form_file, smoothness_probe,
-                         symmetrize)
+from fflab.forms import (BoxKernel, fermat_form, parse_form_file,
+                         smoothness_probe, symmetrize)
 from fflab.polys import BinaryForm, Polynomial
 
 
@@ -112,3 +116,50 @@ def test_multilinear_diagonal_matrix(spec5, prob_n2):
                 acc = spec5.add(acc, spec5.mul(entry,
                                                spec5.mul(x[j], x[k])))
         assert acc == prob_n2.form.eval_form(list(x)).idx
+
+
+def _kernel_forms(f):
+    spec = FieldSpec(5, f)
+    mixed = {(3, 0, 0): 1, (2, 1, 0): 1, (1, 1, 1): 3, (0, 0, 3): 2}
+    if f > 1:
+        mixed[(0, 1, 2)] = (2, 1)     # a coefficient outside F_5
+    return spec, [fermat_form(spec, 3, 3), symmetrize(spec, 3, 3, mixed)]
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+@pytest.mark.parametrize("f", [1, 2])
+def test_box_kernel_matches_eval_form(f, e):
+    spec, forms = _kernel_forms(f)
+    q = spec.q
+    size = q ** (e + 1)
+    rng = random.Random(f"{f}:{e}")
+    rows = [[0, 0, 0], [size - 1] * 3]
+    rows += [[rng.randrange(size) for _ in range(3)] for _ in range(40)]
+    codes = np.array(rows, dtype=np.int64)
+    for form in forms:
+        kernel = BoxKernel(form, e)
+        if size <= 625:
+            # codes number the coefficient space in itertools.product order
+            assert kernel.powers[1].tolist() == [
+                list(cs) for cs in itertools.product(range(q), repeat=e + 1)]
+        got = kernel.images(codes)
+        assert got.shape == (len(rows), 3 * e + 1)
+        for row, image in zip(rows, got.tolist()):
+            tup = [BinaryForm(spec, e, [c // q ** (e - j) % q
+                                        for j in range(e + 1)])
+                   for c in row]
+            assert image == list(form.eval_form(tup).coeffs)
+
+
+def test_box_kernel_walks_the_box_in_product_order(spec5):
+    form = symmetrize(spec5, 2, 3, {(3, 0): 1, (2, 1): 1, (0, 3): 2})
+    kernel = BoxKernel(form, 1)
+    blocks = list(kernel.box())
+    codes = np.concatenate([c for c, _ in blocks]).tolist()
+    assert codes == [list(t) for t in itertools.product(range(25), repeat=2)]
+    space = list(itertools.product(range(5), repeat=2))
+    images = np.concatenate([im for _, im in blocks]).tolist()
+    for (a, b), image in zip(codes, images):
+        polys = [Polynomial(spec5, space[a]), Polynomial(spec5, space[b])]
+        value = form.eval_form(polys)
+        assert image == [value.coeff(k) for k in range(4)]

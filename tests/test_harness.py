@@ -9,7 +9,7 @@ from fflab.cli import main
 from fflab.errors import ConfigError, VerificationFailure
 from fflab.harness import (TASKS, _admissible_etas, _TASK_BUILDERS,
                            build_problem, load_config, run_task)
-from fflab.reporting import ReportRecord
+from fflab.reporting import ReportRecord, read_rows
 
 BASE = """
     [field]
@@ -201,6 +201,28 @@ def test_weyl_workers_do_not_change_rows(tmp_path):
         assert filecmp.cmp(os.path.join(outs[0], "weyl-check.csv"),
                            os.path.join(outs[1], "weyl-check.csv"),
                            shallow=False)
+
+
+def test_weyl_budget_status_does_not_depend_on_workers(tmp_path):
+    # the sweep charges its whole tail list before it fans out, so a chunk
+    # cannot pass on a fresh budget what the whole sweep overdraws
+    sweep = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                         "weyl_sweep_q5.cfg")
+    with open(sweep, encoding="utf-8") as fh:
+        text = fh.read() + "\n[run]\nbudget = 200000\n"
+    cfg = tmp_path / "weyl.cfg"
+    cfg.write_text(text)
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"out-{workers}"
+        assert main(["weyl-check", "--config", str(cfg), "--workers", workers,
+                     "--out", str(out)]) == 3
+        reports.append((out / "weyl-check.csv").read_bytes())
+    assert reports[0] == reports[1]
+    [row] = read_rows(str(tmp_path / "out-1" / "weyl-check.csv"))
+    assert (row["out.status"], row["out.needed"], row["out.budget"],
+            row["out.detail"]) == ("budget-exhausted", "625", "0",
+                                   "approx-zero count")
 
 
 def _first_overdraft(charges, budget):

@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from fflab import forms, moduli
 from fflab.circle import CountingProblem
 from fflab.errors import ConfigError
 from fflab.forms import fermat_form, symmetrize
 from fflab.moduli import (MorphismTuple, check_coprimality_criteria,
-                          count_cone, count_morphisms, enumerate_lines,
-                          extend_spec, gcd_coprime, langweil_report,
-                          resultant_coprime, total_solutions)
+                          count_cone, count_morphisms, embed_form,
+                          enumerate_lines, extend_spec, gcd_coprime,
+                          langweil_report, resultant_coprime,
+                          total_solutions)
 from fflab.polys import BinaryForm
 
 
@@ -141,3 +143,42 @@ def test_unknown_method_rejected(prob_n2, spec5):
         total_solutions(spec5, prob_n2.form, 1, method="guess")
     with pytest.raises(ConfigError):
         count_morphisms(prob_n2, method="guess")
+
+
+# n = 4 stops at e = 1: its e = 2 box has 5^12 tuples, past _MAX_CELLS
+@pytest.mark.parametrize("ell,n,e", [(1, 2, 1), (1, 2, 2), (1, 3, 1),
+                                     (1, 3, 2), (1, 4, 1), (2, 2, 1)])
+def test_convolution_matches_enumeration(spec5, ell, n, e):
+    ext = extend_spec(spec5, ell)
+    form = embed_form(fermat_form(spec5, n, 3), ext)
+    assert (total_solutions(ext, form, e, method="convolve")
+            == total_solutions(ext, form, e, method="enumerate"))
+
+
+def test_convolution_with_unequal_coefficients(spec5):
+    form = symmetrize(spec5, 3, 3, {(3, 0, 0): 1, (0, 3, 0): 2,
+                                    (0, 0, 3): 3})
+    for e in (1, 2):
+        assert (total_solutions(spec5, form, e, method="convolve")
+                == total_solutions(spec5, form, e, method="enumerate"))
+
+
+@pytest.mark.parametrize("size", [7, 3])
+def test_counts_do_not_depend_on_block_sizes(spec5, monkeypatch, size):
+    mixed = symmetrize(spec5, 3, 3, {(3, 0, 0): 1, (0, 3, 0): 2,
+                                     (0, 0, 3): 3, (2, 1, 0): 4,
+                                     (1, 1, 1): 1})
+    surface = fermat_form(spec5, 4, 3)
+
+    def counts():
+        prob = CountingProblem(spec5, mixed, 1)
+        return (prob.phase_distribution(),
+                total_solutions(spec5, mixed, 1, method="enumerate"),
+                moduli._morphisms_enumerate(spec5, mixed, 1),
+                total_solutions(spec5, surface, 1, method="convolve"))
+
+    want = counts()
+    assert want[3] == 2185
+    monkeypatch.setattr(forms, "_BOX_CHUNK", size)
+    monkeypatch.setattr(moduli, "_FOLD_BLOCK", size)
+    assert counts() == want

@@ -1,0 +1,73 @@
+"""Every shipped config gives the report it gave when these digests were
+recorded: the csv bytes at --workers 1, compared by sha256."""
+
+import glob
+import hashlib
+import os
+
+import pytest
+
+from fflab.cli import main
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+# too slow for the suite: about 18 s and 170 s
+SKIPPED = {"dissect_q7_n2", "shrink_e3_q5"}
+
+DIGESTS = {
+    "audit_d3_n45": (
+        "exponent-audit",
+        "0b85dbf4c62b8aa5364ce28ba8175c0ef72fd18e1cd42404430fac4330a57612"),
+    "cape_q5": (
+        "cape-lemma",
+        "67d4ce3c76d4a90ceabcb28f162b2b03c0ea7ee7e8a5525aa269b1480bdf7511"),
+    "cone_fermat_q5": (
+        "count-cone",
+        "0325f3c1a3b34ba2bdb9c91873489fcb8fa20e8fd1392d1cca4737dfda8253eb"),
+    "dissect_fermat_q5": (
+        "dissect-verify",
+        "176cca7f08ae5e1b323af83f470e7b775abcd4a7a40b809cebb8ccbbcae44211"),
+    "dissect_mixed_q5": (
+        "dissect-verify",
+        "bcbe6c75c2840b43c3ac7de86114d5258bdcf1e21652aab833bf50d16ea3db64"),
+    "langweil_surface_q5": (
+        "langweil-report",
+        "e85a5bb13af71997446f35f04b2c8590d5c8f219533f6c4783632ee3eb583979"),
+    "lattice_q5": (
+        "lattice-minima",
+        "e9e922c27f5e49a8f5d7d58cd2093b67eaab4ddeb58859dc52fbf6acb0149907"),
+    "major_fermat_q5": (
+        "major-arc",
+        "9e21e71bff3ec0ae0572c23fcca189a07916624595eef76a882e02e019d80b23"),
+    "morphisms_surface_q5": (
+        "count-morphisms",
+        "9103c66f98526a8b75508a7322136e99d98fe799e9c9ad2790978c6956ece171"),
+    "pointwise_generic_q5": (
+        "pointwise-measure",
+        "d40304dadfb0dc7ccca604d85c7a3036c9c15890c58e1748d2b9b22a5597b8fa"),
+    "ratio_q5": (
+        "ratio-lemma",
+        "e4d31768ddfab52bf825e0785727e289375b9c7406dbb87fc83fe61c040a9708"),
+    "shrink_e1_q5": (
+        "shrink-check",
+        "637d45c06927bdcd25aba0bfe290504982e74966be5b4fd6bfeafe7fb88ef594"),
+    "weyl_sweep_q5": (
+        "weyl-check",
+        "8ac9538e6e994f6b38b421b3e18490868dc9d0348982c9d50bbd9ee96e897cee"),
+}
+
+
+def test_every_shipped_config_has_a_digest():
+    names = {os.path.basename(path)[:-len(".cfg")]
+             for path in glob.glob(os.path.join(CONFIGS, "*.cfg"))}
+    assert names == set(DIGESTS) | SKIPPED
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_shipped_config_report_is_unchanged(tmp_path, name):
+    task, digest = DIGESTS[name]
+    cfg = os.path.join(CONFIGS, f"{name}.cfg")
+    assert main([task, "--config", cfg, "--workers", "1",
+                 "--out", str(tmp_path)]) == 0
+    with open(tmp_path / f"{task}.csv", "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
