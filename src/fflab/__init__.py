@@ -9,8 +9,7 @@ floating point appears only inside rigorous interval refinement.
 from .errors import (BudgetExceededError, ConfigError, PrecisionError,
                      VerificationFailure)
 from .fields import FieldElement, FieldSpec, find_irreducible, trace
-from .polys import (BinaryForm, Polynomial, binform_gcd, poly_gcd, resultant,
-                    tuple_is_coprime)
+from .polys import BinaryForm, Polynomial, poly_gcd
 from .cyclotomic import (CyclotomicValue, abs_power_at_most, compare_abs_power,
                          real_sign)
 from .laurent import (LaurentElement, ball_measure, character_value,

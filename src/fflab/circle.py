@@ -14,10 +14,15 @@ S over theta representatives at character depth B = de+1:  S(alpha) only
 depends on the coefficients of alpha at t^{-1},...,t^{-B} because
 deg(F(x)) <= de.  Everything lands in Z[zeta_p], compared bit-exactly.
 
-The sum S is computed through the phase distribution D(c) = #{x in box :
-coeffs(F(x)) = c}, built once per problem by the vectorized box kernel
-(forms.BoxKernel).  The scalar loops over box points remain only in the
-oracles: the plain direct summation of S and the brute-force root count.
+S has one fast route, CountingProblem.exp_sums, and one oracle, the plain
+double loop _exp_sum_direct.  exp_sums reads S off the phase distribution
+D(c) = #{x in box : coeffs(F(x)) = c}, built once per problem by the
+vectorized box kernel (forms.BoxKernel): for a stack of tails it
+accumulates <c, tail> over the support of D through the field tables and
+counts D by the trace of each value, one integer histogram per tail.  One
+phase, a sweep of phases and the sum table over all q^B tails are all calls
+of that one kernel.  The scalar loops over box points remain only in the
+oracles: the direct summation of S and the brute-force root count.
 """
 
 from __future__ import annotations
@@ -29,11 +34,14 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import CyclotomicValue
-from .errors import BudgetExceededError, ConfigError
+from .errors import BudgetExceededError, ConfigError, PrecisionError
 from .fields import FieldSpec
 from .forms import BoxKernel, HypersurfaceForm
 from .laurent import LaurentElement, expand_rational
 from .polys import Polynomial, poly_gcd
+
+# (tails x support) cells per block of the S kernel; bounds its working set
+_SUM_BLOCK_CELLS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -99,10 +107,6 @@ class CountingProblem:
             raise BudgetExceededError(cost, self.budget - self.budget_spent,
                                       what)
         self.budget_spent += cost
-
-    @property
-    def P(self) -> Polynomial:
-        return Polynomial(self.spec, (0,) * (self.e + 1) + (1,))
 
     # -- enumeration helpers -----------------------------------------------------
 
@@ -177,21 +181,56 @@ class CountingProblem:
                                           counts.tolist()))
         return self._distribution
 
-    def exp_sum(self, alpha, method: str = "table") -> CyclotomicValue:
-        """S(alpha).  alpha is a LaurentElement exact to depth B, or a
-        depth-B tail tuple.  method='direct' is the plain double loop kept
-        as an oracle; 'table' goes through the phase distribution."""
-        tail = (alpha if isinstance(alpha, tuple)
-                else alpha.tail_vector(self.char_depth))
-        if method == "direct":
-            return self._exp_sum_direct(tail)
-        if method != "table":
-            raise ValueError(f"unknown method {method!r}")
+    def _tail(self, alpha) -> tuple:
+        """The depth-B tail of alpha: a LaurentElement exact to depth B, or
+        a tail tuple of length exactly B."""
+        if not isinstance(alpha, tuple):
+            return alpha.tail_vector(self.char_depth)
+        if len(alpha) != self.char_depth:
+            raise PrecisionError(
+                f"tail of length {len(alpha)}, S needs {self.char_depth}")
+        return alpha
+
+    def exp_sum(self, alpha) -> CyclotomicValue:
+        """S(alpha) for one phase; see exp_sums."""
+        return self.exp_sums([alpha])[0]
+
+    def exp_sums(self, alphas) -> list:
+        """S at every phase of `alphas`, in input order.  A phase is a
+        LaurentElement exact to depth B or a depth-B tail tuple.  Once the
+        sum table is built S is read from it; otherwise the stacked tails
+        go through the kernel, in blocks of at most _SUM_BLOCK_CELLS
+        (tail, support point) cells.  Charges nothing beyond the phase
+        distribution."""
+        tails = [self._tail(alpha) for alpha in alphas]
+        if not tails:
+            return []
         if self._sum_table is not None:
-            return self._sum_table[tail]
-        return self._sum_from_distribution(tail)
+            return [self._sum_table[tail] for tail in tails]
+        spec = self.spec
+        p, B = spec.p, self.char_depth
+        np_mul = spec.tables["np_mul"]
+        np_add = spec.tables["np_add"]
+        np_trace = spec.tables["np_trace"]
+        dist = self.phase_distribution()
+        sup = np.array(list(dist.keys()), dtype=np.int16)
+        counts = np.array(list(dist.values()), dtype=np.int64)
+        stack = np.array(tails, dtype=np.int16).reshape(len(tails), B)
+        block = max(1, _SUM_BLOCK_CELLS // len(sup))
+        values = []
+        for start in range(0, len(tails), block):
+            tblock = stack[start:start + block]
+            acc = np.zeros((len(tblock), len(sup)), dtype=np.int16)
+            for j in range(B):
+                acc = np_add[acc, np_mul[tblock[:, j:j + 1], sup[None, :, j]]]
+            tr = np_trace[acc]
+            hists = np.stack([(tr == v) @ counts for v in range(p)], axis=1)
+            values.extend(CyclotomicValue.from_histogram(p, hist)
+                          for hist in hists.tolist())
+        return values
 
     def _exp_sum_direct(self, tail: tuple) -> CyclotomicValue:
+        """Oracle: S at one depth-B tail by the plain loop over the box."""
         spec = self.spec
         self._charge(spec.q ** (self.box * self.n), "direct S evaluation")
         mul, add, trace = (spec.tables["mul"], spec.tables["add"],
@@ -206,61 +245,17 @@ class CountingProblem:
             hist[trace[res]] += 1
         return CyclotomicValue.from_histogram(spec.p, hist)
 
-    def _sum_from_distribution(self, tail: tuple) -> CyclotomicValue:
-        spec = self.spec
-        mul, add, trace = (spec.tables["mul"], spec.tables["add"],
-                           spec.tables["trace"])
-        hist = [0] * spec.p
-        for key, cnt in self.phase_distribution().items():
-            res = 0
-            for c, a in zip(key, tail):
-                if c and a:
-                    res = add[res][mul[c][a]]
-            hist[trace[res]] += cnt
-        return CyclotomicValue.from_histogram(spec.p, hist)
-
-    def tail_index(self, tail: tuple) -> int:
-        q = self.spec.q
-        idx = 0
-        for c in reversed(tail):
-            idx = idx * q + c
-        return idx
-
     def sum_table(self):
-        """S on every depth-B tail, as {tail tuple: CyclotomicValue}."""
-        if self._sum_table is not None:
-            return self._sum_table
-        spec = self.spec
-        q, p, B = spec.q, spec.p, self.char_depth
-        dist = self.phase_distribution()
-        self._charge(len(dist) * q ** B, "sum table build")
-        np_mul = spec.tables["np_mul"]
-        np_add = spec.tables["np_add"]
-        np_trace = spec.tables["np_trace"]
-        sup = np.array(list(dist.keys()), dtype=np.int16)
-        counts = np.array(list(dist.values()), dtype=np.int64)
-        total = q ** B
-        tails = np.empty((total, B), dtype=np.int16)
-        ar = np.arange(total)
-        for j in range(B):
-            tails[:, j] = (ar // q ** j) % q
-        table = {}
-        chunk = max(1, min(total, (1 << 23) // max(1, len(sup))))
-        for start in range(0, total, chunk):
-            tblock = tails[start:start + chunk]
-            acc = np.zeros((tblock.shape[0], len(sup)), dtype=np.int16)
-            for j in range(B):
-                acc = np_add[acc, np_mul[tblock[:, j:j + 1], sup[None, :, j]]]
-            tr = np_trace[acc]
-            hists = np.empty((tblock.shape[0], p), dtype=np.int64)
-            for v in range(p):
-                hists[:, v] = (tr == v) @ counts
-            for i in range(tblock.shape[0]):
-                tail = tuple(int(c) for c in tblock[i])
-                table[tail] = CyclotomicValue.from_histogram(
-                    p, [int(h) for h in hists[i]])
-        self._sum_table = table
-        return table
+        """S on every depth-B tail, as {tail tuple: CyclotomicValue}: one
+        exp_sums call over all q^B tails, first digit fastest."""
+        if self._sum_table is None:
+            q, B = self.spec.q, self.char_depth
+            self._charge(len(self.phase_distribution()) * q ** B,
+                         "sum table build")
+            tails = [tail[::-1]
+                     for tail in itertools.product(range(q), repeat=B)]
+            self._sum_table = dict(zip(tails, self.exp_sums(tails)))
+        return self._sum_table
 
     # -- quadrature ----------------------------------------------------------------
 
@@ -305,18 +300,15 @@ class CountingProblem:
         return total
 
     def major_total(self) -> CyclotomicValue:
-        """Contribution of the major atoms (r = 1, |theta| < q^{-de-1})."""
+        """Contribution of the major atoms (r = 1, |theta| < q^{-de-1}),
+        which all lie on the one arc with deg r = 0."""
+        unit = ArcPoint(Polynomial.one(self.spec), Polynomial.zero(self.spec),
+                        self.arc_floor)
         total = CyclotomicValue.zero(self.spec.p)
-        for arc in self.dissect():
-            if arc.deg_r != 0:
-                continue
-            for atom in self.arc_atoms(arc):
-                if atom.kind == "major":
-                    total = total + atom.value * atom.weight
+        for atom in self.arc_atoms(unit):
+            if atom.kind == "major":
+                total = total + atom.value * atom.weight
         return total
-
-    def minor_total(self) -> CyclotomicValue:
-        return self.dissection_total() - self.major_total()
 
     # -- the independent count ------------------------------------------------------
 

@@ -102,18 +102,8 @@ class RunConfig:
         return self.params.get(key)
 
     def param_int(self, key: str, default=None, minimum=None):
-        raw = self._param_raw(key)
-        if raw is None:
-            return default
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{self.path}: [task] {key}: expected an integer, got {raw!r}")
-        if minimum is not None and value < minimum:
-            raise ConfigError(
-                f"{self.path}: [task] {key}: must be >= {minimum}, got {value}")
-        return value
+        return _parse_int(self._param_raw(key), self.path, "task", key,
+                          default, minimum)
 
     def param_fraction(self, key: str, default=None):
         raw = self._param_raw(key)
@@ -157,9 +147,8 @@ def _get(cp, path, section, key, default=None, required=False):
     return default
 
 
-def _get_int(cp, path, section, key, default=None, required=False,
-             minimum=None):
-    raw = _get(cp, path, section, key, required=required)
+def _parse_int(raw, path, section, key, default=None, minimum=None):
+    """The integer value of [section] key (raw text, or None if absent)."""
     if raw is None:
         return default
     try:
@@ -171,6 +160,12 @@ def _get_int(cp, path, section, key, default=None, required=False,
         raise ConfigError(
             f"{path}: [{section}] {key}: must be >= {minimum}, got {value}")
     return value
+
+
+def _get_int(cp, path, section, key, default=None, required=False,
+             minimum=None):
+    return _parse_int(_get(cp, path, section, key, required=required), path,
+                      section, key, default, minimum)
 
 
 def load_config(path: str, task: str = None, workers: int = None,

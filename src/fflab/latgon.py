@@ -98,11 +98,6 @@ class MinimaProfile:
         if list(self.exponents) != sorted(self.exponents):
             raise ConfigError("minima exponents must be non-decreasing")
 
-    def closed_exponents(self) -> tuple:
-        if self.convention == "closed":
-            return self.exponents
-        return tuple(r - 1 for r in self.exponents)
-
 
 @dataclass(frozen=True)
 class LatticeCheck:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import FieldSpec
-from .polys import Polynomial
 
 
 def rank_mod_q(spec: FieldSpec, rows) -> int:
@@ -83,15 +82,6 @@ def batched_rank(spec: FieldSpec, mats: np.ndarray) -> np.ndarray:
     return rank
 
 
-def batched_solution_counts(spec: FieldSpec, mats: np.ndarray):
-    """For each homogeneous system A u = 0 in the stack (shape (B, R, C),
-    unknowns u in F_q^C), the number of solutions q^(C - rank) as an array of
-    Python ints."""
-    ranks = batched_rank(spec, mats)
-    ncols = mats.shape[2]
-    return [spec.q ** int(ncols - r) for r in ranks]
-
-
 def solve_nullspace(spec: FieldSpec, rows):
     """Basis (list of index vectors) of the right nullspace of one matrix."""
     mul, sub, inv, neg = (spec.tables["mul"], spec.tables["sub"],
@@ -156,11 +146,3 @@ def poly_matrix_rank(rows) -> int:
         if rank == nrows:
             break
     return rank
-
-
-def identity_idx(n: int):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def poly_from_idx(spec: FieldSpec, coeffs) -> Polynomial:
-    return Polynomial(spec, coeffs)

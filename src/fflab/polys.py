@@ -4,9 +4,6 @@ Polynomials are immutable tuples of element indices, low degree first, with
 no trailing zeros; the zero polynomial is the empty tuple and reports degree
 -1.  Binary forms of degree e carry exactly e+1 coefficients (index i is the
 coefficient of u^i v^{e-i}); the zero form is allowed.
-
-The resultant follows the Sylvester convention with the first argument's
-coefficient rows on top, so resultant(u, v) = +1.
 """
 
 from __future__ import annotations
@@ -334,100 +331,3 @@ class BinaryForm:
 
     def __repr__(self):
         return f"BinaryForm(e={self.e}, {list(self.coeffs)})"
-
-
-def binform_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Monic gcd of two binary forms as homogeneous polynomials.
-
-    Writing f = v^(e - deg f*) * hom(f*) with f* the dehomogenization at
-    v = 1, the gcd is v^min(...) times the homogenized univariate gcd.
-    """
-    if f.is_zero() and g.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    if f.is_zero():
-        f, g = g, f
-    fd = f.dehomogenize()
-    vf = f.e - fd.degree()
-    if g.is_zero():
-        core, vmult = fd.monic(), vf
-    else:
-        gd = g.dehomogenize()
-        vg = g.e - gd.degree()
-        core, vmult = poly_gcd(fd, gd), min(vf, vg)
-    e = core.degree() + vmult
-    cs = [0] * (e + 1)
-    for i, c in enumerate(core.coeffs):
-        cs[i] = c
-    return BinaryForm(f.spec, e, cs)
-
-
-def tuple_is_coprime(forms) -> bool:
-    """True when the tuple of binary forms has no non-constant common factor
-    (equivalently no common projective zero over the algebraic closure)."""
-    forms = [f for f in forms]
-    if all(f.is_zero() for f in forms):
-        return False
-    g = None
-    for f in forms:
-        if f.is_zero():
-            continue
-        g = f if g is None else binform_gcd(g, f)
-        if g.e == 0:
-            return True
-    return g.e == 0
-
-
-def resultant(f: BinaryForm, g: BinaryForm) -> FieldElement:
-    """Sylvester resultant at the forms' formal degrees, f-rows first.
-
-    Vanishes iff the two (nonzero) forms share a projective zero over the
-    closure; degenerate (negative-size) inputs are rejected by construction
-    since a BinaryForm always carries e+1 coefficients.
-    """
-    if f.spec != g.spec:
-        raise ValueError("mixed fields")
-    spec = f.spec
-    m, n = f.e, g.e
-    size = m + n
-    if size == 0:
-        return spec.one
-    rows = []
-    fdesc = list(reversed(f.coeffs))
-    gdesc = list(reversed(g.coeffs))
-    for i in range(n):
-        rows.append([0] * i + fdesc + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + gdesc + [0] * (size - n - 1 - i))
-    return FieldElement(spec, _det_idx(spec, rows))
-
-
-def _det_idx(spec: FieldSpec, rows) -> int:
-    """Determinant over F_q by Gaussian elimination on index matrices."""
-    mul, sub, inv = spec.tables["mul"], spec.tables["sub"], spec.tables["inv"]
-    a = [list(r) for r in rows]
-    nn = len(a)
-    det = 1
-    sign_flip = False
-    for col in range(nn):
-        piv = None
-        for r in range(col, nn):
-            if a[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign_flip = not sign_flip
-        pval = a[col][col]
-        det = mul[det][pval]
-        pinv = inv[pval]
-        for r in range(col + 1, nn):
-            if a[r][col]:
-                factor = mul[a[r][col]][pinv]
-                frow = mul[factor]
-                for c in range(col, nn):
-                    a[r][c] = sub[a[r][c]][frow[a[col][c]]]
-    if sign_flip:
-        det = spec.neg(det)
-    return det

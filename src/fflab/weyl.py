@@ -361,11 +361,11 @@ def check_weyl(prob: CountingProblem, alpha) -> InequalityReport:
 def check_weyl_batch(prob: CountingProblem, alphas) -> list:
     """check_weyl at every phase of `alphas`, in input order.  The budget
     is charged first (_charge_weyl), as a loop of check_weyl calls would
-    charge it; then S is taken phase by phase and N is counted for all
-    phases at once."""
+    charge it; then S is taken for all phases in one exp_sums call and N
+    is counted for all phases at once."""
     d, n, q = prob.d, prob.n, prob.spec.q
     _charge_weyl(prob, len(alphas))
-    s_vals = [prob.exp_sum(alpha) for alpha in alphas]
+    s_vals = prob.exp_sums(alphas)
     n_counts = approx_zero_counts(prob, alphas, *_shape_N(prob))
     power = 1 << (d - 1)
     exp = (prob.e + 1) * (power - d + 1) * n

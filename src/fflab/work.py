@@ -33,7 +33,7 @@ def chunked(items, parts: int):
     return runs
 
 
-def map_reduce(fn, items, workers: int = 1, parts: int = None):
+def map_reduce(fn, items, workers: int = 1):
     """Apply `fn` to contiguous chunks of `items`; concatenate the results.
 
     `fn` takes a list slice and returns a list.  With workers <= 1 every
@@ -41,7 +41,7 @@ def map_reduce(fn, items, workers: int = 1, parts: int = None):
     combined in submission order.
     """
     workers = max(1, int(workers))
-    runs = chunked(items, parts if parts is not None else workers)
+    runs = chunked(items, workers)
     if workers == 1 or len(runs) == 1:
         outs = [fn(run) for run in runs]
     else:

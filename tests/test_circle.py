@@ -1,10 +1,13 @@
+import itertools
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
+from fflab import circle
 from fflab.circle import CountingProblem
-from fflab.errors import BudgetExceededError
+from fflab.errors import BudgetExceededError, PrecisionError
 from fflab.fields import FieldSpec
 from fflab.forms import fermat_form, parse_form_file, symmetrize
 from fflab.laurent import LaurentElement
@@ -46,6 +49,13 @@ def test_major_total_equals_main_term(prob_n3):
     assert prob_n3.major_total() == 25
 
 
+def test_major_total_visits_only_the_unit_arc(prob_n3, monkeypatch):
+    def no_dissection(self):
+        raise AssertionError("major_total walked the dissection")
+    monkeypatch.setattr(CountingProblem, "dissect", no_dissection)
+    assert prob_n3.major_total() == 25
+
+
 def test_dissection_identity_q7(prob_q7_n2):
     assert prob_q7_n2.dissection_total() == prob_q7_n2.brute_count()
 
@@ -60,8 +70,54 @@ def test_exp_sum_routes_agree(prob_n2):
     spec = prob_n2.spec
     for tail in [(0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 1, 3), (4, 4, 4, 4)]:
         alpha = LaurentElement.from_tail(spec, tail)
-        assert prob_n2.exp_sum(alpha, method="table") == \
-            prob_n2._exp_sum_direct(tail)
+        assert prob_n2.exp_sum(alpha) == prob_n2._exp_sum_direct(tail)
+
+
+def _mixed_cubic(spec, e):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "forms", "mixed_cubic_n2.form")
+    return CountingProblem(spec, parse_form_file(path, spec, 2, 3), e)
+
+
+@pytest.mark.parametrize("make,count", [
+    (lambda spec: _mixed_cubic(spec, 1), 12),
+    (lambda spec: CountingProblem(spec, fermat_form(spec, 3, 3), 1), 4),
+], ids=["mixed_cubic_n2", "fermat_n3"])
+def test_exp_sums_match_direct_across_blocks(spec5, monkeypatch, make,
+                                             count):
+    # a fresh problem, so S comes from the kernel and not from a sum table
+    prob = make(spec5)
+    monkeypatch.setattr(circle, "_SUM_BLOCK_CELLS", 7)
+    assert len(prob.phase_distribution()) > 7     # one tail per block
+    rng = random.Random(11)
+    tails = [(0,) * prob.char_depth] + [
+        tuple(rng.randrange(5) for _ in range(prob.char_depth))
+        for _ in range(count - 1)]
+    assert prob.exp_sums(tails) == [prob._exp_sum_direct(t) for t in tails]
+
+
+def test_sum_table_matches_kernel(spec5):
+    prob = CountingProblem(spec5, fermat_form(spec5, 2, 3), 1)
+    assert prob.exp_sums([]) == []
+    assert prob.budget_spent == 0      # no phase distribution for no phase
+    tails = list(itertools.product(range(5), repeat=prob.char_depth))
+    kernel = prob.exp_sums(tails)
+    table = prob.sum_table()
+    assert len(table) == 625
+    assert [table[t] for t in tails] == kernel
+    assert prob.exp_sums(tails) == kernel
+
+
+def test_wrong_length_tail_raises_on_both_paths(spec5):
+    prob = CountingProblem(spec5, fermat_form(spec5, 2, 3), 1)
+    for built in (False, True):
+        if built:
+            prob.sum_table()
+        for tail in [(1, 0), (1, 0, 0, 0, 0)]:
+            with pytest.raises(PrecisionError):
+                prob.exp_sum(tail)
+            with pytest.raises(PrecisionError):
+                prob.exp_sums([(0, 0, 0, 0), tail])
 
 
 def test_atom_kinds(prob_n3):
@@ -117,9 +173,7 @@ def test_mixed_form_identity(spec5):
 
 @pytest.mark.parametrize("e", [1, 2])
 def test_phase_distribution_matches_scalar_loop(spec5, e):
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
-                        "forms", "mixed_cubic_n2.form")
-    prob = CountingProblem(spec5, parse_form_file(path, spec5, 2, 3), e)
+    prob = _mixed_cubic(spec5, e)
     want = {}
     for x in prob.box_vectors():
         value = prob.form.eval_form(list(x))

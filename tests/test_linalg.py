@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from fflab.linalg import (batched_rank, batched_solution_counts, identity_idx,
-                          poly_from_idx, poly_matrix_rank, rank_mod_q,
+from fflab.linalg import (batched_rank, poly_matrix_rank, rank_mod_q,
                           solve_nullspace)
 from fflab.polys import Polynomial
 
@@ -11,7 +10,7 @@ def test_rank_mod_q_known(spec5):
     assert rank_mod_q(spec5, [[1, 2], [2, 4]]) == 1
     assert rank_mod_q(spec5, [[1, 2], [2, 3]]) == 2
     assert rank_mod_q(spec5, [[0, 0], [0, 0]]) == 0
-    assert rank_mod_q(spec5, identity_idx(3)) == 3
+    assert rank_mod_q(spec5, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
 
 
 def test_rank_extension_field():
@@ -46,8 +45,10 @@ def test_batched_rank_matches_loop(spec5):
 
 def test_batched_solution_counts(spec5):
     mats = np.array([[[1, 0], [0, 1]], [[1, 2], [2, 4]], [[0, 0], [0, 0]]])
-    counts = batched_solution_counts(spec5, mats)
-    assert list(counts) == [1, 5, 25]
+    ranks = batched_rank(spec5, mats)
+    assert ranks.tolist() == [2, 1, 0]
+    # A u = 0 has q^(C - rank) solutions u in F_q^C
+    assert [5 ** (2 - r) for r in ranks.tolist()] == [1, 5, 25]
 
 
 def test_poly_matrix_rank(spec5):
@@ -60,5 +61,6 @@ def test_poly_matrix_rank(spec5):
 
 
 def test_poly_from_idx(spec5):
-    p = poly_from_idx(spec5, [1, 0, 3])
+    # index coefficients and integer coefficients agree on F_5
+    p = Polynomial(spec5, [1, 0, 3])
     assert p == Polynomial.from_ints(spec5, [1, 0, 3])

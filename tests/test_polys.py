@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from fflab.polys import (BinaryForm, Polynomial, binform_gcd, poly_gcd,
-                         resultant, tuple_is_coprime)
+from fflab.moduli import _sylvester_rank_full, gcd_coprime, resultant_coprime
+from fflab.polys import BinaryForm, Polynomial, poly_gcd
 
 
 def P(spec, *values):
@@ -87,15 +87,18 @@ def test_binform_gcd_and_coprimality(spec5):
     v = BinaryForm.from_ints(spec5, 1, [1, 0])   # v
     f = u * v
     g = v * v
-    shared = binform_gcd(f, g)
-    assert shared.e == 1
-    assert not tuple_is_coprime([f, g])
-    assert tuple_is_coprime([u, v])
+    # the shared factor v has degree 1: exactly one common zero on P^1(F_5)
+    points = [(a, 1) for a in range(5)] + [(1, 0)]
+    common = [pt for pt in points if f(*pt) == spec5.zero == g(*pt)]
+    assert common == [(1, 0)]
+    assert not gcd_coprime([f, g])
+    assert gcd_coprime([u, v])
 
 
 def test_resultant_detects_common_factor(spec5):
     u = BinaryForm.from_ints(spec5, 1, [0, 1])
     v = BinaryForm.from_ints(spec5, 1, [1, 0])
-    assert resultant(u * v, v * v).idx == 0
-    r = resultant(u, v)
-    assert r.idx != 0
+    assert not _sylvester_rank_full(u * v, v * v)
+    assert _sylvester_rank_full(u, v)
+    assert not resultant_coprime([u * v, v * v])
+    assert resultant_coprime([u, v])
