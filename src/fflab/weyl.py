@@ -12,30 +12,38 @@ coefficients) is linear in the coefficients of u, so a prefix contributes
 q^(n C_last - rank A(prefix)).  Since the Psi_i are symmetric in their
 slots, the largest box is always moved to the linear slot.
 
-The fast route (d = 3, prime q, at least 512 prefixes) uses two facts:
+One kernel, approx_zero_counts, makes every count, for every d >= 3, every
+q = p^f and every box size:
 
-* Projective reduction.  For d = 3 the condition matrix A(u) is linear in
-  the prefix u, so A(cu) = c A(u) has the rank of A(u) for every c != 0.
-  Only one representative per F_q-line of prefixes is ranked, the one whose
-  first nonzero coordinate is 1, and its term is weighted by q - 1; the
-  zero prefix adds q^(n C_last) without a rank.  This ranks
-  (q^(n C_1) - 1)/(q - 1) matrices per phase instead of q^(n C_1).
+* The prefix map.  The condition matrix is multilinear in the d - 2 prefix
+  blocks: A(u_1,...,u_{d-2}) = kron(u_1,...,u_{d-2}) K, where K (built by
+  _prefix_maps as one outer product of the form's tensor and the tail, with
+  no summed index) has one row per tuple of block coordinates.
+* Projective reduction per block.  A(c_1 u_1,...) = c_1 ... c_{d-2} A(u_1,
+  ...) has the rank of A(u_1,...) for all nonzero c_l, so only one
+  representative per F_q-line of each block is taken, the one whose first
+  nonzero coordinate is 1, and a tuple of representatives is weighted by
+  (q - 1)^(d-2).  A prefix with a zero block has A = 0 and adds q^(n C_last)
+  without a rank.  This ranks prod_l (q^(n C_l) - 1)/(q - 1) matrices per
+  phase instead of q^(n sum C_l).
 * Batching across phases.  approx_zero_counts takes a stack of phases that
-  share boxes and m.  It builds the prefix -> matrix map K of every phase
-  at once (one einsum over the stacked tails), multiplies the line
-  representatives into it and ranks matrices of many phases in one
+  share boxes and m.  It builds K for every phase at once, multiplies the
+  prefix representatives into it and ranks matrices of many phases in one
   batched_rank call.  A batch holds at most _MAX_BATCH_ENTRIES matrix
-  entries, and for large prefix spaces the representatives are generated
-  chunk by chunk, so the working set of a batch does not grow with the
-  number of phases or of prefixes.
+  entries, and the representatives are generated chunk by chunk, so the
+  working set of a batch does not grow with the number of phases or of
+  prefixes.
 
-The product u K runs in int64: each entry is a sum of n C_1 products of
-residues below q, so n C_1 (q - 1)^2 < 2^62 bounds it; this is asserted
-next to the product.
+The product u K runs in int64 over F_p coordinates: F_q = F_p^f, each entry
+of K becomes the f x f matrix of multiplication by it, u becomes its f
+coordinates per entry, and the product's coordinates are folded back into
+field indices with the powers of p (for f = 1 this is u K mod p).  An entry
+is a sum of W f products of residues below p, W = prod_l n C_l the length of
+a Kronecker prefix, so W f (p - 1)^2 < 2^62 bounds it; this is asserted next
+to the product.
 
-The generic route (any d, any q) builds each prefix's matrix through the
-multilinear system and ranks it alone.  A fully naive enumerator (no linear
-algebra, direct norm tests) is kept as the independent oracle.
+A fully naive enumerator (no linear algebra, direct norm tests) is kept as
+the independent oracle.
 
 Every count charges the problem's budget with its number of prefix tuples
 before any work.  approx_zero_counts itself charges nothing: its callers
@@ -49,8 +57,10 @@ kappa+1, m = de+1-kappa(d-1)).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -59,7 +69,7 @@ from .circle import ArcPoint, CountingProblem
 from .cyclotomic import CyclotomicValue, compare_abs_power, real_sign
 from .errors import ConfigError, PrecisionError
 from .laurent import LaurentElement
-from .linalg import batched_rank, rank_mod_q
+from .linalg import batched_rank
 from .polys import Polynomial
 
 
@@ -114,140 +124,139 @@ def approx_zero_counts(prob: CountingProblem, alphas, box_list,
         return []
     if _vacuous(box_list, m):
         return [q ** (sum(box_list) * n)] * len(alphas)
-    boxes = sorted(box_list)
-    c_last = boxes[-1]
-    prefix_boxes = boxes[:-1]
-    depth = m + (c_last - 1) + sum(c - 1 for c in prefix_boxes)
-    tails = [_tail_array(alpha, depth) for alpha in alphas]
-    prefix_total = q ** (sum(prefix_boxes) * n)
-    if prob.d == 3 and prob.spec.f == 1 and prefix_total >= 512:
-        return _count_fast_d3(prob, tails, prefix_boxes[0], c_last, m)
-    return [_count_generic(prob, tail, prefix_boxes, c_last, m)
-            for tail in tails]
-
-
-def _count_generic(prob, tail, prefix_boxes, c_last, m) -> int:
-    import itertools
     spec = prob.spec
-    q, n = spec.q, prob.n
-    ml = prob.form.multilinear()
-    mul, add = spec.tables["mul"], spec.tables["add"]
-    blocks = []
-    for c in prefix_boxes:
-        polys = [Polynomial(spec, cs)
-                 for cs in itertools.product(range(q), repeat=c)]
-        blocks.append([list(v) for v in itertools.product(polys, repeat=n)])
-    count = 0
-    for prefix in itertools.product(*blocks) if blocks else [()]:
-        mat = ml.coefficient_matrix(list(prefix))
-        rows = []
-        for i in range(n):
-            for w in range(1, m + 1):
-                row = []
-                for k in range(n):
-                    poly = mat[i][k]
-                    for s in range(c_last):
-                        acc = 0
-                        for sp, coeff in enumerate(poly.coeffs):
-                            if coeff:
-                                acc = add[acc][mul[coeff][tail[w + s + sp]]]
-                        row.append(acc)
-                rows.append(row)
-        rank = rank_mod_q(spec, rows) if rows else 0
-        count += q ** (n * c_last - rank)
-    return count
+    boxes = sorted(box_list)
+    c_last, prefix_boxes = boxes[-1], boxes[:-1]
+    depth = m + sum(c - 1 for c in boxes)
+    tails = [_tail_array(alpha, depth) for alpha in alphas]
+    widths = [n * c for c in prefix_boxes]
+    lines = [(q ** w - 1) // (q - 1) for w in widths]
+    nrows, ncols = n * m, n * c_last
+    kmat = _coordinate_maps(spec, _prefix_maps(prob, tails, prefix_boxes,
+                                               c_last, m))
+    total = prod(lines)
+    per_batch = max(1, _MAX_BATCH_ENTRIES // (nrows * ncols))
+    # rank histogram of the prefixes with no zero block, one line per block
+    hist = np.zeros((len(tails), ncols + 1), dtype=np.int64)
+    for lo in range(0, total, per_batch):
+        reps = _prefix_representatives(spec, widths, lines, lo,
+                                       min(total, lo + per_batch))
+        group = max(1, per_batch // len(reps))
+        for a0 in range(0, len(tails), group):
+            block = kmat[a0:a0 + group]
+            ranks = batched_rank(spec, _condition_matrices(
+                spec, reps, block, nrows, ncols))
+            phases = block.shape[0]
+            keys = (np.arange(phases).repeat(len(reps)) * (ncols + 1)
+                    + ranks)
+            hist[a0:a0 + phases] += np.bincount(
+                keys, minlength=phases * (ncols + 1)).reshape(phases, -1)
+    zero_blocks = prod(q ** w for w in widths) - prod(q ** w - 1
+                                                      for w in widths)
+    scale = (q - 1) ** len(widths)
+    weights = [q ** (ncols - r) for r in range(ncols + 1)]
+    return [zero_blocks * q ** ncols
+            + scale * sum(h * w for h, w in zip(row, weights))
+            for row in hist.tolist()]
 
 
 # matrix entries per batched_rank call; bounds the working set of a batch
 _MAX_BATCH_ENTRIES = 1 << 19
 
 
-def _prefix_maps(prob, tails, c1, c_last, m) -> np.ndarray:
-    """K, shape (phases, n*c1, n*m * n*c_last): row j*c1+sp of K[a] is the
-    flattened condition matrix of phase a at the prefix with a single 1 at
-    coefficient sp of coordinate j.  A(u) = u K[a] mod q."""
-    import itertools
-    q, n = prob.spec.q, prob.n
-    # g[i, k, j] = symmetric tensor entry at {i, j, k}
-    g = np.zeros((n, n, n), dtype=np.int64)
+def _prefix_maps(prob, tails, prefix_boxes, c_last, m) -> np.ndarray:
+    """K, shape (phases, prod n*c_l, n*m * n*c_last), of field indices:
+    K[a, (j_1,sp_1,...,j_{d-2},sp_{d-2}), (i,w,k,s)] = g[i,k,j_1,...]
+    * tail_a[w + s + sum sp], with g the form's symmetric tensor.  A row of
+    K is the flattened condition matrix of phase a at the prefix whose
+    blocks are the unit vectors e_(j_l,sp_l); A(u) = kron(u_1,...) K[a]."""
+    spec, n, d = prob.spec, prob.n, prob.d
+    g = np.zeros((n,) * d, dtype=np.int64)
     for rep, c in prob.form.tensor.items():
         for perm in set(itertools.permutations(rep)):
             g[perm] = c
-    # window[a, sp, w-1, s] = tail coefficient at t^-(w + s + sp), w = 1..m
-    offsets = (np.arange(c1)[:, None, None] + np.arange(1, m + 1)[None, :, None]
-               + np.arange(c_last)[None, None, :])
+    # window[a, sp_1..sp_{d-2}, w-1, s] = tail coefficient at t^-(w+s+sum sp)
+    offsets = sum(np.ix_(*[np.arange(c) for c in prefix_boxes],
+                         np.arange(1, m + 1), np.arange(c_last)))
     window = np.array(tails, dtype=np.int64)[:, offsets]
-    kmat = np.einsum("ikj,apws->ajpiwks", g, window) % q
-    return kmat.reshape(len(tails), n * c1, n * m * n * c_last)
+    # no summed index: an outer product, one table gather for any F_q
+    g = g.transpose(*range(2, d), 0, 1).reshape(
+        1, *[s for _ in prefix_boxes for s in (n, 1)], n, 1, n, 1)
+    window = window.reshape(len(tails), *[s for c in prefix_boxes
+                                          for s in (1, c)], 1, m, 1, c_last)
+    kmat = spec.tables["np_mul"][g, window]
+    return kmat.reshape(len(tails), prod(n * c for c in prefix_boxes),
+                        n * m * n * c_last)
 
 
-def _line_representatives(q: int, width: int, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of the projective representatives of F_q^width: the
+def _coordinate_maps(spec, kmat) -> np.ndarray:
+    """K over F_p: each entry y of K becomes the f x f matrix of x -> x y
+    in the coordinates of F_q = F_p^f, so (phases, W, C) -> (phases, W f,
+    C f), the entry at row w*f + k, column c*f + r being coordinate r of
+    y times the k-th basis element (the element of index p^k)."""
+    p, f = spec.p, spec.f
+    basis = p ** np.arange(f)
+    # table[y, k, r] = coordinate r of y times the k-th basis element
+    table = spec.tables["np_mul"][:, basis][:, :, None] // basis % p
+    phases, width, cols = kmat.shape
+    return table[kmat].transpose(0, 1, 3, 2, 4).reshape(
+        phases, width * f, cols * f)
+
+
+def _line_representatives(q: int, width: int, idx) -> np.ndarray:
+    """Rows idx of the projective representatives of F_q^width: the
     vectors whose first nonzero coordinate is 1.  They come in blocks by
     the position t of that coordinate, block t holding q^(width-1-t) rows."""
-    pieces = []
-    start = 0
-    for t in range(width):
-        size = q ** (width - 1 - t)
-        a, b = max(lo, start), min(hi, start + size)
-        if a < b:
-            idx = np.arange(a - start, b - start, dtype=np.int64)
-            block = np.zeros((b - a, width), dtype=np.int64)
-            block[:, t] = 1
-            for col in range(t + 1, width):
-                block[:, col] = idx // q ** (col - t - 1) % q
-            pieces.append(block)
-        start += size
-    return np.concatenate(pieces)
+    sizes = q ** np.arange(width - 1, -1, -1)
+    ends = np.cumsum(sizes)
+    t = np.searchsorted(ends, idx, side="right")
+    digit = np.arange(width)[None, :] - t[:, None] - 1
+    reps = (idx - ends[t] + sizes[t])[:, None] // q ** np.maximum(digit, 0) % q
+    reps[digit < 0] = 0
+    reps[digit == -1] = 1
+    return reps
 
 
-def _condition_matrices(reps, kmat, q, nrows, ncols) -> np.ndarray:
-    """A(u) = u K mod q for every representative u and every phase's K, as
-    one int16 stack of shape (phases * len(reps), nrows, ncols)."""
-    assert reps.shape[1] * (q - 1) ** 2 < 1 << 62   # int64 bound of u K
+def _prefix_representatives(spec, widths, lines, lo, hi) -> np.ndarray:
+    """Prefixes lo..hi-1 of the product of the blocks' line
+    representatives (the last block varying fastest), each the Kronecker
+    product of its blocks, in F_p coordinates: shape (hi - lo, prod
+    widths * f), coordinate k of entry w at column w*f + k."""
+    q, p, f = spec.q, spec.p, spec.f
+    flat = np.arange(lo, hi, dtype=np.int64)
+    reps = np.ones((hi - lo, 1), dtype=np.int64)
+    stride = prod(lines)
+    for width, count in zip(widths, lines):
+        stride //= count
+        block = _line_representatives(q, width, flat // stride % count)
+        reps = spec.tables["np_mul"][reps[:, :, None],
+                                     block[:, None, :]].reshape(hi - lo, -1)
+    coords = reps[:, :, None] // p ** np.arange(f) % p
+    return coords.reshape(hi - lo, -1).astype(np.int64)
+
+
+def _condition_matrices(spec, reps, kmat, nrows, ncols) -> np.ndarray:
+    """A(u) = u K for every prefix u and every phase's K, as one int16
+    stack of field indices, shape (phases * len(reps), nrows, ncols).  The
+    product runs in int64 over F_p coordinates and is folded back into
+    indices with the powers of p."""
+    p, f = spec.p, spec.f
+    # each entry is a sum of (prefix width) * f products of residues below p
+    assert reps.shape[1] * (p - 1) ** 2 < 1 << 62   # int64 bound of u K
     amat = np.matmul(reps, kmat)
-    amat %= q
+    amat %= p
+    if f > 1:   # for f = 1 the one coordinate is the index
+        amat = amat.reshape(-1, f) @ p ** np.arange(f)
     return amat.astype(np.int16).reshape(-1, nrows, ncols)
-
-
-def _count_fast_d3(prob, tails, c1, c_last, m) -> list:
-    """d = 3, prime q: one rank per F_q-line of prefixes, with the matrices
-    of many phases ranked together (see the module docstring)."""
-    spec = prob.spec
-    q, n = spec.q, prob.n
-    width = n * c1
-    nrows, ncols = n * m, n * c_last
-    kmat = _prefix_maps(prob, tails, c1, c_last, m)
-    lines = (q ** width - 1) // (q - 1)
-    per_batch = max(1, _MAX_BATCH_ENTRIES // (nrows * ncols))
-    # rank histogram of the nonzero lines, per phase
-    hist = np.zeros((len(tails), ncols + 1), dtype=np.int64)
-    for lo in range(0, lines, per_batch):
-        reps = _line_representatives(q, width, lo, min(lines, lo + per_batch))
-        group = max(1, per_batch // len(reps))
-        for a0 in range(0, len(tails), group):
-            block = kmat[a0:a0 + group]
-            ranks = batched_rank(spec, _condition_matrices(reps, block, q,
-                                                           nrows, ncols))
-            phases = block.shape[0]
-            keys = (np.arange(phases).repeat(len(reps)) * (ncols + 1)
-                    + ranks)
-            hist[a0:a0 + phases] += np.bincount(
-                keys, minlength=phases * (ncols + 1)).reshape(phases, -1)
-    weights = [q ** (ncols - r) for r in range(ncols + 1)]
-    return [q ** ncols + (q - 1) * sum(h * w for h, w in zip(row, weights))
-            for row in hist.tolist()]
 
 
 def naive_approx_zero_count(prob: CountingProblem, alpha, box_list,
                             m: int) -> int:
     """Independent oracle: enumerate every tuple and test the norms directly
     through Laurent arithmetic.  Exponentially slower; test use only."""
-    import itertools
     spec = prob.spec
     q, n = spec.q, prob.n
-    if len(box_list) != prob.d - 1:
-        raise ValueError(f"need {prob.d - 1} boxes")
+    _check_boxes(prob, box_list)
     cost = q ** (sum(box_list) * n)
     prob._charge(cost, "naive approx-zero count")
     ml = prob.form.multilinear()
@@ -282,9 +291,8 @@ def _shape_N(prob: CountingProblem) -> tuple:
     return [prob.e + 1] * (prob.d - 1), prob.e + 1
 
 
-def count_N(prob: CountingProblem, alpha, oracle: bool = False) -> int:
-    fn = naive_approx_zero_count if oracle else approx_zero_count
-    return fn(prob, alpha, *_shape_N(prob))
+def count_N(prob: CountingProblem, alpha) -> int:
+    return approx_zero_count(prob, alpha, *_shape_N(prob))
 
 
 def _eta_box(prob, eta) -> int:
@@ -300,29 +308,24 @@ def _shape_N_eta(prob: CountingProblem, eta) -> tuple:
     return [c] * (prob.d - 1), (prob.e + 1) * prob.d - (prob.d - 1) * c
 
 
-def count_N_eta(prob: CountingProblem, alpha, eta, oracle: bool = False) -> int:
-    fn = naive_approx_zero_count if oracle else approx_zero_count
-    return fn(prob, alpha, *_shape_N_eta(prob, eta))
+def count_N_eta(prob: CountingProblem, alpha, eta) -> int:
+    return approx_zero_count(prob, alpha, *_shape_N_eta(prob, eta))
 
 
-def count_M_v(prob: CountingProblem, alpha, v: int,
-              oracle: bool = False) -> int:
+def count_M_v(prob: CountingProblem, alpha, v: int) -> int:
     if not 1 <= v <= prob.d:
         raise ValueError(f"v must be in 1..{prob.d}")
     boxes = [1] * (v - 1) + [prob.e + 1] * (prob.d - v)
-    fn = naive_approx_zero_count if oracle else approx_zero_count
-    return fn(prob, alpha, boxes, prob.e + 1)
+    return approx_zero_count(prob, alpha, boxes, prob.e + 1)
 
 
-def count_curly_N(prob: CountingProblem, alpha, kappa: int = None,
-                  oracle: bool = False) -> int:
+def count_curly_N(prob: CountingProblem, alpha, kappa: int = None) -> int:
     if kappa is None:
         kappa = kappa_of(prob.e)
     if kappa not in (0, 1):
         raise ValueError("kappa must be 0 or 1")
     m = prob.d * prob.e + 1 - kappa * (prob.d - 1)
-    fn = naive_approx_zero_count if oracle else approx_zero_count
-    return fn(prob, alpha, [kappa + 1] * (prob.d - 1), m)
+    return approx_zero_count(prob, alpha, [kappa + 1] * (prob.d - 1), m)
 
 
 # -- inequality checks ------------------------------------------------------------
@@ -602,29 +605,18 @@ def canonical_shape_report(prob: CountingProblem, lemma: str, r_degree: int,
 def measure_flat_count(prob: CountingProblem, eta) -> tuple:
     """(count, count * |P|^{-eta(d-2)n}) where count = #{u in boxes
     |P|^eta : Psi_i(u) = 0 identically for all i}.  Recorded, not asserted:
-    the upstream bound's constant is unspecified."""
-    import itertools
+    the upstream bound's constant is unspecified.
+
+    With c = (e+1) eta, each Psi_i(u) has degree below D = (d-1)(c-1)+1,
+    so it vanishes exactly when alpha Psi_i(u) has norm below q^-D at
+    alpha = t^-D: the count is one approximate-zero count with boxes c and
+    m = D."""
     c = _eta_box(prob, eta)
-    spec = prob.spec
-    q, n = spec.q, prob.n
-    if c == 0:
-        count = 1
-    else:
-        prob._charge(q ** (c * n * (prob.d - 2)), "flat count")
-        ml = prob.form.multilinear()
-        polys = [Polynomial(spec, cs)
-                 for cs in itertools.product(range(q), repeat=c)]
-        vectors = [list(v) for v in itertools.product(polys, repeat=n)]
-        count = 0
-        for prefix in itertools.product(vectors, repeat=prob.d - 2):
-            mat = ml.coefficient_matrix(list(prefix))
-            rows = []
-            for i in range(n):
-                width = max(len(mat[i][k].coeffs) for k in range(n))
-                for w in range(width + c - 1):
-                    rows.append([mat[i][k].coeff(w - s) if 0 <= w - s else 0
-                                 for k in range(n) for s in range(c)])
-            rank = rank_mod_q(spec, rows) if rows else 0
-            count += q ** (n * c - rank)
-    scale = Fraction(1, q ** (c * (prob.d - 2) * n))
+    d, q, n = prob.d, prob.spec.q, prob.n
+    if c:
+        prob._charge(q ** (c * n * (d - 2)), "flat count")
+    big_d = (d - 1) * (c - 1) + 1
+    alpha = tuple(int(k == big_d) for k in range(1, 2 * big_d))
+    count = approx_zero_counts(prob, [alpha], [c] * (d - 1), big_d)[0]
+    scale = Fraction(1, q ** (c * (d - 2) * n))
     return count, count * scale

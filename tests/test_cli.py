@@ -125,3 +125,38 @@ def test_moduli_cell_cap_exits_3(tmp_path):
     rows = read_rows(str(tmp_path / "o" / "count-cone.csv"))
     assert rows[0]["out.status"] == "budget-exhausted"
     assert rows[0]["out.detail"] == "cone convolution"
+
+
+WEYL_LIMIT_2 = """
+    [field]
+    p = 5
+    f = {f}
+
+    [problem]
+    d = {d}
+    n = 2
+    e = 1
+
+    [task]
+    name = weyl-check
+    limit = 2
+"""
+
+
+@pytest.mark.parametrize("f,d,counts", [
+    # N at the first two tails of the sweep, as the per-prefix route of
+    # the approximate-zero counts reported them before it was removed
+    (1, 4, [244140625, 58140625]),
+    (2, 3, [152587890625, 937890625]),
+])
+def test_weyl_check_d4_and_f25_do_not_depend_on_workers(tmp_path, f, d,
+                                                        counts):
+    cfg = write_cfg(tmp_path, WEYL_LIMIT_2.format(f=f, d=d))
+    for workers in ("1", "2"):
+        assert main(["weyl-check", "--config", cfg, "--workers", workers,
+                     "--out", str(tmp_path / workers)]) == 0
+    assert filecmp.cmp(str(tmp_path / "1" / "weyl-check.csv"),
+                       str(tmp_path / "2" / "weyl-check.csv"), shallow=False)
+    rows = read_rows(str(tmp_path / "1" / "weyl-check.csv"))
+    assert [parse_value(row["out.N"]) for row in rows[:-1]] == counts
+    assert parse_value(rows[-1]["out.atoms"]) == 2

@@ -8,13 +8,13 @@ import pytest
 from fflab import weyl
 from fflab.audit import kappa_of
 from fflab.circle import CountingProblem
+from fflab.errors import BudgetExceededError
 from fflab.fields import FieldSpec
 from fflab.forms import fermat_form, parse_form_file
 from fflab.harness import _problem_recipe, _weyl_chunk, load_config
 from fflab.laurent import LaurentElement
 from fflab.linalg import batched_rank
-from fflab.weyl import (_count_generic, _shape_N, _shape_N_eta, _tail_array,
-                        approx_zero_count,
+from fflab.weyl import (_shape_N, _shape_N_eta, approx_zero_count,
                         approx_zero_counts, canonical_point,
                         canonical_shape_report, check_shrink,
                         check_smallbox_chain, check_weyl, compare_pointwise,
@@ -48,7 +48,7 @@ def test_count_M_v_frozen_values(prob_n2):
 @pytest.mark.slow
 def test_count_N_oracle_route(prob_n2):
     t_inv2 = tail_alpha(prob_n2, (0, 1, 0, 0))
-    assert count_N(prob_n2, t_inv2, oracle=True) == 4225
+    assert naive_approx_zero_count(prob_n2, t_inv2, *_shape_N(prob_n2)) == 4225
 
 
 def test_count_N_eta_boundary_values(prob_n2):
@@ -165,9 +165,31 @@ def test_measure_pointwise_matches_canonical(prob_n2):
     assert rep.s_value.abs_squared() == 625
 
 
-def test_measure_flat_count_smoke(prob_n2):
-    got = measure_flat_count(prob_n2, 1)
-    assert isinstance(got, tuple) and len(got) >= 2
+def test_measure_flat_count_exact_values(spec5, prob_n2):
+    assert measure_flat_count(prob_n2, Fraction(1, 2)) == (81, Fraction(81, 25))
+    assert measure_flat_count(prob_n2, 1) == (2401, Fraction(2401, 625))
+    mixed = _mixed_problem(spec5, 1)
+    assert measure_flat_count(mixed, Fraction(1, 2))[0] == 49
+    assert measure_flat_count(mixed, 1)[0] == 1249
+    assert measure_flat_count(prob_n2, 0) == (1, 1)
+    # 5^2 prefix tuples at c = 1, charged under the count's own label
+    tight = CountingProblem(prob_n2.spec, prob_n2.form, 1, budget=24)
+    with pytest.raises(BudgetExceededError) as err:
+        measure_flat_count(tight, Fraction(1, 2))
+    assert err.value.what == "flat count"
+
+
+@pytest.mark.parametrize("name", ["fermat2", "mixed", "fermat2_d4",
+                                  "fermat1_q25"])
+def test_measure_flat_count_matches_naive_oracle(name):
+    # at c = 1 every Psi_i(u) is a constant: it vanishes exactly when
+    # || t^-1 Psi_i(u) || < q^-1
+    prob = _problem(name, 1)
+    before = prob.budget_spent
+    count = measure_flat_count(prob, Fraction(1, 2))[0]
+    assert prob.budget_spent - before == prob.spec.q ** (prob.n * (prob.d - 2))
+    alpha = (1,) + (0,) * (prob.char_depth - 1)
+    assert count == naive_approx_zero_count(prob, alpha, [1] * (prob.d - 1), 1)
 
 
 # -- the batched fast route against its oracles ---------------------------------------
@@ -179,6 +201,17 @@ MIXED_FORM = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
 
 def _mixed_problem(spec, e):
     return CountingProblem(spec, parse_form_file(MIXED_FORM, spec, 2, 3), e)
+
+
+def _problem(name, e):
+    """The mixed cubic over F_5, or the Fermat form in n variables named
+    fermat<n> (d = 3, F_5), fermat<n>_d4 (d = 4, F_5) or fermat<n>_q25
+    (d = 3, F_25)."""
+    if name == "mixed":
+        return _mixed_problem(FieldSpec(5), e)
+    spec = FieldSpec(5, 2) if name.endswith("_q25") else FieldSpec(5)
+    d = 4 if name.endswith("_d4") else 3
+    return CountingProblem(spec, fermat_form(spec, int(name[6]), d), e)
 
 
 def _random_tails(prob, count, seed):
@@ -193,16 +226,9 @@ def _curly_shape(prob):
             prob.d * prob.e + 1 - kappa * (prob.d - 1))
 
 
-def _generic(prob, tail, box_list, m):
-    boxes = sorted(box_list)
-    depth = m + sum(c - 1 for c in boxes)
-    return _count_generic(prob, _tail_array(tail, depth), boxes[:-1],
-                          boxes[-1], m)
-
-
 @pytest.mark.slow
 def test_batched_counts_match_naive_oracle_on_mixed_cubic(spec5):
-    # [2, 2] is the smallest box pair that takes the fast route for n = 2
+    # [2, 2] boxes: the kernel ranks (5^4 - 1)/4 = 156 lines of prefixes
     for e, shape, tails in [
             (1, None, [(0, 1, 0, 0), (3, 1, 4, 2)]),
             (3, Fraction(1, 2), [(2, 0, 4, 1, 1, 3, 0, 2, 4, 1)])]:
@@ -214,37 +240,92 @@ def test_batched_counts_match_naive_oracle_on_mixed_cubic(spec5):
         assert got == want
 
 
+@pytest.mark.parametrize("name,boxes,tails", [
+    # n = 2, d = 4: 5^(2*3) = 15,625 tuples, two prefix blocks
+    ("fermat2_d4", [1, 1, 1], [(1, 0, 4, 2, 3), (0, 3, 1, 1, 2)]),
+    # n = 1 over F_25: 25^3 = 15,625 tuples, unequal boxes
+    ("fermat1_q25", [2, 1], [(7, 19, 3, 11), (0, 1, 24, 5)]),
+])
+def test_batched_counts_match_naive_oracle_on_d4_and_f25(name, boxes, tails):
+    prob = _problem(name, 1)
+    got = approx_zero_counts(prob, tails, boxes, 2)
+    assert got == [naive_approx_zero_count(prob, tail, boxes, 2)
+                   for tail in tails]
+
+
+# Counts recorded from the former per-prefix route (one matrix built and
+# ranked per prefix tuple in Python), before it was removed; the tails of
+# the first four rows are _random_tails(prob, count, len(form) + 10 e).
+PINNED = {
+    ("fermat3", 1, "N"): [
+        ((4, 3, 2, 2), 117649), ((2, 1, 4, 2), 117649),
+        ((0, 0, 1, 3), 274625)],
+    ("mixed", 1, "N"): [
+        ((1, 0, 4, 0), 2401), ((1, 1, 0, 0), 1825), ((1, 2, 1, 0), 2401),
+        ((2, 3, 2, 2), 2401), ((3, 2, 2, 1), 2401), ((1, 2, 2, 1), 2401)],
+    ("mixed", 3, "N_eta"): [
+        ((4, 2, 1, 2, 1, 2, 3, 2, 4, 0), 1249),
+        ((4, 2, 2, 4, 0, 2, 0, 4, 0, 0), 1249),
+        ((3, 2, 0, 2, 3, 0, 0, 1, 2, 0), 1249),
+        ((1, 2, 1, 4, 0, 3, 2, 0, 2, 1), 1249),
+        ((4, 0, 1, 4, 3, 3, 2, 3, 4, 3), 1249),
+        ((0, 2, 4, 3, 4, 4, 0, 0, 2, 4), 1249)],
+    ("fermat2", 3, "curly"): [
+        ((4, 0, 4, 4, 0, 2, 3, 4, 0, 3), 2401),
+        ((4, 2, 3, 3, 3, 1, 0, 0, 3, 0), 2401),
+        ((4, 2, 2, 3, 4, 4, 2, 4, 0, 4), 2401),
+        ((4, 1, 4, 3, 0, 0, 0, 4, 2, 0), 2401),
+        ((4, 1, 0, 2, 2, 4, 1, 0, 0, 1), 2401)],
+    ("fermat2_d4", 1, "N"): [
+        ((3, 3, 0, 2, 4), 3972049), ((1, 2, 0, 3, 3), 4774225)],
+    ("fermat2_d4", 1, "M_2"): [((3, 4, 4, 0, 1), 783225)],
+    ("fermat2_q25", 1, "N"): [
+        ((12, 24, 13, 1), 5764801), ((12, 24, 0, 6), 3330625)],
+}
+
+
 @pytest.mark.parametrize("form,e,shape,count", [
     ("fermat3", 1, "N", 3),
     ("mixed", 1, "N", 6),
     ("mixed", 3, "N_eta", 6),
     ("fermat2", 3, "curly", 5),
+    ("fermat2_d4", 1, "N", 2),
+    ("fermat2_d4", 1, "M_2", 1),
+    ("fermat2_q25", 1, "N", 2),
 ])
-def test_batched_counts_match_generic_route(spec5, form, e, shape, count):
-    if form == "mixed":
-        prob = _mixed_problem(spec5, e)
-    else:
-        prob = CountingProblem(spec5, fermat_form(spec5, int(form[-1]), 3), e)
+def test_batched_counts_match_generic_route(form, e, shape, count):
+    prob = _problem(form, e)
     boxes, m = {"N": lambda: _shape_N(prob),
                 "N_eta": lambda: _shape_N_eta(prob, Fraction(1, 2)),
-                "curly": lambda: _curly_shape(prob)}[shape]()
-    assert prob.spec.q ** (prob.n * min(boxes)) >= 512   # the fast route
-    tails = _random_tails(prob, count, seed=len(form) + 10 * e)
+                "curly": lambda: _curly_shape(prob),
+                "M_2": lambda: ([1, 2, 2], 2)}[shape]()
+    pinned = PINNED[form, e, shape]
+    tails = [tail for tail, _ in pinned]
+    assert len(tails) == count
+    if form in ("fermat3", "mixed", "fermat2"):
+        assert tails == _random_tails(prob, count, seed=len(form) + 10 * e)
     got = approx_zero_counts(prob, tails, boxes, m)
-    assert got == [_generic(prob, tail, boxes, m) for tail in tails]
+    assert got == [want for _, want in pinned]
     # the one-phase entry point is the same route
     assert approx_zero_count(prob, tails[0], boxes, m) == got[0]
+    if shape == "M_2":
+        assert count_M_v(prob, tails[0], 2) == got[0]
 
 
-def test_batch_size_does_not_change_counts(spec5, monkeypatch):
-    prob = _mixed_problem(spec5, 1)
-    boxes, m = _shape_N(prob)
-    tails = _random_tails(prob, 7, seed=3)
-    whole = approx_zero_counts(prob, tails, boxes, m)
-    # 16 entries per 4x4 matrix: batches of 5 matrices, so line chunks cross
-    # the blocks of representatives and each phase is split across calls
-    monkeypatch.setattr(weyl, "_MAX_BATCH_ENTRIES", 5 * 16)
-    assert approx_zero_counts(prob, tails, boxes, m) == whole
+def test_batch_size_does_not_change_counts(monkeypatch):
+    # 16 entries per 4x4 matrix.  Batches of 5 matrices on the mixed cubic,
+    # and of 999 on the d = 4 and F_25 problems (156^2 and 16,276 prefixes
+    # a phase): line chunks cross the blocks of representatives, and each
+    # phase is split across calls
+    for name, per_batch in [("mixed", 5), ("fermat2_d4", 999),
+                            ("fermat2_q25", 999)]:
+        prob = _problem(name, 1)
+        boxes, m = _shape_N(prob)
+        tails = _random_tails(prob, 7, seed=3)
+        whole = approx_zero_counts(prob, tails, boxes, m)
+        with monkeypatch.context() as patch:
+            patch.setattr(weyl, "_MAX_BATCH_ENTRIES", per_batch * 16)
+            assert approx_zero_counts(prob, tails, boxes, m) == whole
 
 
 def test_one_sweep_chunk_ranks_one_matrix_per_line(monkeypatch):
@@ -262,3 +343,22 @@ def test_one_sweep_chunk_ranks_one_matrix_per_line(monkeypatch):
     assert len(out) == 625 and all(row[1] for row in out)
     # 625 phases times (5^4 - 1) / 4 = 156 lines of prefixes
     assert sum(ranked) == 97500
+
+
+@pytest.mark.parametrize("name,lines", [
+    ("fermat2_d4", 156 ** 2),               # two blocks of (5^4 - 1)/4 lines
+    ("fermat2_q25", (25 ** 4 - 1) // 24),
+])
+def test_one_count_ranks_one_matrix_per_tuple_of_lines(monkeypatch, name,
+                                                       lines):
+    ranked = []
+
+    def counting(spec, mats):
+        ranked.append(mats.shape[0])
+        return batched_rank(spec, mats)
+
+    monkeypatch.setattr(weyl, "batched_rank", counting)
+    prob = _problem(name, 1)
+    tails = _random_tails(prob, 2, seed=5)
+    approx_zero_counts(prob, tails, *_shape_N(prob))
+    assert sum(ranked) == 2 * lines
