@@ -15,22 +15,20 @@ from .cyclotomic import (CyclotomicValue, abs_power_at_most, compare_abs_power,
 from .laurent import (LaurentElement, ball_measure, character_value,
                       expand_rational)
 from .forms import (HypersurfaceForm, MultilinearSystem, fermat_form,
-                    parse_form_file, smoothness_probe, symmetrize)
+                    parse_form_file, symmetrize)
 from .circle import ArcPoint, AtomSum, CountingProblem
 from .weyl import (InequalityReport, PointwiseReport, canonical_shape_report,
-                   check_shrink, check_smallbox_chain, check_weyl,
-                   compare_pointwise, count_M_v, count_N, count_N_eta,
-                   count_curly_N, measure_flat_count, measure_pointwise)
+                   check_shrink, check_smallbox_chain, check_weyl, count_N,
+                   count_N_eta, count_curly_N, measure_pointwise)
 from .audit import (AuditReport, DimReport, audit_minor_arcs, dims,
                     eta_choice, gamma_budget, minor_arc_range, n0, nu_hat)
 from .latgon import (FunctionFieldLattice, LatticeCheck, MinimaProfile,
                      SpecialLatticePair, check_cape, check_ratio_lemma,
                      check_sandwich, count_NaZ, diagonal_lattice,
-                     gamma_from_problem, random_symmetric_gamma)
-from .moduli import (CountReport, MorphismTuple, check_coprimality_criteria,
-                     count_cone, count_morphisms, enumerate_lines,
-                     extend_spec, gcd_coprime, langweil_report,
-                     resultant_coprime, total_solutions)
+                     random_symmetric_gamma)
+from .moduli import (CountReport, count_cone, count_morphisms,
+                     enumerate_lines, extend_spec, gcd_coprime,
+                     langweil_report, rank_coprime, total_solutions)
 from .reporting import ReportRecord, emit_report, read_rows, write_report
 from .harness import RunConfig, RunResult, load_config, run_task
 

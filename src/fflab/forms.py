@@ -24,12 +24,11 @@ scalar oracle it is checked against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import factorial, prod
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigError
+from .errors import ConfigError
 from .fields import FieldElement, FieldSpec
 
 
@@ -52,7 +51,7 @@ def _exps_to_rep(exps):
 class HypersurfaceForm:
     """Immutable degree-d form; construct via symmetrize()."""
 
-    __slots__ = ("spec", "n", "d", "monomials", "tensor", "_grad")
+    __slots__ = ("spec", "n", "d", "monomials", "tensor")
 
     def __init__(self, spec: FieldSpec, n: int, d: int, monomials, tensor):
         self.spec = spec
@@ -60,7 +59,6 @@ class HypersurfaceForm:
         self.d = d
         self.monomials = monomials
         self.tensor = tensor
-        self._grad = None
 
     def __repr__(self):
         return f"HypersurfaceForm(n={self.n}, d={self.d}, {len(self.monomials)} monomials)"
@@ -99,47 +97,6 @@ class HypersurfaceForm:
             term = term.scale_idx(c)
             acc = term if acc is None else acc + term
         return acc
-
-    # -- gradient and smoothness -----------------------------------------------
-
-    def gradient_monomials(self):
-        """List of n sparse monomial maps for the partial derivatives."""
-        if self._grad is None:
-            spec = self.spec
-            grads = [dict() for _ in range(self.n)]
-            add, mul = spec.tables["add"], spec.tables["mul"]
-            for exps, c in self.monomials.items():
-                for i, e in enumerate(exps):
-                    if e == 0:
-                        continue
-                    newexps = exps[:i] + (e - 1,) + exps[i + 1:]
-                    dc = mul[c][spec.element(e).idx]
-                    prev = grads[i].get(newexps, 0)
-                    grads[i][newexps] = add[prev][dc]
-            self._grad = [{k: v for k, v in g.items() if v} for g in grads]
-        return self._grad
-
-    def gradient_at(self, idxs, spec=None):
-        """Gradient vector (as indices) at a point given by indices; pass a
-        larger spec to evaluate over an extension with prime-subfield
-        coefficients."""
-        spec = spec or self.spec
-        mul, add = spec.tables["mul"], spec.tables["add"]
-        out = []
-        for g in self.gradient_monomials():
-            acc = 0
-            for exps, c in g.items():
-                term = c  # coefficient indices < p embed unchanged
-                for i, e in enumerate(exps):
-                    for _ in range(e):
-                        term = mul[term][idxs[i]]
-                        if term == 0:
-                            break
-                    if term == 0:
-                        break
-                acc = add[acc][term]
-            out.append(acc)
-        return out
 
     def eval_indices(self, idxs, spec):
         """F at a point of an extension field, coordinates as indices."""
@@ -208,45 +165,6 @@ class MultilinearSystem:
             acc = (z.zero_like() if hasattr(z, "zero_like")
                    else form.spec.zero)
         return acc
-
-    def coefficient_matrix(self, fixed_vectors):
-        """n x n matrix M with M[i][k] = Psi_i(fixed..., e_k).
-
-        fixed_vectors are d-2 vectors over any ring; M is symmetric, and
-        u -> (Psi_i(fixed..., u))_i is the linear map with matrix M."""
-        form = self.form
-        if len(fixed_vectors) != form.d - 2:
-            raise ValueError(f"need {form.d - 2} fixed vectors")
-        if all(isinstance(c, (FieldElement, int))
-               for v in fixed_vectors for c in v):
-            fixed_vectors = [[form.spec.element(c) for c in v]
-                             for v in fixed_vectors]
-        n = form.n
-        out = [[None] * n for _ in range(n)]
-        for rep, c in form.tensor.items():
-            for i in sorted(set(rep)):
-                rem1 = list(rep)
-                rem1.remove(i)
-                for k in sorted(set(rem1)):
-                    rem = list(rem1)
-                    rem.remove(k)
-                    for arr in set(itertools.permutations(rem)):
-                        term = None
-                        for slot, j in enumerate(arr):
-                            x = fixed_vectors[slot][j]
-                            term = x if term is None else term * x
-                        term = (term.scale_idx(c)
-                                if hasattr(term, "scale_idx") else
-                                term * form.spec.from_index(c))
-                        prev = out[i][k]
-                        out[i][k] = term if prev is None else prev + term
-        probe = fixed_vectors[0][0]
-        zero = probe.zero_like() if hasattr(probe, "zero_like") else form.spec.zero
-        for i in range(n):
-            for k in range(n):
-                if out[i][k] is None:
-                    out[i][k] = zero
-        return out
 
 
 # tuples per kernel block: bounds every array BoxKernel.box makes
@@ -363,48 +281,6 @@ def fermat_form(spec: FieldSpec, n: int, d: int) -> HypersurfaceForm:
         exps[i] = d
         mono[tuple(exps)] = 1
     return symmetrize(spec, n, d, mono)
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    passed: bool
-    searched_up_to: int
-    witness_extension: int = 0
-    witness: tuple = ()
-
-    def __bool__(self):
-        return self.passed
-
-
-def smoothness_probe(form: HypersurfaceForm, k_max: int,
-                     budget: int = 10 ** 9) -> ProbeResult:
-    """Search for a singular point (F = 0 and grad F = 0, x != 0) over every
-    extension F_{q^k}, k <= k_max.  Exhaustive, so only a certificate up to
-    the probed degree; the fixtures' smoothness is known independently."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    base = form.spec
-    if base.f != 1:
-        raise ConfigError("smoothness probe supports prime base fields only")
-    for k in range(1, k_max + 1):
-        cost = (base.p ** k) ** form.n
-        if cost > budget:
-            raise BudgetExceededError(cost, budget,
-                                      f"smoothness probe at extension {k}")
-        spec = base if k == 1 else FieldSpec(base.p, k)
-        qk = spec.q
-        for code in range(1, qk ** form.n):
-            idxs = []
-            rest = code
-            for _ in range(form.n):
-                idxs.append(rest % qk)
-                rest //= qk
-            if form.eval_indices(idxs, spec):
-                continue
-            if any(form.gradient_at(idxs, spec)):
-                continue
-            return ProbeResult(False, k_max, k, tuple(idxs))
-    return ProbeResult(True, k_max)
 
 
 def parse_form_file(path, spec: FieldSpec, n: int, d: int) -> HypersurfaceForm:

@@ -70,8 +70,8 @@ TASK_PARAMS = {
     "cape-lemma": ("count", "a", "z1", "z2"),
     "exponent-audit": (),
     "count-cone": ("ell", "method"),
-    "count-morphisms": ("ell", "method", "crosscheck"),
-    "langweil-report": ("ell_max", "method"),
+    "count-morphisms": ("ell", "method"),
+    "langweil-report": ("ell_max",),
 }
 
 _STATUS_CODES = {"pass": 0, "fail": 1, "budget-exhausted": 3}
@@ -444,6 +444,10 @@ def _run_pointwise(config: RunConfig):
         beta = config.param_int("beta", default=config.d * config.e, minimum=1)
     else:
         beta = config.param_int("beta", minimum=1)
+    if beta is not None and beta > prob.char_depth:
+        raise ConfigError(
+            f"{config.path}: [task] beta: must be <= {prob.char_depth}, the "
+            f"tail depth d*e + 1, got {beta}")
     rep = canonical_shape_report(prob, lemma, r_degree, beta)
     outputs = {"lemma": lemma, "r_degree": r_degree,
                "beta": "" if beta is None else beta,
@@ -596,16 +600,12 @@ def _run_morphisms(config: RunConfig):
     ell = config.param_int("ell", default=1, minimum=1)
     method = config.param_choice("method", ("auto", "factor", "enumerate"),
                                  default="auto")
-    cross = config.param_choice("crosscheck", ("auto", "always", "never"),
-                                default="auto")
     mor = count_morphisms(prob, ell, method=method)
     outputs = {"morphisms": mor, "method": method}
     passed = True
     tuple_space = prob.spec.q ** (ell * (config.e + 1) * config.n)
-    want_cross = cross == "always" or (
-        cross == "auto" and _is_diagonal(prob.form)
-        and method != "enumerate" and tuple_space <= 2 * 10 ** 6)
-    if want_cross:
+    if (_is_diagonal(prob.form) and method != "enumerate"
+            and tuple_space <= 2 * 10 ** 6):
         other = count_morphisms(prob, ell, method="enumerate")
         passed = mor == other
         outputs["enumerate_route"] = other
@@ -618,10 +618,8 @@ def _run_langweil(config: RunConfig):
     prob = build_problem(config)
     base = _base_inputs(config, prob.spec)
     ell_max = config.param_int("ell_max", default=1, minimum=1)
-    method = config.param_choice("method", ("auto", "convolve", "enumerate",
-                                            "factor"), default="auto")
     records = []
-    for rep in langweil_report(prob, ell_max, method=method):
+    for rep in langweil_report(prob, ell_max):
         records.append(ReportRecord(
             task=config.task, inputs={**base, "ell": rep.ell},
             outputs={"cone": rep.raw_cone, "morphisms": rep.morphisms,

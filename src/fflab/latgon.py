@@ -589,15 +589,3 @@ def random_symmetric_gamma(spec: FieldSpec, n: int, seed: int,
             out[j][i] = el
     return out
 
-
-def gamma_from_problem(prob, alpha, fixed_vectors):
-    """The symmetric matrix of the bilinear slice of alpha * Psi.
-
-    fixed_vectors: d-2 vectors of n polynomials each; the (i,k) entry is
-    alpha * Psi_i(fixed..., e_k), a Laurent element (exact when alpha is)."""
-    spec = prob.spec
-    if not isinstance(alpha, LaurentElement):
-        alpha = LaurentElement.from_tail(spec, alpha)
-    mat = prob.form.multilinear().coefficient_matrix(list(fixed_vectors))
-    return [[alpha * LaurentElement.from_poly(p) for p in row]
-            for row in mat]

@@ -14,14 +14,21 @@ degree 1 (a plane lies on X iff F vanishes at d+1 distinct points of the
 parameter line, since a nonzero binary d-form has at most d roots), and
 ratio reports of counts against the expected dimension powers.
 
+Coprimality has one fast route and one oracle.  rank_coprime decides a
+whole stack of tuples with one batched rank: n forms of degree e >= 1 share
+no projective zero exactly when their n e shifted coefficient vectors span
+F_q^{2e} (the degree 2e-1 part of the ideal they generate is everything;
+Cox-Little-O'Shea, Using Algebraic Geometry, ch. 3), which holds for every
+q.  gcd_coprime, a gcd cascade on the dehomogenized forms, is its oracle in
+tests.
+
 Counting routes, kept separate so they can cross-check each other:
 
   enumerate  evaluate F(f) on every tuple with the box kernel
              (forms.BoxKernel, blocks of 2^13 tuples through the numpy field
-             tables), count the all-zero condition vectors, and filter the
-             solutions alone for coprimality by a gcd cascade (common
-             projective zero iff the dehomogenized gcd is non-constant or
-             every form is divisible by v);
+             tables), count the all-zero condition vectors, and test the
+             solutions of each block for coprimality with one rank_coprime
+             call;
   convolve   for diagonal forms only: F(f) = sum_i c_i f_i^d means the
              condition vector is a sum of independent per-coordinate
              contributions, so the count is a group convolution over
@@ -40,27 +47,23 @@ Counting routes, kept separate so they can cross-check each other:
              coprime counts follow from total counts by subtracting
              P_j * coprime(e-j) over the projective form counts P_j.
 
-The resultant criterion for coprimality (some pencil pair g = sum a_i f_i,
-h = sum b_i f_i has nonzero resultant) is kept as a sampled cross-check;
-for q^l > e it is exact, because the bad locus has degree <= e per pencil
-coefficient block.
+F_{q^l}^* acts freely on coprime solutions; a coprime count it does not
+divide is a failed invariant (VerificationFailure), not a bad config.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .audit import dims
-from .errors import BudgetExceededError, ConfigError
+from .errors import BudgetExceededError, ConfigError, VerificationFailure
 from .fields import FieldSpec
 from .forms import BoxKernel, HypersurfaceForm, symmetrize
-from .linalg import rank_mod_q
-from .polys import BinaryForm, poly_gcd
+from .linalg import batched_rank
+from .polys import poly_gcd
 
 # dense convolution arrays and enumerations are capped at this many cells
 _MAX_CELLS = 1 << 24
@@ -71,14 +74,14 @@ _FOLD_BLOCK = 1 << 15
 # -- extension embedding ----------------------------------------------------------
 
 
-def extend_spec(spec: FieldSpec, ell: int, modulus=None) -> FieldSpec:
+def extend_spec(spec: FieldSpec, ell: int) -> FieldSpec:
     """F_{q^ell} over a prime base field, with a reproducible modulus."""
-    if ell == 1 and modulus is None:
+    if ell == 1:
         return spec
     if spec.f != 1:
         raise ConfigError(
             "extension towers are only built over prime base fields")
-    return FieldSpec(spec.p, ell, modulus)
+    return FieldSpec(spec.p, ell)
 
 
 def embed_form(form: HypersurfaceForm, ext: FieldSpec) -> HypersurfaceForm:
@@ -93,43 +96,12 @@ def embed_form(form: HypersurfaceForm, ext: FieldSpec) -> HypersurfaceForm:
     return symmetrize(ext, form.n, form.d, dict(form.monomials))
 
 
-# -- tuples and coprimality -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MorphismTuple:
-    """n binary forms of one degree; a morphism when coprime and F(f) = 0."""
-    forms: tuple
-
-    def __post_init__(self):
-        if not self.forms:
-            raise ConfigError("empty tuple")
-        degree = self.forms[0].e
-        if any(f.e != degree for f in self.forms):
-            raise ConfigError("mixed degrees in a morphism tuple")
-
-    @property
-    def degree(self) -> int:
-        return self.forms[0].e
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.forms)
-
-    def is_coprime(self) -> bool:
-        return gcd_coprime(self.forms)
-
-    def image_form(self, form: HypersurfaceForm) -> BinaryForm:
-        """F(f_1,...,f_n), a binary form of degree d*e."""
-        if len(self.forms) != form.n:
-            raise ConfigError("tuple length does not match the form")
-        return form.eval_form(list(self.forms))
-
-    def satisfies(self, form: HypersurfaceForm) -> bool:
-        return self.image_form(form).is_zero()
+# -- coprimality -----------------------------------------------------------------
 
 
 def gcd_coprime(forms) -> bool:
-    """No common projective zero, by a gcd cascade.
+    """No common projective zero, by a gcd cascade: the oracle that
+    rank_coprime is checked against in tests.
 
     Affine zeros (a:1) are common roots of the dehomogenizations; the zero
     at infinity (1:0) is common exactly when every u^e coefficient dies,
@@ -148,100 +120,32 @@ def gcd_coprime(forms) -> bool:
     return g.degree() == 0
 
 
-def _sylvester_rank_full(f: BinaryForm, g: BinaryForm) -> bool:
-    """Res(f, g) != 0, read off the Sylvester matrix rank."""
-    e = f.e
-    size = 2 * e
-    rows = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for k in range(e):
-        rows.append([0] * k + fc + [0] * (e - 1 - k))
-    for k in range(e):
-        rows.append([0] * k + gc + [0] * (e - 1 - k))
-    return rank_mod_q(f.spec, rows) == size
+def rank_coprime(spec: FieldSpec, coeffs) -> np.ndarray:
+    """No common projective zero, for a stack of tuples at once.
+
+    coeffs has shape (N, n, e+1), e >= 1: coefficient indices of n binary
+    forms of degree e per tuple, in BinaryForm.coeffs order.  The forms
+    share no zero exactly when (g_i) -> sum g_i f_i maps (S_{e-1})^n onto
+    S_{2e-1}, i.e. when the n e shifted coefficient vectors t^s f_i
+    (0 <= s < e) span F_q^{2e}; for n = 2 this is the Sylvester matrix.
+    Rank does not change under field extension, so the test is exact for
+    every q.  Returns a boolean array of length N."""
+    count, n, width = coeffs.shape
+    e = width - 1
+    mats = np.zeros((count, n, e, 2 * e), dtype=np.int16)
+    for s in range(e):
+        mats[:, :, s, s:s + width] = coeffs
+    return batched_rank(spec, mats.reshape(count, n * e, 2 * e)) == 2 * e
 
 
-def resultant_coprime(forms) -> bool:
-    """Pencil-resultant coprimality: some pair of F_q-combinations of the
-    tuple has nonzero resultant.
-
-    Exact for q > e: if the tuple is coprime, a combination g avoiding any
-    fixed root exists because each root cuts one hyperplane out of the
-    pencil and q > e hyperplanes cannot cover it."""
-    spec = forms[0].spec
-    degree = forms[0].e
-    if degree < 1:
-        return any(not f.is_zero() for f in forms)
-    if spec.q <= degree:
-        raise ConfigError(
-            f"resultant criterion needs q > e, got q={spec.q}, e={degree}")
-    n = len(forms)
-    reps = _projective_reps(spec.q, n)
-    combos = []
-    for vec in reps:
-        acc = BinaryForm.zero(spec, degree)
-        for c, f in zip(vec, forms):
-            if c:
-                acc = acc + f.scale_idx(c)
-        combos.append(acc)
-    for ga, gb in itertools.combinations(combos, 2):
-        if ga.is_zero() or gb.is_zero():
-            continue
-        if _sylvester_rank_full(ga, gb):
-            return True
-    return False
-
-
-def _projective_reps(q: int, n: int):
-    """Nonzero vectors in F_q^n with first nonzero entry 1."""
-    out = []
-    for lead in range(n):
-        for tail in itertools.product(range(q), repeat=n - lead - 1):
-            out.append((0,) * lead + (1,) + tail)
-    return out
-
-
-@dataclass(frozen=True)
-class AgreementReport:
-    passed: bool
-    checked: int
-    disagreements: tuple
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def check_coprimality_criteria(spec: FieldSpec, n: int, e: int,
-                               samples: int, seed: int) -> AgreementReport:
-    """gcd-cascade verdict == pencil-resultant verdict on sampled tuples.
-
-    Half the samples are random tuples, half are random tuples multiplied
-    by a random common linear factor (guaranteed non-coprime), so both
-    verdicts get exercised."""
-    rng = random.Random(seed)
-    bad = []
-    for trial in range(samples):
-        if trial % 2 == 0 or e < 2:
-            forms = tuple(
-                BinaryForm(spec, e, [rng.randrange(spec.q)
-                                     for _ in range(e + 1)])
-                for _ in range(n))
-        else:
-            factor = BinaryForm(spec, 1, [rng.randrange(spec.q), 1])
-            forms = tuple(
-                factor * BinaryForm(spec, e - 1,
-                                    [rng.randrange(spec.q)
-                                     for _ in range(e)])
-                for _ in range(n))
-        if all(f.is_zero() for f in forms):
-            continue
-        via_gcd = gcd_coprime(forms)
-        via_res = resultant_coprime(forms)
-        if via_gcd != via_res:
-            bad.append((trial, tuple(f.coeffs for f in forms),
-                        via_gcd, via_res))
-    return AgreementReport(not bad, samples, tuple(bad[:5]))
+def _scalar_orbits(coprime: int, q: int) -> int:
+    """Coprime solutions up to scalar: F_q^* acts freely on them, so a
+    count it does not divide is a failed invariant."""
+    if coprime % (q - 1):
+        raise VerificationFailure(
+            f"scalar orbits do not divide the coprime count {coprime} "
+            f"(q = {q})")
+    return coprime // (q - 1)
 
 
 # -- total solution counts --------------------------------------------------------
@@ -348,11 +252,10 @@ def total_solutions(spec: FieldSpec, form: HypersurfaceForm, e: int,
 # -- cone and morphism counts -----------------------------------------------------
 
 
-def count_cone(prob, ell: int = 1, method: str = "auto",
-               modulus=None) -> int:
+def count_cone(prob, ell: int = 1, method: str = "auto") -> int:
     """Nonzero degree-e tuples over F_{q^ell} with F(f) = 0 identically;
     common factors allowed."""
-    ext = extend_spec(prob.spec, ell, modulus)
+    ext = extend_spec(prob.spec, ell)
     form = embed_form(prob.form, ext)
     return total_solutions(ext, form, prob.e, method) - 1
 
@@ -379,27 +282,23 @@ def _morphisms_enumerate(spec: FieldSpec, form: HypersurfaceForm,
                          e: int) -> int:
     q, n = spec.q, form.n
     _charge(q ** ((e + 1) * n), "morphism enumeration")
-    coeff_space = list(itertools.product(range(q), repeat=e + 1))
+    kernel = BoxKernel(form, e)
     count = 0
-    for codes, images in BoxKernel(form, e).box():
-        for row in codes[~images.any(axis=1)].tolist():
-            if gcd_coprime([BinaryForm(spec, e, coeff_space[c])
-                            for c in row]):
-                count += 1
-    if count % (q - 1):
-        raise ConfigError("scalar orbits do not divide the coprime count")
-    return count // (q - 1)
+    for codes, images in kernel.box():
+        solutions = codes[~images.any(axis=1)]
+        count += int(np.count_nonzero(
+            rank_coprime(spec, kernel.powers[1][solutions])))
+    return _scalar_orbits(count, q)
 
 
-def count_morphisms(prob, ell: int = 1, method: str = "auto",
-                    modulus=None) -> int:
+def count_morphisms(prob, ell: int = 1, method: str = "auto") -> int:
     """#Mor_e(P^1, X)(F_{q^ell}): coprime tuples with F(f) = 0, up to scalar.
 
-    method "enumerate" walks tuples and filters by the gcd cascade;
+    method "enumerate" walks tuples and filters by rank_coprime;
     "factor" subtracts common-factor orbits from total counts (required
     when the tuple space is too large to walk); "auto" picks factor for
     diagonal forms and enumeration otherwise."""
-    ext = extend_spec(prob.spec, ell, modulus)
+    ext = extend_spec(prob.spec, ell)
     form = embed_form(prob.form, ext)
     e = prob.e
     if method == "auto":
@@ -407,10 +306,8 @@ def count_morphisms(prob, ell: int = 1, method: str = "auto",
     if method == "enumerate":
         return _morphisms_enumerate(ext, form, e)
     if method == "factor":
-        coprime = _coprime_solutions(ext, form, e, "auto")
-        if coprime % (ext.q - 1):
-            raise ConfigError("scalar orbits do not divide the coprime count")
-        return coprime // (ext.q - 1)
+        return _scalar_orbits(_coprime_solutions(ext, form, e, "auto"),
+                              ext.q)
     raise ConfigError(f"unknown counting method {method}")
 
 
@@ -427,13 +324,13 @@ def _rref_plane_blocks(q: int, n: int):
             yield i, j, free1, free2
 
 
-def enumerate_lines(prob, ell: int = 1, modulus=None) -> int:
+def enumerate_lines(prob, ell: int = 1) -> int:
     """Lines on X over F_{q^ell}, by direct Grassmannian enumeration.
 
     A plane spanned by a, b lies on X iff the binary form F(s a + t b)
     vanishes; having degree d, it vanishes identically iff it vanishes at
     d+1 distinct points of P^1, so d+1 evaluations decide each plane."""
-    ext = extend_spec(prob.spec, ell, modulus)
+    ext = extend_spec(prob.spec, ell)
     form = embed_form(prob.form, ext)
     n, d, q = form.n, form.d, ext.q
     if q < d:
@@ -500,8 +397,7 @@ class CountReport:
     ratio_morphisms: Fraction
 
 
-def langweil_report(prob, ell_max: int, method: str = "auto",
-                    moduli=None) -> list:
+def langweil_report(prob, ell_max: int) -> list:
     """Counts and dimension-normalized ratios for ell = 1..ell_max.
 
     The cone is compared against q^{ell * mu_hat} and the morphism count
@@ -510,9 +406,8 @@ def langweil_report(prob, ell_max: int, method: str = "auto",
     report = dims(prob.n, prob.d, prob.e, convention="affine")
     rows = []
     for ell in range(1, ell_max + 1):
-        modulus = None if moduli is None else moduli.get(ell)
-        cone = count_cone(prob, ell, method, modulus)
-        mor = count_morphisms(prob, ell, method, modulus)
+        cone = count_cone(prob, ell)
+        mor = count_morphisms(prob, ell)
         q_ell = Fraction(prob.spec.q) ** ell
         rows.append(CountReport(
             ell, cone, mor,

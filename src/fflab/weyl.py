@@ -51,8 +51,7 @@ before any work.  approx_zero_counts itself charges nothing: its callers
 phase first, in the order a loop of one-phase calls would.
 
 Instances: N (boxes e+1, m = e+1), N_eta (boxes (e+1)eta, m =
-(e+1)(d - (d-1)eta)), M^(v) (first v-1 boxes constant), curly-N (boxes
-kappa+1, m = de+1-kappa(d-1)).
+(e+1)(d - (d-1)eta)), curly-N (boxes kappa+1, m = de+1-kappa(d-1)).
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ import numpy as np
 
 from .audit import eta_choice, gamma_budget, kappa_of
 from .circle import ArcPoint, CountingProblem
-from .cyclotomic import CyclotomicValue, compare_abs_power, real_sign
+from .cyclotomic import CyclotomicValue, compare_abs_power
 from .errors import ConfigError, PrecisionError
 from .laurent import LaurentElement
 from .linalg import batched_rank
@@ -312,13 +311,6 @@ def count_N_eta(prob: CountingProblem, alpha, eta) -> int:
     return approx_zero_count(prob, alpha, *_shape_N_eta(prob, eta))
 
 
-def count_M_v(prob: CountingProblem, alpha, v: int) -> int:
-    if not 1 <= v <= prob.d:
-        raise ValueError(f"v must be in 1..{prob.d}")
-    boxes = [1] * (v - 1) + [prob.e + 1] * (prob.d - v)
-    return approx_zero_count(prob, alpha, boxes, prob.e + 1)
-
-
 def count_curly_N(prob: CountingProblem, alpha, kappa: int = None) -> int:
     if kappa is None:
         kappa = kappa_of(prob.e)
@@ -444,8 +436,8 @@ class PointwiseReport:
     """Measured data for one pointwise bound: |S| against q^sigma.
 
     The lemma constants are unspecified upstream, so nothing is asserted
-    here; the exact pair (|S|^2, sigma) supports cross-q regression
-    comparisons via compare_pointwise."""
+    here; the exact pair (|S|^2, sigma) is recorded for cross-q
+    comparisons of the ratio."""
     lemma: str
     hypothesis_ok: bool
     reason: str
@@ -520,61 +512,6 @@ def measure_pointwise(prob: CountingProblem, arc: ArcPoint, theta_tail,
     return PointwiseReport(lemma, True, "", q, power, s_val, sigma)
 
 
-def compare_scaled_reals(x_a: CyclotomicValue, s_a: Fraction,
-                         x_b: CyclotomicValue, s_b: Fraction) -> int:
-    """Sign of x_a*s_a - x_b*s_b for totally real cyclotomic x's, possibly
-    living in different fields.  Exact: same-field differences are decided
-    algebraically; cross-field equal values must both be rational (the
-    fields intersect in Q), so interval refinement always terminates."""
-    if x_a.p == x_b.p:
-        return real_sign(x_a * s_a - x_b * s_b)
-    if x_a.is_rational() and x_b.is_rational():
-        diff = x_a.to_rational() * s_a - x_b.to_rational() * s_b
-        return (diff > 0) - (diff < 0)
-    import mpmath
-    prec = 64
-    while prec <= (1 << 16):
-        ra, _ = x_a.interval_parts(prec)
-        rb, _ = x_b.interval_parts(prec)
-        saved = mpmath.iv.prec
-        mpmath.iv.prec = prec
-        try:
-            iva = ra * (mpmath.iv.mpf(s_a.numerator)
-                        / mpmath.iv.mpf(s_a.denominator))
-            ivb = rb * (mpmath.iv.mpf(s_b.numerator)
-                        / mpmath.iv.mpf(s_b.denominator))
-            diff = iva - ivb
-            if diff.a > 0:
-                return 1
-            if diff.b < 0:
-                return -1
-        finally:
-            mpmath.iv.prec = saved
-        prec *= 2
-    raise PrecisionError("cross-field comparison did not separate")
-
-
-def compare_pointwise(rep_a: PointwiseReport,
-                      rep_b: PointwiseReport) -> int:
-    """Sign of ratio(rep_a) - ratio(rep_b), decided exactly.
-
-    Compares |S_a|/q_a^sigma_a with |S_b|/q_b^sigma_b by raising both to
-    the 2^{d-1} power, which clears every denominator."""
-    if not (rep_a.hypothesis_ok and rep_b.hypothesis_ok):
-        raise ValueError("cannot compare failed-hypothesis reports")
-    power = rep_a.power_denom
-    if power != rep_b.power_denom:
-        raise ValueError("mismatched lemma powers")
-    ea = rep_a.sigma * power
-    eb = rep_b.sigma * power
-    assert ea.denominator == 1 and eb.denominator == 1
-    half = power // 2
-    xa = rep_a.s_value.abs_squared() ** half
-    xb = rep_b.s_value.abs_squared() ** half
-    return compare_scaled_reals(xa, Fraction(rep_a.q) ** -int(ea),
-                                xb, Fraction(rep_b.q) ** -int(eb))
-
-
 def canonical_point(prob: CountingProblem, r_degree: int, beta):
     """The canonical point of an arc shape: r = t^deg, a = 1 (a = 0 when
     r = 1), theta = t^-beta.  Returns (arc, theta_tail)."""
@@ -598,25 +535,3 @@ def canonical_shape_report(prob: CountingProblem, lemma: str, r_degree: int,
     arc, tail = canonical_point(prob, r_degree, beta)
     return measure_pointwise(prob, arc, tail, lemma)
 
-
-# -- flat solution-count measurement --------------------------------------------------
-
-
-def measure_flat_count(prob: CountingProblem, eta) -> tuple:
-    """(count, count * |P|^{-eta(d-2)n}) where count = #{u in boxes
-    |P|^eta : Psi_i(u) = 0 identically for all i}.  Recorded, not asserted:
-    the upstream bound's constant is unspecified.
-
-    With c = (e+1) eta, each Psi_i(u) has degree below D = (d-1)(c-1)+1,
-    so it vanishes exactly when alpha Psi_i(u) has norm below q^-D at
-    alpha = t^-D: the count is one approximate-zero count with boxes c and
-    m = D."""
-    c = _eta_box(prob, eta)
-    d, q, n = prob.d, prob.spec.q, prob.n
-    if c:
-        prob._charge(q ** (c * n * (d - 2)), "flat count")
-    big_d = (d - 1) * (c - 1) + 1
-    alpha = tuple(int(k == big_d) for k in range(1, 2 * big_d))
-    count = approx_zero_counts(prob, [alpha], [c] * (d - 1), big_d)[0]
-    scale = Fraction(1, q ** (c * (d - 2) * n))
-    return count, count * scale

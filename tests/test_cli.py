@@ -1,8 +1,10 @@
 import filecmp
+import os
 import textwrap
 
 import pytest
 
+from fflab import moduli
 from fflab.cli import main
 from fflab.reporting import parse_value, read_rows
 
@@ -125,6 +127,31 @@ def test_moduli_cell_cap_exits_3(tmp_path):
     rows = read_rows(str(tmp_path / "o" / "count-cone.csv"))
     assert rows[0]["out.status"] == "budget-exhausted"
     assert rows[0]["out.detail"] == "cone convolution"
+
+
+def test_pointwise_beta_past_the_tail_depth_exits_2(tmp_path, capsys):
+    body = CONE.replace("count-cone", "pointwise-measure") + \
+        "    lemma = generic\n    r_degree = 2\n    beta = 99\n"
+    cfg = write_cfg(tmp_path, body)
+    code = main(["pointwise-measure", "--config", cfg,
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "[task] beta" in err and "<= 4" in err
+
+
+def test_scalar_orbit_failure_exits_1(tmp_path, monkeypatch):
+    # a coprime count that F_q^* does not divide is a failed invariant
+    monkeypatch.setattr(moduli, "_coprime_solutions",
+                        lambda spec, form, e, method: 1)
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                       "morphisms_surface_q5.cfg")
+    code = main(["count-morphisms", "--config", cfg,
+                 "--out", str(tmp_path)])
+    assert code == 1
+    rows = read_rows(str(tmp_path / "count-morphisms.csv"))
+    assert rows[0]["out.status"] == "verification-failure"
+    assert "scalar orbits" in rows[0]["out.detail"]
 
 
 WEYL_LIMIT_2 = """

@@ -6,8 +6,7 @@ import pytest
 
 from fflab.errors import ConfigError
 from fflab.fields import FieldSpec
-from fflab.forms import (BoxKernel, fermat_form, parse_form_file,
-                         smoothness_probe, symmetrize)
+from fflab.forms import BoxKernel, fermat_form, parse_form_file, symmetrize
 from fflab.polys import BinaryForm, Polynomial
 
 
@@ -36,18 +35,6 @@ def test_eval_on_binary_forms(spec5):
     assert image == u * u * u + v * v * v
 
 
-def test_mixed_form_gradient(spec5):
-    # F = x1^3 + x1^2 x2 + 2 x2^3
-    form = symmetrize(spec5, 2, 3, {(3, 0): 1, (2, 1): 1, (0, 3): 2})
-    for x in [(1, 1), (2, 3), (0, 4)]:
-        gx = form.gradient_at(list(x))
-        x1, x2 = x
-        want1 = (3 * x1 ** 2 + 2 * x1 * x2) % 5
-        want2 = (x1 ** 2 + 6 * x2 ** 2) % 5
-        assert [g.idx if hasattr(g, "idx") else g for g in gx] == \
-            [want1, want2]
-
-
 def test_symmetrize_validation(spec5):
     with pytest.raises(ValueError):
         symmetrize(spec5, 2, 5, {(5, 0): 1})          # p > d fails
@@ -57,13 +44,6 @@ def test_symmetrize_validation(spec5):
         symmetrize(spec5, 2, 3, {(3, 0, 0): 1})       # wrong arity
     with pytest.raises(ValueError):
         symmetrize(spec5, 2, 3, {(2, 0): 1})          # wrong degree
-
-
-def test_smoothness_probe_smooth_vs_singular(spec5):
-    smooth = fermat_form(spec5, 3, 3)
-    assert bool(smoothness_probe(smooth, 1))
-    singular = symmetrize(spec5, 3, 3, {(2, 1, 0): 1})   # x1^2 x2
-    assert not bool(smoothness_probe(singular, 1))
 
 
 def test_parse_form_file_round_trip(tmp_path, spec5):
@@ -100,20 +80,22 @@ def test_parse_form_file_errors(tmp_path, spec5, body, needle):
 
 def test_multilinear_diagonal_matrix(spec5, prob_n2):
     # the tensor is normalized so that F(x) = sum T_ijk x_i x_j x_k; the
-    # bilinear slice of the diagonal cubic at v is then diag(v1, v2)
+    # bilinear slice M[i][k] = Psi_i(v, e_k) of the diagonal cubic at v is
+    # then diag(v1, v2)
     ml = prob_n2.form.multilinear()
-    mat = ml.coefficient_matrix([[1, 2]])
-    flat = [[entry.idx if hasattr(entry, "idx") else entry
-             for entry in row] for row in mat]
-    assert flat == [[1, 0], [0, 2]]
+
+    def slice_at(v):
+        return [[ml.eval(i, [list(v), [int(j == k) for j in range(2)]]).idx
+                 for k in range(2)] for i in range(2)]
+
+    assert slice_at((1, 2)) == [[1, 0], [0, 2]]
     # x^T M(x) x recovers F(x)
     for x in [(1, 2), (3, 4), (2, 0)]:
-        m = ml.coefficient_matrix([list(x)])
+        m = slice_at(x)
         acc = 0
         for j in range(2):
             for k in range(2):
-                entry = m[j][k].idx if hasattr(m[j][k], "idx") else m[j][k]
-                acc = spec5.add(acc, spec5.mul(entry,
+                acc = spec5.add(acc, spec5.mul(m[j][k],
                                                spec5.mul(x[j], x[k])))
         assert acc == prob_n2.form.eval_form(list(x)).idx
 

@@ -55,6 +55,12 @@ def test_cli_overrides_win(tmp_path):
     (lambda s: s.replace("n = 2", "n = 2\nstyle = fast"), "unknown key"),
     (lambda s: s.replace("count-cone", "count-everything"), "unknown task"),
     (lambda s: s + "    method = auto\n    zeta = 3\n", "not a parameter"),
+    (lambda s: s.replace("count-cone", "count-morphisms")
+     + "    crosscheck = always\n",
+     "'crosscheck' is not a parameter of count-morphisms"),
+    (lambda s: s.replace("count-cone", "langweil-report")
+     + "    method = convolve\n",
+     "'method' is not a parameter of langweil-report"),
     (lambda s: s.replace("e = 1", "e = one"), "expected an integer"),
     (lambda s: s.replace("e = 1", "e = 0"), "must be >= 1"),
 ])

@@ -7,10 +7,9 @@ from fflab.errors import (BudgetExceededError, ConfigError, PrecisionError,
                          VerificationFailure)
 from fflab.latgon import (FunctionFieldLattice, SpecialLatticePair,
                           check_cape, check_ratio_lemma, check_sandwich,
-                          count_NaZ, diagonal_lattice, gamma_from_problem,
+                          count_NaZ, diagonal_lattice,
                           random_symmetric_gamma)
 from fflab.laurent import LaurentElement
-from fflab.polys import Polynomial
 
 
 def _zero(spec):
@@ -106,10 +105,12 @@ def test_seeded_ratio_and_cape_suite(spec5):
             assert check_sandwich(spec5, gamma, a, z).passed
 
 
-def test_problem_gamma_cape_instance(prob_n2, spec5):
-    alpha = LaurentElement.from_tail(spec5, (0, 2, 1, 3))
-    fixed = [[Polynomial.from_ints(spec5, [1, 2]), Polynomial.gen(spec5)]]
-    gamma = gamma_from_problem(prob_n2, alpha, fixed)
+def test_problem_gamma_cape_instance(spec5):
+    # alpha * Psi_i(v, e_k) for the diagonal cubic at v = (1 + 2t, t) and
+    # alpha = 2 t^-2 + t^-3 + 3 t^-4: alpha * diag(1 + 2t, t)
+    zero = _zero(spec5)
+    gamma = [[LaurentElement(spec5, {-1: 4, -2: 4, -3: 2, -4: 3}), zero],
+             [zero, LaurentElement(spec5, {-1: 2, -2: 1, -3: 3})]]
     rep = check_cape(spec5, gamma, 2, -1, 0)
     assert rep.passed
     det = rep.details

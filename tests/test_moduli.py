@@ -1,17 +1,28 @@
+import itertools
+import os
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fflab import forms, moduli
 from fflab.circle import CountingProblem
 from fflab.errors import ConfigError
-from fflab.forms import fermat_form, symmetrize
-from fflab.moduli import (MorphismTuple, check_coprimality_criteria,
-                          count_cone, count_morphisms, embed_form,
+from fflab.fields import FieldSpec
+from fflab.forms import BoxKernel, fermat_form, symmetrize
+from fflab.harness import load_config, run_task
+from fflab.moduli import (count_cone, count_morphisms, embed_form,
                           enumerate_lines, extend_spec, gcd_coprime,
-                          langweil_report, resultant_coprime,
-                          total_solutions)
+                          langweil_report, rank_coprime, total_solutions)
 from fflab.polys import BinaryForm
+
+SURFACE_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                              "morphisms_surface_q5.cfg")
+
+# a non-diagonal ternary cubic: count_morphisms enumerates it
+MIXED_TERNARY = {(3, 0, 0): 1, (0, 3, 0): 2, (0, 0, 3): 3, (2, 1, 0): 4,
+                 (1, 1, 1): 1}
 
 
 @pytest.fixture(scope="module")
@@ -82,52 +93,113 @@ def test_binary_fermat_has_no_degree_two_morphisms(spec5):
     assert count_morphisms(prob, method="factor") == 0
 
 
+def _rank_route(tuples):
+    """rank_coprime on a list of equal-degree BinaryForm tuples."""
+    spec = tuples[0][0].spec
+    coeffs = np.array([[f.coeffs for f in tup] for tup in tuples],
+                      dtype=np.int16)
+    return rank_coprime(spec, coeffs).tolist()
+
+
+def _assert_routes_agree(tuples):
+    assert _rank_route(tuples) == [gcd_coprime(tup) for tup in tuples]
+
+
 def test_morphism_tuple_on_a_known_line(prob_surface, spec5):
     u = BinaryForm(spec5, 1, [1, 0])
     v = BinaryForm(spec5, 1, [0, 1])
     neg = BinaryForm(spec5, 0, [4])
-    line = MorphismTuple((u, neg * u, v, neg * v))
-    assert line.degree == 1
-    assert line.is_coprime()
-    assert line.satisfies(prob_surface.form)
-    assert line.image_form(prob_surface.form).is_zero()
-    not_a_line = MorphismTuple((u, u, u, u))
-    assert not not_a_line.satisfies(prob_surface.form)
+    line = (u, neg * u, v, neg * v)
+    assert _rank_route([line]) == [True]
+    assert gcd_coprime(line)
+    assert prob_surface.form.eval_form(list(line)).is_zero()
+    assert not prob_surface.form.eval_form([u, u, u, u]).is_zero()
 
 
-def test_morphism_tuple_validation(spec5):
-    u = BinaryForm(spec5, 1, [1, 0])
-    with pytest.raises(ConfigError):
-        MorphismTuple(())
-    with pytest.raises(ConfigError):
-        MorphismTuple((u, BinaryForm(spec5, 2, [1, 0, 0])))
-    zero = MorphismTuple((BinaryForm.zero(spec5, 1),
-                          BinaryForm.zero(spec5, 1)))
-    assert zero.is_zero()
-    assert not zero.is_coprime()
+@pytest.mark.parametrize("n,e", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+def test_rank_criterion_matches_gcd_on_every_small_tuple(spec5, n, e):
+    space = [BinaryForm(spec5, e, cs)
+             for cs in itertools.product(range(5), repeat=e + 1)]
+    _assert_routes_agree(list(itertools.product(space, repeat=n)))
 
 
-def test_gcd_and_resultant_criteria_agree(spec5):
-    for e in (1, 2, 3):
-        report = check_coprimality_criteria(spec5, 3, e, 60, seed=7)
-        assert report.passed, report.disagreements
-        assert bool(report)
-        assert report.checked == 60
+def _sampled_tuples(spec, n, e, samples, rng):
+    """Random tuples; for e >= 2 every other one times a common linear
+    factor, so both verdicts occur."""
+    def form(degree):
+        return BinaryForm(spec, degree,
+                          [rng.randrange(spec.q) for _ in range(degree + 1)])
+    out = []
+    for trial in range(samples):
+        if trial % 2 == 0 or e < 2:
+            out.append(tuple(form(e) for _ in range(n)))
+        else:
+            factor = BinaryForm(spec, 1, [rng.randrange(spec.q), 1])
+            out.append(tuple(factor * form(e - 1) for _ in range(n)))
+    return out
+
+
+def test_gcd_and_resultant_criteria_agree():
+    # the rank criterion is the resultant one generalized: for n = 2 its
+    # matrix is the Sylvester matrix
+    for spec in (FieldSpec(5), FieldSpec(7), FieldSpec(5, 2)):
+        rng = random.Random(spec.q)
+        for n in (1, 2, 3, 4):
+            for e in (1, 2, 3):
+                tuples = _sampled_tuples(spec, n, e, 500, rng)
+                _assert_routes_agree(tuples)
+                if e >= 2:
+                    assert not any(_rank_route(tuples[1::2]))
 
 
 def test_coprimality_on_hand_built_tuples(spec5):
     u = BinaryForm(spec5, 1, [1, 0])
     v = BinaryForm(spec5, 1, [0, 1])
-    assert gcd_coprime((u, v))
-    assert resultant_coprime((u, v))
-    assert not gcd_coprime((u * u, u * v))
-    assert not resultant_coprime((u * u, u * v))
+    zero = BinaryForm.zero(spec5, 1)
+    linear = [(u, v), (zero, zero)]
+    quadratic = [(u * u, u * v), (u * v, v * v)]
+    assert _rank_route(linear) == [True, False]
+    assert _rank_route(quadratic) == [False, False]
+    _assert_routes_agree(linear)
+    _assert_routes_agree(quadratic)
 
 
-def test_resultant_needs_large_field(spec5):
-    big = BinaryForm(spec5, 5, [1, 0, 0, 0, 0, 1])
-    with pytest.raises(ConfigError):
-        resultant_coprime((big, big))
+def test_rank_criterion_needs_no_large_field(spec5):
+    # q = 5 <= e = 5: u^5 - u v^4 vanishes at every affine point of
+    # P^1(F_5) and v^5 at the point at infinity, yet they are coprime
+    u5 = BinaryForm(spec5, 5, [0, 4, 0, 0, 0, 1])
+    v5 = BinaryForm(spec5, 5, [1, 0, 0, 0, 0, 0])
+    big = BinaryForm(spec5, 5, [1, 0, 0, 0, 0, 1])     # (u + v)^5
+    assert _rank_route([(u5, v5), (big, big), (big, u5)]) == \
+        [True, False, False]
+    for n in (2, 3):
+        _assert_routes_agree(_sampled_tuples(spec5, n, 5, 200,
+                                             random.Random(n)))
+
+
+def test_enumerate_route_matches_the_gcd_oracle(spec5):
+    # the old per-tuple route: BoxKernel solutions filtered by gcd_coprime
+    mixed = symmetrize(spec5, 3, 3, MIXED_TERNARY)
+    for form, e in [(mixed, 1), (fermat_form(spec5, 2, 3), 2)]:
+        space = list(itertools.product(range(5), repeat=e + 1))
+        oracle = sum(
+            gcd_coprime([BinaryForm(spec5, e, space[c]) for c in row])
+            for codes, images in BoxKernel(form, e).box()
+            for row in codes[~images.any(axis=1)].tolist())
+        assert moduli._morphisms_enumerate(spec5, form, e) * 4 == oracle
+
+
+def test_morphism_counts_make_no_gcd_call(spec5, monkeypatch):
+    def forbidden(forms):
+        raise AssertionError("gcd_coprime called outside the tests")
+
+    monkeypatch.setattr(moduli, "gcd_coprime", forbidden)
+    # the shipped config runs the factor route and the enumerate cross-check
+    result = run_task(load_config(SURFACE_CONFIG))
+    assert result.status == "pass"
+    assert result.records[0].outputs["enumerate_route"] == 360
+    mixed = symmetrize(spec5, 3, 3, MIXED_TERNARY)
+    count_morphisms(CountingProblem(spec5, mixed, 1))
 
 
 def test_extension_tower_rejected(spec5):
@@ -165,9 +237,7 @@ def test_convolution_with_unequal_coefficients(spec5):
 
 @pytest.mark.parametrize("size", [7, 3])
 def test_counts_do_not_depend_on_block_sizes(spec5, monkeypatch, size):
-    mixed = symmetrize(spec5, 3, 3, {(3, 0, 0): 1, (0, 3, 0): 2,
-                                     (0, 0, 3): 3, (2, 1, 0): 4,
-                                     (1, 1, 1): 1})
+    mixed = symmetrize(spec5, 3, 3, MIXED_TERNARY)
     surface = fermat_form(spec5, 4, 3)
 
     def counts():

@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from fflab.moduli import _sylvester_rank_full, gcd_coprime, resultant_coprime
+from fflab.moduli import gcd_coprime, rank_coprime
 from fflab.polys import BinaryForm, Polynomial, poly_gcd
 
 
@@ -96,9 +97,12 @@ def test_binform_gcd_and_coprimality(spec5):
 
 
 def test_resultant_detects_common_factor(spec5):
+    # for two forms the rank test reads the Sylvester matrix: full rank
+    # exactly when the resultant is nonzero
     u = BinaryForm.from_ints(spec5, 1, [0, 1])
     v = BinaryForm.from_ints(spec5, 1, [1, 0])
-    assert not _sylvester_rank_full(u * v, v * v)
-    assert _sylvester_rank_full(u, v)
-    assert not resultant_coprime([u * v, v * v])
-    assert resultant_coprime([u, v])
+    pairs = np.array([[(u * v).coeffs, (v * v).coeffs],
+                      [(u * u).coeffs, (v * v).coeffs]], dtype=np.int16)
+    assert rank_coprime(spec5, pairs).tolist() == [False, True]
+    linear = np.array([[u.coeffs, v.coeffs]], dtype=np.int16)
+    assert rank_coprime(spec5, linear).tolist() == [True]

@@ -1,5 +1,7 @@
 """Every shipped config gives the report it gave when these digests were
-recorded: the csv bytes at --workers 1, compared by sha256."""
+recorded: the csv bytes at --workers 1, compared by sha256.  The same runs
+record which [task] keys each task's builder reads, so a key that
+TASK_PARAMS accepts but no builder reads fails here."""
 
 import glob
 import hashlib
@@ -8,6 +10,7 @@ import os
 import pytest
 
 from fflab.cli import main
+from fflab.harness import TASK_PARAMS, RunConfig
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -57,6 +60,44 @@ DIGESTS = {
 }
 
 
+class _Runs:
+    """Each shipped config run once through the CLI at --workers 1, on
+    first use: name -> (exit code, csv sha256, [task] keys read)."""
+
+    def __init__(self, tmp_path_factory):
+        self._tmp = tmp_path_factory
+        self._done = {}
+
+    def __getitem__(self, name):
+        if name not in self._done:
+            self._done[name] = self._run(name)
+        return self._done[name]
+
+    def _run(self, name):
+        task = DIGESTS[name][0]
+        out_dir = self._tmp.mktemp(name)
+        read = set()
+        raw = RunConfig._param_raw
+
+        def recording(config, key):
+            read.add(key)
+            return raw(config, key)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(RunConfig, "_param_raw", recording)
+            code = main([task, "--config",
+                         os.path.join(CONFIGS, f"{name}.cfg"),
+                         "--workers", "1", "--out", str(out_dir)])
+        with open(out_dir / f"{task}.csv", "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        return code, digest, read
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    return _Runs(tmp_path_factory)
+
+
 def test_every_shipped_config_has_a_digest():
     names = {os.path.basename(path)[:-len(".cfg")]
              for path in glob.glob(os.path.join(CONFIGS, "*.cfg"))}
@@ -64,10 +105,14 @@ def test_every_shipped_config_has_a_digest():
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_shipped_config_report_is_unchanged(tmp_path, name):
-    task, digest = DIGESTS[name]
-    cfg = os.path.join(CONFIGS, f"{name}.cfg")
-    assert main([task, "--config", cfg, "--workers", "1",
-                 "--out", str(tmp_path)]) == 0
-    with open(tmp_path / f"{task}.csv", "rb") as fh:
-        assert hashlib.sha256(fh.read()).hexdigest() == digest
+def test_shipped_config_report_is_unchanged(runs, name):
+    code, digest, _ = runs[name]
+    assert code == 0
+    assert digest == DIGESTS[name][1]
+
+
+def test_builders_read_exactly_the_declared_keys(runs):
+    read = {task: set() for task in TASK_PARAMS}
+    for name, (task, _) in DIGESTS.items():
+        read[task] |= runs[name][2]
+    assert read == {task: set(keys) for task, keys in TASK_PARAMS.items()}

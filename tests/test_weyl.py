@@ -8,7 +8,6 @@ import pytest
 from fflab import weyl
 from fflab.audit import kappa_of
 from fflab.circle import CountingProblem
-from fflab.errors import BudgetExceededError
 from fflab.fields import FieldSpec
 from fflab.forms import fermat_form, parse_form_file
 from fflab.harness import _problem_recipe, _weyl_chunk, load_config
@@ -17,10 +16,9 @@ from fflab.linalg import batched_rank
 from fflab.weyl import (_shape_N, _shape_N_eta, approx_zero_count,
                         approx_zero_counts, canonical_point,
                         canonical_shape_report, check_shrink,
-                        check_smallbox_chain, check_weyl, compare_pointwise,
-                        count_M_v, count_N, count_N_eta, count_curly_N,
-                        eta_from_arc, measure_flat_count, measure_pointwise,
-                        naive_approx_zero_count)
+                        check_smallbox_chain, check_weyl, count_N,
+                        count_N_eta, count_curly_N, eta_from_arc,
+                        measure_pointwise, naive_approx_zero_count)
 
 
 def tail_alpha(prob, tail):
@@ -39,10 +37,15 @@ def test_count_N_frozen_values(prob_n2):
     assert count_N(prob_n2, t_inv2) == 4225
 
 
+def _shape_M_v(prob, v):
+    """(boxes, m) of M^(v): the first v-1 boxes constant."""
+    return [1] * (v - 1) + [prob.e + 1] * (prob.d - v), prob.e + 1
+
+
 def test_count_M_v_frozen_values(prob_n2):
     t_inv2 = tail_alpha(prob_n2, (0, 1, 0, 0))
-    assert count_M_v(prob_n2, t_inv2, 2) == 841
-    assert count_M_v(prob_n2, t_inv2, 3) == 81
+    assert approx_zero_count(prob_n2, t_inv2, *_shape_M_v(prob_n2, 2)) == 841
+    assert approx_zero_count(prob_n2, t_inv2, *_shape_M_v(prob_n2, 3)) == 81
 
 
 @pytest.mark.slow
@@ -135,22 +138,6 @@ def test_hypothesis_failure_is_reported(prob_n2):
         rep.ratio_float()
 
 
-def test_cross_q_ratios_do_not_increase():
-    probs = {}
-    for q in (5, 7):
-        spec = FieldSpec(q)
-        probs[q] = CountingProblem(spec, fermat_form(spec, 2, 3), 1)
-    for lemma, r_deg, beta in [("generic", 2, None),
-                               ("deg-r-positive", 2, None),
-                               ("deg-r-zero", 0, 3)]:
-        rep5 = canonical_shape_report(probs[5], lemma, r_deg, beta)
-        rep7 = canonical_shape_report(probs[7], lemma, r_deg, beta)
-        # exact algebraic comparison: ratio at q=5 >= ratio at q=7
-        assert compare_pointwise(rep5, rep7) == 1
-        # the float route agrees
-        assert rep5.ratio_float() >= rep7.ratio_float()
-
-
 def test_eta_from_arc_values(prob_n2):
     # (e+1)eta for |r| = q^alpha_deg, |theta| = q^-beta
     assert eta_from_arc(prob_n2, 1, 4) >= 0
@@ -165,18 +152,23 @@ def test_measure_pointwise_matches_canonical(prob_n2):
     assert rep.s_value.abs_squared() == 625
 
 
+def _flat_count(prob, c):
+    """#{u in boxes c : Psi_i(u) = 0 identically for all i}.  Each Psi_i(u)
+    has degree below D = (d-1)(c-1)+1, so it vanishes exactly when
+    alpha Psi_i(u) has norm below q^-D at alpha = t^-D: one approximate-zero
+    count with boxes c and m = D."""
+    big_d = (prob.d - 1) * (c - 1) + 1
+    alpha = tuple(int(k == big_d) for k in range(1, 2 * big_d))
+    return approx_zero_counts(prob, [alpha], [c] * (prob.d - 1), big_d)[0]
+
+
 def test_measure_flat_count_exact_values(spec5, prob_n2):
-    assert measure_flat_count(prob_n2, Fraction(1, 2)) == (81, Fraction(81, 25))
-    assert measure_flat_count(prob_n2, 1) == (2401, Fraction(2401, 625))
+    assert _flat_count(prob_n2, 1) == 81
+    assert _flat_count(prob_n2, 2) == 2401
     mixed = _mixed_problem(spec5, 1)
-    assert measure_flat_count(mixed, Fraction(1, 2))[0] == 49
-    assert measure_flat_count(mixed, 1)[0] == 1249
-    assert measure_flat_count(prob_n2, 0) == (1, 1)
-    # 5^2 prefix tuples at c = 1, charged under the count's own label
-    tight = CountingProblem(prob_n2.spec, prob_n2.form, 1, budget=24)
-    with pytest.raises(BudgetExceededError) as err:
-        measure_flat_count(tight, Fraction(1, 2))
-    assert err.value.what == "flat count"
+    assert _flat_count(mixed, 1) == 49
+    assert _flat_count(mixed, 2) == 1249
+    assert _flat_count(prob_n2, 0) == 1
 
 
 @pytest.mark.parametrize("name", ["fermat2", "mixed", "fermat2_d4",
@@ -185,11 +177,9 @@ def test_measure_flat_count_matches_naive_oracle(name):
     # at c = 1 every Psi_i(u) is a constant: it vanishes exactly when
     # || t^-1 Psi_i(u) || < q^-1
     prob = _problem(name, 1)
-    before = prob.budget_spent
-    count = measure_flat_count(prob, Fraction(1, 2))[0]
-    assert prob.budget_spent - before == prob.spec.q ** (prob.n * (prob.d - 2))
     alpha = (1,) + (0,) * (prob.char_depth - 1)
-    assert count == naive_approx_zero_count(prob, alpha, [1] * (prob.d - 1), 1)
+    assert _flat_count(prob, 1) == naive_approx_zero_count(
+        prob, alpha, [1] * (prob.d - 1), 1)
 
 
 # -- the batched fast route against its oracles ---------------------------------------
@@ -298,7 +288,7 @@ def test_batched_counts_match_generic_route(form, e, shape, count):
     boxes, m = {"N": lambda: _shape_N(prob),
                 "N_eta": lambda: _shape_N_eta(prob, Fraction(1, 2)),
                 "curly": lambda: _curly_shape(prob),
-                "M_2": lambda: ([1, 2, 2], 2)}[shape]()
+                "M_2": lambda: _shape_M_v(prob, 2)}[shape]()
     pinned = PINNED[form, e, shape]
     tails = [tail for tail, _ in pinned]
     assert len(tails) == count
@@ -308,8 +298,6 @@ def test_batched_counts_match_generic_route(form, e, shape, count):
     assert got == [want for _, want in pinned]
     # the one-phase entry point is the same route
     assert approx_zero_count(prob, tails[0], boxes, m) == got[0]
-    if shape == "M_2":
-        assert count_M_v(prob, tails[0], 2) == got[0]
 
 
 def test_batch_size_does_not_change_counts(monkeypatch):
