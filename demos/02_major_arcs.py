@@ -29,7 +29,7 @@ def main():
 
     spec = FieldSpec(5)
     prob = CountingProblem(spec, fermat_form(spec, 3, 3), 1)
-    unit = [a for a in prob.dissect() if a.deg_r == 0][0]
+    unit = next(prob.dissect())        # deg r = 0 first: r = 1, a = 0
     kinds = [atom.kind for atom in prob.arc_atoms(unit)]
     print(f"unit arc atoms: {kinds.count('major')} major, "
           f"{kinds.count('minor')} minor "

@@ -21,8 +21,18 @@ vectorized box kernel (forms.BoxKernel): for a stack of tails it
 accumulates <c, tail> over the support of D through the field tables and
 counts D by the trace of each value, one integer histogram per tail.  One
 phase, a sweep of phases and the sum table over all q^B tails are all calls
-of that one kernel.  The scalar loops over box points remain only in the
-oracles: the direct summation of S and the brute-force root count.
+of that one kernel; the sum table keeps the histograms as one int64 array.
+
+The dissection has one fast route, CountingProblem.degree_subtotals, and
+one oracle, the per-atom quadrature (dissect, coprime_residues, arc_tail,
+arc_atoms, integrate_arc).  The fast route never builds an arc: per degree
+D it expands 1/r for a block of monic r at once, reads the tails of every
+a/r off the Hankel matrix of that series, keeps the units a by the rank of
+their D x D Hankel matrix (full exactly when gcd(a, r) = 1), and adds the
+rows of the sum table that the unit arcs cover as one integer histogram.
+The scalar loops over box points and arcs remain only in the oracles: the
+direct summation of S, the per-atom quadrature and the brute-force root
+count.
 """
 
 from __future__ import annotations
@@ -38,10 +48,20 @@ from .errors import BudgetExceededError, ConfigError, PrecisionError
 from .fields import FieldSpec
 from .forms import BoxKernel, HypersurfaceForm
 from .laurent import LaurentElement, expand_rational
+from .linalg import batched_rank
 from .polys import Polynomial, poly_gcd
 
-# (tails x support) cells per block of the S kernel; bounds its working set
+# cells per block of the numpy kernels, (tails x support) for S and
+# (monic r x residues x tail digits or Hankel entries) for the arcs; bounds
+# their working set
 _SUM_BLOCK_CELLS = 1 << 23
+
+
+def _digits(q: int, k: int) -> np.ndarray:
+    """The base-q digits of 0..q^k - 1, one row each, first digit fastest:
+    every vector of F_q^k (as field indices), shape (q^k, k)."""
+    return (np.arange(q ** k)[:, None] // q ** np.arange(k) % q).astype(
+        np.int16)
 
 
 @dataclass(frozen=True)
@@ -198,36 +218,44 @@ class CountingProblem:
     def exp_sums(self, alphas) -> list:
         """S at every phase of `alphas`, in input order.  A phase is a
         LaurentElement exact to depth B or a depth-B tail tuple.  Once the
-        sum table is built S is read from it; otherwise the stacked tails
-        go through the kernel, in blocks of at most _SUM_BLOCK_CELLS
-        (tail, support point) cells.  Charges nothing beyond the phase
+        sum table is built S is folded from its rows; otherwise the stacked
+        tails go through the kernel.  Charges nothing beyond the phase
         distribution."""
         tails = [self._tail(alpha) for alpha in alphas]
         if not tails:
             return []
+        q, B = self.spec.q, self.char_depth
+        stack = np.array(tails, dtype=np.int16).reshape(len(tails), B)
         if self._sum_table is not None:
-            return [self._sum_table[tail] for tail in tails]
+            hists = self._sum_table[stack @ q ** np.arange(B)]
+        else:
+            hists = self._histograms(stack)
+        return [CyclotomicValue.from_histogram(self.spec.p, hist)
+                for hist in hists.tolist()]
+
+    def _histograms(self, stack: np.ndarray) -> np.ndarray:
+        """The S kernel: for a (tails x B) stack of depth-B tails, the int64
+        histograms #{x in box : tr <coeffs F(x), tail> = v}, v in F_p, one
+        row per tail, in blocks of at most _SUM_BLOCK_CELLS (tail, support
+        point) cells.  An entry is at most the box size q^(n(e+1))."""
         spec = self.spec
-        p, B = spec.p, self.char_depth
         np_mul = spec.tables["np_mul"]
         np_add = spec.tables["np_add"]
         np_trace = spec.tables["np_trace"]
         dist = self.phase_distribution()
         sup = np.array(list(dist.keys()), dtype=np.int16)
         counts = np.array(list(dist.values()), dtype=np.int64)
-        stack = np.array(tails, dtype=np.int16).reshape(len(tails), B)
         block = max(1, _SUM_BLOCK_CELLS // len(sup))
-        values = []
-        for start in range(0, len(tails), block):
+        hists = []
+        for start in range(0, len(stack), block):
             tblock = stack[start:start + block]
             acc = np.zeros((len(tblock), len(sup)), dtype=np.int16)
-            for j in range(B):
+            for j in range(self.char_depth):
                 acc = np_add[acc, np_mul[tblock[:, j:j + 1], sup[None, :, j]]]
             tr = np_trace[acc]
-            hists = np.stack([(tr == v) @ counts for v in range(p)], axis=1)
-            values.extend(CyclotomicValue.from_histogram(p, hist)
-                          for hist in hists.tolist())
-        return values
+            hists.append(np.stack([(tr == v) @ counts
+                                   for v in range(spec.p)], axis=1))
+        return np.concatenate(hists)
 
     def _exp_sum_direct(self, tail: tuple) -> CyclotomicValue:
         """Oracle: S at one depth-B tail by the plain loop over the box."""
@@ -245,17 +273,92 @@ class CountingProblem:
             hist[trace[res]] += 1
         return CyclotomicValue.from_histogram(spec.p, hist)
 
-    def sum_table(self):
-        """S on every depth-B tail, as {tail tuple: CyclotomicValue}: one
-        exp_sums call over all q^B tails, first digit fastest."""
+    def sum_table(self) -> np.ndarray:
+        """S on every depth-B tail as one int64 histogram H of shape
+        (q^B, p): row i is the kernel's histogram at the tail whose digits
+        are the base-q digits of i, first digit fastest.  One kernel call
+        over all q^B tails."""
         if self._sum_table is None:
             q, B = self.spec.q, self.char_depth
             self._charge(len(self.phase_distribution()) * q ** B,
                          "sum table build")
-            tails = [tail[::-1]
-                     for tail in itertools.product(range(q), repeat=B)]
-            self._sum_table = dict(zip(tails, self.exp_sums(tails)))
+            assert q ** (self.box * self.n) < 2 ** 63   # the largest entry
+            self._sum_table = self._histograms(_digits(q, B))
         return self._sum_table
+
+    # -- the dissection by degree -------------------------------------------------
+
+    def arc_blocks(self, deg: int, width: int):
+        """The arcs with deg r = deg in blocks of monic r, as triples
+        (r, tails, unit): r holds the low coefficients of the block's r
+        (t^0 first), tails[i, j] the first `width` >= 2 deg - 1 tail digits
+        of a_j/r_i for every a_j with |a_j| < |r| (coefficients the base-q
+        digits of j, t^0 first), and unit[i, j] says gcd(a_j, r_i) = 1.
+
+        The series 1/r = sum s_k t^-k has s_k = 0 for k < deg, s_deg = 1 and
+        s_{deg+m} = -sum_{i<deg} r_i s_{i+m}; the t^-j coefficient of a/r is
+        sum_i a_i s_{i+j}, the Hankel matrix of s applied to a.  The D x D
+        Hankel matrix of the tail of a/r has full rank exactly when a/r is
+        reduced, so one batched rank gives the units.  At deg = 0 the one
+        arc is r = 1, a = 0, with the zero tail."""
+        spec = self.spec
+        np_mul, np_add = spec.tables["np_mul"], spec.tables["np_add"]
+        np_neg = spec.tables["np_neg"]
+        lows = _digits(spec.q, deg)
+        hankel = np.arange(deg)[:, None] + np.arange(deg)
+        block = max(1, _SUM_BLOCK_CELLS // (len(lows) * max(width, deg ** 2)))
+        for start in range(0, len(lows), block):
+            r = lows[start:start + block]
+            s = np.zeros((len(r), deg + width), dtype=np.int16)
+            s[:, deg] = 1
+            for m in range(1, width):
+                acc = np.zeros(len(r), dtype=np.int16)
+                for i in range(deg):
+                    acc = np_add[acc, np_mul[r[:, i], s[:, i + m]]]
+                s[:, deg + m] = np_neg[acc]
+            tails = np.zeros((len(r), len(lows), width), dtype=np.int16)
+            for i in range(deg):
+                tails = np_add[tails, np_mul[lows[None, :, i, None],
+                                             s[:, None, i + 1:i + 1 + width]]]
+            ranks = batched_rank(spec, tails[:, :, hankel].reshape(
+                len(r) * len(lows), deg, deg))
+            yield r, tails, (ranks == deg).reshape(len(r), len(lows))
+
+    def degree_subtotals(self) -> dict:
+        """{deg r: (arcs, subtotal)}: the number of arcs of each degree and
+        the sum of their exact arc integrals of S, read off the sum table.
+
+        An arc of degree D has y = D + floor(Q), and its integral is
+        q^-max(y, B) times the sum of S over the depth-B tails whose first
+        min(y, B) digits are those of a/r.  So per degree the table is
+        summed once over its free digits, the unit arcs are counted by
+        prefix, and one product gives the subtotal's histogram."""
+        spec = self.spec
+        q, p, B = spec.q, spec.p, self.char_depth
+        table = self.sum_table()
+        # Every int64 here is at most q^(n(e+1)) q^(2 floor(Q)): a table row
+        # sums to the box size q^(n(e+1)); the arcs of one degree D have
+        # distinct prefixes when y <= B, so they cover at most q^B rows,
+        # and when y > B there are at most q^(2D) of them.
+        assert B <= 2 * self.arc_floor           # de + 1 <= d(e+1) - 1
+        assert q ** (self.box * self.n + 2 * self.arc_floor) < 2 ** 63, \
+            "arc histograms would overflow int64"
+        weights = q ** np.arange(B)
+        out = {}
+        for deg in range(self.arc_floor + 1):
+            y = deg + self.arc_floor
+            depth = min(y, B)
+            folded = table.reshape(q ** (B - depth), q ** depth, p).sum(axis=0)
+            arcs = np.zeros(q ** depth, dtype=np.int64)
+            for _, tails, unit in self.arc_blocks(deg,
+                                                  max(depth, 2 * deg - 1)):
+                arcs += np.bincount(tails[unit][:, :depth] @ weights[:depth],
+                                    minlength=q ** depth)
+            hist = (arcs @ folded).tolist()
+            out[deg] = (int(arcs.sum()),
+                        CyclotomicValue.from_histogram(p, hist)
+                        * Fraction(1, q ** max(y, B)))
+        return out
 
     # -- quadrature ----------------------------------------------------------------
 
@@ -293,10 +396,9 @@ class CountingProblem:
 
     def dissection_total(self) -> CyclotomicValue:
         """Sum of all arc integrals; equals N(P) when everything is exact."""
-        self.sum_table()
         total = CyclotomicValue.zero(self.spec.p)
-        for arc in self.dissect():
-            total = total + self.integrate_arc(arc)
+        for _, subtotal in self.degree_subtotals().values():
+            total = total + subtotal
         return total
 
     def major_total(self) -> CyclotomicValue:

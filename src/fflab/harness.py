@@ -301,22 +301,13 @@ def _run_dissect(config: RunConfig):
     prob = build_problem(config)
     base = _base_inputs(config, prob.spec)
     brute = prob.brute_count()
-    prob.sum_table()
-    subtotals = {}
-    arc_counts = {}
-    for arc in prob.dissect():
-        val = prob.integrate_arc(arc)
-        deg = arc.deg_r
-        subtotals[deg] = subtotals[deg] + val if deg in subtotals else val
-        arc_counts[deg] = arc_counts.get(deg, 0) + 1
     records = []
     total = None
-    for deg in sorted(subtotals):
-        sub = subtotals[deg]
+    for deg, (arcs, sub) in sorted(prob.degree_subtotals().items()):
         total = sub if total is None else total + sub
         records.append(ReportRecord(
             task=config.task, inputs={**base, "deg_r": deg},
-            outputs={"arcs": arc_counts[deg], "subtotal": sub}))
+            outputs={"arcs": arcs, "subtotal": sub}))
     holds = total == brute
     records.append(ReportRecord(
         task=config.task, inputs=base,

@@ -1,16 +1,21 @@
+import hashlib
 import itertools
 import os
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fflab import circle
-from fflab.circle import CountingProblem
+from fflab.circle import ArcPoint, CountingProblem
+from fflab.cli import main
+from fflab.cyclotomic import CyclotomicValue
 from fflab.errors import BudgetExceededError, PrecisionError
 from fflab.fields import FieldSpec
 from fflab.forms import fermat_form, parse_form_file, symmetrize
 from fflab.laurent import LaurentElement
+from fflab.polys import Polynomial, poly_gcd
 
 
 def test_fixture_brute_count(prob_n3):
@@ -33,13 +38,11 @@ def test_dissection_identity_fixture_one(prob_n3):
 
 
 def test_per_degree_subtotals_frozen(prob_n3):
-    prob_n3.sum_table()
-    subtotals = {}
-    for arc in prob_n3.dissect():
-        val = prob_n3.integrate_arc(arc)
-        deg = arc.deg_r
-        subtotals[deg] = subtotals[deg] + val if deg in subtotals else val
-    as_rationals = {deg: v.to_rational() for deg, v in subtotals.items()}
+    subtotals = prob_n3.degree_subtotals()
+    assert {deg: arcs for deg, (arcs, _) in subtotals.items()} == {
+        0: 1, 1: 20, 2: 500, 3: 12500}
+    as_rationals = {deg: v.to_rational()
+                    for deg, (_, v) in subtotals.items()}
     assert as_rationals == {0: Fraction(25), 1: Fraction(0),
                             2: Fraction(116, 5), 3: Fraction(484, 5)}
 
@@ -103,8 +106,11 @@ def test_sum_table_matches_kernel(spec5):
     tails = list(itertools.product(range(5), repeat=prob.char_depth))
     kernel = prob.exp_sums(tails)
     table = prob.sum_table()
-    assert len(table) == 625
-    assert [table[t] for t in tails] == kernel
+    assert table.shape == (625, 5) and table.dtype == np.int64
+    assert (table.sum(axis=1) == 5 ** 4).all()    # every row counts the box
+    # row i is the tail whose base-5 digits are those of i, first fastest
+    rows = [table[sum(c * 5 ** k for k, c in enumerate(t))] for t in tails]
+    assert [CyclotomicValue.from_histogram(5, row) for row in rows] == kernel
     assert prob.exp_sums(tails) == kernel
 
 
@@ -180,3 +186,103 @@ def test_phase_distribution_matches_scalar_loop(spec5, e):
         key = tuple(value.coeff(k) for k in range(prob.char_depth))
         want[key] = want.get(key, 0) + 1
     assert prob.phase_distribution() == want
+
+
+# -- the fast dissection route against the per-atom oracle --------------------
+
+
+def _oracle_subtotals(prob, max_deg):
+    """{deg r: (arcs, subtotal)} for deg r <= max_deg, arc by arc through
+    dissect and integrate_arc."""
+    out = {}
+    for arc in prob.dissect():
+        if arc.deg_r > max_deg:
+            break
+        arcs, total = out.get(arc.deg_r, (0, 0))
+        out[arc.deg_r] = (arcs + 1, prob.integrate_arc(arc) + total)
+    return out
+
+
+def _seeded_binary_cubic(spec, seed):
+    rng = random.Random(seed)
+    coeffs = {(3 - k, k): rng.randrange(1, spec.p) for k in range(4)}
+    return CountingProblem(spec, symmetrize(spec, 2, 3, coeffs), 1)
+
+
+@pytest.mark.parametrize("make,kernel_oracle", [
+    (lambda spec: CountingProblem(spec, fermat_form(spec, 3, 3), 1), False),
+    (lambda spec: _mixed_cubic(spec, 1), True),
+    (lambda spec: _seeded_binary_cubic(spec, 2024), False),
+    # e = 2: B = 7 and floor(Q) = 4, so y < B on degrees 0, 1 and 2; the
+    # 312,500 arcs of degree 4 are checked through the identity only
+    (lambda spec: CountingProblem(spec, fermat_form(spec, 1, 3), 2), False),
+], ids=["fermat_n3", "mixed_cubic_n2", "seeded_binary_cubic", "fermat_n1_e2"])
+def test_degree_subtotals_match_the_per_atom_oracle(spec5, make,
+                                                    kernel_oracle):
+    prob = make(spec5)
+    if kernel_oracle:
+        # the oracle runs before any sum table exists, so the S of every
+        # atom comes from the kernel and not from the table
+        oracle = _oracle_subtotals(prob, 3)
+        assert prob._sum_table is None
+    fast = prob.degree_subtotals()
+    if not kernel_oracle:
+        oracle = _oracle_subtotals(prob, 3)
+    assert sorted(fast) == list(range(prob.arc_floor + 1))
+    assert {deg: fast[deg] for deg in oracle} == oracle
+    total = sum((sub for _, sub in fast.values()),
+                CyclotomicValue.zero(spec5.p))
+    assert total == prob.brute_count()
+
+
+@pytest.mark.parametrize("spec,max_deg,max_blocks", [
+    (FieldSpec(5), 3, None),
+    (FieldSpec(7), 2, None),
+    (FieldSpec(5, 2), 2, 3),        # F_25: the first three r of degree 2
+], ids=["q5", "q7", "q25"])
+def test_unit_mask_and_tails_match_gcd_and_expansion(spec, max_deg,
+                                                     max_blocks, monkeypatch):
+    q = spec.q
+    prob = CountingProblem(spec, fermat_form(spec, 2, 3), 1)
+    monkeypatch.setattr(circle, "_SUM_BLOCK_CELLS", 2000)   # several blocks
+    B = prob.char_depth
+    for deg in range(1, max_deg + 1):
+        seen = 0
+        blocks = prob.arc_blocks(deg, max(B, 2 * deg))
+        for r_block, tails, unit in itertools.islice(blocks, max_blocks):
+            assert tails.shape == (len(r_block), q ** deg, max(B, 2 * deg))
+            for r_low, r_tails, r_unit in zip(r_block, tails, unit):
+                r = Polynomial(spec, tuple(r_low.tolist()) + (1,))
+                for j, (tail, is_unit) in enumerate(zip(r_tails, r_unit)):
+                    a = Polynomial(spec, [j // q ** k % q for k in range(deg)])
+                    assert is_unit == poly_gcd(a, r).is_one()
+                    arc = ArcPoint(r, a, deg + prob.arc_floor)
+                    assert tuple(tail[:B].tolist()) == prob.arc_tail(arc)
+                seen += 1
+        assert seen == q ** deg or max_blocks is not None
+
+
+def test_arc_counts_by_degree(prob_n3, prob_q7_n2):
+    for prob in (prob_n3, prob_q7_n2):
+        q = prob.spec.q
+        arcs = {deg: n for deg, (n, _) in prob.degree_subtotals().items()}
+        assert arcs == {deg: q ** (2 * deg - 1) * (q - 1) if deg else 1
+                        for deg in range(prob.arc_floor + 1)}
+        assert sum(Fraction(n, q ** (deg + prob.arc_floor))
+                   for deg, n in arcs.items()) == 1
+
+
+def test_dissect_verify_makes_no_per_arc_call(tmp_path, monkeypatch):
+    def per_arc(*args, **kwargs):
+        raise AssertionError("the fast route made a per-arc call")
+    monkeypatch.setattr(circle, "poly_gcd", per_arc)
+    monkeypatch.setattr(circle, "expand_rational", per_arc)
+    monkeypatch.setattr(CountingProblem, "integrate_arc", per_arc)
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                       "dissect_mixed_q5.cfg")
+    assert main(["dissect-verify", "--config", cfg, "--workers", "1",
+                 "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "dissect-verify.csv", "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == ("bcbe6c75c2840b43c3ac7de86114d525"
+                      "8bdcf1e21652aab833bf50d16ea3db64")

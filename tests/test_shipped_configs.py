@@ -14,8 +14,8 @@ from fflab.harness import TASK_PARAMS, RunConfig
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
-# too slow for the suite: about 18 s and 170 s
-SKIPPED = {"dissect_q7_n2", "shrink_e3_q5"}
+# too slow for the suite: about 170 s
+SKIPPED = {"shrink_e3_q5"}
 
 DIGESTS = {
     "audit_d3_n45": (
@@ -33,6 +33,12 @@ DIGESTS = {
     "dissect_mixed_q5": (
         "dissect-verify",
         "bcbe6c75c2840b43c3ac7de86114d5258bdcf1e21652aab833bf50d16ea3db64"),
+    "dissect_q7_n2": (
+        "dissect-verify",
+        "122dca59f6384bf2c7296ce65a326a1d154a1ccd272cc630b4816ce73599faff"),
+    "dissect_q11_n2": (
+        "dissect-verify",
+        "c0a127e47905420765f5745c413cac023aba7ad9fe4038901b713530974baaaa"),
     "langweil_surface_q5": (
         "langweil-report",
         "e85a5bb13af71997446f35f04b2c8590d5c8f219533f6c4783632ee3eb583979"),
