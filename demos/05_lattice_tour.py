@@ -10,7 +10,8 @@ from fractions import Fraction
 
 from fflab.fields import FieldSpec
 from fflab.latgon import (SpecialLatticePair, check_cape, check_ratio_lemma,
-                          check_sandwich, random_symmetric_gamma)
+                          check_sandwich, random_symmetric_gamma,
+                          reduce_lattices)
 
 
 def main():
@@ -45,10 +46,13 @@ def main():
     print(f"sandwich at a = {a}, z = 0: holds: {sand.passed}")
 
     print("minima profiles over 100 seeded matrices (closed convention):")
+    # a whole suite: one batched duality product and one batched reduction
+    pairs = SpecialLatticePair.suite(
+        spec, [random_symmetric_gamma(spec, 2, seed) for seed in range(100)],
+        [1 + (seed % 2) for seed in range(100)])
+    reduce_lattices([p.m_lattice for p in pairs])
     histogram = {}
-    for seed in range(100):
-        g = random_symmetric_gamma(spec, 2, seed)
-        p = SpecialLatticePair(spec, g, 1 + (seed % 2))
+    for p in pairs:
         prof = p.minima("M", convention="closed", method="reduce")
         histogram[prof.exponents] = histogram.get(prof.exponents, 0) + 1
     for profile, freq in sorted(histogram.items(), key=lambda kv: -kv[1]):

@@ -118,6 +118,8 @@ class CountingProblem:
         self.budget = budget
         self.budget_spent = 0
         self._distribution = None
+        self._support = None          # the distribution's keys, as arrays
+        self._support_counts = None
         self._sum_table = None
 
     # -- bookkeeping -------------------------------------------------------------
@@ -199,6 +201,8 @@ class CountingProblem:
             digits = keys[:, None] // q ** np.arange(self.char_depth) % q
             self._distribution = dict(zip(map(tuple, digits.tolist()),
                                           counts.tolist()))
+            self._support = digits.astype(np.int16)
+            self._support_counts = counts
         return self._distribution
 
     def _tail(self, alpha) -> tuple:
@@ -242,9 +246,8 @@ class CountingProblem:
         np_mul = spec.tables["np_mul"]
         np_add = spec.tables["np_add"]
         np_trace = spec.tables["np_trace"]
-        dist = self.phase_distribution()
-        sup = np.array(list(dist.keys()), dtype=np.int16)
-        counts = np.array(list(dist.values()), dtype=np.int64)
+        self.phase_distribution()
+        sup, counts = self._support, self._support_counts
         block = max(1, _SUM_BLOCK_CELLS // len(sup))
         hists = []
         for start in range(0, len(stack), block):

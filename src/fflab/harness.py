@@ -29,6 +29,7 @@ from __future__ import annotations
 import configparser
 import functools
 import itertools
+import math
 import os
 import random
 import time
@@ -41,8 +42,9 @@ from .errors import BudgetExceededError, ConfigError, VerificationFailure
 from .fields import FieldSpec
 from .forms import fermat_form, parse_form_file
 from .laurent import LaurentElement
-from .latgon import (SpecialLatticePair, check_cape, check_ratio_lemma,
-                     check_sandwich, random_symmetric_gamma)
+from .latgon import (SpecialLatticePair, check_capes, check_ratio_lemmas,
+                     check_sandwiches, minima_by_enumeration,
+                     random_symmetric_gamma, reduce_lattices)
 from .moduli import _is_diagonal, count_cone, count_morphisms, langweil_report
 from .reporting import ReportRecord
 from .weyl import (_charge_weyl, canonical_shape_report, check_shrink_batch,
@@ -458,28 +460,25 @@ def _run_lattice(config: RunConfig):
     base = _base_inputs(config, spec)
     count = config.param_int("count", default=100, minimum=1)
     m_fixed = config.param_int("m", minimum=1)
+    ms = [m_fixed if m_fixed is not None else 1 + (i % 2)
+          for i in range(count)]
+    pairs = SpecialLatticePair.suite(
+        spec, [random_symmetric_gamma(spec, config.n, config.seed + i)
+               for i in range(count)], ms)
+    reduce_lattices([lat for pair in pairs
+                     for lat in (pair.m_lattice, pair.adjoint_lattice)])
+    enumerated = minima_by_enumeration([pair.m_lattice for pair in pairs])
     records = []
-    for i in range(count):
-        m = m_fixed if m_fixed is not None else 1 + (i % 2)
-        gamma = random_symmetric_gamma(spec, config.n, config.seed + i)
-        inputs = {**base, "instance": i, "m": m}
-        try:
-            pair = SpecialLatticePair(spec, gamma, m)
-        except ConfigError as exc:
-            records.append(ReportRecord(
-                task=config.task, inputs=inputs,
-                outputs={"duality": False, "reason": str(exc)}, passed=False))
-            continue
-        duality = pair.check_duality()
+    for i, (pair, m) in enumerate(zip(pairs, ms)):
+        duality = pair.duality
         prof_red = pair.minima("M", convention="closed", method="reduce")
-        prof_enum = pair.minima("M", convention="closed", method="enumerate")
         adj_prof = pair.minima("adjoint", convention="closed", method="reduce")
-        agree = prof_red.exponents == prof_enum.exponents
+        agree = prof_red.exponents == tuple(enumerated[i])
         sym_closed = pair.check_minima_symmetry("closed", "reduce")
         sym_open = pair.check_minima_symmetry("open", "reduce")
         ok = bool(duality) and agree and bool(sym_closed) and bool(sym_open)
         records.append(ReportRecord(
-            task=config.task, inputs=inputs,
+            task=config.task, inputs={**base, "instance": i, "m": m},
             outputs={"profile": prof_red.exponents,
                      "adjoint_profile": adj_prof.exponents,
                      "methods_agree": agree, "duality": bool(duality),
@@ -505,24 +504,26 @@ def _run_ratio(config: RunConfig):
     spec = build_spec(config)
     base = _base_inputs(config, spec)
     count = config.param_int("count", default=100, minimum=1)
+    ms = [1 + (i % 2) for i in range(count)]
+    pairs = SpecialLatticePair.suite(
+        spec, [random_symmetric_gamma(spec, config.n, config.seed + i)
+               for i in range(count)], ms)
+    items = [(i, pair, z1, z2) for i, pair in enumerate(pairs)
+             for z1, z2 in _z_pairs(config, i)]
+    reps = check_ratio_lemmas([(pair, z1, z2) for _, pair, z1, z2 in items])
     records = []
-    for i in range(count):
-        m = 1 + (i % 2)
-        gamma = random_symmetric_gamma(spec, config.n, config.seed + i)
-        pair = SpecialLatticePair(spec, gamma, m)
-        for z1, z2 in _z_pairs(config, i):
-            rep = check_ratio_lemma(pair, z1, z2)
-            det = rep.details
-            records.append(ReportRecord(
-                task=config.task,
-                inputs={**base, "instance": i, "m": m, "z1": z1, "z2": z2},
-                outputs={"count1": det["count1"], "count2": det["count2"],
-                         "case": det["case"],
-                         "bound_exponent": det["bound_exponent"],
-                         "ratio_matches_formula": det["ratio_matches_formula"],
-                         "counts_match_minima": det["counts_match_minima"],
-                         "holds": rep.passed},
-                passed=rep.passed))
+    for (i, _, z1, z2), rep in zip(items, reps):
+        det = rep.details
+        records.append(ReportRecord(
+            task=config.task,
+            inputs={**base, "instance": i, "m": ms[i], "z1": z1, "z2": z2},
+            outputs={"count1": det["count1"], "count2": det["count2"],
+                     "case": det["case"],
+                     "bound_exponent": det["bound_exponent"],
+                     "ratio_matches_formula": det["ratio_matches_formula"],
+                     "counts_match_minima": det["counts_match_minima"],
+                     "holds": rep.passed},
+            passed=rep.passed))
     return records
 
 
@@ -531,21 +532,32 @@ def _run_cape(config: RunConfig):
     base = _base_inputs(config, spec)
     count = config.param_int("count", default=100, minimum=1)
     a_fixed = config.param_fraction("a")
+    if a_fixed is not None and a_fixed < 1:
+        raise ConfigError(
+            f"{config.path}: [task] a: the sandwich needs a >= 1, "
+            f"got {a_fixed}")
+    avals = [a_fixed if a_fixed is not None
+             else 1 + (i % 2) + Fraction(i % 2, 2) for i in range(count)]
+    # one pair per instance, with m = floor(a), serves both z of the sandwich
+    pairs = SpecialLatticePair.suite(
+        spec, [random_symmetric_gamma(spec, config.n, config.seed + i)
+               for i in range(count)], [math.floor(a) for a in avals])
+    sands = check_sandwiches([(pair, a, z) for pair, a in zip(pairs, avals)
+                              for z in (0, -1)])
+    zpairs = [_z_pairs(config, i) for i in range(count)]
+    capes = iter(check_capes(spec, [(pairs[i].gamma, avals[i], z1, z2)
+                                    for i in range(count)
+                                    for z1, z2 in zpairs[i]]))
     records = []
-    for i in range(count):
-        m = 1 + (i % 2)
-        a = a_fixed if a_fixed is not None else m + Fraction(i % 2, 2)
-        gamma = random_symmetric_gamma(spec, config.n, config.seed + i)
+    for i, a in enumerate(avals):
         inputs = {**base, "instance": i, "a": a}
-        for z in (0, -1):
-            sand = check_sandwich(spec, gamma, a, z)
+        for z, sand in zip((0, -1), sands[2 * i:2 * i + 2]):
             records.append(ReportRecord(
                 task=config.task, inputs={**inputs, "z": z},
                 outputs={"check": "sandwich", **sand.details,
                          "holds": sand.passed},
                 passed=sand.passed))
-        for z1, z2 in _z_pairs(config, i):
-            cape = check_cape(spec, gamma, a, z1, z2)
+        for (z1, z2), cape in zip(zpairs[i], capes):
             records.append(ReportRecord(
                 task=config.task, inputs={**inputs, "z1": z1, "z2": z2},
                 outputs={"check": "cape", **cape.details,

@@ -1,14 +1,29 @@
 """Geometry of numbers over the Laurent series field K = F_q((1/t)).
 
 A lattice here is the image of O^N, O = F_q[t], under an invertible N x N
-generator matrix of Laurent elements.  Everything is exact:
+generator matrix over K.  Everything is exact.  A matrix is held as one
+int16 array (rows, cols, W) of field indices, the t-coefficients of every
+entry on one exponent window, with the exponent of the window's first
+coefficient and a floor per entry (LaurentMatrix).  Each quantity has one
+fast route, a kernel batched over as many matrices as the caller hands
+it (the single-lattice methods hand it one), and one oracle:
 
-  * ball counts: #{x in lattice : |x| < q^Z} is the size of an F_q-linear
-    solution space of coefficient conditions, computed by rank;
-  * successive minima: degree reduction of the generator columns (repeatedly
-    cancel a linear dependence among the leading coefficient vectors), with
-    an independent enumeration oracle that harvests whole solution spaces
-    and measures their K-linear rank;
+  * products of Laurent matrices are table-driven convolutions; they
+    certify inverse hints and the adjoint identity L_m^T M_m = I;
+  * successive minima: the generator columns are reduced until their
+    leading coefficient vectors are independent, the leading-coefficient
+    (weak Popov) step of Mulders and Storjohann, "On lattice reduction for
+    polynomial matrices", J. Symbolic Comput. 35 (2003).  Each pass
+    cancels one dependence per lattice, a nullspace vector of its leading
+    coefficient matrix.  The sorted column degrees are kept on the
+    lattice, so each lattice is reduced once.  The oracle,
+    minima_by_enumeration, never reduces: it takes the whole solution
+    space of growing balls and measures its K-linear rank by
+    fraction-free elimination;
+  * ball counts #{x in lattice : |x| < q^Z} and the skew box counts
+    N(a, Z) are sizes of F_q-linear solution spaces of Toeplitz
+    coefficient systems; all systems of one call are ranked together by
+    batched_rank, each distinct one once;
   * the special pair built from a symmetric matrix gamma,
         M_m = [[t^-m I, 0], [t^m gamma, t^m I]],
         L_m = [[t^m I, -t^m gamma], [0, t^-m I]],
@@ -16,7 +31,12 @@ generator matrix of Laurent elements.  Everything is exact:
     R_v + R_{2n-v+1} = 0;
   * checkers for the count-ratio decay bound (with its piecewise equality
     formula as a cross-check), the skew box count N(a,Z) at half-integral
-    a and Z, its M_m sandwich, and the cape-shaped decay bound.
+    a and Z, its M_m sandwich, and the cape-shaped decay bound, each for
+    one instance or a whole suite.
+
+Precision stays explicit: an entry known only down to a floor stores 0
+below it, and reading a coefficient there, or deciding the vanishing of
+an entry whose known part is 0, raises PrecisionError.
 
 Minima convention: R_v is the least integer R such that v K-linearly
 independent lattice vectors all have degree <= R ("closed", the default).
@@ -32,15 +52,21 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (BudgetExceededError, ConfigError, PrecisionError,
                      VerificationFailure)
 from .fields import FieldSpec
 from .laurent import LaurentElement
-from .linalg import poly_matrix_rank, rank_mod_q, solve_nullspace
+from .linalg import batched_nullspace, batched_rank, poly_matrix_rank
 from .polys import Polynomial
 
 # one linear system may not exceed this many coefficient unknowns
 _MAX_VARS = 1 << 14
+# one stack handed to a batched kernel holds at most this many int16 cells
+_STACK_CELLS = 1 << 20
+# the floor of an exact entry, and the degree of an exact zero
+_NO_FLOOR = -(1 << 40)
 
 
 def _ceil(x) -> int:
@@ -55,13 +81,6 @@ def _half(x, label: str) -> Fraction:
     return value
 
 
-def _scale(el: LaurentElement, cidx: int) -> LaurentElement:
-    """Multiply by the field element with index cidx."""
-    row = el.spec.tables["mul"][cidx]
-    return LaurentElement(el.spec, {e: row[c] for e, c in el.coeffs.items()},
-                          el.floor)
-
-
 def _as_laurent(spec: FieldSpec, value) -> LaurentElement:
     if isinstance(value, LaurentElement):
         if value.spec != spec:
@@ -72,18 +91,160 @@ def _as_laurent(spec: FieldSpec, value) -> LaurentElement:
     raise ConfigError(f"expected a Laurent element, got {value!r}")
 
 
-def laurent_det(matrix) -> LaurentElement:
-    """Cofactor-expansion determinant of a small matrix of Laurent elements."""
-    size = len(matrix)
-    if size == 1:
-        return matrix[0][0]
-    spec = matrix[0][0].spec
-    total = LaurentElement.zero(spec)
-    for j in range(size):
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = matrix[0][j] * laurent_det(minor)
-        total = total - term if j % 2 else total + term
-    return total
+# -- matrices on coefficient arrays ---------------------------------------------
+
+
+class LaurentMatrix:
+    """A matrix over K: entry (i, j) is sum_w coeffs[i, j, w] t^(lo + w),
+    with coeffs an int16 (rows, cols, W) array of field indices, exact at
+    exponents >= floors[i, j] (int64; _NO_FLOOR: exact everywhere), with 0
+    stored below the floor."""
+    __slots__ = ("spec", "coeffs", "lo", "floors")
+
+    def __init__(self, spec: FieldSpec, coeffs, lo: int, floors):
+        self.spec, self.coeffs, self.lo, self.floors = spec, coeffs, lo, floors
+
+
+def _laurent_matrix(spec: FieldSpec, rows) -> LaurentMatrix:
+    """A LaurentMatrix from rows of LaurentElement or Polynomial entries."""
+    if spec.q > 1 << 15:
+        raise ConfigError(f"field indices must fit int16, got q = {spec.q}")
+    els = [[_as_laurent(spec, e) for e in row] for row in rows]
+    exps = [e for row in els for el in row for e in el.coeffs]
+    lo = min(exps, default=0)
+    coeffs = np.zeros((len(els), len(els[0]), max(exps, default=0) - lo + 1),
+                      dtype=np.int16)
+    floors = np.full(coeffs.shape[:2], _NO_FLOOR, dtype=np.int64)
+    for i, row in enumerate(els):
+        for j, el in enumerate(row):
+            for e, c in el.coeffs.items():
+                coeffs[i, j, e - lo] = c
+            if el.floor is not None:
+                floors[i, j] = el.floor
+    return LaurentMatrix(spec, coeffs, lo, floors)
+
+
+def _stack(mats):
+    """Same-shape matrices on one exponent window: (coeffs (B, R, C, W), lo,
+    floors (B, R, C))."""
+    lo = min(m.lo for m in mats)
+    hi = max(m.lo + m.coeffs.shape[2] for m in mats)
+    out = np.zeros((len(mats),) + mats[0].coeffs.shape[:2] + (hi - lo,),
+                   dtype=np.int16)
+    for b, m in enumerate(mats):
+        out[b, :, :, m.lo - lo:m.lo - lo + m.coeffs.shape[2]] = m.coeffs
+    return out, lo, np.stack([m.floors for m in mats])
+
+
+def _known_tops(coeffs, lo, floors):
+    """Largest exponent of a known nonzero coefficient of every entry;
+    floor - 1 where the known part of a windowed entry vanishes, _NO_FLOOR
+    for an exact zero (LaurentElement.known_top)."""
+    nz = coeffs != 0
+    top = lo + coeffs.shape[-1] - 1 - np.argmax(nz[..., ::-1], axis=-1)
+    return np.where(nz.any(axis=-1), top,
+                    np.where(floors != _NO_FLOOR, floors - 1, _NO_FLOOR))
+
+
+def _entry_degrees(coeffs, lo, floors, what: str):
+    """deg of every entry, _NO_FLOOR for an exact zero.  An entry whose
+    known part vanishes above its floor has no decidable degree."""
+    if ((floors != _NO_FLOOR) & ~(coeffs != 0).any(axis=-1)).any():
+        raise PrecisionError(f"{what}: vanishing is undecidable at this "
+                             f"window")
+    return _known_tops(coeffs, lo, floors)
+
+
+def _matmul(spec: FieldSpec, a, alo, afl, b, blo, bfl):
+    """Products of two stacks of Laurent matrices, a (B, R, K, Wa) at
+    exponent alo times b (B, K, C, Wb) at blo, by field-table convolution.
+    Floors follow LaurentElement: a product is exact down to
+    max(top(x) + floor(y), floor(x) + top(y)), a sum down to the largest
+    floor of its terms.  Returns (coeffs, lo, floors)."""
+    np_mul = spec.tables["np_mul"]
+    np_add = spec.tables["np_add"]
+    bsz, nrows, inner, wa = a.shape
+    wb = b.shape[3]
+    out = np.zeros((bsz, nrows, b.shape[2], wa + wb - 1), dtype=np.int16)
+    for k in range(inner):
+        bk = b[:, None, k]
+        for s in range(wa):
+            ak = a[:, :, k, s]
+            if ak.any():
+                out[..., s:s + wb] = np_add[out[..., s:s + wb],
+                                            np_mul[ak[:, :, None, None], bk]]
+    ta = _known_tops(a, alo, afl)
+    tb = _known_tops(b, blo, bfl)
+    fl = np.maximum(ta[..., None] + bfl[:, None],
+                    afl[..., None] + tb[:, None]).max(axis=2)
+    fl = np.where(fl < _NO_FLOOR // 2, _NO_FLOOR, fl)
+    lo = alo + blo
+    exps = lo + np.arange(out.shape[3])
+    return np.where(exps >= fl[..., None], out, 0), lo, fl
+
+
+def _identity_defects(coeffs, lo, floors):
+    """(B, N, N) mask of the entries of a stack of square products that
+    differ from the identity on their known coefficients."""
+    exps = lo + np.arange(coeffs.shape[3])
+    eye = np.eye(coeffs.shape[1], dtype=bool)
+    # the identity: 1 at t^0 on the diagonal, which the window may miss
+    bad = ((coeffs != (eye[..., None] & (exps == 0)))
+           & (exps >= floors[..., None])).any(axis=3)
+    return bad | (eye & (floors <= 0) & (exps != 0).all())
+
+
+def _toeplitz(coeffs, lo: int, w0: int, nw: int, width: int):
+    """For a stack (B, R, C, W) of matrices at exponent lo, the (B, R * nw,
+    C * width) systems whose row (i, t) and column (k, s) hold the
+    t^(w0 + t - s) coefficient of entry (i, k): row (i, t) is the
+    t^(w0 + t) coefficient of coordinate i of the matrix times u, where the
+    unknown (k, s) is the t^s coefficient of u_k."""
+    bsz, nrows, ncols, span = coeffs.shape
+    idx = w0 - lo + np.arange(nw)[:, None] - np.arange(width)[None, :]
+    ok = (idx >= 0) & (idx < span)
+    block = np.where(ok, coeffs[..., np.clip(idx, 0, span - 1)], 0)
+    return block.transpose(0, 1, 3, 2, 4).reshape(bsz, nrows * nw,
+                                                  ncols * width)
+
+
+def _batched(systems, kernel) -> list:
+    """kernel(spec, stack) on every (spec, system) pair, one result per
+    system, in order.  Systems with as many unknowns are stacked together,
+    padded with zero rows (which change no rank and no nullspace), at most
+    _STACK_CELLS cells per kernel call."""
+    out = [None] * len(systems)
+    groups = {}
+    for i, (spec, mat) in enumerate(systems):
+        groups.setdefault((spec, mat.shape[1]), []).append(i)
+    for (spec, ncols), members in groups.items():
+        nrows = max(systems[i][1].shape[0] for i in members)
+        block = max(1, _STACK_CELLS // max(1, nrows * ncols))
+        for start in range(0, len(members), block):
+            chunk = members[start:start + block]
+            stack = np.zeros((len(chunk), nrows, ncols), dtype=np.int16)
+            for row, i in enumerate(chunk):
+                mat = systems[i][1]
+                stack[row, :mat.shape[0]] = mat
+            for i, result in zip(chunk, kernel(spec, stack)):
+                out[i] = result
+    return out
+
+
+def _nullspace_kernel(spec: FieldSpec, stack) -> list:
+    """An F_q-basis (rows) of the right nullspace of every stacked system."""
+    basis, free = batched_nullspace(spec, stack)
+    return [vecs[mask] for vecs, mask in zip(basis, free)]
+
+
+def _solution_counts(systems) -> list:
+    """q^(unknowns - rank) for every (spec, system) pair."""
+    ranks = _batched(systems, batched_rank)
+    return [spec.q ** (mat.shape[1] - int(rank))
+            for (spec, mat), rank in zip(systems, ranks)]
+
+
+# -- lattices ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -115,44 +276,54 @@ class FunctionFieldLattice:
     Rows of `matrix` are coordinates; columns are the generators.  An exact
     inverse may be supplied as a degree-bound hint; it is verified against
     the generator before use, so a wrong hint raises instead of corrupting
-    counts."""
+    counts.  Without one, the lattice is reduced on construction: that
+    certifies B nonsingular and gives deg det B as the sum of the reduced
+    degrees."""
 
     def __init__(self, spec: FieldSpec, matrix, inverse=None):
         dim = len(matrix)
         if dim == 0 or any(len(row) != dim for row in matrix):
             raise ConfigError("generator matrix must be square")
-        self.spec = spec
-        self.dim = dim
-        self.matrix = [[_as_laurent(spec, e) for e in row] for row in matrix]
-        floors = [e.floor for row in self.matrix for e in row
-                  if e.floor is not None]
-        self.window = min(floors) if floors else None
-        self.det = laurent_det(self.matrix)
-        if self.det.is_zero():
-            raise ConfigError("generator matrix is singular")
-        self._det_deg = self.det.degree()
-        self._max_top = max(e.degree() for row in self.matrix for e in row
-                            if not e.is_zero())
-        self.inverse = None
+        gen = _laurent_matrix(spec, matrix)
+        self._setup(gen, _entry_degrees(gen.coeffs, gen.lo, gen.floors,
+                                        "generator entry"))
         self._inv_top = None
-        if inverse is not None:
-            inv = [[_as_laurent(spec, e) for e in row] for row in inverse]
-            self._verify_inverse(inv)
-            self.inverse = inv
-            self._inv_top = max(e.degree() for row in inv for e in row
-                                if not e.is_zero())
+        if inverse is None:
+            reduce_lattices([self])
+            self._det_deg = sum(self._degrees)
+            return
+        if len(inverse) != dim or any(len(row) != dim for row in inverse):
+            raise ConfigError("inverse hint must be square of the same size")
+        inv = _laurent_matrix(spec, inverse)
+        prod = _matmul(spec, inv.coeffs[None], inv.lo, inv.floors[None],
+                       gen.coeffs[None], gen.lo, gen.floors[None])
+        bad = np.argwhere(_identity_defects(*prod)[0])
+        if len(bad):
+            i, k = bad[0].tolist()
+            raise ConfigError(f"inverse hint fails at entry ({i},{k})")
+        self._inv_top = int(_entry_degrees(inv.coeffs, inv.lo, inv.floors,
+                                           "inverse hint").max())
 
-    def _verify_inverse(self, inv):
-        one = LaurentElement.monomial(self.spec, 0)
-        for i in range(self.dim):
-            for k in range(self.dim):
-                acc = LaurentElement.zero(self.spec)
-                for j in range(self.dim):
-                    acc = acc + inv[i][j] * self.matrix[j][k]
-                want = one if i == k else LaurentElement.zero(self.spec)
-                if (acc - want).coeffs:
-                    raise ConfigError(
-                        f"inverse hint fails at entry ({i},{k})")
+    @classmethod
+    def _certified(cls, gen: LaurentMatrix, tops, inv_top: int):
+        """A lattice with entry degrees `tops` whose inverse, of top degree
+        inv_top, the caller has already verified."""
+        lat = cls.__new__(cls)
+        lat._setup(gen, tops)
+        lat._inv_top = inv_top
+        return lat
+
+    def _setup(self, gen: LaurentMatrix, tops):
+        self.spec = gen.spec
+        self.dim = gen.coeffs.shape[0]
+        self.gen = gen
+        self._row_tops = tops.max(axis=1)
+        self._max_top = int(tops.max())
+        self._window = int(gen.floors.max())   # _NO_FLOOR when exact
+        if self._max_top == _NO_FLOOR:
+            raise ConfigError("generator matrix is singular")
+        self._degrees = None          # sorted reduced degrees, once known
+        self._counts = {}             # ceil(z) -> ball count
 
     # -- counting ---------------------------------------------------------------
 
@@ -167,96 +338,23 @@ class FunctionFieldLattice:
 
     def count_points(self, z) -> int:
         """#{x in lattice : |x| < q^z}; depends only on ceil(z)."""
-        zc = _ceil(z)
-        dbound = self.unit_degree_bound(zc)
-        if dbound < 0:
-            return 1
-        width = dbound + 1
-        nvars = self.dim * width
-        if nvars > _MAX_VARS:
-            raise BudgetExceededError(nvars, _MAX_VARS,
-                                      "lattice count unknowns")
-        rows = []
-        for i in range(self.dim):
-            entries = self.matrix[i]
-            tops = [e.degree() for e in entries if not e.is_zero()]
-            if not tops:
-                continue
-            for w in range(zc, max(tops) + dbound + 1):
-                row = [0] * nvars
-                hit = False
-                for k, ent in enumerate(entries):
-                    base = k * width
-                    for s in range(width):
-                        c = ent.coeff(w - s)
-                        if c:
-                            row[base + s] = c
-                            hit = True
-                if hit:
-                    rows.append(row)
-        rank = rank_mod_q(self.spec, rows) if rows else 0
-        return self.spec.q ** (nvars - rank)
+        return ball_counts([(self, z)])[0]
 
-    # -- reduction --------------------------------------------------------------
-
-    def reduced_basis(self):
-        """Column-reduce the generators until the leading coefficient vectors
-        are independent; returns (columns, sorted degrees).
-
-        Each pass cancels one dependence among leading vectors by an
-        invertible column operation, dropping the degree sum by at least one;
-        the degree sum is bounded below by deg(det), so this terminates."""
-        size = self.dim
-        cols = [[self.matrix[i][j] for i in range(size)] for j in range(size)]
-
-        def col_deg(j):
-            col = cols[j]
-            try:
-                tops = [e.degree() for e in col if not e.is_zero()]
-            except PrecisionError as exc:
-                raise PrecisionError(
-                    f"reduction pivot at column {j}: {exc}") from exc
-            if not tops:
-                raise ConfigError("reduction produced a zero column")
-            return max(tops)
-
-        degs = [col_deg(j) for j in range(size)]
-        budget = sum(degs) - self._det_deg + 1
-        while True:
-            lead = [[cols[j][i].coeff(degs[j]) for j in range(size)]
-                    for i in range(size)]
-            combos = solve_nullspace(self.spec, lead)
-            if not combos:
-                order = sorted(range(size), key=degs.__getitem__)
-                return [cols[j] for j in order], sorted(degs)
-            combo = combos[0]
-            support = [j for j in range(size) if combo[j]]
-            target = max(support, key=lambda j: (degs[j], j))
-            shift_to = degs[target]
-            new_col = [LaurentElement.zero(self.spec) for _ in range(size)]
-            for j in support:
-                k = shift_to - degs[j]
-                for i in range(size):
-                    new_col[i] = new_col[i] + _scale(cols[j][i],
-                                                     combo[j]).shift(k)
-            cols[target] = new_col
-            degs[target] = col_deg(target)
-            budget -= 1
-            if budget < 0:
-                raise VerificationFailure(
-                    "column reduction failed to terminate")
+    # -- minima -----------------------------------------------------------------
 
     def successive_minima(self, convention: str = "closed",
                           method: str = "reduce") -> MinimaProfile:
         """R_v = least R with v K-independent lattice vectors of deg <= R.
 
-        method="reduce" reads the degrees off a reduced basis;
-        method="enumerate" is the independent oracle (solution spaces of
-        growing balls, K-rank by fraction-free elimination)."""
+        method="reduce" reads the degrees of the reduced basis (reducing
+        the lattice if it is not reduced yet); method="enumerate" is the
+        independent oracle (solution spaces of growing balls, K-rank by
+        fraction-free elimination)."""
         if method == "reduce":
-            _, degs = self.reduced_basis()
+            reduce_lattices([self])
+            degs = self._degrees
         elif method == "enumerate":
-            degs = self._minima_by_enumeration()
+            degs = minima_by_enumeration([self])[0]
         else:
             raise ConfigError(f"unknown minima method {method}")
         profile = MinimaProfile(tuple(degs), "closed")
@@ -266,84 +364,189 @@ class FunctionFieldLattice:
             raise ConfigError(f"unknown minima convention {convention}")
         return profile
 
-    def _ball_vectors(self, r: int):
-        """All lattice vectors of degree <= r, as polynomial coordinate rows
-        (a common t-power per coordinate clears denominators; that is a
-        column scaling, so K-ranks are unchanged)."""
-        zc = r + 1
-        dbound = self.unit_degree_bound(zc)
-        if dbound < 0:
-            return []
-        width = dbound + 1
-        nvars = self.dim * width
-        rows = []
-        for i in range(self.dim):
-            entries = self.matrix[i]
-            tops = [e.degree() for e in entries if not e.is_zero()]
-            if not tops:
-                continue
-            for w in range(zc, max(tops) + dbound + 1):
-                row = [0] * nvars
-                for k, ent in enumerate(entries):
-                    base = k * width
-                    for s in range(width):
-                        c = ent.coeff(w - s)
-                        if c:
-                            row[base + s] = c
-                rows.append(row)
-        basis = solve_nullspace(self.spec, rows) if rows else [
-            [1 if v == w else 0 for w in range(nvars)] for v in range(nvars)]
-        if not basis:
-            return []
-        vectors = []
-        for vec in basis:
-            coords = []
-            for k in range(self.dim):
-                u_k = Polynomial(self.spec, vec[k * width:(k + 1) * width])
-                coords.append(u_k)
-            x = []
-            for i in range(self.dim):
-                acc = LaurentElement.zero(self.spec)
-                for k in range(self.dim):
-                    acc = acc + self.matrix[i][k] * LaurentElement.from_poly(
-                        coords[k])
-                x.append(acc)
-            vectors.append(x)
-        shifts = []
-        for i in range(self.dim):
-            lows = [min(v[i].coeffs) for v in vectors if v[i].coeffs]
-            shifts.append(max(0, -min(lows)) if lows else 0)
-        out = []
-        for x in vectors:
-            row = []
-            for i, el in enumerate(x):
-                coeffs = [0] * (max(el.coeffs, default=-1) + shifts[i] + 1)
-                for e, c in el.coeffs.items():
-                    coeffs[e + shifts[i]] = c
-                row.append(Polynomial(self.spec, coeffs))
-            out.append(row)
-        return out
-
-    def _minima_by_enumeration(self):
-        size = self.dim
+    def _enumeration_start(self) -> int:
+        """A radius below the first minimum: a nonzero x = B u has
+        deg x >= -top(B^-1), or the Cramer bound without an inverse."""
         if self._inv_top is not None:
-            low = -self._inv_top
-        else:
-            low = self._det_deg - max(0, (size - 1) * self._max_top)
-        degs = []
-        found = 0
-        r = low
-        while found < size:
-            if r > self._max_top:
+            return -self._inv_top
+        return self._det_deg - max(0, (self.dim - 1) * self._max_top)
+
+
+def minima_by_enumeration(lattices) -> list:
+    """The oracle for successive minima; it never reduces.  For each
+    lattice the radius r walks up from below the first minimum.  At each r
+    an F_q-basis of the ball {u : |B u| <= q^r} (the nullspace of its
+    coefficient system) has its K-linear rank measured by fraction-free
+    elimination on the polynomial coordinates u; B is invertible over K,
+    so that is the K-rank of the lattice vectors B u.  R_v is the first r
+    at which the rank reaches v.  The balls of all lattices at their
+    current radius are solved together.  Returns the closed exponents of
+    each lattice, in order."""
+    radius = [lat._enumeration_start() for lat in lattices]
+    degs = [[] for _ in lattices]
+    live = list(range(len(lattices)))
+    while live:
+        balls = []
+        for i in live:
+            lat = lattices[i]
+            if radius[i] > lat._max_top:
                 raise ConfigError(
                     "enumeration overran the generator degree bound")
-            vectors = self._ball_vectors(r)
-            rank = poly_matrix_rank(vectors) if vectors else 0
-            while found < rank:
-                degs.append(r)
-                found += 1
-            r += 1
-        return degs
+            balls.append((lat, radius[i] + 1))
+        systems = [(lat.spec, system) for (lat, _), system
+                   in zip(balls, _ball_systems(balls))]
+        for i, basis in zip(live, _batched(systems, _nullspace_kernel)):
+            lat = lattices[i]
+            rank = 0
+            if len(basis):
+                width = basis.shape[1] // lat.dim
+                rank = poly_matrix_rank(
+                    [[Polynomial(lat.spec, vec[k * width:(k + 1) * width])
+                      for k in range(lat.dim)] for vec in basis.tolist()])
+            degs[i] += [radius[i]] * (rank - len(degs[i]))
+            radius[i] += 1
+        live = [i for i in live if len(degs[i]) < lattices[i].dim]
+    return degs
+
+
+def reduce_lattices(lattices) -> None:
+    """Reduce every lattice of `lattices` not reduced yet, in one batched
+    kernel per field and dimension, and keep its sorted reduced degrees on
+    the lattice."""
+    groups = {}
+    for lat in lattices:
+        if lat._degrees is None:
+            groups.setdefault((lat.spec, lat.dim), {})[id(lat)] = lat
+    for (spec, _), members in groups.items():
+        lats = list(members.values())
+        coeffs, lo, floors = _stack([lat.gen for lat in lats])
+        for lat, degs in zip(lats, _reduce(spec, coeffs, lo, floors)):
+            lat._degrees = degs
+
+
+def _column_degrees(coeffs, lo, floors):
+    """Degrees of columns given as (..., N_i, W) coefficient arrays."""
+    degs = _entry_degrees(coeffs, lo, floors, "reduction pivot").max(axis=-1)
+    if (degs == _NO_FLOOR).any():
+        raise ConfigError("generator matrix is singular")
+    return degs
+
+
+def _reduce(spec: FieldSpec, coeffs, lo: int, floors):
+    """Column-reduce a stack (B, N, N, W) of generator matrices until every
+    leading coefficient matrix is invertible; returns the sorted column
+    degrees of each.
+
+    A pass takes, for every lattice whose leading matrix (the coefficients
+    of each column at its degree) is singular, one nullspace vector c and
+    replaces the column of largest degree (then largest index) in its
+    support by sum_j c_j t^(deg - deg_j) col_j.  That column operation is
+    invertible and lowers the degree sum by at least one.  Shifts only
+    raise exponents and cancel at the top, so the window of the stack
+    never grows and every column degree stays >= lo: a lattice takes at
+    most (degree sum) - N lo passes, and one that takes more raises
+    VerificationFailure."""
+    np_mul = spec.tables["np_mul"]
+    np_add = spec.tables["np_add"]
+    c = coeffs.copy()
+    fl = floors.copy()
+    size, width = c.shape[1], c.shape[3]
+    exps = lo + np.arange(width)
+    cols = np.arange(size)
+    degs = _column_degrees(c.transpose(0, 2, 1, 3), lo, fl.transpose(0, 2, 1))
+    budget = degs.sum(axis=1) - size * lo + 1
+    steps = np.zeros(len(c), dtype=np.int64)
+    live = np.arange(len(c))
+    while live.size:
+        d = degs[live]
+        lead = np.take_along_axis(c[live], (d - lo)[:, None, :, None],
+                                  axis=3)[..., 0]
+        basis, free = batched_nullspace(spec, lead)
+        dep = free.any(axis=1)
+        live, d = live[dep], d[dep]
+        if not live.size:
+            break
+        ar = np.arange(live.size)
+        combo = basis[dep][ar, free[dep].argmax(axis=1)]
+        support = combo != 0
+        target = np.where(support, d * size + cols, _NO_FLOOR).argmax(axis=1)
+        shift = d[ar, target][:, None] - d
+        widx = np.arange(width)[None, None, :] - shift[:, :, None]
+        moved = np.take_along_axis(
+            c[live], np.clip(widx, 0, width - 1)[:, None], axis=3)
+        moved = np.where(((widx >= 0) & support[:, :, None])[:, None],
+                         moved, 0)
+        terms = np_mul[combo[:, None, :, None], moved]
+        new = terms[:, :, 0]
+        for j in range(1, size):
+            new = np_add[new, terms[:, :, j]]
+        newfl = np.where(support[:, None, :], fl[live] + shift[:, None, :],
+                         _NO_FLOOR).max(axis=2)
+        newfl = np.where(newfl < _NO_FLOOR // 2, _NO_FLOOR, newfl)
+        new = np.where(exps >= newfl[:, :, None], new, 0)
+        c[live, :, target] = new
+        fl[live, :, target] = newfl
+        degs[live, target] = _column_degrees(new, lo, newfl)
+        steps[live] += 1
+        if (steps[live] > budget[live]).any():
+            raise VerificationFailure("column reduction failed to terminate")
+    return [tuple(sorted(row)) for row in degs.tolist()]
+
+
+def _ball_systems(requests) -> list:
+    """The coefficient system of {u in O^N : |B u| < q^zc} for every
+    (lattice, zc) of `requests`, in order: the unknowns are the
+    coefficients of u up to unit_degree_bound(zc), the rows the
+    coefficients of B u at exponents >= zc; a (0, 0) system when no u but 0
+    qualifies.  The systems of one shape are built together, and rows
+    that vanish in all of them (above the top of B u) are dropped."""
+    out = [None] * len(requests)
+    groups = {}
+    for k, (lat, zc) in enumerate(requests):
+        dbound = lat.unit_degree_bound(zc)
+        if dbound < 0:
+            out[k] = np.zeros((0, 0), dtype=np.int16)
+            continue
+        nvars = lat.dim * (dbound + 1)
+        if nvars > _MAX_VARS:
+            raise BudgetExceededError(nvars, _MAX_VARS,
+                                      "lattice count unknowns")
+        # the rows of coordinate i read every entry of row i down to
+        # t^(zc - dbound), if B u can reach t^zc there at all
+        if lat._window > zc - dbound:
+            live = lat._row_tops + dbound >= zc
+            if (lat.gen.floors[live] > zc - dbound).any():
+                raise PrecisionError(
+                    f"ball of radius q^{zc} reads generator coefficients "
+                    f"below the window floor")
+        nw = max(0, lat._max_top + dbound + 1 - zc)
+        groups.setdefault((lat.spec, lat.dim, zc, dbound + 1, nw),
+                          []).append(k)
+    for (_, _, zc, width, nw), members in groups.items():
+        coeffs, lo, _ = _stack([requests[k][0].gen for k in members])
+        systems = _toeplitz(coeffs, lo, zc, nw, width)
+        systems = systems[:, systems.any(axis=(0, 2))]
+        for k, system in zip(members, systems):
+            out[k] = system
+    return out
+
+
+def ball_counts(requests) -> list:
+    """#{x in lattice : |x| < q^z} for every (lattice, z) of `requests`, in
+    order.  A count depends only on (lattice, ceil z) and is kept on the
+    lattice: each is computed once, and the systems of all those not known
+    yet are ranked together."""
+    wanted = [(lat, _ceil(z)) for lat, z in requests]
+    missing = {}
+    for lat, zc in wanted:
+        if zc not in lat._counts:
+            missing[id(lat), zc] = (lat, zc)
+    todo = list(missing.values())
+    systems = [(lat.spec, system)
+               for (lat, _), system in zip(todo, _ball_systems(todo))]
+    for (lat, zc), count in zip(todo, _solution_counts(systems)):
+        lat._counts[zc] = count
+    return [lat._counts[zc] for lat, zc in wanted]
 
 
 def diagonal_lattice(spec: FieldSpec, exponents) -> FunctionFieldLattice:
@@ -358,15 +561,28 @@ def diagonal_lattice(spec: FieldSpec, exponents) -> FunctionFieldLattice:
     return FunctionFieldLattice(spec, rows, inverse=inv)
 
 
-def _coerce_gamma(spec: FieldSpec, gamma):
+# -- the special pair -------------------------------------------------------------
+
+
+def _coerce_gamma(spec: FieldSpec, gamma) -> LaurentMatrix:
+    """gamma as a LaurentMatrix, checked square and symmetric.  A
+    LaurentMatrix is a gamma this function made before (a pair's `gamma`)
+    and is passed through."""
+    if isinstance(gamma, LaurentMatrix):
+        if gamma.spec != spec:
+            raise ConfigError("mixed field specs in lattice data")
+        return gamma
     n = len(gamma)
-    if any(len(row) != n for row in gamma):
-        raise ConfigError("gamma must be square")
-    mat = [[_as_laurent(spec, e) for e in row] for row in gamma]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (mat[i][j] - mat[j][i]).coeffs:
-                raise ConfigError(f"gamma is not symmetric at ({i},{j})")
+    if n == 0 or any(len(row) != n for row in gamma):
+        raise ConfigError("gamma must be a nonempty square matrix")
+    mat = _laurent_matrix(spec, gamma)
+    c, fl = mat.coeffs, mat.floors
+    known = mat.lo + np.arange(c.shape[2]) >= np.maximum(fl, fl.T)[..., None]
+    bad = np.argwhere(np.triu(((c != c.transpose(1, 0, 2)) & known)
+                              .any(axis=2)))
+    if len(bad):
+        i, j = bad[0].tolist()
+        raise ConfigError(f"gamma is not symmetric at ({i},{j})")
     return mat
 
 
@@ -375,58 +591,60 @@ class SpecialLatticePair:
 
     M_m expands the first block of coordinates by t^-m and contracts the
     second by t^m after shearing with gamma; L_m undoes it.  The adjoint
-    identity L_m^T M_m = I is verified on construction, so both lattices
-    carry certified inverses."""
+    identity L_m^T M_m = I is verified once, on construction, and kept as
+    `duality`; it makes L_m^T the certified inverse of M_m and M_m^T that
+    of L_m.  `suite` builds many pairs with one batched product."""
 
     def __init__(self, spec: FieldSpec, gamma, m: int):
+        self._setup(spec, gamma, m)
+        _certify_pairs([self])
+
+    @classmethod
+    def suite(cls, spec: FieldSpec, gammas, ms) -> list:
+        """One pair per (gamma, m), all of one size n, certified together."""
+        pairs = []
+        for gamma, m in zip(gammas, ms):
+            pair = cls.__new__(cls)
+            pair._setup(spec, gamma, m)
+            pairs.append(pair)
+        if pairs:
+            _certify_pairs(pairs)
+        return pairs
+
+    def _setup(self, spec: FieldSpec, gamma, m: int):
         if not isinstance(m, int) or m < 1:
             raise ConfigError(f"block scale m must be a positive integer, "
                               f"got {m}")
         self.spec = spec
         self.m = m
         self.gamma = _coerce_gamma(spec, gamma)
-        n = len(self.gamma)
+        n = self.gamma.coeffs.shape[0]
         self.n = n
-        zero = LaurentElement.zero(spec)
-        t_neg = LaurentElement.monomial(spec, -m)
-        t_pos = LaurentElement.monomial(spec, m)
-        size = 2 * n
-        m_rows = [[zero] * size for _ in range(size)]
-        l_rows = [[zero] * size for _ in range(size)]
-        for i in range(n):
-            m_rows[i][i] = t_neg
-            m_rows[n + i][n + i] = t_pos
-            l_rows[i][i] = t_pos
-            l_rows[n + i][n + i] = t_neg
-            for j in range(n):
-                m_rows[n + i][j] = t_pos * self.gamma[i][j]
-                l_rows[i][n + j] = -(t_pos * self.gamma[i][j])
-        self._m_rows = m_rows
-        self._l_rows = l_rows
-        report = self.check_duality()
-        if not report.passed:
-            raise ConfigError(
-                f"adjoint identity fails: {report.details}")
-        l_t = [[l_rows[j][i] for j in range(size)] for i in range(size)]
-        m_t = [[m_rows[j][i] for j in range(size)] for i in range(size)]
-        self.m_lattice = FunctionFieldLattice(spec, m_rows, inverse=l_t)
-        self.adjoint_lattice = FunctionFieldLattice(spec, l_rows, inverse=m_t)
+        g, glo, gfl = self.gamma.coeffs, self.gamma.lo, self.gamma.floors
+        lo = min(-m, m + glo)
+        width = max(m, m + glo + g.shape[2] - 1) - lo + 1
+        eye = np.arange(n)
+        m_c = np.zeros((2 * n, 2 * n, width), dtype=np.int16)
+        l_c = np.zeros_like(m_c)
+        m_c[eye, eye, -m - lo] = 1
+        m_c[n + eye, n + eye, m - lo] = 1
+        l_c[eye, eye, m - lo] = 1
+        l_c[n + eye, n + eye, -m - lo] = 1
+        at = slice(m + glo - lo, m + glo - lo + g.shape[2])
+        m_c[n:, :n, at] = g
+        l_c[:n, n:, at] = spec.tables["np_neg"][g]
+        shifted = np.where(gfl == _NO_FLOOR, _NO_FLOOR, gfl + m)
+        m_fl = np.full((2 * n, 2 * n), _NO_FLOOR, dtype=np.int64)
+        l_fl = m_fl.copy()
+        m_fl[n:, :n] = shifted
+        l_fl[:n, n:] = shifted
+        self._m = LaurentMatrix(spec, m_c, lo, m_fl)
+        self._l = LaurentMatrix(spec, l_c, lo, l_fl)
 
     def check_duality(self) -> LatticeCheck:
-        """L_m^T M_m = I, entry by entry, on the joint window."""
-        size = 2 * self.n
-        one = LaurentElement.monomial(self.spec, 0)
-        bad = []
-        for i in range(size):
-            for k in range(size):
-                acc = LaurentElement.zero(self.spec)
-                for j in range(size):
-                    acc = acc + self._l_rows[j][i] * self._m_rows[j][k]
-                want = one if i == k else LaurentElement.zero(self.spec)
-                if (acc - want).coeffs:
-                    bad.append((i, k))
-        return LatticeCheck(not bad, "adjoint-identity",
-                            {"dim": size, "bad_entries": bad})
+        """L_m^T M_m = I, entry by entry, on the joint window (verified on
+        construction)."""
+        return self.duality
 
     def minima(self, which: str = "M", convention: str = "closed",
                method: str = "reduce") -> MinimaProfile:
@@ -450,45 +668,154 @@ class SpecialLatticePair:
                              "target": target, "convention": convention})
 
 
-def check_ratio_lemma(pair: SpecialLatticePair, z1: int, z2: int,
-                      method: str = "reduce") -> LatticeCheck:
+def _certify_pairs(pairs) -> None:
+    """One batched product L_m^T M_m for every pair; a pair passes when it
+    is the identity on the known coefficients, and then gets its lattices."""
+    spec = pairs[0].spec
+    if len({pair.n for pair in pairs}) > 1:
+        raise ConfigError("a suite of lattice pairs needs one size n")
+    l_c, l_lo, l_fl = _stack([pair._l for pair in pairs])
+    m_c, m_lo, m_fl = _stack([pair._m for pair in pairs])
+    bad = _identity_defects(*_matmul(spec, l_c.transpose(0, 2, 1, 3), l_lo,
+                                     l_fl.transpose(0, 2, 1), m_c, m_lo,
+                                     m_fl))
+    m_tops = _entry_degrees(m_c, m_lo, m_fl, "generator entry")
+    l_tops = _entry_degrees(l_c, l_lo, l_fl, "generator entry")
+    for b, pair in enumerate(pairs):
+        entries = [tuple(ix) for ix in np.argwhere(bad[b]).tolist()]
+        pair.duality = LatticeCheck(not entries, "adjoint-identity",
+                                    {"dim": 2 * pair.n,
+                                     "bad_entries": entries})
+        if entries:
+            raise ConfigError(
+                f"adjoint identity fails: {pair.duality.details}")
+        pair.m_lattice = FunctionFieldLattice._certified(
+            pair._m, m_tops[b], int(l_tops[b].max()))
+        pair.adjoint_lattice = FunctionFieldLattice._certified(
+            pair._l, l_tops[b], int(m_tops[b].max()))
+
+
+# -- lemma checks -------------------------------------------------------------------
+
+
+def check_ratio_lemmas(items) -> list:
+    """check_ratio_lemma on every (pair, z1, z2) of `items`: the minima of
+    all M_m come from one batched reduction, and every distinct
+    (lattice, z) count from one batched rank."""
+    for _, z1, z2 in items:
+        if not (isinstance(z1, int) and isinstance(z2, int)):
+            raise ConfigError("ratio lemma thresholds must be integers")
+        if not z1 <= z2 <= 0:
+            raise ConfigError(f"need z1 <= z2 <= 0, got {z1}, {z2}")
+    reduce_lattices([pair.m_lattice for pair, _, _ in items])
+    counts = ball_counts([(pair.m_lattice, z) for pair, z1, z2 in items
+                          for z in (z1, z2)])
+    out = []
+    for k, (pair, z1, z2) in enumerate(items):
+        c1, c2 = counts[2 * k], counts[2 * k + 1]
+        q = pair.spec.q
+        n = pair.n
+        ratio = Fraction(c1, c2)
+        bound = Fraction(q) ** (n * (z1 - z2))
+        exps = pair.m_lattice._degrees
+        mu = sum(1 for r in exps if r < z1)
+        nu = sum(1 for r in exps if r < z2)
+        if nu == 0:
+            case = "both-below-first-minimum"
+        elif mu == 0:
+            case = "straddles-first-minimum"
+        else:
+            case = "both-above-first-minimum"
+        predicted_ratio = Fraction(q) ** (sum(exps[mu:nu]) + mu * z1
+                                          - nu * z2)
+        pred1 = q ** sum(max(0, z1 - r) for r in exps)
+        pred2 = q ** sum(max(0, z2 - r) for r in exps)
+        passed = (ratio >= bound and ratio == predicted_ratio
+                  and c1 == pred1 and c2 == pred2)
+        out.append(LatticeCheck(passed, "count-ratio", {
+            "z1": z1, "z2": z2, "count1": c1, "count2": c2,
+            "bound_exponent": n * (z1 - z2), "case": case,
+            "ratio_matches_formula": ratio == predicted_ratio,
+            "counts_match_minima": (c1 == pred1, c2 == pred2)}))
+    return out
+
+
+def check_ratio_lemma(pair: SpecialLatticePair, z1: int,
+                      z2: int) -> LatticeCheck:
     """Ball-count decay for M_m: counts at z1 <= z2 <= 0 satisfy
     M(z1)/M(z2) >= q^{n(z1-z2)}.
 
     Also cross-checks the exact piecewise value of the ratio predicted by
     the minima (with mu = #{j : R_j < z1}, nu = #{j : R_j < z2}, the ratio
     is q^{sum(R_{mu+1..nu}) + mu z1 - nu z2}), and that each count equals
-    q^{sum_j max(0, z - R_j)}."""
-    if not (isinstance(z1, int) and isinstance(z2, int)):
-        raise ConfigError("ratio lemma thresholds must be integers")
-    if not z1 <= z2 <= 0:
-        raise ConfigError(f"need z1 <= z2 <= 0, got {z1}, {z2}")
-    lat = pair.m_lattice
-    c1 = lat.count_points(z1)
-    c2 = lat.count_points(z2)
-    q = pair.spec.q
-    n = pair.n
-    ratio = Fraction(c1, c2)
-    bound = Fraction(q) ** (n * (z1 - z2))
-    exps = lat.successive_minima("closed", method).exponents
-    mu = sum(1 for r in exps if r < z1)
-    nu = sum(1 for r in exps if r < z2)
-    if nu == 0:
-        case = "both-below-first-minimum"
-    elif mu == 0:
-        case = "straddles-first-minimum"
-    else:
-        case = "both-above-first-minimum"
-    predicted_ratio = Fraction(q) ** (sum(exps[mu:nu]) + mu * z1 - nu * z2)
-    pred1 = q ** sum(max(0, z1 - r) for r in exps)
-    pred2 = q ** sum(max(0, z2 - r) for r in exps)
-    passed = (ratio >= bound and ratio == predicted_ratio
-              and c1 == pred1 and c2 == pred2)
-    return LatticeCheck(passed, "count-ratio", {
-        "z1": z1, "z2": z2, "count1": c1, "count2": c2,
-        "bound_exponent": n * (z1 - z2), "case": case,
-        "ratio_matches_formula": ratio == predicted_ratio,
-        "counts_match_minima": (c1 == pred1, c2 == pred2)})
+    q^{sum_j max(0, z - R_j)}.  The minima come from the reduction."""
+    return check_ratio_lemmas([(pair, z1, z2)])[0]
+
+
+def _skew_systems(items) -> list:
+    """The coefficient system of N(a, z) for every (gamma, gtop, d1, v2) of
+    `items`, with gtop the top degree of gamma (None when gamma = 0),
+    d1 = ceil(a + z) - 1 and v2 = ceil(z - a): the unknowns are the
+    coefficients of u (deg <= d1), then of u' (deg <= d2, the top degree
+    of L(u) + u'), the rows the coefficients of L_j(u) + u'_j at exponents
+    v2..d2.  The systems of one shape are built together."""
+    out = [None] * len(items)
+    groups = {}
+    for k, (gamma, gtop, d1, v2) in enumerate(items):
+        n = gamma.coeffs.shape[0]
+        ltop = gtop + d1 if gtop is not None and d1 >= 0 else v2 - 1
+        d2 = max(v2 - 1, ltop)
+        w1 = max(0, d1 + 1)
+        w2 = max(0, d2 + 1)
+        nvars = n * (w1 + w2)
+        if nvars > _MAX_VARS:
+            raise BudgetExceededError(nvars, _MAX_VARS,
+                                      "skew box count unknowns")
+        if d2 >= v2 and w1 > 0 and gamma.floors.max() > v2 - w1 + 1:
+            raise PrecisionError(
+                f"skew box with deg u <= {d1} read from t^{v2} reads gamma "
+                f"coefficients below the window floor")
+        groups.setdefault((n, v2, d2, w1, w2), []).append(k)
+    for (n, v2, d2, w1, w2), members in groups.items():
+        nw = d2 - v2 + 1
+        shear = np.zeros((n * nw, n * w2), dtype=np.int16)
+        w = v2 + np.arange(nw)
+        hit = (w >= 0) & (w < w2)
+        for j in range(n):
+            shear[j * nw + np.nonzero(hit)[0], j * w2 + w[hit]] = 1
+        coeffs, lo, _ = _stack([items[k][0] for k in members])
+        left = _toeplitz(coeffs, lo, v2, nw, w1)
+        systems = np.concatenate(
+            [left, np.broadcast_to(shear, (len(members),) + shear.shape)],
+            axis=2)
+        for k, system in zip(members, systems):
+            out[k] = system
+    return out
+
+
+def skew_counts(spec: FieldSpec, requests) -> list:
+    """count_NaZ for every (gamma, a, z) of `requests`, in order.  A gamma
+    given as a LaurentMatrix (a pair's `gamma`) is not converted again;
+    each distinct (gamma, ceil(a + z), ceil(z - a)) is counted once, and
+    all systems are ranked together."""
+    keys, distinct, gammas = [], {}, {}
+    for gamma, a, z in requests:
+        if id(gamma) not in gammas:
+            mat = _coerce_gamma(spec, gamma)
+            tops = _entry_degrees(mat.coeffs, mat.lo, mat.floors, "gamma")
+            gtop = int(tops.max()) if (tops != _NO_FLOOR).any() else None
+            gammas[id(gamma)] = (mat, gtop)
+        mat, gtop = gammas[id(gamma)]
+        a = _half(a, "a")
+        z = _half(z, "z")
+        key = (id(mat), math.ceil(a + z) - 1, math.ceil(z - a))
+        if key not in distinct:
+            distinct[key] = (mat, gtop) + key[1:]
+        keys.append(key)
+    systems = [(spec, system)
+               for system in _skew_systems(list(distinct.values()))]
+    counts = dict(zip(distinct, _solution_counts(systems)))
+    return [counts[key] for key in keys]
 
 
 def count_NaZ(spec: FieldSpec, gamma, a, z) -> int:
@@ -498,82 +825,80 @@ def count_NaZ(spec: FieldSpec, gamma, a, z) -> int:
 
     a and z may be half-integers; every threshold enters through a single
     ceiling, i.e. through comparisons of doubled integer exponents."""
-    gamma = _coerce_gamma(spec, gamma)
-    a = _half(a, "a")
-    z = _half(z, "z")
-    n = len(gamma)
-    d1 = _ceil(a + z) - 1
-    v2 = _ceil(z - a)
-    tops = [g.degree() for row in gamma for g in row if not g.is_zero()]
-    gtop = max(tops) if tops else None
-    if gtop is not None and d1 >= 0:
-        ltop = gtop + d1
-    else:
-        ltop = v2 - 1
-    d2 = max(v2 - 1, ltop)
-    w1 = max(0, d1 + 1)
-    w2 = max(0, d2 + 1)
-    nvars = n * (w1 + w2)
-    if nvars > _MAX_VARS:
-        raise BudgetExceededError(nvars, _MAX_VARS,
-                                  "skew box count unknowns")
-    rows = []
-    for j in range(n):
-        for w in range(v2, d2 + 1):
-            row = [0] * nvars
-            hit = False
-            for k in range(n):
-                ent = gamma[j][k]
-                base = k * w1
-                for s in range(w1):
-                    c = ent.coeff(w - s)
-                    if c:
-                        row[base + s] = c
-                        hit = True
-            if 0 <= w < w2:
-                row[n * w1 + j * w2 + w] = 1
-                hit = True
-            if hit:
-                rows.append(row)
-    rank = rank_mod_q(spec, rows) if rows else 0
-    return spec.q ** (nvars - rank)
+    return skew_counts(spec, [(gamma, a, z)])[0]
+
+
+def check_sandwiches(items) -> list:
+    """check_sandwich on every (pair, a, z) of `items`, where pair.m must
+    be floor(a): the M_m counts and the skew counts each in one batch."""
+    parsed = []
+    for pair, a, z in items:
+        a = _half(a, "a")
+        z = _half(z, "z")
+        m = math.floor(a)
+        if m < 1:
+            raise ConfigError(f"sandwich needs a >= 1, got {a}")
+        if pair.m != m:
+            raise ConfigError(f"sandwich at a = {a} needs the pair with "
+                              f"m = {m}, got m = {pair.m}")
+        parsed.append((pair, a, z, m, a - m))
+    bounds = ball_counts([(pair.m_lattice, z + sign * frac)
+                          for pair, _, z, _, frac in parsed
+                          for sign in (-1, 1)])
+    spec = parsed[0][0].spec if parsed else None
+    mids = skew_counts(spec, [(pair.gamma, a, z)
+                              for pair, a, z, _, _ in parsed])
+    out = []
+    for k, (pair, a, z, m, _) in enumerate(parsed):
+        lower, upper, mid = bounds[2 * k], bounds[2 * k + 1], mids[k]
+        out.append(LatticeCheck(lower <= mid <= upper, "skew-box-sandwich", {
+            "a": str(a), "z": str(z), "m": m,
+            "lower": lower, "middle": mid, "upper": upper}))
+    return out
 
 
 def check_sandwich(spec: FieldSpec, gamma, a, z) -> LatticeCheck:
     """M_m(z - {a}) <= N(a, z) <= M_m(z + {a}) with m = floor(a)."""
     a = _half(a, "a")
-    z = _half(z, "z")
     m = math.floor(a)
     if m < 1:
         raise ConfigError(f"sandwich needs a >= 1, got {a}")
-    frac = a - m
-    pair = SpecialLatticePair(spec, gamma, m)
-    lower = pair.m_lattice.count_points(z - frac)
-    mid = count_NaZ(spec, gamma, a, z)
-    upper = pair.m_lattice.count_points(z + frac)
-    return LatticeCheck(lower <= mid <= upper, "skew-box-sandwich", {
-        "a": str(a), "z": str(z), "m": m,
-        "lower": lower, "middle": mid, "upper": upper})
+    return check_sandwiches([(SpecialLatticePair(spec, gamma, m), a, z)])[0]
+
+
+def check_capes(spec: FieldSpec, items) -> list:
+    """check_cape on every (gamma, a, z1, z2) of `items`, with all skew
+    counts in one batch."""
+    parsed = []
+    for gamma, a, z1, z2 in items:
+        a = _half(a, "a")
+        z1 = _half(z1, "z1")
+        z2 = _half(z2, "z2")
+        if not z1 <= z2 <= 0:
+            raise ConfigError(f"need z1 <= z2 <= 0, got {z1}, {z2}")
+        parsed.append((_coerce_gamma(spec, gamma), a, z1, z2))
+    counts = skew_counts(spec, [(gamma, a, z) for gamma, a, z1, z2 in parsed
+                                for z in (z1, z2)])
+    out = []
+    for k, (gamma, a, z1, z2) in enumerate(parsed):
+        count1, count2 = counts[2 * k], counts[2 * k + 1]
+        frac = a - math.floor(a)
+        cape = _ceil(z1 - frac) - _ceil(z2 + frac)
+        n = gamma.coeffs.shape[0]
+        bound = Fraction(spec.q) ** (n * cape)
+        out.append(LatticeCheck(Fraction(count1, count2) >= bound,
+                                "cape-decay", {
+                                    "a": str(a), "z1": str(z1),
+                                    "z2": str(z2), "K": cape,
+                                    "count1": count1, "count2": count2,
+                                    "bound_exponent": n * cape}))
+    return out
 
 
 def check_cape(spec: FieldSpec, gamma, a, z1, z2) -> LatticeCheck:
     """N(a, z1)/N(a, z2) >= q^{nK}, K = ceil(z1 - {a}) - ceil(z2 + {a}),
     for z1 <= z2 <= 0."""
-    a = _half(a, "a")
-    z1 = _half(z1, "z1")
-    z2 = _half(z2, "z2")
-    if not z1 <= z2 <= 0:
-        raise ConfigError(f"need z1 <= z2 <= 0, got {z1}, {z2}")
-    frac = a - math.floor(a)
-    count1 = count_NaZ(spec, gamma, a, z1)
-    count2 = count_NaZ(spec, gamma, a, z2)
-    cape = _ceil(z1 - frac) - _ceil(z2 + frac)
-    n = len(gamma)
-    bound = Fraction(spec.q) ** (n * cape)
-    return LatticeCheck(Fraction(count1, count2) >= bound, "cape-decay", {
-        "a": str(a), "z1": str(z1), "z2": str(z2), "K": cape,
-        "count1": count1, "count2": count2,
-        "bound_exponent": n * cape})
+    return check_capes(spec, [(gamma, a, z1, z2)])[0]
 
 
 def random_symmetric_gamma(spec: FieldSpec, n: int, seed: int,
@@ -588,4 +913,3 @@ def random_symmetric_gamma(spec: FieldSpec, n: int, seed: int,
             out[i][j] = el
             out[j][i] = el
     return out
-

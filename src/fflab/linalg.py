@@ -82,6 +82,60 @@ def batched_rank(spec: FieldSpec, mats: np.ndarray) -> np.ndarray:
     return rank
 
 
+def batched_nullspace(spec: FieldSpec, mats: np.ndarray):
+    """Right nullspaces of a stack of matrices, shape (B, R, C) of element
+    indices, by vectorized Gauss-Jordan elimination over the batch axis.
+
+    Returns (basis, free): free[b, f] says column f of matrix b has no
+    pivot, and then basis[b, f] is the nullspace vector with 1 at f and 0
+    at every other free column (solve_nullspace's vector for f); rows of
+    basis at pivot columns are 0."""
+    np_mul = spec.tables["np_mul"]
+    np_sub = spec.tables["np_sub"]
+    np_inv = spec.tables["np_inv"]
+    np_neg = spec.tables["np_neg"]
+    a = np.array(mats, dtype=np.int16)
+    bsz, nrows, ncols = a.shape
+    pivcol = np.full((bsz, nrows), -1, dtype=np.int64)
+    rowptr = np.zeros(bsz, dtype=np.int64)
+    rowidx = np.arange(nrows)
+    everyone = np.arange(bsz)
+    for col in range(ncols):
+        if not (rowptr < nrows).any():
+            break
+        cand = (a[:, :, col] != 0) & (rowidx >= rowptr[:, None])
+        piv = cand.argmax(axis=1)
+        b = np.flatnonzero(cand[everyone, piv])
+        if not b.size:
+            continue
+        piv, r0 = piv[b], rowptr[b]
+        # the pivot row, normalized, moves to r0 and the row at r0 to piv
+        pivrow = a[b, piv]
+        a[b, piv] = a[b, r0]
+        pivrow = np_mul[pivrow, np_inv[pivrow[:, col]][:, None]]
+        a[b, r0] = pivrow
+        # clear the pivot column in every other row, above and below
+        rows = a if b.size == bsz else a[b]
+        factors = rows[:, :, col].copy()
+        factors[np.arange(b.size), r0] = 0
+        rows = np_sub[rows, np_mul[factors[:, :, None], pivrow[:, None, :]]]
+        if b.size == bsz:
+            a = rows
+        else:
+            a[b] = rows
+        pivcol[b, r0] = col
+        rowptr[b] += 1
+    free = np.ones((bsz, ncols), dtype=bool)
+    bi, ri = np.nonzero(pivcol >= 0)
+    free[bi, pivcol[bi, ri]] = False
+    basis = np.zeros((bsz, ncols, ncols), dtype=np.int16)
+    basis[bi, :, pivcol[bi, ri]] = np_neg[a[bi, ri, :]]
+    basis[~free] = 0
+    bf, ff = np.nonzero(free)
+    basis[bf, ff, ff] = 1
+    return basis, free
+
+
 def solve_nullspace(spec: FieldSpec, rows):
     """Basis (list of index vectors) of the right nullspace of one matrix."""
     mul, sub, inv, neg = (spec.tables["mul"], spec.tables["sub"],

@@ -1,15 +1,23 @@
+import hashlib
+import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fflab import latgon
+from fflab.cli import main
 from fflab.errors import (BudgetExceededError, ConfigError, PrecisionError,
                          VerificationFailure)
+from fflab.fields import FieldSpec
 from fflab.latgon import (FunctionFieldLattice, SpecialLatticePair,
-                          check_cape, check_ratio_lemma, check_sandwich,
-                          count_NaZ, diagonal_lattice,
-                          random_symmetric_gamma)
+                          ball_counts, check_cape, check_ratio_lemma,
+                          check_sandwich, count_NaZ, diagonal_lattice,
+                          minima_by_enumeration, random_symmetric_gamma,
+                          reduce_lattices)
 from fflab.laurent import LaurentElement
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def _zero(spec):
@@ -168,9 +176,115 @@ def test_counts_past_the_unknowns_cap_are_budget_records(spec5):
         (18000, 1 << 14, "skew box count unknowns")
 
 
+def test_field_indices_must_fit_int16():
+    # the coefficient arrays hold field indices as int16; the check comes
+    # before any field table is built
+    spec = FieldSpec(32771)
+    one = LaurentElement.monomial(spec, 0)
+    with pytest.raises(ConfigError):
+        FunctionFieldLattice(spec, [[one]])
+    assert spec._tables is None
+
+
 def test_column_reduction_that_never_ends_is_a_failure(spec5, monkeypatch):
     # a nullspace that always offers the trivial move keeps the degree sum
     lat = diagonal_lattice(spec5, [0, 1])
-    monkeypatch.setattr(latgon, "solve_nullspace", lambda spec, m: [[1, 0]])
+
+    def trivial_move(spec, mats):
+        basis = np.zeros((len(mats), 2, 2), dtype=np.int16)
+        basis[:, 0, 0] = 1
+        return basis, np.tile([True, False], (len(mats), 1))
+
+    monkeypatch.setattr(latgon, "batched_nullspace", trivial_move)
     with pytest.raises(VerificationFailure):
-        lat.reduced_basis()
+        lat.successive_minima()
+
+
+def test_extension_field_suite_reduction_matches_enumeration():
+    # F_25, entries supported on t^-1..t: four minima profiles occur (the
+    # histogram is the one the dict-based reduction gave)
+    spec = FieldSpec(5, 2)
+    pairs = SpecialLatticePair.suite(
+        spec, [random_symmetric_gamma(spec, 2, seed, -1, 1)
+               for seed in range(40)], [1 + seed % 2 for seed in range(40)])
+    assert all(pair.duality.passed for pair in pairs)
+    lattices = [lat for pair in pairs
+                for lat in (pair.m_lattice, pair.adjoint_lattice)]
+    reduce_lattices(lattices)
+    for lat, enum in zip(lattices, minima_by_enumeration(lattices)):
+        assert lat.successive_minima().exponents == tuple(enum)
+    histogram = {}
+    for pair in pairs:
+        prof = pair.minima("M").exponents
+        histogram[prof] = histogram.get(prof, 0) + 1
+        assert pair.check_minima_symmetry("closed").passed
+    assert histogram == {(0, 0, 0, 0): 19, (-1, -1, 1, 1): 19,
+                         (-1, 0, 0, 1): 1, (-2, -1, 1, 2): 1}
+    zs = (-2, -1, 0, 1)
+    counts = ball_counts([(pair.m_lattice, z) for pair in pairs for z in zs])
+    for k, pair in enumerate(pairs):
+        exps = pair.minima("M").exponents
+        for j, z in enumerate(zs):
+            assert counts[k * len(zs) + j] == \
+                spec.q ** sum(max(0, z - r) for r in exps)
+
+
+def test_windowed_lattice_reads_below_its_floor_raise(spec5):
+    # t^3 known down to t^2: the lattice and its reduction are decidable,
+    # a ball count that reads the t^1 coefficient is not
+    windowed = LaurentElement(spec5, {3: 1}, floor=2)
+    one = LaurentElement.monomial(spec5, 0)
+    zero = LaurentElement.zero(spec5)
+    lat = FunctionFieldLattice(
+        spec5, [[windowed, zero], [zero, one]],
+        inverse=[[LaurentElement.monomial(spec5, -3), zero], [zero, one]])
+    assert lat.successive_minima().exponents == (0, 3)
+    with pytest.raises(PrecisionError):
+        lat.count_points(1)
+    # [[1, 1], [1, 1 + O(t^-1)]]: the one reduction step leaves a column
+    # whose vanishing the window cannot decide
+    fuzzy = LaurentElement(spec5, {0: 1}, floor=-1)
+    with pytest.raises(PrecisionError):
+        FunctionFieldLattice(spec5, [[one, one], [one, fuzzy]])
+
+
+@pytest.mark.parametrize("name,task,digest,reduced,pairs", [
+    ("lattice_q5", "lattice-minima",
+     "e9e922c27f5e49a8f5d7d58cd2093b67eaab4ddeb58859dc52fbf6acb0149907",
+     200, 100),
+    ("ratio_q5", "ratio-lemma",
+     "e4d31768ddfab52bf825e0785727e289375b9c7406dbb87fc83fe61c040a9708",
+     100, 100),
+    ("cape_q5", "cape-lemma",
+     "67d4ce3c76d4a90ceabcb28f162b2b03c0ea7ee7e8a5525aa269b1480bdf7511",
+     0, 100),
+])
+def test_suites_reduce_each_lattice_once_on_arrays(tmp_path, monkeypatch, name,
+                                                   task, digest, reduced,
+                                                   pairs):
+    # one reduction per distinct lattice, one pair per instance, and no
+    # Laurent element arithmetic at all: the gammas are only read
+    def no_arithmetic(*args):
+        raise AssertionError("dict-based Laurent arithmetic on the suite")
+
+    monkeypatch.setattr(LaurentElement, "__mul__", no_arithmetic)
+    monkeypatch.setattr(LaurentElement, "__add__", no_arithmetic)
+    seen = {"reduced": 0, "pairs": 0}
+    reduce = latgon._reduce
+    setup = SpecialLatticePair._setup
+
+    def counting_reduce(spec, coeffs, lo, floors):
+        seen["reduced"] += len(coeffs)
+        return reduce(spec, coeffs, lo, floors)
+
+    def counting_setup(pair, *args):
+        seen["pairs"] += 1
+        return setup(pair, *args)
+
+    monkeypatch.setattr(latgon, "_reduce", counting_reduce)
+    monkeypatch.setattr(SpecialLatticePair, "_setup", counting_setup)
+    assert main([task, "--config", os.path.join(CONFIGS, f"{name}.cfg"),
+                 "--workers", "1", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / f"{task}.csv", "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
+    assert seen == {"reduced": reduced, "pairs": pairs}

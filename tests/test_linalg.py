@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fflab.linalg import (batched_rank, poly_matrix_rank, rank_mod_q,
-                          solve_nullspace)
+from fflab.fields import FieldSpec
+from fflab.linalg import (batched_nullspace, batched_rank, poly_matrix_rank,
+                          rank_mod_q, solve_nullspace)
 from fflab.polys import Polynomial
 
 
@@ -41,6 +42,23 @@ def test_batched_rank_matches_loop(spec5):
     got = batched_rank(spec5, mats)
     want = [rank_mod_q(spec5, m.tolist()) for m in mats]
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("p,f", [(5, 1), (5, 2)])
+def test_batched_nullspace_matches_the_loop(p, f):
+    # sparse stacks, so that many are singular; solve_nullspace is the
+    # oracle, vector for vector
+    spec = FieldSpec(p, f)
+    rng = np.random.default_rng(11)
+    for shape in [(40, 4, 4), (30, 5, 7), (20, 7, 3), (5, 0, 3)]:
+        mats = rng.integers(0, spec.q, size=shape)
+        mats[rng.random(shape) < 0.6] = 0
+        basis, free = batched_nullspace(spec, mats)
+        for b in range(shape[0]):
+            want = solve_nullspace(spec, mats[b].tolist())
+            if not shape[1]:
+                want = np.eye(shape[2], dtype=int).tolist()
+            assert basis[b][free[b]].tolist() == want
 
 
 def test_batched_solution_counts(spec5):

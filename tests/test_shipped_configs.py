@@ -45,6 +45,9 @@ DIGESTS = {
     "lattice_q5": (
         "lattice-minima",
         "e9e922c27f5e49a8f5d7d58cd2093b67eaab4ddeb58859dc52fbf6acb0149907"),
+    "lattice_q5_n4": (
+        "lattice-minima",
+        "83b5c699000d8a8e9f957f2c8f9a979034b09fadef2cff998804595d440dff98"),
     "major_fermat_q5": (
         "major-arc",
         "9e21e71bff3ec0ae0572c23fcca189a07916624595eef76a882e02e019d80b23"),
