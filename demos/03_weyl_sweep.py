@@ -3,7 +3,9 @@
 For the binary fixture the character depth is B = de + 1 = 4, so the
 torus splits into 5^4 = 625 atoms.  On each one we compare
 |S(alpha)|^(2^(d-1)) against the counting bound coming from two rounds
-of squaring.  The comparison is exact: both sides live in Q(zeta_5).
+of squaring.  The comparison is exact: a float64 test with a certified
+error bound decides it where it can, and arithmetic in Q(zeta_5) decides
+the ties (the zero tail, where the bound is attained).
 """
 
 import itertools

@@ -14,8 +14,9 @@ S over theta representatives at character depth B = de+1:  S(alpha) only
 depends on the coefficients of alpha at t^{-1},...,t^{-B} because
 deg(F(x)) <= de.  Everything lands in Z[zeta_p], compared bit-exactly.
 
-S has one fast route, CountingProblem.exp_sums, and one oracle, the plain
-double loop _exp_sum_direct.  exp_sums reads S off the phase distribution
+S has one fast route, CountingProblem.exp_sum_histograms (exp_sums folds
+its integer rows into Q(zeta_p)), and one oracle, the plain double loop
+_exp_sum_direct.  The route reads S off the phase distribution
 D(c) = #{x in box : coeffs(F(x)) = c}, built once per problem by the
 vectorized box kernel (forms.BoxKernel): for a stack of tails it
 accumulates <c, tail> over the support of D through the field tables and
@@ -220,22 +221,27 @@ class CountingProblem:
         return self.exp_sums([alpha])[0]
 
     def exp_sums(self, alphas) -> list:
-        """S at every phase of `alphas`, in input order.  A phase is a
-        LaurentElement exact to depth B or a depth-B tail tuple.  Once the
-        sum table is built S is folded from its rows; otherwise the stacked
-        tails go through the kernel.  Charges nothing beyond the phase
-        distribution."""
+        """S at every phase of `alphas`, in input order: the trace
+        histograms of exp_sum_histograms folded into Q(zeta_p)."""
+        return [CyclotomicValue.from_histogram(self.spec.p, hist)
+                for hist in self.exp_sum_histograms(alphas).tolist()]
+
+    def exp_sum_histograms(self, alphas) -> np.ndarray:
+        """The trace histograms of S at every phase of `alphas`, as an
+        int64 array of shape (phases, p) in input order: row a counts the
+        box points x with tr <coeffs F(x), tail_a> = v, so S(alpha_a) =
+        sum_v row[v] zeta^v.  A phase is a LaurentElement exact to depth B
+        or a depth-B tail tuple.  Once the sum table is built the rows are
+        read off it; otherwise the stacked tails go through the kernel.
+        Charges nothing beyond the phase distribution."""
         tails = [self._tail(alpha) for alpha in alphas]
+        q, p, B = self.spec.q, self.spec.p, self.char_depth
         if not tails:
-            return []
-        q, B = self.spec.q, self.char_depth
+            return np.zeros((0, p), dtype=np.int64)
         stack = np.array(tails, dtype=np.int16).reshape(len(tails), B)
         if self._sum_table is not None:
-            hists = self._sum_table[stack @ q ** np.arange(B)]
-        else:
-            hists = self._histograms(stack)
-        return [CyclotomicValue.from_histogram(self.spec.p, hist)
-                for hist in hists.tolist()]
+            return self._sum_table[stack @ q ** np.arange(B)]
+        return self._histograms(stack)
 
     def _histograms(self, stack: np.ndarray) -> np.ndarray:
         """The S kernel: for a (tails x B) stack of depth-B tails, the int64

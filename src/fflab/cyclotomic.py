@@ -8,6 +8,10 @@ Character sums live here: a sum of q^k many p-th roots of unity is represented
 exactly, and magnitude comparisons against rational bounds are decided exactly
 (algebraic zero detection plus adaptive interval refinement for the sign of a
 nonzero totally real value under the standard embedding zeta = e^{2 pi i / p}).
+compare_abs_power is the exact comparison: the Weyl-type checks decide
+most phases by a certified float64 test on integer histograms
+(weyl.compare_abs_powers) and call it only on the phases that test leaves
+undecided, and the tests use it as the oracle of that float test.
 """
 
 from __future__ import annotations

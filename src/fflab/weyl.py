@@ -26,6 +26,13 @@ q = p^f and every box size:
   (q - 1)^(d-2).  A prefix with a zero block has A = 0 and adds q^(n C_last)
   without a rank.  This ranks prod_l (q^(n C_l) - 1)/(q - 1) matrices per
   phase instead of q^(n sum C_l).
+* Phase classes.  K is linear in the tail, so the condition matrices of
+  c alpha, c in F_q^*, are c times those of alpha and every count is
+  constant on the class {c alpha}.  approx_zero_counts reads only the tail
+  digits t^-1..t^-depth its conditions see, scales each tail so that its
+  first nonzero digit is 1, counts each distinct scaled tail once and maps
+  the counts back in input order: a full sweep of q^depth tails ranks
+  1 + (q^depth - 1)/(q - 1) phases.
 * Batching across phases.  approx_zero_counts takes a stack of phases that
   share boxes and m.  It builds K for every phase at once, multiplies the
   prefix representatives into it and ranks matrices of many phases in one
@@ -45,6 +52,16 @@ to the product.
 A fully naive enumerator (no linear algebra, direct norm tests) is kept as
 the independent oracle.
 
+The Weyl and small-box comparisons |S|^(2^(d-1)) <= bound go through one
+route, compare_abs_powers.  It reads S as its integer trace histogram h
+(CountingProblem.exp_sum_histograms, never folded into Q(zeta_p)), forms
+the autocorrelation c_k = sum_v h_v h_(v+k), evaluates |S|^2 = sum_k c_k
+cos(2 pi k / p) in float64 for all phases at once with a stated error
+bound, and decides every phase whose interval lies on one side of the
+bound.  Only the phases left undecided (an exact tie such as the zero
+tail, or a float that is not finite) go to the exact compare_abs_power,
+which is also the oracle of the float decision in tests.
+
 Every count charges the problem's budget with its number of prefix tuples
 before any work.  approx_zero_counts itself charges nothing: its callers
 (approx_zero_count, check_weyl_batch, check_shrink_batch) charge every
@@ -56,11 +73,13 @@ Instances: N (boxes e+1, m = e+1), N_eta (boxes (e+1)eta, m =
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
+import mpmath
 import numpy as np
 
 from .audit import eta_choice, gamma_budget, kappa_of
@@ -76,13 +95,13 @@ from .polys import Polynomial
 
 
 def _tail_array(alpha, depth: int):
-    """alpha coefficients at t^{-1}..t^{-depth} (index 0 unused)."""
+    """alpha coefficients at t^{-1}..t^{-depth}."""
     if isinstance(alpha, tuple):
         if len(alpha) < depth:
             raise PrecisionError(
                 f"tail of length {len(alpha)} shorter than needed {depth}")
-        return [0] + [alpha[k] for k in range(depth)]
-    return [0] + [alpha.coeff(-k) for k in range(1, depth + 1)]
+        return alpha[:depth]
+    return [alpha.coeff(-k) for k in range(1, depth + 1)]
 
 
 def _check_boxes(prob: CountingProblem, box_list):
@@ -127,7 +146,8 @@ def approx_zero_counts(prob: CountingProblem, alphas, box_list,
     boxes = sorted(box_list)
     c_last, prefix_boxes = boxes[-1], boxes[:-1]
     depth = m + sum(c - 1 for c in boxes)
-    tails = [_tail_array(alpha, depth) for alpha in alphas]
+    tails, where = _phase_classes(spec, [_tail_array(alpha, depth)
+                                         for alpha in alphas])
     widths = [n * c for c in prefix_boxes]
     lines = [(q ** w - 1) // (q - 1) for w in widths]
     nrows, ncols = n * m, n * c_last
@@ -154,9 +174,26 @@ def approx_zero_counts(prob: CountingProblem, alphas, box_list,
                                                       for w in widths)
     scale = (q - 1) ** len(widths)
     weights = [q ** (ncols - r) for r in range(ncols + 1)]
-    return [zero_blocks * q ** ncols
-            + scale * sum(h * w for h, w in zip(row, weights))
-            for row in hist.tolist()]
+    counts = [zero_blocks * q ** ncols
+              + scale * sum(h * w for h, w in zip(row, weights))
+              for row in hist.tolist()]
+    return [counts[k] for k in where.tolist()]
+
+
+def _phase_classes(spec, tails):
+    """The F_q^*-classes of a list of tails (digits t^-1..t^-depth): one
+    representative per class, the tail scaled so that its first nonzero
+    digit is 1 (the zero tail is its own class), as an int64 array of
+    shape (classes, depth), and the class of each input tail.  K is
+    linear in the tail, so the condition matrices of c alpha are c times
+    those of alpha and have the same ranks: every count is constant on a
+    class."""
+    digits = np.array(tails, dtype=np.int64).reshape(len(tails), -1)
+    lead = digits[np.arange(len(digits)), (digits != 0).argmax(axis=1)]
+    scaled = spec.tables["np_mul"][spec.tables["np_inv"][lead][:, None],
+                                   digits]
+    reps, where = np.unique(scaled, axis=0, return_inverse=True)
+    return reps.astype(np.int64), where.reshape(-1)
 
 
 # matrix entries per batched_rank call; bounds the working set of a batch
@@ -164,20 +201,23 @@ _MAX_BATCH_ENTRIES = 1 << 19
 
 
 def _prefix_maps(prob, tails, prefix_boxes, c_last, m) -> np.ndarray:
-    """K, shape (phases, prod n*c_l, n*m * n*c_last), of field indices:
+    """K, shape (phases, prod n*c_l, n*m * n*c_last), of field indices, for
+    a (phases, depth) array of tails, column j the digit at t^-(j+1):
     K[a, (j_1,sp_1,...,j_{d-2},sp_{d-2}), (i,w,k,s)] = g[i,k,j_1,...]
-    * tail_a[w + s + sum sp], with g the form's symmetric tensor.  A row of
-    K is the flattened condition matrix of phase a at the prefix whose
-    blocks are the unit vectors e_(j_l,sp_l); A(u) = kron(u_1,...) K[a]."""
+    * tail_a[w + s + sum sp - 1], with g the form's symmetric tensor.  A
+    row of K is the flattened condition matrix of phase a at the prefix
+    whose blocks are the unit vectors e_(j_l,sp_l); A(u) = kron(u_1,...)
+    K[a]."""
     spec, n, d = prob.spec, prob.n, prob.d
     g = np.zeros((n,) * d, dtype=np.int64)
     for rep, c in prob.form.tensor.items():
         for perm in set(itertools.permutations(rep)):
             g[perm] = c
     # window[a, sp_1..sp_{d-2}, w-1, s] = tail coefficient at t^-(w+s+sum sp)
+    # (w = 1..m), which is column w + s + sum sp - 1
     offsets = sum(np.ix_(*[np.arange(c) for c in prefix_boxes],
-                         np.arange(1, m + 1), np.arange(c_last)))
-    window = np.array(tails, dtype=np.int64)[:, offsets]
+                         np.arange(m), np.arange(c_last)))
+    window = tails[:, offsets]
     # no summed index: an outer product, one table gather for any F_q
     g = g.transpose(*range(2, d), 0, 1).reshape(
         1, *[s for _ in prefix_boxes for s in (n, 1)], n, 1, n, 1)
@@ -356,22 +396,107 @@ def check_weyl(prob: CountingProblem, alpha) -> InequalityReport:
 def check_weyl_batch(prob: CountingProblem, alphas) -> list:
     """check_weyl at every phase of `alphas`, in input order.  The budget
     is charged first (_charge_weyl), as a loop of check_weyl calls would
-    charge it; then S is taken for all phases in one exp_sums call and N
-    is counted for all phases at once."""
+    charge it; then the trace histograms of S are taken for all phases in
+    one call, N is counted for all phases at once and the comparisons are
+    decided together (compare_abs_powers)."""
     d, n, q = prob.d, prob.n, prob.spec.q
     _charge_weyl(prob, len(alphas))
-    s_vals = prob.exp_sums(alphas)
+    hists = prob.exp_sum_histograms(alphas)
     n_counts = approx_zero_counts(prob, alphas, *_shape_N(prob))
     power = 1 << (d - 1)
     exp = (prob.e + 1) * (power - d + 1) * n
-    reports = []
-    for s_val, n_count in zip(s_vals, n_counts):
-        bound = Fraction(q) ** exp * n_count
-        cmp = compare_abs_power(s_val, power, bound)
-        reports.append(InequalityReport(
-            cmp <= 0, "weyl", f"|S|^{power}", f"q^{exp} * N",
-            {"S": s_val, "N": n_count, "bound": bound, "cmp": cmp}))
-    return reports
+    bounds = [Fraction(q) ** exp * n_count for n_count in n_counts]
+    cmps = compare_abs_powers(prob, hists, power, bounds)
+    return [InequalityReport(
+        cmp <= 0, "weyl", f"|S|^{power}", f"q^{exp} * N",
+        {"N": n_count, "bound": bound, "cmp": cmp})
+        for n_count, bound, cmp in zip(n_counts, bounds, cmps)]
+
+
+# Allowed |table - cos x| of the float64 cosines at the points 2 pi k / p;
+# _cos_table asserts it for each p it builds.
+_COS_ERROR = 2.0 ** -50
+_UNIT = 2.0 ** -53      # unit roundoff of float64
+
+
+@functools.lru_cache(maxsize=None)
+def _cos_table(p: int) -> np.ndarray:
+    """cos(2 pi k / p), k = 0..p-1, in float64: each an 80-bit mpmath value
+    converted to float, asserted within _COS_ERROR / 2 of that value (whose
+    own error is below 2^-78), so within _COS_ERROR of the true cosine on
+    any platform, whatever its libm."""
+    with mpmath.workprec(80):
+        exact = [mpmath.cos(2 * mpmath.pi * k / p) for k in range(p)]
+        table = [float(c) for c in exact]
+        assert all(abs(mpmath.mpf(c) - x) <= _COS_ERROR / 2
+                   for c, x in zip(table, exact))
+    return np.array(table)
+
+
+def compare_abs_powers(prob: CountingProblem, hists, power: int,
+                       bounds) -> list:
+    """The sign of |S_a|^power - bounds[a] for every row a of `hists`
+    (trace histograms of S, as from exp_sum_histograms), as a list of -1,
+    0, +1: what compare_abs_power gives on the folded S.  A phase is
+    decided in float64 when the interval of _abs_square_intervals, raised
+    to power/2 = 2^j by j squarings, lies strictly on one side of the
+    bound and every float is finite.  Each squaring adds one rounding, so
+    (2 power + 8) u of relative slack covers them, the rounding of
+    float(bound) and of the two scalings.  The other phases (an exact tie
+    such as the zero tail, a float that is not finite, a bound past the
+    float64 range) go to the exact compare_abs_power."""
+    half = power // 2
+    assert power >= 2 and half & (half - 1) == 0, "power must be 2^j"
+    hists = np.asarray(hists, dtype=np.int64)
+    lo, hi = _abs_square_intervals(prob, hists)
+    slack = (2 * power + 8) * _UNIT
+    with np.errstate(over="ignore", invalid="ignore"):
+        while half > 1:
+            lo, hi, half = lo * lo, hi * hi, half // 2
+        hi_up, lo_down = hi * (1 + slack), lo * (1 - slack)
+        limit = np.array([_float_or_nan(b) for b in bounds], dtype=np.float64)
+        b_up, b_down = limit * (1 + slack), limit * (1 - slack)
+    finite = np.isfinite(hi_up) & np.isfinite(b_up)
+    below, above = finite & (hi_up < b_down), finite & (lo_down > b_up)
+    cmps = (above.astype(int) - below.astype(int)).tolist()
+    p = prob.spec.p
+    for a in np.flatnonzero(~(below | above)).tolist():
+        cmps[a] = compare_abs_power(
+            CyclotomicValue.from_histogram(p, hists[a].tolist()), power,
+            bounds[a])
+    return cmps
+
+
+def _abs_square_intervals(prob: CountingProblem, hists) -> tuple:
+    """Float64 arrays (lo, hi) with lo[a] <= |S_a|^2 <= hi[a] for every
+    row a of `hists`, the trace histograms of S.
+
+    |S|^2 = sum_k c_k cos(2 pi k / p) with the integer autocorrelation
+    c_k = sum_v h_v h_(v+k) >= 0.  Every row sums to the box size T
+    (asserted), so sum_k c_k = T^2 and every c_k <= T^2 < 2^63 (asserted).
+    With unit roundoff u and the cosines within delta = _COS_ERROR, the
+    float64 dot product c . cos (p roundings of c_k, p products, p - 1
+    additions in any order) is within T^2 (delta + 3 (p + 1) u) of |S|^2;
+    twice that covers the roundings of the interval ends too."""
+    p = prob.spec.p
+    box = prob.spec.q ** (prob.box * prob.n)
+    assert box * box < 1 << 63, "autocorrelation would overflow int64"
+    assert (p + 1) * _UNIT < 2.0 ** -20
+    hists = np.asarray(hists, dtype=np.int64)
+    assert (hists.sum(axis=1) == box).all(), "not a histogram of the box"
+    shift = (np.arange(p)[:, None] + np.arange(p)) % p
+    corr = (hists[:, None, :] * hists[:, shift]).sum(axis=2)
+    err = 2 * box * box * (_COS_ERROR + 3 * (p + 1) * _UNIT)
+    abs_sq = corr.astype(np.float64) @ _cos_table(p)
+    return np.maximum(abs_sq - err, 0.0), abs_sq + err
+
+
+def _float_or_nan(value) -> float:
+    """float(value), or nan when it does not fit a float64."""
+    try:
+        return float(value)
+    except OverflowError:
+        return float("nan")
 
 
 def check_shrink(prob: CountingProblem, alpha, eta) -> InequalityReport:
@@ -412,20 +537,21 @@ def check_shrink_batch(prob: CountingProblem, alphas, eta) -> list:
 
 def check_smallbox_chain(prob: CountingProblem, alpha,
                          kappa: int = None) -> InequalityReport:
-    """|S|^(2^(d-1)) <= |P|^(2^(d-1) n) q^(-(1+kappa)(d-1)n) curly-N."""
+    """|S|^(2^(d-1)) <= |P|^(2^(d-1) n) q^(-(1+kappa)(d-1)n) curly-N,
+    decided as in check_weyl_batch (compare_abs_powers)."""
     if kappa is None:
         kappa = kappa_of(prob.e)
     d, n, q = prob.d, prob.n, prob.spec.q
     power = 1 << (d - 1)
-    s_val = prob.exp_sum(alpha)
+    hists = prob.exp_sum_histograms([alpha])
     curly = count_curly_N(prob, alpha, kappa)
     exp = (prob.e + 1) * power * n - (1 + kappa) * (d - 1) * n
     bound = Fraction(q) ** exp * curly
-    cmp = compare_abs_power(s_val, power, bound)
+    cmp = compare_abs_powers(prob, hists, power, [bound])[0]
     return InequalityReport(
         cmp <= 0, "smallbox-chain",
         f"|S|^{power}", f"q^{exp} * curlyN",
-        {"S": s_val, "curlyN": curly, "kappa": kappa, "cmp": cmp})
+        {"curlyN": curly, "kappa": kappa, "cmp": cmp})
 
 
 # -- pointwise lemma instrumentation -------------------------------------------------

@@ -66,6 +66,9 @@ DIGESTS = {
     "weyl_sweep_q5": (
         "weyl-check",
         "8ac9538e6e994f6b38b421b3e18490868dc9d0348982c9d50bbd9ee96e897cee"),
+    "weyl_sweep_q7": (
+        "weyl-check",
+        "b736892a7e4e4114fbd500d9d713f5654e548e86f4bfaa0fb0a6a6b7d5144a1b"),
 }
 
 

@@ -2,12 +2,15 @@ import itertools
 import os
 import random
 from fractions import Fraction
+from math import prod
 
+import numpy as np
 import pytest
 
 from fflab import weyl
 from fflab.audit import kappa_of
 from fflab.circle import CountingProblem
+from fflab.cyclotomic import compare_abs_power
 from fflab.fields import FieldSpec
 from fflab.forms import fermat_form, parse_form_file
 from fflab.harness import _problem_recipe, _weyl_chunk, load_config
@@ -16,7 +19,8 @@ from fflab.linalg import batched_rank
 from fflab.weyl import (_shape_N, _shape_N_eta, approx_zero_count,
                         approx_zero_counts, canonical_point,
                         canonical_shape_report, check_shrink,
-                        check_smallbox_chain, check_weyl, count_N,
+                        check_smallbox_chain, check_weyl,
+                        check_weyl_batch, count_N,
                         count_N_eta, count_curly_N, eta_from_arc,
                         measure_pointwise, naive_approx_zero_count)
 
@@ -82,8 +86,14 @@ def test_weyl_inequality_samples(prob_n2, tail):
 
 @pytest.mark.parametrize("tail", SAMPLE_TAILS)
 def test_smallbox_chain_samples(prob_n2, tail):
-    rep = check_smallbox_chain(prob_n2, tail_alpha(prob_n2, tail))
+    alpha = tail_alpha(prob_n2, tail)
+    rep = check_smallbox_chain(prob_n2, alpha)
     assert rep.passed, rep.details
+    # the certified float decision gives the exact comparison's sign
+    kappa = kappa_of(prob_n2.e)
+    bound = 5 ** (2 * 4 * 2 - (1 + kappa) * 2 * 2) * rep.details["curlyN"]
+    assert rep.details["cmp"] == compare_abs_power(prob_n2.exp_sum(alpha),
+                                                   4, bound)
 
 
 @pytest.mark.parametrize("eta", [0, 1])
@@ -216,6 +226,41 @@ def _curly_shape(prob):
             prob.d * prob.e + 1 - kappa * (prob.d - 1))
 
 
+def _shape(prob, name):
+    """(boxes, m) of the count named N, N_eta (eta = 1/2), curly or M_2."""
+    return {"N": lambda: _shape_N(prob),
+            "N_eta": lambda: _shape_N_eta(prob, Fraction(1, 2)),
+            "curly": lambda: _curly_shape(prob),
+            "M_2": lambda: _shape_M_v(prob, 2)}[name]()
+
+
+@pytest.fixture
+def ranked(monkeypatch):
+    """The stack sizes of every batched_rank call the weyl kernel makes."""
+    sizes = []
+
+    def counting(spec, mats):
+        sizes.append(mats.shape[0])
+        return batched_rank(spec, mats)
+
+    monkeypatch.setattr(weyl, "batched_rank", counting)
+    return sizes
+
+
+@pytest.fixture
+def exact_bounds(monkeypatch):
+    """The bound of every exact compare_abs_power call the weyl checks
+    make."""
+    bounds = []
+
+    def counting(x, exponent, bound):
+        bounds.append(bound)
+        return compare_abs_power(x, exponent, bound)
+
+    monkeypatch.setattr(weyl, "compare_abs_power", counting)
+    return bounds
+
+
 @pytest.mark.slow
 def test_batched_counts_match_naive_oracle_on_mixed_cubic(spec5):
     # [2, 2] boxes: the kernel ranks (5^4 - 1)/4 = 156 lines of prefixes
@@ -285,10 +330,7 @@ PINNED = {
 ])
 def test_batched_counts_match_generic_route(form, e, shape, count):
     prob = _problem(form, e)
-    boxes, m = {"N": lambda: _shape_N(prob),
-                "N_eta": lambda: _shape_N_eta(prob, Fraction(1, 2)),
-                "curly": lambda: _curly_shape(prob),
-                "M_2": lambda: _shape_M_v(prob, 2)}[shape]()
+    boxes, m = _shape(prob, shape)
     pinned = PINNED[form, e, shape]
     tails = [tail for tail, _ in pinned]
     assert len(tails) == count
@@ -316,37 +358,163 @@ def test_batch_size_does_not_change_counts(monkeypatch):
             assert approx_zero_counts(prob, tails, boxes, m) == whole
 
 
-def test_one_sweep_chunk_ranks_one_matrix_per_line(monkeypatch):
+def test_one_sweep_chunk_ranks_one_matrix_per_line(ranked):
     config = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
                                       "configs", "weyl_sweep_q5.cfg"))
-    ranked = []
-
-    def counting(spec, mats):
-        ranked.append(mats.shape[0])
-        return batched_rank(spec, mats)
-
-    monkeypatch.setattr(weyl, "batched_rank", counting)
     tails = list(itertools.product(range(5), repeat=4))
     out = _weyl_chunk(_problem_recipe(config), tails)
     assert len(out) == 625 and all(row[1] for row in out)
-    # 625 phases times (5^4 - 1) / 4 = 156 lines of prefixes
-    assert sum(ranked) == 97500
+    # the 625 phases fall into 1 + 624/4 = 157 F_5^*-classes, each ranked
+    # once on (5^4 - 1) / 4 = 156 lines of prefixes
+    assert sum(ranked) == 157 * 156 == 24492
+
+
+@pytest.mark.parametrize("name", ["fermat2", "mixed"])
+def test_full_sweep_falls_back_to_the_exact_comparison_once(exact_bounds,
+                                                            name):
+    # only the zero tail, where |S|^4 equals the bound, is left undecided
+    # by the float test
+    prob = _problem(name, 1)
+    tails = list(itertools.product(range(5), repeat=4))
+    reports = check_weyl_batch(prob, tails)
+    assert all(reports)
+    assert exact_bounds == [reports[0].details["bound"]]
+    assert reports[0].details["cmp"] == 0
+
+
+def _each_tail_its_own_class(spec, tails):
+    """_phase_classes without the scaling: no two tails share a count."""
+    digits = np.array(tails, dtype=np.int64).reshape(len(tails), -1)
+    return digits, np.arange(len(tails))
+
+
+@pytest.mark.parametrize("form,e,shape,extra", [
+    ("mixed", 1, "N", 0),
+    ("mixed", 3, "N_eta", 2),        # depth 10, tails of 12 digits
+    ("fermat2_d4", 1, "N", 0),
+    ("fermat2_d4", 1, "M_2", 1),     # depth 4 of the 5 digits, then 6
+    ("fermat2_q25", 1, "N", 3),      # depth 4, tails of 7 digits
+])
+def test_scaled_tails_are_counted_once_per_class(monkeypatch, ranked, form,
+                                                 e, shape, extra):
+    # the scaled copies c a of pinned tails, with random digits past the
+    # depth the count reads, against the pinned counts and against the
+    # same route run on every copy as a phase of its own
+    prob = _problem(form, e)
+    boxes, m = _shape(prob, shape)
+    q, mul = prob.spec.q, prob.spec.tables["mul"]
+    rng = random.Random(len(form) + e)
+    pinned = PINNED[form, e, shape][:2]
+    batch = [tuple(mul[c][x] for x in tail)
+             + tuple(rng.randrange(q) for _ in range(extra))
+             for tail, _ in pinned for c in (1, rng.randrange(2, q))]
+    want = [count for _, count in pinned for _ in range(2)]
+    with monkeypatch.context() as patch:
+        patch.setattr(weyl, "_phase_classes", _each_tail_its_own_class)
+        assert approx_zero_counts(prob, batch, boxes, m) == want
+    del ranked[:]
+    assert approx_zero_counts(prob, batch, boxes, m) == want
+    widths = [prob.n * c for c in sorted(boxes)[:-1]]
+    assert sum(ranked) == len(pinned) * prod((q ** w - 1) // (q - 1)
+                                             for w in widths)
 
 
 @pytest.mark.parametrize("name,lines", [
     ("fermat2_d4", 156 ** 2),               # two blocks of (5^4 - 1)/4 lines
     ("fermat2_q25", (25 ** 4 - 1) // 24),
 ])
-def test_one_count_ranks_one_matrix_per_tuple_of_lines(monkeypatch, name,
-                                                       lines):
-    ranked = []
-
-    def counting(spec, mats):
-        ranked.append(mats.shape[0])
-        return batched_rank(spec, mats)
-
-    monkeypatch.setattr(weyl, "batched_rank", counting)
+def test_one_count_ranks_one_matrix_per_tuple_of_lines(ranked, name, lines):
     prob = _problem(name, 1)
     tails = _random_tails(prob, 2, seed=5)
     approx_zero_counts(prob, tails, *_shape_N(prob))
     assert sum(ranked) == 2 * lines
+
+
+# -- the certified float comparison against the exact one ----------------------
+
+
+def _weyl_tails(prob, sample):
+    """Every depth-B tail, or the zero tail and `sample` random ones."""
+    if sample is None:
+        return list(itertools.product(range(prob.spec.q),
+                                      repeat=prob.char_depth))
+    return [(0,) * prob.char_depth] + _random_tails(prob, sample, seed=9)
+
+
+@pytest.mark.parametrize("name,sample", [("fermat2", None), ("mixed", None),
+                                         ("fermat1_q25", 300)])
+def test_float_decision_matches_the_exact_oracle(name, sample):
+    # fermat2 is configs/weyl_sweep_q5.cfg; all 625 tails of it and of the
+    # mixed cubic, and 301 of the 390,625 tails over F_25
+    prob = _problem(name, 1)
+    tails = _weyl_tails(prob, sample)
+    power = 1 << (prob.d - 1)
+    for s_val, rep in zip(prob.exp_sums(tails), check_weyl_batch(prob, tails)):
+        assert rep.details["cmp"] == compare_abs_power(
+            s_val, power, rep.details["bound"])
+
+
+@pytest.mark.parametrize("name,sample", [("fermat2", None), ("mixed", None),
+                                         ("fermat1_q25", 300)])
+def test_float_intervals_enclose_the_exact_square(name, sample):
+    prob = _problem(name, 1)
+    tails = _weyl_tails(prob, sample)
+    lo, hi = weyl._abs_square_intervals(prob, prob.exp_sum_histograms(tails))
+    for s_val, low, high in zip(prob.exp_sums(tails), lo, hi):
+        exact, _ = s_val.abs_squared().interval_parts(120)
+        assert low <= exact.a and exact.b <= high
+
+
+def test_tied_bounds_fall_back_and_near_ties_do_not(exact_bounds):
+    prob = _problem("fermat2", 1)
+    tails = _weyl_tails(prob, None)
+    ties = [(tail, s_val.abs_squared().to_rational())
+            for tail, s_val in zip(tails, prob.exp_sums(tails))
+            if s_val.abs_squared().is_rational()]
+    assert len(ties) > 1
+    hists = prob.exp_sum_histograms([tail for tail, _ in ties])
+    # |S|^4 equal to the bound: undecided in float, 0 from the exact path
+    tied = [sq * sq for _, sq in ties]
+    assert weyl.compare_abs_powers(prob, hists, 4, tied) == [0] * len(ties)
+    assert exact_bounds == tied
+    del exact_bounds[:]
+    assert weyl.compare_abs_powers(
+        prob, hists, 4, [b + 1 for b in tied]) == [-1] * len(ties)
+    assert weyl.compare_abs_powers(
+        prob, hists, 4, [b - 1 for b in tied]) == [1] * len(ties)
+    assert exact_bounds == []
+
+
+def test_floats_out_of_range_go_to_the_exact_path(exact_bounds):
+    prob = _problem("fermat2", 1)
+    hists = prob.exp_sum_histograms([(0, 1, 0, 0)])   # |S|^2 = 625
+    # float(bound) overflows
+    assert weyl.compare_abs_powers(prob, hists, 4, [10 ** 400]) == [-1]
+    # 625^512 overflows float64
+    assert weyl.compare_abs_powers(prob, hists, 1024,
+                                   [Fraction(10) ** 300]) == [1]
+    assert exact_bounds == [10 ** 400, Fraction(10) ** 300]
+
+
+def test_autocorrelation_bound_is_asserted():
+    # the box holds 5^(n (e + 1)) points; 5^(2 n (e + 1)) < 2^63 holds at
+    # n = 6 and fails at n = 7
+    spec = FieldSpec(5)
+    problems = [CountingProblem(spec, fermat_form(spec, n, 3), 1)
+                for n in (6, 7)]
+    lo, hi = weyl._abs_square_intervals(problems[0],
+                                       [[5 ** 12, 0, 0, 0, 0]])
+    assert lo[0] <= 5 ** 24 <= hi[0]
+    with pytest.raises(AssertionError, match="not a histogram of the box"):
+        weyl._abs_square_intervals(problems[0], [[5 ** 12 - 1, 0, 0, 0, 0]])
+    with pytest.raises(AssertionError, match="overflow int64"):
+        weyl._abs_square_intervals(problems[1], [[5 ** 14, 0, 0, 0, 0]])
+
+
+def test_cosine_error_is_asserted(monkeypatch):
+    for p in (2, 3, 5, 7, 11, 13, 101):
+        assert len(weyl._cos_table(p)) == p
+    # no float64 cosine of 2 pi / 7 is exact, so a zero allowance trips
+    monkeypatch.setattr(weyl, "_COS_ERROR", 0.0)
+    with pytest.raises(AssertionError):
+        weyl._cos_table.__wrapped__(7)
