@@ -48,10 +48,35 @@ def _exps_to_rep(exps):
     return tuple(rep)
 
 
-class HypersurfaceForm:
-    """Immutable degree-d form; construct via symmetrize()."""
+def _dense_tensor(n: int, d: int, tensor) -> np.ndarray:
+    """The symmetric tensor as an (n,)*d int64 array of field indices."""
+    g = np.zeros((n,) * d, dtype=np.int64)
+    for rep, c in tensor.items():
+        for perm in set(itertools.permutations(rep)):
+            g[perm] = c
+    return g
 
-    __slots__ = ("spec", "n", "d", "monomials", "tensor")
+
+def _variable_blocks(n: int, monomials) -> tuple:
+    """The connected components of the graph on the n variables that joins
+    two variables when they share a monomial, as sorted tuples of indices
+    in order of their first variable.  A variable F does not contain is a
+    block of its own."""
+    blocks = [{i} for i in range(n)]
+    for exps in monomials:
+        present = {i for i, k in enumerate(exps) if k}
+        blocks = ([b for b in blocks if not b & present]
+                  + [set().union(*(b for b in blocks if b & present))])
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
+class HypersurfaceForm:
+    """Immutable degree-d form; construct via symmetrize().  `dense` is the
+    symmetric tensor as an (n,)*d array, built once, and `blocks` are the
+    blocks of variables (_variable_blocks).  dense is zero at every index
+    tuple that meets two blocks, so F is the sum of one form per block."""
+
+    __slots__ = ("spec", "n", "d", "monomials", "tensor", "dense", "blocks")
 
     def __init__(self, spec: FieldSpec, n: int, d: int, monomials, tensor):
         self.spec = spec
@@ -59,6 +84,8 @@ class HypersurfaceForm:
         self.d = d
         self.monomials = monomials
         self.tensor = tensor
+        self.dense = _dense_tensor(n, d, tensor)
+        self.blocks = _variable_blocks(n, monomials)
 
     def __repr__(self):
         return f"HypersurfaceForm(n={self.n}, d={self.d}, {len(self.monomials)} monomials)"

@@ -42,42 +42,53 @@ def rank_mod_q(spec: FieldSpec, rows) -> int:
     return rank
 
 
+def _pivot_step(spec: FieldSpec, a, b, piv, r0, col: int, above: bool):
+    """One elimination step on the matrices b of the stack a (B, R, C):
+    row piv[k] of matrix b[k], normalized to 1 at col, moves to row r0[k]
+    and the row there to piv[k]; then col is cleared in the rows below r0
+    (and above it too when `above`).  Returns the stack, which is a itself
+    when b holds every matrix.  Products and differences are 1-D gathers
+    from the raveled tables at the flat index x*q + y."""
+    q = spec.q
+    assert q * q <= np.iinfo(np.int16).max   # flat indices fit int16
+    mul, sub = spec.tables["np_mul"].ravel(), spec.tables["np_sub"].ravel()
+    every = b.size == len(a)
+    rows = a if every else a[b]
+    k = np.arange(b.size)
+    pivrow = rows[k, piv]
+    rows[k, piv] = rows[k, r0]
+    pivrow = mul.take(pivrow * q
+                      + spec.tables["np_inv"][pivrow[:, col]][:, None])
+    rows[k, r0] = pivrow
+    rowidx = np.arange(a.shape[1])
+    clear = (rowidx != r0[:, None]) if above else (rowidx > r0[:, None])
+    factors = np.where(clear, rows[:, :, col], 0)
+    rows = sub.take(rows * q + mul.take(factors[:, :, None] * q
+                                        + pivrow[:, None, :]))
+    if every:
+        return rows
+    a[b] = rows
+    return a
+
+
 def batched_rank(spec: FieldSpec, mats: np.ndarray) -> np.ndarray:
     """Ranks of a stack of matrices, shape (B, R, C) of element indices.
 
     Vectorized forward elimination over the batch axis; returns an int64
     array of length B."""
-    np_mul = spec.tables["np_mul"]
-    np_sub = spec.tables["np_sub"]
-    np_inv = spec.tables["np_inv"]
-    a = np.ascontiguousarray(mats, dtype=np.int16).copy()
+    a = np.array(mats, dtype=np.int16)
     bsz, nrows, ncols = a.shape
-    if bsz == 0:
-        return np.zeros(0, dtype=np.int64)
     rank = np.zeros(bsz, dtype=np.int64)
-    rowptr = np.zeros(bsz, dtype=np.int64)
     rowidx = np.arange(nrows)
     for col in range(ncols):
-        colvals = a[:, :, col]
-        cand = (colvals != 0) & (rowidx[None, :] >= rowptr[:, None])
-        has = cand.any(axis=1)
-        if not has.any():
+        cand = (a[:, :, col] != 0) & (rowidx >= rank[:, None])
+        b = np.flatnonzero(cand.any(axis=1))
+        if not b.size:
             continue
-        b = np.nonzero(has)[0]
-        r0 = rowptr[b]
-        piv = cand[b].argmax(axis=1)
-        # swap pivot row up, normalize it, then clear everything below
-        tmp = a[b, r0, :].copy()
-        a[b, r0, :] = a[b, piv, :]
-        a[b, piv, :] = tmp
-        pinv = np_inv[a[b, r0, col]]
-        a[b, r0, :] = np_mul[a[b, r0, :], pinv[:, None]]
-        factors = np.where(rowidx[None, :] > r0[:, None], a[b, :, col], 0)
-        pivrow = a[b, r0, :]
-        a[b] = np_sub[a[b], np_mul[factors[:, :, None], pivrow[:, None, :]]]
-        rowptr[b] += 1
+        a = _pivot_step(spec, a, b, cand[b].argmax(axis=1), rank[b], col,
+                        above=False)
         rank[b] += 1
-        if (rowptr >= nrows).all():
+        if (rank >= nrows).all():
             break
     return rank
 
@@ -90,9 +101,6 @@ def batched_nullspace(spec: FieldSpec, mats: np.ndarray):
     pivot, and then basis[b, f] is the nullspace vector with 1 at f and 0
     at every other free column (solve_nullspace's vector for f); rows of
     basis at pivot columns are 0."""
-    np_mul = spec.tables["np_mul"]
-    np_sub = spec.tables["np_sub"]
-    np_inv = spec.tables["np_inv"]
     np_neg = spec.tables["np_neg"]
     a = np.array(mats, dtype=np.int16)
     bsz, nrows, ncols = a.shape
@@ -108,22 +116,8 @@ def batched_nullspace(spec: FieldSpec, mats: np.ndarray):
         b = np.flatnonzero(cand[everyone, piv])
         if not b.size:
             continue
-        piv, r0 = piv[b], rowptr[b]
-        # the pivot row, normalized, moves to r0 and the row at r0 to piv
-        pivrow = a[b, piv]
-        a[b, piv] = a[b, r0]
-        pivrow = np_mul[pivrow, np_inv[pivrow[:, col]][:, None]]
-        a[b, r0] = pivrow
-        # clear the pivot column in every other row, above and below
-        rows = a if b.size == bsz else a[b]
-        factors = rows[:, :, col].copy()
-        factors[np.arange(b.size), r0] = 0
-        rows = np_sub[rows, np_mul[factors[:, :, None], pivrow[:, None, :]]]
-        if b.size == bsz:
-            a = rows
-        else:
-            a[b] = rows
-        pivcol[b, r0] = col
+        a = _pivot_step(spec, a, b, piv[b], rowptr[b], col, above=True)
+        pivcol[b, rowptr[b]] = col
         rowptr[b] += 1
     free = np.ones((bsz, ncols), dtype=bool)
     bi, ri = np.nonzero(pivcol >= 0)

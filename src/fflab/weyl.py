@@ -15,6 +15,13 @@ slots, the largest box is always moved to the linear slot.
 One kernel, approx_zero_counts, makes every count, for every d >= 3, every
 q = p^f and every box size:
 
+* Blocks of variables.  Two variables share a block when they share a
+  monomial (forms.HypersurfaceForm.blocks).  Psi_i for i in a block reads
+  only that block's coordinates of each u_j, so the count is the product
+  over the blocks of the count of the block's form, with n = |block|.
+  approx_zero_counts forms the phase classes once and runs the steps below
+  once per block; a non-separable form is one block, and a variable F does
+  not contain is a block with a zero tensor.
 * The prefix map.  The condition matrix is multilinear in the d - 2 prefix
   blocks: A(u_1,...,u_{d-2}) = kron(u_1,...,u_{d-2}) K, where K (built by
   _prefix_maps as one outer product of the form's tensor and the tail, with
@@ -26,6 +33,11 @@ q = p^f and every box size:
   (q - 1)^(d-2).  A prefix with a zero block has A = 0 and adds q^(n C_last)
   without a rank.  This ranks prod_l (q^(n C_l) - 1)/(q - 1) matrices per
   phase instead of q^(n sum C_l).
+* Slot symmetry.  A(u_1,...,u_{d-2}) is unchanged when two prefix slots of
+  equal box swap their vectors, so only the tuples of representatives that
+  are sorted on each run of equal boxes are ranked, each weighted by the
+  size of its orbit (a multinomial): at d = 4 with equal boxes, L(L+1)/2
+  pairs of the L lines instead of L^2.
 * Phase classes.  K is linear in the tail, so the condition matrices of
   c alpha, c in F_q^*, are c times those of alpha and every count is
   constant on the class {c alpha}.  approx_zero_counts reads only the tail
@@ -142,42 +154,57 @@ def approx_zero_counts(prob: CountingProblem, alphas, box_list,
         return []
     if _vacuous(box_list, m):
         return [q ** (sum(box_list) * n)] * len(alphas)
-    spec = prob.spec
+    form = prob.form
     boxes = sorted(box_list)
-    c_last, prefix_boxes = boxes[-1], boxes[:-1]
     depth = m + sum(c - 1 for c in boxes)
-    tails, where = _phase_classes(spec, [_tail_array(alpha, depth)
-                                         for alpha in alphas])
+    tails, where = _phase_classes(prob.spec, [_tail_array(alpha, depth)
+                                              for alpha in alphas])
+    counts = [1] * len(tails)
+    for block in form.blocks:
+        g = form.dense[np.ix_(*[block] * form.d)]
+        counts = [a * b for a, b in zip(counts, _block_counts(
+            prob.spec, g, tails, boxes, m))]
+    return [counts[k] for k in where.tolist()]
+
+
+def _block_counts(spec, g, tails, boxes, m) -> list:
+    """The count of the form with symmetric tensor g (one block of
+    variables, n = len(g)) at every tail of `tails`, for sorted boxes and
+    m, as a list of ints."""
+    q, n = spec.q, len(g)
+    c_last, prefix_boxes = boxes[-1], boxes[:-1]
     widths = [n * c for c in prefix_boxes]
     lines = [(q ** w - 1) // (q - 1) for w in widths]
     nrows, ncols = n * m, n * c_last
-    kmat = _coordinate_maps(spec, _prefix_maps(prob, tails, prefix_boxes,
+    kmat = _coordinate_maps(spec, _prefix_maps(spec, g, tails, prefix_boxes,
                                                c_last, m))
     total = prod(lines)
+    # int64 bound of the tuple numbers and of each row's weighted histogram
+    assert total < 1 << 63
     per_batch = max(1, _MAX_BATCH_ENTRIES // (nrows * ncols))
-    # rank histogram of the prefixes with no zero block, one line per block
+    # weighted rank histogram of the prefixes with no zero block, one line
+    # per block
     hist = np.zeros((len(tails), ncols + 1), dtype=np.int64)
     for lo in range(0, total, per_batch):
-        reps = _prefix_representatives(spec, widths, lines, lo,
-                                       min(total, lo + per_batch))
+        reps, weight = _prefix_representatives(
+            spec, widths, lines, lo, min(total, lo + per_batch))
+        if not len(reps):
+            continue
         group = max(1, per_batch // len(reps))
         for a0 in range(0, len(tails), group):
-            block = kmat[a0:a0 + group]
+            chunk = kmat[a0:a0 + group]
             ranks = batched_rank(spec, _condition_matrices(
-                spec, reps, block, nrows, ncols))
-            phases = block.shape[0]
-            keys = (np.arange(phases).repeat(len(reps)) * (ncols + 1)
-                    + ranks)
-            hist[a0:a0 + phases] += np.bincount(
-                keys, minlength=phases * (ncols + 1)).reshape(phases, -1)
+                spec, reps, chunk, nrows, ncols))
+            onehot = (ranks.reshape(len(chunk), 1, len(reps))
+                      == np.arange(ncols + 1)[:, None])
+            hist[a0:a0 + len(chunk)] += onehot @ weight
     zero_blocks = prod(q ** w for w in widths) - prod(q ** w - 1
                                                       for w in widths)
     scale = (q - 1) ** len(widths)
     weights = [q ** (ncols - r) for r in range(ncols + 1)]
-    counts = [zero_blocks * q ** ncols
-              + scale * sum(h * w for h, w in zip(row, weights))
-              for row in hist.tolist()]
-    return [counts[k] for k in where.tolist()]
+    return [zero_blocks * q ** ncols
+            + scale * sum(h * w for h, w in zip(row, weights))
+            for row in hist.tolist()]
 
 
 def _phase_classes(spec, tails):
@@ -200,19 +227,15 @@ def _phase_classes(spec, tails):
 _MAX_BATCH_ENTRIES = 1 << 19
 
 
-def _prefix_maps(prob, tails, prefix_boxes, c_last, m) -> np.ndarray:
+def _prefix_maps(spec, g, tails, prefix_boxes, c_last, m) -> np.ndarray:
     """K, shape (phases, prod n*c_l, n*m * n*c_last), of field indices, for
     a (phases, depth) array of tails, column j the digit at t^-(j+1):
     K[a, (j_1,sp_1,...,j_{d-2},sp_{d-2}), (i,w,k,s)] = g[i,k,j_1,...]
-    * tail_a[w + s + sum sp - 1], with g the form's symmetric tensor.  A
-    row of K is the flattened condition matrix of phase a at the prefix
-    whose blocks are the unit vectors e_(j_l,sp_l); A(u) = kron(u_1,...)
-    K[a]."""
-    spec, n, d = prob.spec, prob.n, prob.d
-    g = np.zeros((n,) * d, dtype=np.int64)
-    for rep, c in prob.form.tensor.items():
-        for perm in set(itertools.permutations(rep)):
-            g[perm] = c
+    * tail_a[w + s + sum sp - 1], with g the form's symmetric tensor on
+    one block of variables, shape (n,)*d.  A row of K is the flattened
+    condition matrix of phase a at the prefix whose blocks are the unit
+    vectors e_(j_l,sp_l); A(u) = kron(u_1,...) K[a]."""
+    n, d = len(g), g.ndim
     # window[a, sp_1..sp_{d-2}, w-1, s] = tail coefficient at t^-(w+s+sum sp)
     # (w = 1..m), which is column w + s + sum sp - 1
     offsets = sum(np.ix_(*[np.arange(c) for c in prefix_boxes],
@@ -256,22 +279,41 @@ def _line_representatives(q: int, width: int, idx) -> np.ndarray:
     return reps
 
 
-def _prefix_representatives(spec, widths, lines, lo, hi) -> np.ndarray:
-    """Prefixes lo..hi-1 of the product of the blocks' line
-    representatives (the last block varying fastest), each the Kronecker
-    product of its blocks, in F_p coordinates: shape (hi - lo, prod
-    widths * f), coordinate k of entry w at column w*f + k."""
+def _prefix_representatives(spec, widths, lines, lo, hi) -> tuple:
+    """The tuples lo..hi-1 of the product of the blocks' line
+    representatives (the last block varying fastest) that are sorted on
+    each run of equal widths, and their weights.  A(u) is symmetric in the
+    slots of equal boxes, so a sorted tuple stands for its orbit under the
+    permutations of those slots and weighs the orbit's size.  Each tuple
+    is given as the Kronecker product of its blocks in F_p coordinates:
+    shape (tuples, prod widths * f), coordinate k of entry w at column
+    w*f + k; the weights are an int64 array."""
     q, p, f = spec.q, spec.p, spec.f
     flat = np.arange(lo, hi, dtype=np.int64)
-    reps = np.ones((hi - lo, 1), dtype=np.int64)
     stride = prod(lines)
-    for width, count in zip(widths, lines):
+    digits = []
+    for count in lines:
         stride //= count
-        block = _line_representatives(q, width, flat // stride % count)
-        reps = spec.tables["np_mul"][reps[:, :, None],
-                                     block[:, None, :]].reshape(hi - lo, -1)
+        digits.append(flat // stride % count)
+    keep = np.ones(hi - lo, dtype=bool)
+    weight = np.ones(hi - lo, dtype=np.int64)
+    run, mult = 1, np.ones_like(weight)
+    for l in range(1, len(widths)):
+        if widths[l] != widths[l - 1]:
+            run, mult = 1, np.ones_like(weight)
+            continue
+        # weight = run! / prod mult! over the run so far: a multinomial
+        run += 1
+        keep &= digits[l - 1] <= digits[l]
+        mult = np.where(digits[l - 1] == digits[l], mult + 1, 1)
+        weight = weight * run // mult
+    reps = np.ones((int(keep.sum()), 1), dtype=np.int64)
+    for width, digit in zip(widths, digits):
+        block = _line_representatives(q, width, digit[keep])
+        reps = spec.tables["np_mul"][reps[:, :, None], block[:, None, :]
+                                     ].reshape(len(reps), reps.shape[1] * width)
     coords = reps[:, :, None] // p ** np.arange(f) % p
-    return coords.reshape(hi - lo, -1).astype(np.int64)
+    return coords.reshape(len(reps), reps.shape[1] * f), weight[keep]
 
 
 def _condition_matrices(spec, reps, kmat, nrows, ncols) -> np.ndarray:

@@ -46,6 +46,27 @@ def test_symmetrize_validation(spec5):
         symmetrize(spec5, 2, 3, {(2, 0): 1})          # wrong degree
 
 
+@pytest.mark.parametrize("n,monomials,blocks", [
+    (3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}, ((0,), (1,), (2,))),
+    (3, {(3, 0, 0): 1, (2, 1, 0): 1, (0, 3, 0): 2, (0, 0, 3): 1},
+     ((0, 1), (2,))),
+    # x0 and x2 meet only through x1; x3 is absent
+    (4, {(2, 1, 0, 0): 1, (0, 1, 2, 0): 3}, ((0, 1, 2), (3,))),
+    (3, {(0, 0, 3): 1, (1, 0, 2): 1, (0, 3, 0): 2}, ((0, 2), (1,))),
+    (2, {(1, 2): 1}, ((0, 1),)),
+])
+def test_variable_blocks(spec5, n, monomials, blocks):
+    form = symmetrize(spec5, n, 3, monomials)
+    assert form.blocks == blocks
+    # the dense tensor matches the sparse one and vanishes at every index
+    # tuple that meets two blocks
+    block_of = {i: k for k, block in enumerate(blocks) for i in block}
+    for idx in itertools.product(range(n), repeat=3):
+        assert form.dense[idx] == form.tensor.get(tuple(sorted(idx)), 0)
+        if len({block_of[i] for i in idx}) > 1:
+            assert form.dense[idx] == 0
+
+
 def test_parse_form_file_round_trip(tmp_path, spec5):
     path = tmp_path / "cubic.form"
     path.write_text("# comment line\n3 0 : 1\n2 1 : 1   # inline\n0 3 : 2\n")

@@ -14,9 +14,6 @@ from fflab.harness import TASK_PARAMS, RunConfig
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
-# too slow for the suite: about 170 s
-SKIPPED = {"shrink_e3_q5"}
-
 DIGESTS = {
     "audit_d3_n45": (
         "exponent-audit",
@@ -63,6 +60,12 @@ DIGESTS = {
     "shrink_e1_q5": (
         "shrink-check",
         "637d45c06927bdcd25aba0bfe290504982e74966be5b4fd6bfeafe7fb88ef594"),
+    "shrink_e3_q5": (
+        "shrink-check",
+        "340a945ffda2ed4488fdbfa24cae670036cd8aac577c3591b0db90e6f1c4d7d6"),
+    "weyl_sweep_d4_q5": (
+        "weyl-check",
+        "35e9b0b86a3c587648d42ab5cfba05441690b523629b7881abb740222bee1e72"),
     "weyl_sweep_q5": (
         "weyl-check",
         "8ac9538e6e994f6b38b421b3e18490868dc9d0348982c9d50bbd9ee96e897cee"),
@@ -113,7 +116,7 @@ def runs(tmp_path_factory):
 def test_every_shipped_config_has_a_digest():
     names = {os.path.basename(path)[:-len(".cfg")]
              for path in glob.glob(os.path.join(CONFIGS, "*.cfg"))}
-    assert names == set(DIGESTS) | SKIPPED
+    assert names == set(DIGESTS)
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))

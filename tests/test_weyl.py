@@ -12,7 +12,7 @@ from fflab.audit import kappa_of
 from fflab.circle import CountingProblem
 from fflab.cyclotomic import compare_abs_power
 from fflab.fields import FieldSpec
-from fflab.forms import fermat_form, parse_form_file
+from fflab.forms import fermat_form, parse_form_file, symmetrize
 from fflab.harness import _problem_recipe, _weyl_chunk, load_config
 from fflab.laurent import LaurentElement
 from fflab.linalg import batched_rank
@@ -203,12 +203,26 @@ def _mixed_problem(spec, e):
     return CountingProblem(spec, parse_form_file(MIXED_FORM, spec, 2, 3), e)
 
 
+# forms over F_5 by name, (n, d, monomials): a non-separable binary quartic,
+# the mixed cubic in x0, x1 plus x2^3 (blocks {0, 1} and {2}), and a cubic
+# without x1 (blocks {0}, {1}, {2}, the block {1} with a zero tensor)
+FORMS = {
+    "quartic": (2, 4, {(4, 0): 1, (3, 1): 1, (2, 2): 3, (0, 4): 2}),
+    "mixed_plus_cube": (3, 3, {(3, 0, 0): 1, (2, 1, 0): 1, (0, 3, 0): 2,
+                               (0, 0, 3): 1}),
+    "no_x1": (3, 3, {(3, 0, 0): 2, (0, 0, 3): 1}),
+}
+
+
 def _problem(name, e):
-    """The mixed cubic over F_5, or the Fermat form in n variables named
-    fermat<n> (d = 3, F_5), fermat<n>_d4 (d = 4, F_5) or fermat<n>_q25
-    (d = 3, F_25)."""
+    """The mixed cubic or a form of FORMS over F_5, or the Fermat form in
+    n variables named fermat<n> (d = 3, F_5), fermat<n>_d4 (d = 4, F_5) or
+    fermat<n>_q25 (d = 3, F_25)."""
     if name == "mixed":
         return _mixed_problem(FieldSpec(5), e)
+    if name in FORMS:
+        spec = FieldSpec(5)
+        return CountingProblem(spec, symmetrize(spec, *FORMS[name]), e)
     spec = FieldSpec(5, 2) if name.endswith("_q25") else FieldSpec(5)
     d = 4 if name.endswith("_d4") else 3
     return CountingProblem(spec, fermat_form(spec, int(name[6]), d), e)
@@ -280,6 +294,12 @@ def test_batched_counts_match_naive_oracle_on_mixed_cubic(spec5):
     ("fermat2_d4", [1, 1, 1], [(1, 0, 4, 2, 3), (0, 3, 1, 1, 2)]),
     # n = 1 over F_25: 25^3 = 15,625 tuples, unequal boxes
     ("fermat1_q25", [2, 1], [(7, 19, 3, 11), (0, 1, 24, 5)]),
+    # the non-separable quartic, one block, equal prefix boxes
+    ("quartic", [1, 1, 1], [(1, 2, 0, 3, 3), (4, 2, 0, 1, 4)]),
+    # two blocks, one of them the non-diagonal cubic: 5^(3*2) tuples
+    ("mixed_plus_cube", [1, 1], [(1, 3, 0, 2), (0, 4, 2, 1), (2, 2, 2, 2)]),
+    # x1 is its own block, with a zero tensor
+    ("no_x1", [1, 1], [(3, 1, 4, 0), (0, 0, 1, 2)]),
 ])
 def test_batched_counts_match_naive_oracle_on_d4_and_f25(name, boxes, tails):
     prob = _problem(name, 1)
@@ -316,7 +336,48 @@ PINNED = {
     ("fermat2_d4", 1, "M_2"): [((3, 4, 4, 0, 1), 783225)],
     ("fermat2_q25", 1, "N"): [
         ((12, 24, 13, 1), 5764801), ((12, 24, 0, 6), 3330625)],
+    # recorded from the route that ranked every ordered tuple of line
+    # representatives, before slot symmetry
+    ("quartic", 1, "N"): [
+        ((1, 2, 0, 3, 3), 1866961), ((1, 0, 0, 0, 3), 5650129),
+        ((4, 2, 0, 1, 4), 1543249)],
+    ("quartic", 1, "M_2"): [
+        ((1, 2, 0, 3, 3), 484025), ((1, 0, 0, 0, 3), 1485625),
+        ((4, 2, 0, 1, 4), 445945)],
 }
+
+
+def test_block_product_of_the_pinned_mixed_counts():
+    # the count of mixed + x2^3 at N's shape is the pinned count of the
+    # mixed cubic times that of x^3 in one variable
+    prob = _problem("mixed_plus_cube", 1)
+    cube = CountingProblem(prob.spec, fermat_form(prob.spec, 1, 3), 1)
+    tails = [tail for tail, _ in PINNED["mixed", 1, "N"]]
+    got = approx_zero_counts(prob, tails, *_shape_N(prob))
+    assert got == [want * approx_zero_count(cube, tail, *_shape_N(cube))
+                   for tail, want in PINNED["mixed", 1, "N"]]
+
+
+@pytest.mark.parametrize("widths,sorted_tuples", [
+    ([2, 2], 6 * 7 // 2),               # 6 lines a block
+    ([2, 2, 2], 6 * 7 * 8 // 6),
+    ([1, 2, 2], 1 * 21),
+    ([2, 2, 3], 21 * 31),
+])
+def test_sorted_prefixes_weigh_their_orbits(widths, sorted_tuples):
+    # in any chunking, one distinct tuple per multiset of lines on each run
+    # of equal widths, weighted so that the weights add up to the number
+    # of ordered tuples
+    spec = FieldSpec(5)
+    lines = [(5 ** w - 1) // 4 for w in widths]
+    total = prod(lines)
+    for per_batch in (7, total):
+        chunks = [weyl._prefix_representatives(
+            spec, widths, lines, lo, min(total, lo + per_batch))
+            for lo in range(0, total, per_batch)]
+        kept = np.concatenate([reps for reps, _ in chunks])
+        assert len(kept) == len(np.unique(kept, axis=0)) == sorted_tuples
+        assert sum(int(weight.sum()) for _, weight in chunks) == total
 
 
 @pytest.mark.parametrize("form,e,shape,count", [
@@ -327,6 +388,8 @@ PINNED = {
     ("fermat2_d4", 1, "N", 2),
     ("fermat2_d4", 1, "M_2", 1),
     ("fermat2_q25", 1, "N", 2),
+    ("quartic", 1, "N", 3),
+    ("quartic", 1, "M_2", 3),
 ])
 def test_batched_counts_match_generic_route(form, e, shape, count):
     prob = _problem(form, e)
@@ -343,18 +406,19 @@ def test_batched_counts_match_generic_route(form, e, shape, count):
 
 
 def test_batch_size_does_not_change_counts(monkeypatch):
-    # 16 entries per 4x4 matrix.  Batches of 5 matrices on the mixed cubic,
-    # and of 999 on the d = 4 and F_25 problems (156^2 and 16,276 prefixes
-    # a phase): line chunks cross the blocks of representatives, and each
-    # phase is split across calls
-    for name, per_batch in [("mixed", 5), ("fermat2_d4", 999),
-                            ("fermat2_q25", 999)]:
+    # Batches of 5 matrices on the mixed cubic and of 999 on the quartic
+    # (4 x 4 matrices, 156 and 12,246 prefixes a phase), and of 7 on the
+    # one-variable blocks of the d = 4 and F_25 Fermat forms (2 x 2, 21 and
+    # 26 prefixes a phase): line chunks cross the blocks of
+    # representatives, and each phase is split across calls
+    for name, entries in [("mixed", 5 * 16), ("quartic", 999 * 16),
+                          ("fermat2_d4", 7 * 4), ("fermat2_q25", 7 * 4)]:
         prob = _problem(name, 1)
         boxes, m = _shape_N(prob)
         tails = _random_tails(prob, 7, seed=3)
         whole = approx_zero_counts(prob, tails, boxes, m)
         with monkeypatch.context() as patch:
-            patch.setattr(weyl, "_MAX_BATCH_ENTRIES", per_batch * 16)
+            patch.setattr(weyl, "_MAX_BATCH_ENTRIES", entries)
             assert approx_zero_counts(prob, tails, boxes, m) == whole
 
 
@@ -365,7 +429,17 @@ def test_one_sweep_chunk_ranks_one_matrix_per_line(ranked):
     out = _weyl_chunk(_problem_recipe(config), tails)
     assert len(out) == 625 and all(row[1] for row in out)
     # the 625 phases fall into 1 + 624/4 = 157 F_5^*-classes, each ranked
-    # once on (5^4 - 1) / 4 = 156 lines of prefixes
+    # once on the (5^2 - 1) / 4 = 6 lines of prefixes of each of the two
+    # one-variable blocks
+    assert sum(ranked) == 157 * 2 * 6 == 1884
+
+
+def test_mixed_sweep_ranks_one_matrix_per_line_of_its_one_block(ranked):
+    # the mixed cubic is one block of two variables: (5^4 - 1) / 4 = 156
+    # lines of prefixes for each of the 157 classes
+    reports = check_weyl_batch(_problem("mixed", 1),
+                               list(itertools.product(range(5), repeat=4)))
+    assert all(reports)
     assert sum(ranked) == 157 * 156 == 24492
 
 
@@ -386,6 +460,15 @@ def _each_tail_its_own_class(spec, tails):
     """_phase_classes without the scaling: no two tails share a count."""
     digits = np.array(tails, dtype=np.int64).reshape(len(tails), -1)
     return digits, np.arange(len(tails))
+
+
+# Matrices ranked per class of phases.  The mixed cubic is one block,
+# (5^4 - 1) / 4 = 156 lines of prefixes; the Fermat forms are two blocks of
+# one variable: 6 lines a prefix slot at d = 4, ranked as 21 sorted pairs
+# for N's equal boxes and as 1 x 6 for M_2's, and 26 lines over F_25.
+CLASS_RANKS = {("mixed", "N"): 156, ("mixed", "N_eta"): 156,
+               ("fermat2_d4", "N"): 2 * 21, ("fermat2_d4", "M_2"): 2 * 6,
+               ("fermat2_q25", "N"): 2 * 26}
 
 
 @pytest.mark.parametrize("form,e,shape,extra", [
@@ -414,14 +497,13 @@ def test_scaled_tails_are_counted_once_per_class(monkeypatch, ranked, form,
         assert approx_zero_counts(prob, batch, boxes, m) == want
     del ranked[:]
     assert approx_zero_counts(prob, batch, boxes, m) == want
-    widths = [prob.n * c for c in sorted(boxes)[:-1]]
-    assert sum(ranked) == len(pinned) * prod((q ** w - 1) // (q - 1)
-                                             for w in widths)
+    assert sum(ranked) == len(pinned) * CLASS_RANKS[form, shape]
 
 
 @pytest.mark.parametrize("name,lines", [
-    ("fermat2_d4", 156 ** 2),               # two blocks of (5^4 - 1)/4 lines
-    ("fermat2_q25", (25 ** 4 - 1) // 24),
+    ("fermat2_d4", 2 * 21),           # two blocks: sorted pairs of 6 lines
+    ("fermat2_q25", 2 * 26),          # two blocks of (25^2 - 1)/24 lines
+    ("quartic", 156 * 157 // 2),      # one block: sorted pairs of 156 lines
 ])
 def test_one_count_ranks_one_matrix_per_tuple_of_lines(ranked, name, lines):
     prob = _problem(name, 1)
