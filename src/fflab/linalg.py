@@ -2,8 +2,9 @@
 
 Matrices over F_q hold element indices.  The batched routines run Gaussian
 elimination simultaneously on a whole stack of small matrices using the
-field's numpy lookup tables; indices are bounded by q <= 25 so int16 storage
-is exact, and all counts derived from ranks are returned as Python ints.
+field's numpy lookup tables; the stacks are held in int16 when the flat
+table index x*q + y fits it (q <= 181, every shipped field) and in int32
+otherwise, and all counts derived from ranks are returned as Python ints.
 """
 
 from __future__ import annotations
@@ -42,16 +43,23 @@ def rank_mod_q(spec: FieldSpec, rows) -> int:
     return rank
 
 
+def _index_dtype(q: int):
+    """Dtype of a stack over F_q: the flat index x*q + y must fit it."""
+    assert q * q <= np.iinfo(np.int32).max
+    return np.int16 if q * q <= np.iinfo(np.int16).max else np.int32
+
+
 def _pivot_step(spec: FieldSpec, a, b, piv, r0, col: int, above: bool):
     """One elimination step on the matrices b of the stack a (B, R, C):
     row piv[k] of matrix b[k], normalized to 1 at col, moves to row r0[k]
     and the row there to piv[k]; then col is cleared in the rows below r0
     (and above it too when `above`).  Returns the stack, which is a itself
     when b holds every matrix.  Products and differences are 1-D gathers
-    from the raveled tables at the flat index x*q + y."""
-    q = spec.q
-    assert q * q <= np.iinfo(np.int16).max   # flat indices fit int16
-    mul, sub = spec.tables["np_mul"].ravel(), spec.tables["np_sub"].ravel()
+    from the raveled tables at the flat index x*q + y, in a's dtype."""
+    q, dt = spec.q, a.dtype
+    assert dt == _index_dtype(q)
+    mul, sub = (spec.tables[t].ravel().astype(dt, copy=False)
+                for t in ("np_mul", "np_sub"))
     every = b.size == len(a)
     rows = a if every else a[b]
     k = np.arange(b.size)
@@ -76,7 +84,7 @@ def batched_rank(spec: FieldSpec, mats: np.ndarray) -> np.ndarray:
 
     Vectorized forward elimination over the batch axis; returns an int64
     array of length B."""
-    a = np.array(mats, dtype=np.int16)
+    a = np.array(mats, dtype=_index_dtype(spec.q))
     bsz, nrows, ncols = a.shape
     rank = np.zeros(bsz, dtype=np.int64)
     rowidx = np.arange(nrows)
@@ -102,7 +110,7 @@ def batched_nullspace(spec: FieldSpec, mats: np.ndarray):
     at every other free column (solve_nullspace's vector for f); rows of
     basis at pivot columns are 0."""
     np_neg = spec.tables["np_neg"]
-    a = np.array(mats, dtype=np.int16)
+    a = np.array(mats, dtype=_index_dtype(spec.q))
     bsz, nrows, ncols = a.shape
     pivcol = np.full((bsz, nrows), -1, dtype=np.int64)
     rowptr = np.zeros(bsz, dtype=np.int64)

@@ -44,7 +44,18 @@ def test_batched_rank_matches_loop(spec5):
     assert got.tolist() == want
 
 
-@pytest.mark.parametrize("p,f", [(5, 1), (5, 2)])
+@pytest.mark.parametrize("p", [181, 191])
+def test_batched_rank_on_both_sides_of_the_int16_index(p):
+    # 181^2 still fits int16; 191^2 does not, so its stacks are int32
+    spec = FieldSpec(p)
+    rng = np.random.default_rng(3)
+    mats = rng.integers(0, p, size=(60, 4, 5))
+    mats[rng.random(mats.shape) < 0.5] = 0
+    got = batched_rank(spec, mats)
+    assert got.tolist() == [rank_mod_q(spec, m.tolist()) for m in mats]
+
+
+@pytest.mark.parametrize("p,f", [(5, 1), (5, 2), (181, 1), (191, 1)])
 def test_batched_nullspace_matches_the_loop(p, f):
     # sparse stacks, so that many are singular; solve_nullspace is the
     # oracle, vector for vector
