@@ -71,10 +71,9 @@ def _variable_blocks(n: int, monomials) -> tuple:
 
 
 class HypersurfaceForm:
-    """Immutable degree-d form; construct via symmetrize().  `dense` is the
-    symmetric tensor as an (n,)*d array, built once, and `blocks` are the
-    blocks of variables (_variable_blocks).  dense is zero at every index
-    tuple that meets two blocks, so F is the sum of one form per block."""
+    """Immutable degree-d form; construct via symmetrize().  `dense`, the
+    symmetric tensor as an (n,)*d array, and `blocks` (_variable_blocks)
+    are built once; F is the sum of one form per block."""
 
     __slots__ = ("spec", "n", "d", "monomials", "tensor", "dense", "blocks")
 

@@ -65,14 +65,15 @@ def _pivot_step(spec: FieldSpec, a, b, piv, r0, col: int, above: bool):
     k = np.arange(b.size)
     pivrow = rows[k, piv]
     rows[k, piv] = rows[k, r0]
-    pivrow = mul.take(pivrow * q
-                      + spec.tables["np_inv"][pivrow[:, col]][:, None])
+    pivrow = mul[pivrow * q + spec.tables["np_inv"][pivrow[:, col]][:, None]]
     rows[k, r0] = pivrow
     rowidx = np.arange(a.shape[1])
     clear = (rowidx != r0[:, None]) if above else (rowidx > r0[:, None])
     factors = np.where(clear, rows[:, :, col], 0)
-    rows = sub.take(rows * q + mul.take(factors[:, :, None] * q
-                                        + pivrow[:, None, :]))
+    prods = mul[factors[:, :, None] * q + pivrow[:, None, :]]
+    rows *= q
+    rows += prods
+    rows = sub[rows]
     if every:
         return rows
     a[b] = rows

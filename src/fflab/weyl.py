@@ -182,8 +182,7 @@ def _block_counts(spec, g, tails, boxes, m) -> list:
     # int64 bound of the tuple numbers and of each row's weighted histogram
     assert total < 1 << 63
     per_batch = max(1, _MAX_BATCH_ENTRIES // (nrows * ncols))
-    # weighted rank histogram of the prefixes with no zero block, one line
-    # per block
+    # orbit-weighted rank histogram of the prefixes with no zero slot
     hist = np.zeros((len(tails), ncols + 1), dtype=np.int64)
     for lo in range(0, total, per_batch):
         reps, weight = _prefix_representatives(
@@ -280,14 +279,11 @@ def _line_representatives(q: int, width: int, idx) -> np.ndarray:
 
 
 def _prefix_representatives(spec, widths, lines, lo, hi) -> tuple:
-    """The tuples lo..hi-1 of the product of the blocks' line
-    representatives (the last block varying fastest) that are sorted on
-    each run of equal widths, and their weights.  A(u) is symmetric in the
-    slots of equal boxes, so a sorted tuple stands for its orbit under the
-    permutations of those slots and weighs the orbit's size.  Each tuple
-    is given as the Kronecker product of its blocks in F_p coordinates:
-    shape (tuples, prod widths * f), coordinate k of entry w at column
-    w*f + k; the weights are an int64 array."""
+    """The tuples lo..hi-1 of the product of the slots' line representatives
+    (last slot fastest) that are sorted on each run of equal widths, as
+    Kronecker products in F_p coordinates (shape (tuples, prod widths * f),
+    coordinate k of entry w at column w*f + k), and their int64 weights: a
+    sorted tuple stands for its orbit under the permutations of equal slots."""
     q, p, f = spec.q, spec.p, spec.f
     flat = np.arange(lo, hi, dtype=np.int64)
     stride = prod(lines)

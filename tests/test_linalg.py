@@ -46,11 +46,13 @@ def test_batched_rank_matches_loop(spec5):
 
 @pytest.mark.parametrize("p", [181, 191])
 def test_batched_rank_on_both_sides_of_the_int16_index(p):
-    # 181^2 still fits int16; 191^2 does not, so its stacks are int32
+    # 181^2 still fits int16; 191^2 does not, so its stacks are int32.
+    # Products of 4 x 2 and 2 x 5 matrices: rank at most 2, so wrong
+    # arithmetic shows as a higher rank
     spec = FieldSpec(p)
     rng = np.random.default_rng(3)
-    mats = rng.integers(0, p, size=(60, 4, 5))
-    mats[rng.random(mats.shape) < 0.5] = 0
+    mats = (rng.integers(0, p, size=(60, 4, 2))
+            @ rng.integers(0, p, size=(60, 2, 5))) % p
     got = batched_rank(spec, mats)
     assert got.tolist() == [rank_mod_q(spec, m.tolist()) for m in mats]
 
