@@ -1,8 +1,9 @@
 """Shrinking the counting box costs a controlled power of q.
 
-count_N(alpha) counts pairs in the full coefficient box whose
-differenced phase vanishes; count_N_eta shrinks the box by a factor
-q^(-eta(e+1)) per coordinate.  The inequality
+N(alpha) counts pairs in the full coefficient box whose differenced
+phase vanishes; N_eta(alpha) shrinks the box by a factor q^(-eta(e+1))
+per coordinate.  check_shrink_batch counts both for a list of phases and
+checks the inequality
 
     N(alpha) <= q^((e+1)(d-1)n(1-eta)) * N_eta(alpha)
 
@@ -17,7 +18,7 @@ from fflab.errors import ConfigError
 from fflab.fields import FieldSpec
 from fflab.forms import fermat_form
 from fflab.laurent import LaurentElement
-from fflab.weyl import check_shrink, count_N, count_N_eta
+from fflab.weyl import check_shrink_batch
 
 
 def admissible(e):
@@ -32,20 +33,20 @@ def main():
     spec = FieldSpec(5)
     prob = CountingProblem(spec, fermat_form(spec, 2, 3), 1)
     print()
-    for tail in [(0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 1, 3)]:
-        alpha = LaurentElement.from_tail(spec, tail)
-        big = count_N(prob, alpha)
-        for eta in admissible(1):
-            small = count_N_eta(prob, alpha, eta)
-            rep = check_shrink(prob, alpha, eta)
+    tails = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 1, 3)]
+    alphas = [LaurentElement.from_tail(spec, tail) for tail in tails]
+    reports = {eta: check_shrink_batch(prob, alphas, eta)
+               for eta in admissible(1)}
+    for k, tail in enumerate(tails):
+        for eta, reps in reports.items():
+            rep = reps[k]
             print(f"alpha tail {tail}, eta={eta}: "
-                  f"N = {big}, N_eta = {small}, bound = {rep.details['rhs']}, "
-                  f"holds: {rep.passed}")
+                  f"N = {rep.details['N']}, N_eta = {rep.details['N_eta']}, "
+                  f"bound = {rep.details['rhs']}, holds: {rep.passed}")
 
     print()
     try:
-        check_shrink(prob, LaurentElement.from_tail(spec, (1, 0, 0, 0)),
-                     Fraction(1, 2))
+        check_shrink_batch(prob, alphas[1:2], Fraction(1, 2))
     except ConfigError as exc:
         print(f"eta = 1/2 at e = 1 is rejected: {exc}")
 

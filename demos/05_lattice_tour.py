@@ -9,9 +9,9 @@ the ratio and cape lemmas that control point counts in skew boxes.
 from fractions import Fraction
 
 from fflab.fields import FieldSpec
-from fflab.latgon import (SpecialLatticePair, check_cape, check_ratio_lemma,
-                          check_sandwich, random_symmetric_gamma,
-                          reduce_lattices)
+from fflab.latgon import (SpecialLatticePair, check_capes, check_ratio_lemmas,
+                          check_sandwiches, minima_by_enumeration,
+                          random_symmetric_gamma, reduce_lattices)
 
 
 def main():
@@ -19,27 +19,28 @@ def main():
 
     gamma = random_symmetric_gamma(spec, 2, 7)
     pair = SpecialLatticePair(spec, gamma, 2)
-    closed = pair.minima("M", convention="closed", method="reduce")
-    opened = pair.minima("M", convention="open", method="reduce")
-    enum = pair.minima("M", convention="closed", method="enumerate")
+    closed = pair.minima("M", convention="closed")
+    opened = pair.minima("M", convention="open")
+    [enum] = minima_by_enumeration([pair.m_lattice])
     print(f"seed 7, m = 2")
     print(f"  minima (closed): {closed.exponents}  "
-          f"reduce == enumerate: {closed.exponents == enum.exponents}")
+          f"reduce == enumerate: {closed.exponents == tuple(enum)}")
     print(f"  minima (open):   {opened.exponents}")
-    print(f"  duality check:   {pair.check_duality().passed}")
-    print(f"  symmetry closed: {pair.check_minima_symmetry('closed', 'reduce').passed}, "
-          f"open: {pair.check_minima_symmetry('open', 'reduce').passed}")
+    print(f"  duality check:   {pair.duality.passed}")
+    print(f"  symmetry closed: {pair.check_minima_symmetry('closed').passed}, "
+          f"open: {pair.check_minima_symmetry('open').passed}")
 
     print("ratio lemma across box pairs:")
-    for z1, z2 in [(-1, 0), (-2, 0), (-2, -1), (0, 0)]:
-        rep = check_ratio_lemma(pair, z1, z2)
+    zs = [(-1, 0), (-2, 0), (-2, -1), (0, 0)]
+    reps = check_ratio_lemmas([(pair, z1, z2) for z1, z2 in zs])
+    for (z1, z2), rep in zip(zs, reps):
         det = rep.details
         print(f"  z = ({z1}, {z2}): counts ({det['count1']}, {det['count2']}), "
               f"case {det['case']!r}, holds: {rep.passed}")
 
     a = Fraction(5, 2)
-    cape = check_cape(spec, gamma, a, -1, 0)
-    sand = check_sandwich(spec, gamma, a, 0)
+    [cape] = check_capes(spec, [(gamma, a, -1, 0)])
+    [sand] = check_sandwiches([(pair, a, 0)])       # pair.m = floor(a) = 2
     print(f"cape lemma at a = {a}: K = {cape.details['K']}, "
           f"counts ({cape.details['count1']}, {cape.details['count2']}), "
           f"holds: {cape.passed}")
@@ -53,7 +54,7 @@ def main():
     reduce_lattices([p.m_lattice for p in pairs])
     histogram = {}
     for p in pairs:
-        prof = p.minima("M", convention="closed", method="reduce")
+        prof = p.minima("M", convention="closed")
         histogram[prof.exponents] = histogram.get(prof.exponents, 0) + 1
     for profile, freq in sorted(histogram.items(), key=lambda kv: -kv[1]):
         print(f"  {profile}: {freq}")

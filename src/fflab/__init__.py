@@ -17,15 +17,15 @@ from .laurent import (LaurentElement, ball_measure, character_value,
 from .forms import (HypersurfaceForm, MultilinearSystem, fermat_form,
                     parse_form_file, symmetrize)
 from .circle import ArcPoint, AtomSum, CountingProblem
-from .weyl import (InequalityReport, PointwiseReport, canonical_shape_report,
-                   check_shrink, check_smallbox_chain, check_weyl, count_N,
-                   count_N_eta, count_curly_N, measure_pointwise)
+from .weyl import (InequalityReport, PointwiseReport, approx_zero_counts,
+                   canonical_shape_report, check_shrink_batch,
+                   check_weyl_batch, measure_pointwise)
 from .audit import (AuditReport, DimReport, audit_minor_arcs, dims,
                     eta_choice, gamma_budget, minor_arc_range, n0, nu_hat)
 from .latgon import (FunctionFieldLattice, LatticeCheck, MinimaProfile,
-                     SpecialLatticePair, check_cape, check_ratio_lemma,
-                     check_sandwich, count_NaZ, diagonal_lattice,
-                     random_symmetric_gamma)
+                     SpecialLatticePair, check_capes, check_ratio_lemmas,
+                     check_sandwiches, diagonal_lattice,
+                     random_symmetric_gamma, skew_counts)
 from .moduli import (CountReport, count_cone, count_morphisms,
                      enumerate_lines, extend_spec, gcd_coprime,
                      langweil_report, rank_coprime, total_solutions)

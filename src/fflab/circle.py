@@ -18,11 +18,12 @@ S has one fast route, CountingProblem.exp_sum_histograms (exp_sums folds
 its integer rows into Q(zeta_p)), and one oracle, the plain double loop
 _exp_sum_direct.  The route reads S off the phase distribution
 D(c) = #{x in box : coeffs(F(x)) = c}, built once per problem by the
-vectorized box kernel (forms.BoxKernel): for a stack of tails it
-accumulates <c, tail> over the support of D through the field tables and
-counts D by the trace of each value, one integer histogram per tail.  One
-phase, a sweep of phases and the sum table over all q^B tails are all calls
-of that one kernel; the sum table keeps the histograms as one int64 array.
+vectorized box kernel (forms.BoxKernel) and kept as two arrays, the
+support of D and its counts: for a stack of tails the route accumulates
+<c, tail> over the support through the field tables and counts D by the
+trace of each value, one integer histogram per tail.  One phase, a sweep
+of phases and the sum table over all q^B tails are all calls of that one
+kernel; the sum table keeps the histograms as one int64 array.
 
 The dissection has one fast route, CountingProblem.degree_subtotals, and
 one oracle, the per-atom quadrature (dissect, coprime_residues, arc_tail,
@@ -118,8 +119,7 @@ class CountingProblem:
         assert self.char_depth > self.arc_floor
         self.budget = budget
         self.budget_spent = 0
-        self._distribution = None
-        self._support = None          # the distribution's keys, as arrays
+        self._support = None          # the phase distribution, as arrays
         self._support_counts = None
         self._sum_table = None
 
@@ -184,11 +184,14 @@ class CountingProblem:
 
     # -- the exponential sum -----------------------------------------------------
 
-    def phase_distribution(self):
-        """D: coefficient tuple of F(x) (length B) -> #x.  Built once, by
-        the box kernel: per block, the distinct keys of the coefficient
-        vectors with their counts, merged over blocks at the end."""
-        if self._distribution is None:
+    def phase_distribution(self) -> tuple:
+        """D(c) = #{x in box : coeffs(F(x)) = c} as two arrays: the
+        support, one row of B coefficient indices per c with D(c) > 0 in
+        increasing key order (key sum_k c_k q^k), and the int64 counts
+        D(c).  Built once, by the box kernel: per block, the distinct keys
+        of the coefficient vectors with their counts, merged over blocks
+        at the end."""
+        if self._support is None:
             self._charge(self.spec.q ** (self.box * self.n),
                          "phase distribution build")
             kernel = BoxKernel(self.form, self.e)
@@ -200,11 +203,9 @@ class CountingProblem:
             np.add.at(counts, where, np.concatenate([c for _, c in blocks]))
             q = self.spec.q
             digits = keys[:, None] // q ** np.arange(self.char_depth) % q
-            self._distribution = dict(zip(map(tuple, digits.tolist()),
-                                          counts.tolist()))
             self._support = digits.astype(np.int16)
             self._support_counts = counts
-        return self._distribution
+        return self._support, self._support_counts
 
     def _tail(self, alpha) -> tuple:
         """The depth-B tail of alpha: a LaurentElement exact to depth B, or
@@ -252,8 +253,7 @@ class CountingProblem:
         np_mul = spec.tables["np_mul"]
         np_add = spec.tables["np_add"]
         np_trace = spec.tables["np_trace"]
-        self.phase_distribution()
-        sup, counts = self._support, self._support_counts
+        sup, counts = self.phase_distribution()
         block = max(1, _SUM_BLOCK_CELLS // len(sup))
         hists = []
         for start in range(0, len(stack), block):
@@ -289,7 +289,7 @@ class CountingProblem:
         over all q^B tails."""
         if self._sum_table is None:
             q, B = self.spec.q, self.char_depth
-            self._charge(len(self.phase_distribution()) * q ** B,
+            self._charge(len(self.phase_distribution()[0]) * q ** B,
                          "sum table build")
             assert q ** (self.box * self.n) < 2 ** 63   # the largest entry
             self._sum_table = self._histograms(_digits(q, B))

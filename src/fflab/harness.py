@@ -370,12 +370,13 @@ def _run_weyl(config: RunConfig):
         tails = [single]
     else:
         sweep = spec.q ** depth
-        if sweep > config.budget:
-            raise BudgetExceededError(sweep, config.budget, "weyl tail sweep")
-        tails = list(itertools.product(range(spec.q), repeat=depth))
         limit = config.param_int("limit", minimum=1)
         if limit is not None:
-            tails = tails[:limit]
+            sweep = min(sweep, limit)
+        if sweep > config.budget:
+            raise BudgetExceededError(sweep, config.budget, "weyl tail sweep")
+        tails = list(itertools.islice(
+            itertools.product(range(spec.q), repeat=depth), sweep))
     _charge_weyl(prob, len(tails))
     fn = functools.partial(_weyl_chunk, _problem_recipe(config))
     results = map_reduce(fn, tails, workers=config.workers)
@@ -471,11 +472,11 @@ def _run_lattice(config: RunConfig):
     records = []
     for i, (pair, m) in enumerate(zip(pairs, ms)):
         duality = pair.duality
-        prof_red = pair.minima("M", convention="closed", method="reduce")
-        adj_prof = pair.minima("adjoint", convention="closed", method="reduce")
+        prof_red = pair.minima("M", convention="closed")
+        adj_prof = pair.minima("adjoint", convention="closed")
         agree = prof_red.exponents == tuple(enumerated[i])
-        sym_closed = pair.check_minima_symmetry("closed", "reduce")
-        sym_open = pair.check_minima_symmetry("open", "reduce")
+        sym_closed = pair.check_minima_symmetry("closed")
+        sym_open = pair.check_minima_symmetry("open")
         ok = bool(duality) and agree and bool(sym_closed) and bool(sym_open)
         records.append(ReportRecord(
             task=config.task, inputs={**base, "instance": i, "m": m},

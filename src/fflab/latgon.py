@@ -6,7 +6,7 @@ int16 array (rows, cols, W) of field indices, the t-coefficients of every
 entry on one exponent window, with the exponent of the window's first
 coefficient and a floor per entry (LaurentMatrix).  Each quantity has one
 fast route, a kernel batched over as many matrices as the caller hands
-it (the single-lattice methods hand it one), and one oracle:
+it, and one oracle:
 
   * products of Laurent matrices are table-driven convolutions; they
     certify inverse hints and the adjoint identity L_m^T M_m = I;
@@ -31,8 +31,8 @@ it (the single-lattice methods hand it one), and one oracle:
     R_v + R_{2n-v+1} = 0;
   * checkers for the count-ratio decay bound (with its piecewise equality
     formula as a cross-check), the skew box count N(a,Z) at half-integral
-    a and Z, its M_m sandwich, and the cape-shaped decay bound, each for
-    one instance or a whole suite.
+    a and Z, its M_m sandwich, and the cape-shaped decay bound, each
+    taking a whole suite of instances at once.
 
 Precision stays explicit: an entry known only down to a floor stores 0
 below it, and reading a coefficient there, or deciding the vanishing of
@@ -336,27 +336,15 @@ class FunctionFieldLattice:
             return self._inv_top + z_ceil - 1
         return (self.dim - 1) * self._max_top + z_ceil - 1 - self._det_deg
 
-    def count_points(self, z) -> int:
-        """#{x in lattice : |x| < q^z}; depends only on ceil(z)."""
-        return ball_counts([(self, z)])[0]
-
     # -- minima -----------------------------------------------------------------
 
-    def successive_minima(self, convention: str = "closed",
-                          method: str = "reduce") -> MinimaProfile:
-        """R_v = least R with v K-independent lattice vectors of deg <= R.
-
-        method="reduce" reads the degrees of the reduced basis (reducing
-        the lattice if it is not reduced yet); method="enumerate" is the
-        independent oracle (solution spaces of growing balls, K-rank by
-        fraction-free elimination)."""
-        if method == "reduce":
-            reduce_lattices([self])
-            degs = self._degrees
-        elif method == "enumerate":
-            degs = minima_by_enumeration([self])[0]
-        else:
-            raise ConfigError(f"unknown minima method {method}")
+    def successive_minima(self, convention: str = "closed") -> MinimaProfile:
+        """R_v = least R with v K-independent lattice vectors of deg <= R,
+        read off the degrees of the reduced basis (reducing the lattice if
+        it is not reduced yet).  minima_by_enumeration is the independent
+        oracle."""
+        reduce_lattices([self])
+        degs = self._degrees
         profile = MinimaProfile(tuple(degs), "closed")
         if convention == "open":
             profile = MinimaProfile(tuple(r + 1 for r in degs), "open")
@@ -591,9 +579,10 @@ class SpecialLatticePair:
 
     M_m expands the first block of coordinates by t^-m and contracts the
     second by t^m after shearing with gamma; L_m undoes it.  The adjoint
-    identity L_m^T M_m = I is verified once, on construction, and kept as
-    `duality`; it makes L_m^T the certified inverse of M_m and M_m^T that
-    of L_m.  `suite` builds many pairs with one batched product."""
+    identity L_m^T M_m = I is verified once, on construction, entry by
+    entry on the joint window, and kept as the LatticeCheck `duality`; it
+    makes L_m^T the certified inverse of M_m and M_m^T that of L_m.
+    `suite` builds many pairs with one batched product."""
 
     def __init__(self, spec: FieldSpec, gamma, m: int):
         self._setup(spec, gamma, m)
@@ -641,23 +630,18 @@ class SpecialLatticePair:
         self._m = LaurentMatrix(spec, m_c, lo, m_fl)
         self._l = LaurentMatrix(spec, l_c, lo, l_fl)
 
-    def check_duality(self) -> LatticeCheck:
-        """L_m^T M_m = I, entry by entry, on the joint window (verified on
-        construction)."""
-        return self.duality
-
-    def minima(self, which: str = "M", convention: str = "closed",
-               method: str = "reduce") -> MinimaProfile:
+    def minima(self, which: str = "M",
+               convention: str = "closed") -> MinimaProfile:
         if which == "M":
-            return self.m_lattice.successive_minima(convention, method)
+            return self.m_lattice.successive_minima(convention)
         if which == "adjoint":
-            return self.adjoint_lattice.successive_minima(convention, method)
+            return self.adjoint_lattice.successive_minima(convention)
         raise ConfigError(f"unknown lattice selector {which}")
 
-    def check_minima_symmetry(self, convention: str = "closed",
-                              method: str = "reduce") -> LatticeCheck:
+    def check_minima_symmetry(self,
+                              convention: str = "closed") -> LatticeCheck:
         """R_v + R_{2n-v+1} = 0 (closed) or = 2 (open), v = 1..n."""
-        profile = self.minima("M", convention, method)
+        profile = self.minima("M", convention)
         exps = profile.exponents
         target = 0 if convention == "closed" else 2
         sums = tuple(exps[v - 1] + exps[2 * self.n - v]
@@ -699,9 +683,15 @@ def _certify_pairs(pairs) -> None:
 
 
 def check_ratio_lemmas(items) -> list:
-    """check_ratio_lemma on every (pair, z1, z2) of `items`: the minima of
-    all M_m come from one batched reduction, and every distinct
-    (lattice, z) count from one batched rank."""
+    """Ball-count decay for M_m at every (pair, z1, z2) of `items`: counts
+    at integers z1 <= z2 <= 0 satisfy M(z1)/M(z2) >= q^{n(z1-z2)}.
+
+    Also cross-checks the exact piecewise value of the ratio predicted by
+    the minima (with mu = #{j : R_j < z1}, nu = #{j : R_j < z2}, the ratio
+    is q^{sum(R_{mu+1..nu}) + mu z1 - nu z2}), and that each count equals
+    q^{sum_j max(0, z - R_j)}.  The minima of all M_m come from one batched
+    reduction, and every distinct (lattice, z) count from one batched rank.
+    Returns one LatticeCheck per item, in order."""
     for _, z1, z2 in items:
         if not (isinstance(z1, int) and isinstance(z2, int)):
             raise ConfigError("ratio lemma thresholds must be integers")
@@ -738,18 +728,6 @@ def check_ratio_lemmas(items) -> list:
             "ratio_matches_formula": ratio == predicted_ratio,
             "counts_match_minima": (c1 == pred1, c2 == pred2)}))
     return out
-
-
-def check_ratio_lemma(pair: SpecialLatticePair, z1: int,
-                      z2: int) -> LatticeCheck:
-    """Ball-count decay for M_m: counts at z1 <= z2 <= 0 satisfy
-    M(z1)/M(z2) >= q^{n(z1-z2)}.
-
-    Also cross-checks the exact piecewise value of the ratio predicted by
-    the minima (with mu = #{j : R_j < z1}, nu = #{j : R_j < z2}, the ratio
-    is q^{sum(R_{mu+1..nu}) + mu z1 - nu z2}), and that each count equals
-    q^{sum_j max(0, z - R_j)}.  The minima come from the reduction."""
-    return check_ratio_lemmas([(pair, z1, z2)])[0]
 
 
 def _skew_systems(items) -> list:
@@ -794,10 +772,17 @@ def _skew_systems(items) -> list:
 
 
 def skew_counts(spec: FieldSpec, requests) -> list:
-    """count_NaZ for every (gamma, a, z) of `requests`, in order.  A gamma
-    given as a LaurentMatrix (a pair's `gamma`) is not converted again;
-    each distinct (gamma, ceil(a + z), ceil(z - a)) is counted once, and
-    all systems are ranked together."""
+    """The skew box count
+
+        N(a, z) = #{(u, u') in O^n x O^n : |u_j| < q^{a+z},
+                                           |L_j(u) + u'_j| < q^{z-a} for all j},
+
+    where L_j(u) = sum_k gamma[j][k] u_k, for every (gamma, a, z) of
+    `requests`, in order.  a and z may be half-integers; every threshold
+    enters through a single ceiling, i.e. through comparisons of doubled
+    integer exponents.  A gamma given as a LaurentMatrix (a pair's
+    `gamma`) is not converted again; each distinct (gamma, ceil(a + z),
+    ceil(z - a)) is counted once, and all systems are ranked together."""
     keys, distinct, gammas = [], {}, {}
     for gamma, a, z in requests:
         if id(gamma) not in gammas:
@@ -818,19 +803,11 @@ def skew_counts(spec: FieldSpec, requests) -> list:
     return [counts[key] for key in keys]
 
 
-def count_NaZ(spec: FieldSpec, gamma, a, z) -> int:
-    """#{(u, u') in O^n x O^n : |u_j| < q^{a+z},
-                                |L_j(u) + u'_j| < q^{z-a} for all j},
-    where L_j(u) = sum_k gamma[j][k] u_k.
-
-    a and z may be half-integers; every threshold enters through a single
-    ceiling, i.e. through comparisons of doubled integer exponents."""
-    return skew_counts(spec, [(gamma, a, z)])[0]
-
-
 def check_sandwiches(items) -> list:
-    """check_sandwich on every (pair, a, z) of `items`, where pair.m must
-    be floor(a): the M_m counts and the skew counts each in one batch."""
+    """M_m(z - {a}) <= N(a, z) <= M_m(z + {a}) with m = floor(a) >= 1, at
+    every (pair, a, z) of `items`, where pair.m must be floor(a): the M_m
+    counts and the skew counts each in one batch.  Returns one
+    LatticeCheck per item, in order."""
     parsed = []
     for pair, a, z in items:
         a = _half(a, "a")
@@ -857,18 +834,11 @@ def check_sandwiches(items) -> list:
     return out
 
 
-def check_sandwich(spec: FieldSpec, gamma, a, z) -> LatticeCheck:
-    """M_m(z - {a}) <= N(a, z) <= M_m(z + {a}) with m = floor(a)."""
-    a = _half(a, "a")
-    m = math.floor(a)
-    if m < 1:
-        raise ConfigError(f"sandwich needs a >= 1, got {a}")
-    return check_sandwiches([(SpecialLatticePair(spec, gamma, m), a, z)])[0]
-
-
 def check_capes(spec: FieldSpec, items) -> list:
-    """check_cape on every (gamma, a, z1, z2) of `items`, with all skew
-    counts in one batch."""
+    """N(a, z1)/N(a, z2) >= q^{nK}, K = ceil(z1 - {a}) - ceil(z2 + {a}),
+    for z1 <= z2 <= 0, at every (gamma, a, z1, z2) of `items`, with all
+    skew counts in one batch.  Returns one LatticeCheck per item, in
+    order."""
     parsed = []
     for gamma, a, z1, z2 in items:
         a = _half(a, "a")
@@ -893,12 +863,6 @@ def check_capes(spec: FieldSpec, items) -> list:
                                     "count1": count1, "count2": count2,
                                     "bound_exponent": n * cape}))
     return out
-
-
-def check_cape(spec: FieldSpec, gamma, a, z1, z2) -> LatticeCheck:
-    """N(a, z1)/N(a, z2) >= q^{nK}, K = ceil(z1 - {a}) - ceil(z2 + {a}),
-    for z1 <= z2 <= 0."""
-    return check_capes(spec, [(gamma, a, z1, z2)])[0]
 
 
 def random_symmetric_gamma(spec: FieldSpec, n: int, seed: int,

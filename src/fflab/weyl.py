@@ -61,11 +61,12 @@ is a sum of W f products of residues below p, W = prod_l n C_l the length of
 a Kronecker prefix, so W f (p - 1)^2 < 2^62 bounds it; this is asserted next
 to the product.
 
-A fully naive enumerator (no linear algebra, direct norm tests) is kept as
-the independent oracle.
+A fully naive enumerator (no linear algebra: every Psi_i evaluated on
+every tuple, the norm conditions tested directly) is kept as the
+independent oracle.
 
-The Weyl and small-box comparisons |S|^(2^(d-1)) <= bound go through one
-route, compare_abs_powers.  It reads S as its integer trace histogram h
+The Weyl comparison |S|^(2^(d-1)) <= bound goes through one route,
+compare_abs_powers.  It reads S as its integer trace histogram h
 (CountingProblem.exp_sum_histograms, never folded into Q(zeta_p)), forms
 the autocorrelation c_k = sum_v h_v h_(v+k), evaluates |S|^2 = sum_k c_k
 cos(2 pi k / p) in float64 for all phases at once with a stated error
@@ -76,11 +77,11 @@ which is also the oracle of the float decision in tests.
 
 Every count charges the problem's budget with its number of prefix tuples
 before any work.  approx_zero_counts itself charges nothing: its callers
-(approx_zero_count, check_weyl_batch, check_shrink_batch) charge every
-phase first, in the order a loop of one-phase calls would.
+(check_weyl_batch, check_shrink_batch) charge every phase first, in the
+order a loop of one-phase checks would (_charge_counts).
 
-Instances: N (boxes e+1, m = e+1), N_eta (boxes (e+1)eta, m =
-(e+1)(d - (d-1)eta)), curly-N (boxes kappa+1, m = de+1-kappa(d-1)).
+Instances: N (boxes e+1, m = e+1) and N_eta (boxes (e+1)eta, m =
+(e+1)(d - (d-1)eta)).
 """
 
 from __future__ import annotations
@@ -98,6 +99,7 @@ from .audit import eta_choice, gamma_budget, kappa_of
 from .circle import ArcPoint, CountingProblem
 from .cyclotomic import CyclotomicValue, compare_abs_power
 from .errors import ConfigError, PrecisionError
+from .forms import _mul_rows
 from .laurent import LaurentElement
 from .linalg import batched_rank
 from .polys import Polynomial
@@ -128,26 +130,37 @@ def _vacuous(box_list, m: int) -> bool:
     return m <= 0 or 0 in box_list
 
 
-def _charge_count(prob: CountingProblem, box_list, m: int):
-    """Charge the budget for one count: its number of prefix tuples, or
-    nothing when the count is vacuous."""
+def _count_cost(prob: CountingProblem, box_list, m: int) -> int:
+    """The budget charge of one count: its number of prefix tuples, or 0
+    when the count is vacuous."""
     _check_boxes(prob, box_list)
-    if not _vacuous(box_list, m):
-        prob._charge(prob.spec.q ** (sum(sorted(box_list)[:-1]) * prob.n),
-                     "approx-zero count")
+    if _vacuous(box_list, m):
+        return 0
+    return prob.spec.q ** (sum(sorted(box_list)[:-1]) * prob.n)
 
 
-def approx_zero_count(prob: CountingProblem, alpha, box_list, m: int) -> int:
-    """The boxed norm-condition count described in the module docstring."""
-    _charge_count(prob, box_list, m)
-    return approx_zero_counts(prob, [alpha], box_list, m)[0]
+def _charge_counts(prob: CountingProblem, shapes, phases: int):
+    """Charge the budget for `phases` phases, each counting every (boxes,
+    m) of `shapes` in turn, as one charge per count in that order would:
+    the whole phases that fit are charged at once, and if some do not, the
+    counts of the next phase are charged one by one, so the refusal names
+    the same count, cost and remaining budget, and leaves the same spend."""
+    costs = [_count_cost(prob, *shape) for shape in shapes]
+    per_phase = sum(costs)
+    fit = phases
+    if per_phase:
+        fit = min(phases, (prob.budget - prob.budget_spent) // per_phase)
+    prob._charge(fit * per_phase, "approx-zero count")
+    if fit < phases:
+        for cost in costs:      # one of these overdraws
+            prob._charge(cost, "approx-zero count")
 
 
 def approx_zero_counts(prob: CountingProblem, alphas, box_list,
                        m: int) -> list:
-    """approx_zero_count at every phase of `alphas` (same boxes and m), as a
-    list of ints in input order.  Charges no budget: the caller charges
-    each phase first."""
+    """The boxed norm-condition count described in the module docstring,
+    at every phase of `alphas` (same boxes and m), as a list of ints in
+    input order.  Charges no budget: the caller charges each phase first."""
     _check_boxes(prob, box_list)
     q, n = prob.spec.q, prob.n
     if not alphas:
@@ -327,36 +340,65 @@ def _condition_matrices(spec, reps, kmat, nrows, ncols) -> np.ndarray:
     return amat.astype(np.int16).reshape(-1, nrows, ncols)
 
 
+# tuples per block of the naive oracle; bounds its working set
+_NAIVE_CHUNK = 1 << 16
+
+
 def naive_approx_zero_count(prob: CountingProblem, alpha, box_list,
                             m: int) -> int:
-    """Independent oracle: enumerate every tuple and test the norms directly
-    through Laurent arithmetic.  Exponentially slower; test use only."""
+    """Independent oracle: enumerate every tuple, evaluate every Psi_i on
+    it from form.tensor and test the coefficients of t^-1..t^-m of
+    alpha Psi_i(u) directly.  No linear algebra; the tuples go through the
+    numpy field tables _NAIVE_CHUNK at a time.  Exponentially slower than
+    approx_zero_counts; test use only."""
     spec = prob.spec
-    q, n = spec.q, prob.n
+    q, n, form = spec.q, prob.n, prob.form
     _check_boxes(prob, box_list)
-    cost = q ** (sum(box_list) * n)
-    prob._charge(cost, "naive approx-zero count")
-    ml = prob.form.multilinear()
+    width = sum(box_list) * n
+    prob._charge(q ** width, "naive approx-zero count")
+    assert q ** width < 1 << 63, "tuple numbers overflow int64"
+    np_mul, np_add = spec.tables["np_mul"], spec.tables["np_add"]
+    # a slot of box 0 holds the zero polynomial, one coefficient wide
+    sizes = [max(c, 1) for c in box_list]
+    length = sum(sizes) - len(sizes) + 1     # coefficients of Psi_i(u)
     if isinstance(alpha, tuple):
-        alpha_l = LaurentElement.from_tail(spec, alpha)
-    else:
-        alpha_l = alpha
-    blocks = []
-    for c in box_list:
-        polys = [Polynomial(spec, cs)
-                 for cs in itertools.product(range(q), repeat=c)]
-        blocks.append([list(v) for v in itertools.product(polys, repeat=n)])
+        alpha = LaurentElement.from_tail(spec, alpha)
+    # the t^-k coefficient of alpha P is sum_l P_l alpha_(-k-l)
+    tail = [alpha.coeff(-s) for s in range(1, m + length)]
+    # Psi_i = sum c u_1[j_1] ... u_(d-1)[j_(d-1)] over the orderings
+    # (j_1, ..., j_(d-1), i) of every monomial of the tensor that holds i
+    terms = []
+    for rep, c in form.tensor.items():
+        for i in set(rep):
+            rest = list(rep)
+            rest.remove(i)
+            terms += [(i, c, js) for js in set(itertools.permutations(rest))]
+    starts = np.cumsum([0] + list(box_list)) * n
     count = 0
-    for tup in itertools.product(*blocks):
-        ok = True
-        for i in range(n):
-            val = ml.eval(i, list(tup))
-            prod = alpha_l * LaurentElement.from_poly(val)
-            if not prod.norm_less_than(m):
-                ok = False
-                break
-        if ok:
-            count += 1
+    for lo in range(0, q ** width, _NAIVE_CHUNK):
+        flat = np.arange(lo, min(lo + _NAIVE_CHUNK, q ** width),
+                         dtype=np.int64)
+        digits = (flat[:, None] // q ** np.arange(width) % q).astype(np.int16)
+        # slots[j][:, k] = the coefficients of coordinate k of u_j
+        slots = []
+        for j, c in enumerate(box_list):
+            slot = np.zeros((len(flat), n, sizes[j]), dtype=np.int16)
+            slot[:, :, :c] = digits[:, starts[j]:starts[j + 1]].reshape(
+                len(flat), n, c)
+            slots.append(slot)
+        psi = np.zeros((n, len(flat), length), dtype=np.int16)
+        for i, c, js in terms:
+            value = np.full((len(flat), 1), c, dtype=np.int16)
+            for slot, j in zip(slots, js):
+                value = _mul_rows(spec, value, slot[:, j])
+            psi[i] = np_add[psi[i], value]
+        ok = np.ones(len(flat), dtype=bool)
+        for k in range(m):
+            coeff = np.zeros((n, len(flat)), dtype=np.int16)
+            for l in range(length):
+                coeff = np_add[coeff, np_mul[psi[:, :, l], tail[k + l]]]
+            ok &= (coeff == 0).all(axis=0)
+        count += int(ok.sum())
     return count
 
 
@@ -366,10 +408,6 @@ def naive_approx_zero_count(prob: CountingProblem, alpha, box_list,
 def _shape_N(prob: CountingProblem) -> tuple:
     """(boxes, m) of N."""
     return [prob.e + 1] * (prob.d - 1), prob.e + 1
-
-
-def count_N(prob: CountingProblem, alpha) -> int:
-    return approx_zero_count(prob, alpha, *_shape_N(prob))
 
 
 def _eta_box(prob, eta) -> int:
@@ -383,19 +421,6 @@ def _shape_N_eta(prob: CountingProblem, eta) -> tuple:
     """(boxes, m) of N_eta."""
     c = _eta_box(prob, eta)
     return [c] * (prob.d - 1), (prob.e + 1) * prob.d - (prob.d - 1) * c
-
-
-def count_N_eta(prob: CountingProblem, alpha, eta) -> int:
-    return approx_zero_count(prob, alpha, *_shape_N_eta(prob, eta))
-
-
-def count_curly_N(prob: CountingProblem, alpha, kappa: int = None) -> int:
-    if kappa is None:
-        kappa = kappa_of(prob.e)
-    if kappa not in (0, 1):
-        raise ValueError("kappa must be 0 or 1")
-    m = prob.d * prob.e + 1 - kappa * (prob.d - 1)
-    return approx_zero_count(prob, alpha, [kappa + 1] * (prob.d - 1), m)
 
 
 # -- inequality checks ------------------------------------------------------------
@@ -415,28 +440,21 @@ class InequalityReport:
 
 def _charge_weyl(prob: CountingProblem, phases: int):
     """Charge the budget of check_weyl_batch on `phases` phases, in the
-    order a loop of check_weyl calls would: the phase distribution that S
+    order a loop of one-phase checks would: the phase distribution that S
     is read from (once, with the first phase), then one count of N per
     phase.  A sweep charges its whole tail list this way before it fans
     out, so its status does not depend on how the tails are chunked."""
     if phases:
         prob.phase_distribution()
-    boxes, m = _shape_N(prob)
-    for _ in range(phases):
-        _charge_count(prob, boxes, m)
-
-
-def check_weyl(prob: CountingProblem, alpha) -> InequalityReport:
-    """|S(alpha)|^(2^(d-1)) <= |P|^((2^(d-1)-d+1)n) N(alpha), exactly."""
-    return check_weyl_batch(prob, [alpha])[0]
+    _charge_counts(prob, [_shape_N(prob)], phases)
 
 
 def check_weyl_batch(prob: CountingProblem, alphas) -> list:
-    """check_weyl at every phase of `alphas`, in input order.  The budget
-    is charged first (_charge_weyl), as a loop of check_weyl calls would
-    charge it; then the trace histograms of S are taken for all phases in
-    one call, N is counted for all phases at once and the comparisons are
-    decided together (compare_abs_powers)."""
+    """|S(alpha)|^(2^(d-1)) <= |P|^((2^(d-1)-d+1)n) N(alpha), exactly, at
+    every phase of `alphas`, as InequalityReports in input order.  The
+    budget is charged first (_charge_weyl); then the trace histograms of S
+    are taken for all phases in one call, N is counted for all phases at
+    once and the comparisons are decided together (compare_abs_powers)."""
     d, n, q = prob.d, prob.n, prob.spec.q
     _charge_weyl(prob, len(alphas))
     hists = prob.exp_sum_histograms(alphas)
@@ -537,17 +555,13 @@ def _float_or_nan(value) -> float:
         return float("nan")
 
 
-def check_shrink(prob: CountingProblem, alpha, eta) -> InequalityReport:
-    """N(alpha) <= |P|^((n - eta n)(d-1)) N_eta(alpha) under the parity
-    hypothesis (e+1)(eta+1)/2 integral."""
-    return check_shrink_batch(prob, [alpha], eta)[0]
-
-
 def check_shrink_batch(prob: CountingProblem, alphas, eta) -> list:
-    """check_shrink at every phase of `alphas`, in input order.  The budget
-    is charged phase by phase (N, then N_eta), as a loop of check_shrink
-    calls would charge it; then each count is made for all phases at once,
-    and at eta = 1, where N_eta has N's boxes and m, N is reused."""
+    """N(alpha) <= |P|^((n - eta n)(d-1)) N_eta(alpha) under the parity
+    hypothesis (e+1)(eta+1)/2 integral, at every phase of `alphas`, as
+    InequalityReports in input order.  The budget is charged first, N then
+    N_eta per phase (_charge_counts); then each count is made for all
+    phases at once, and at eta = 1, where N_eta has N's boxes and m, N is
+    reused."""
     eta = Fraction(eta)
     hyp = (prob.e + 1) * (eta + 1) / 2
     if hyp.denominator != 1:
@@ -555,9 +569,7 @@ def check_shrink_batch(prob: CountingProblem, alphas, eta) -> list:
     if not 0 <= eta <= 1:
         raise ConfigError("eta must lie in [0, 1]")
     big_shape, small_shape = _shape_N(prob), _shape_N_eta(prob, eta)
-    for _ in alphas:
-        _charge_count(prob, *big_shape)
-        _charge_count(prob, *small_shape)
+    _charge_counts(prob, [big_shape, small_shape], len(alphas))
     big_counts = approx_zero_counts(prob, alphas, *big_shape)
     small_counts = (big_counts if small_shape == big_shape else
                     approx_zero_counts(prob, alphas, *small_shape))
@@ -571,25 +583,6 @@ def check_shrink_batch(prob: CountingProblem, alphas, eta) -> list:
             "N", f"q^{int(exp)} * N_eta",
             {"N": big_n, "N_eta": small_n, "eta": eta, "rhs": rhs}))
     return reports
-
-
-def check_smallbox_chain(prob: CountingProblem, alpha,
-                         kappa: int = None) -> InequalityReport:
-    """|S|^(2^(d-1)) <= |P|^(2^(d-1) n) q^(-(1+kappa)(d-1)n) curly-N,
-    decided as in check_weyl_batch (compare_abs_powers)."""
-    if kappa is None:
-        kappa = kappa_of(prob.e)
-    d, n, q = prob.d, prob.n, prob.spec.q
-    power = 1 << (d - 1)
-    hists = prob.exp_sum_histograms([alpha])
-    curly = count_curly_N(prob, alpha, kappa)
-    exp = (prob.e + 1) * power * n - (1 + kappa) * (d - 1) * n
-    bound = Fraction(q) ** exp * curly
-    cmp = compare_abs_powers(prob, hists, power, [bound])[0]
-    return InequalityReport(
-        cmp <= 0, "smallbox-chain",
-        f"|S|^{power}", f"q^{exp} * curlyN",
-        {"curlyN": curly, "kappa": kappa, "cmp": cmp})
 
 
 # -- pointwise lemma instrumentation -------------------------------------------------

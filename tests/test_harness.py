@@ -1,6 +1,7 @@
 import filecmp
 import os
 import textwrap
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -278,3 +279,45 @@ def test_shrink_budget_record_follows_charge_order(tmp_path, short):
         f"\n    [run]\n    budget = {budget}\n"
     want = _first_overdraft(charges, budget)
     assert _budget_record(write_cfg(tmp_path, text)) == want
+
+
+@pytest.mark.parametrize("short,needed", [
+    (1, 5 ** 4),                                    # the last N_eta
+    (5 ** 4 + 1, 5 ** 8),                           # the last N
+    (2 * (5 ** 8 + 5 ** 4) + 5 ** 4 + 1, 5 ** 8),   # the N of sample 3
+])
+def test_shrink_budget_record_with_unequal_costs(tmp_path, short, needed):
+    # e = 3, eta = 1/2; per sample: N (boxes [4, 4], 5^8 prefix tuples),
+    # then N_eta (boxes [2, 2], 5^4)
+    samples = 5
+    charges = [(cost, "approx-zero count") for _ in range(samples)
+               for cost in (5 ** 8, 5 ** 4)]
+    budget = sum(cost for cost, _ in charges) - short
+    text = BASE.replace("e = 1", "e = 3").replace(
+        "name = count-cone",
+        f"name = shrink-check\n    eta = 1/2\n    samples = {samples}") + \
+        f"\n    [run]\n    budget = {budget}\n"
+    want = _first_overdraft(charges, budget)
+    assert want[0] == needed
+    assert _budget_record(write_cfg(tmp_path, text)) == want
+
+
+@pytest.mark.parametrize("budget", [10 ** 6, 10 ** 8])
+def test_weyl_limit_gates_and_lists_only_the_swept_tails(tmp_path, budget):
+    # e = 3: 5^10 = 9,765,625 tails, of which limit = 1 sweeps the first.
+    # The run charges 2 * 5^8 = 781,250 (the phase distribution and one
+    # N), so it passes at 10^6, and it never lists the tails it skips
+    text = BASE.replace("e = 1", "e = 3").replace(
+        "name = count-cone", "name = weyl-check\n    limit = 1") + \
+        f"\n    [run]\n    budget = {budget}\n"
+    config = load_config(write_cfg(tmp_path, text))
+    tracemalloc.start()
+    try:
+        result = run_task(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.status == "pass"
+    assert [rec.inputs["alpha_tail"] for rec in result.records[:-1]] == \
+        [(0,) * 10]
+    assert peak < 1 << 28       # a list of all 5^10 tails takes over 1 GB

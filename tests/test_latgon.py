@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 from fractions import Fraction
 
@@ -11,10 +12,10 @@ from fflab.errors import (BudgetExceededError, ConfigError, PrecisionError,
                          VerificationFailure)
 from fflab.fields import FieldSpec
 from fflab.latgon import (FunctionFieldLattice, SpecialLatticePair,
-                          ball_counts, check_cape, check_ratio_lemma,
-                          check_sandwich, count_NaZ, diagonal_lattice,
+                          ball_counts, check_capes, check_ratio_lemmas,
+                          check_sandwiches, diagonal_lattice,
                           minima_by_enumeration, random_symmetric_gamma,
-                          reduce_lattices)
+                          reduce_lattices, skew_counts)
 from fflab.laurent import LaurentElement
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -26,27 +27,25 @@ def _zero(spec):
 
 def test_identity_lattice_counts(spec5):
     lat = diagonal_lattice(spec5, [0, 0])
-    assert lat.count_points(1) == 25
-    assert lat.count_points(0) == 1
+    assert ball_counts([(lat, 1), (lat, 0)]) == [25, 1]
 
 
 def test_diagonal_pair_basics(spec5):
     pair = SpecialLatticePair(spec5, [[_zero(spec5)]], 2)     # gamma = 0, n = 1
-    assert pair.m_lattice.count_points(0) == 25
-    closed = pair.minima("M", convention="closed", method="reduce")
+    assert ball_counts([(pair.m_lattice, 0)]) == [25]
+    closed = pair.minima("M", convention="closed")
     assert closed.exponents == (-2, 2)
-    enum = pair.minima("M", convention="closed", method="enumerate")
-    assert enum.exponents == (-2, 2)
-    opened = pair.minima("M", convention="open", method="reduce")
+    assert minima_by_enumeration([pair.m_lattice]) == [[-2, 2]]
+    opened = pair.minima("M", convention="open")
     assert opened.exponents == (-1, 3)
-    assert pair.check_minima_symmetry("closed", "reduce").passed
-    assert pair.check_minima_symmetry("open", "reduce").passed
-    assert pair.check_duality().passed
+    assert pair.check_minima_symmetry("closed").passed
+    assert pair.check_minima_symmetry("open").passed
+    assert pair.duality.passed
 
 
 def test_ratio_lemma_straddles_first_minimum(spec5):
     pair = SpecialLatticePair(spec5, [[_zero(spec5)]], 1)
-    rep = check_ratio_lemma(pair, -1, 0)
+    [rep] = check_ratio_lemmas([(pair, -1, 0)])
     assert rep.passed
     det = rep.details
     assert (det["count1"], det["count2"]) == (1, 5)
@@ -57,28 +56,30 @@ def test_ratio_lemma_straddles_first_minimum(spec5):
 def test_ratio_lemma_validates_z_order(spec5):
     pair = SpecialLatticePair(spec5, [[_zero(spec5)]], 1)
     with pytest.raises(ConfigError):
-        check_ratio_lemma(pair, 0, -1)
+        check_ratio_lemmas([(pair, 0, -1)])
     with pytest.raises(ConfigError):
-        check_ratio_lemma(pair, -1, 1)
+        check_ratio_lemmas([(pair, -1, 1)])
 
 
 def test_count_NaZ_gamma_zero(spec5):
-    assert count_NaZ(spec5, [[_zero(spec5)]], 1, 0) == 5
+    assert skew_counts(spec5, [([[_zero(spec5)]], 1, 0)]) == [5]
     # at a = m the skew box coincides with the pair lattice box
-    for z, want in [(0, 25), (-1, 5), (-2, 1)]:
-        assert count_NaZ(spec5, [[_zero(spec5)]], 2, z) == want
+    gamma = [[_zero(spec5)]]
+    assert skew_counts(spec5, [(gamma, 2, z) for z in (0, -1, -2)]) == \
+        [25, 5, 1]
 
 
 def test_sandwich_gamma_zero(spec5):
-    for z in (0, -1):
-        for a in (1, 2, Fraction(3, 2)):
-            rep = check_sandwich(spec5, [[_zero(spec5)]], a, z)
+    for a in (1, 2, Fraction(3, 2)):
+        pair = SpecialLatticePair(spec5, [[_zero(spec5)]], math.floor(a))
+        for rep in check_sandwiches([(pair, a, z) for z in (0, -1)]):
             assert rep.passed, rep.details
 
 
 def test_sandwich_needs_a_at_least_one(spec5):
+    pair = SpecialLatticePair(spec5, [[_zero(spec5)]], 1)
     with pytest.raises(ConfigError):
-        check_sandwich(spec5, [[_zero(spec5)]], Fraction(1, 2), 0)
+        check_sandwiches([(pair, Fraction(1, 2), 0)])
 
 
 def test_seeded_suite_profiles_frozen(spec5):
@@ -87,12 +88,12 @@ def test_seeded_suite_profiles_frozen(spec5):
         m = 1 + (seed % 2)
         gamma = random_symmetric_gamma(spec5, 2, seed)
         pair = SpecialLatticePair(spec5, gamma, m)
-        assert pair.check_duality().passed
-        assert pair.check_minima_symmetry("closed", "reduce").passed
-        assert pair.check_minima_symmetry("open", "reduce").passed
-        prof = pair.minima("M", convention="closed", method="reduce")
-        enum = pair.minima("M", convention="closed", method="enumerate")
-        assert prof.exponents == enum.exponents
+        assert pair.duality.passed
+        assert pair.check_minima_symmetry("closed").passed
+        assert pair.check_minima_symmetry("open").passed
+        prof = pair.minima("M", convention="closed")
+        [enum] = minima_by_enumeration([pair.m_lattice])
+        assert prof.exponents == tuple(enum)
         key = prof.exponents
         histogram[key] = histogram.get(key, 0) + 1
     assert histogram == {(0, 0, 0, 0): 81, (-1, 0, 0, 1): 18,
@@ -104,13 +105,13 @@ def test_seeded_ratio_and_cape_suite(spec5):
         m = 1 + (seed % 2)
         gamma = random_symmetric_gamma(spec5, 2, seed)
         pair = SpecialLatticePair(spec5, gamma, m)
-        for z1, z2 in [(-1, 0), (-2, 0), (-2, -1), (0, 0)]:
-            assert check_ratio_lemma(pair, z1, z2).passed
+        assert all(check_ratio_lemmas(
+            [(pair, z1, z2) for z1, z2 in [(-1, 0), (-2, 0), (-2, -1),
+                                           (0, 0)]]))
         a = m + Fraction(seed % 2, 2)
-        for z1, z2 in [(-1, 0), (-2, -1)]:
-            assert check_cape(spec5, gamma, a, z1, z2).passed
-        for z in (0, -1):
-            assert check_sandwich(spec5, gamma, a, z).passed
+        assert all(check_capes(spec5, [(gamma, a, z1, z2)
+                                       for z1, z2 in [(-1, 0), (-2, -1)]]))
+        assert all(check_sandwiches([(pair, a, z) for z in (0, -1)]))
 
 
 def test_problem_gamma_cape_instance(spec5):
@@ -119,13 +120,14 @@ def test_problem_gamma_cape_instance(spec5):
     zero = _zero(spec5)
     gamma = [[LaurentElement(spec5, {-1: 4, -2: 4, -3: 2, -4: 3}), zero],
              [zero, LaurentElement(spec5, {-1: 2, -2: 1, -3: 3})]]
-    rep = check_cape(spec5, gamma, 2, -1, 0)
+    [rep] = check_capes(spec5, [(gamma, 2, -1, 0)])
     assert rep.passed
     det = rep.details
     assert det["K"] == -1
     assert (det["count1"], det["count2"]) == (1, 5)
     assert det["bound_exponent"] == -2
-    assert check_sandwich(spec5, gamma, 2, -1).passed
+    pair = SpecialLatticePair(spec5, gamma, 2)
+    assert check_sandwiches([(pair, 2, -1)])[0].passed
 
 
 def test_gamma_must_be_symmetric(spec5):
@@ -152,9 +154,9 @@ def test_count_NaZ_below_window_is_a_precision_error(spec5):
     # a gamma entry truncated at t^-3 cannot certify a box that reads
     # coefficients at t^-5
     g = LaurentElement(spec5, {-1: 2}, floor=-3)
-    assert count_NaZ(spec5, [[g]], 2, 0) >= 1
+    assert skew_counts(spec5, [([[g]], 2, 0)])[0] >= 1
     with pytest.raises(PrecisionError):
-        count_NaZ(spec5, [[g]], 3, 0)
+        skew_counts(spec5, [([[g]], 3, 0)])
 
 
 def test_nonsquare_matrix_rejected(spec5):
@@ -166,12 +168,12 @@ def test_nonsquare_matrix_rejected(spec5):
 def test_counts_past_the_unknowns_cap_are_budget_records(spec5):
     # 2 coordinates times 9000 coefficients each: 18000 > 2^14 unknowns
     with pytest.raises(BudgetExceededError) as exc:
-        diagonal_lattice(spec5, [0, 0]).count_points(9000)
+        ball_counts([(diagonal_lattice(spec5, [0, 0]), 9000)])
     assert (exc.value.needed, exc.value.budget, exc.value.what) == \
         (18000, 1 << 14, "lattice count unknowns")
     # |u| < q^9001 and |u'| < q^8999: 9001 + 8999 unknowns
     with pytest.raises(BudgetExceededError) as exc:
-        count_NaZ(spec5, [[_zero(spec5)]], 1, 9000)
+        skew_counts(spec5, [([[_zero(spec5)]], 1, 9000)])
     assert (exc.value.needed, exc.value.budget, exc.value.what) == \
         (18000, 1 << 14, "skew box count unknowns")
 
@@ -240,7 +242,7 @@ def test_windowed_lattice_reads_below_its_floor_raise(spec5):
         inverse=[[LaurentElement.monomial(spec5, -3), zero], [zero, one]])
     assert lat.successive_minima().exponents == (0, 3)
     with pytest.raises(PrecisionError):
-        lat.count_points(1)
+        ball_counts([(lat, 1)])
     # [[1, 1], [1, 1 + O(t^-1)]]: the one reduction step leaves a column
     # whose vanishing the window cannot decide
     fuzzy = LaurentElement(spec5, {0: 1}, floor=-1)

@@ -16,12 +16,9 @@ from fflab.forms import fermat_form, parse_form_file, symmetrize
 from fflab.harness import _problem_recipe, _weyl_chunk, load_config
 from fflab.laurent import LaurentElement
 from fflab.linalg import batched_rank
-from fflab.weyl import (_shape_N, _shape_N_eta, approx_zero_count,
-                        approx_zero_counts, canonical_point,
-                        canonical_shape_report, check_shrink,
-                        check_smallbox_chain, check_weyl,
-                        check_weyl_batch, count_N,
-                        count_N_eta, count_curly_N, eta_from_arc,
+from fflab.weyl import (_shape_N, _shape_N_eta, approx_zero_counts,
+                        canonical_point, canonical_shape_report,
+                        check_shrink_batch, check_weyl_batch, eta_from_arc,
                         measure_pointwise, naive_approx_zero_count)
 
 
@@ -33,12 +30,11 @@ def tail_alpha(prob, tail):
 
 
 def test_count_N_frozen_values(prob_n2):
-    zero = tail_alpha(prob_n2, (0, 0, 0, 0))
-    assert count_N(prob_n2, zero) == 390625          # all of the double box
+    zero = tail_alpha(prob_n2, (0, 0, 0, 0))         # all of the double box
     t_inv = tail_alpha(prob_n2, (1, 0, 0, 0))        # alpha = 1/t
-    assert count_N(prob_n2, t_inv) == 50625
     t_inv2 = tail_alpha(prob_n2, (0, 1, 0, 0))       # alpha = 1/t^2
-    assert count_N(prob_n2, t_inv2) == 4225
+    assert approx_zero_counts(prob_n2, [zero, t_inv, t_inv2],
+                              *_shape_N(prob_n2)) == [390625, 50625, 4225]
 
 
 def _shape_M_v(prob, v):
@@ -48,11 +44,12 @@ def _shape_M_v(prob, v):
 
 def test_count_M_v_frozen_values(prob_n2):
     t_inv2 = tail_alpha(prob_n2, (0, 1, 0, 0))
-    assert approx_zero_count(prob_n2, t_inv2, *_shape_M_v(prob_n2, 2)) == 841
-    assert approx_zero_count(prob_n2, t_inv2, *_shape_M_v(prob_n2, 3)) == 81
+    assert approx_zero_counts(prob_n2, [t_inv2],
+                              *_shape_M_v(prob_n2, 2)) == [841]
+    assert approx_zero_counts(prob_n2, [t_inv2],
+                              *_shape_M_v(prob_n2, 3)) == [81]
 
 
-@pytest.mark.slow
 def test_count_N_oracle_route(prob_n2):
     t_inv2 = tail_alpha(prob_n2, (0, 1, 0, 0))
     assert naive_approx_zero_count(prob_n2, t_inv2, *_shape_N(prob_n2)) == 4225
@@ -61,14 +58,17 @@ def test_count_N_oracle_route(prob_n2):
 def test_count_N_eta_boundary_values(prob_n2):
     alpha = tail_alpha(prob_n2, (0, 1, 0, 0))
     # eta = 1 reproduces the full counter
-    assert count_N_eta(prob_n2, alpha, 1) == count_N(prob_n2, alpha)
+    assert approx_zero_counts(prob_n2, [alpha], *_shape_N_eta(prob_n2, 1)) \
+        == approx_zero_counts(prob_n2, [alpha], *_shape_N(prob_n2))
     # eta = 0 leaves only the origin box; the count is positive
-    assert count_N_eta(prob_n2, alpha, 0) >= 1
+    assert approx_zero_counts(prob_n2, [alpha],
+                              *_shape_N_eta(prob_n2, 0))[0] >= 1
 
 
 def test_curly_N_present(prob_n2):
     alpha = tail_alpha(prob_n2, (0, 1, 0, 0))
-    assert count_curly_N(prob_n2, alpha) >= 1
+    assert approx_zero_counts(prob_n2, [alpha],
+                              *_curly_shape(prob_n2))[0] >= 1
 
 
 # -- inequality checkers ------------------------------------------------------------
@@ -80,26 +80,28 @@ SAMPLE_TAILS = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 2, 1, 3),
 
 @pytest.mark.parametrize("tail", SAMPLE_TAILS)
 def test_weyl_inequality_samples(prob_n2, tail):
-    rep = check_weyl(prob_n2, tail_alpha(prob_n2, tail))
+    [rep] = check_weyl_batch(prob_n2, [tail_alpha(prob_n2, tail)])
     assert rep.passed, rep.details
 
 
 @pytest.mark.parametrize("tail", SAMPLE_TAILS)
 def test_smallbox_chain_samples(prob_n2, tail):
+    # |S|^(2^(d-1)) <= |P|^(2^(d-1) n) q^(-(1+kappa)(d-1)n) curly-N
     alpha = tail_alpha(prob_n2, tail)
-    rep = check_smallbox_chain(prob_n2, alpha)
-    assert rep.passed, rep.details
-    # the certified float decision gives the exact comparison's sign
+    [curly] = approx_zero_counts(prob_n2, [alpha], *_curly_shape(prob_n2))
     kappa = kappa_of(prob_n2.e)
-    bound = 5 ** (2 * 4 * 2 - (1 + kappa) * 2 * 2) * rep.details["curlyN"]
-    assert rep.details["cmp"] == compare_abs_power(prob_n2.exp_sum(alpha),
-                                                   4, bound)
+    bound = 5 ** (2 * 4 * 2 - (1 + kappa) * 2 * 2) * curly
+    [cmp] = weyl.compare_abs_powers(
+        prob_n2, prob_n2.exp_sum_histograms([alpha]), 4, [bound])
+    assert cmp <= 0, (curly, cmp)
+    # the certified float decision gives the exact comparison's sign
+    assert cmp == compare_abs_power(prob_n2.exp_sum(alpha), 4, bound)
 
 
 @pytest.mark.parametrize("eta", [0, 1])
 def test_shrink_samples(prob_n2, eta):
-    for tail in SAMPLE_TAILS:
-        rep = check_shrink(prob_n2, tail_alpha(prob_n2, tail), eta)
+    alphas = [tail_alpha(prob_n2, tail) for tail in SAMPLE_TAILS]
+    for rep in check_shrink_batch(prob_n2, alphas, eta):
         assert rep.passed, rep.details
 
 
@@ -107,7 +109,7 @@ def test_shrink_rejects_bad_eta(prob_n2):
     alpha = tail_alpha(prob_n2, (0, 0, 0, 0))
     from fflab.errors import ConfigError
     with pytest.raises(ConfigError):
-        check_shrink(prob_n2, alpha, Fraction(1, 2))   # parity hypothesis
+        check_shrink_batch(prob_n2, [alpha], Fraction(1, 2))   # parity
 
 
 # -- pointwise lemma instrumentation -------------------------------------------------
@@ -275,7 +277,6 @@ def exact_bounds(monkeypatch):
     return bounds
 
 
-@pytest.mark.slow
 def test_batched_counts_match_naive_oracle_on_mixed_cubic(spec5):
     # [2, 2] boxes: the kernel ranks (5^4 - 1)/4 = 156 lines of prefixes
     for e, shape, tails in [
@@ -354,8 +355,9 @@ def test_block_product_of_the_pinned_mixed_counts():
     cube = CountingProblem(prob.spec, fermat_form(prob.spec, 1, 3), 1)
     tails = [tail for tail, _ in PINNED["mixed", 1, "N"]]
     got = approx_zero_counts(prob, tails, *_shape_N(prob))
-    assert got == [want * approx_zero_count(cube, tail, *_shape_N(cube))
-                   for tail, want in PINNED["mixed", 1, "N"]]
+    cubes = approx_zero_counts(cube, tails, *_shape_N(cube))
+    assert got == [want * c for (_, want), c
+                   in zip(PINNED["mixed", 1, "N"], cubes)]
 
 
 @pytest.mark.parametrize("widths,sorted_tuples", [
@@ -401,8 +403,8 @@ def test_batched_counts_match_generic_route(form, e, shape, count):
         assert tails == _random_tails(prob, count, seed=len(form) + 10 * e)
     got = approx_zero_counts(prob, tails, boxes, m)
     assert got == [want for _, want in pinned]
-    # the one-phase entry point is the same route
-    assert approx_zero_count(prob, tails[0], boxes, m) == got[0]
+    # a batch of one counts as the whole batch does
+    assert approx_zero_counts(prob, tails[:1], boxes, m) == got[:1]
 
 
 def test_batch_size_does_not_change_counts(monkeypatch):
