@@ -14,8 +14,8 @@ from .cyclotomic import (CyclotomicValue, abs_power_at_most, compare_abs_power,
                          real_sign)
 from .laurent import (LaurentElement, ball_measure, character_value,
                       expand_rational)
-from .forms import (HypersurfaceForm, MultilinearSystem, fermat_form,
-                    parse_form_file, symmetrize)
+from .forms import (HypersurfaceForm, fermat_form, parse_form_file,
+                    symmetrize)
 from .circle import ArcPoint, AtomSum, CountingProblem
 from .weyl import (InequalityReport, PointwiseReport, approx_zero_counts,
                    canonical_shape_report, check_shrink_batch,

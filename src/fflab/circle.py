@@ -16,14 +16,16 @@ deg(F(x)) <= de.  Everything lands in Z[zeta_p], compared bit-exactly.
 
 S has one fast route, CountingProblem.exp_sum_histograms (exp_sums folds
 its integer rows into Q(zeta_p)), and one oracle, the plain double loop
-_exp_sum_direct.  The route reads S off the phase distribution
-D(c) = #{x in box : coeffs(F(x)) = c}, built once per problem by the
-vectorized box kernel (forms.BoxKernel) and kept as two arrays, the
-support of D and its counts: for a stack of tails the route accumulates
-<c, tail> over the support through the field tables and counts D by the
-trace of each value, one integer histogram per tail.  One phase, a sweep
-of phases and the sum table over all q^B tails are all calls of that one
-kernel; the sum table keeps the histograms as one int64 array.
+_exp_sum_direct.  The route reads S off the distribution of each block
+form's coefficient vectors over its own box (forms.block_distributions),
+built once per problem: for a stack of tails it accumulates <c, tail>
+over each block's support through the field tables, counts the block by
+the trace of each value, and convolves the blocks' trace histograms over
+F_p, since the trace of a sum over disjoint variables is the sum of the
+traces.  The phase distribution D(c) = #{x in box : coeffs(F(x)) = c} is
+their fold (forms.fold).  One phase, a sweep of phases and the sum table
+over all q^B tails are all calls of that one kernel; the sum table keeps
+the histograms as one int64 array.
 
 The dissection has one fast route, CountingProblem.degree_subtotals, and
 one oracle, the per-atom quadrature (dissect, coprime_residues, arc_tail,
@@ -39,6 +41,7 @@ count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +51,7 @@ import numpy as np
 from .cyclotomic import CyclotomicValue
 from .errors import BudgetExceededError, ConfigError, PrecisionError
 from .fields import FieldSpec
-from .forms import BoxKernel, HypersurfaceForm
+from .forms import HypersurfaceForm, block_distributions, decode_keys, fold
 from .laurent import LaurentElement, expand_rational
 from .linalg import batched_rank
 from .polys import Polynomial, poly_gcd
@@ -59,11 +62,13 @@ from .polys import Polynomial, poly_gcd
 _SUM_BLOCK_CELLS = 1 << 23
 
 
-def _digits(q: int, k: int) -> np.ndarray:
-    """The base-q digits of 0..q^k - 1, one row each, first digit fastest:
-    every vector of F_q^k (as field indices), shape (q^k, k)."""
-    return (np.arange(q ** k)[:, None] // q ** np.arange(k) % q).astype(
-        np.int16)
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cyclic convolution over F_p of two (rows, p) int64 stacks
+    of trace histograms: the histogram of the sum of the two traces."""
+    out = np.zeros_like(a)
+    for v in range(a.shape[1]):
+        out += a[:, v:v + 1] * np.roll(b, v, axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -121,6 +126,7 @@ class CountingProblem:
         self.budget_spent = 0
         self._support = None          # the phase distribution, as arrays
         self._support_counts = None
+        self._blocks = None           # one distribution per variable block
         self._sum_table = None
 
     # -- bookkeeping -------------------------------------------------------------
@@ -188,22 +194,18 @@ class CountingProblem:
         """D(c) = #{x in box : coeffs(F(x)) = c} as two arrays: the
         support, one row of B coefficient indices per c with D(c) > 0 in
         increasing key order (key sum_k c_k q^k), and the int64 counts
-        D(c).  Built once, by the box kernel: per block, the distinct keys
-        of the coefficient vectors with their counts, merged over blocks
-        at the end."""
+        D(c).  Built once, and charged as a walk of the whole box: per
+        block of variables of the form, the distribution of that block
+        form over its own box (forms.block_distributions), kept for the S
+        kernel, and D as their fold."""
         if self._support is None:
-            self._charge(self.spec.q ** (self.box * self.n),
+            spec, B = self.spec, self.char_depth
+            self._charge(spec.q ** (self.box * self.n),
                          "phase distribution build")
-            kernel = BoxKernel(self.form, self.e)
-            blocks = [np.unique(kernel.encode(images), return_counts=True)
-                      for _, images in kernel.box()]
-            keys, where = np.unique(np.concatenate([k for k, _ in blocks]),
-                                    return_inverse=True)
-            counts = np.zeros(len(keys), dtype=np.int64)
-            np.add.at(counts, where, np.concatenate([c for _, c in blocks]))
-            q = self.spec.q
-            digits = keys[:, None] // q ** np.arange(self.char_depth) % q
-            self._support = digits.astype(np.int16)
+            self._blocks = block_distributions(self.form, self.e)
+            keys, counts = functools.reduce(
+                lambda a, b: fold(spec, a, b, B), self._blocks)
+            self._support = decode_keys(spec.q, keys, B)
             self._support_counts = counts
         return self._support, self._support_counts
 
@@ -247,23 +249,37 @@ class CountingProblem:
     def _histograms(self, stack: np.ndarray) -> np.ndarray:
         """The S kernel: for a (tails x B) stack of depth-B tails, the int64
         histograms #{x in box : tr <coeffs F(x), tail> = v}, v in F_p, one
-        row per tail, in blocks of at most _SUM_BLOCK_CELLS (tail, support
-        point) cells.  An entry is at most the box size q^(n(e+1))."""
+        row per tail.  F is a sum of block forms in disjoint variables and
+        the trace is additive, so a row is the cyclic convolution over F_p
+        of one row per block of variables, each counted over that block's
+        own support; equal blocks share their rows.  Tails go in blocks of
+        at most _SUM_BLOCK_CELLS (tail, support point) cells.  An entry is
+        at most the box size q^(n(e+1))."""
         spec = self.spec
-        np_mul = spec.tables["np_mul"]
-        np_add = spec.tables["np_add"]
-        np_trace = spec.tables["np_trace"]
-        sup, counts = self.phase_distribution()
-        block = max(1, _SUM_BLOCK_CELLS // len(sup))
+        q, p, B = spec.q, spec.p, self.char_depth
+        assert q ** (self.box * self.n) < 1 << 63, \
+            "S histograms overflow int64"
+        np_mul, np_add = spec.tables["np_mul"], spec.tables["np_add"]
+        self.phase_distribution()
+        # equal block forms share their arrays, and so their rows
+        sups = {id(keys): (decode_keys(q, keys, B), counts)
+                for keys, counts in self._blocks}
+        block = max(1, _SUM_BLOCK_CELLS // max(len(sup)
+                                               for sup, _ in sups.values()))
         hists = []
         for start in range(0, len(stack), block):
             tblock = stack[start:start + block]
-            acc = np.zeros((len(tblock), len(sup)), dtype=np.int16)
-            for j in range(self.char_depth):
-                acc = np_add[acc, np_mul[tblock[:, j:j + 1], sup[None, :, j]]]
-            tr = np_trace[acc]
-            hists.append(np.stack([(tr == v) @ counts
-                                   for v in range(spec.p)], axis=1))
+            rows = {}
+            for name, (sup, counts) in sups.items():
+                acc = np.zeros((len(tblock), len(sup)), dtype=np.int16)
+                for j in range(B):
+                    acc = np_add[acc, np_mul[tblock[:, j:j + 1],
+                                             sup[None, :, j]]]
+                tr = spec.tables["np_trace"][acc]
+                rows[name] = np.stack([(tr == v) @ counts for v in range(p)],
+                                      axis=1)
+            hists.append(functools.reduce(_convolve, [
+                rows[id(keys)] for keys, _ in self._blocks]))
         return np.concatenate(hists)
 
     def _exp_sum_direct(self, tail: tuple) -> CyclotomicValue:
@@ -291,8 +307,8 @@ class CountingProblem:
             q, B = self.spec.q, self.char_depth
             self._charge(len(self.phase_distribution()[0]) * q ** B,
                          "sum table build")
-            assert q ** (self.box * self.n) < 2 ** 63   # the largest entry
-            self._sum_table = self._histograms(_digits(q, B))
+            self._sum_table = self._histograms(
+                decode_keys(q, np.arange(q ** B), B))
         return self._sum_table
 
     # -- the dissection by degree -------------------------------------------------
@@ -313,7 +329,7 @@ class CountingProblem:
         spec = self.spec
         np_mul, np_add = spec.tables["np_mul"], spec.tables["np_add"]
         np_neg = spec.tables["np_neg"]
-        lows = _digits(spec.q, deg)
+        lows = decode_keys(spec.q, np.arange(spec.q ** deg), deg)
         hankel = np.arange(deg)[:, None] + np.arange(deg)
         block = max(1, _SUM_BLOCK_CELLS // (len(lows) * max(width, deg ** 2)))
         for start in range(0, len(lows), block):

@@ -8,7 +8,8 @@ as the symmetric tensor c indexed by sorted d-tuples of variable indices with
 Building the tensor divides each monomial coefficient by the number of
 orderings of its index multiset, which is invertible precisely when p > d.
 
-The derived multilinear system is the n forms in d-1 vector arguments
+The tensor, as the dense (n,)*d array `dense`, also gives the n
+multilinear forms in d-1 vector arguments that the Weyl layer reads,
 
     Psi_i(u^(1),...,u^(d-1)) = sum c_{i_1,...,i_{d-1},i} u^(1)_{i_1}...u^(d-1)_{i_{d-1}},
 
@@ -19,6 +20,10 @@ or LaurentElement all work (anything with +, * and scale_idx).  For whole
 coefficient boxes, BoxKernel evaluates F(f_1,...,f_n) on blocks of tuples of
 degree-e forms at once, through the numpy field tables; eval_form stays the
 scalar oracle it is checked against.
+
+F is the sum of one form per block of variables (`blocks`), so the
+distribution of its coefficient vectors over a box is the fold of those
+of the block forms over their own boxes (block_distributions, fold).
 """
 
 from __future__ import annotations
@@ -140,58 +145,6 @@ class HypersurfaceForm:
             acc = add[acc][term]
         return acc
 
-    def multilinear(self) -> "MultilinearSystem":
-        return MultilinearSystem(self)
-
-
-class MultilinearSystem:
-    """The n polarized forms Psi_i in d-1 vector slots."""
-
-    __slots__ = ("form",)
-
-    def __init__(self, form: HypersurfaceForm):
-        self.form = form
-
-    @property
-    def n(self):
-        return self.form.n
-
-    @property
-    def d(self):
-        return self.form.d
-
-    def eval(self, i: int, vectors):
-        """Psi_i at d-1 length-n vectors (0-based i)."""
-        form = self.form
-        if len(vectors) != form.d - 1:
-            raise ValueError(f"need {form.d - 1} vectors")
-        for v in vectors:
-            if len(v) != form.n:
-                raise ValueError("vector length mismatch")
-        if all(isinstance(c, (FieldElement, int)) for v in vectors for c in v):
-            vecs = [[form.spec.element(c) for c in v] for v in vectors]
-        else:
-            vecs = vectors
-        acc = None
-        for rep, c in form.tensor.items():
-            if i not in rep:
-                continue
-            rem = list(rep)
-            rem.remove(i)
-            for arr in set(itertools.permutations(rem)):
-                term = None
-                for slot, j in enumerate(arr):
-                    term = (vecs[slot][j] if term is None
-                            else term * vecs[slot][j])
-                term = (term.scale_idx(c) if hasattr(term, "scale_idx")
-                        else term * form.spec.from_index(c))
-                acc = term if acc is None else acc + term
-        if acc is None:
-            z = vecs[0][0]
-            acc = (z.zero_like() if hasattr(z, "zero_like")
-                   else form.spec.zero)
-        return acc
-
 
 # tuples per kernel block: bounds every array BoxKernel.box makes
 _BOX_CHUNK = 1 << 13
@@ -259,12 +212,92 @@ class BoxKernel:
                               for i in range(n)], axis=1)
             yield codes, self.images(codes)
 
-    def encode(self, images) -> np.ndarray:
-        """One int64 key per coefficient vector: sum_k v_k q^k."""
-        q = self.form.spec.q
-        assert q ** self.width < 1 << 62, "coefficient keys overflow int64"
-        return images.astype(np.int64) @ (q ** np.arange(self.width,
-                                                         dtype=np.int64))
+
+def encode_keys(q: int, digits) -> np.ndarray:
+    """One int64 key per row of an (N, width) array of field indices, such
+    as BoxKernel images: sum_k v_k q^k."""
+    width = digits.shape[1]
+    assert q ** width < 1 << 62, "coefficient keys overflow int64"
+    return digits.astype(np.int64) @ (q ** np.arange(width, dtype=np.int64))
+
+
+def decode_keys(q: int, keys, width: int) -> np.ndarray:
+    """The (N, width) int16 field indices of N keys; inverse of
+    encode_keys."""
+    return (keys[:, None] // q ** np.arange(width, dtype=np.int64)
+            % q).astype(np.int16)
+
+
+def _merge(keys, counts):
+    """One distribution, (sorted keys, int64 counts), from keys that may
+    repeat and their counts."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[first], np.add.reduceat(counts[order], first)
+
+
+def block_distributions(form: HypersurfaceForm, e: int) -> list:
+    """For each block of form.blocks, the distribution of the block form's
+    coefficient vectors F_b(f) over its box of degree-e tuples f: the
+    sorted encode_keys keys and their int64 counts, kept per _BOX_CHUNK
+    tuples only as distinct keys.  Blocks with equal forms (variables
+    renumbered from 0) share one walk and the same pair of arrays; a
+    variable F does not contain gives key 0 with count q^(e+1)."""
+    spec, walked, names = form.spec, {}, []
+    for block in form.blocks:
+        mono = {tuple(exps[i] for i in block): c
+                for exps, c in form.monomials.items()
+                if any(exps[i] for i in block)}
+        names.append(tuple(sorted(mono.items())))
+        if names[-1] in walked:
+            continue
+        if not mono:
+            walked[names[-1]] = (np.zeros(1, dtype=np.int64), np.full(
+                1, spec.q ** (e + 1), dtype=np.int64))
+            continue
+        kernel = BoxKernel(symmetrize(spec, len(block), form.d, {
+            exps: spec.from_index(c) for exps, c in mono.items()}), e)
+        parts = [np.unique(encode_keys(spec.q, images), return_counts=True)
+                 for _, images in kernel.box()]
+        walked[names[-1]] = _merge(*map(np.concatenate, zip(*parts)))
+    return [walked[name] for name in names]
+
+
+# support pairs per block of a fold (at least one left key against every
+# right key): bounds every array fold makes
+_FOLD_BLOCK = 1 << 15
+
+
+def fold(spec: FieldSpec, left, right, width: int):
+    """The distribution of x + y for independent x ~ left and y ~ right,
+    each (sorted encode_keys keys, int64 counts) over F_q^width: every pair
+    of support points is added through the field tables, in blocks of at
+    most _FOLD_BLOCK pairs (or one row of the left support), and the sums
+    are merged.  Work and memory are the support pairs, never q^width
+    cells.  An entry is at most the product of the two totals."""
+    lkeys, lcounts = left
+    rkeys, rcounts = right
+    assert int(lcounts.sum()) * int(rcounts.sum()) < 1 << 63, \
+        "fold counts overflow int64"
+    q = spec.q
+    assert q ** width < 1 << 62, "coefficient keys overflow int64"
+    add = spec.tables["np_add"].astype(np.int64).ravel()
+    ldigits = decode_keys(q, lkeys, width).astype(np.int64) * q
+    rdigits = decode_keys(q, rkeys, width).astype(np.int64)
+    rows = max(1, _FOLD_BLOCK // len(rkeys))
+    keys, counts = [], []
+    for start in range(0, len(lkeys), rows):
+        block = slice(start, start + rows)
+        sums = 0
+        for k in range(width):
+            sums = sums + add[ldigits[block, k, None]
+                              + rdigits[None, :, k]] * q ** k
+        merged = _merge(sums.reshape(-1),
+                        (lcounts[block, None] * rcounts).reshape(-1))
+        keys.append(merged[0])
+        counts.append(merged[1])
+    return _merge(np.concatenate(keys), np.concatenate(counts))
 
 
 def symmetrize(spec: FieldSpec, n: int, d: int, monomials) -> HypersurfaceForm:

@@ -45,7 +45,7 @@ from .laurent import LaurentElement
 from .latgon import (SpecialLatticePair, check_capes, check_ratio_lemmas,
                      check_sandwiches, minima_by_enumeration,
                      random_symmetric_gamma, reduce_lattices)
-from .moduli import _is_diagonal, count_cone, count_morphisms, langweil_report
+from .moduli import count_cone, count_morphisms, langweil_report
 from .reporting import ReportRecord
 from .weyl import (_charge_weyl, canonical_shape_report, check_shrink_batch,
                    check_weyl_batch)
@@ -608,7 +608,7 @@ def _run_morphisms(config: RunConfig):
     outputs = {"morphisms": mor, "method": method}
     passed = True
     tuple_space = prob.spec.q ** (ell * (config.e + 1) * config.n)
-    if (_is_diagonal(prob.form) and method != "enumerate"
+    if (len(prob.form.blocks) > 1 and method != "enumerate"
             and tuple_space <= 2 * 10 ** 6):
         other = count_morphisms(prob, ell, method="enumerate")
         passed = mor == other

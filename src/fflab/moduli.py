@@ -29,19 +29,14 @@ Counting routes, kept separate so they can cross-check each other:
              tables), count the all-zero condition vectors, and test the
              solutions of each block for coprimality with one rank_coprime
              call;
-  convolve   for diagonal forms only: F(f) = sum_i c_i f_i^d means the
-             condition vector is a sum of independent per-coordinate
-             contributions, so the count is a group convolution over
-             F_{q^l}^{de+1}, met in the middle.  Each coordinate's
-             distribution of c_i f^d is a sparse list of at most q^(e+1)
-             keys; the first ceil(n/2) are folded into A and the rest into
-             B, a fold scattering every pair of support points (keys added
-             digit by digit mod p) into one dense array of q^(de+1) cells,
-             and the count is sum_k B(k) A(-k).  A fold costs (support of
-             the running half) x (keys of the next coordinate) pairs, never
-             more than the q^(de+1) cells per key that shifting a dense
-             array costs; the F_25 surface (n = 4, e = 1) needs one
-             625 x 625 fold per half;
+  convolve   F(f) is the sum of one form per block of variables
+             (forms.HypersurfaceForm.blocks), so the count is a group
+             convolution over F_{q^l}^{de+1} of the block distributions
+             (forms.block_distributions, each walked over its block's own
+             box), met in the middle: the first half of the blocks are
+             folded into A and the rest into B (forms.fold, which costs
+             the support pairs it adds), and the count is sum_k A(k) B(-k).
+             auto enumerates a one-block form, which has nothing to meet;
   factor     every nonzero solution tuple splits uniquely as (normalized
              common factor) x (coprime solution of lower degree), so
              coprime counts follow from total counts by subtracting
@@ -53,6 +48,7 @@ divide is a failed invariant (VerificationFailure), not a bad config.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,14 +57,14 @@ import numpy as np
 from .audit import dims
 from .errors import BudgetExceededError, ConfigError, VerificationFailure
 from .fields import FieldSpec
-from .forms import BoxKernel, HypersurfaceForm, symmetrize
+from .forms import (BoxKernel, HypersurfaceForm, block_distributions,
+                    decode_keys, encode_keys, fold, symmetrize)
 from .linalg import batched_rank
 from .polys import poly_gcd
 
-# dense convolution arrays and enumerations are capped at this many cells
+# enumerations and convolution folds are capped at this many tuples or
+# support pairs
 _MAX_CELLS = 1 << 24
-# support pairs per scatter block of a convolution fold
-_FOLD_BLOCK = 1 << 15
 
 
 # -- extension embedding ----------------------------------------------------------
@@ -151,10 +147,6 @@ def _scalar_orbits(coprime: int, q: int) -> int:
 # -- total solution counts --------------------------------------------------------
 
 
-def _is_diagonal(form: HypersurfaceForm) -> bool:
-    return all(sum(1 for e in exps if e) == 1 for exps in form.monomials)
-
-
 def _charge(budget_cells: int, what: str):
     if budget_cells > _MAX_CELLS:
         raise BudgetExceededError(budget_cells, _MAX_CELLS, what)
@@ -168,69 +160,32 @@ def _total_enumerate(spec: FieldSpec, form: HypersurfaceForm, e: int) -> int:
                for _, images in BoxKernel(form, e).box())
 
 
-def _add_keys(p: int, a, b, digits: int):
-    """Keys of sums: a condition-vector key (BoxKernel.encode) read as a
-    base-p numeral has f digits per F_q coordinate, and F_q addition is
-    digit-wise addition mod p."""
-    out = np.zeros(len(a), dtype=np.int64)
-    scale = 1
-    for _ in range(digits):
-        out += (a // scale + b // scale) % p * scale
-        scale *= p
-    return out
-
-
-def _fold(spec: FieldSpec, left, right, width: int):
-    """The distribution of x + y for x ~ left, y ~ right, each given as
-    (sorted keys, counts) over F_q^width: every pair of support points is
-    scattered into one dense array, _FOLD_BLOCK pairs at a time."""
-    lkeys, lcounts = left
-    rkeys, rcounts = right
-    dense = np.zeros(spec.q ** width, dtype=np.int64)
-    pairs = len(lkeys) * len(rkeys)
-    for start in range(0, pairs, _FOLD_BLOCK):
-        idx = np.arange(start, min(start + _FOLD_BLOCK, pairs),
-                        dtype=np.int64)
-        li, ri = idx // len(rkeys), idx % len(rkeys)
-        np.add.at(dense, _add_keys(spec.p, lkeys[li], rkeys[ri],
-                                   spec.f * width),
-                  lcounts[li] * rcounts[ri])
-    keys = np.flatnonzero(dense)
-    return keys, dense[keys]
-
-
 def _total_convolve(spec: FieldSpec, form: HypersurfaceForm, e: int) -> int:
-    """Diagonal forms: the condition vector of F(f) = sum c_i f_i^d splits
-    per coordinate, so the count is a group convolution over F_q^{de+1} of
-    the per-coordinate distributions, met in the middle: fold the first
-    ceil(n/2) of them into A and the negated rest into B, then sum
-    A(k) * B(k) over the keys the two share."""
-    if not _is_diagonal(form):
-        raise ConfigError("convolution route needs a diagonal form")
-    q, n, d = spec.q, form.n, form.d
-    width = d * e + 1
-    cells = q ** width
-    _charge(cells * (n - 1), "cone convolution")
-    assert q ** ((e + 1) * n) < 1 << 63, "solution counts overflow int64"
-    coeff = [0] * n
-    for exps, c in form.monomials.items():
-        coeff[next(i for i, v in enumerate(exps) if v)] = c
-    half = (n + 1) // 2
-    neg = spec.tables["neg"]
-    signed = coeff[:half] + [neg[c] for c in coeff[half:]]
-    kernel = BoxKernel(form, e)
-    np_mul = spec.tables["np_mul"]
-    dists = [np.unique(kernel.encode(np_mul[c, kernel.powers[d]]),
-                       return_counts=True) for c in signed]
-    halves = []
-    for part in (dists[:half], dists[half:]):
-        acc = part[0] if part else (np.zeros(1, dtype=np.int64),
-                                    np.ones(1, dtype=np.int64))
-        for dist in part[1:]:
-            acc = _fold(spec, acc, dist, width)
-        halves.append(acc)
-    (akeys, acounts), (bkeys, bcounts) = halves
-    _, ia, ib = np.intersect1d(akeys, bkeys, assume_unique=True,
+    """The convolve route of the module docstring: fold the first ceil(b/2)
+    of the b block distributions into A and the rest into B, each from the
+    zero vector, then sum A(k) * B(-k) over the keys the two share.
+
+    Each fold is charged before any walk with a bound on the support pairs
+    it adds: the support of a half so far is at most the product of its
+    boxes and at most q^(de+1), and a block's support at most its box.
+    The bound is at least the block's box, so it caps each walk too."""
+    q, width = spec.q, form.d * e + 1
+    assert q ** ((e + 1) * form.n) < 1 << 63, "solution counts overflow int64"
+    boxes = [q ** ((e + 1) * len(block)) for block in form.blocks]
+    half = (len(boxes) + 1) // 2
+    for part in (boxes[:half], boxes[half:]):
+        support = 1
+        for box in part:
+            _charge(support * box, "cone convolution")
+            support = min(support * box, q ** width)
+    dists = block_distributions(form, e)
+    zero = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
+    (akeys, acounts), (bkeys, bcounts) = (
+        functools.reduce(lambda a, b: fold(spec, a, b, width), part, zero)
+        for part in (dists[:half], dists[half:]))
+    negated = encode_keys(q, spec.tables["np_neg"][
+        decode_keys(q, bkeys, width)])
+    _, ia, ib = np.intersect1d(akeys, negated, assume_unique=True,
                                return_indices=True)
     return int(np.sum(acounts[ia] * bcounts[ib]))
 
@@ -241,7 +196,7 @@ def total_solutions(spec: FieldSpec, form: HypersurfaceForm, e: int,
     if e < 0:
         raise ConfigError("tuple degree must be >= 0")
     if method == "auto":
-        method = "convolve" if _is_diagonal(form) else "enumerate"
+        method = "convolve" if len(form.blocks) > 1 else "enumerate"
     if method == "convolve":
         return _total_convolve(spec, form, e)
     if method == "enumerate":
@@ -297,12 +252,13 @@ def count_morphisms(prob, ell: int = 1, method: str = "auto") -> int:
     method "enumerate" walks tuples and filters by rank_coprime;
     "factor" subtracts common-factor orbits from total counts (required
     when the tuple space is too large to walk); "auto" picks factor for
-    diagonal forms and enumeration otherwise."""
+    forms of more than one block of variables and enumeration
+    otherwise."""
     ext = extend_spec(prob.spec, ell)
     form = embed_form(prob.form, ext)
     e = prob.e
     if method == "auto":
-        method = "factor" if _is_diagonal(form) else "enumerate"
+        method = "factor" if len(form.blocks) > 1 else "enumerate"
     if method == "enumerate":
         return _morphisms_enumerate(ext, form, e)
     if method == "factor":

@@ -131,9 +131,6 @@ class Polynomial:
         mul = self.spec.tables["mul"]
         return Polynomial(self.spec, [mul[k][c] for c in self.coeffs])
 
-    def zero_like(self):
-        return Polynomial.zero(self.spec)
-
     def shift(self, k: int):
         """Multiply by t^k (k >= 0)."""
         if k < 0:
@@ -295,9 +292,6 @@ class BinaryForm:
     def scale_idx(self, k: int):
         mul = self.spec.tables["mul"]
         return BinaryForm(self.spec, self.e, [mul[k][c] for c in self.coeffs])
-
-    def zero_like(self):
-        return BinaryForm.zero(self.spec, self.e)
 
     def __call__(self, u, v):
         u, v = self.spec.element(u), self.spec.element(v)

@@ -82,10 +82,28 @@ def _mixed_cubic(spec, e):
     return CountingProblem(spec, parse_form_file(path, spec, 2, 3), e)
 
 
+# two separable n = 3 forms: the mixed cubic's block {x1, x2} plus x3^3,
+# and x1^3 + 2 x2^3 with x3 absent
+SEPARABLE_N3 = {
+    "mixed_plus_cube": {(3, 0, 0): 1, (2, 1, 0): 1, (0, 3, 0): 2,
+                        (0, 0, 3): 1},
+    "x3_absent": {(3, 0, 0): 1, (0, 3, 0): 2},
+}
+
+
+def _separable(name, e):
+    def make(spec):
+        return CountingProblem(spec, symmetrize(spec, 3, 3,
+                                                SEPARABLE_N3[name]), e)
+    return make
+
+
 @pytest.mark.parametrize("make,count", [
     (lambda spec: _mixed_cubic(spec, 1), 12),
     (lambda spec: CountingProblem(spec, fermat_form(spec, 3, 3), 1), 4),
-], ids=["mixed_cubic_n2", "fermat_n3"])
+    (_separable("mixed_plus_cube", 1), 3),
+    (_separable("x3_absent", 1), 3),
+], ids=["mixed_cubic_n2", "fermat_n3", "mixed_plus_cube", "x3_absent"])
 def test_exp_sums_match_direct_across_blocks(spec5, monkeypatch, make,
                                              count):
     # a fresh problem, so S comes from the kernel and not from a sum table
@@ -177,9 +195,14 @@ def test_mixed_form_identity(spec5):
     assert prob.dissection_total() == brute
 
 
-@pytest.mark.parametrize("e", [1, 2])
-def test_phase_distribution_matches_scalar_loop(spec5, e):
-    prob = _mixed_cubic(spec5, e)
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda spec: _mixed_cubic(spec, 1), id="1"),
+    pytest.param(lambda spec: _mixed_cubic(spec, 2), id="2"),
+    pytest.param(_separable("mixed_plus_cube", 1), id="mixed_plus_cube"),
+    pytest.param(_separable("x3_absent", 1), id="x3_absent"),
+])
+def test_phase_distribution_matches_scalar_loop(spec5, make):
+    prob = make(spec5)
     want = {}
     for x in prob.box_vectors():
         value = prob.form.eval_form(list(x))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -6,7 +7,10 @@ import pytest
 
 from fflab.errors import ConfigError
 from fflab.fields import FieldSpec
-from fflab.forms import BoxKernel, fermat_form, parse_form_file, symmetrize
+from fflab.circle import CountingProblem
+from fflab.forms import (BoxKernel, block_distributions, fermat_form,
+                         parse_form_file, symmetrize)
+from fflab.moduli import total_solutions
 from fflab.polys import BinaryForm, Polynomial
 
 
@@ -101,24 +105,59 @@ def test_parse_form_file_errors(tmp_path, spec5, body, needle):
 
 def test_multilinear_diagonal_matrix(spec5, prob_n2):
     # the tensor is normalized so that F(x) = sum T_ijk x_i x_j x_k; the
-    # bilinear slice M[i][k] = Psi_i(v, e_k) of the diagonal cubic at v is
-    # then diag(v1, v2)
-    ml = prob_n2.form.multilinear()
+    # bilinear slice M[i][k] = Psi_i(v, e_k) = sum_j T_jki v_j, read off
+    # form.dense as the Weyl layer reads it, is diag(v1, v2) for the
+    # diagonal cubic at v
+    def slice_at(form, v):
+        return [[functools.reduce(spec5.add, (
+            spec5.mul(int(form.dense[j, k, i]), v[j])
+            for j in range(form.n))) for k in range(form.n)]
+            for i in range(form.n)]
 
-    def slice_at(v):
-        return [[ml.eval(i, [list(v), [int(j == k) for j in range(2)]]).idx
-                 for k in range(2)] for i in range(2)]
+    assert slice_at(prob_n2.form, (1, 2)) == [[1, 0], [0, 2]]
+    # sum_i x_i Psi_i(x, x) = x^T M(x) x recovers F(x), also for a
+    # non-diagonal ternary cubic
+    mixed = symmetrize(spec5, 3, 3, {(3, 0, 0): 1, (2, 1, 0): 1,
+                                     (1, 1, 1): 3, (0, 0, 3): 2})
+    for form in (prob_n2.form, mixed):
+        for x in itertools.product(range(5), repeat=form.n):
+            m = slice_at(form, x)
+            acc = 0
+            for j in range(form.n):
+                for k in range(form.n):
+                    acc = spec5.add(acc, spec5.mul(m[j][k],
+                                                   spec5.mul(x[j], x[k])))
+            assert acc == form.eval_form(list(x)).idx
 
-    assert slice_at((1, 2)) == [[1, 0], [0, 2]]
-    # x^T M(x) x recovers F(x)
-    for x in [(1, 2), (3, 4), (2, 0)]:
-        m = slice_at(x)
-        acc = 0
-        for j in range(2):
-            for k in range(2):
-                acc = spec5.add(acc, spec5.mul(m[j][k],
-                                               spec5.mul(x[j], x[k])))
-        assert acc == prob_n2.form.eval_form(list(x)).idx
+
+def test_separable_counts_walk_only_the_block_boxes(spec5, monkeypatch):
+    # the Fermat n = 3, e = 1 form has three equal blocks of 5^2 tuples:
+    # S, the sum table and the total count walk one of them, 25 tuples,
+    # where the whole box has 5^6 = 15,625
+    walked = []
+    box = BoxKernel.box
+
+    def counting(self):
+        for codes, images in box(self):
+            walked.append(len(codes))
+            yield codes, images
+
+    monkeypatch.setattr(BoxKernel, "box", counting)
+    form = fermat_form(spec5, 3, 3)
+    dists = block_distributions(form, 1)
+    assert dists[0] is dists[1] is dists[2]
+    assert sum(walked) == 25
+    for run in (lambda: CountingProblem(spec5, form, 1).exp_sum((1, 2, 3, 4)),
+                lambda: CountingProblem(spec5, form, 1).sum_table(),
+                lambda: total_solutions(spec5, form, 1)):
+        walked.clear()
+        run()
+        assert sum(walked) == 25
+    assert total_solutions(spec5, form, 1) == 145
+    # a variable the form does not contain: key 0, count q^(e+1), no walk
+    absent = symmetrize(spec5, 3, 3, {(3, 0, 0): 1, (0, 3, 0): 2})
+    keys, counts = block_distributions(absent, 1)[2]
+    assert (keys.tolist(), counts.tolist()) == ([0], [25])
 
 
 def _kernel_forms(f):

@@ -216,14 +216,35 @@ def test_unknown_method_rejected(prob_n2, spec5):
         count_morphisms(prob_n2, method="guess")
 
 
-# n = 4 stops at e = 1: its e = 2 box has 5^12 tuples, past _MAX_CELLS
-@pytest.mark.parametrize("ell,n,e", [(1, 2, 1), (1, 2, 2), (1, 3, 1),
-                                     (1, 3, 2), (1, 4, 1), (2, 2, 1)])
-def test_convolution_matches_enumeration(spec5, ell, n, e):
+# two disjoint copies of the mixed binary cubic x^3 + x^2 y + 2 y^3
+TWO_MIXED = {(3, 0, 0, 0): 1, (2, 1, 0, 0): 1, (0, 3, 0, 0): 2,
+             (0, 0, 3, 0): 1, (0, 0, 2, 1): 1, (0, 0, 0, 3): 2}
+# a ternary cubic of two blocks, {x1, x2} and {x3}
+TWO_BLOCK_TERNARY = {(3, 0, 0): 1, (1, 2, 0): 3, (0, 3, 0): 2, (0, 0, 3): 4}
+
+
+# n = 4 stops at e = 1: its e = 2 box has 5^12 tuples, past _MAX_CELLS.
+# Fermat forms are given by n, the rest by their monomials
+@pytest.mark.parametrize("ell,n,e,total", [
+    pytest.param(1, 2, 1, None, id="1-2-1"),
+    pytest.param(1, 2, 2, None, id="1-2-2"),
+    pytest.param(1, 3, 1, None, id="1-3-1"),
+    pytest.param(1, 3, 2, None, id="1-3-2"),
+    pytest.param(1, 4, 1, None, id="1-4-1"),
+    pytest.param(2, 2, 1, None, id="2-2-1"),
+    pytest.param(1, TWO_MIXED, 1, 2305, id="two_mixed_n4"),
+    pytest.param(1, TWO_BLOCK_TERNARY, 2, None, id="two_block_ternary"),
+    pytest.param(1, MIXED_TERNARY, 1, 145, id="mixed_ternary"),
+])
+def test_convolution_matches_enumeration(spec5, ell, n, e, total):
     ext = extend_spec(spec5, ell)
-    form = embed_form(fermat_form(spec5, n, 3), ext)
-    assert (total_solutions(ext, form, e, method="convolve")
-            == total_solutions(ext, form, e, method="enumerate"))
+    if isinstance(n, int):
+        form = embed_form(fermat_form(spec5, n, 3), ext)
+    else:
+        form = symmetrize(spec5, len(next(iter(n))), 3, n)
+    count = total_solutions(ext, form, e, method="convolve")
+    assert count == total_solutions(ext, form, e, method="enumerate")
+    assert total is None or count == total
 
 
 def test_convolution_with_unequal_coefficients(spec5):
@@ -249,5 +270,5 @@ def test_counts_do_not_depend_on_block_sizes(spec5, monkeypatch, size):
     want = counts()
     assert want[3] == 2185
     monkeypatch.setattr(forms, "_BOX_CHUNK", size)
-    monkeypatch.setattr(moduli, "_FOLD_BLOCK", size)
+    monkeypatch.setattr(forms, "_FOLD_BLOCK", size)
     assert counts() == want

@@ -24,6 +24,9 @@ DIGESTS = {
     "cone_fermat_q5": (
         "count-cone",
         "0325f3c1a3b34ba2bdb9c91873489fcb8fa20e8fd1392d1cca4737dfda8253eb"),
+    "cone_two_mixed_q5": (
+        "count-cone",
+        "d4e6fe0e2b735cdcdae9ba8f35515acc0d12470d4fb7cc94c299ab412742afcb"),
     "dissect_fermat_q5": (
         "dissect-verify",
         "176cca7f08ae5e1b323af83f470e7b775abcd4a7a40b809cebb8ccbbcae44211"),
