@@ -10,10 +10,8 @@ from .errors import (BudgetExceededError, ConfigError, PrecisionError,
                      VerificationFailure)
 from .fields import FieldElement, FieldSpec, find_irreducible, trace
 from .polys import BinaryForm, Polynomial, poly_gcd
-from .cyclotomic import (CyclotomicValue, abs_power_at_most, compare_abs_power,
-                         real_sign)
-from .laurent import (LaurentElement, ball_measure, character_value,
-                      expand_rational)
+from .cyclotomic import CyclotomicValue, compare_abs_power, real_sign
+from .laurent import LaurentElement, expand_rational
 from .forms import (HypersurfaceForm, fermat_form, parse_form_file,
                     symmetrize)
 from .circle import ArcPoint, AtomSum, CountingProblem

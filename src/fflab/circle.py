@@ -29,11 +29,15 @@ the histograms as one int64 array.
 
 The dissection has one fast route, CountingProblem.degree_subtotals, and
 one oracle, the per-atom quadrature (dissect, coprime_residues, arc_tail,
-arc_atoms, integrate_arc).  The fast route never builds an arc: per degree
-D it expands 1/r for a block of monic r at once, reads the tails of every
-a/r off the Hankel matrix of that series, keeps the units a by the rank of
-their D x D Hankel matrix (full exactly when gcd(a, r) = 1), and adds the
-rows of the sum table that the unit arcs cover as one integer histogram.
+arc_atoms, integrate_arc).  The fast route never builds an arc or ranks a
+matrix.  The digits of a reduced a/r with deg r = D are exactly the
+sequences of linear complexity D (Massey 1969), so the number of arcs of
+degree D through a tail's prefix depends only on the prefix's complexity
+(arcs_through).  One batched Berlekamp-Massey run gives the complexity
+profile of all q^B tails (complexity_profile); per degree each tail is
+weighted by that closed form, and one product with the sum table gives
+the subtotal as one integer histogram.
+
 The scalar loops over box points and arcs remain only in the oracles: the
 direct summation of S, the per-atom quadrature and the brute-force root
 count.
@@ -53,12 +57,10 @@ from .errors import BudgetExceededError, ConfigError, PrecisionError
 from .fields import FieldSpec
 from .forms import HypersurfaceForm, block_distributions, decode_keys, fold
 from .laurent import LaurentElement, expand_rational
-from .linalg import batched_rank
 from .polys import Polynomial, poly_gcd
 
-# cells per block of the numpy kernels, (tails x support) for S and
-# (monic r x residues x tail digits or Hankel entries) for the arcs; bounds
-# their working set
+# (tail, support point) cells per block of the S kernel; bounds its
+# working set
 _SUM_BLOCK_CELLS = 1 << 23
 
 
@@ -69,6 +71,67 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for v in range(a.shape[1]):
         out += a[:, v:v + 1] * np.roll(b, v, axis=1)
     return out
+
+
+def complexity_profile(spec: FieldSpec, seqs: np.ndarray) -> np.ndarray:
+    """The linear-complexity profile of every row of an (N, width) stack
+    of digit sequences over F_q, by one Berlekamp-Massey run over the
+    whole stack through the field tables (Massey, "Shift-register
+    synthesis and BCH decoding", 1969).  Returns an (N, width + 1) int64
+    array: out[i, j] is the length L of the shortest recurrence
+    s_m + c_1 s_{m-1} + ... + c_L s_{m-L} = 0 that the first j digits of
+    row i satisfy, so out[:, 0] = 0."""
+    np_add, np_mul, np_sub, np_inv = (
+        spec.tables[name] for name in ("np_add", "np_mul", "np_sub", "np_inv"))
+    count, width = seqs.shape
+    conn = np.zeros((count, width + 1), dtype=np.int16)   # c_0 = 1, c_1, ...
+    conn[:, 0] = 1
+    prev = conn.copy()              # conn before the last length change
+    prev_disc = np.ones(count, dtype=np.int16)      # its discrepancy
+    shift = np.ones(count, dtype=np.int64)          # digits since then
+    length = np.zeros(count, dtype=np.int64)
+    out = np.zeros((count, width + 1), dtype=np.int64)
+    cols = np.arange(width + 1)
+    for j in range(width):
+        disc = seqs[:, j]
+        for i in range(1, j + 1):
+            disc = np_add[disc, np_mul[conn[:, i], seqs[:, j - i]]]
+        # conn - (disc / prev_disc) x^shift prev; a no-op where disc = 0
+        src = cols - shift[:, None]
+        shifted = np.where(src >= 0, np.take_along_axis(
+            prev, np.maximum(src, 0), axis=1), 0).astype(np.int16)
+        scale = np_mul[disc, np_inv[prev_disc]]
+        update = np_sub[conn, np_mul[scale[:, None], shifted]]
+        grow = (disc != 0) & (2 * length <= j)
+        prev = np.where(grow[:, None], conn, prev)
+        prev_disc = np.where(grow, disc, prev_disc)
+        shift = np.where(grow, 1, shift + 1)
+        length = np.where(grow, j + 1 - length, length)
+        conn = update
+        out[:, j + 1] = length
+    return out
+
+
+def arcs_through(q: int, deg: int, k: int, c: np.ndarray) -> np.ndarray:
+    """The number of Farey arcs a/r with deg r = deg (r monic, |a| < |r|,
+    gcd(a, r) = 1) whose expansion starts with a given k-digit prefix of
+    linear complexity c, for an int64 array c.
+
+    The first 2 deg digits of such an a/r are exactly the 2 deg-digit
+    sequences of linear complexity deg, and they fix a/r.  So for
+    k >= 2 deg a prefix lies on one arc when c = deg and on none
+    otherwise.  For k < 2 deg the count is that of the extensions to
+    2 deg digits of complexity deg.  By Massey's rule, one more digit
+    keeps the complexity L of a j-digit sequence when 2L > j, and when
+    2L <= j one digit keeps it and q - 1 digits change it to j + 1 - L;
+    induction on k from 2 deg down gives q^(2 deg - k) when c = deg,
+    (q - 1) q^(2 deg - k - 1) when k + 1 - deg <= c < deg, else 0."""
+    if k >= 2 * deg:
+        return (c == deg).astype(np.int64)
+    return np.where(c == deg, q ** (2 * deg - k),
+                    np.where((c < deg) & (c >= k + 1 - deg),
+                             (q - 1) * q ** (2 * deg - k - 1),
+                             0)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -313,51 +376,16 @@ class CountingProblem:
 
     # -- the dissection by degree -------------------------------------------------
 
-    def arc_blocks(self, deg: int, width: int):
-        """The arcs with deg r = deg in blocks of monic r, as triples
-        (r, tails, unit): r holds the low coefficients of the block's r
-        (t^0 first), tails[i, j] the first `width` >= 2 deg - 1 tail digits
-        of a_j/r_i for every a_j with |a_j| < |r| (coefficients the base-q
-        digits of j, t^0 first), and unit[i, j] says gcd(a_j, r_i) = 1.
-
-        The series 1/r = sum s_k t^-k has s_k = 0 for k < deg, s_deg = 1 and
-        s_{deg+m} = -sum_{i<deg} r_i s_{i+m}; the t^-j coefficient of a/r is
-        sum_i a_i s_{i+j}, the Hankel matrix of s applied to a.  The D x D
-        Hankel matrix of the tail of a/r has full rank exactly when a/r is
-        reduced, so one batched rank gives the units.  At deg = 0 the one
-        arc is r = 1, a = 0, with the zero tail."""
-        spec = self.spec
-        np_mul, np_add = spec.tables["np_mul"], spec.tables["np_add"]
-        np_neg = spec.tables["np_neg"]
-        lows = decode_keys(spec.q, np.arange(spec.q ** deg), deg)
-        hankel = np.arange(deg)[:, None] + np.arange(deg)
-        block = max(1, _SUM_BLOCK_CELLS // (len(lows) * max(width, deg ** 2)))
-        for start in range(0, len(lows), block):
-            r = lows[start:start + block]
-            s = np.zeros((len(r), deg + width), dtype=np.int16)
-            s[:, deg] = 1
-            for m in range(1, width):
-                acc = np.zeros(len(r), dtype=np.int16)
-                for i in range(deg):
-                    acc = np_add[acc, np_mul[r[:, i], s[:, i + m]]]
-                s[:, deg + m] = np_neg[acc]
-            tails = np.zeros((len(r), len(lows), width), dtype=np.int16)
-            for i in range(deg):
-                tails = np_add[tails, np_mul[lows[None, :, i, None],
-                                             s[:, None, i + 1:i + 1 + width]]]
-            ranks = batched_rank(spec, tails[:, :, hankel].reshape(
-                len(r) * len(lows), deg, deg))
-            yield r, tails, (ranks == deg).reshape(len(r), len(lows))
-
     def degree_subtotals(self) -> dict:
         """{deg r: (arcs, subtotal)}: the number of arcs of each degree and
         the sum of their exact arc integrals of S, read off the sum table.
 
         An arc of degree D has y = D + floor(Q), and its integral is
         q^-max(y, B) times the sum of S over the depth-B tails whose first
-        min(y, B) digits are those of a/r.  So per degree the table is
-        summed once over its free digits, the unit arcs are counted by
-        prefix, and one product gives the subtotal's histogram."""
+        k = min(y, B) digits are those of a/r.  So each tail is weighted by
+        the number of degree-D arcs through its first k digits, which
+        depends only on their linear complexity (arcs_through), and one
+        product with the sum table gives the subtotal's histogram."""
         spec = self.spec
         q, p, B = spec.q, spec.p, self.char_depth
         table = self.sum_table()
@@ -368,19 +396,15 @@ class CountingProblem:
         assert B <= 2 * self.arc_floor           # de + 1 <= d(e+1) - 1
         assert q ** (self.box * self.n + 2 * self.arc_floor) < 2 ** 63, \
             "arc histograms would overflow int64"
-        weights = q ** np.arange(B)
+        profile = complexity_profile(spec,
+                                     decode_keys(q, np.arange(q ** B), B))
         out = {}
         for deg in range(self.arc_floor + 1):
             y = deg + self.arc_floor
-            depth = min(y, B)
-            folded = table.reshape(q ** (B - depth), q ** depth, p).sum(axis=0)
-            arcs = np.zeros(q ** depth, dtype=np.int64)
-            for _, tails, unit in self.arc_blocks(deg,
-                                                  max(depth, 2 * deg - 1)):
-                arcs += np.bincount(tails[unit][:, :depth] @ weights[:depth],
-                                    minlength=q ** depth)
-            hist = (arcs @ folded).tolist()
-            out[deg] = (int(arcs.sum()),
+            k = min(y, B)
+            weights = arcs_through(q, deg, k, profile[:, k])
+            hist = (weights @ table).tolist()
+            out[deg] = (int(weights.sum()) // q ** (B - k),
                         CyclotomicValue.from_histogram(p, hist)
                         * Fraction(1, q ** max(y, B)))
         return out

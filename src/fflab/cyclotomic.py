@@ -263,7 +263,3 @@ def compare_abs_power(x: CyclotomicValue, exponent: int, bound) -> int:
     if diff.is_zero():
         return 0
     return real_sign(diff)
-
-
-def abs_power_at_most(x: CyclotomicValue, exponent: int, bound) -> bool:
-    return compare_abs_power(x, exponent, bound) <= 0

@@ -302,10 +302,12 @@ def _base_inputs(config: RunConfig, spec: FieldSpec) -> dict:
 def _run_dissect(config: RunConfig):
     prob = build_problem(config)
     base = _base_inputs(config, prob.spec)
+    # the subtotals charge the sum table before the scalar brute count runs
+    subtotals = prob.degree_subtotals()
     brute = prob.brute_count()
     records = []
     total = None
-    for deg, (arcs, sub) in sorted(prob.degree_subtotals().items()):
+    for deg, (arcs, sub) in sorted(subtotals.items()):
         total = sub if total is None else total + sub
         records.append(ReportRecord(
             task=config.task, inputs={**base, "deg_r": deg},

@@ -13,15 +13,11 @@ silently returning 0.  Arithmetic propagates floors pessimistically, so a
 computed coefficient is always a true coefficient of the exact value.
 
 Absolute value: |x| = q^{deg x} with deg the largest exponent carrying a
-nonzero coefficient, |0| = 0.  The distance-to-polynomials norm looks only at
-exponents <= -1.
+nonzero coefficient, |0| = 0.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .cyclotomic import CyclotomicValue
 from .errors import PrecisionError
 from .fields import FieldSpec
 from .polys import Polynomial
@@ -93,16 +89,6 @@ class LaurentElement:
         if self.floor is None:
             return True
         raise PrecisionError("vanishing is undecidable at this window")
-
-    def abs_value(self) -> Fraction:
-        """|x| as an exact rational power of q."""
-        if not self.coeffs:
-            if self.floor is None:
-                return Fraction(0)
-            raise PrecisionError("absolute value hidden below the window floor")
-        d = max(self.coeffs)
-        q = self.spec.q
-        return Fraction(q) ** d if d >= 0 else Fraction(1, q ** (-d))
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -193,36 +179,9 @@ class LaurentElement:
 
     # -- structure ----------------------------------------------------------------
 
-    def polynomial_part(self) -> Polynomial:
-        """[x]: the coefficients at exponents >= 0 (needs floor <= 0)."""
-        if self.floor is not None and self.floor > 0:
-            raise PrecisionError("polynomial part not fully visible")
-        if not self.coeffs:
-            return Polynomial.zero(self.spec)
-        top = max(self.coeffs)
-        if top < 0:
-            return Polynomial.zero(self.spec)
-        return Polynomial(self.spec,
-                          [self.coeffs.get(k, 0) for k in range(top + 1)])
-
-    def fractional_part(self):
-        """x - [x]: exponents <= -1 only, same floor."""
-        return LaurentElement(self.spec,
-                              {e: c for e, c in self.coeffs.items() if e < 0},
-                              self.floor)
-
     def tail_vector(self, depth: int):
         """(c_{-1}, ..., c_{-depth}) as coefficient indices."""
         return tuple(self.coeff(-k) for k in range(1, depth + 1))
-
-    def norm_less_than(self, m: int) -> bool:
-        """Distance to the polynomial ring: ||x|| < q^{-m}.
-
-        Holds iff coefficients at t^{-1}, ..., t^{-m} all vanish; vacuous for
-        m <= 0."""
-        if m <= 0:
-            return True
-        return all(self.coeff(-k) == 0 for k in range(1, m + 1))
 
     def residue(self) -> int:
         """Coefficient index at t^{-1}."""
@@ -260,17 +219,3 @@ def expand_rational(a: Polynomial, r: Polynomial, floor: int) -> LaurentElement:
     n = max(0, -floor)
     q0, _ = divmod(a.shift(n), r)
     return LaurentElement.from_poly(q0).shift(-n).truncate(floor)
-
-
-def character_value(x: LaurentElement) -> CyclotomicValue:
-    """The standard additive character: zeta_p ** trace(residue(x))."""
-    spec = x.spec
-    return CyclotomicValue.root_power(spec.p, spec.trace_idx(x.residue()))
-
-
-def ball_measure(spec: FieldSpec, y: int) -> Fraction:
-    """Haar measure of {x : |x| < q^{-y}} inside the unit ball, normalized so
-    the unit ball {|x| < 1} has measure 1.  Equals q^{-y} for y >= 0."""
-    if y < 0:
-        raise ValueError("ball exceeds the unit ball")
-    return Fraction(1, spec.q ** y)

@@ -69,9 +69,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     # -- arithmetic --------------------------------------------------------------
 
     def _check(self, other):
@@ -304,17 +301,6 @@ class BinaryForm:
     def dehomogenize(self) -> Polynomial:
         """Set v = 1: the polynomial sum c_i x^i."""
         return Polynomial(self.spec, self.coeffs)
-
-    def to_poly_in_t(self) -> Polynomial:
-        """Identify the form with the boxed polynomial f(t, 1) of degree <= e."""
-        return self.dehomogenize()
-
-    @classmethod
-    def from_poly_in_t(cls, poly: Polynomial, e: int):
-        if poly.degree() > e:
-            raise ValueError("polynomial degree exceeds the form degree")
-        cs = list(poly.coeffs) + [0] * (e + 1 - len(poly.coeffs))
-        return cls(poly.spec, e, cs)
 
     def __eq__(self, other):
         return (isinstance(other, BinaryForm) and self.spec == other.spec

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from fflab import circle
-from fflab.circle import ArcPoint, CountingProblem
+from fflab.circle import CountingProblem
 from fflab.cli import main
 from fflab.cyclotomic import CyclotomicValue
 from fflab.errors import BudgetExceededError, PrecisionError
 from fflab.fields import FieldSpec
-from fflab.forms import fermat_form, parse_form_file, symmetrize
+from fflab.forms import decode_keys, fermat_form, parse_form_file, symmetrize
 from fflab.laurent import LaurentElement
-from fflab.polys import Polynomial, poly_gcd
+from fflab.linalg import rank_mod_q
 
 
 def test_fixture_brute_count(prob_n3):
@@ -259,31 +259,79 @@ def test_degree_subtotals_match_the_per_atom_oracle(spec5, make,
     assert total == prob.brute_count()
 
 
-@pytest.mark.parametrize("spec,max_deg,max_blocks", [
-    (FieldSpec(5), 3, None),
-    (FieldSpec(7), 2, None),
-    (FieldSpec(5, 2), 2, 3),        # F_25: the first three r of degree 2
+@pytest.mark.parametrize("spec,max_deg", [
+    (FieldSpec(5), 3),
+    (FieldSpec(7), 2),
+    (FieldSpec(5, 2), 1),
 ], ids=["q5", "q7", "q25"])
-def test_unit_mask_and_tails_match_gcd_and_expansion(spec, max_deg,
-                                                     max_blocks, monkeypatch):
+def test_unit_mask_and_tails_match_gcd_and_expansion(spec, max_deg):
+    """The arcs of each degree through each depth-k prefix, read off the
+    complexity profile and arcs_through as degree_subtotals reads them,
+    against a count of arc_tail over the arcs that dissect() builds with
+    poly_gcd and expand_rational."""
     q = spec.q
     prob = CountingProblem(spec, fermat_form(spec, 2, 3), 1)
-    monkeypatch.setattr(circle, "_SUM_BLOCK_CELLS", 2000)   # several blocks
     B = prob.char_depth
-    for deg in range(1, max_deg + 1):
-        seen = 0
-        blocks = prob.arc_blocks(deg, max(B, 2 * deg))
-        for r_block, tails, unit in itertools.islice(blocks, max_blocks):
-            assert tails.shape == (len(r_block), q ** deg, max(B, 2 * deg))
-            for r_low, r_tails, r_unit in zip(r_block, tails, unit):
-                r = Polynomial(spec, tuple(r_low.tolist()) + (1,))
-                for j, (tail, is_unit) in enumerate(zip(r_tails, r_unit)):
-                    a = Polynomial(spec, [j // q ** k % q for k in range(deg)])
-                    assert is_unit == poly_gcd(a, r).is_one()
-                    arc = ArcPoint(r, a, deg + prob.arc_floor)
-                    assert tuple(tail[:B].tolist()) == prob.arc_tail(arc)
-                seen += 1
-        assert seen == q ** deg or max_blocks is not None
+    profile = circle.complexity_profile(
+        spec, decode_keys(q, np.arange(q ** B), B))
+
+    def arcs_by_prefix(deg):
+        # the first q^k tails run over every k-digit prefix, zeros after
+        k = min(deg + prob.arc_floor, B)
+        return circle.arcs_through(q, deg, k, profile[:q ** k, k])
+
+    want = {deg: np.zeros_like(arcs_by_prefix(deg))
+            for deg in range(max_deg + 1)}
+    for arc in itertools.takewhile(lambda arc: arc.deg_r <= max_deg,
+                                   prob.dissect()):
+        tail = prob.arc_tail(arc)[:min(arc.y, B)]
+        want[arc.deg_r][sum(c * q ** i for i, c in enumerate(tail))] += 1
+    for deg, counts in want.items():
+        assert np.array_equal(arcs_by_prefix(deg), counts)
+    if q == 25:
+        # the next degree through its count alone: 25^3 * 24 arcs
+        assert arcs_by_prefix(2).sum() == 375_000
+
+
+@pytest.mark.parametrize("spec,max_len", [
+    (FieldSpec(3), 5), (FieldSpec(2, 2), 5), (FieldSpec(5), 4),
+], ids=["q3", "q4", "q5"])
+def test_complexity_profile_matches_the_hankel_rank_definition(spec,
+                                                              max_len):
+    # complexity <= L exactly when the last column of the (j - L) x (L + 1)
+    # Hankel matrix of the j digits is in the span of the first L columns
+    q = spec.q
+    profile = circle.complexity_profile(
+        spec, decode_keys(q, np.arange(q ** max_len), max_len))
+    for j in range(1, max_len + 1):
+        # the first q^j rows run over every j-digit prefix
+        prefixes = decode_keys(q, np.arange(q ** j), j).tolist()
+        for s, c in zip(prefixes, profile[:q ** j, j].tolist()):
+            for L in range(j + 1):
+                hankel = [s[m:m + L + 1] for m in range(j - L)]
+                within = (rank_mod_q(spec, [row[:L] for row in hankel])
+                          == rank_mod_q(spec, hankel))
+                assert within == (c <= L), (s, L)
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(3), FieldSpec(2, 2),
+                                  FieldSpec(5)], ids=["q3", "q4", "q5"])
+def test_arcs_through_matches_brute_extension_counts(spec):
+    # the arcs of degree D are the 2D-digit sequences of complexity D, so
+    # the arcs through a k-digit prefix, k < 2D, are counted by extending
+    q = spec.q
+    for deg in range(1, 5):
+        if q ** (2 * deg) > 4 * 10 ** 5:
+            break
+        keys = np.arange(q ** (2 * deg))
+        profile = circle.complexity_profile(
+            spec, decode_keys(q, keys, 2 * deg))
+        arcs = (profile[:, 2 * deg] == deg).astype(np.int64)
+        for k in range(2 * deg):
+            brute = np.bincount(keys % q ** k, weights=arcs,
+                                minlength=q ** k).astype(np.int64)
+            assert np.array_equal(
+                circle.arcs_through(q, deg, k, profile[:q ** k, k]), brute)
 
 
 def test_arc_counts_by_degree(prob_n3, prob_q7_n2):

@@ -5,6 +5,7 @@ import textwrap
 import pytest
 
 from fflab import moduli
+from fflab.circle import CountingProblem
 from fflab.cli import main
 from fflab.reporting import parse_value, read_rows
 
@@ -77,6 +78,24 @@ def test_budget_exhaustion_exit_3(tmp_path):
     assert code == 3
     rows = read_rows(str(tmp_path / "o" / "dissect-verify.csv"))
     assert rows[0]["out.status"] == "budget-exhausted"
+
+
+def test_dissection_refuses_its_sum_table_before_the_brute_count(
+        tmp_path, monkeypatch):
+    # Fermat n = 2, e = 1 over F_25: the sum table needs 8,369,140,625
+    # cells, past the default budget, and the scalar count must not run
+    def brute_count(self):
+        raise AssertionError("brute_count ran before the budget refusal")
+    monkeypatch.setattr(CountingProblem, "brute_count", brute_count)
+    body = CONE.replace("name = count-cone", "name = dissect-verify") \
+        .replace("p = 5", "p = 5\n    f = 2")
+    cfg = write_cfg(tmp_path, body)
+    code = main(["dissect-verify", "--config", cfg,
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    rows = read_rows(str(tmp_path / "o" / "dissect-verify.csv"))
+    assert rows[0]["out.detail"] == "sum table build"
+    assert parse_value(rows[0]["out.needed"]) == 8_369_140_625
 
 
 def test_env_overrides(tmp_path, monkeypatch):

@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fflab.cyclotomic import (CyclotomicValue, abs_power_at_most,
-                              compare_abs_power, real_sign)
+from fflab.cyclotomic import CyclotomicValue, compare_abs_power, real_sign
 
 
 def test_root_powers_sum_to_zero():
@@ -32,8 +31,6 @@ def test_gauss_sum_magnitude():
     g = CyclotomicValue.from_histogram(5, {0: 1, 1: 2, 4: 2})
     assert g.abs_squared() == 5
     assert compare_abs_power(g, 2, 5) == 0
-    assert abs_power_at_most(g, 2, 5)
-    assert not abs_power_at_most(g, 2, Fraction(9, 2))
     assert abs(abs(g.to_complex(80)) ** 2 - 5.0) < 1e-12
 
 

@@ -1,20 +1,15 @@
-from fractions import Fraction
-
 import pytest
 
-from fflab.cyclotomic import CyclotomicValue
 from fflab.errors import PrecisionError
-from fflab.laurent import (LaurentElement, ball_measure, character_value,
-                           expand_rational)
+from fflab.laurent import LaurentElement, expand_rational
 from fflab.polys import Polynomial
 
 
 def test_monomial_and_degree(spec5):
     x = LaurentElement.monomial(spec5, 3, 2)      # 2 t^3
     assert x.degree() == 3
-    assert x.abs_value() == Fraction(125)
     assert x.coeff(3) == 2 and x.coeff(2) == 0
-    assert LaurentElement.monomial(spec5, -2).abs_value() == Fraction(1, 25)
+    assert LaurentElement.monomial(spec5, -2).degree() == -2
 
 
 def test_from_tail(spec5):
@@ -63,32 +58,9 @@ def test_polynomial_and_fractional_split(spec5):
     t = Polynomial.gen(spec5)
     one = Polynomial.one(spec5)
     x = expand_rational(t * t + one, t, -6)    # t + 1/t
-    assert x.polynomial_part() == t
-    frac = x.fractional_part()
-    assert frac.tail_vector(2) == (1, 0)
+    assert x.coeff(1) == 1 and x.coeff(0) == 0
+    assert x.tail_vector(2) == (1, 0)
     assert x.residue() == 1
-
-
-def test_norm_less_than(spec5):
-    x = LaurentElement.from_tail(spec5, (0, 0, 4))
-    assert x.norm_less_than(2)        # |x| = q^-3 < q^-2
-    assert not x.norm_less_than(3)
-    assert LaurentElement.zero(spec5, floor=-4).norm_less_than(4)
-
-
-def test_character_value_is_root_of_unity(spec5):
-    x = LaurentElement.from_tail(spec5, (3,))
-    assert character_value(x) == CyclotomicValue.root_power(5, 3)
-    # the character only sees the t^-1 coefficient
-    y = LaurentElement.from_tail(spec5, (3, 2, 1))
-    assert character_value(y) == CyclotomicValue.root_power(5, 3)
-    shifted = LaurentElement.monomial(spec5, 2, 1)
-    assert character_value(shifted) == 1
-
-
-def test_ball_measure(spec5):
-    assert ball_measure(spec5, 0) == 1
-    assert ball_measure(spec5, 3) == Fraction(1, 125)
 
 
 def test_shift_and_truncate(spec5):
