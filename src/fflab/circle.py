@@ -15,17 +15,18 @@ depends on the coefficients of alpha at t^{-1},...,t^{-B} because
 deg(F(x)) <= de.  Everything lands in Z[zeta_p], compared bit-exactly.
 
 S has one fast route, CountingProblem.exp_sum_histograms (exp_sums folds
-its integer rows into Q(zeta_p)), and one oracle, the plain double loop
-_exp_sum_direct.  The route reads S off the distribution of each block
-form's coefficient vectors over its own box (forms.block_distributions),
-built once per problem: for a stack of tails it accumulates <c, tail>
-over each block's support through the field tables, counts the block by
-the trace of each value, and convolves the blocks' trace histograms over
-F_p, since the trace of a sum over disjoint variables is the sum of the
-traces.  The phase distribution D(c) = #{x in box : coeffs(F(x)) = c} is
-their fold (forms.fold).  One phase, a sweep of phases and the sum table
-over all q^B tails are all calls of that one kernel; the sum table keeps
-the histograms as one int64 array.
+its integer rows into Q(zeta_p)), and one oracle, _exp_sum_direct, which
+walks the whole box jointly and traces every image.  The route reads S off
+the distribution of each block form's coefficient vectors over its own box
+(forms.block_distributions), built once per problem: for a stack of tails
+it accumulates <c, tail> over each block's support through the field
+tables, counts the block by the trace of each value, and convolves the
+blocks' trace histograms over F_p, since the trace of a sum over disjoint
+variables is the sum of the traces.  The phase distribution
+D(c) = #{x in box : coeffs(F(x)) = c} is their fold (forms.fold).  One
+phase, a sweep of phases and the sum table over all q^B tails are all
+calls of that one kernel; the sum table keeps the histograms as one int64
+array.
 
 The dissection has one fast route, CountingProblem.degree_subtotals, and
 one oracle, the per-atom quadrature (dissect, coprime_residues, arc_tail,
@@ -38,9 +39,14 @@ profile of all q^B tails (complexity_profile); per degree each tail is
 weighted by that closed form, and one product with the sum table gives
 the subtotal as one integer histogram.
 
-The scalar loops over box points and arcs remain only in the oracles: the
-direct summation of S, the per-atom quadrature and the brute-force root
-count.
+Every walk of the box goes through forms.BoxKernel: the block
+distributions, the direct S oracle and the independent root count
+brute_count (forms.zero_count), which walks the whole box jointly and
+shares nothing with the fast route after evaluation.  The identity
+integral over T of psi(<c(x), alpha>) = [c(x) = 0] holds for any map c, so
+dissect-verify checks the dissection, the arcs and the quadrature whatever
+evaluates F; BoxKernel has eval_form as its scalar oracle in tests.  The
+scalar loop over arcs remains only in the per-atom quadrature.
 """
 
 from __future__ import annotations
@@ -55,7 +61,8 @@ import numpy as np
 from .cyclotomic import CyclotomicValue
 from .errors import BudgetExceededError, ConfigError, PrecisionError
 from .fields import FieldSpec
-from .forms import HypersurfaceForm, block_distributions, decode_keys, fold
+from .forms import (BoxKernel, HypersurfaceForm, block_distributions,
+                    decode_keys, fold, zero_count)
 from .laurent import LaurentElement, expand_rational
 from .polys import Polynomial, poly_gcd
 
@@ -202,13 +209,6 @@ class CountingProblem:
 
     # -- enumeration helpers -----------------------------------------------------
 
-    def box_vectors(self):
-        """All x in the box: n coordinates, each a poly with <= e+1 coeffs."""
-        spec = self.spec
-        coords = itertools.product(range(spec.q), repeat=self.box)
-        polys = [Polynomial(spec, cs) for cs in coords]
-        return itertools.product(polys, repeat=self.n)
-
     def monic_polys(self, deg: int):
         spec = self.spec
         for cs in itertools.product(range(spec.q), repeat=deg):
@@ -346,20 +346,20 @@ class CountingProblem:
         return np.concatenate(hists)
 
     def _exp_sum_direct(self, tail: tuple) -> CyclotomicValue:
-        """Oracle: S at one depth-B tail by the plain loop over the box."""
+        """Oracle: S at one depth-B tail by a walk of the whole box
+        (BoxKernel.box), with no block split, fold or convolution: the
+        histogram of tr <coeffs F(x), tail> over every x."""
         spec = self.spec
         self._charge(spec.q ** (self.box * self.n), "direct S evaluation")
-        mul, add, trace = (spec.tables["mul"], spec.tables["add"],
-                           spec.tables["trace"])
-        hist = [0] * spec.p
-        for x in self.box_vectors():
-            v = self.form.eval_form(list(x))
-            res = 0
-            for k, c in enumerate(v.coeffs):
-                if c:
-                    res = add[res][mul[c][tail[k]]]
-            hist[trace[res]] += 1
-        return CyclotomicValue.from_histogram(spec.p, hist)
+        np_mul, np_add = spec.tables["np_mul"], spec.tables["np_add"]
+        hist = np.zeros(spec.p, dtype=np.int64)
+        for _, images in BoxKernel(self.form, self.e).box():
+            acc = np.zeros(len(images), dtype=np.int16)
+            for k, digit in enumerate(tail):
+                acc = np_add[acc, np_mul[images[:, k], digit]]
+            hist += np.bincount(spec.tables["np_trace"][acc],
+                                minlength=spec.p)
+        return CyclotomicValue.from_histogram(spec.p, hist.tolist())
 
     def sum_table(self) -> np.ndarray:
         """S on every depth-B tail as one int64 histogram H of shape
@@ -451,23 +451,16 @@ class CountingProblem:
         return total
 
     def major_total(self) -> CyclotomicValue:
-        """Contribution of the major atoms (r = 1, |theta| < q^{-de-1}),
-        which all lie on the one arc with deg r = 0."""
-        unit = ArcPoint(Polynomial.one(self.spec), Polynomial.zero(self.spec),
-                        self.arc_floor)
-        total = CyclotomicValue.zero(self.spec.p)
-        for atom in self.arc_atoms(unit):
-            if atom.kind == "major":
-                total = total + atom.value * atom.weight
-        return total
+        """Contribution of the major atoms (r = 1, |theta| < q^{-de-1}):
+        the one atom of the arc with deg r = 0 at the zero depth-B tail
+        (_atom_kind), S there times its weight q^-B."""
+        B = self.char_depth
+        return self.exp_sum((0,) * B) * Fraction(1, self.spec.q ** B)
 
     # -- the independent count ------------------------------------------------------
 
     def brute_count(self) -> int:
-        """#{x in box : F(x) = 0} by direct enumeration (includes x = 0)."""
+        """#{x in box : F(x) = 0} (includes x = 0): the whole box walked
+        jointly (forms.zero_count), with no block split, fold or trace."""
         self._charge(self.spec.q ** (self.box * self.n), "brute-force count")
-        count = 0
-        for x in self.box_vectors():
-            if self.form.eval_form(list(x)).is_zero():
-                count += 1
-        return count
+        return zero_count(self.form, self.e)

@@ -16,10 +16,12 @@ multilinear forms in d-1 vector arguments that the Weyl layer reads,
 satisfying sum_i x_i Psi_i(x,...,x) = F(x) identically.
 
 Evaluation is ring-generic: vectors of field elements, Polynomial, BinaryForm
-or LaurentElement all work (anything with +, * and scale_idx).  For whole
-coefficient boxes, BoxKernel evaluates F(f_1,...,f_n) on blocks of tuples of
-degree-e forms at once, through the numpy field tables; eval_form stays the
-scalar oracle it is checked against.
+or LaurentElement all work (anything with +, * and scale_idx).  BoxKernel
+is the one walk of a coefficient box: it evaluates F(f_1,...,f_n) on
+blocks of tuples of degree-e forms at once, through the numpy field
+tables, and every count over a box reads it (zero_count, the block
+distributions, the direct S oracle).  eval_form is its scalar oracle in
+tests.
 
 F is the sum of one form per block of variables (`blocks`), so the
 distribution of its coefficient vectors over a box is the fold of those
@@ -211,6 +213,14 @@ class BoxKernel:
             codes = np.stack([(tup // size ** (n - 1 - i)) % size
                               for i in range(n)], axis=1)
             yield codes, self.images(codes)
+
+
+def zero_count(form: HypersurfaceForm, e: int) -> int:
+    """#{tuples f of degree-e forms with F(f) = 0}, zero tuple included:
+    the tuples of the whole box whose BoxKernel image is the zero vector.
+    Charges nothing."""
+    return sum(int(np.count_nonzero(~images.any(axis=1)))
+               for _, images in BoxKernel(form, e).box())
 
 
 def encode_keys(q: int, digits) -> np.ndarray:

@@ -41,7 +41,6 @@ from .circle import CountingProblem
 from .errors import BudgetExceededError, ConfigError, VerificationFailure
 from .fields import FieldSpec
 from .forms import fermat_form, parse_form_file
-from .laurent import LaurentElement
 from .latgon import (SpecialLatticePair, check_capes, check_ratio_lemmas,
                      check_sandwiches, minima_by_enumeration,
                      random_symmetric_gamma, reduce_lattices)
@@ -302,7 +301,7 @@ def _base_inputs(config: RunConfig, spec: FieldSpec) -> dict:
 def _run_dissect(config: RunConfig):
     prob = build_problem(config)
     base = _base_inputs(config, prob.spec)
-    # the subtotals charge the sum table before the scalar brute count runs
+    # the subtotals charge the sum table before the brute count runs
     subtotals = prob.degree_subtotals()
     brute = prob.brute_count()
     records = []
@@ -335,27 +334,11 @@ def _run_major(config: RunConfig):
         passed=holds, budget_spent=prob.budget_spent)]
 
 
-def _problem_recipe(config: RunConfig) -> tuple:
-    return (config.p, config.f, config.modulus, config.d, config.n,
-            config.e, config.form_path, config.budget)
-
-
-def _problem_from_recipe(recipe: tuple) -> CountingProblem:
-    p, f, modulus, d, n, e, form_path, budget = recipe
-    spec = FieldSpec(p, f, modulus=modulus)
-    if form_path:
-        form = parse_form_file(form_path, spec, n, d)
-    else:
-        form = fermat_form(spec, n, d)
-    return CountingProblem(spec, form, e, budget=budget)
-
-
-def _weyl_chunk(recipe: tuple, tails):
-    prob = _problem_from_recipe(recipe)
-    alphas = [LaurentElement.from_tail(prob.spec, tail) for tail in tails]
+def _weyl_chunk(config: RunConfig, tails):
+    prob = build_problem(config)
     return [(tail, rep.passed, rep.details["N"], rep.details["bound"],
              rep.details["cmp"])
-            for tail, rep in zip(tails, check_weyl_batch(prob, alphas))]
+            for tail, rep in zip(tails, check_weyl_batch(prob, tails))]
 
 
 def _run_weyl(config: RunConfig):
@@ -369,6 +352,10 @@ def _run_weyl(config: RunConfig):
             raise ConfigError(
                 f"{config.path}: [task] alpha: need {depth} digits, "
                 f"got {len(single)}")
+        if not all(0 <= digit < spec.q for digit in single):
+            raise ConfigError(
+                f"{config.path}: [task] alpha: digits must lie in "
+                f"0..{spec.q - 1}, got {single}")
         tails = [single]
     else:
         sweep = spec.q ** depth
@@ -380,7 +367,7 @@ def _run_weyl(config: RunConfig):
         tails = list(itertools.islice(
             itertools.product(range(spec.q), repeat=depth), sweep))
     _charge_weyl(prob, len(tails))
-    fn = functools.partial(_weyl_chunk, _problem_recipe(config))
+    fn = functools.partial(_weyl_chunk, config)
     results = map_reduce(fn, tails, workers=config.workers)
     records = []
     failures = 0
@@ -416,8 +403,7 @@ def _run_shrink(config: RunConfig):
     for eta in etas:
         tails = [tuple(rng.randrange(spec.q) for _ in range(prob.char_depth))
                  for _ in range(samples)]
-        alphas = [LaurentElement.from_tail(spec, tail) for tail in tails]
-        for tail, rep in zip(tails, check_shrink_batch(prob, alphas, eta)):
+        for tail, rep in zip(tails, check_shrink_batch(prob, tails, eta)):
             records.append(ReportRecord(
                 task=config.task,
                 inputs={**base, "eta": eta, "alpha_tail": tail},

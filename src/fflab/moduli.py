@@ -24,11 +24,11 @@ tests.
 
 Counting routes, kept separate so they can cross-check each other:
 
-  enumerate  evaluate F(f) on every tuple with the box kernel
-             (forms.BoxKernel, blocks of 2^13 tuples through the numpy field
-             tables), count the all-zero condition vectors, and test the
-             solutions of each block for coprimality with one rank_coprime
-             call;
+  enumerate  walk every tuple through the one box walk (forms.BoxKernel,
+             blocks of 2^13 tuples through the numpy field tables): the
+             total is forms.zero_count, the tuples whose condition vector
+             is all zero, and the morphism count tests the solutions of
+             each block for coprimality with one rank_coprime call;
   convolve   F(f) is the sum of one form per block of variables
              (forms.HypersurfaceForm.blocks), so the count is a group
              convolution over F_{q^l}^{de+1} of the block distributions
@@ -58,7 +58,7 @@ from .audit import dims
 from .errors import BudgetExceededError, ConfigError, VerificationFailure
 from .fields import FieldSpec
 from .forms import (BoxKernel, HypersurfaceForm, block_distributions,
-                    decode_keys, encode_keys, fold, symmetrize)
+                    decode_keys, encode_keys, fold, symmetrize, zero_count)
 from .linalg import batched_rank
 from .polys import poly_gcd
 
@@ -156,8 +156,7 @@ def _total_enumerate(spec: FieldSpec, form: HypersurfaceForm, e: int) -> int:
     """#{tuples of degree-e forms, zero included, with F(f) = 0}."""
     q, n = spec.q, form.n
     _charge(q ** ((e + 1) * n), "morphism-space enumeration")
-    return sum(int(np.count_nonzero(~images.any(axis=1)))
-               for _, images in BoxKernel(form, e).box())
+    return zero_count(form, e)
 
 
 def _total_convolve(spec: FieldSpec, form: HypersurfaceForm, e: int) -> int:

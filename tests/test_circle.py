@@ -16,10 +16,30 @@ from fflab.fields import FieldSpec
 from fflab.forms import decode_keys, fermat_form, parse_form_file, symmetrize
 from fflab.laurent import LaurentElement
 from fflab.linalg import rank_mod_q
+from fflab.polys import Polynomial
+
+
+def _scalar_images(prob):
+    """F(x) as a Polynomial at every x of the box, one eval_form call per
+    point: the scalar oracle of the box walks."""
+    space = [Polynomial(prob.spec, cs) for cs in
+             itertools.product(range(prob.spec.q), repeat=prob.box)]
+    for x in itertools.product(space, repeat=prob.n):
+        yield prob.form.eval_form(list(x))
 
 
 def test_fixture_brute_count(prob_n3):
     assert prob_n3.brute_count() == 145
+
+
+@pytest.mark.parametrize("name", ["prob_n3", "prob_q7_n2", "mixed"])
+def test_brute_count_matches_scalar_loop(request, spec5, name):
+    if name == "mixed":
+        prob = _mixed_cubic(spec5, 1)
+    else:
+        prob = request.getfixturevalue(name)
+    want = sum(1 for value in _scalar_images(prob) if value.is_zero())
+    assert prob.brute_count() == want
 
 
 def test_dissection_covers_the_torus(prob_n3):
@@ -204,8 +224,7 @@ def test_mixed_form_identity(spec5):
 def test_phase_distribution_matches_scalar_loop(spec5, make):
     prob = make(spec5)
     want = {}
-    for x in prob.box_vectors():
-        value = prob.form.eval_form(list(x))
+    for value in _scalar_images(prob):
         key = tuple(value.coeff(k) for k in range(prob.char_depth))
         want[key] = want.get(key, 0) + 1
     support, counts = prob.phase_distribution()

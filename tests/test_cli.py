@@ -98,6 +98,18 @@ def test_dissection_refuses_its_sum_table_before_the_brute_count(
     assert parse_value(rows[0]["out.needed"]) == 8_369_140_625
 
 
+@pytest.mark.parametrize("alpha", ["7,0,0,0", "0,0,0,-1"])
+def test_weyl_alpha_digit_out_of_range_exit_2(tmp_path, capsys, alpha):
+    body = CONE.replace("name = count-cone",
+                        f"name = weyl-check\n    alpha = {alpha}")
+    cfg = write_cfg(tmp_path, body)
+    code = main(["weyl-check", "--config", cfg,
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "[task] alpha" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_env_overrides(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, CONE)
     monkeypatch.setenv("FFLAB_OUT", str(tmp_path / "env_out"))

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import os
 import random
 
 import numpy as np
@@ -160,6 +161,10 @@ def test_separable_counts_walk_only_the_block_boxes(spec5, monkeypatch):
     assert (keys.tolist(), counts.tolist()) == ([0], [25])
 
 
+MIXED_CUBIC = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "forms", "mixed_cubic_n2.form")
+
+
 def _kernel_forms(f):
     spec = FieldSpec(5, f)
     mixed = {(3, 0, 0): 1, (2, 1, 0): 1, (1, 1, 1): 3, (0, 0, 3): 2}
@@ -177,14 +182,18 @@ def test_box_kernel_matches_eval_form(f, e):
     rng = random.Random(f"{f}:{e}")
     rows = [[0, 0, 0], [size - 1] * 3]
     rows += [[rng.randrange(size) for _ in range(3)] for _ in range(40)]
-    codes = np.array(rows, dtype=np.int64)
-    for form in forms:
+    cases = [(form, rows) for form in forms]
+    if (f, e) == (1, 1):
+        # the mixed binary cubic at every tuple of its box
+        cases.append((parse_form_file(MIXED_CUBIC, spec, 2, 3), [
+            list(t) for t in itertools.product(range(size), repeat=2)]))
+    for form, rows in cases:
         kernel = BoxKernel(form, e)
         if size <= 625:
             # codes number the coefficient space in itertools.product order
             assert kernel.powers[1].tolist() == [
                 list(cs) for cs in itertools.product(range(q), repeat=e + 1)]
-        got = kernel.images(codes)
+        got = kernel.images(np.array(rows, dtype=np.int64))
         assert got.shape == (len(rows), 3 * e + 1)
         for row, image in zip(rows, got.tolist()):
             tup = [BinaryForm(spec, e, [c // q ** (e - j) % q

@@ -13,7 +13,7 @@ from fflab.circle import CountingProblem
 from fflab.cyclotomic import compare_abs_power
 from fflab.fields import FieldSpec
 from fflab.forms import fermat_form, parse_form_file, symmetrize
-from fflab.harness import _problem_recipe, _weyl_chunk, load_config
+from fflab.harness import _weyl_chunk, load_config
 from fflab.laurent import LaurentElement
 from fflab.linalg import batched_rank
 from fflab.weyl import (_shape_N, _shape_N_eta, approx_zero_counts,
@@ -428,7 +428,7 @@ def test_one_sweep_chunk_ranks_one_matrix_per_line(ranked):
     config = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
                                       "configs", "weyl_sweep_q5.cfg"))
     tails = list(itertools.product(range(5), repeat=4))
-    out = _weyl_chunk(_problem_recipe(config), tails)
+    out = _weyl_chunk(config, tails)
     assert len(out) == 625 and all(row[1] for row in out)
     # the 625 phases fall into 1 + 624/4 = 157 F_5^*-classes, each ranked
     # once on the (5^2 - 1) / 4 = 6 lines of prefixes of each of the two
