@@ -345,6 +345,33 @@ class FieldSpec:
         return (FieldElement(self, i) for i in range(self.q))
 
 
+def extension(spec: FieldSpec, ell: int):
+    """(E, embed): E = F_{q^ell} as FieldSpec(p, f ell) with its
+    reproducible modulus, and embed the int64 array that maps every F_q
+    index to its image in E.  Over a prime base the image of c is the
+    constant c, index c of E.  For q = p^f, x (the class of the variable
+    modulo spec.modulus) goes to the first root of spec.modulus in E, so
+    embed is an injective ring homomorphism.  ell = 1 gives (spec, the
+    identity) and builds nothing."""
+    if ell == 1:
+        return spec, np.arange(spec.q)
+    ext = FieldSpec(spec.p, spec.f * ell)
+    if spec.f == 1:
+        return ext, np.arange(spec.p)
+    add, mul = ext.tables["add"], ext.tables["mul"]
+
+    def value(coeffs, a):
+        # Horner over E; the coefficients are prime-field indices
+        acc = 0
+        for c in reversed(coeffs):
+            acc = add[mul[acc][a]][c]
+        return acc
+
+    root = next(a for a in range(ext.q) if value(spec.modulus, a) == 0)
+    return ext, np.array([value(spec.coords(i), root)
+                          for i in range(spec.q)])
+
+
 def _pow_idx(mul, i, k):
     r, b = 1, i
     while k:

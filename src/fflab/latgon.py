@@ -18,8 +18,9 @@ it, and one oracle:
     coefficient matrix.  The sorted column degrees are kept on the
     lattice, so each lattice is reduced once.  The oracle,
     minima_by_enumeration, never reduces: it takes the whole solution
-    space of growing balls and measures its K-linear rank by
-    fraction-free elimination;
+    space of growing balls and measures its K-linear rank by definition,
+    evaluating the polynomial basis at more points of F_q (or of an
+    extension) than any nonzero minor of it has roots;
   * ball counts #{x in lattice : |x| < q^Z} and the skew box counts
     N(a, Z) are sizes of F_q-linear solution spaces of Toeplitz
     coefficient systems; all systems of one call are ranked together by
@@ -58,7 +59,7 @@ from .errors import (BudgetExceededError, ConfigError, PrecisionError,
                      VerificationFailure)
 from .fields import FieldSpec
 from .laurent import LaurentElement
-from .linalg import batched_nullspace, batched_rank, poly_matrix_rank
+from .linalg import batched_nullspace, batched_poly_rank, batched_rank
 from .polys import Polynomial
 
 # one linear system may not exceed this many coefficient unknowns
@@ -364,12 +365,19 @@ def minima_by_enumeration(lattices) -> list:
     """The oracle for successive minima; it never reduces.  For each
     lattice the radius r walks up from below the first minimum.  At each r
     an F_q-basis of the ball {u : |B u| <= q^r} (the nullspace of its
-    coefficient system) has its K-linear rank measured by fraction-free
-    elimination on the polynomial coordinates u; B is invertible over K,
+    coefficient system) has the rank over K of its polynomial coordinates
+    u measured by definition, by linalg.batched_poly_rank: evaluated at
+    more points than any nonzero minor of the basis has roots, so one
+    point where the minor survives certifies it.  B is invertible over K,
     so that is the K-rank of the lattice vectors B u.  R_v is the first r
     at which the rank reaches v.  The balls of all lattices at their
-    current radius are solved together.  Returns the closed exponents of
-    each lattice, in order."""
+    current radius are solved together, and the bases of one shape are
+    ranked in one stack.  Returns the closed exponents of each lattice, in
+    order.
+
+    The columns of B are lattice vectors of degree <= top(B), so the rank
+    reaches N by r = top(B); a radius past it means the oracle contradicts
+    the lattice, a VerificationFailure."""
     radius = [lat._enumeration_start() for lat in lattices]
     degs = [[] for _ in lattices]
     live = list(range(len(lattices)))
@@ -378,20 +386,23 @@ def minima_by_enumeration(lattices) -> list:
         for i in live:
             lat = lattices[i]
             if radius[i] > lat._max_top:
-                raise ConfigError(
+                raise VerificationFailure(
                     "enumeration overran the generator degree bound")
             balls.append((lat, radius[i] + 1))
         systems = [(lat.spec, system) for (lat, _), system
                    in zip(balls, _ball_systems(balls))]
+        shapes = {}
         for i, basis in zip(live, _batched(systems, _nullspace_kernel)):
             lat = lattices[i]
-            rank = 0
-            if len(basis):
-                width = basis.shape[1] // lat.dim
-                rank = poly_matrix_rank(
-                    [[Polynomial(lat.spec, vec[k * width:(k + 1) * width])
-                      for k in range(lat.dim)] for vec in basis.tolist()])
-            degs[i] += [radius[i]] * (rank - len(degs[i]))
+            polys = basis.reshape(len(basis), lat.dim,
+                                  basis.shape[1] // lat.dim)
+            shapes.setdefault((lat.spec, polys.shape), []).append((i, polys))
+        for (spec, _), members in shapes.items():
+            ranks = batched_poly_rank(
+                spec, np.stack([polys for _, polys in members]))
+            for (i, _), rank in zip(members, ranks.tolist()):
+                degs[i] += [radius[i]] * (rank - len(degs[i]))
+        for i in live:
             radius[i] += 1
         live = [i for i in live if len(degs[i]) < lattices[i].dim]
     return degs

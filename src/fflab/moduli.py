@@ -56,7 +56,7 @@ import numpy as np
 
 from .audit import dims
 from .errors import BudgetExceededError, ConfigError, VerificationFailure
-from .fields import FieldSpec
+from .fields import FieldSpec, extension
 from .forms import (BoxKernel, HypersurfaceForm, block_distributions,
                     decode_keys, encode_keys, fold, symmetrize, zero_count)
 from .linalg import batched_rank
@@ -72,12 +72,10 @@ _MAX_CELLS = 1 << 24
 
 def extend_spec(spec: FieldSpec, ell: int) -> FieldSpec:
     """F_{q^ell} over a prime base field, with a reproducible modulus."""
-    if ell == 1:
-        return spec
-    if spec.f != 1:
+    if ell != 1 and spec.f != 1:
         raise ConfigError(
             "extension towers are only built over prime base fields")
-    return FieldSpec(spec.p, ell)
+    return extension(spec, ell)[0]
 
 
 def embed_form(form: HypersurfaceForm, ext: FieldSpec) -> HypersurfaceForm:

@@ -2,7 +2,8 @@ import pickle
 
 import pytest
 
-from fflab.fields import FieldSpec, find_irreducible, is_prime, trace
+from fflab.fields import (FieldSpec, extension, find_irreducible, is_prime,
+                          trace)
 
 
 def test_is_prime_small():
@@ -92,3 +93,25 @@ def test_coords_index_round_trip():
     spec = FieldSpec(3, 3)
     for i in range(27):
         assert spec.index(spec.coords(i)) == i
+
+
+@pytest.mark.parametrize("p,f,ell", [(3, 2, 2), (2, 2, 3)])
+def test_extension_embeds_as_an_injective_ring_homomorphism(p, f, ell):
+    # F_9 -> F_81 and F_4 -> F_64
+    spec = FieldSpec(p, f)
+    ext, embed = extension(spec, ell)
+    assert ext.q == spec.q ** ell
+    assert (embed[0], embed[1]) == (0, 1)
+    assert len(set(embed.tolist())) == spec.q
+    for x in range(spec.q):
+        for y in range(spec.q):
+            assert embed[spec.add(x, y)] == ext.add(embed[x], embed[y])
+            assert embed[spec.mul(x, y)] == ext.mul(embed[x], embed[y])
+
+
+def test_extension_of_a_prime_field_keeps_its_constants():
+    spec = FieldSpec(5)
+    assert extension(spec, 1)[0] is spec
+    ext, embed = extension(spec, 2)
+    assert ext == FieldSpec(5, 2)
+    assert embed.tolist() == [0, 1, 2, 3, 4]

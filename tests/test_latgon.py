@@ -6,17 +6,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fflab import latgon
+from fflab import latgon, linalg
 from fflab.cli import main
 from fflab.errors import (BudgetExceededError, ConfigError, PrecisionError,
                          VerificationFailure)
 from fflab.fields import FieldSpec
+from fflab.harness import load_config, run_task
 from fflab.latgon import (FunctionFieldLattice, SpecialLatticePair,
                           ball_counts, check_capes, check_ratio_lemmas,
                           check_sandwiches, diagonal_lattice,
                           minima_by_enumeration, random_symmetric_gamma,
                           reduce_lattices, skew_counts)
 from fflab.laurent import LaurentElement
+from fflab.polys import Polynomial
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -290,3 +292,58 @@ def test_suites_reduce_each_lattice_once_on_arrays(tmp_path, monkeypatch, name,
     with open(tmp_path / f"{task}.csv", "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == digest
     assert seen == {"reduced": reduced, "pairs": pairs}
+
+
+def test_lattice_oracle_work_is_pinned(monkeypatch):
+    # configs/lattice_q5.cfg: the oracle solves 568 balls in 7 radius
+    # steps, and the K-rank hands batched_rank 8 stacks of 2,424 evaluated
+    # matrices and 44,768 cells in all (P = min(k, N) D + 1 points each)
+    radii, ranked = [], []
+    balls, rank = latgon._ball_systems, linalg.batched_rank
+
+    def counting_balls(requests):
+        radii.append(len(requests))
+        return balls(requests)
+
+    def counting_rank(spec, mats):
+        ranked.append(mats.shape)
+        return rank(spec, mats)
+
+    monkeypatch.setattr(latgon, "_ball_systems", counting_balls)
+    monkeypatch.setattr(linalg, "batched_rank", counting_rank)
+    result = run_task(load_config(os.path.join(CONFIGS, "lattice_q5.cfg")))
+    assert result.status == "pass"
+    assert (sum(radii), len(radii)) == (568, 7)
+    assert (len(ranked), sum(shape[0] for shape in ranked),
+            sum(math.prod(shape) for shape in ranked)) == (8, 2424, 44768)
+
+
+def test_the_oracle_neither_reduces_nor_builds_polynomials(spec5,
+                                                            monkeypatch):
+    pairs = SpecialLatticePair.suite(
+        spec5, [random_symmetric_gamma(spec5, 2, seed) for seed in range(20)],
+        [1 + seed % 2 for seed in range(20)])
+
+    def forbidden(*args):
+        raise AssertionError("the oracle left its own route")
+
+    monkeypatch.setattr(latgon, "_reduce", forbidden)
+    monkeypatch.setattr(Polynomial, "__init__", forbidden)
+    enumerated = minima_by_enumeration([pair.m_lattice for pair in pairs])
+    monkeypatch.undo()
+    assert enumerated == [list(pair.minima("M").exponents) for pair in pairs]
+
+
+def test_an_oracle_overrun_is_a_verification_failure(tmp_path, monkeypatch):
+    # a K-rank that never grows walks the radius past top(B); that
+    # contradicts the lattice, so it is exit 1, not a config error
+    path = tmp_path / "lattice.cfg"
+    path.write_text("[field]\np = 5\n\n[problem]\nd = 3\nn = 1\ne = 1\n\n"
+                    "[task]\nname = lattice-minima\ncount = 2\n")
+    monkeypatch.setattr(latgon, "batched_poly_rank",
+                        lambda spec, polys: np.zeros(len(polys), dtype=int))
+    result = run_task(load_config(str(path)))
+    assert (result.status, result.exit_code) == ("fail", 1)
+    [record] = result.records
+    assert record.outputs["status"] == "verification-failure"
+    assert "overran" in record.outputs["detail"]

@@ -2,9 +2,48 @@ import numpy as np
 import pytest
 
 from fflab.fields import FieldSpec
-from fflab.linalg import (batched_nullspace, batched_rank, poly_matrix_rank,
+from fflab.linalg import (batched_nullspace, batched_poly_rank, batched_rank,
                           rank_mod_q, solve_nullspace)
 from fflab.polys import Polynomial
+
+FIELDS = [(5, 1), (5, 2), (181, 1), (191, 1)]
+SHAPES = [(40, 4, 4), (30, 5, 7), (20, 7, 3), (5, 0, 3), (5, 3, 0),
+          (0, 3, 3)]
+
+
+def poly_matrix_rank(rows) -> int:
+    """Rank over the fraction field F_q(t) of a matrix of Polynomial
+    entries, by fraction-free elimination (cross-multiplication; no
+    division): the oracle of batched_poly_rank."""
+    a = [list(r) for r in rows]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    rank = 0
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, nrows):
+            if not a[r][col].is_zero():
+                piv = r
+                break
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        pv = a[rank][col]
+        for r in range(rank + 1, nrows):
+            f = a[r][col]
+            if not f.is_zero():
+                a[r] = [x * pv - y * f for x, y in zip(a[r], a[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def _sparse_stack(spec, rng, shape):
+    # 60% zeros, so that in one column some matrices pivot and others not
+    mats = rng.integers(0, spec.q, size=shape)
+    mats[rng.random(shape) < 0.6] = 0
+    return mats
 
 
 def test_rank_mod_q_known(spec5):
@@ -36,12 +75,15 @@ def test_nullspace_vectors_annihilate(spec5):
             assert acc == 0
 
 
-def test_batched_rank_matches_loop(spec5):
+@pytest.mark.parametrize("p,f", FIELDS)
+def test_batched_rank_matches_loop(p, f):
+    # rank_mod_q is the oracle, matrix for matrix
+    spec = FieldSpec(p, f)
     rng = np.random.default_rng(7)
-    mats = rng.integers(0, 5, size=(50, 3, 4))
-    got = batched_rank(spec5, mats)
-    want = [rank_mod_q(spec5, m.tolist()) for m in mats]
-    assert got.tolist() == want
+    for shape in SHAPES:
+        mats = _sparse_stack(spec, rng, shape)
+        got = batched_rank(spec, mats)
+        assert got.tolist() == [rank_mod_q(spec, m.tolist()) for m in mats]
 
 
 @pytest.mark.parametrize("p", [181, 191])
@@ -57,15 +99,14 @@ def test_batched_rank_on_both_sides_of_the_int16_index(p):
     assert got.tolist() == [rank_mod_q(spec, m.tolist()) for m in mats]
 
 
-@pytest.mark.parametrize("p,f", [(5, 1), (5, 2), (181, 1), (191, 1)])
+@pytest.mark.parametrize("p,f", FIELDS)
 def test_batched_nullspace_matches_the_loop(p, f):
     # sparse stacks, so that many are singular; solve_nullspace is the
     # oracle, vector for vector
     spec = FieldSpec(p, f)
     rng = np.random.default_rng(11)
-    for shape in [(40, 4, 4), (30, 5, 7), (20, 7, 3), (5, 0, 3)]:
-        mats = rng.integers(0, spec.q, size=shape)
-        mats[rng.random(shape) < 0.6] = 0
+    for shape in SHAPES:
+        mats = _sparse_stack(spec, rng, shape)
         basis, free = batched_nullspace(spec, mats)
         for b in range(shape[0]):
             want = solve_nullspace(spec, mats[b].tolist())
@@ -89,6 +130,72 @@ def test_poly_matrix_rank(spec5):
     assert poly_matrix_rank([[t, one], [one, t]]) == 2
     zero = Polynomial.zero(spec5)
     assert poly_matrix_rank([[zero, zero], [zero, zero]]) == 0
+
+
+def _poly_matrices(spec, rng, k, ncols, top):
+    """A k x N matrix of random polynomials of degree <= top (half of the
+    entries zero), and one whose last row is a polynomial combination of
+    the others, with multipliers of degree <= 1."""
+    def poly(deg):
+        if rng.random() < 0.5:
+            return Polynomial.zero(spec)
+        return Polynomial(spec, rng.integers(0, spec.q, size=deg + 1).tolist())
+
+    full = [[poly(top) for _ in range(ncols)] for _ in range(k)]
+    step = min(top, 1)
+    base = [[poly(top - step) for _ in range(ncols)] for _ in range(k - 1)]
+    last = [Polynomial.zero(spec)] * ncols
+    for row in base:
+        c = Polynomial(spec, rng.integers(0, spec.q, size=step + 1).tolist())
+        last = [x + c * y for x, y in zip(last, row)]
+    return [full, base + [last]]
+
+
+def _coefficient_stack(mats, width):
+    return np.array([[[list(e.coeffs) + [0] * (width - len(e.coeffs))
+                       for e in row] for row in mat] for mat in mats],
+                    dtype=np.int64).reshape(len(mats), len(mats[0]),
+                                            len(mats[0][0]), width)
+
+
+@pytest.mark.parametrize("p,f", [(5, 1), (7, 1), (5, 2)])
+def test_batched_poly_rank_matches_fraction_free_elimination(p, f):
+    # k = 1..8 rows, N = 2..4 columns, top degree 0..6; the deficient
+    # matrices have a rank below min(k, N) when k <= N
+    spec = FieldSpec(p, f)
+    rng = np.random.default_rng(13)
+    for k in range(1, 9):
+        for ncols in range(2, 5):
+            top = (k + ncols) % 7
+            mats = _poly_matrices(spec, rng, k, ncols, top)
+            got = batched_poly_rank(spec, _coefficient_stack(mats, top + 1))
+            assert got.tolist() == [poly_matrix_rank(m) for m in mats]
+
+
+@pytest.mark.parametrize("p,f", [(5, 1), (2, 2)])
+def test_batched_poly_rank_past_the_points_of_the_field(p, f):
+    # rows (t^q - t, 0) and (0, 1): rank 2 over F_q(t), but t^q - t
+    # vanishes on F_q, so every evaluation over F_q has rank 1 and only a
+    # proper extension certifies the rank
+    spec = FieldSpec(p, f)
+    q = spec.q
+    stack = np.zeros((1, 2, 2, q + 1), dtype=np.int64)
+    stack[0, 0, 0, [1, q]] = [spec.neg(1), 1]
+    stack[0, 1, 1, 0] = 1
+    assert batched_poly_rank(spec, stack).tolist() == [2]
+    zero, one = Polynomial.zero(spec), Polynomial.one(spec)
+    entry = Polynomial(spec, stack[0, 0, 0].tolist())
+    assert poly_matrix_rank([[entry, zero], [zero, one]]) == 2
+    for a in range(q):
+        at_a = entry(spec.from_index(a)).idx
+        assert rank_mod_q(spec, [[at_a, 0], [0, 1]]) == 1
+
+
+def test_batched_poly_rank_of_empty_stacks(spec5):
+    for shape in [(0, 2, 2, 3), (3, 0, 2, 3), (3, 2, 0, 3), (3, 2, 2, 0),
+                  (3, 2, 2, 4)]:
+        stack = np.zeros(shape, dtype=np.int64)
+        assert batched_poly_rank(spec5, stack).tolist() == [0] * shape[0]
 
 
 def test_poly_from_idx(spec5):
