@@ -1,26 +1,38 @@
 """Finite fields F_q, q = p^f, with explicit moduli and table-based arithmetic.
 
-Representation conventions:
-
 * An element of F_{p^f} is a vector (c_0, ..., c_{f-1}) over F_p in the power
-  basis of the chosen monic irreducible modulus.  Elements are *indexed* by
-  the integer c_0 + c_1 p + ... + c_{f-1} p^{f-1}; for a prime field the index
-  is the canonical representative itself.
-* All arithmetic goes through small lookup tables on indices, so enumeration
-  kernels can work on plain integers (and on numpy integer arrays) without
-  ever leaving exact arithmetic.
-* There is no canonical-modulus table: constructing F_{p^f} with f > 1
-  requires an explicit modulus.  `find_irreducible` provides a deterministic
-  choice (first monic irreducible in little-endian coefficient order) for
-  callers that need a reproducible default tower.
+  basis of a monic irreducible modulus, *indexed* by the integer
+  c_0 + c_1 p + ... + c_{f-1} p^{f-1}; in a prime field, by its canonical
+  representative.  `find_irreducible` (cached per (p, f)) gives the
+  reproducible default modulus: the first monic irreducible in
+  little-endian coefficient order.
+* All arithmetic goes through lookup tables on indices, so kernels work on
+  plain integers and numpy integer arrays without leaving exact arithmetic.
+  The tables hold indices as int16, so q <= 2^15: FieldSpec refuses a
+  larger field with ValueError when constructed, before any table exists.
 
-The absolute trace tr_{F_q/F_p}(x) = sum of Frobenius powers is exposed as an
-integer in 0..p-1; it feeds the additive character.
+The tables are built once per field and process.  One O(q) Python walk of
+the powers of the first primitive element g in index order gives
+exp[k] = g^k and its inverse log (g is searched for: modulo x^2 + 2 over
+F_5, x has order 8).  Every table is then an int16 numpy array, built by
+broadcasting: mul and inv are exp[(log i +- log j) mod (q - 1)] with zero
+masked; add, neg and sub act on the base-p digits of the indices; the
+absolute trace (the sum of the Frobenius powers x^{p^k}, an integer in
+0..p-1 that feeds the additive character) is the F_p-linear map fixed by
+its values on the f basis elements, each checked to lie in F_p.  The arrays
+are the only source: the Python lists that scalar loops read ("add", "mul",
+..., and "exp" and "log" for pow) are tolist() copies made in the same
+build, since a list lookup is about twice as fast as indexing an array.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+# field indices are stored as int16
+MAX_Q = 1 << 15
 
 
 def is_prime(n: int) -> bool:
@@ -63,10 +75,10 @@ def _fp_mulmod(a, b, m, p):
     return _fp_trim(res)
 
 
-def _fp_powmod_x(e: int, m, p):
-    # x^e mod m
+def _fp_powmod(a, e: int, m, p):
+    # a^e mod m
     result = [1]
-    base = _fp_mulmod([0, 1], [1], m, p)
+    base = _fp_mulmod(a, [1], m, p)
     while e:
         if e & 1:
             result = _fp_mulmod(result, base, m, p)
@@ -78,19 +90,26 @@ def _fp_powmod_x(e: int, m, p):
 def _fp_gcd(a, b, p):
     a, b = _fp_trim(a), _fp_trim(b)
     while b:
-        # a mod b
-        a = list(a)
-        db, lead = len(b) - 1, b[-1]
-        inv = pow(lead, p - 2, p)
-        while len(a) - 1 >= db and a:
-            if a[-1]:
-                f = a[-1] * inv % p
-                for k in range(db + 1):
-                    a[len(a) - 1 - db + k] = (a[len(a) - 1 - db + k] - f * b[k]) % p
-            a.pop()
-            a = _fp_trim(a)
+        inv = pow(b[-1], p - 2, p)
+        while len(a) >= len(b):
+            # cancel the top coefficient of a against b
+            c, shift = a[-1] * inv % p, len(a) - len(b)
+            a = _fp_trim([(x - c * b[k - shift]) % p if k >= shift else x
+                          for k, x in enumerate(a)])
         a, b = b, a
     return a
+
+
+def _prime_factors(n: int) -> set:
+    primes, k = set(), 2
+    while k * k <= n:
+        while n % k == 0:
+            primes.add(k)
+            n //= k
+        k += 1
+    if n > 1:
+        primes.add(n)
+    return primes
 
 
 def is_irreducible_mod_p(coeffs, p: int) -> bool:
@@ -101,31 +120,40 @@ def is_irreducible_mod_p(coeffs, p: int) -> bool:
         return False
     if f == 1:
         return True
-    # x^{p^f} == x mod m
-    xq = _fp_powmod_x(p ** f, m, p)
-    diff = list(xq) + [0] * (2 - len(xq))
-    diff[1] = (diff[1] - 1) % p
-    if _fp_trim(diff):
-        return False
-    primes = set()
-    k, f0 = 2, f
-    while k * k <= f0:
-        while f0 % k == 0:
-            primes.add(k)
-            f0 //= k
-        k += 1
-    if f0 > 1:
-        primes.add(f0)
-    for r in primes:
-        xe = _fp_powmod_x(p ** (f // r), m, p)
-        diff = list(xe) + [0] * (2 - len(xe))
-        diff[1] = (diff[1] - 1) % p
-        g = _fp_gcd(diff, m, p)
-        if len(g) - 1 != 0:
-            return False
-    return True
+
+    def frobenius_minus_x(k):
+        # x^{p^k} - x mod m
+        d = _fp_powmod([0, 1], p ** k, m, p) + [0, 0]
+        d[1] = (d[1] - 1) % p
+        return _fp_trim(d)
+
+    # x^{p^f} == x mod m, and x^{p^(f/r)} - x prime to m for each prime r | f
+    return not frobenius_minus_x(f) and all(
+        len(_fp_gcd(frobenius_minus_x(f // r), m, p)) == 1
+        for r in _prime_factors(f))
 
 
+def _coords(i: int, p: int, f: int) -> tuple:
+    return tuple(i // p ** k % p for k in range(f))
+
+
+def _digits(p: int, f: int) -> np.ndarray:
+    """The (p^f, f) array of the coordinates of every index."""
+    return np.arange(p ** f)[:, None] // p ** np.arange(f) % p
+
+
+def _primitive(p: int, f: int, mod) -> list:
+    """The coordinates of the first element of order p^f - 1 in index
+    order."""
+    q = p ** f
+    primes = _prime_factors(q - 1)
+    for g in range(1, q):
+        c = list(_coords(g, p, f))
+        if all(_fp_powmod(c, (q - 1) // r, mod, p) != [1] for r in primes):
+            return c
+
+
+@functools.lru_cache(maxsize=None)
 def find_irreducible(p: int, f: int):
     """First monic irreducible of degree f over F_p in little-endian order.
 
@@ -135,11 +163,7 @@ def find_irreducible(p: int, f: int):
     if f == 1:
         return (0, 1)
     for code in range(p ** f):
-        c, rest = [], code
-        for _ in range(f):
-            c.append(rest % p)
-            rest //= p
-        coeffs = c + [1]
+        coeffs = list(_coords(code, p, f)) + [1]
         if is_irreducible_mod_p(coeffs, p):
             return tuple(coeffs)
     raise ValueError(f"no irreducible of degree {f} over F_{p}")  # unreachable
@@ -160,13 +184,16 @@ class FieldSpec:
             raise ValueError(f"p = {p} is not prime")
         if f < 1:
             raise ValueError("extension degree must be >= 1")
+        if p ** f > MAX_Q:
+            raise ValueError(f"q = {p}^{f} = {p ** f} exceeds 2^15: field "
+                             f"indices must fit int16")
         if f == 1:
             if modulus is not None and tuple(modulus) != (0, 1):
                 raise ValueError("prime field takes no modulus")
             modulus = None
+        elif modulus is None:
+            modulus = find_irreducible(p, f)
         else:
-            if modulus is None:
-                modulus = find_irreducible(p, f)
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != f + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree f")
@@ -210,67 +237,45 @@ class FieldSpec:
             self._tables = cached
             return cached
         p, f, q = self.p, self.f, self.q
-
-        def coords(i):
-            c = []
-            for _ in range(f):
-                c.append(i % p)
-                i //= p
-            return tuple(c)
-
-        def index(c):
-            v, mult = 0, 1
-            for x in c:
-                v += (x % p) * mult
-                mult *= p
-            return v
-
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for i in range(q):
-            ci = coords(i)
-            for j in range(i, q):
-                cj = coords(j)
-                s = index(tuple((a + b) % p for a, b in zip(ci, cj)))
-                add[i][j] = s
-                add[j][i] = s
-        mod = list(self.modulus) if self.modulus else [0, 1]
-        for i in range(q):
-            ci = list(coords(i))
-            for j in range(i, q):
-                cj = list(coords(j))
-                prod = _fp_mulmod(ci, cj, mod, p) if f > 1 else [ci[0] * cj[0] % p]
-                prod = prod + [0] * (f - len(prod))
-                v = index(tuple(prod))
-                mul[i][j] = v
-                mul[j][i] = v
-        neg = [index(tuple((-x) % p for x in coords(i))) for i in range(q)]
-        sub = [[add[i][neg[j]] for j in range(q)] for i in range(q)]
-        inv = [0] * q
-        for i in range(1, q):
-            inv[i] = _pow_idx(mul, i, q - 2)
-        # absolute trace: sum of x^{p^k}
-        trace = [0] * q
-        for i in range(q):
-            acc, frob = 0, i
-            for _ in range(f):
-                acc = add[acc][frob]
-                frob = _pow_idx(mul, frob, p)
-            c = coords(acc)
-            if any(c[1:]):
+        mod = list(self.modulus or (0, 1))
+        digits = _digits(p, f)
+        # exp[k] = g^k: one walk of the map "times g", whose matrix has the
+        # coordinates of g x^j as its rows
+        g = _primitive(p, f, mod)
+        times_g = np.array([(_fp_mulmod(g, [0] * j + [1], mod, p)
+                             + [0] * f)[:f] for j in range(f)])
+        step = (digits @ times_g % p @ p ** np.arange(f)).tolist()
+        walk = [1]
+        for _ in range(q - 2):
+            walk.append(step[walk[-1]])
+        exp = np.array(walk, dtype=np.int16)
+        log = np.zeros(q, dtype=np.int32)
+        log[exp] = np.arange(q - 1)
+        mul = exp[np.add.outer(log, log) % (q - 1)]
+        mul[0] = mul[:, 0] = 0
+        inv = exp[-log % (q - 1)]
+        inv[0] = 0
+        add = np.zeros((q, q), dtype=np.int16)
+        neg = np.zeros(q, dtype=np.int16)
+        for k in range(f):
+            col = digits[:, k].astype(np.int16)
+            add += np.add.outer(col, col) % p * p ** k
+            neg += -col % p * p ** k
+        # tr(x^k) = sum of the Frobenius powers (x^k)^(p^j); x^k has index p^k
+        basis_traces = []
+        for k in range(f):
+            acc = 0
+            for j in range(f):
+                acc = add[acc, exp[int(log[p ** k]) * p ** j % (q - 1)]]
+            if acc >= p:
                 raise AssertionError("trace left the prime field")
-            trace[i] = c[0]
-        tables = {
-            "coords": coords, "index": index,
-            "add": add, "sub": sub, "mul": mul, "neg": neg, "inv": inv,
-            "trace": trace,
-            "np_add": np.array(add, dtype=np.int16),
-            "np_sub": np.array(sub, dtype=np.int16),
-            "np_mul": np.array(mul, dtype=np.int16),
-            "np_neg": np.array(neg, dtype=np.int16),
-            "np_inv": np.array(inv, dtype=np.int16),
-            "np_trace": np.array(trace, dtype=np.int16),
-        }
+            basis_traces.append(acc)
+        trace = (digits @ basis_traces % p).astype(np.int16)
+        arrays = {"add": add, "sub": add[:, neg], "mul": mul, "neg": neg,
+                  "inv": inv, "trace": trace}
+        tables = {name: a.tolist() for name, a in arrays.items()}
+        tables.update({f"np_{name}": a for name, a in arrays.items()})
+        tables["exp"], tables["log"] = walk, log.tolist()
         _SPEC_CACHE[key] = tables
         self._tables = tables
         return tables
@@ -301,16 +306,20 @@ class FieldSpec:
     def pow(self, i, k):
         if k < 0:
             return self.pow(self.inv(i), -k)
-        return _pow_idx(self.tables["mul"], i, k)
+        if i == 0:
+            return 0 if k else 1
+        tables = self.tables
+        return tables["exp"][tables["log"][i] * k % (self.q - 1)]
 
     def trace_idx(self, i) -> int:
         return self.tables["trace"][i]
 
     def coords(self, i):
-        return self.tables["coords"](i)
+        return _coords(i, self.p, self.f)
 
     def index(self, coords) -> int:
-        return self.tables["index"](coords)
+        return sum(int(c) % self.p * self.p ** k
+                   for k, c in enumerate(coords))
 
     # -- element construction ---------------------------------------------------
 
@@ -358,28 +367,17 @@ def extension(spec: FieldSpec, ell: int):
     ext = FieldSpec(spec.p, spec.f * ell)
     if spec.f == 1:
         return ext, np.arange(spec.p)
-    add, mul = ext.tables["add"], ext.tables["mul"]
-
-    def value(coeffs, a):
-        # Horner over E; the coefficients are prime-field indices
-        acc = 0
-        for c in reversed(coeffs):
-            acc = add[mul[acc][a]][c]
-        return acc
-
-    root = next(a for a in range(ext.q) if value(spec.modulus, a) == 0)
-    return ext, np.array([value(spec.coords(i), root)
-                          for i in range(spec.q)])
-
-
-def _pow_idx(mul, i, k):
-    r, b = 1, i
-    while k:
-        if k & 1:
-            r = mul[r][b]
-        b = mul[b][b]
-        k >>= 1
-    return r
+    add, mul = ext.tables["np_add"], ext.tables["np_mul"]
+    # Horner over E of the modulus (row 0) and of the coordinate polynomial
+    # of every F_q index, at every point of E
+    coeffs = np.vstack([spec.modulus,
+                        np.pad(_digits(spec.p, spec.f), ((0, 0), (0, 1)))])
+    values = np.zeros((spec.q + 1, ext.q), dtype=np.int16)
+    points = np.arange(ext.q)
+    for col in coeffs.T[::-1]:
+        values = add[mul[values, points], col[:, None]]
+    root = np.flatnonzero(values[0] == 0)[0]
+    return ext, values[1:, root].astype(np.int64)
 
 
 class FieldElement:
@@ -400,42 +398,35 @@ class FieldElement:
             return other % self.spec.p
         return None
 
-    def __add__(self, other):
+    def _binary(self, other, op):
+        # op(self.idx, index of other), or NotImplemented for a foreign type
         j = self._coerce(other)
         if j is None:
             return NotImplemented
-        return FieldElement(self.spec, self.spec.add(self.idx, j))
+        return FieldElement(self.spec, op(self.idx, j))
+
+    def __add__(self, other):
+        return self._binary(other, self.spec.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        j = self._coerce(other)
-        if j is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub(self.idx, j))
+        return self._binary(other, self.spec.sub)
 
     def __rsub__(self, other):
-        j = self._coerce(other)
-        if j is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub(j, self.idx))
+        return self._binary(other, lambda i, j: self.spec.sub(j, i))
 
     def __neg__(self):
         return FieldElement(self.spec, self.spec.neg(self.idx))
 
     def __mul__(self, other):
-        j = self._coerce(other)
-        if j is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul(self.idx, j))
+        return self._binary(other, self.spec.mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        j = self._coerce(other)
-        if j is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul(self.idx, self.spec.inv(j)))
+        return self._binary(
+            other, lambda i, j: self.spec.mul(i, self.spec.inv(j)))
 
     def __pow__(self, k):
         return FieldElement(self.spec, self.spec.pow(self.idx, k))

@@ -108,8 +108,6 @@ class LaurentMatrix:
 
 def _laurent_matrix(spec: FieldSpec, rows) -> LaurentMatrix:
     """A LaurentMatrix from rows of LaurentElement or Polynomial entries."""
-    if spec.q > 1 << 15:
-        raise ConfigError(f"field indices must fit int16, got q = {spec.q}")
     els = [[_as_laurent(spec, e) for e in row] for row in rows]
     exps = [e for row in els for el in row for e in el.coeffs]
     lo = min(exps, default=0)

@@ -75,7 +75,20 @@ def extend_spec(spec: FieldSpec, ell: int) -> FieldSpec:
     if ell != 1 and spec.f != 1:
         raise ConfigError(
             "extension towers are only built over prime base fields")
-    return extension(spec, ell)[0]
+    try:
+        return extension(spec, ell)[0]
+    except ValueError as exc:
+        raise ConfigError(f"extension of degree {ell}: {exc}")
+
+
+def _extended(prob, ell: int):
+    """(E, the form over E) for counts over E = F_{q^ell}, accumulated in
+    int64: q^(ell (e+1) n) tuples or more are refused before E is built."""
+    if prob.spec.q ** (ell * (prob.e + 1) * prob.n) >= 1 << 63:
+        raise ConfigError(f"counts over F_{prob.spec.q}^{ell} overflow int64:"
+                          f" q^(ell (e+1) n) must be below 2^63")
+    ext = extend_spec(prob.spec, ell)
+    return ext, embed_form(prob.form, ext)
 
 
 def embed_form(form: HypersurfaceForm, ext: FieldSpec) -> HypersurfaceForm:
@@ -207,8 +220,7 @@ def total_solutions(spec: FieldSpec, form: HypersurfaceForm, e: int,
 def count_cone(prob, ell: int = 1, method: str = "auto") -> int:
     """Nonzero degree-e tuples over F_{q^ell} with F(f) = 0 identically;
     common factors allowed."""
-    ext = extend_spec(prob.spec, ell)
-    form = embed_form(prob.form, ext)
+    ext, form = _extended(prob, ell)
     return total_solutions(ext, form, prob.e, method) - 1
 
 
@@ -251,8 +263,7 @@ def count_morphisms(prob, ell: int = 1, method: str = "auto") -> int:
     when the tuple space is too large to walk); "auto" picks factor for
     forms of more than one block of variables and enumeration
     otherwise."""
-    ext = extend_spec(prob.spec, ell)
-    form = embed_form(prob.form, ext)
+    ext, form = _extended(prob, ell)
     e = prob.e
     if method == "auto":
         method = "factor" if len(form.blocks) > 1 else "enumerate"
@@ -288,8 +299,7 @@ def enumerate_lines(prob, ell: int = 1) -> int:
     n, d, q = form.n, form.d, ext.q
     if q < d:
         raise ConfigError("need q >= d distinct parameter points")
-    add_t = np.array(ext.tables["add"], dtype=np.int32)
-    mul_t = np.array(ext.tables["mul"], dtype=np.int32)
+    add_t, mul_t = ext.tables["np_add"], ext.tables["np_mul"]
     one = ext.element(1).idx
     pow_tables = {1: np.arange(q, dtype=np.int32)}
     for k in range(2, d + 1):

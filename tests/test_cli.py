@@ -1,6 +1,7 @@
 import filecmp
 import os
 import textwrap
+import time
 
 import pytest
 
@@ -158,6 +159,26 @@ def test_moduli_cell_cap_exits_3(tmp_path):
     rows = read_rows(str(tmp_path / "o" / "count-cone.csv"))
     assert rows[0]["out.status"] == "budget-exhausted"
     assert rows[0]["out.detail"] == "cone convolution"
+
+
+@pytest.mark.parametrize("ell", [5, 7])
+def test_oversized_extension_exits_2_before_any_table(tmp_path, capsys, ell):
+    # 5^(ell (e+1) n) >= 2^63 tuples: the int64 counts would overflow, and
+    # F_5^7 also has more elements than int16 indices can name
+    body = CONE.replace("n = 2", "n = 3") + f"    ell = {ell}\n"
+    cfg = write_cfg(tmp_path, body)
+    start = time.perf_counter()
+    code = main(["count-cone", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "overflow int64" in capsys.readouterr().err
+
+
+def test_field_past_int16_indices_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, CONE.replace("p = 5", "p = 5\n    f = 7"))
+    code = main(["count-cone", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "[field] q = 5^7 = 78125 exceeds 2^15" in capsys.readouterr().err
 
 
 def test_pointwise_beta_past_the_tail_depth_exits_2(tmp_path, capsys):

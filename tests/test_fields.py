@@ -1,9 +1,101 @@
 import pickle
 
+import numpy as np
 import pytest
 
-from fflab.fields import (FieldSpec, extension, find_irreducible, is_prime,
-                          trace)
+from fflab import fields
+from fflab.fields import (FieldSpec, _fp_mulmod, extension, find_irreducible,
+                          is_prime, trace)
+
+
+def _pow_idx(mul, i, k):
+    r, b = 1, i
+    while k:
+        if k & 1:
+            r = mul[r][b]
+        b = mul[b][b]
+        k >>= 1
+    return r
+
+
+def _double_loop_tables(spec):
+    """The oracle: every table by a Python double loop over index pairs,
+    one polynomial product mod the modulus per pair, O(q^2)."""
+    p, f, q = spec.p, spec.f, spec.q
+    coords = [[i // p ** k % p for k in range(f)] for i in range(q)]
+
+    def index(c):
+        v = 0
+        for x in reversed(c):
+            v = v * p + x % p
+        return v
+
+    add = [[0] * q for _ in range(q)]
+    mul = [[0] * q for _ in range(q)]
+    mod = list(spec.modulus) if spec.modulus else [0, 1]
+    for i, ci in enumerate(coords):
+        for j in range(i, q):
+            cj = coords[j]
+            add[i][j] = add[j][i] = index([a + b for a, b in zip(ci, cj)])
+            mul[i][j] = mul[j][i] = index(_fp_mulmod(ci, cj, mod, p))
+    neg = [index([-x for x in c]) for c in coords]
+    sub = [[add[i][neg[j]] for j in range(q)] for i in range(q)]
+    inv = [0] + [_pow_idx(mul, i, q - 2) for i in range(1, q)]
+    trace = []
+    for i in range(q):
+        acc, frob = 0, i
+        for _ in range(f):
+            acc = add[acc][frob]
+            frob = _pow_idx(mul, frob, p)
+        assert acc < p
+        trace.append(acc)
+    return {"add": add, "sub": sub, "mul": mul, "neg": neg, "inv": inv,
+            "trace": trace}
+
+
+@pytest.mark.parametrize("p,f,modulus", [
+    (2, 1, None), (2, 2, None), (2, 3, None), (3, 2, None), (3, 4, None),
+    (5, 1, None), (7, 2, None), (5, 3, None), (5, 4, None),
+    (5, 2, (2, 0, 1)),      # the default F_25, where x has order 8
+    (5, 2, (3, 0, 1)),
+])
+def test_tables_match_the_double_loop_oracle(p, f, modulus):
+    spec = FieldSpec(p, f, modulus)
+    tables = spec.tables
+    for name, expected in _double_loop_tables(spec).items():
+        assert tables[name] == expected, name
+        assert tables[f"np_{name}"].dtype == np.int16
+        assert tables[f"np_{name}"].tolist() == expected, name
+    mul = tables["mul"]
+    for i in range(min(q := spec.q, 40)):
+        power = 1
+        for k in range(2 * q + 1):
+            assert spec.pow(i, k) == power
+            power = mul[power][i]
+        if i:
+            assert spec.pow(i, -1) == spec.inv(i)
+            assert spec.pow(i, -3) == spec.pow(spec.inv(i), 3)
+
+
+def test_x_is_not_always_primitive():
+    # modulo x^2 + 2 over F_5, x (index 5) has order 8, not 24
+    spec = FieldSpec(5, 2)
+    assert spec.modulus == (2, 0, 1)
+    assert [k for k in range(1, 25) if spec.pow(5, k) == 1][0] == 8
+
+
+def test_default_modulus_is_found_once(monkeypatch):
+    # a cached find_irreducible, and no Rabin test of the modulus it found
+    extension(FieldSpec(5), 3)
+    calls = []
+    test = fields.is_irreducible_mod_p
+    monkeypatch.setattr(fields, "is_irreducible_mod_p",
+                        lambda coeffs, p: calls.append(p) or test(coeffs, p))
+    ext, _ = extension(FieldSpec(5), 3)
+    assert ext.modulus == find_irreducible(5, 3)
+    assert calls == []
+    FieldSpec(5, 3, modulus=ext.modulus)    # an explicit modulus is tested
+    assert calls == [5]
 
 
 def test_is_prime_small():

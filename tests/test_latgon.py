@@ -181,13 +181,12 @@ def test_counts_past_the_unknowns_cap_are_budget_records(spec5):
 
 
 def test_field_indices_must_fit_int16():
-    # the coefficient arrays hold field indices as int16; the check comes
-    # before any field table is built
-    spec = FieldSpec(32771)
-    one = LaurentElement.monomial(spec, 0)
-    with pytest.raises(ConfigError):
-        FunctionFieldLattice(spec, [[one]])
-    assert spec._tables is None
+    # the coefficient arrays hold field indices as int16; FieldSpec refuses
+    # a larger field when it is constructed, before any table exists
+    for p, f in ((32771, 1), (2, 16)):
+        with pytest.raises(ValueError, match="int16"):
+            FieldSpec(p, f)
+    assert FieldSpec(2, 15).q == 1 << 15
 
 
 def test_column_reduction_that_never_ends_is_a_failure(spec5, monkeypatch):

@@ -207,6 +207,8 @@ def test_extension_tower_rejected(spec5):
     assert extend_spec(spec5, 1) is spec5
     with pytest.raises(ConfigError):
         extend_spec(ext, 2)
+    with pytest.raises(ConfigError, match="int16"):
+        extend_spec(spec5, 7)
 
 
 def test_unknown_method_rejected(prob_n2, spec5):

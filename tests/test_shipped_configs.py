@@ -42,6 +42,9 @@ DIGESTS = {
     "langweil_surface_q5": (
         "langweil-report",
         "e85a5bb13af71997446f35f04b2c8590d5c8f219533f6c4783632ee3eb583979"),
+    "lattice_f25_n4": (
+        "lattice-minima",
+        "a04d238493a06f88cf685992a3d57053832f2f483fb509eafd1daa9093ebb473"),
     "lattice_q5": (
         "lattice-minima",
         "e9e922c27f5e49a8f5d7d58cd2093b67eaab4ddeb58859dc52fbf6acb0149907"),
