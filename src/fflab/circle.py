@@ -17,16 +17,15 @@ deg(F(x)) <= de.  Everything lands in Z[zeta_p], compared bit-exactly.
 S has one fast route, CountingProblem.exp_sum_histograms (exp_sums folds
 its integer rows into Q(zeta_p)), and one oracle, _exp_sum_direct, which
 walks the whole box jointly and traces every image.  The route reads S off
-the distribution of each block form's coefficient vectors over its own box
-(forms.block_distributions), built once per problem: for a stack of tails
-it accumulates <c, tail> over each block's support through the field
-tables, counts the block by the trace of each value, and convolves the
-blocks' trace histograms over F_p, since the trace of a sum over disjoint
-variables is the sum of the traces.  The phase distribution
-D(c) = #{x in box : coeffs(F(x)) = c} is their fold (forms.fold).  One
-phase, a sweep of phases and the sum table over all q^B tails are all
-calls of that one kernel; the sum table keeps the histograms as one int64
-array.
+the distribution of each distinct block form's coefficient vectors over
+its own box (forms.block_distributions over form.parts), built once per
+problem: for a stack of tails it accumulates <c, tail> over each support
+through the field tables, counts it by the trace of each value, and
+convolves the blocks' trace histograms over F_p, since the trace of a sum
+over disjoint variables is the sum of the traces.  One phase, a sweep of
+phases and the sum table over all q^B tails are all calls of that one
+kernel; the sum table keeps the histograms as one int64 array and is
+charged the cells the kernel visits, q^B times the summed supports.
 
 The dissection has one fast route, CountingProblem.degree_subtotals, and
 one oracle, the per-atom quadrature (dissect, coprime_residues, arc_tail,
@@ -62,7 +61,7 @@ from .cyclotomic import CyclotomicValue
 from .errors import BudgetExceededError, ConfigError, PrecisionError
 from .fields import FieldSpec
 from .forms import (BoxKernel, HypersurfaceForm, block_distributions,
-                    decode_keys, fold, zero_count)
+                    decode_keys, zero_count)
 from .laurent import LaurentElement, expand_rational
 from .polys import Polynomial, poly_gcd
 
@@ -194,8 +193,6 @@ class CountingProblem:
         assert self.char_depth > self.arc_floor
         self.budget = budget
         self.budget_spent = 0
-        self._support = None          # the phase distribution, as arrays
-        self._support_counts = None
         self._blocks = None           # one distribution per variable block
         self._sum_table = None
 
@@ -206,6 +203,11 @@ class CountingProblem:
             raise BudgetExceededError(cost, self.budget - self.budget_spent,
                                       what)
         self.budget_spent += cost
+
+    def _refuse_past_int64(self, exponent: int, what: str):
+        """ConfigError, before any charge, where an int64 assert would."""
+        if self.spec.q ** exponent >= 1 << 63:
+            raise ConfigError(f"{what} would overflow int64 at q^{exponent}")
 
     # -- enumeration helpers -----------------------------------------------------
 
@@ -253,24 +255,17 @@ class CountingProblem:
 
     # -- the exponential sum -----------------------------------------------------
 
-    def phase_distribution(self) -> tuple:
-        """D(c) = #{x in box : coeffs(F(x)) = c} as two arrays: the
-        support, one row of B coefficient indices per c with D(c) > 0 in
-        increasing key order (key sum_k c_k q^k), and the int64 counts
-        D(c).  Built once, and charged as a walk of the whole box: per
-        block of variables of the form, the distribution of that block
-        form over its own box (forms.block_distributions), kept for the S
-        kernel, and D as their fold."""
-        if self._support is None:
-            spec, B = self.spec, self.char_depth
-            self._charge(spec.q ** (self.box * self.n),
+    def phase_distribution(self) -> list:
+        """What S is read from: per block of variables, the distribution of
+        its form over its own box (forms.block_distributions), of which
+        D(c) = #{x in box : coeffs(F(x)) = c} is the fold.  Built once,
+        and charged as a walk of the whole box, q^(n(e+1))."""
+        if self._blocks is None:
+            self._refuse_past_int64(self.box * self.n, "S histograms")
+            self._charge(self.spec.q ** (self.box * self.n),
                          "phase distribution build")
             self._blocks = block_distributions(self.form, self.e)
-            keys, counts = functools.reduce(
-                lambda a, b: fold(spec, a, b, B), self._blocks)
-            self._support = decode_keys(spec.q, keys, B)
-            self._support_counts = counts
-        return self._support, self._support_counts
+        return self._blocks
 
     def _tail(self, alpha) -> tuple:
         """The depth-B tail of alpha: a LaurentElement exact to depth B, or
@@ -312,37 +307,35 @@ class CountingProblem:
     def _histograms(self, stack: np.ndarray) -> np.ndarray:
         """The S kernel: for a (tails x B) stack of depth-B tails, the int64
         histograms #{x in box : tr <coeffs F(x), tail> = v}, v in F_p, one
-        row per tail.  F is a sum of block forms in disjoint variables and
-        the trace is additive, so a row is the cyclic convolution over F_p
-        of one row per block of variables, each counted over that block's
-        own support; equal blocks share their rows.  Tails go in blocks of
-        at most _SUM_BLOCK_CELLS (tail, support point) cells.  An entry is
-        at most the box size q^(n(e+1))."""
+        row per tail: the cyclic convolution over F_p of one row per block
+        of variables (the trace is additive), counted once per distinct
+        block form over its own support.  Tails go in blocks of at most
+        _SUM_BLOCK_CELLS (tail, support point) cells.  An entry is at most
+        the box size q^(n(e+1))."""
         spec = self.spec
         q, p, B = spec.q, spec.p, self.char_depth
+        blocks = dict(zip(self.form.parts, self.phase_distribution()))
         assert q ** (self.box * self.n) < 1 << 63, \
             "S histograms overflow int64"
         np_mul, np_add = spec.tables["np_mul"], spec.tables["np_add"]
-        self.phase_distribution()
-        # equal block forms share their arrays, and so their rows
-        sups = {id(keys): (decode_keys(q, keys, B), counts)
-                for keys, counts in self._blocks}
+        sups = {part: (decode_keys(q, keys, B), counts)
+                for part, (keys, counts) in blocks.items()}
         block = max(1, _SUM_BLOCK_CELLS // max(len(sup)
                                                for sup, _ in sups.values()))
         hists = []
         for start in range(0, len(stack), block):
             tblock = stack[start:start + block]
             rows = {}
-            for name, (sup, counts) in sups.items():
+            for part, (sup, counts) in sups.items():
                 acc = np.zeros((len(tblock), len(sup)), dtype=np.int16)
                 for j in range(B):
                     acc = np_add[acc, np_mul[tblock[:, j:j + 1],
                                              sup[None, :, j]]]
                 tr = spec.tables["np_trace"][acc]
-                rows[name] = np.stack([(tr == v) @ counts for v in range(p)],
+                rows[part] = np.stack([(tr == v) @ counts for v in range(p)],
                                       axis=1)
             hists.append(functools.reduce(_convolve, [
-                rows[id(keys)] for keys, _ in self._blocks]))
+                rows[part] for part in self.form.parts]))
         return np.concatenate(hists)
 
     def _exp_sum_direct(self, tail: tuple) -> CyclotomicValue:
@@ -365,10 +358,12 @@ class CountingProblem:
         """S on every depth-B tail as one int64 histogram H of shape
         (q^B, p): row i is the kernel's histogram at the tail whose digits
         are the base-q digits of i, first digit fastest.  One kernel call
-        over all q^B tails."""
+        over all q^B tails, charged the cells it visits: q^B times the
+        summed supports of the distinct block forms."""
         if self._sum_table is None:
             q, B = self.spec.q, self.char_depth
-            self._charge(len(self.phase_distribution()[0]) * q ** B,
+            blocks = dict(zip(self.form.parts, self.phase_distribution()))
+            self._charge(sum(len(k) for k, _ in blocks.values()) * q ** B,
                          "sum table build")
             self._sum_table = self._histograms(
                 decode_keys(q, np.arange(q ** B), B))
@@ -388,6 +383,8 @@ class CountingProblem:
         product with the sum table gives the subtotal's histogram."""
         spec = self.spec
         q, p, B = spec.q, spec.p, self.char_depth
+        self._refuse_past_int64(self.box * self.n + 2 * self.arc_floor,
+                                "arc histograms")
         table = self.sum_table()
         # Every int64 here is at most q^(n(e+1)) q^(2 floor(Q)): a table row
         # sums to the box size q^(n(e+1)); the arcs of one degree D have

@@ -23,9 +23,9 @@ tables, and every count over a box reads it (zero_count, the block
 distributions, the direct S oracle).  eval_form is its scalar oracle in
 tests.
 
-F is the sum of one form per block of variables (`blocks`), so the
-distribution of its coefficient vectors over a box is the fold of those
-of the block forms over their own boxes (block_distributions, fold).
+F is the sum of its `parts`, one form per block of variables (`blocks`),
+the one block split of F that S, the Weyl counts and the moduli counts
+read: block_distributions walks each distinct part, and fold adds them.
 """
 
 from __future__ import annotations
@@ -78,11 +78,13 @@ def _variable_blocks(n: int, monomials) -> tuple:
 
 
 class HypersurfaceForm:
-    """Immutable degree-d form; construct via symmetrize().  `dense`, the
-    symmetric tensor as an (n,)*d array, and `blocks` (_variable_blocks)
-    are built once; F is the sum of one form per block."""
+    """Immutable degree-d form; construct via symmetrize().  `dense` (the
+    symmetric tensor as an (n,)*d array), `blocks` and `parts` are built
+    once: parts[k] is the form of blocks[k] in its variables renumbered
+    from 0, F itself for one block, the zero form for a variable F lacks."""
 
-    __slots__ = ("spec", "n", "d", "monomials", "tensor", "dense", "blocks")
+    __slots__ = ("spec", "n", "d", "monomials", "tensor", "dense", "blocks",
+                 "parts")
 
     def __init__(self, spec: FieldSpec, n: int, d: int, monomials, tensor):
         self.spec = spec
@@ -92,6 +94,19 @@ class HypersurfaceForm:
         self.tensor = tensor
         self.dense = _dense_tensor(n, d, tensor)
         self.blocks = _variable_blocks(n, monomials)
+        self.parts = ((self,) if len(self.blocks) == 1 else
+                      tuple(self._part(block) for block in self.blocks))
+
+    def _part(self, block):
+        """The form of `block` over its variables, renumbered from 0."""
+        where = {i: k for k, i in enumerate(block)}
+        return HypersurfaceForm(
+            self.spec, len(block), self.d,
+            {tuple(exps[i] for i in block): c
+             for exps, c in self.monomials.items()
+             if _exps_to_rep(exps)[0] in where},
+            {tuple(map(where.get, rep)): c
+             for rep, c in self.tensor.items() if rep[0] in where})
 
     def __repr__(self):
         return f"HypersurfaceForm(n={self.n}, d={self.d}, {len(self.monomials)} monomials)"
@@ -248,30 +263,18 @@ def _merge(keys, counts):
 
 
 def block_distributions(form: HypersurfaceForm, e: int) -> list:
-    """For each block of form.blocks, the distribution of the block form's
-    coefficient vectors F_b(f) over its box of degree-e tuples f: the
-    sorted encode_keys keys and their int64 counts, kept per _BOX_CHUNK
-    tuples only as distinct keys.  Blocks with equal forms (variables
-    renumbered from 0) share one walk and the same pair of arrays; a
-    variable F does not contain gives key 0 with count q^(e+1)."""
-    spec, walked, names = form.spec, {}, []
-    for block in form.blocks:
-        mono = {tuple(exps[i] for i in block): c
-                for exps, c in form.monomials.items()
-                if any(exps[i] for i in block)}
-        names.append(tuple(sorted(mono.items())))
-        if names[-1] in walked:
-            continue
-        if not mono:
-            walked[names[-1]] = (np.zeros(1, dtype=np.int64), np.full(
-                1, spec.q ** (e + 1), dtype=np.int64))
-            continue
-        kernel = BoxKernel(symmetrize(spec, len(block), form.d, {
-            exps: spec.from_index(c) for exps, c in mono.items()}), e)
-        parts = [np.unique(encode_keys(spec.q, images), return_counts=True)
-                 for _, images in kernel.box()]
-        walked[names[-1]] = _merge(*map(np.concatenate, zip(*parts)))
-    return [walked[name] for name in names]
+    """For each part of form.parts, the distribution of its coefficient
+    vectors F_b(f) over its box of degree-e tuples f: the sorted
+    encode_keys keys and their int64 counts, kept per _BOX_CHUNK tuples
+    only as distinct keys.  Equal parts share one walk and the same pair
+    of arrays."""
+    walked = {}
+    for part in dict.fromkeys(form.parts):
+        chunks = [np.unique(encode_keys(form.spec.q, images),
+                            return_counts=True)
+                  for _, images in BoxKernel(part, e).box()]
+        walked[part] = _merge(*map(np.concatenate, zip(*chunks)))
+    return [walked[part] for part in form.parts]
 
 
 # support pairs per block of a fold (at least one left key against every

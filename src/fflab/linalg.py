@@ -17,35 +17,6 @@ import numpy as np
 from .fields import FieldSpec, extension
 
 
-def rank_mod_q(spec: FieldSpec, rows) -> int:
-    """Rank of a single matrix (list of index rows)."""
-    mul, sub, inv = spec.tables["mul"], spec.tables["sub"], spec.tables["inv"]
-    a = [list(r) for r in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if a[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pinv = inv[a[rank][col]]
-        a[rank] = [mul[x][pinv] for x in a[rank]]
-        for r in range(rank + 1, nrows):
-            f = a[r][col]
-            if f:
-                frow = mul[f]
-                a[r] = [sub[x][frow[y]] for x, y in zip(a[r], a[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
 def _index_dtype(q: int):
     """Dtype of a stack over F_q: the flat index x*q + y must fit it."""
     assert q * q <= np.iinfo(np.int32).max
@@ -116,7 +87,7 @@ def batched_nullspace(spec: FieldSpec, mats: np.ndarray):
 
     Returns (basis, free): free[b, f] says column f of matrix b has no
     pivot, and then basis[b, f] is the nullspace vector with 1 at f and 0
-    at every other free column (solve_nullspace's vector for f); rows of
+    at every other free column; rows of
     basis at pivot columns are 0."""
     np_neg = spec.tables["np_neg"]
     a = np.array(mats, dtype=_index_dtype(spec.q))
@@ -146,43 +117,6 @@ def batched_nullspace(spec: FieldSpec, mats: np.ndarray):
     bf, ff = np.nonzero(free)
     basis[bf, ff, ff] = 1
     return basis, free
-
-
-def solve_nullspace(spec: FieldSpec, rows):
-    """Basis (list of index vectors) of the right nullspace of one matrix."""
-    mul, sub, inv, neg = (spec.tables["mul"], spec.tables["sub"],
-                          spec.tables["inv"], spec.tables["neg"])
-    a = [list(r) for r in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if a[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pinv = inv[a[rank][col]]
-        a[rank] = [mul[x][pinv] for x in a[rank]]
-        for r in range(nrows):
-            if r != rank and a[r][col]:
-                frow = mul[a[r][col]]
-                a[r] = [sub[x][frow[y]] for x, y in zip(a[r], a[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = neg[a[r][fc]]
-        basis.append(vec)
-    return basis
 
 
 def batched_poly_rank(spec: FieldSpec, polys: np.ndarray) -> np.ndarray:

@@ -30,10 +30,10 @@ Counting routes, kept separate so they can cross-check each other:
              is all zero, and the morphism count tests the solutions of
              each block for coprimality with one rank_coprime call;
   convolve   F(f) is the sum of one form per block of variables
-             (forms.HypersurfaceForm.blocks), so the count is a group
+             (forms.HypersurfaceForm.parts), so the count is a group
              convolution over F_{q^l}^{de+1} of the block distributions
-             (forms.block_distributions, each walked over its block's own
-             box), met in the middle: the first half of the blocks are
+             (forms.block_distributions, one walk over its own box per
+             distinct block form), met in the middle: the first half of the blocks are
              folded into A and the rest into B (forms.fold, which costs
              the support pairs it adds), and the count is sum_k A(k) B(-k).
              auto enumerates a one-block form, which has nothing to meet;

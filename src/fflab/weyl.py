@@ -18,10 +18,10 @@ q = p^f and every box size:
 * Blocks of variables.  Two variables share a block when they share a
   monomial (forms.HypersurfaceForm.blocks).  Psi_i for i in a block reads
   only that block's coordinates of each u_j, so the count is the product
-  over the blocks of the count of the block's form, with n = |block|.
-  approx_zero_counts forms the phase classes once and runs the steps below
-  once per block; a non-separable form is one block, and a variable F does
-  not contain is a block with a zero tensor.
+  over the blocks of the count of the block's form (form.parts), with
+  n = |block|.  approx_zero_counts forms the phase classes once and runs
+  the steps below once per distinct block form (equal blocks count once);
+  a variable F does not contain is the zero form in one variable.
 * The prefix map.  The condition matrix is multilinear in the d - 2 prefix
   blocks: A(u_1,...,u_{d-2}) = kron(u_1,...,u_{d-2}) K, where K (built by
   _prefix_maps as one outer product of the form's tensor and the tail, with
@@ -167,16 +167,13 @@ def approx_zero_counts(prob: CountingProblem, alphas, box_list,
         return []
     if _vacuous(box_list, m):
         return [q ** (sum(box_list) * n)] * len(alphas)
-    form = prob.form
     boxes = sorted(box_list)
     depth = m + sum(c - 1 for c in boxes)
     tails, where = _phase_classes(prob.spec, [_tail_array(alpha, depth)
                                               for alpha in alphas])
-    counts = [1] * len(tails)
-    for block in form.blocks:
-        g = form.dense[np.ix_(*[block] * form.d)]
-        counts = [a * b for a, b in zip(counts, _block_counts(
-            prob.spec, g, tails, boxes, m))]
+    by_part = {part: _block_counts(prob.spec, part.dense, tails, boxes, m)
+               for part in dict.fromkeys(prob.form.parts)}
+    counts = [prod(row) for row in zip(*map(by_part.get, prob.form.parts))]
     return [counts[k] for k in where.tolist()]
 
 
@@ -250,8 +247,8 @@ def _prefix_maps(spec, g, tails, prefix_boxes, c_last, m) -> np.ndarray:
     n, d = len(g), g.ndim
     # window[a, sp_1..sp_{d-2}, w-1, s] = tail coefficient at t^-(w+s+sum sp)
     # (w = 1..m), which is column w + s + sum sp - 1
-    offsets = sum(np.ix_(*[np.arange(c) for c in prefix_boxes],
-                         np.arange(m), np.arange(c_last)))
+    offsets = functools.reduce(np.add.outer, [
+        np.arange(c) for c in (*prefix_boxes, m, c_last)])
     window = tails[:, offsets]
     # no summed index: an outer product, one table gather for any F_q
     g = g.transpose(*range(2, d), 0, 1).reshape(
@@ -443,7 +440,9 @@ def _charge_weyl(prob: CountingProblem, phases: int):
     order a loop of one-phase checks would: the phase distribution that S
     is read from (once, with the first phase), then one count of N per
     phase.  A sweep charges its whole tail list this way before it fans
-    out, so its status does not depend on how the tails are chunked."""
+    out, so its status does not depend on how the tails are chunked.  A
+    box whose square reaches 2^63 is refused first (ConfigError)."""
+    prob._refuse_past_int64(2 * prob.box * prob.n, "autocorrelation")
     if phases:
         prob.phase_distribution()
     _charge_counts(prob, [_shape_N(prob)], phases)

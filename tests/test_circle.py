@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import os
@@ -13,9 +14,10 @@ from fflab.cli import main
 from fflab.cyclotomic import CyclotomicValue
 from fflab.errors import BudgetExceededError, PrecisionError
 from fflab.fields import FieldSpec
-from fflab.forms import decode_keys, fermat_form, parse_form_file, symmetrize
+from fflab.forms import (decode_keys, fermat_form, fold, parse_form_file,
+                         symmetrize)
 from fflab.laurent import LaurentElement
-from fflab.linalg import rank_mod_q
+from fflab.linalg import batched_rank
 from fflab.polys import Polynomial
 
 
@@ -129,7 +131,8 @@ def test_exp_sums_match_direct_across_blocks(spec5, monkeypatch, make,
     # a fresh problem, so S comes from the kernel and not from a sum table
     prob = make(spec5)
     monkeypatch.setattr(circle, "_SUM_BLOCK_CELLS", 7)
-    assert len(prob.phase_distribution()[0]) > 7  # one tail per block
+    # one tail per block of the kernel
+    assert max(len(keys) for keys, _ in prob.phase_distribution()) > 7
     rng = random.Random(11)
     tails = [(0,) * prob.char_depth] + [
         tuple(rng.randrange(5) for _ in range(prob.char_depth))
@@ -222,13 +225,39 @@ def test_mixed_form_identity(spec5):
     pytest.param(_separable("x3_absent", 1), id="x3_absent"),
 ])
 def test_phase_distribution_matches_scalar_loop(spec5, make):
+    # the fold of the block distributions S is read from is the
+    # distribution of F's coefficient vectors over the whole box
     prob = make(spec5)
+    B = prob.char_depth
     want = {}
     for value in _scalar_images(prob):
-        key = tuple(value.coeff(k) for k in range(prob.char_depth))
+        key = tuple(value.coeff(k) for k in range(B))
         want[key] = want.get(key, 0) + 1
-    support, counts = prob.phase_distribution()
+    keys, counts = functools.reduce(lambda a, b: fold(spec5, a, b, B),
+                                    prob.phase_distribution())
+    support = decode_keys(5, keys, B)
     assert dict(zip(map(tuple, support.tolist()), counts.tolist())) == want
+
+
+@pytest.mark.parametrize("spec,n,table", [
+    (FieldSpec(5), 3, 15_625),        # 25 keys of x^3 times 5^4 tails
+    (FieldSpec(5, 2), 2, 81_640_625),  # 209 keys of x^3 times 25^4 tails
+], ids=["fermat_n3_q5", "fermat_n2_q25"])
+def test_sum_table_charges_the_cells_it_visits(spec, n, table):
+    # q^B times the summed supports of the distinct block forms: the
+    # Fermat blocks are one form, so its support counts once
+    box = spec.q ** (2 * n)
+    prob = CountingProblem(spec, fermat_form(spec, n, 3), 1,
+                           budget=box + table - 1)
+    prob.phase_distribution()
+    assert prob.budget_spent == box
+    with pytest.raises(BudgetExceededError) as err:
+        prob.sum_table()
+    assert (err.value.needed, err.value.what) == (table, "sum table build")
+    if spec.q == 5:
+        prob.budget = box + table
+        prob.sum_table()
+        assert prob.budget_spent == box + table
 
 
 # -- the fast dissection route against the per-atom oracle --------------------
@@ -324,13 +353,13 @@ def test_complexity_profile_matches_the_hankel_rank_definition(spec,
         spec, decode_keys(q, np.arange(q ** max_len), max_len))
     for j in range(1, max_len + 1):
         # the first q^j rows run over every j-digit prefix
-        prefixes = decode_keys(q, np.arange(q ** j), j).tolist()
-        for s, c in zip(prefixes, profile[:q ** j, j].tolist()):
-            for L in range(j + 1):
-                hankel = [s[m:m + L + 1] for m in range(j - L)]
-                within = (rank_mod_q(spec, [row[:L] for row in hankel])
-                          == rank_mod_q(spec, hankel))
-                assert within == (c <= L), (s, L)
+        prefixes = decode_keys(q, np.arange(q ** j), j)
+        for L in range(j + 1):
+            # hankel[:, m] = digits m..m + L of every prefix
+            hankel = prefixes[:, np.arange(j - L)[:, None] + np.arange(L + 1)]
+            within = (batched_rank(spec, hankel[:, :, :L])
+                      == batched_rank(spec, hankel))
+            assert np.array_equal(within, profile[:q ** j, j] <= L), L
 
 
 @pytest.mark.parametrize("spec", [FieldSpec(3), FieldSpec(2, 2),

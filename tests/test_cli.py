@@ -83,20 +83,48 @@ def test_budget_exhaustion_exit_3(tmp_path):
 
 def test_dissection_refuses_its_sum_table_before_the_brute_count(
         tmp_path, monkeypatch):
-    # Fermat n = 2, e = 1 over F_25: the sum table needs 8,369,140,625
-    # cells, past the default budget, and the scalar count must not run
+    # Fermat n = 2, e = 1 over F_25 at a budget of 10^7: the block walk
+    # (charged as the whole box, 25^4 = 390,625) fits, the sum table
+    # (209 x 25^4 = 81,640,625 cells) does not, and the scalar count must
+    # not run
     def brute_count(self):
         raise AssertionError("brute_count ran before the budget refusal")
     monkeypatch.setattr(CountingProblem, "brute_count", brute_count)
     body = CONE.replace("name = count-cone", "name = dissect-verify") \
-        .replace("p = 5", "p = 5\n    f = 2")
+        .replace("p = 5", "p = 5\n    f = 2") + \
+        "\n    [run]\n    budget = 10000000\n"
     cfg = write_cfg(tmp_path, body)
     code = main(["dissect-verify", "--config", cfg,
                  "--out", str(tmp_path / "o")])
     assert code == 3
     rows = read_rows(str(tmp_path / "o" / "dissect-verify.csv"))
     assert rows[0]["out.detail"] == "sum table build"
-    assert parse_value(rows[0]["out.needed"]) == 8_369_140_625
+    assert parse_value(rows[0]["out.needed"]) == 81_640_625
+    assert parse_value(rows[0]["out.budget"]) == 10 ** 7 - 390_625
+
+
+@pytest.mark.parametrize("task,n,budget,what", [
+    # 5^(n (e+1) + 2 floor(Q)) = 5^30 arc histogram entries
+    ("dissect-verify", 12, 10 ** 18, "arc histograms"),
+    # a box of 5^14 points, whose square the autocorrelation holds
+    ("weyl-check", 7, 10 ** 15, "autocorrelation"),
+    # a box of 5^56 points
+    ("major-arc", 28, 10 ** 40, "S histograms"),
+])
+def test_int64_overflow_exits_2_before_any_charge(tmp_path, capsys,
+                                                  monkeypatch, task, n,
+                                                  budget, what):
+    charged = []
+    monkeypatch.setattr(CountingProblem, "_charge",
+                        lambda self, cost, label: charged.append(label))
+    body = CONE.replace("name = count-cone", f"name = {task}") \
+        .replace("n = 2", f"n = {n}") + f"\n    [run]\n    budget = {budget}\n"
+    cfg = write_cfg(tmp_path, body)
+    code = main([task, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{what} would overflow int64 at q^" in capsys.readouterr().err
+    assert charged == []
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("alpha", ["7,0,0,0", "0,0,0,-1"])

@@ -9,8 +9,8 @@ import pytest
 from fflab.errors import ConfigError
 from fflab.fields import FieldSpec
 from fflab.circle import CountingProblem
-from fflab.forms import (BoxKernel, block_distributions, fermat_form,
-                         parse_form_file, symmetrize)
+from fflab.forms import (BoxKernel, HypersurfaceForm, block_distributions,
+                         fermat_form, parse_form_file, symmetrize)
 from fflab.moduli import total_solutions
 from fflab.polys import BinaryForm, Polynomial
 
@@ -51,7 +51,7 @@ def test_symmetrize_validation(spec5):
         symmetrize(spec5, 2, 3, {(2, 0): 1})          # wrong degree
 
 
-@pytest.mark.parametrize("n,monomials,blocks", [
+VARIABLE_BLOCKS = [
     (3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}, ((0,), (1,), (2,))),
     (3, {(3, 0, 0): 1, (2, 1, 0): 1, (0, 3, 0): 2, (0, 0, 3): 1},
      ((0, 1), (2,))),
@@ -59,7 +59,10 @@ def test_symmetrize_validation(spec5):
     (4, {(2, 1, 0, 0): 1, (0, 1, 2, 0): 3}, ((0, 1, 2), (3,))),
     (3, {(0, 0, 3): 1, (1, 0, 2): 1, (0, 3, 0): 2}, ((0, 2), (1,))),
     (2, {(1, 2): 1}, ((0, 1),)),
-])
+]
+
+
+@pytest.mark.parametrize("n,monomials,blocks", VARIABLE_BLOCKS)
 def test_variable_blocks(spec5, n, monomials, blocks):
     form = symmetrize(spec5, n, 3, monomials)
     assert form.blocks == blocks
@@ -70,6 +73,48 @@ def test_variable_blocks(spec5, n, monomials, blocks):
         assert form.dense[idx] == form.tensor.get(tuple(sorted(idx)), 0)
         if len({block_of[i] for i in idx}) > 1:
             assert form.dense[idx] == 0
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_parts_sum_back_to_the_form(f):
+    # F at a point is the sum of its parts at that point's block
+    # coordinates, for the forms of test_variable_blocks and the two
+    # kernel forms (over F_25 the mixed one has a coefficient outside F_5)
+    spec, forms = _kernel_forms(f)
+    forms += [symmetrize(spec, n, 3, monomials)
+              for n, monomials, _ in VARIABLE_BLOCKS]
+    rng = random.Random(f)
+    for form in forms:
+        assert len(form.parts) == len(form.blocks)
+        for part, block in zip(form.parts, form.blocks):
+            assert (part.spec, part.n, part.d) == (spec, len(block), 3)
+        for _ in range(30):
+            x = [rng.randrange(spec.q) for _ in range(form.n)]
+            total = 0
+            for part, block in zip(form.parts, form.blocks):
+                total = spec.add(total, part.eval_form(
+                    [x[i] for i in block]).idx)
+            assert total == form.eval_form(x).idx
+
+
+def test_equal_blocks_give_equal_parts(spec5):
+    fermat = fermat_form(spec5, 3, 3)
+    cube = fermat_form(spec5, 1, 3)
+    assert fermat.parts == (cube, cube, cube)
+    assert len(dict.fromkeys(fermat.parts)) == 1
+    # a one-block form is its own part; the parts of unequal blocks differ
+    assert cube.parts == (cube,)
+    mixed = symmetrize(spec5, 3, 3, {(3, 0, 0): 1, (0, 3, 0): 2,
+                                     (0, 0, 3): 1})
+    assert mixed.parts[0] == mixed.parts[2] != mixed.parts[1]
+    # a variable the form does not contain is the zero form in one
+    # variable: no monomial and a zero tensor
+    absent = symmetrize(spec5, 3, 3, {(3, 0, 0): 1, (0, 3, 0): 2})
+    zero = absent.parts[2]
+    assert zero == HypersurfaceForm(spec5, 1, 3, {}, {})
+    assert (zero.monomials, zero.tensor) == ({}, {})
+    assert zero.dense.tolist() == [[[0]]]
+    assert zero.parts == (zero,)
 
 
 def test_parse_form_file_round_trip(tmp_path, spec5):
@@ -155,7 +200,8 @@ def test_separable_counts_walk_only_the_block_boxes(spec5, monkeypatch):
         run()
         assert sum(walked) == 25
     assert total_solutions(spec5, form, 1) == 145
-    # a variable the form does not contain: key 0, count q^(e+1), no walk
+    # a variable the form does not contain is the zero form in one
+    # variable: key 0, count q^(e+1)
     absent = symmetrize(spec5, 3, 3, {(3, 0, 0): 1, (0, 3, 0): 2})
     keys, counts = block_distributions(absent, 1)[2]
     assert (keys.tolist(), counts.tolist()) == ([0], [25])

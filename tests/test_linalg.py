@@ -2,13 +2,60 @@ import numpy as np
 import pytest
 
 from fflab.fields import FieldSpec
-from fflab.linalg import (batched_nullspace, batched_poly_rank, batched_rank,
-                          rank_mod_q, solve_nullspace)
+from fflab.linalg import batched_nullspace, batched_poly_rank, batched_rank
 from fflab.polys import Polynomial
 
 FIELDS = [(5, 1), (5, 2), (181, 1), (191, 1)]
 SHAPES = [(40, 4, 4), (30, 5, 7), (20, 7, 3), (5, 0, 3), (5, 3, 0),
           (0, 3, 3)]
+
+
+def _eliminate(spec, rows, above: bool):
+    """Gaussian elimination of one matrix (list of index rows) through the
+    scalar field tables, each pivot row normalized to 1 and its column
+    cleared below it (and above it too when `above`): the reduced rows and
+    the pivot columns."""
+    mul, sub, inv = spec.tables["mul"], spec.tables["sub"], spec.tables["inv"]
+    a = [list(r) for r in rows]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, nrows) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        pinv = inv[a[rank][col]]
+        a[rank] = [mul[x][pinv] for x in a[rank]]
+        for r in range(0 if above else rank + 1, nrows):
+            if r != rank and a[r][col]:
+                frow = mul[a[r][col]]
+                a[r] = [sub[x][frow[y]] for x, y in zip(a[r], a[rank])]
+        pivots.append(col)
+    return a, pivots
+
+
+def rank_mod_q(spec, rows) -> int:
+    """Rank of one matrix by scalar elimination: the oracle of
+    batched_rank."""
+    return len(_eliminate(spec, rows, above=False)[1])
+
+
+def solve_nullspace(spec, rows):
+    """Basis (list of index vectors) of the right nullspace of one matrix,
+    one vector per free column f, with 1 at f and 0 at every other free
+    column: the oracle of batched_nullspace."""
+    a, pivots = _eliminate(spec, rows, above=True)
+    ncols = len(a[0]) if a else 0
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[fc] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = spec.tables["neg"][a[r][fc]]
+        basis.append(vec)
+    return basis
 
 
 def poly_matrix_rank(rows) -> int:
@@ -54,7 +101,6 @@ def test_rank_mod_q_known(spec5):
 
 
 def test_rank_extension_field():
-    from fflab.fields import FieldSpec
     spec = FieldSpec(5, 2)
     g = 5                           # index of the generator coordinate
     # rows (1, g) and (g, g^2) are proportional over F_25

@@ -264,7 +264,8 @@ def test_counts_do_not_depend_on_block_sizes(spec5, monkeypatch, size):
 
     def counts():
         prob = CountingProblem(spec5, mixed, 1)
-        return ([part.tolist() for part in prob.phase_distribution()],
+        return ([a.tolist() for dist in prob.phase_distribution()
+                 for a in dist],
                 total_solutions(spec5, mixed, 1, method="enumerate"),
                 moduli._morphisms_enumerate(spec5, mixed, 1),
                 total_solutions(spec5, surface, 1, method="convolve"))

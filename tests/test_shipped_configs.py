@@ -1,7 +1,8 @@
 """Every shipped config gives the report it gave when these digests were
-recorded: the csv bytes at --workers 1, compared by sha256.  The same runs
-record which [task] keys each task's builder reads, so a key that
-TASK_PARAMS accepts but no builder reads fails here."""
+recorded: the csv bytes at --workers 1, compared by sha256, and the same
+bytes at --workers 2.  The workers-1 runs also record which [task] keys
+each task's builder reads, so a key that TASK_PARAMS accepts but no
+builder reads fails here."""
 
 import glob
 import hashlib
@@ -29,16 +30,16 @@ DIGESTS = {
         "d4e6fe0e2b735cdcdae9ba8f35515acc0d12470d4fb7cc94c299ab412742afcb"),
     "dissect_fermat_q5": (
         "dissect-verify",
-        "176cca7f08ae5e1b323af83f470e7b775abcd4a7a40b809cebb8ccbbcae44211"),
+        "3790c6e0982127ec1f21cb673f939308efa36098a32955bb80720e31d58d4f30"),
     "dissect_mixed_q5": (
         "dissect-verify",
         "bcbe6c75c2840b43c3ac7de86114d5258bdcf1e21652aab833bf50d16ea3db64"),
     "dissect_q7_n2": (
         "dissect-verify",
-        "122dca59f6384bf2c7296ce65a326a1d154a1ccd272cc630b4816ce73599faff"),
+        "9957cbe0039117dd48f4fd7adff2c74a85fa98631467768894013c7bff690894"),
     "dissect_q11_n2": (
         "dissect-verify",
-        "c0a127e47905420765f5745c413cac023aba7ad9fe4038901b713530974baaaa"),
+        "2f0bb1d19813b4dbe904d888006a87ee6f47b12a81ebecaa2e9b97584d153be8"),
     "langweil_surface_q5": (
         "langweil-report",
         "e85a5bb13af71997446f35f04b2c8590d5c8f219533f6c4783632ee3eb583979"),
@@ -82,21 +83,24 @@ DIGESTS = {
 
 
 class _Runs:
-    """Each shipped config run once through the CLI at --workers 1, on
-    first use: name -> (exit code, csv sha256, [task] keys read)."""
+    """Each shipped config run once through the CLI per worker count, on
+    first use: (name, workers) -> (exit code, csv sha256, [task] keys
+    read); a bare name means --workers 1."""
 
     def __init__(self, tmp_path_factory):
         self._tmp = tmp_path_factory
         self._done = {}
 
-    def __getitem__(self, name):
-        if name not in self._done:
-            self._done[name] = self._run(name)
-        return self._done[name]
+    def __getitem__(self, key):
+        if not isinstance(key, tuple):
+            key = (key, 1)
+        if key not in self._done:
+            self._done[key] = self._run(*key)
+        return self._done[key]
 
-    def _run(self, name):
+    def _run(self, name, workers):
         task = DIGESTS[name][0]
-        out_dir = self._tmp.mktemp(name)
+        out_dir = self._tmp.mktemp(f"{name}_w{workers}")
         read = set()
         raw = RunConfig._param_raw
 
@@ -108,7 +112,7 @@ class _Runs:
             mp.setattr(RunConfig, "_param_raw", recording)
             code = main([task, "--config",
                          os.path.join(CONFIGS, f"{name}.cfg"),
-                         "--workers", "1", "--out", str(out_dir)])
+                         "--workers", str(workers), "--out", str(out_dir)])
         with open(out_dir / f"{task}.csv", "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         return code, digest, read
@@ -130,6 +134,12 @@ def test_shipped_config_report_is_unchanged(runs, name):
     code, digest, _ = runs[name]
     assert code == 0
     assert digest == DIGESTS[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_shipped_config_report_does_not_depend_on_workers(runs, name):
+    code, digest, _ = runs[name, 2]
+    assert (code, digest) == runs[name][:2]
 
 
 def test_builders_read_exactly_the_declared_keys(runs):

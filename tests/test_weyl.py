@@ -431,9 +431,9 @@ def test_one_sweep_chunk_ranks_one_matrix_per_line(ranked):
     out = _weyl_chunk(config, tails)
     assert len(out) == 625 and all(row[1] for row in out)
     # the 625 phases fall into 1 + 624/4 = 157 F_5^*-classes, each ranked
-    # once on the (5^2 - 1) / 4 = 6 lines of prefixes of each of the two
-    # one-variable blocks
-    assert sum(ranked) == 157 * 2 * 6 == 1884
+    # once on the (5^2 - 1) / 4 = 6 lines of prefixes of x^3, the one form
+    # of both one-variable blocks
+    assert sum(ranked) == 157 * 6 == 942
 
 
 def test_mixed_sweep_ranks_one_matrix_per_line_of_its_one_block(ranked):
@@ -465,12 +465,13 @@ def _each_tail_its_own_class(spec, tails):
 
 
 # Matrices ranked per class of phases.  The mixed cubic is one block,
-# (5^4 - 1) / 4 = 156 lines of prefixes; the Fermat forms are two blocks of
-# one variable: 6 lines a prefix slot at d = 4, ranked as 21 sorted pairs
-# for N's equal boxes and as 1 x 6 for M_2's, and 26 lines over F_25.
+# (5^4 - 1) / 4 = 156 lines of prefixes; the Fermat forms are two equal
+# blocks of one variable, ranked once: 6 lines a prefix slot at d = 4,
+# ranked as 21 sorted pairs for N's equal boxes and as 1 x 6 for M_2's,
+# and 26 lines over F_25.
 CLASS_RANKS = {("mixed", "N"): 156, ("mixed", "N_eta"): 156,
-               ("fermat2_d4", "N"): 2 * 21, ("fermat2_d4", "M_2"): 2 * 6,
-               ("fermat2_q25", "N"): 2 * 26}
+               ("fermat2_d4", "N"): 21, ("fermat2_d4", "M_2"): 6,
+               ("fermat2_q25", "N"): 26}
 
 
 @pytest.mark.parametrize("form,e,shape,extra", [
@@ -503,8 +504,9 @@ def test_scaled_tails_are_counted_once_per_class(monkeypatch, ranked, form,
 
 
 @pytest.mark.parametrize("name,lines", [
-    ("fermat2_d4", 2 * 21),           # two blocks: sorted pairs of 6 lines
-    ("fermat2_q25", 2 * 26),          # two blocks of (25^2 - 1)/24 lines
+    ("fermat2_d4", 21),               # two equal blocks, ranked once:
+                                      # sorted pairs of 6 lines
+    ("fermat2_q25", 26),              # (25^2 - 1)/24 lines, ranked once
     ("quartic", 156 * 157 // 2),      # one block: sorted pairs of 156 lines
 ])
 def test_one_count_ranks_one_matrix_per_tuple_of_lines(ranked, name, lines):
