@@ -14,18 +14,25 @@ S over theta representatives at character depth B = de+1:  S(alpha) only
 depends on the coefficients of alpha at t^{-1},...,t^{-B} because
 deg(F(x)) <= de.  Everything lands in Z[zeta_p], compared bit-exactly.
 
-S has one fast route, CountingProblem.exp_sum_histograms (exp_sums folds
-its integer rows into Q(zeta_p)), and one oracle, _exp_sum_direct, which
-walks the whole box jointly and traces every image.  The route reads S off
-the distribution of each distinct block form's coefficient vectors over
-its own box (forms.block_distributions over form.parts), built once per
-problem: for a stack of tails it accumulates <c, tail> over each support
-through the field tables, counts it by the trace of each value, and
-convolves the blocks' trace histograms over F_p, since the trace of a sum
-over disjoint variables is the sum of the traces.  One phase, a sweep of
-phases and the sum table over all q^B tails are all calls of that one
-kernel; the sum table keeps the histograms as one int64 array and is
-charged the cells the kernel visits, q^B times the summed supports.
+S on a list of phases has one fast route,
+CountingProblem.exp_sum_histograms (exp_sums folds its integer rows into
+Q(zeta_p)), and one oracle, _exp_sum_direct, which walks the whole box
+jointly and traces every image.  The route reads S off the distribution
+of each distinct block form's coefficient vectors over its own box
+(forms.block_distributions over form.parts), built once per problem: for
+a stack of tails its kernel (_histograms) accumulates <c, tail> over each
+support through the field tables, counts it by the trace of each value,
+and convolves the blocks' trace histograms over F_p, since the trace of a
+sum over disjoint variables is the sum of the traces.
+
+S on all q^B tails, the sum table, has one fast route, sum_table, with
+that kernel as its oracle in tests.  Per distinct block form it takes the
+exact character transform of the distribution over F_q^B = (Z/p)^(fB)
+(_character_transform): the keys go to trace-dual coordinates, and each
+of the fB axes is transformed by p cyclic shifts per cell, as a
+Walsh-Hadamard transform is.  That is f B q^B p^2 integer adds whatever
+the support size, in two (q^B, p) int64 arrays, and it is what the table
+is charged, before any work; the blocks are then convolved per tail.
 
 The dissection has one fast route, CountingProblem.degree_subtotals, and
 one oracle, the per-atom quadrature (dissect, coprime_residues, arc_tail,
@@ -77,6 +84,44 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for v in range(a.shape[1]):
         out += a[:, v:v + 1] * np.roll(b, v, axis=1)
     return out
+
+
+def _character_transform(spec: FieldSpec, keys: np.ndarray,
+                         counts: np.ndarray, width: int) -> np.ndarray:
+    """The trace histograms of one distribution over F_q^width at every
+    tail: the (q^width, p) int64 array H with H[t, v] the total count of
+    the keys c with tr <c, t> = v, row t indexed as in sum_table.
+
+    H is the Fourier transform of the distribution over the group
+    F_q^width = (Z/p)^(f width), done one axis at a time as the
+    Walsh-Hadamard transform is.  A key c first goes to trace-dual
+    coordinates c'[j, k] = tr(c_j x^k), so that tr <c, t> = sum over j, k
+    of c'[j, k] t[j, k] mod p, with t[j, k] the base-p digit k of t_j,
+    which is digit jf + k of the row index.  The counts are scattered at
+    trace value 0 over c'; then axis a goes from c'_a to t_a by
+    out[t_a][v] = sum_k G[k][v - k t_a mod p], p cyclic shifts per cell:
+    f width q^width p^2 integer adds and two (q^width, p) int64 arrays,
+    whatever the support size.  Every partial row sums to at most the
+    total count."""
+    p, f, q = spec.p, spec.f, spec.q
+    assert int(counts.sum()) < 1 << 63, "character transform overflows int64"
+    basis = p ** np.arange(f)                  # x^k has index p^k
+    dual = spec.tables["np_trace"][spec.tables["np_mul"][
+        decode_keys(q, keys, width)[:, :, None], basis]]
+    # held v-major, so that every shift adds long runs on any axis
+    grid = np.zeros((p, q ** width), dtype=np.int64)
+    grid[0, dual.reshape(len(keys), -1) @ p ** np.arange(f * width)] = counts
+    for axis in range(f * width):
+        src = grid.reshape(p, -1, p, p ** axis)
+        out = np.zeros_like(src)
+        for t in range(p):
+            for k in range(p):
+                s = k * t % p
+                out[s:, :, t] += src[:p - s, :, k]
+                out[:s, :, t] += src[p - s:, :, k]
+        grid = out.reshape(p, -1)
+    del src, out                # so that the copy below is the second array
+    return np.ascontiguousarray(grid.T)
 
 
 def complexity_profile(spec: FieldSpec, seqs: np.ndarray) -> np.ndarray:
@@ -310,8 +355,11 @@ class CountingProblem:
         row per tail: the cyclic convolution over F_p of one row per block
         of variables (the trace is additive), counted once per distinct
         block form over its own support.  Tails go in blocks of at most
-        _SUM_BLOCK_CELLS (tail, support point) cells.  An entry is at most
-        the box size q^(n(e+1))."""
+        _SUM_BLOCK_CELLS (tail, support point) cells, so a list costs its
+        tails times the summed supports times B table gathers; sum_table
+        reads all tails by the character transform instead, and this
+        kernel is its oracle in tests.  An entry is at most the box size
+        q^(n(e+1))."""
         spec = self.spec
         q, p, B = spec.q, spec.p, self.char_depth
         blocks = dict(zip(self.form.parts, self.phase_distribution()))
@@ -356,17 +404,28 @@ class CountingProblem:
 
     def sum_table(self) -> np.ndarray:
         """S on every depth-B tail as one int64 histogram H of shape
-        (q^B, p): row i is the kernel's histogram at the tail whose digits
-        are the base-q digits of i, first digit fastest.  One kernel call
-        over all q^B tails, charged the cells it visits: q^B times the
-        summed supports of the distinct block forms."""
+        (q^B, p): row i is the histogram of S at the tail whose digits are
+        the base-q digits of i, first digit fastest.  Each distinct block
+        form's distribution goes through the exact character transform
+        over F_q^B (_character_transform), and the blocks are convolved
+        per tail.  Charged its adds, f B q^B p^2 per distinct block form,
+        before any work.  A transform holds two (q^B, p) int64 arrays, and
+        a step of the convolution up to five.  _histograms is its oracle
+        in tests."""
         if self._sum_table is None:
-            q, B = self.spec.q, self.char_depth
+            spec = self.spec
+            q, p, B = spec.q, spec.p, self.char_depth
             blocks = dict(zip(self.form.parts, self.phase_distribution()))
-            self._charge(sum(len(k) for k, _ in blocks.values()) * q ** B,
+            self._charge(len(blocks) * spec.f * B * q ** B * p * p,
                          "sum table build")
-            self._sum_table = self._histograms(
-                decode_keys(q, np.arange(q ** B), B))
+            # a block entry is at most its block's box, a convolved row
+            # sums to the whole box
+            assert q ** (self.box * self.n) < 1 << 63, \
+                "sum table overflows int64"
+            tables = {part: _character_transform(spec, keys, counts, B)
+                      for part, (keys, counts) in blocks.items()}
+            self._sum_table = functools.reduce(
+                _convolve, [tables[part] for part in self.form.parts])
         return self._sum_table
 
     # -- the dissection by degree -------------------------------------------------

@@ -346,6 +346,8 @@ def _run_weyl(config: RunConfig):
     spec = prob.spec
     base = _base_inputs(config, spec)
     depth = prob.char_depth
+    # no budget runs a box past int64: exit 2 before the sweep's charge
+    prob._refuse_past_int64(2 * prob.box * prob.n, "autocorrelation")
     single = config.param_tail("alpha")
     if single is not None:
         if len(single) != depth:

@@ -85,8 +85,8 @@ def test_dissection_refuses_its_sum_table_before_the_brute_count(
         tmp_path, monkeypatch):
     # Fermat n = 2, e = 1 over F_25 at a budget of 10^7: the block walk
     # (charged as the whole box, 25^4 = 390,625) fits, the sum table
-    # (209 x 25^4 = 81,640,625 cells) does not, and the scalar count must
-    # not run
+    # (f B q^B p^2 = 2 x 4 x 25^4 x 5^2 = 78,125,000 adds) does not, and
+    # the scalar count must not run
     def brute_count(self):
         raise AssertionError("brute_count ran before the budget refusal")
     monkeypatch.setattr(CountingProblem, "brute_count", brute_count)
@@ -99,15 +99,17 @@ def test_dissection_refuses_its_sum_table_before_the_brute_count(
     assert code == 3
     rows = read_rows(str(tmp_path / "o" / "dissect-verify.csv"))
     assert rows[0]["out.detail"] == "sum table build"
-    assert parse_value(rows[0]["out.needed"]) == 81_640_625
+    assert parse_value(rows[0]["out.needed"]) == 78_125_000
     assert parse_value(rows[0]["out.budget"]) == 10 ** 7 - 390_625
 
 
 @pytest.mark.parametrize("task,n,budget,what", [
     # 5^(n (e+1) + 2 floor(Q)) = 5^30 arc histogram entries
     ("dissect-verify", 12, 10 ** 18, "arc histograms"),
-    # a box of 5^14 points, whose square the autocorrelation holds
+    # a box of 5^14 points, whose square the autocorrelation holds; the
+    # refusal comes before the tail sweep is checked against the budget
     ("weyl-check", 7, 10 ** 15, "autocorrelation"),
+    ("weyl-check", 7, 100, "autocorrelation"),
     # a box of 5^56 points
     ("major-arc", 28, 10 ** 40, "S histograms"),
 ])

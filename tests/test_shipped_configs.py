@@ -28,18 +28,24 @@ DIGESTS = {
     "cone_two_mixed_q5": (
         "count-cone",
         "d4e6fe0e2b735cdcdae9ba8f35515acc0d12470d4fb7cc94c299ab412742afcb"),
+    "dissect_e2_q5": (
+        "dissect-verify",
+        "7484154fdef880373a25e4179edbe82e48ad76be6dbd84280583644df9ca0480"),
+    "dissect_f25_n2": (
+        "dissect-verify",
+        "495730296845cde2ae4ba5066fa7f81dd3850bbd8ca053e24d268855ed557d12"),
     "dissect_fermat_q5": (
         "dissect-verify",
-        "3790c6e0982127ec1f21cb673f939308efa36098a32955bb80720e31d58d4f30"),
+        "d8f402fdc01356206a7123eba539de31bcd80052dbb975672a39c5825fc3ab9c"),
     "dissect_mixed_q5": (
         "dissect-verify",
-        "bcbe6c75c2840b43c3ac7de86114d5258bdcf1e21652aab833bf50d16ea3db64"),
+        "a790b52d1b28339bb0d359ce0e2b9e67eed76a55d67ba2a76be59c75499491f5"),
     "dissect_q7_n2": (
         "dissect-verify",
-        "9957cbe0039117dd48f4fd7adff2c74a85fa98631467768894013c7bff690894"),
+        "03884e462b729a5d39d351087b46c29efa32a02d1b927a998f3692c2be28c633"),
     "dissect_q11_n2": (
         "dissect-verify",
-        "2f0bb1d19813b4dbe904d888006a87ee6f47b12a81ebecaa2e9b97584d153be8"),
+        "466d36eb759dc37760cf892cf2edf46ccc9c4bd38264b2204978253439442333"),
     "langweil_surface_q5": (
         "langweil-report",
         "e85a5bb13af71997446f35f04b2c8590d5c8f219533f6c4783632ee3eb583979"),
