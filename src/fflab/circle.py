@@ -79,10 +79,14 @@ _SUM_BLOCK_CELLS = 1 << 23
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise cyclic convolution over F_p of two (rows, p) int64 stacks
-    of trace histograms: the histogram of the sum of the two traces."""
-    out = np.zeros_like(a)
-    for v in range(a.shape[1]):
-        out += a[:, v:v + 1] * np.roll(b, v, axis=1)
+    of trace histograms: the histogram of the sum of the two traces.
+    out[:, w] gains a[:, v] b[:, w - v mod p] in two slice adds per shift
+    v, so that no rolled copy of b is made."""
+    p = a.shape[1]
+    out = a[:, :1] * b
+    for v in range(1, p):
+        out[:, v:] += a[:, v:v + 1] * b[:, :p - v]
+        out[:, :v] += a[:, v:v + 1] * b[:, p - v:]
     return out
 
 
@@ -409,9 +413,10 @@ class CountingProblem:
         form's distribution goes through the exact character transform
         over F_q^B (_character_transform), and the blocks are convolved
         per tail.  Charged its adds, f B q^B p^2 per distinct block form,
-        before any work.  A transform holds two (q^B, p) int64 arrays, and
-        a step of the convolution up to five.  _histograms is its oracle
-        in tests."""
+        before any work.  A transform holds two (q^B, p) int64 arrays; a
+        convolution step holds the block tables, the running product, the
+        next one and a product temporary smaller than one more.
+        _histograms is its oracle in tests."""
         if self._sum_table is None:
             spec = self.spec
             q, p, B = spec.q, spec.p, self.char_depth

@@ -5,7 +5,8 @@ elimination simultaneously on a whole stack of small matrices using the
 field's numpy lookup tables; the stacks are held in int16 when the flat
 table index x*q + y fits it (q <= 181, every shipped field) and in int32
 otherwise, and all counts derived from ranks are returned as Python ints.
-Each elimination step touches only the columns it can still change.
+No row ever moves, and a matrix without a pivot in the column of a step
+is left as it was with no mask: its multipliers of the pivot row are 0.
 Ranks over F_q(t) are ranks of evaluations at enough points of F_q or of
 an extension (batched_poly_rank), all ranked in one batched_rank call.
 """
@@ -17,62 +18,46 @@ import numpy as np
 from .fields import FieldSpec, extension
 
 
-def _index_dtype(q: int):
-    """Dtype of a stack over F_q: the flat index x*q + y must fit it."""
+def _index_tables(spec: FieldSpec):
+    """The dtype of a stack over F_q, which the flat index x*q + y must
+    fit, and the mul and sub tables raveled for 1-D gathers at it."""
+    q = spec.q
     assert q * q <= np.iinfo(np.int32).max
-    return np.int16 if q * q <= np.iinfo(np.int16).max else np.int32
-
-
-def _pivot_step(spec: FieldSpec, a, has, piv, r0, above: bool):
-    """One elimination step at column 0 of the stack a (B, R, C): in every
-    matrix b with has[b], row piv[b], normalized to 1 at column 0, moves to
-    row r0[b] and the row there to piv[b]; then column 0 is cleared in the
-    rows below r0[b] (and above it too when `above`).  A matrix without
-    has[b] comes out unchanged: it swaps row 0 with itself, scales it by 1
-    and subtracts zero multiples of it.  Overwrites a and returns the new
-    stack, without column 0 unless `above` (forward elimination never reads
-    it again).  Products and differences are 1-D gathers from the raveled
-    tables at the flat index x*q + y, in a's dtype."""
-    q, dt = spec.q, a.dtype
-    assert dt == _index_dtype(q)
-    mul, sub = (spec.tables[t].ravel().astype(dt, copy=False)
-                for t in ("np_mul", "np_sub"))
-    k = np.arange(len(a))
-    piv = np.where(has, piv, 0)
-    r0 = np.where(has, r0, 0)
-    pivrow = a[k, piv]
-    a[k, piv] = a[k, r0]
-    scale = np.where(has, spec.tables["np_inv"][pivrow[:, 0]], 1)
-    pivrow = mul[pivrow * q + scale[:, None]]
-    a[k, r0] = pivrow
-    rowidx = np.arange(a.shape[1])
-    clear = (rowidx != r0[:, None]) if above else (rowidx > r0[:, None])
-    factors = np.where(clear & has[:, None], a[:, :, 0], 0)
-    if not above:
-        a, pivrow = a[:, :, 1:], pivrow[:, 1:]
-    a *= q
-    a += mul[factors[:, :, None] * q + pivrow[:, None, :]]
-    return sub[a]
+    dt = np.int16 if q * q <= np.iinfo(np.int16).max else np.int32
+    return dt, *(spec.tables[t].ravel().astype(dt, copy=False)
+                 for t in ("np_mul", "np_sub"))
 
 
 def batched_rank(spec: FieldSpec, mats: np.ndarray) -> np.ndarray:
     """Ranks of a stack of matrices, shape (B, R, C) of element indices.
 
     Vectorized forward elimination over the batch axis, one column at a
-    time; each step updates the whole stack (a matrix with no pivot in the
-    column by zero multiples) and drops the column.  Returns an int64
-    array of length B."""
-    a = np.array(mats, dtype=_index_dtype(spec.q))
+    time, in which no row moves.  The first row of a matrix that is
+    nonzero at column 0 is its pivot row, and every row r, the pivot row
+    included, loses f[r] = a[r, 0] / pivot times the pivot row: the pivot
+    row has f = 1, so it clears itself and is never chosen again, and a
+    matrix with no pivot has f = 0 in every row, so it is unchanged
+    without a mask.  Then column 0 is dropped.  mats is never written.
+    Returns an int64 array of length B."""
+    q, inv = spec.q, spec.tables["np_inv"]
+    dt, mul, sub = _index_tables(spec)
+    a = np.asarray(mats, dtype=dt)
     bsz, nrows, ncols = a.shape
     rank = np.zeros(bsz, dtype=np.int64)
-    rowidx = np.arange(nrows)
+    k = np.arange(bsz)
     for _ in range(ncols):
-        cand = (a[:, :, 0] != 0) & (rowidx >= rank[:, None])
-        has = cand.any(axis=1)
+        col = a[:, :, 0]
+        nonzero = col != 0
+        has = nonzero.any(axis=1)
         if not has.any():
             a = a[:, :, 1:]
             continue
-        a = _pivot_step(spec, a, has, cand.argmax(axis=1), rank, above=False)
+        piv = nonzero.argmax(axis=1)
+        f = mul[col * q + inv[col[k, piv]][:, None]]
+        pivrow = a[k, piv, 1:]
+        step = a[:, :, 1:] * q
+        step += mul[f[:, :, None] * q + pivrow[:, None, :]]
+        a = sub[step]
         rank += has
         if (rank >= nrows).all():
             break
@@ -81,38 +66,50 @@ def batched_rank(spec: FieldSpec, mats: np.ndarray) -> np.ndarray:
 
 def batched_nullspace(spec: FieldSpec, mats: np.ndarray):
     """Right nullspaces of a stack of matrices, shape (B, R, C) of element
-    indices, by vectorized Gauss-Jordan elimination over the batch axis.
-    The step at column col updates only columns >= col: the pivot row is
-    zero left of it.
+    indices, by vectorized Gauss-Jordan elimination over the batch axis in
+    which no row moves.  pivcol[b, r] is the pivot column of row r of
+    matrix b, -1 while it has none.  At column col the pivot row is the
+    first row without a pivot that is nonzero there (a row with one may
+    be nonzero in a later free column, and is never chosen again); it is
+    normalized to 1 in its own place and the column is cleared in every
+    other row.  Only the matrices with a pivot at col are touched, and
+    only their columns >= col: the pivot row is zero left of it.  Stops
+    once every row has a pivot.
 
     Returns (basis, free): free[b, f] says column f of matrix b has no
     pivot, and then basis[b, f] is the nullspace vector with 1 at f and 0
-    at every other free column; rows of
-    basis at pivot columns are 0."""
-    np_neg = spec.tables["np_neg"]
-    a = np.array(mats, dtype=_index_dtype(spec.q))
+    at every other free column; rows of basis at pivot columns are 0."""
+    q, inv = spec.q, spec.tables["np_inv"]
+    dt, mul, sub = _index_tables(spec)
+    a = np.array(mats, dtype=dt)
     bsz, nrows, ncols = a.shape
     pivcol = np.full((bsz, nrows), -1, dtype=np.int64)
-    rowptr = np.zeros(bsz, dtype=np.int64)
-    rowidx = np.arange(nrows)
     for col in range(ncols):
-        if not (rowptr < nrows).any():
+        open_rows = pivcol < 0
+        if not open_rows.any():
             break
-        cand = (a[:, :, col] != 0) & (rowidx >= rowptr[:, None])
+        cand = (a[:, :, col] != 0) & open_rows
         has = cand.any(axis=1)
         if not has.any():
             continue
         b = np.flatnonzero(has)
-        a[b, :, col:] = _pivot_step(spec, a[b, :, col:], has[b],
-                                    cand[b].argmax(axis=1), rowptr[b],
-                                    above=True)
-        pivcol[b, rowptr[b]] = col
-        rowptr[b] += 1
+        k, piv = np.arange(len(b)), cand[b].argmax(axis=1)
+        block = a[b, :, col:]
+        pivrow = block[k, piv]
+        pivrow = mul[pivrow * q + inv[pivrow[:, :1]]]
+        f = block[:, :, 0].copy()
+        f[k, piv] = 0
+        block *= q
+        block += mul[f[:, :, None] * q + pivrow[:, None, :]]
+        block = sub[block]
+        block[k, piv] = pivrow
+        a[b, :, col:] = block
+        pivcol[b, piv] = col
     free = np.ones((bsz, ncols), dtype=bool)
     bi, ri = np.nonzero(pivcol >= 0)
     free[bi, pivcol[bi, ri]] = False
     basis = np.zeros((bsz, ncols, ncols), dtype=np.int16)
-    basis[bi, :, pivcol[bi, ri]] = np_neg[a[bi, ri, :]]
+    basis[bi, :, pivcol[bi, ri]] = spec.tables["np_neg"][a[bi, ri, :]]
     basis[~free] = 0
     bf, ff = np.nonzero(free)
     basis[bf, ff, ff] = 1

@@ -111,14 +111,10 @@ class ReportRecord:
 def flatten_records(records):
     """(columns, rows): stable column order plus fully serialized rows."""
     rows = [rec.flat() for rec in records]
-    inputs, outputs = [], []
-    for row in rows:
-        for key in row:
-            if key.startswith("in.") and key not in inputs:
-                inputs.append(key)
-            elif key.startswith("out.") and key not in outputs:
-                outputs.append(key)
-    columns = ["task"] + inputs + outputs + ["passed", "budget_spent"]
+    keys = dict.fromkeys(key for row in rows for key in row)
+    columns = (["task"] + [k for k in keys if k.startswith("in.")]
+               + [k for k in keys if k.startswith("out.")]
+               + ["passed", "budget_spent"])
     return columns, rows
 
 

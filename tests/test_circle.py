@@ -187,6 +187,19 @@ def test_sum_table_matches_kernel(spec, make):
         assert block.min() >= 0 and (block.sum(axis=1) == box).all()
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_convolve_matches_the_rolled_sum(p):
+    # the slice adds against the sum over shifts v of a[:, v] times b
+    # rolled by v; neither input is written
+    rng = np.random.default_rng(p)
+    a, b = (rng.integers(0, 1000, size=(40, p)) for _ in range(2))
+    a0, b0 = a.copy(), b.copy()
+    want = sum(a[:, v:v + 1] * np.roll(b, v, axis=1) for v in range(p))
+    got = circle._convolve(a, b)
+    assert got.dtype == np.int64 and (got == want).all()
+    assert (a == a0).all() and (b == b0).all()
+
+
 def test_wrong_length_tail_raises_on_both_paths(spec5):
     prob = CountingProblem(spec5, fermat_form(spec5, 2, 3), 1)
     for built in (False, True):

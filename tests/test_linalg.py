@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,75 @@ def test_batched_nullspace_matches_the_loop(p, f):
             if not shape[1]:
                 want = np.eye(shape[2], dtype=int).tolist()
             assert basis[b][free[b]].tolist() == want
+
+
+def _check_both_kernels(spec, mats):
+    """Both kernels against the scalar oracles on every matrix of mats,
+    which they must leave as it was."""
+    before = mats.copy()
+    ranks = batched_rank(spec, mats)
+    basis, free = batched_nullspace(spec, mats)
+    assert (mats == before).all()
+    for b, m in enumerate(mats.tolist()):
+        assert ranks[b] == rank_mod_q(spec, m)
+        assert basis[b][free[b]].tolist() == solve_nullspace(spec, m)
+    return ranks
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+@pytest.mark.parametrize("p", [5, 191])
+def test_kernels_leave_their_input_unchanged(p, dtype):
+    # an int16 stack over F_5 is the kernel's own dtype, so batched_rank
+    # reads it without a copy
+    spec = FieldSpec(p)
+    mats = _sparse_stack(spec, np.random.default_rng(5), (30, 4, 5))
+    _check_both_kernels(spec, mats.astype(dtype))
+
+
+def test_used_pivot_row_is_never_picked_again(spec5):
+    # the pivot row of column 0 stays nonzero at the free column 1; in
+    # every row order it must not pivot again, at column 1 or 2
+    rows = [[1, 1, 0], [0, 0, 1]]
+    for order in itertools.permutations(rows):
+        mats = np.array([order])
+        assert _check_both_kernels(spec5, mats).tolist() == [2]
+        basis, free = batched_nullspace(spec5, mats)
+        assert free.tolist() == [[False, True, False]]
+        assert basis[0][free[0]].tolist() == [[4, 1, 0]]
+
+
+def test_full_row_rank_early_beside_deficient_matrices(spec5):
+    # 2 x 5 matrices of full row rank after two columns (the kernels stop
+    # only once every matrix has one), stacked with deficient ones whose
+    # pivots come late or never
+    mats = np.array([[[1, 0, 3, 4, 2], [0, 1, 2, 0, 1]],
+                     [[0, 0, 0, 0, 1], [0, 0, 0, 0, 2]],
+                     [[2, 3, 0, 0, 0], [0, 0, 0, 4, 0]],
+                     [[0, 0, 0, 0, 0], [0, 0, 0, 0, 0]],
+                     [[3, 1, 1, 1, 1], [1, 3, 2, 2, 2]]])
+    assert _check_both_kernels(spec5, mats).tolist() == [2, 1, 2, 0, 2]
+
+
+@pytest.mark.parametrize("p", [5, 191])
+def test_all_zero_stack(p):
+    spec = FieldSpec(p)
+    mats = np.zeros((4, 3, 5), dtype=np.int16)
+    assert _check_both_kernels(spec, mats).tolist() == [0] * 4
+    basis, free = batched_nullspace(spec, mats)
+    assert free.all() and (basis == np.eye(5, dtype=np.int16)).all()
+
+
+@pytest.mark.parametrize("p", [5, 191])
+def test_tall_stacks_padded_with_zero_rows(p):
+    # as latgon._batched stacks its systems: int16, each system's rows
+    # first and zero rows after them up to the tallest system
+    spec = FieldSpec(p)
+    rng = np.random.default_rng(p)
+    mats = np.zeros((50, 26, 16), dtype=np.int16)
+    for b, height in enumerate(rng.integers(0, 27, size=50)):
+        mats[b, :height] = _sparse_stack(spec, rng, (height, 16))
+    ranks = _check_both_kernels(spec, mats)
+    assert ranks.max() == 16 and len(set(ranks.tolist())) > 8
 
 
 def test_batched_solution_counts(spec5):
