@@ -4,15 +4,50 @@ The unit ball of F_5((1/t)) splits into Farey arcs indexed by (r, a).
 Integrating the counting kernel over every arc and adding everything back
 up must reproduce the brute-force point count exactly, because every step
 stays inside the cyclotomic ring Q(zeta_5).  The census and the subtotals
-come from the fast route, which sums the arcs of each degree r at once;
-the per-arc quadrature, the oracle, is shown agreeing on deg r <= 2.
+come from the fast route, which sums the arcs of each degree r at once.
+
+The oracle needs no character at all.  Summed over the a coprime to r,
+the arc integrals of psi(alpha g) are Ramanujan sums over F_q[t], so the
+subtotal of degree D is q^-floor(Q) times a signed count of monic divisors
+over the values V(g) = #{x in box : F(x) = g}: the sum of V(m h) over the
+monic m of degree D, less the same over degree D - 1, with deg(m h) below
+min(D + floor(Q), B).
 """
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 from fflab.circle import CountingProblem
 from fflab.fields import FieldSpec
-from fflab.forms import fermat_form
+from fflab.forms import BoxKernel, fermat_form
+from fflab.polys import Polynomial
+
+
+def divisor_count_subtotals(prob):
+    """{deg r: subtotal} from the value distribution of the whole box."""
+    spec, B, floor_q = prob.spec, prob.char_depth, prob.arc_floor
+    values = Counter()
+    for _, images in BoxKernel(prob.form, prob.e).box():
+        values.update(map(tuple, images.tolist()))
+
+    def multiples(deg, width):
+        # sum of V(m h) over monic m of degree deg and h of degree < width
+        ms = [Polynomial(spec, low + (1,))
+              for low in itertools.product(range(spec.q), repeat=deg)]
+        hs = [Polynomial(spec, cs)
+              for cs in itertools.product(range(spec.q), repeat=width)]
+        return sum(values[tuple((m * h).coeff(k) for k in range(B))]
+                   for m in ms for h in hs)
+
+    out = {}
+    for deg in range(floor_q + 1):
+        below = min(deg + floor_q, B)
+        count = multiples(deg, below - deg)
+        if deg:
+            count -= multiples(deg - 1, below - deg + 1)
+        out[deg] = Fraction(count, spec.q ** floor_q)
+    return out
 
 
 def main():
@@ -38,14 +73,10 @@ def main():
         print(f"  deg r = {deg}: {as_q}")
     print(f"the fractional parts cancel: sum = {running}")
 
-    oracle = {}
-    for arc in prob.dissect():
-        if arc.deg_r > 2:
-            break
-        arcs, total = oracle.get(arc.deg_r, (0, 0))
-        oracle[arc.deg_r] = (arcs + 1, total + prob.integrate_arc(arc))
-    agree = all(by_degree[deg] == oracle[deg] for deg in oracle)
-    print(f"per-arc quadrature on deg r <= 2 agrees: {agree}")
+    oracle = divisor_count_subtotals(prob)
+    agree = all(by_degree[deg][1] == oracle[deg] for deg in by_degree)
+    print(f"divisor counts over the values of F agree at every degree: "
+          f"{agree}")
 
     total = prob.dissection_total()
     print(f"dissection total {total.to_rational()} == brute count {brute}: "

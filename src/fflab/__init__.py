@@ -14,7 +14,7 @@ from .cyclotomic import CyclotomicValue, compare_abs_power, real_sign
 from .laurent import LaurentElement, expand_rational
 from .forms import (HypersurfaceForm, fermat_form, parse_form_file,
                     symmetrize)
-from .circle import ArcPoint, AtomSum, CountingProblem
+from .circle import ArcPoint, CountingProblem
 from .weyl import (InequalityReport, PointwiseReport, approx_zero_counts,
                    canonical_shape_report, check_shrink_batch,
                    check_weyl_batch, measure_pointwise)

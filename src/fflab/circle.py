@@ -35,15 +35,17 @@ the support size, in two (q^B, p) int64 arrays, and it is what the table
 is charged, before any work; the blocks are then convolved per tail.
 
 The dissection has one fast route, CountingProblem.degree_subtotals, and
-one oracle, the per-atom quadrature (dissect, coprime_residues, arc_tail,
-arc_atoms, integrate_arc).  The fast route never builds an arc or ranks a
-matrix.  The digits of a reduced a/r with deg r = D are exactly the
-sequences of linear complexity D (Massey 1969), so the number of arcs of
-degree D through a tail's prefix depends only on the prefix's complexity
-(arcs_through).  One batched Berlekamp-Massey run gives the complexity
-profile of all q^B tails (complexity_profile); per degree each tail is
-weighted by that closed form, and one product with the sum table gives
-the subtotal as one integer histogram.
+one oracle in tests, the divisor-count identity of the delta method: each
+degree's subtotal as a count of monic divisors over the values V(g) =
+#{x in box : F(x) = g} of one joint walk of the box (Ramanujan sums over
+F_q[t]).  The fast route never builds an arc or ranks a matrix.  The
+digits of a reduced a/r with deg r = D are exactly the sequences of
+linear complexity D (Massey 1969), so the number of arcs of degree D
+through a tail's prefix depends only on the prefix's complexity
+(arcs_through).  Batched Berlekamp-Massey runs give the complexity
+profile of the q^B tails block by block (complexity_profile); per degree
+each tail is weighted by that closed form, and products with the sum
+table give the subtotal as one integer histogram.
 
 Every walk of the box goes through forms.BoxKernel: the block
 distributions, the direct S oracle and the independent root count
@@ -51,14 +53,12 @@ brute_count (forms.zero_count), which walks the whole box jointly and
 shares nothing with the fast route after evaluation.  The identity
 integral over T of psi(<c(x), alpha>) = [c(x) = 0] holds for any map c, so
 dissect-verify checks the dissection, the arcs and the quadrature whatever
-evaluates F; BoxKernel has eval_form as its scalar oracle in tests.  The
-scalar loop over arcs remains only in the per-atom quadrature.
+evaluates F; BoxKernel has eval_form as its scalar oracle in tests.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,11 +70,15 @@ from .fields import FieldSpec
 from .forms import (BoxKernel, HypersurfaceForm, block_distributions,
                     decode_keys, zero_count)
 from .laurent import LaurentElement, expand_rational
-from .polys import Polynomial, poly_gcd
+from .polys import Polynomial
+
+DEFAULT_BUDGET = 10 ** 9         # when no [run] budget is configured
 
 # (tail, support point) cells per block of the S kernel; bounds its
 # working set
 _SUM_BLOCK_CELLS = 1 << 23
+
+_TAIL_BLOCK = 1 << 14           # tails per block of degree_subtotals
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -202,26 +206,10 @@ class ArcPoint:
     def deg_r(self) -> int:
         return self.r.degree()
 
-    def measure(self, q: int) -> Fraction:
-        return Fraction(1, q ** self.y)
-
-    def label(self) -> str:
-        return f"r={self.r!r};a={self.a!r}"
-
-
-@dataclass(frozen=True)
-class AtomSum:
-    """One quadrature atom: a depth-B theta representative inside an arc."""
-    arc: ArcPoint
-    theta_tail: tuple
-    value: CyclotomicValue
-    weight: Fraction
-    kind: str  # "major" or "minor"
-
 
 class CountingProblem:
     def __init__(self, spec: FieldSpec, form: HypersurfaceForm, e: int,
-                 budget: int = 10 ** 9):
+                 budget: int = DEFAULT_BUDGET):
         if e < 1:
             raise ConfigError("curve degree e must be >= 1")
         if spec != form.spec:
@@ -258,40 +246,7 @@ class CountingProblem:
         if self.spec.q ** exponent >= 1 << 63:
             raise ConfigError(f"{what} would overflow int64 at q^{exponent}")
 
-    # -- enumeration helpers -----------------------------------------------------
-
-    def monic_polys(self, deg: int):
-        spec = self.spec
-        for cs in itertools.product(range(spec.q), repeat=deg):
-            yield Polynomial(spec, tuple(cs) + (1,))
-
-    def coprime_residues(self, r: Polynomial):
-        """All a with |a| < |r| and gcd(a, r) = 1; a = 0 for r = 1."""
-        if r.degree() == 0:
-            yield Polynomial.zero(self.spec)
-            return
-        spec = self.spec
-        for cs in itertools.product(range(spec.q), repeat=r.degree()):
-            a = Polynomial(spec, cs)
-            if a.is_zero():
-                continue
-            if poly_gcd(a, r).is_one():
-                yield a
-
-    # -- dissection ----------------------------------------------------------------
-
-    def dissect(self):
-        """Stream every arc of the Farey dissection of T."""
-        for deg in range(self.arc_floor + 1):
-            y = deg + self.arc_floor
-            for r in self.monic_polys(deg):
-                for a in self.coprime_residues(r):
-                    yield ArcPoint(r, a, y)
-
-    def arc_tail(self, arc: ArcPoint) -> tuple:
-        """Depth-B tail of a/r."""
-        exp = expand_rational(arc.a, arc.r, -self.char_depth)
-        return exp.tail_vector(self.char_depth)
+    # -- the exponential sum -----------------------------------------------------
 
     def alpha_from_arc(self, arc: ArcPoint, theta_tail=(),
                        depth: int = None) -> LaurentElement:
@@ -301,8 +256,6 @@ class CountingProblem:
         if any(theta_tail):
             alpha = alpha + LaurentElement.from_tail(self.spec, theta_tail)
         return alpha.truncate(-depth)
-
-    # -- the exponential sum -----------------------------------------------------
 
     def phase_distribution(self) -> list:
         """What S is read from: per block of variables, the distribution of
@@ -341,17 +294,13 @@ class CountingProblem:
         int64 array of shape (phases, p) in input order: row a counts the
         box points x with tr <coeffs F(x), tail_a> = v, so S(alpha_a) =
         sum_v row[v] zeta^v.  A phase is a LaurentElement exact to depth B
-        or a depth-B tail tuple.  Once the sum table is built the rows are
-        read off it; otherwise the stacked tails go through the kernel.
-        Charges nothing beyond the phase distribution."""
+        or a depth-B tail tuple; the stacked tails go through the kernel
+        (_histograms).  Charges nothing beyond the phase distribution."""
         tails = [self._tail(alpha) for alpha in alphas]
-        q, p, B = self.spec.q, self.spec.p, self.char_depth
         if not tails:
-            return np.zeros((0, p), dtype=np.int64)
-        stack = np.array(tails, dtype=np.int16).reshape(len(tails), B)
-        if self._sum_table is not None:
-            return self._sum_table[stack @ q ** np.arange(B)]
-        return self._histograms(stack)
+            return np.zeros((0, self.spec.p), dtype=np.int64)
+        return self._histograms(np.array(tails, dtype=np.int16).reshape(
+            len(tails), self.char_depth))
 
     def _histograms(self, stack: np.ndarray) -> np.ndarray:
         """The S kernel: for a (tails x B) stack of depth-B tails, the int64
@@ -443,8 +392,9 @@ class CountingProblem:
         q^-max(y, B) times the sum of S over the depth-B tails whose first
         k = min(y, B) digits are those of a/r.  So each tail is weighted by
         the number of degree-D arcs through its first k digits, which
-        depends only on their linear complexity (arcs_through), and one
-        product with the sum table gives the subtotal's histogram."""
+        depends only on their linear complexity (arcs_through), and the
+        product with the sum table, _TAIL_BLOCK tails at a time so that the
+        profile and the weights stay small, gives the subtotal's histogram."""
         spec = self.spec
         q, p, B = spec.q, spec.p, self.char_depth
         self._refuse_past_int64(self.box * self.n + 2 * self.arc_floor,
@@ -453,56 +403,26 @@ class CountingProblem:
         # Every int64 here is at most q^(n(e+1)) q^(2 floor(Q)): a table row
         # sums to the box size q^(n(e+1)); the arcs of one degree D have
         # distinct prefixes when y <= B, so they cover at most q^B rows,
-        # and when y > B there are at most q^(2D) of them.
+        # and when y > B there are at most q^(2D) of them; partial sums too.
         assert B <= 2 * self.arc_floor           # de + 1 <= d(e+1) - 1
         assert q ** (self.box * self.n + 2 * self.arc_floor) < 2 ** 63, \
             "arc histograms would overflow int64"
-        profile = complexity_profile(spec,
-                                     decode_keys(q, np.arange(q ** B), B))
-        out = {}
-        for deg in range(self.arc_floor + 1):
-            y = deg + self.arc_floor
-            k = min(y, B)
-            weights = arcs_through(q, deg, k, profile[:, k])
-            hist = (weights @ table).tolist()
-            out[deg] = (int(weights.sum()) // q ** (B - k),
-                        CyclotomicValue.from_histogram(p, hist)
-                        * Fraction(1, q ** max(y, B)))
-        return out
-
-    # -- quadrature ----------------------------------------------------------------
-
-    def arc_atoms(self, arc: ArcPoint):
-        """The quadrature atoms of one arc, with exact values and weights."""
-        spec = self.spec
-        B = self.char_depth
-        base = self.arc_tail(arc)
-        add = spec.tables["add"]
-        if arc.y >= B:
-            # S is constant on the whole arc: one atom, theta rep 0
-            kind = self._atom_kind(arc, (0,) * B)
-            yield AtomSum(arc, (0,) * B, self.exp_sum(base),
-                          Fraction(1, spec.q ** arc.y), kind)
-            return
-        weight = Fraction(1, spec.q ** B)
-        for free in itertools.product(range(spec.q), repeat=B - arc.y):
-            theta = (0,) * arc.y + free
-            tail = tuple(add[b][t] for b, t in zip(base, theta))
-            yield AtomSum(arc, theta, self.exp_sum(tail), weight,
-                          self._atom_kind(arc, theta))
-
-    def _atom_kind(self, arc: ArcPoint, theta_tail: tuple) -> str:
-        """Major means r = 1 and |theta| < q^{-de-1}: the zero depth-B tail."""
-        if arc.deg_r == 0 and not any(theta_tail):
-            return "major"
-        return "minor"
-
-    def integrate_arc(self, arc: ArcPoint) -> CyclotomicValue:
-        """Exact arc integral of S, as an element of Q(zeta_p)."""
-        total = CyclotomicValue.zero(self.spec.p)
-        for atom in self.arc_atoms(arc):
-            total = total + atom.value * atom.weight
-        return total
+        degs = range(self.arc_floor + 1)
+        depths = [min(deg + self.arc_floor, B) for deg in degs]
+        hists = np.zeros((len(degs), p), dtype=np.int64)
+        weighted = np.zeros(len(degs), dtype=np.int64)
+        for start in range(0, q ** B, _TAIL_BLOCK):
+            stop = min(start + _TAIL_BLOCK, q ** B)
+            profile = complexity_profile(
+                spec, decode_keys(q, np.arange(start, stop), B))
+            for deg, k in zip(degs, depths):
+                weights = arcs_through(q, deg, k, profile[:, k])
+                hists[deg] += weights @ table[start:stop]
+                weighted[deg] += weights.sum()
+        return {deg: (int(weighted[deg]) // q ** (B - k),
+                      CyclotomicValue.from_histogram(p, hists[deg].tolist())
+                      * Fraction(1, q ** max(deg + self.arc_floor, B)))
+                for deg, k in zip(degs, depths)}
 
     def dissection_total(self) -> CyclotomicValue:
         """Sum of all arc integrals; equals N(P) when everything is exact."""
@@ -513,8 +433,8 @@ class CountingProblem:
 
     def major_total(self) -> CyclotomicValue:
         """Contribution of the major atoms (r = 1, |theta| < q^{-de-1}):
-        the one atom of the arc with deg r = 0 at the zero depth-B tail
-        (_atom_kind), S there times its weight q^-B."""
+        the zero depth-B tail of the arc with deg r = 0, S there times its
+        measure q^-B."""
         B = self.char_depth
         return self.exp_sum((0,) * B) * Fraction(1, self.spec.q ** B)
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .audit import audit_minor_arcs, dims
-from .circle import CountingProblem
+from .circle import DEFAULT_BUDGET, CountingProblem
 from .errors import BudgetExceededError, ConfigError, VerificationFailure
 from .fields import FieldSpec
 from .forms import fermat_form, parse_form_file
@@ -93,7 +93,7 @@ class RunConfig:
     form_path: str
     task: str
     params: dict = field(default_factory=dict)
-    budget: int = 10 ** 9
+    budget: int = DEFAULT_BUDGET
     workers: int = 1
     seed: int = 0
     out_dir: str = "out"
@@ -250,7 +250,8 @@ def load_config(path: str, task: str = None, workers: int = None,
                     f"{task_name}; allowed: {allowed or '(none)'}")
             params[key] = cp.get("task", key).strip()
 
-    budget = _get_int(cp, path, "run", "budget", default=10 ** 9, minimum=1)
+    budget = _get_int(cp, path, "run", "budget", default=DEFAULT_BUDGET,
+                      minimum=1)
     cfg_workers = _get_int(cp, path, "run", "workers", default=1, minimum=1)
     seed = _get_int(cp, path, "run", "seed", default=0, minimum=0)
     cfg_out = _get(cp, path, "run", "out", default="out")
@@ -346,8 +347,6 @@ def _run_weyl(config: RunConfig):
     spec = prob.spec
     base = _base_inputs(config, spec)
     depth = prob.char_depth
-    # no budget runs a box past int64: exit 2 before the sweep's charge
-    prob._refuse_past_int64(2 * prob.box * prob.n, "autocorrelation")
     single = config.param_tail("alpha")
     if single is not None:
         if len(single) != depth:
@@ -358,17 +357,17 @@ def _run_weyl(config: RunConfig):
             raise ConfigError(
                 f"{config.path}: [task] alpha: digits must lie in "
                 f"0..{spec.q - 1}, got {single}")
+        _charge_weyl(prob, 1)
         tails = [single]
     else:
         sweep = spec.q ** depth
         limit = config.param_int("limit", minimum=1)
         if limit is not None:
             sweep = min(sweep, limit)
-        if sweep > config.budget:
-            raise BudgetExceededError(sweep, config.budget, "weyl tail sweep")
+        # each phase costs at least 1: an over-budget sweep stops here
+        _charge_weyl(prob, sweep)
         tails = list(itertools.islice(
             itertools.product(range(spec.q), repeat=depth), sweep))
-    _charge_weyl(prob, len(tails))
     fn = functools.partial(_weyl_chunk, config)
     results = map_reduce(fn, tails, workers=config.workers)
     records = []

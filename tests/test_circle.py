@@ -3,22 +3,23 @@ import hashlib
 import itertools
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fflab import circle
-from fflab.circle import CountingProblem
+from fflab.circle import ArcPoint, CountingProblem
 from fflab.cli import main
-from fflab.cyclotomic import CyclotomicValue
 from fflab.errors import BudgetExceededError, PrecisionError
 from fflab.fields import FieldSpec
-from fflab.forms import (decode_keys, fermat_form, fold, parse_form_file,
-                         symmetrize)
-from fflab.laurent import LaurentElement
+from fflab.forms import (BoxKernel, decode_keys, encode_keys, fermat_form,
+                         fold, parse_form_file, symmetrize)
+from fflab.harness import build_problem, load_config
+from fflab.laurent import LaurentElement, expand_rational
 from fflab.linalg import batched_rank
-from fflab.polys import Polynomial
+from fflab.polys import Polynomial, poly_gcd
 
 
 def _scalar_images(prob):
@@ -44,15 +45,6 @@ def test_brute_count_matches_scalar_loop(request, spec5, name):
     assert prob.brute_count() == want
 
 
-def test_dissection_covers_the_torus(prob_n3):
-    arcs = list(prob_n3.dissect())
-    by_deg = {}
-    for arc in arcs:
-        by_deg[arc.deg_r] = by_deg.get(arc.deg_r, 0) + 1
-    assert by_deg == {0: 1, 1: 20, 2: 500, 3: 12500}
-    assert sum(arc.measure(5) for arc in arcs) == 1
-
-
 def test_dissection_identity_fixture_one(prob_n3):
     total = prob_n3.dissection_total()
     assert total == prob_n3.brute_count()
@@ -74,11 +66,13 @@ def test_major_total_equals_main_term(prob_n3):
     assert prob_n3.major_total() == 25
 
 
-def test_major_total_visits_only_the_unit_arc(prob_n3, monkeypatch):
-    def no_dissection(self):
-        raise AssertionError("major_total walked the dissection")
-    monkeypatch.setattr(CountingProblem, "dissect", no_dissection)
-    assert prob_n3.major_total() == 25
+def test_major_total_visits_only_the_unit_arc(spec5):
+    # S at the zero tail alone: no sum table, and no charge but the phase
+    # distribution
+    prob = CountingProblem(spec5, fermat_form(spec5, 3, 3), 1)
+    assert prob.major_total() == 25
+    assert prob._sum_table is None
+    assert prob.budget_spent == 5 ** 6
 
 
 def test_dissection_identity_q7(prob_q7_n2):
@@ -128,7 +122,6 @@ def _separable(name, e):
 ], ids=["mixed_cubic_n2", "fermat_n3", "mixed_plus_cube", "x3_absent"])
 def test_exp_sums_match_direct_across_blocks(spec5, monkeypatch, make,
                                              count):
-    # a fresh problem, so S comes from the kernel and not from a sum table
     prob = make(spec5)
     monkeypatch.setattr(circle, "_SUM_BLOCK_CELLS", 7)
     # one tail per block of the kernel
@@ -176,8 +169,6 @@ def test_sum_table_matches_kernel(spec, make):
     # those of i, first fastest
     assert (table.sum(axis=1) == q ** (prob.box * prob.n)).all()
     assert (table[rows] == kernel).all()
-    assert (prob.exp_sum_histograms(map(tuple, tails.tolist()))
-            == kernel).all()
     # the int64 bound of each block's transform: an entry is at most the
     # block's box, which every row sums to
     for part, (keys, counts) in zip(prob.form.parts,
@@ -202,29 +193,11 @@ def test_convolve_matches_the_rolled_sum(p):
 
 def test_wrong_length_tail_raises_on_both_paths(spec5):
     prob = CountingProblem(spec5, fermat_form(spec5, 2, 3), 1)
-    for built in (False, True):
-        if built:
-            prob.sum_table()
-        for tail in [(1, 0), (1, 0, 0, 0, 0)]:
-            with pytest.raises(PrecisionError):
-                prob.exp_sum(tail)
-            with pytest.raises(PrecisionError):
-                prob.exp_sums([(0, 0, 0, 0), tail])
-
-
-def test_atom_kinds(prob_n3):
-    arcs = list(prob_n3.dissect())
-    unit = [a for a in arcs if a.deg_r == 0][0]
-    kinds = [atom.kind for atom in prob_n3.arc_atoms(unit)]
-    assert kinds.count("major") == 1
-    deg2 = [a for a in arcs if a.deg_r == 2][0]
-    assert all(atom.kind == "minor" for atom in prob_n3.arc_atoms(deg2))
-
-
-def test_atom_weights_sum_to_arc_measure(prob_n3):
-    for arc in list(prob_n3.dissect())[:40]:
-        weight = sum(atom.weight for atom in prob_n3.arc_atoms(arc))
-        assert weight == arc.measure(prob_n3.spec.q)
+    for tail in [(1, 0), (1, 0, 0, 0, 0)]:
+        with pytest.raises(PrecisionError):
+            prob.exp_sum(tail)
+        with pytest.raises(PrecisionError):
+            prob.exp_sums([(0, 0, 0, 0), tail])
 
 
 def test_budget_accounting_is_exact(spec5):
@@ -244,13 +217,6 @@ def test_budget_exhaustion_raises(spec5):
         prob.brute_count()
     assert err.value.needed == 5 ** 6
     assert prob.budget_spent == 0      # nothing was spent on the refusal
-
-
-def test_arc_tail_matches_alpha_expansion(prob_n3):
-    for arc in list(prob_n3.dissect())[:25]:
-        tail = prob_n3.arc_tail(arc)
-        alpha = prob_n3.alpha_from_arc(arc)
-        assert alpha.tail_vector(prob_n3.char_depth) == tail
 
 
 def test_mixed_form_identity(spec5):
@@ -304,19 +270,63 @@ def test_sum_table_charges_the_adds_of_its_transform(spec, n, table):
     assert prob.budget_spent == box + table
 
 
-# -- the fast dissection route against the per-atom oracle --------------------
+# -- the fast dissection route against the divisor-count oracle ---------------
 
 
-def _oracle_subtotals(prob, max_deg):
-    """{deg r: (arcs, subtotal)} for deg r <= max_deg, arc by arc through
-    dissect and integrate_arc."""
+def _value_distribution(prob):
+    """V(g) = #{x in box : F(x) = g} at the q^B polynomials g of degree
+    < B, indexed by the encode_keys key of g: one joint walk of the box
+    (BoxKernel.box), with no block split, fold, trace or sum table."""
+    q, B = prob.spec.q, prob.char_depth
+    dist = np.zeros(q ** B, dtype=np.int64)
+    for _, images in BoxKernel(prob.form, prob.e).box():
+        dist += np.bincount(encode_keys(q, images), minlength=q ** B)
+    return dist
+
+
+def _multiples(spec, deg, width, B):
+    """The keys of m h over every monic m of degree deg and every h of
+    degree < width (deg + width <= B), products through the field
+    tables."""
+    q = spec.q
+    np_mul, np_add = spec.tables["np_mul"], spec.tables["np_add"]
+    monic = np.concatenate([decode_keys(q, np.arange(q ** deg), deg),
+                            np.ones((q ** deg, 1), dtype=np.int16)], axis=1)
+    cofactors = decode_keys(q, np.arange(q ** width), width)
+    prod = np.zeros((q ** deg, q ** width, B), dtype=np.int16)
+    for i in range(deg + 1):
+        for j in range(width):
+            prod[:, :, i + j] = np_add[prod[:, :, i + j], np_mul[
+                monic[:, None, i], cofactors[None, :, j]]]
+    return encode_keys(q, prod.reshape(-1, B))
+
+
+def _divisor_count_subtotals(prob):
+    """{deg r: subtotal} by the function-field delta-method identity
+    (Heath-Brown 1996; Browning-Vishe 2015).  Summed over the a coprime to
+    r, the integral of psi(alpha g) over the arcs a/r of degree D, each of
+    radius q^-y with y = D + floor(Q), is q^-y [deg g < y] times the
+    Ramanujan sum c_r(g); summed over the monic r of degree D that is
+    q^D (delta_D(g) - delta_(D-1)(g)), delta_k(g) the number of monic
+    divisors of g of degree k, and delta_k(0) = q^k.  So with w = min(y,
+    B), since V vanishes at deg g >= B,
+
+      subtotal_D = q^(D-y) (sum over monic m of degree D and deg h < w - D
+                   of V(m h) - the same over degree D - 1 and deg h <
+                   w - D + 1),
+
+    the h = 0 terms giving delta_k(0) V(0)."""
+    q, B, floor_q = prob.spec.q, prob.char_depth, prob.arc_floor
+    dist = _value_distribution(prob)
     out = {}
-    for arc in prob.dissect():
-        if arc.deg_r > max_deg:
-            break
-        arcs, total = out.get(arc.deg_r, (0, 0))
-        out[arc.deg_r] = (arcs + 1, prob.integrate_arc(arc) + total)
-    return out
+    for deg in range(floor_q + 1):
+        w = min(deg + floor_q, B)
+        count = int(dist[_multiples(prob.spec, deg, w - deg, B)].sum())
+        if deg:
+            count -= int(dist[_multiples(prob.spec, deg - 1, w - deg + 1,
+                                         B)].sum())
+        out[deg] = Fraction(count, q ** floor_q)       # q^(D-y) = q^-floor(Q)
+    return out, int(dist[0])
 
 
 def _seeded_binary_cubic(spec, seed):
@@ -325,30 +335,32 @@ def _seeded_binary_cubic(spec, seed):
     return CountingProblem(spec, symmetrize(spec, 2, 3, coeffs), 1)
 
 
-@pytest.mark.parametrize("make,kernel_oracle", [
-    (lambda spec: CountingProblem(spec, fermat_form(spec, 3, 3), 1), False),
-    (lambda spec: _mixed_cubic(spec, 1), True),
-    (lambda spec: _seeded_binary_cubic(spec, 2024), False),
-    # e = 2: B = 7 and floor(Q) = 4, so y < B on degrees 0, 1 and 2; the
-    # 312,500 arcs of degree 4 are checked through the identity only
-    (lambda spec: CountingProblem(spec, fermat_form(spec, 1, 3), 2), False),
-], ids=["fermat_n3", "mixed_cubic_n2", "seeded_binary_cubic", "fermat_n1_e2"])
-def test_degree_subtotals_match_the_per_atom_oracle(spec5, make,
-                                                    kernel_oracle):
-    prob = make(spec5)
-    if kernel_oracle:
-        # the oracle runs before any sum table exists, so the S of every
-        # atom comes from the kernel and not from the table
-        oracle = _oracle_subtotals(prob, 3)
-        assert prob._sum_table is None
+@pytest.mark.parametrize("spec,make", [
+    (FieldSpec(5), _fermat(3, 1)),
+    (FieldSpec(5), _fermat(3, 2)),
+    (FieldSpec(5), lambda spec: _mixed_cubic(spec, 1)),
+    (FieldSpec(5), lambda spec: _seeded_binary_cubic(spec, 2024)),
+    # e = 2: B = 7 and floor(Q) = 4, 312,500 arcs of degree 4
+    (FieldSpec(5), _fermat(1, 2)),
+    (FieldSpec(5), _separable("mixed_plus_cube", 1)),
+    (FieldSpec(5), _separable("x3_absent", 1)),
+    (FieldSpec(7), _fermat(2, 1)),
+    (FieldSpec(7), lambda spec: _mixed_cubic(spec, 1)),
+    (FieldSpec(5, 2), _fermat(2, 1)),
+    (FieldSpec(5, 2), lambda spec: _mixed_cubic(spec, 1)),
+], ids=["fermat_n3", "fermat_n3_e2", "mixed_cubic_n2", "seeded_binary_cubic",
+        "fermat_n1_e2", "mixed_plus_cube", "x3_absent", "fermat_n2_q7",
+        "mixed_cubic_n2_q7", "fermat_n2_q25", "mixed_cubic_n2_q25"])
+def test_degree_subtotals_match_the_per_atom_oracle(spec, make):
+    # the oracle is the divisor-count identity over the value distribution
+    # of the whole box, at every degree; it shares no code with the sum
+    # table, the complexity profile or arcs_through
+    prob = make(spec)
+    oracle, zeros = _divisor_count_subtotals(prob)
     fast = prob.degree_subtotals()
-    if not kernel_oracle:
-        oracle = _oracle_subtotals(prob, 3)
-    assert sorted(fast) == list(range(prob.arc_floor + 1))
-    assert {deg: fast[deg] for deg in oracle} == oracle
-    total = sum((sub for _, sub in fast.values()),
-                CyclotomicValue.zero(spec5.p))
-    assert total == prob.brute_count()
+    assert sorted(fast) == sorted(oracle) == list(range(prob.arc_floor + 1))
+    assert {deg: sub for deg, (_, sub) in fast.items()} == oracle
+    assert sum(oracle.values()) == zeros == prob.brute_count()
 
 
 @pytest.mark.parametrize("spec,max_deg", [
@@ -359,8 +371,9 @@ def test_degree_subtotals_match_the_per_atom_oracle(spec5, make,
 def test_unit_mask_and_tails_match_gcd_and_expansion(spec, max_deg):
     """The arcs of each degree through each depth-k prefix, read off the
     complexity profile and arcs_through as degree_subtotals reads them,
-    against a count of arc_tail over the arcs that dissect() builds with
-    poly_gcd and expand_rational."""
+    against a count of the expansions of every a/r with r monic, |a| <
+    |r| and gcd(a, r) = 1, enumerated with poly_gcd and expand_rational;
+    alpha_from_arc gives each arc the same tail."""
     q = spec.q
     prob = CountingProblem(spec, fermat_form(spec, 2, 3), 1)
     B = prob.char_depth
@@ -374,10 +387,19 @@ def test_unit_mask_and_tails_match_gcd_and_expansion(spec, max_deg):
 
     want = {deg: np.zeros_like(arcs_by_prefix(deg))
             for deg in range(max_deg + 1)}
-    for arc in itertools.takewhile(lambda arc: arc.deg_r <= max_deg,
-                                   prob.dissect()):
-        tail = prob.arc_tail(arc)[:min(arc.y, B)]
-        want[arc.deg_r][sum(c * q ** i for i, c in enumerate(tail))] += 1
+    for deg, counts in want.items():
+        k = min(deg + prob.arc_floor, B)
+        for low in itertools.product(range(q), repeat=deg):
+            r = Polynomial(spec, low + (1,))
+            # a = 0 only for r = 1: gcd(0, r) = r
+            for cs in itertools.product(range(q), repeat=deg):
+                a = Polynomial(spec, cs)
+                if poly_gcd(a, r).is_one():
+                    tail = expand_rational(a, r, -B).tail_vector(B)
+                    arc = ArcPoint(r, a, deg + prob.arc_floor)
+                    assert prob.alpha_from_arc(arc).tail_vector(B) == tail
+                    counts[sum(c * q ** i
+                               for i, c in enumerate(tail[:k]))] += 1
     for deg, counts in want.items():
         assert np.array_equal(arcs_by_prefix(deg), counts)
     if q == 25:
@@ -436,12 +458,26 @@ def test_arc_counts_by_degree(prob_n3, prob_q7_n2):
                    for deg, n in arcs.items()) == 1
 
 
+def test_degree_subtotals_peak_is_bounded_by_its_tail_blocks():
+    # configs/dissect_e2_q5.cfg: 5^7 tails and a 3.1 MB sum table; the
+    # profile and the weights of one block of tails at a time stay well
+    # under the 24 MB they took over all tails at once
+    prob = build_problem(load_config(os.path.join(
+        os.path.dirname(__file__), os.pardir, "configs", "dissect_e2_q5.cfg")))
+    prob.sum_table()
+    tracemalloc.start()
+    try:
+        prob.degree_subtotals()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 10 ** 6
+
+
 def test_dissect_verify_makes_no_per_arc_call(tmp_path, monkeypatch):
     def per_arc(*args, **kwargs):
         raise AssertionError("the fast route made a per-arc call")
-    monkeypatch.setattr(circle, "poly_gcd", per_arc)
     monkeypatch.setattr(circle, "expand_rational", per_arc)
-    monkeypatch.setattr(CountingProblem, "integrate_arc", per_arc)
     cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                        "dissect_mixed_q5.cfg")
     assert main(["dissect-verify", "--config", cfg, "--workers", "1",

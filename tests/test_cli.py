@@ -107,7 +107,7 @@ def test_dissection_refuses_its_sum_table_before_the_brute_count(
     # 5^(n (e+1) + 2 floor(Q)) = 5^30 arc histogram entries
     ("dissect-verify", 12, 10 ** 18, "arc histograms"),
     # a box of 5^14 points, whose square the autocorrelation holds; the
-    # refusal comes before the tail sweep is checked against the budget
+    # refusal comes before the tail sweep is charged
     ("weyl-check", 7, 10 ** 15, "autocorrelation"),
     ("weyl-check", 7, 100, "autocorrelation"),
     # a box of 5^56 points

@@ -232,6 +232,26 @@ def test_weyl_budget_status_does_not_depend_on_workers(tmp_path):
                                    "approx-zero count")
 
 
+def test_over_budget_weyl_sweep_is_refused_by_its_charge(tmp_path):
+    # e = 3: 5^10 tails, refused by the sweep's own charge before the tail
+    # list is built, at any worker count
+    text = BASE.replace("e = 1", "e = 3").replace(
+        "name = count-cone", "name = weyl-check") + \
+        "\n    [run]\n    budget = 100\n"
+    cfg = write_cfg(tmp_path, text)
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"out-{workers}"
+        assert main(["weyl-check", "--config", cfg, "--workers", workers,
+                     "--out", str(out)]) == 3
+        reports.append((out / "weyl-check.csv").read_bytes())
+    assert reports[0] == reports[1]
+    [row] = read_rows(str(tmp_path / "out-1" / "weyl-check.csv"))
+    assert (row["out.status"], row["out.needed"], row["out.budget"],
+            row["out.detail"]) == ("budget-exhausted", str(5 ** 8), "100",
+                                   "phase distribution build")
+
+
 def _first_overdraft(charges, budget):
     """The (needed, budget, detail) of the first charge that overdraws."""
     spent = 0
