@@ -4,9 +4,9 @@ A lattice here is the image of O^N, O = F_q[t], under an invertible N x N
 generator matrix over K.  Everything is exact.  A matrix is held as one
 int16 array (rows, cols, W) of field indices, the t-coefficients of every
 entry on one exponent window, with the exponent of the window's first
-coefficient and a floor per entry (LaurentMatrix).  Each quantity has one
-fast route, a kernel batched over as many matrices as the caller hands
-it, and one oracle:
+coefficient and a floor per entry (LaurentMatrix); random_symmetric_gamma
+draws straight into one.  Each quantity has one fast route, a kernel
+batched over as many matrices as the caller hands it, and one oracle:
 
   * products of Laurent matrices are table-driven convolutions; they
     certify inverse hints and the adjoint identity L_m^T M_m = I;
@@ -29,11 +29,13 @@ it, and one oracle:
         M_m = [[t^-m I, 0], [t^m gamma, t^m I]],
         L_m = [[t^m I, -t^m gamma], [0, t^-m I]],
     adjoint to each other (L_m^T M_m = I), whose minima exponents satisfy
-    R_v + R_{2n-v+1} = 0;
+    R_v + R_{2n-v+1} = 0; a suite of pairs is one stack of generators,
+    scattered from the stacked gammas and certified by one product;
   * checkers for the count-ratio decay bound (with its piecewise equality
     formula as a cross-check), the skew box count N(a,Z) at half-integral
     a and Z, its M_m sandwich, and the cape-shaped decay bound, each
-    taking a whole suite of instances at once.
+    taking a whole suite of instances at once.  A half-integral threshold
+    is a doubled integer, and count1/count2 >= q^k is decided on integers.
 
 Precision stays explicit: an entry known only down to a floor stores 0
 below it, and reading a coefficient there, or deciding the vanishing of
@@ -48,7 +50,6 @@ Both are exposed; ball counts always use the strict |x| < q^Z.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -71,15 +72,26 @@ _NO_FLOOR = -(1 << 40)
 
 
 def _ceil(x) -> int:
-    return math.ceil(Fraction(x))
+    value = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    return -(-value.numerator // value.denominator)
 
 
-def _half(x, label: str) -> Fraction:
-    value = Fraction(x)
+def _half(x, label: str) -> int:
+    """2x, for x an integer or half-integer."""
+    value = x if isinstance(x, (int, Fraction)) else Fraction(x)
     if value.denominator not in (1, 2):
         raise ConfigError(
             f"{label} must be an integer or half-integer, got {x}")
-    return value
+    return value.numerator * 2 // value.denominator
+
+
+def _ceil_half(doubled: int) -> int:
+    return -(-doubled // 2)
+
+
+def _ratio_vs_power(count1: int, count2: int, q: int, k: int) -> int:
+    """An integer with the sign of count1/count2 - q^k, for count2 > 0."""
+    return count1 * q ** max(0, -k) - count2 * q ** max(0, k)
 
 
 def _as_laurent(spec: FieldSpec, value) -> LaurentElement:
@@ -564,7 +576,7 @@ def diagonal_lattice(spec: FieldSpec, exponents) -> FunctionFieldLattice:
 def _coerce_gamma(spec: FieldSpec, gamma) -> LaurentMatrix:
     """gamma as a LaurentMatrix, checked square and symmetric.  A
     LaurentMatrix is a gamma this function made before (a pair's `gamma`)
-    and is passed through."""
+    or random_symmetric_gamma drew, and is passed through."""
     if isinstance(gamma, LaurentMatrix):
         if gamma.spec != spec:
             raise ConfigError("mixed field specs in lattice data")
@@ -583,6 +595,16 @@ def _coerce_gamma(spec: FieldSpec, gamma) -> LaurentMatrix:
     return mat
 
 
+def _coerce_gammas(spec: FieldSpec, gammas) -> list:
+    """_coerce_gamma of every gamma, each input object converted once, so
+    that items sharing a gamma share one matrix."""
+    mats = {}
+    for gamma in gammas:
+        if id(gamma) not in mats:
+            mats[id(gamma)] = _coerce_gamma(spec, gamma)
+    return [mats[id(gamma)] for gamma in gammas]
+
+
 class SpecialLatticePair:
     """The adjoint pair of 2n x 2n lattices built from a symmetric gamma.
 
@@ -591,53 +613,21 @@ class SpecialLatticePair:
     identity L_m^T M_m = I is verified once, on construction, entry by
     entry on the joint window, and kept as the LatticeCheck `duality`; it
     makes L_m^T the certified inverse of M_m and M_m^T that of L_m.
-    `suite` builds many pairs with one batched product."""
+    `suite` builds many pairs on one coefficient stack with one batched
+    product; a pair built alone is a suite of one."""
 
     def __init__(self, spec: FieldSpec, gamma, m: int):
-        self._setup(spec, gamma, m)
-        _certify_pairs([self])
+        _build_pairs(spec, [self], [(gamma, m)])
 
     @classmethod
     def suite(cls, spec: FieldSpec, gammas, ms) -> list:
-        """One pair per (gamma, m), all of one size n, certified together."""
-        pairs = []
-        for gamma, m in zip(gammas, ms):
-            pair = cls.__new__(cls)
-            pair._setup(spec, gamma, m)
-            pairs.append(pair)
+        """One pair per (gamma, m), all of one size n, built and certified
+        together."""
+        items = list(zip(gammas, ms))
+        pairs = [cls.__new__(cls) for _ in items]
         if pairs:
-            _certify_pairs(pairs)
+            _build_pairs(spec, pairs, items)
         return pairs
-
-    def _setup(self, spec: FieldSpec, gamma, m: int):
-        if not isinstance(m, int) or m < 1:
-            raise ConfigError(f"block scale m must be a positive integer, "
-                              f"got {m}")
-        self.spec = spec
-        self.m = m
-        self.gamma = _coerce_gamma(spec, gamma)
-        n = self.gamma.coeffs.shape[0]
-        self.n = n
-        g, glo, gfl = self.gamma.coeffs, self.gamma.lo, self.gamma.floors
-        lo = min(-m, m + glo)
-        width = max(m, m + glo + g.shape[2] - 1) - lo + 1
-        eye = np.arange(n)
-        m_c = np.zeros((2 * n, 2 * n, width), dtype=np.int16)
-        l_c = np.zeros_like(m_c)
-        m_c[eye, eye, -m - lo] = 1
-        m_c[n + eye, n + eye, m - lo] = 1
-        l_c[eye, eye, m - lo] = 1
-        l_c[n + eye, n + eye, -m - lo] = 1
-        at = slice(m + glo - lo, m + glo - lo + g.shape[2])
-        m_c[n:, :n, at] = g
-        l_c[:n, n:, at] = spec.tables["np_neg"][g]
-        shifted = np.where(gfl == _NO_FLOOR, _NO_FLOOR, gfl + m)
-        m_fl = np.full((2 * n, 2 * n), _NO_FLOOR, dtype=np.int64)
-        l_fl = m_fl.copy()
-        m_fl[n:, :n] = shifted
-        l_fl[:n, n:] = shifted
-        self._m = LaurentMatrix(spec, m_c, lo, m_fl)
-        self._l = LaurentMatrix(spec, l_c, lo, l_fl)
 
     def minima(self, which: str = "M",
                convention: str = "closed") -> MinimaProfile:
@@ -661,21 +651,61 @@ class SpecialLatticePair:
                              "target": target, "convention": convention})
 
 
-def _certify_pairs(pairs) -> None:
-    """One batched product L_m^T M_m for every pair; a pair passes when it
-    is the identity on the known coefficients, and then gets its lattices."""
-    spec = pairs[0].spec
-    if len({pair.n for pair in pairs}) > 1:
+def _build_pairs(spec: FieldSpec, pairs, items) -> None:
+    """The generators of M_m and L_m of every (gamma, m) of `items`, written
+    into two stacks (B, 2n, 2n, W) on one exponent window: the t^(-m) and
+    t^m diagonals and the t^m gamma and -t^m gamma blocks, each by one
+    scatter at per-pair offsets; then certified."""
+    gammas, ms = zip(*items)
+    for m in ms:
+        if not isinstance(m, int) or m < 1:
+            raise ConfigError(f"block scale m must be a positive integer, "
+                              f"got {m}")
+    mats = _coerce_gammas(spec, gammas)
+    if len({mat.coeffs.shape[0] for mat in mats}) > 1:
         raise ConfigError("a suite of lattice pairs needs one size n")
-    l_c, l_lo, l_fl = _stack([pair._l for pair in pairs])
-    m_c, m_lo, m_fl = _stack([pair._m for pair in pairs])
-    bad = _identity_defects(*_matmul(spec, l_c.transpose(0, 2, 1, 3), l_lo,
-                                     l_fl.transpose(0, 2, 1), m_c, m_lo,
-                                     m_fl))
-    m_tops = _entry_degrees(m_c, m_lo, m_fl, "generator entry")
-    l_tops = _entry_degrees(l_c, l_lo, l_fl, "generator entry")
+    g, glo, gfl = _stack(mats)
+    bsz, n, _, wg = g.shape
+    lo = min(-max(ms), min(ms) + glo)
+    width = max(ms) + max(0, glo + wg - 1) - lo + 1
+    scale = np.array(ms, dtype=np.int64)
+    down, up = (-scale - lo)[:, None], (scale - lo)[:, None]
+    rows, eye = np.arange(bsz)[:, None], np.arange(n)
+    m_c = np.zeros((bsz, 2 * n, 2 * n, width), dtype=np.int16)
+    l_c = np.zeros_like(m_c)
+    m_c[rows, eye, eye, down] = 1
+    m_c[rows, n + eye, n + eye, up] = 1
+    l_c[rows, eye, eye, up] = 1
+    l_c[rows, n + eye, n + eye, down] = 1
+    # the advanced indices (rows, at) broadcast to (B, Wg) in front
+    at = up + glo + np.arange(wg)
+    m_c[rows, n:, :n, at] = g.transpose(0, 3, 1, 2)
+    l_c[rows, :n, n:, at] = spec.tables["np_neg"][g].transpose(0, 3, 1, 2)
+    shifted = np.where(gfl == _NO_FLOOR, _NO_FLOOR, gfl + scale[:, None, None])
+    m_fl = np.full((bsz, 2 * n, 2 * n), _NO_FLOOR, dtype=np.int64)
+    l_fl = m_fl.copy()
+    m_fl[:, n:, :n] = shifted
+    l_fl[:, :n, n:] = shifted
+    for pair, mat, m in zip(pairs, mats, ms):
+        pair.spec, pair.m, pair.gamma, pair.n = spec, m, mat, n
+    _certify_pairs(pairs, spec, lo, m_c, m_fl, l_c, l_fl)
+
+
+def _certify_pairs(pairs, spec: FieldSpec, lo: int, m_c, m_fl, l_c,
+                   l_fl) -> None:
+    """One batched product L_m^T M_m over the generator stacks of all
+    pairs; a pair passes when it is the identity on the known coefficients,
+    and then gets its lattices, views of the stacks."""
+    bad = _identity_defects(*_matmul(spec, l_c.transpose(0, 2, 1, 3), lo,
+                                     l_fl.transpose(0, 2, 1), m_c, lo, m_fl))
+    m_tops = _entry_degrees(m_c, lo, m_fl, "generator entry")
+    l_tops = _entry_degrees(l_c, lo, l_fl, "generator entry")
+    m_inv = l_tops.max(axis=(1, 2)).tolist()
+    l_inv = m_tops.max(axis=(1, 2)).tolist()
+    failed = bad.any(axis=(1, 2)).tolist()
     for b, pair in enumerate(pairs):
-        entries = [tuple(ix) for ix in np.argwhere(bad[b]).tolist()]
+        entries = ([tuple(ix) for ix in np.argwhere(bad[b]).tolist()]
+                   if failed[b] else [])
         pair.duality = LatticeCheck(not entries, "adjoint-identity",
                                     {"dim": 2 * pair.n,
                                      "bad_entries": entries})
@@ -683,9 +713,9 @@ def _certify_pairs(pairs) -> None:
             raise ConfigError(
                 f"adjoint identity fails: {pair.duality.details}")
         pair.m_lattice = FunctionFieldLattice._certified(
-            pair._m, m_tops[b], int(l_tops[b].max()))
+            LaurentMatrix(spec, m_c[b], lo, m_fl[b]), m_tops[b], m_inv[b])
         pair.adjoint_lattice = FunctionFieldLattice._certified(
-            pair._l, l_tops[b], int(m_tops[b].max()))
+            LaurentMatrix(spec, l_c[b], lo, l_fl[b]), l_tops[b], l_inv[b])
 
 
 # -- lemma checks -------------------------------------------------------------------
@@ -714,8 +744,6 @@ def check_ratio_lemmas(items) -> list:
         c1, c2 = counts[2 * k], counts[2 * k + 1]
         q = pair.spec.q
         n = pair.n
-        ratio = Fraction(c1, c2)
-        bound = Fraction(q) ** (n * (z1 - z2))
         exps = pair.m_lattice._degrees
         mu = sum(1 for r in exps if r < z1)
         nu = sum(1 for r in exps if r < z2)
@@ -725,23 +753,23 @@ def check_ratio_lemmas(items) -> list:
             case = "straddles-first-minimum"
         else:
             case = "both-above-first-minimum"
-        predicted_ratio = Fraction(q) ** (sum(exps[mu:nu]) + mu * z1
-                                          - nu * z2)
+        matches = _ratio_vs_power(c1, c2, q, sum(exps[mu:nu]) + mu * z1
+                                  - nu * z2) == 0
         pred1 = q ** sum(max(0, z1 - r) for r in exps)
         pred2 = q ** sum(max(0, z2 - r) for r in exps)
-        passed = (ratio >= bound and ratio == predicted_ratio
+        passed = (_ratio_vs_power(c1, c2, q, n * (z1 - z2)) >= 0 and matches
                   and c1 == pred1 and c2 == pred2)
         out.append(LatticeCheck(passed, "count-ratio", {
             "z1": z1, "z2": z2, "count1": c1, "count2": c2,
             "bound_exponent": n * (z1 - z2), "case": case,
-            "ratio_matches_formula": ratio == predicted_ratio,
+            "ratio_matches_formula": matches,
             "counts_match_minima": (c1 == pred1, c2 == pred2)}))
     return out
 
 
 def _skew_systems(items) -> list:
     """The coefficient system of N(a, z) for every (gamma, gtop, d1, v2) of
-    `items`, with gtop the top degree of gamma (None when gamma = 0),
+    `items`, with gtop the top degree of gamma (_NO_FLOOR when gamma = 0),
     d1 = ceil(a + z) - 1 and v2 = ceil(z - a): the unknowns are the
     coefficients of u (deg <= d1), then of u' (deg <= d2, the top degree
     of L(u) + u'), the rows the coefficients of L_j(u) + u'_j at exponents
@@ -750,7 +778,7 @@ def _skew_systems(items) -> list:
     groups = {}
     for k, (gamma, gtop, d1, v2) in enumerate(items):
         n = gamma.coeffs.shape[0]
-        ltop = gtop + d1 if gtop is not None and d1 >= 0 else v2 - 1
+        ltop = gtop + d1 if gtop != _NO_FLOOR and d1 >= 0 else v2 - 1
         d2 = max(v2 - 1, ltop)
         w1 = max(0, d1 + 1)
         w2 = max(0, d2 + 1)
@@ -788,23 +816,20 @@ def skew_counts(spec: FieldSpec, requests) -> list:
 
     where L_j(u) = sum_k gamma[j][k] u_k, for every (gamma, a, z) of
     `requests`, in order.  a and z may be half-integers; every threshold
-    enters through a single ceiling, i.e. through comparisons of doubled
-    integer exponents.  A gamma given as a LaurentMatrix (a pair's
-    `gamma`) is not converted again; each distinct (gamma, ceil(a + z),
-    ceil(z - a)) is counted once, and all systems are ranked together."""
-    keys, distinct, gammas = [], {}, {}
-    for gamma, a, z in requests:
-        if id(gamma) not in gammas:
-            mat = _coerce_gamma(spec, gamma)
-            tops = _entry_degrees(mat.coeffs, mat.lo, mat.floors, "gamma")
-            gtop = int(tops.max()) if (tops != _NO_FLOOR).any() else None
-            gammas[id(gamma)] = (mat, gtop)
-        mat, gtop = gammas[id(gamma)]
-        a = _half(a, "a")
-        z = _half(z, "z")
-        key = (id(mat), math.ceil(a + z) - 1, math.ceil(z - a))
+    enters through a single ceiling of a doubled integer exponent.  Each
+    gamma object is converted once (a LaurentMatrix, such as a pair's
+    `gamma`, not at all); each distinct (gamma, ceil(a + z), ceil(z - a))
+    is counted once, and all systems are ranked together."""
+    keys, distinct, gtops = [], {}, {}
+    mats = _coerce_gammas(spec, [gamma for gamma, _, _ in requests])
+    for mat, (_, a, z) in zip(mats, requests):
+        if id(mat) not in gtops:
+            gtops[id(mat)] = int(_entry_degrees(mat.coeffs, mat.lo, mat.floors,
+                                                "gamma").max())
+        a2, z2 = _half(a, "a"), _half(z, "z")
+        key = (id(mat), _ceil_half(a2 + z2) - 1, _ceil_half(z2 - a2))
         if key not in distinct:
-            distinct[key] = (mat, gtop) + key[1:]
+            distinct[key] = (mat, gtops[id(mat)]) + key[1:]
         keys.append(key)
     systems = [(spec, system)
                for system in _skew_systems(list(distinct.values()))]
@@ -817,28 +842,26 @@ def check_sandwiches(items) -> list:
     every (pair, a, z) of `items`, where pair.m must be floor(a): the M_m
     counts and the skew counts each in one batch.  Returns one
     LatticeCheck per item, in order."""
-    parsed = []
+    bounds = []
     for pair, a, z in items:
-        a = _half(a, "a")
-        z = _half(z, "z")
-        m = math.floor(a)
+        a2, z2 = _half(a, "a"), _half(z, "z")
+        m = a2 // 2
         if m < 1:
             raise ConfigError(f"sandwich needs a >= 1, got {a}")
         if pair.m != m:
             raise ConfigError(f"sandwich at a = {a} needs the pair with "
                               f"m = {m}, got m = {pair.m}")
-        parsed.append((pair, a, z, m, a - m))
-    bounds = ball_counts([(pair.m_lattice, z + sign * frac)
-                          for pair, _, z, _, frac in parsed
-                          for sign in (-1, 1)])
-    spec = parsed[0][0].spec if parsed else None
-    mids = skew_counts(spec, [(pair.gamma, a, z)
-                              for pair, a, z, _, _ in parsed])
+        # z -+ {a}, doubled: z2 -+ (a2 - 2m)
+        bounds += [(pair.m_lattice, _ceil_half(z2 + sign * (a2 % 2)))
+                   for sign in (-1, 1)]
+    bounds = ball_counts(bounds)
+    spec = items[0][0].spec if items else None
+    mids = skew_counts(spec, [(pair.gamma, a, z) for pair, a, z in items])
     out = []
-    for k, (pair, a, z, m, _) in enumerate(parsed):
+    for k, (pair, a, z) in enumerate(items):
         lower, upper, mid = bounds[2 * k], bounds[2 * k + 1], mids[k]
         out.append(LatticeCheck(lower <= mid <= upper, "skew-box-sandwich", {
-            "a": str(a), "z": str(z), "m": m,
+            "a": str(a), "z": str(z), "m": pair.m,
             "lower": lower, "middle": mid, "upper": upper}))
     return out
 
@@ -848,41 +871,38 @@ def check_capes(spec: FieldSpec, items) -> list:
     for z1 <= z2 <= 0, at every (gamma, a, z1, z2) of `items`, with all
     skew counts in one batch.  Returns one LatticeCheck per item, in
     order."""
-    parsed = []
-    for gamma, a, z1, z2 in items:
-        a = _half(a, "a")
-        z1 = _half(z1, "z1")
-        z2 = _half(z2, "z2")
-        if not z1 <= z2 <= 0:
+    capes = []
+    for _, a, z1, z2 in items:
+        a2, d1, d2 = _half(a, "a"), _half(z1, "z1"), _half(z2, "z2")
+        if not d1 <= d2 <= 0:
             raise ConfigError(f"need z1 <= z2 <= 0, got {z1}, {z2}")
-        parsed.append((_coerce_gamma(spec, gamma), a, z1, z2))
-    counts = skew_counts(spec, [(gamma, a, z) for gamma, a, z1, z2 in parsed
-                                for z in (z1, z2)])
+        capes.append(_ceil_half(d1 - a2 % 2) - _ceil_half(d2 + a2 % 2))
+    mats = _coerce_gammas(spec, [gamma for gamma, _, _, _ in items])
+    counts = skew_counts(spec, [(mat, a, z) for mat, (_, a, z1, z2)
+                                in zip(mats, items) for z in (z1, z2)])
     out = []
-    for k, (gamma, a, z1, z2) in enumerate(parsed):
+    for k, (mat, (_, a, z1, z2), cape) in enumerate(zip(mats, items, capes)):
         count1, count2 = counts[2 * k], counts[2 * k + 1]
-        frac = a - math.floor(a)
-        cape = _ceil(z1 - frac) - _ceil(z2 + frac)
-        n = gamma.coeffs.shape[0]
-        bound = Fraction(spec.q) ** (n * cape)
-        out.append(LatticeCheck(Fraction(count1, count2) >= bound,
-                                "cape-decay", {
-                                    "a": str(a), "z1": str(z1),
-                                    "z2": str(z2), "K": cape,
-                                    "count1": count1, "count2": count2,
-                                    "bound_exponent": n * cape}))
+        n = mat.coeffs.shape[0]
+        out.append(LatticeCheck(
+            _ratio_vs_power(count1, count2, spec.q, n * cape) >= 0,
+            "cape-decay", {"a": str(a), "z1": str(z1), "z2": str(z2),
+                           "K": cape, "count1": count1, "count2": count2,
+                           "bound_exponent": n * cape}))
     return out
 
 
 def random_symmetric_gamma(spec: FieldSpec, n: int, seed: int,
-                           lo: int = -3, hi: int = 3):
-    """Deterministic symmetric n x n matrix with entry support in [lo, hi]."""
+                           lo: int = -3, hi: int = 3) -> LaurentMatrix:
+    """Deterministic symmetric n x n matrix with entry support in [lo, hi],
+    drawn straight into a LaurentMatrix on that window: entry (i, j >= i)
+    takes the coefficients of t^lo..t^hi, in that order, from
+    random.Random(seed)."""
     rng = random.Random(seed)
-    out = [[None] * n for _ in range(n)]
+    coeffs = np.zeros((n, n, hi - lo + 1), dtype=np.int16)
     for i in range(n):
         for j in range(i, n):
-            coeffs = {e: rng.randrange(spec.q) for e in range(lo, hi + 1)}
-            el = LaurentElement(spec, coeffs)
-            out[i][j] = el
-            out[j][i] = el
-    return out
+            coeffs[i, j] = coeffs[j, i] = [rng.randrange(spec.q)
+                                           for _ in range(lo, hi + 1)]
+    return LaurentMatrix(spec, coeffs, lo,
+                         np.full((n, n), _NO_FLOOR, dtype=np.int64))

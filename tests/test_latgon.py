@@ -265,27 +265,26 @@ def test_windowed_lattice_reads_below_its_floor_raise(spec5):
 def test_suites_reduce_each_lattice_once_on_arrays(tmp_path, monkeypatch, name,
                                                    task, digest, reduced,
                                                    pairs):
-    # one reduction per distinct lattice, one pair per instance, and no
-    # Laurent element arithmetic at all: the gammas are only read
-    def no_arithmetic(*args):
-        raise AssertionError("dict-based Laurent arithmetic on the suite")
+    # one reduction per distinct lattice, one pair per instance, counted in
+    # the generator stack the certification receives, and no Laurent element
+    # at all: the gammas are drawn into arrays and the pairs built on them
+    def no_elements(*args):
+        raise AssertionError("a Laurent element on the array route")
 
-    monkeypatch.setattr(LaurentElement, "__mul__", no_arithmetic)
-    monkeypatch.setattr(LaurentElement, "__add__", no_arithmetic)
+    monkeypatch.setattr(LaurentElement, "__init__", no_elements)
     seen = {"reduced": 0, "pairs": 0}
-    reduce = latgon._reduce
-    setup = SpecialLatticePair._setup
+    reduce, certify = latgon._reduce, latgon._certify_pairs
 
     def counting_reduce(spec, coeffs, lo, floors):
         seen["reduced"] += len(coeffs)
         return reduce(spec, coeffs, lo, floors)
 
-    def counting_setup(pair, *args):
-        seen["pairs"] += 1
-        return setup(pair, *args)
+    def counting_certify(pair_list, spec, lo, m_c, *stacks):
+        seen["pairs"] += len(m_c)
+        return certify(pair_list, spec, lo, m_c, *stacks)
 
     monkeypatch.setattr(latgon, "_reduce", counting_reduce)
-    monkeypatch.setattr(SpecialLatticePair, "_setup", counting_setup)
+    monkeypatch.setattr(latgon, "_certify_pairs", counting_certify)
     assert main([task, "--config", os.path.join(CONFIGS, f"{name}.cfg"),
                  "--workers", "1", "--out", str(tmp_path)]) == 0
     with open(tmp_path / f"{task}.csv", "rb") as fh:
@@ -346,3 +345,164 @@ def test_an_oracle_overrun_is_a_verification_failure(tmp_path, monkeypatch):
     [record] = result.records
     assert record.outputs["status"] == "verification-failure"
     assert "overran" in record.outputs["detail"]
+
+
+def _element_rows(gamma):
+    """A LaurentMatrix gamma as rows of LaurentElement entries."""
+    return [[LaurentElement(gamma.spec, {gamma.lo + w: int(c)
+                                         for w, c in enumerate(entry)})
+             for entry in row] for row in gamma.coeffs]
+
+
+def _windowed_gamma(spec, n, seed):
+    """A symmetric gamma of windowed entries: entry (i, j) is known from
+    t^-min(2, i + j) up, and its t^2 coefficient is 1, so that no entry's
+    vanishing is undecidable."""
+    rows = _element_rows(random_symmetric_gamma(spec, n, seed, -2, 2))
+    return [[LaurentElement(spec, {**rows[i][j].coeffs, 2: 1},
+                            floor=-min(2, i + j)) for j in range(n)]
+            for i in range(n)]
+
+
+def _pair_oracle(spec, gamma, m):
+    """M_m and L_m of a pair, built entry by entry from Laurent elements:
+    t^-m, t^m gamma_ij, t^m and -t^m gamma_ij."""
+    n = len(gamma)
+    zero = LaurentElement.zero(spec)
+    down = LaurentElement.monomial(spec, -m)
+    up = LaurentElement.monomial(spec, m)
+
+    def diagonal_row(entry, i):
+        return [entry if i == j else zero for j in range(n)]
+
+    sheared = [[up * entry for entry in row] for row in gamma]
+    m_rows = ([diagonal_row(down, i) + [zero] * n for i in range(n)]
+              + [sheared[i] + diagonal_row(up, i) for i in range(n)])
+    l_rows = ([diagonal_row(up, i) + [-x for x in sheared[i]]
+               for i in range(n)]
+              + [[zero] * n + diagonal_row(down, i) for i in range(n)])
+    return (latgon._laurent_matrix(spec, m_rows),
+            latgon._laurent_matrix(spec, l_rows))
+
+
+@pytest.mark.parametrize("p,f", [(5, 1), (7, 1), (5, 2)])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_suite_generators_match_the_per_pair_oracle(p, f, n):
+    # one suite mixes m = 1, 2, 3, drawn gammas, a gamma of nested Laurent
+    # elements and a windowed one; every generator equals the oracle's on a
+    # shared window, floors included
+    spec = FieldSpec(p, f)
+    gammas = [random_symmetric_gamma(spec, n, seed) for seed in range(4)]
+    gammas += [_element_rows(random_symmetric_gamma(spec, n, 9, -1, 4)),
+               _windowed_gamma(spec, n, 11)]
+    ms = [1, 2, 3, 1, 2, 3]
+    pairs = SpecialLatticePair.suite(spec, gammas, ms)
+    assert all(pair.duality.passed for pair in pairs)
+    for pair, gamma, m in zip(pairs, gammas, ms):
+        rows = (_element_rows(gamma)
+                if isinstance(gamma, latgon.LaurentMatrix) else gamma)
+        for built, oracle in zip((pair.m_lattice.gen,
+                                  pair.adjoint_lattice.gen),
+                                 _pair_oracle(spec, rows, m)):
+            coeffs, _, floors = latgon._stack([built, oracle])
+            assert np.array_equal(coeffs[0], coeffs[1])
+            assert np.array_equal(floors[0], floors[1])
+    windowed = pairs[-1].m_lattice.gen.floors
+    assert (windowed != latgon._NO_FLOOR).sum() == n * n
+
+
+def test_capes_convert_each_gamma_once(spec5, monkeypatch):
+    # ten gammas, each at two (z1, z2) pairs over z in {-2, -1, 0}: three
+    # distinct skew systems per gamma, whether the gammas come as nested
+    # Laurent elements or as the pairs' matrices
+    built = []
+    systems = latgon._skew_systems
+
+    def counting(items):
+        built.append(len(items))
+        return systems(items)
+
+    monkeypatch.setattr(latgon, "_skew_systems", counting)
+    rows = [_element_rows(random_symmetric_gamma(spec5, 2, seed))
+            for seed in range(10)]
+    pairs = SpecialLatticePair.suite(spec5, rows, [1] * 10)
+    reports = []
+    for gammas in (rows, [pair.gamma for pair in pairs]):
+        built.clear()
+        reports.append([rep.details for rep in check_capes(
+            spec5, [(gamma, 1, z1, z2) for gamma in gammas
+                    for z1, z2 in [(-1, 0), (-2, -1)]])])
+        assert built == [30]
+    assert reports[0] == reports[1]
+
+
+A_GRID = [Fraction(k, 2) for k in (2, 3, 4, 5, 7)]
+Z_GRID = [Fraction(k, 2) for k in range(-5, 2)]
+
+
+def _ceil(x):
+    return math.ceil(Fraction(x))
+
+
+def test_thresholds_match_a_fraction_oracle(spec5, monkeypatch):
+    # gamma = 0, n = 1: N(a, z) = q^(max(0, ceil(a + z)) + max(0,
+    # ceil(z - a))) and M_m(Z) = q^(max(0, Z + m) + max(0, Z - m)); every
+    # ceiling of the oracle is taken on Fractions, also at the negative
+    # half-integers
+    q = spec5.q
+    zero = [[_zero(spec5)]]
+
+    def skew(a, z):
+        return q ** (max(0, _ceil(a + z)) + max(0, _ceil(z - a)))
+
+    def ball(m, z):
+        return q ** (max(0, _ceil(z) + m) + max(0, _ceil(z) - m))
+
+    cells = [(a, z) for a in A_GRID for z in Z_GRID]
+    assert skew_counts(spec5, [(zero, a, z) for a, z in cells]) == \
+        [skew(a, z) for a, z in cells]
+    pairs = {m: SpecialLatticePair(spec5, zero, m) for m in (1, 2, 3)}
+    for (a, z), rep in zip(cells, check_sandwiches(
+            [(pairs[math.floor(a)], a, z) for a, z in cells])):
+        m, frac = math.floor(a), a - math.floor(a)
+        assert rep.details == {"a": str(a), "z": str(z), "m": m,
+                               "lower": ball(m, z - frac),
+                               "middle": skew(a, z),
+                               "upper": ball(m, z + frac)}
+        assert rep.passed
+    capes = [(a, z1, z2) for a in A_GRID for z1 in Z_GRID for z2 in Z_GRID
+             if z1 <= z2 <= 0]
+    for (a, z1, z2), rep in zip(capes, check_capes(
+            spec5, [(zero, a, z1, z2) for a, z1, z2 in capes])):
+        frac = a - math.floor(a)
+        cape = _ceil(z1 - frac) - _ceil(z2 + frac)
+        c1, c2 = skew(a, z1), skew(a, z2)
+        assert rep.details == {"a": str(a), "z1": str(z1), "z2": str(z2),
+                               "K": cape, "count1": c1, "count2": c2,
+                               "bound_exponent": cape}
+        assert rep.passed == (Fraction(c1, c2) >= Fraction(q) ** cape)
+    # on a drawn gamma the skew systems read the same two ceilings
+    seen = []
+    systems = latgon._skew_systems
+
+    def recording(items):
+        seen.extend((d1, v2) for _, _, d1, v2 in items)
+        return systems(items)
+
+    monkeypatch.setattr(latgon, "_skew_systems", recording)
+    gamma = random_symmetric_gamma(spec5, 2, 3)
+    skew_counts(spec5, [(gamma, a, z) for a, z in cells])
+    assert seen == list(dict.fromkeys((_ceil(a + z) - 1, _ceil(z - a))
+                                      for a, z in cells))
+
+
+def test_thresholds_refuse_thirds_and_quarters(spec5):
+    zero = [[_zero(spec5)]]
+    pair = SpecialLatticePair(spec5, zero, 1)
+    for a, z in ((Fraction(1, 3), 0), (1, 0.25)):
+        with pytest.raises(ConfigError):
+            skew_counts(spec5, [(zero, a, z)])
+        with pytest.raises(ConfigError):
+            check_sandwiches([(pair, a, z)])
+        with pytest.raises(ConfigError):
+            check_capes(spec5, [(zero, a, z, 0)])
