@@ -6,8 +6,8 @@ layers built on them.  Everything is deterministic and integer/rational exact;
 floating point appears only inside rigorous interval refinement.
 """
 
-from .errors import (BudgetExceededError, ConfigError, PrecisionError,
-                     VerificationFailure)
+from .errors import (Budget, BudgetExceededError, ConfigError,
+                     PrecisionError, VerificationFailure)
 from .fields import FieldElement, FieldSpec, find_irreducible, trace
 from .polys import BinaryForm, Polynomial, poly_gcd
 from .cyclotomic import CyclotomicValue, compare_abs_power, real_sign

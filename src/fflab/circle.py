@@ -65,14 +65,12 @@ from fractions import Fraction
 import numpy as np
 
 from .cyclotomic import CyclotomicValue
-from .errors import BudgetExceededError, ConfigError, PrecisionError
+from .errors import DEFAULT_BUDGET, Budget, ConfigError, PrecisionError
 from .fields import FieldSpec
 from .forms import (BoxKernel, HypersurfaceForm, block_distributions,
                     decode_keys, zero_count)
 from .laurent import LaurentElement, expand_rational
 from .polys import Polynomial
-
-DEFAULT_BUDGET = 10 ** 9         # when no [run] budget is configured
 
 # (tail, support point) cells per block of the S kernel; bounds its
 # working set
@@ -228,18 +226,15 @@ class CountingProblem:
         self.mu_hat = self.mu_affine + 1
         # the major ball q^{-de-1} is strictly inside the r=1 arc ball
         assert self.char_depth > self.arc_floor
-        self.budget = budget
-        self.budget_spent = 0
+        self.budget = Budget(budget)
         self._blocks = None           # one distribution per variable block
         self._sum_table = None
 
     # -- bookkeeping -------------------------------------------------------------
 
-    def _charge(self, cost: int, what: str):
-        if self.budget_spent + cost > self.budget:
-            raise BudgetExceededError(cost, self.budget - self.budget_spent,
-                                      what)
-        self.budget_spent += cost
+    @property
+    def budget_spent(self) -> int:
+        return self.budget.spent
 
     def _refuse_past_int64(self, exponent: int, what: str):
         """ConfigError, before any charge, where an int64 assert would."""
@@ -264,8 +259,8 @@ class CountingProblem:
         and charged as a walk of the whole box, q^(n(e+1))."""
         if self._blocks is None:
             self._refuse_past_int64(self.box * self.n, "S histograms")
-            self._charge(self.spec.q ** (self.box * self.n),
-                         "phase distribution build")
+            self.budget.charge(self.spec.q ** (self.box * self.n),
+                               "phase distribution build")
             self._blocks = block_distributions(self.form, self.e)
         return self._blocks
 
@@ -344,7 +339,8 @@ class CountingProblem:
         (BoxKernel.box), with no block split, fold or convolution: the
         histogram of tr <coeffs F(x), tail> over every x."""
         spec = self.spec
-        self._charge(spec.q ** (self.box * self.n), "direct S evaluation")
+        self.budget.charge(spec.q ** (self.box * self.n),
+                           "direct S evaluation")
         np_mul, np_add = spec.tables["np_mul"], spec.tables["np_add"]
         hist = np.zeros(spec.p, dtype=np.int64)
         for _, images in BoxKernel(self.form, self.e).box():
@@ -370,8 +366,8 @@ class CountingProblem:
             spec = self.spec
             q, p, B = spec.q, spec.p, self.char_depth
             blocks = dict(zip(self.form.parts, self.phase_distribution()))
-            self._charge(len(blocks) * spec.f * B * q ** B * p * p,
-                         "sum table build")
+            self.budget.charge(len(blocks) * spec.f * B * q ** B * p * p,
+                               "sum table build")
             # a block entry is at most its block's box, a convolved row
             # sums to the whole box
             assert q ** (self.box * self.n) < 1 << 63, \
@@ -443,5 +439,6 @@ class CountingProblem:
     def brute_count(self) -> int:
         """#{x in box : F(x) = 0} (includes x = 0): the whole box walked
         jointly (forms.zero_count), with no block split, fold or trace."""
-        self._charge(self.spec.q ** (self.box * self.n), "brute-force count")
+        self.budget.charge(self.spec.q ** (self.box * self.n),
+                           "brute-force count")
         return zero_count(self.form, self.e)

@@ -1,10 +1,16 @@
-"""Shared exception types.
+"""Shared exception types, and the one run budget.
 
 The distinction matters for the CLI exit codes: verification failures map to
 exit 1, configuration problems to 2, and budget exhaustion to 3.  Precision
 errors are programming/configuration errors (a window was too shallow for a
 requested exact answer) and are never silently absorbed.
+
+Budget is the only place a budget charge is decided: every layer charges
+its predicted cost there before it does the work, and Budget.charge is the
+one site that raises BudgetExceededError.
 """
+
+DEFAULT_BUDGET = 10 ** 9         # when no [run] budget is configured
 
 
 class PrecisionError(ValueError):
@@ -22,6 +28,26 @@ class BudgetExceededError(RuntimeError):
         if what:
             msg = f"{what}: {msg}"
         super().__init__(msg)
+
+
+class Budget:
+    """A limit and what has been spent of it.  charge(cost, what) spends
+    cost, or, when it does not fit in what is left, spends nothing and
+    raises BudgetExceededError(cost, left, what)."""
+    __slots__ = ("limit", "spent")
+
+    def __init__(self, limit: int = DEFAULT_BUDGET):
+        self.limit = limit
+        self.spent = 0
+
+    @property
+    def left(self) -> int:
+        return self.limit - self.spent
+
+    def charge(self, cost: int, what: str):
+        if cost > self.left:
+            raise BudgetExceededError(cost, self.left, what)
+        self.spent += cost
 
 
 class ConfigError(ValueError):

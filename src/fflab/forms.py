@@ -262,18 +262,42 @@ def _merge(keys, counts):
     return keys[first], np.add.reduceat(counts[order], first)
 
 
+# keys a running merge holds pending past its result before it merges them
+_MERGE_PENDING = 1 << 20
+
+
+def _running_merge(chunks):
+    """One distribution, (sorted keys, int64 counts), from a stream of
+    (keys, counts) chunks whose keys may repeat within and across chunks.
+    The pending chunks are merged into the result once their keys outnumber
+    it and pass _MERGE_PENDING, so the peak is the result plus one pending
+    batch of at most max(result, _MERGE_PENDING) keys and a chunk, never
+    the whole stream.  A merge sorts fewer than twice its pending keys, so
+    all merges together sort fewer than twice the stream."""
+    keys = counts = np.zeros(0, dtype=np.int64)
+    pending, size = [], 0
+    for chunk in chunks:
+        pending.append(chunk)
+        size += len(chunk[0])
+        if size > max(len(keys), _MERGE_PENDING):
+            keys, counts = _merge(*map(np.concatenate,
+                                       zip((keys, counts), *pending)))
+            pending, size = [], 0
+    return _merge(*map(np.concatenate, zip((keys, counts), *pending)))
+
+
 def block_distributions(form: HypersurfaceForm, e: int) -> list:
     """For each part of form.parts, the distribution of its coefficient
     vectors F_b(f) over its box of degree-e tuples f: the sorted
     encode_keys keys and their int64 counts, kept per _BOX_CHUNK tuples
-    only as distinct keys.  Equal parts share one walk and the same pair
-    of arrays."""
+    only as distinct keys and merged as it goes (_running_merge), so its
+    peak is the distribution plus one pending batch.  Equal parts share
+    one walk and the same pair of arrays."""
     walked = {}
     for part in dict.fromkeys(form.parts):
-        chunks = [np.unique(encode_keys(form.spec.q, images),
-                            return_counts=True)
-                  for _, images in BoxKernel(part, e).box()]
-        walked[part] = _merge(*map(np.concatenate, zip(*chunks)))
+        walked[part] = _running_merge(
+            np.unique(encode_keys(form.spec.q, images), return_counts=True)
+            for _, images in BoxKernel(part, e).box())
     return [walked[part] for part in form.parts]
 
 
@@ -287,8 +311,10 @@ def fold(spec: FieldSpec, left, right, width: int):
     each (sorted encode_keys keys, int64 counts) over F_q^width: every pair
     of support points is added through the field tables, in blocks of at
     most _FOLD_BLOCK pairs (or one row of the left support), and the sums
-    are merged.  Work and memory are the support pairs, never q^width
-    cells.  An entry is at most the product of the two totals."""
+    are merged as they come (_running_merge).  Work is the support pairs,
+    never q^width cells; the peak is the output plus one pending batch of
+    at most max(output, _MERGE_PENDING) sums and a block, not every pair.
+    An entry is at most the product of the two totals."""
     lkeys, lcounts = left
     rkeys, rcounts = right
     assert int(lcounts.sum()) * int(rcounts.sum()) < 1 << 63, \
@@ -299,18 +325,17 @@ def fold(spec: FieldSpec, left, right, width: int):
     ldigits = decode_keys(q, lkeys, width).astype(np.int64) * q
     rdigits = decode_keys(q, rkeys, width).astype(np.int64)
     rows = max(1, _FOLD_BLOCK // len(rkeys))
-    keys, counts = [], []
-    for start in range(0, len(lkeys), rows):
-        block = slice(start, start + rows)
-        sums = 0
-        for k in range(width):
-            sums = sums + add[ldigits[block, k, None]
-                              + rdigits[None, :, k]] * q ** k
-        merged = _merge(sums.reshape(-1),
-                        (lcounts[block, None] * rcounts).reshape(-1))
-        keys.append(merged[0])
-        counts.append(merged[1])
-    return _merge(np.concatenate(keys), np.concatenate(counts))
+
+    def blocks():
+        for start in range(0, len(lkeys), rows):
+            block = slice(start, start + rows)
+            sums = 0
+            for k in range(width):
+                sums = sums + add[ldigits[block, k, None]
+                                  + rdigits[None, :, k]] * q ** k
+            yield (sums.reshape(-1),
+                   (lcounts[block, None] * rcounts).reshape(-1))
+    return _running_merge(blocks())
 
 
 def symmetrize(spec: FieldSpec, n: int, d: int, monomials) -> HypersurfaceForm:

@@ -37,8 +37,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .audit import audit_minor_arcs, dims
-from .circle import DEFAULT_BUDGET, CountingProblem
-from .errors import BudgetExceededError, ConfigError, VerificationFailure
+from .circle import CountingProblem
+from .errors import (DEFAULT_BUDGET, Budget, BudgetExceededError, ConfigError,
+                     VerificationFailure)
 from .fields import FieldSpec
 from .forms import fermat_form, parse_form_file
 from .latgon import (SpecialLatticePair, check_capes, check_ratio_lemmas,
@@ -46,8 +47,8 @@ from .latgon import (SpecialLatticePair, check_capes, check_ratio_lemmas,
                      random_symmetric_gamma, reduce_lattices)
 from .moduli import count_cone, count_morphisms, langweil_report
 from .reporting import ReportRecord
-from .weyl import (_charge_weyl, canonical_shape_report, check_shrink_batch,
-                   check_weyl_batch)
+from .weyl import (_charge_weyl, _weyl_reports, canonical_shape_report,
+                   check_shrink_batch)
 from .work import map_reduce
 
 __all__ = ["TASKS", "TASK_PARAMS", "RunConfig", "RunResult", "load_config",
@@ -335,11 +336,13 @@ def _run_major(config: RunConfig):
         passed=holds, budget_spent=prob.budget_spent)]
 
 
-def _weyl_chunk(config: RunConfig, tails):
-    prob = build_problem(config)
+def _weyl_chunk(prob: CountingProblem, tails):
+    """The reports of one chunk of a sweep, on the problem that charged the
+    whole sweep; a worker process gets it pickled with its phase
+    distribution, so nothing is rebuilt or charged again."""
     return [(tail, rep.passed, rep.details["N"], rep.details["bound"],
              rep.details["cmp"])
-            for tail, rep in zip(tails, check_weyl_batch(prob, tails))]
+            for tail, rep in zip(tails, _weyl_reports(prob, tails))]
 
 
 def _run_weyl(config: RunConfig):
@@ -368,7 +371,7 @@ def _run_weyl(config: RunConfig):
         _charge_weyl(prob, sweep)
         tails = list(itertools.islice(
             itertools.product(range(spec.q), repeat=depth), sweep))
-    fn = functools.partial(_weyl_chunk, config)
+    fn = functools.partial(_weyl_chunk, prob)
     results = map_reduce(fn, tails, workers=config.workers)
     records = []
     failures = 0
@@ -457,7 +460,8 @@ def _run_lattice(config: RunConfig):
                for i in range(count)], ms)
     reduce_lattices([lat for pair in pairs
                      for lat in (pair.m_lattice, pair.adjoint_lattice)])
-    enumerated = minima_by_enumeration([pair.m_lattice for pair in pairs])
+    enumerated = minima_by_enumeration([pair.m_lattice for pair in pairs],
+                                       Budget(config.budget))
     records = []
     for i, (pair, m) in enumerate(zip(pairs, ms)):
         duality = pair.duality
@@ -500,7 +504,8 @@ def _run_ratio(config: RunConfig):
                for i in range(count)], ms)
     items = [(i, pair, z1, z2) for i, pair in enumerate(pairs)
              for z1, z2 in _z_pairs(config, i)]
-    reps = check_ratio_lemmas([(pair, z1, z2) for _, pair, z1, z2 in items])
+    reps = check_ratio_lemmas([(pair, z1, z2) for _, pair, z1, z2 in items],
+                              Budget(config.budget))
     records = []
     for (i, _, z1, z2), rep in zip(items, reps):
         det = rep.details
@@ -532,12 +537,13 @@ def _run_cape(config: RunConfig):
     pairs = SpecialLatticePair.suite(
         spec, [random_symmetric_gamma(spec, config.n, config.seed + i)
                for i in range(count)], [math.floor(a) for a in avals])
+    budget = Budget(config.budget)
     sands = check_sandwiches([(pair, a, z) for pair, a in zip(pairs, avals)
-                              for z in (0, -1)])
+                              for z in (0, -1)], budget)
     zpairs = [_z_pairs(config, i) for i in range(count)]
     capes = iter(check_capes(spec, [(pairs[i].gamma, avals[i], z1, z2)
                                     for i in range(count)
-                                    for z1, z2 in zpairs[i]]))
+                                    for z1, z2 in zpairs[i]], budget))
     records = []
     for i, a in enumerate(avals):
         inputs = {**base, "instance": i, "a": a}

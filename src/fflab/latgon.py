@@ -24,7 +24,10 @@ batched over as many matrices as the caller hands it, and one oracle:
   * ball counts #{x in lattice : |x| < q^Z} and the skew box counts
     N(a, Z) are sizes of F_q-linear solution spaces of Toeplitz
     coefficient systems; all systems of one call are ranked together by
-    batched_rank, each distinct one once;
+    batched_rank, each distinct one once.  Each system is charged to the
+    caller's Budget before it is built, its elimination work
+    max(rows, unknowns) unknowns^2 (_charge_system); a task charges one
+    Budget, made from [run] budget, for all its systems;
   * the special pair built from a symmetric matrix gamma,
         M_m = [[t^-m I, 0], [t^m gamma, t^m I]],
         L_m = [[t^m I, -t^m gamma], [0, t^-m I]],
@@ -56,15 +59,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (BudgetExceededError, ConfigError, PrecisionError,
-                     VerificationFailure)
+from .errors import Budget, ConfigError, PrecisionError, VerificationFailure
 from .fields import FieldSpec
 from .laurent import LaurentElement
 from .linalg import batched_nullspace, batched_poly_rank, batched_rank
 from .polys import Polynomial
 
-# one linear system may not exceed this many coefficient unknowns
-_MAX_VARS = 1 << 14
 # one stack handed to a batched kernel holds at most this many int16 cells
 _STACK_CELLS = 1 << 20
 # the floor of an exact entry, and the degree of an exact zero
@@ -136,15 +136,18 @@ def _laurent_matrix(spec: FieldSpec, rows) -> LaurentMatrix:
 
 
 def _stack(mats):
-    """Same-shape matrices on one exponent window: (coeffs (B, R, C, W), lo,
-    floors (B, R, C))."""
+    """Matrices on one exponent window: (coeffs (B, R, C, W), lo, floors
+    (B, R, C)), a smaller matrix padded with exact zeros."""
     lo = min(m.lo for m in mats)
     hi = max(m.lo + m.coeffs.shape[2] for m in mats)
-    out = np.zeros((len(mats),) + mats[0].coeffs.shape[:2] + (hi - lo,),
-                   dtype=np.int16)
+    rows, cols = (max(m.coeffs.shape[k] for m in mats) for k in (0, 1))
+    out = np.zeros((len(mats), rows, cols, hi - lo), dtype=np.int16)
+    floors = np.full((len(mats), rows, cols), _NO_FLOOR, dtype=np.int64)
     for b, m in enumerate(mats):
-        out[b, :, :, m.lo - lo:m.lo - lo + m.coeffs.shape[2]] = m.coeffs
-    return out, lo, np.stack([m.floors for m in mats])
+        r, c, w = m.coeffs.shape
+        out[b, :r, :c, m.lo - lo:m.lo - lo + w] = m.coeffs
+        floors[b, :r, :c] = m.floors
+    return out, lo, floors
 
 
 def _known_tops(coeffs, lo, floors):
@@ -240,6 +243,13 @@ def _batched(systems, kernel) -> list:
             for i, result in zip(chunk, kernel(spec, stack)):
                 out[i] = result
     return out
+
+
+def _charge_system(budget: Budget, rows: int, nvars: int, what: str):
+    """Charge one linear system its elimination work before it is built:
+    nvars pivot steps, each over at most max(rows, nvars) x nvars cells
+    (the system, or the nvars x nvars nullspace basis)."""
+    budget.charge(max(rows, nvars) * nvars * nvars, what)
 
 
 def _nullspace_kernel(spec: FieldSpec, stack) -> list:
@@ -371,7 +381,7 @@ class FunctionFieldLattice:
         return self._det_deg - max(0, (self.dim - 1) * self._max_top)
 
 
-def minima_by_enumeration(lattices) -> list:
+def minima_by_enumeration(lattices, budget: Budget = None) -> list:
     """The oracle for successive minima; it never reduces.  For each
     lattice the radius r walks up from below the first minimum.  At each r
     an F_q-basis of the ball {u : |B u| <= q^r} (the nullspace of its
@@ -382,12 +392,14 @@ def minima_by_enumeration(lattices) -> list:
     so that is the K-rank of the lattice vectors B u.  R_v is the first r
     at which the rank reaches v.  The balls of all lattices at their
     current radius are solved together, and the bases of one shape are
-    ranked in one stack.  Returns the closed exponents of each lattice, in
-    order.
+    ranked in one stack.  Every ball system is charged to `budget` (a
+    fresh default Budget when None).  Returns the closed exponents of each
+    lattice, in order.
 
     The columns of B are lattice vectors of degree <= top(B), so the rank
     reaches N by r = top(B); a radius past it means the oracle contradicts
     the lattice, a VerificationFailure."""
+    budget = Budget() if budget is None else budget
     radius = [lat._enumeration_start() for lat in lattices]
     degs = [[] for _ in lattices]
     live = list(range(len(lattices)))
@@ -400,7 +412,7 @@ def minima_by_enumeration(lattices) -> list:
                     "enumeration overran the generator degree bound")
             balls.append((lat, radius[i] + 1))
         systems = [(lat.spec, system) for (lat, _), system
-                   in zip(balls, _ball_systems(balls))]
+                   in zip(balls, _ball_systems(balls, budget))]
         shapes = {}
         for i, basis in zip(live, _batched(systems, _nullspace_kernel)):
             lat = lattices[i]
@@ -502,12 +514,13 @@ def _reduce(spec: FieldSpec, coeffs, lo: int, floors):
     return [tuple(sorted(row)) for row in degs.tolist()]
 
 
-def _ball_systems(requests) -> list:
+def _ball_systems(requests, budget: Budget) -> list:
     """The coefficient system of {u in O^N : |B u| < q^zc} for every
     (lattice, zc) of `requests`, in order: the unknowns are the
     coefficients of u up to unit_degree_bound(zc), the rows the
     coefficients of B u at exponents >= zc; a (0, 0) system when no u but 0
-    qualifies.  The systems of one shape are built together, and rows
+    qualifies.  Each system is charged to `budget` (_charge_system) before
+    any is built.  The systems of one shape are built together, and rows
     that vanish in all of them (above the top of B u) are dropped."""
     out = [None] * len(requests)
     groups = {}
@@ -516,10 +529,9 @@ def _ball_systems(requests) -> list:
         if dbound < 0:
             out[k] = np.zeros((0, 0), dtype=np.int16)
             continue
-        nvars = lat.dim * (dbound + 1)
-        if nvars > _MAX_VARS:
-            raise BudgetExceededError(nvars, _MAX_VARS,
-                                      "lattice count unknowns")
+        nw = max(0, lat._max_top + dbound + 1 - zc)
+        _charge_system(budget, lat.dim * nw, lat.dim * (dbound + 1),
+                       "ball count system")
         # the rows of coordinate i read every entry of row i down to
         # t^(zc - dbound), if B u can reach t^zc there at all
         if lat._window > zc - dbound:
@@ -528,7 +540,6 @@ def _ball_systems(requests) -> list:
                 raise PrecisionError(
                     f"ball of radius q^{zc} reads generator coefficients "
                     f"below the window floor")
-        nw = max(0, lat._max_top + dbound + 1 - zc)
         groups.setdefault((lat.spec, lat.dim, zc, dbound + 1, nw),
                           []).append(k)
     for (_, _, zc, width, nw), members in groups.items():
@@ -540,11 +551,13 @@ def _ball_systems(requests) -> list:
     return out
 
 
-def ball_counts(requests) -> list:
+def ball_counts(requests, budget: Budget = None) -> list:
     """#{x in lattice : |x| < q^z} for every (lattice, z) of `requests`, in
     order.  A count depends only on (lattice, ceil z) and is kept on the
     lattice: each is computed once, and the systems of all those not known
-    yet are ranked together."""
+    yet are charged to `budget` (a fresh default Budget when None) and
+    ranked together."""
+    budget = Budget() if budget is None else budget
     wanted = [(lat, _ceil(z)) for lat, z in requests]
     missing = {}
     for lat, zc in wanted:
@@ -552,7 +565,7 @@ def ball_counts(requests) -> list:
             missing[id(lat), zc] = (lat, zc)
     todo = list(missing.values())
     systems = [(lat.spec, system)
-               for (lat, _), system in zip(todo, _ball_systems(todo))]
+               for (lat, _), system in zip(todo, _ball_systems(todo, budget))]
     for (lat, zc), count in zip(todo, _solution_counts(systems)):
         lat._counts[zc] = count
     return [lat._counts[zc] for lat, zc in wanted]
@@ -721,7 +734,7 @@ def _certify_pairs(pairs, spec: FieldSpec, lo: int, m_c, m_fl, l_c,
 # -- lemma checks -------------------------------------------------------------------
 
 
-def check_ratio_lemmas(items) -> list:
+def check_ratio_lemmas(items, budget: Budget = None) -> list:
     """Ball-count decay for M_m at every (pair, z1, z2) of `items`: counts
     at integers z1 <= z2 <= 0 satisfy M(z1)/M(z2) >= q^{n(z1-z2)}.
 
@@ -729,8 +742,9 @@ def check_ratio_lemmas(items) -> list:
     the minima (with mu = #{j : R_j < z1}, nu = #{j : R_j < z2}, the ratio
     is q^{sum(R_{mu+1..nu}) + mu z1 - nu z2}), and that each count equals
     q^{sum_j max(0, z - R_j)}.  The minima of all M_m come from one batched
-    reduction, and every distinct (lattice, z) count from one batched rank.
-    Returns one LatticeCheck per item, in order."""
+    reduction, and every distinct (lattice, z) count from one batched rank,
+    charged to `budget` (ball_counts).  Returns one LatticeCheck per item,
+    in order."""
     for _, z1, z2 in items:
         if not (isinstance(z1, int) and isinstance(z2, int)):
             raise ConfigError("ratio lemma thresholds must be integers")
@@ -738,7 +752,7 @@ def check_ratio_lemmas(items) -> list:
             raise ConfigError(f"need z1 <= z2 <= 0, got {z1}, {z2}")
     reduce_lattices([pair.m_lattice for pair, _, _ in items])
     counts = ball_counts([(pair.m_lattice, z) for pair, z1, z2 in items
-                          for z in (z1, z2)])
+                          for z in (z1, z2)], budget)
     out = []
     for k, (pair, z1, z2) in enumerate(items):
         c1, c2 = counts[2 * k], counts[2 * k + 1]
@@ -767,13 +781,14 @@ def check_ratio_lemmas(items) -> list:
     return out
 
 
-def _skew_systems(items) -> list:
+def _skew_systems(items, budget: Budget) -> list:
     """The coefficient system of N(a, z) for every (gamma, gtop, d1, v2) of
     `items`, with gtop the top degree of gamma (_NO_FLOOR when gamma = 0),
     d1 = ceil(a + z) - 1 and v2 = ceil(z - a): the unknowns are the
     coefficients of u (deg <= d1), then of u' (deg <= d2, the top degree
     of L(u) + u'), the rows the coefficients of L_j(u) + u'_j at exponents
-    v2..d2.  The systems of one shape are built together."""
+    v2..d2.  Each system is charged to `budget` (_charge_system) before any
+    is built; the systems of one shape are built together."""
     out = [None] * len(items)
     groups = {}
     for k, (gamma, gtop, d1, v2) in enumerate(items):
@@ -782,10 +797,8 @@ def _skew_systems(items) -> list:
         d2 = max(v2 - 1, ltop)
         w1 = max(0, d1 + 1)
         w2 = max(0, d2 + 1)
-        nvars = n * (w1 + w2)
-        if nvars > _MAX_VARS:
-            raise BudgetExceededError(nvars, _MAX_VARS,
-                                      "skew box count unknowns")
+        _charge_system(budget, n * max(0, d2 - v2 + 1), n * (w1 + w2),
+                       "skew count system")
         if d2 >= v2 and w1 > 0 and gamma.floors.max() > v2 - w1 + 1:
             raise PrecisionError(
                 f"skew box with deg u <= {d1} read from t^{v2} reads gamma "
@@ -808,7 +821,7 @@ def _skew_systems(items) -> list:
     return out
 
 
-def skew_counts(spec: FieldSpec, requests) -> list:
+def skew_counts(spec: FieldSpec, requests, budget: Budget = None) -> list:
     """The skew box count
 
         N(a, z) = #{(u, u') in O^n x O^n : |u_j| < q^{a+z},
@@ -818,30 +831,35 @@ def skew_counts(spec: FieldSpec, requests) -> list:
     `requests`, in order.  a and z may be half-integers; every threshold
     enters through a single ceiling of a doubled integer exponent.  Each
     gamma object is converted once (a LaurentMatrix, such as a pair's
-    `gamma`, not at all); each distinct (gamma, ceil(a + z), ceil(z - a))
-    is counted once, and all systems are ranked together."""
+    `gamma`, not at all), and the top degrees of the distinct gammas come
+    from one stack; each distinct (gamma, ceil(a + z), ceil(z - a)) is
+    counted once, its system charged to `budget` (a fresh default Budget
+    when None), and all systems are ranked together."""
+    budget = Budget() if budget is None else budget
     keys, distinct, gtops = [], {}, {}
     mats = _coerce_gammas(spec, [gamma for gamma, _, _ in requests])
+    if mats:
+        gammas = list({id(mat): mat for mat in mats}.values())
+        tops = _entry_degrees(*_stack(gammas), "gamma").max(axis=(1, 2))
+        gtops = dict(zip(map(id, gammas), tops.tolist()))
     for mat, (_, a, z) in zip(mats, requests):
-        if id(mat) not in gtops:
-            gtops[id(mat)] = int(_entry_degrees(mat.coeffs, mat.lo, mat.floors,
-                                                "gamma").max())
         a2, z2 = _half(a, "a"), _half(z, "z")
         key = (id(mat), _ceil_half(a2 + z2) - 1, _ceil_half(z2 - a2))
         if key not in distinct:
             distinct[key] = (mat, gtops[id(mat)]) + key[1:]
         keys.append(key)
     systems = [(spec, system)
-               for system in _skew_systems(list(distinct.values()))]
+               for system in _skew_systems(list(distinct.values()), budget)]
     counts = dict(zip(distinct, _solution_counts(systems)))
     return [counts[key] for key in keys]
 
 
-def check_sandwiches(items) -> list:
+def check_sandwiches(items, budget: Budget = None) -> list:
     """M_m(z - {a}) <= N(a, z) <= M_m(z + {a}) with m = floor(a) >= 1, at
     every (pair, a, z) of `items`, where pair.m must be floor(a): the M_m
-    counts and the skew counts each in one batch.  Returns one
-    LatticeCheck per item, in order."""
+    counts and the skew counts each in one batch, charged to `budget`.
+    Returns one LatticeCheck per item, in order."""
+    budget = Budget() if budget is None else budget
     bounds = []
     for pair, a, z in items:
         a2, z2 = _half(a, "a"), _half(z, "z")
@@ -854,9 +872,10 @@ def check_sandwiches(items) -> list:
         # z -+ {a}, doubled: z2 -+ (a2 - 2m)
         bounds += [(pair.m_lattice, _ceil_half(z2 + sign * (a2 % 2)))
                    for sign in (-1, 1)]
-    bounds = ball_counts(bounds)
+    bounds = ball_counts(bounds, budget)
     spec = items[0][0].spec if items else None
-    mids = skew_counts(spec, [(pair.gamma, a, z) for pair, a, z in items])
+    mids = skew_counts(spec, [(pair.gamma, a, z) for pair, a, z in items],
+                       budget)
     out = []
     for k, (pair, a, z) in enumerate(items):
         lower, upper, mid = bounds[2 * k], bounds[2 * k + 1], mids[k]
@@ -866,11 +885,11 @@ def check_sandwiches(items) -> list:
     return out
 
 
-def check_capes(spec: FieldSpec, items) -> list:
+def check_capes(spec: FieldSpec, items, budget: Budget = None) -> list:
     """N(a, z1)/N(a, z2) >= q^{nK}, K = ceil(z1 - {a}) - ceil(z2 + {a}),
     for z1 <= z2 <= 0, at every (gamma, a, z1, z2) of `items`, with all
-    skew counts in one batch.  Returns one LatticeCheck per item, in
-    order."""
+    skew counts in one batch, charged to `budget`.  Returns one
+    LatticeCheck per item, in order."""
     capes = []
     for _, a, z1, z2 in items:
         a2, d1, d2 = _half(a, "a"), _half(z1, "z1"), _half(z2, "z2")
@@ -879,7 +898,8 @@ def check_capes(spec: FieldSpec, items) -> list:
         capes.append(_ceil_half(d1 - a2 % 2) - _ceil_half(d2 + a2 % 2))
     mats = _coerce_gammas(spec, [gamma for gamma, _, _, _ in items])
     counts = skew_counts(spec, [(mat, a, z) for mat, (_, a, z1, z2)
-                                in zip(mats, items) for z in (z1, z2)])
+                                in zip(mats, items) for z in (z1, z2)],
+                         budget)
     out = []
     for k, (mat, (_, a, z1, z2), cape) in enumerate(zip(mats, items, capes)):
         count1, count2 = counts[2 * k], counts[2 * k + 1]

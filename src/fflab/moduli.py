@@ -42,6 +42,14 @@ Counting routes, kept separate so they can cross-check each other:
              coprime counts follow from total counts by subtracting
              P_j * coprime(e-j) over the projective form counts P_j.
 
+Every route charges the problem's one Budget ([run] budget) before it
+walks: enumerate the q^(n(e+1)) tuples of its box, convolve each fold a
+bound on the support pairs it adds (at least the block's own box, so it
+covers that walk too), and the line oracle n q^k per reduced-row block of
+q^k planes, which it walks forms._BOX_CHUNK planes at a time.  Memory is
+bounded by the code: a block walk or a fold holds its distribution plus
+one pending batch of keys (forms._running_merge).
+
 F_{q^l}^* acts freely on coprime solutions; a coprime count it does not
 divide is a failed invariant (VerificationFailure), not a bad config.
 """
@@ -55,16 +63,13 @@ from fractions import Fraction
 import numpy as np
 
 from .audit import dims
-from .errors import BudgetExceededError, ConfigError, VerificationFailure
+from .errors import Budget, ConfigError, VerificationFailure
 from .fields import FieldSpec, extension
-from .forms import (BoxKernel, HypersurfaceForm, block_distributions,
-                    decode_keys, encode_keys, fold, symmetrize, zero_count)
+from .forms import (_BOX_CHUNK, BoxKernel, HypersurfaceForm,
+                    block_distributions, decode_keys, encode_keys, fold,
+                    symmetrize, zero_count)
 from .linalg import batched_rank
 from .polys import poly_gcd
-
-# enumerations and convolution folds are capped at this many tuples or
-# support pairs
-_MAX_CELLS = 1 << 24
 
 
 # -- extension embedding ----------------------------------------------------------
@@ -158,19 +163,17 @@ def _scalar_orbits(coprime: int, q: int) -> int:
 # -- total solution counts --------------------------------------------------------
 
 
-def _charge(budget_cells: int, what: str):
-    if budget_cells > _MAX_CELLS:
-        raise BudgetExceededError(budget_cells, _MAX_CELLS, what)
-
-
-def _total_enumerate(spec: FieldSpec, form: HypersurfaceForm, e: int) -> int:
-    """#{tuples of degree-e forms, zero included, with F(f) = 0}."""
+def _total_enumerate(spec: FieldSpec, form: HypersurfaceForm, e: int,
+                     budget: Budget) -> int:
+    """#{tuples of degree-e forms, zero included, with F(f) = 0}, charged
+    the tuples it walks."""
     q, n = spec.q, form.n
-    _charge(q ** ((e + 1) * n), "morphism-space enumeration")
+    budget.charge(q ** ((e + 1) * n), "morphism-space enumeration")
     return zero_count(form, e)
 
 
-def _total_convolve(spec: FieldSpec, form: HypersurfaceForm, e: int) -> int:
+def _total_convolve(spec: FieldSpec, form: HypersurfaceForm, e: int,
+                    budget: Budget) -> int:
     """The convolve route of the module docstring: fold the first ceil(b/2)
     of the b block distributions into A and the rest into B, each from the
     zero vector, then sum A(k) * B(-k) over the keys the two share.
@@ -186,7 +189,7 @@ def _total_convolve(spec: FieldSpec, form: HypersurfaceForm, e: int) -> int:
     for part in (boxes[:half], boxes[half:]):
         support = 1
         for box in part:
-            _charge(support * box, "cone convolution")
+            budget.charge(support * box, "cone convolution")
             support = min(support * box, q ** width)
     dists = block_distributions(form, e)
     zero = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
@@ -201,16 +204,18 @@ def _total_convolve(spec: FieldSpec, form: HypersurfaceForm, e: int) -> int:
 
 
 def total_solutions(spec: FieldSpec, form: HypersurfaceForm, e: int,
-                    method: str = "auto") -> int:
-    """All degree-e tuples (zero and non-coprime included) with F(f) = 0."""
+                    method: str = "auto", budget: Budget = None) -> int:
+    """All degree-e tuples (zero and non-coprime included) with F(f) = 0,
+    charged to `budget` (a fresh default Budget when None)."""
     if e < 0:
         raise ConfigError("tuple degree must be >= 0")
+    budget = Budget() if budget is None else budget
     if method == "auto":
         method = "convolve" if len(form.blocks) > 1 else "enumerate"
     if method == "convolve":
-        return _total_convolve(spec, form, e)
+        return _total_convolve(spec, form, e, budget)
     if method == "enumerate":
-        return _total_enumerate(spec, form, e)
+        return _total_enumerate(spec, form, e, budget)
     raise ConfigError(f"unknown counting method {method}")
 
 
@@ -221,11 +226,11 @@ def count_cone(prob, ell: int = 1, method: str = "auto") -> int:
     """Nonzero degree-e tuples over F_{q^ell} with F(f) = 0 identically;
     common factors allowed."""
     ext, form = _extended(prob, ell)
-    return total_solutions(ext, form, prob.e, method) - 1
+    return total_solutions(ext, form, prob.e, method, prob.budget) - 1
 
 
 def _coprime_solutions(spec: FieldSpec, form: HypersurfaceForm, e: int,
-                       method: str) -> int:
+                       method: str, budget: Budget) -> int:
     """#{coprime tuples with F(f) = 0}, by the unique-factorization recursion
     over the normalized common factor:
 
@@ -235,17 +240,17 @@ def _coprime_solutions(spec: FieldSpec, form: HypersurfaceForm, e: int,
     q = spec.q
     coprime = []
     for j in range(e + 1):
-        nonzero = total_solutions(spec, form, j, method) - 1
+        nonzero = total_solutions(spec, form, j, method, budget) - 1
         for i in range(1, j + 1):
             nonzero -= ((q ** (i + 1) - 1) // (q - 1)) * coprime[j - i]
         coprime.append(nonzero)
     return coprime[e]
 
 
-def _morphisms_enumerate(spec: FieldSpec, form: HypersurfaceForm,
-                         e: int) -> int:
+def _morphisms_enumerate(spec: FieldSpec, form: HypersurfaceForm, e: int,
+                         budget: Budget) -> int:
     q, n = spec.q, form.n
-    _charge(q ** ((e + 1) * n), "morphism enumeration")
+    budget.charge(q ** ((e + 1) * n), "morphism enumeration")
     kernel = BoxKernel(form, e)
     count = 0
     for codes, images in kernel.box():
@@ -268,10 +273,10 @@ def count_morphisms(prob, ell: int = 1, method: str = "auto") -> int:
     if method == "auto":
         method = "factor" if len(form.blocks) > 1 else "enumerate"
     if method == "enumerate":
-        return _morphisms_enumerate(ext, form, e)
+        return _morphisms_enumerate(ext, form, e, prob.budget)
     if method == "factor":
-        return _scalar_orbits(_coprime_solutions(ext, form, e, "auto"),
-                              ext.q)
+        return _scalar_orbits(
+            _coprime_solutions(ext, form, e, "auto", prob.budget), ext.q)
     raise ConfigError(f"unknown counting method {method}")
 
 
@@ -323,28 +328,24 @@ def enumerate_lines(prob, ell: int = 1) -> int:
 
     total = 0
     for i, j, free1, free2 in _rref_plane_blocks(q, n):
-        nfree = len(free1) + len(free2)
-        block = q ** nfree
-        _charge(block * n, "line enumeration block")
-        row1 = [np.zeros(block, dtype=np.int32) for _ in range(n)]
-        row2 = [np.zeros(block, dtype=np.int32) for _ in range(n)]
-        row1[i][:] = one
-        row2[j][:] = one
-        idx = np.arange(block)
-        for pos, col in enumerate(free1 + free2):
-            digit = ((idx // q ** pos) % q).astype(np.int32)
-            if pos < len(free1):
-                row1[col] = digit
-            else:
-                row2[col] = digit
-        on_x = np.ones(block, dtype=bool)
-        for s, t in params:
-            coords = [add_t[mul_t[s, row1[k]], mul_t[t, row2[k]]]
-                      for k in range(n)]
-            on_x &= eval_form_batch(coords) == 0
-            if not on_x.any():
-                break
-        total += int(on_x.sum())
+        block = q ** (len(free1) + len(free2))
+        prob.budget.charge(block * n, "line enumeration block")
+        for start in range(0, block, _BOX_CHUNK):
+            idx = np.arange(start, min(start + _BOX_CHUNK, block))
+            # rows[k] and rows[n + k]: coordinate k of the two basis rows
+            rows = [np.zeros(len(idx), dtype=np.int32) for _ in range(2 * n)]
+            rows[i][:] = one
+            rows[n + j][:] = one
+            for pos, col in enumerate(free1 + [n + k for k in free2]):
+                rows[col] = ((idx // q ** pos) % q).astype(np.int32)
+            on_x = np.ones(len(idx), dtype=bool)
+            for s, t in params:
+                coords = [add_t[mul_t[s, rows[k]], mul_t[t, rows[n + k]]]
+                          for k in range(n)]
+                on_x &= eval_form_batch(coords) == 0
+                if not on_x.any():
+                    break
+            total += int(on_x.sum())
     return total
 
 

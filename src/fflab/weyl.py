@@ -149,11 +149,11 @@ def _charge_counts(prob: CountingProblem, shapes, phases: int):
     per_phase = sum(costs)
     fit = phases
     if per_phase:
-        fit = min(phases, (prob.budget - prob.budget_spent) // per_phase)
-    prob._charge(fit * per_phase, "approx-zero count")
+        fit = min(phases, prob.budget.left // per_phase)
+    prob.budget.charge(fit * per_phase, "approx-zero count")
     if fit < phases:
         for cost in costs:      # one of these overdraws
-            prob._charge(cost, "approx-zero count")
+            prob.budget.charge(cost, "approx-zero count")
 
 
 def approx_zero_counts(prob: CountingProblem, alphas, box_list,
@@ -352,7 +352,7 @@ def naive_approx_zero_count(prob: CountingProblem, alpha, box_list,
     q, n, form = spec.q, prob.n, prob.form
     _check_boxes(prob, box_list)
     width = sum(box_list) * n
-    prob._charge(q ** width, "naive approx-zero count")
+    prob.budget.charge(q ** width, "naive approx-zero count")
     assert q ** width < 1 << 63, "tuple numbers overflow int64"
     np_mul, np_add = spec.tables["np_mul"], spec.tables["np_add"]
     # a slot of box 0 holds the zero polynomial, one coefficient wide
@@ -454,8 +454,15 @@ def check_weyl_batch(prob: CountingProblem, alphas) -> list:
     budget is charged first (_charge_weyl); then the trace histograms of S
     are taken for all phases in one call, N is counted for all phases at
     once and the comparisons are decided together (compare_abs_powers)."""
-    d, n, q = prob.d, prob.n, prob.spec.q
     _charge_weyl(prob, len(alphas))
+    return _weyl_reports(prob, alphas)
+
+
+def _weyl_reports(prob: CountingProblem, alphas) -> list:
+    """check_weyl_batch on phases that _charge_weyl has charged already,
+    such as the chunks of a sweep: charges nothing once the phase
+    distribution is built, as _charge_weyl builds it."""
+    d, n, q = prob.d, prob.n, prob.spec.q
     hists = prob.exp_sum_histograms(alphas)
     n_counts = approx_zero_counts(prob, alphas, *_shape_N(prob))
     power = 1 << (d - 1)

@@ -265,7 +265,7 @@ def test_sum_table_charges_the_adds_of_its_transform(spec, n, table):
     with pytest.raises(BudgetExceededError) as err:
         prob.sum_table()
     assert (err.value.needed, err.value.what) == (table, "sum table build")
-    prob.budget = box + table
+    prob.budget.limit = box + table
     prob.sum_table()
     assert prob.budget_spent == box + table
 

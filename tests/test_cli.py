@@ -7,6 +7,7 @@ import pytest
 
 from fflab import moduli
 from fflab.circle import CountingProblem
+from fflab.errors import Budget
 from fflab.cli import main
 from fflab.reporting import parse_value, read_rows
 
@@ -117,7 +118,7 @@ def test_int64_overflow_exits_2_before_any_charge(tmp_path, capsys,
                                                   monkeypatch, task, n,
                                                   budget, what):
     charged = []
-    monkeypatch.setattr(CountingProblem, "_charge",
+    monkeypatch.setattr(Budget, "charge",
                         lambda self, cost, label: charged.append(label))
     body = CONE.replace("name = count-cone", f"name = {task}") \
         .replace("n = 2", f"n = {n}") + f"\n    [run]\n    budget = {budget}\n"
@@ -180,7 +181,8 @@ def test_seeded_rerun_is_byte_identical(tmp_path):
 
 
 def test_moduli_cell_cap_exits_3(tmp_path):
-    # the cone convolution needs more cells than the moduli cap allows
+    # the cone convolution over F_125 pairs two blocks of 125^3 tuples:
+    # about 3.8 10^12 support pairs, past the default budget of 10^9
     body = CONE.replace("n = 2", "n = 3").replace("e = 1", "e = 2") + \
         "    ell = 3\n"
     cfg = write_cfg(tmp_path, body)
@@ -189,6 +191,43 @@ def test_moduli_cell_cap_exits_3(tmp_path):
     rows = read_rows(str(tmp_path / "o" / "count-cone.csv"))
     assert rows[0]["out.status"] == "budget-exhausted"
     assert rows[0]["out.detail"] == "cone convolution"
+    assert parse_value(rows[0]["out.needed"]) == 125 ** 6
+
+
+@pytest.mark.parametrize("task,name,left,what", [
+    ("count-cone", "cone_fermat_q5", 10, "cone convolution"),
+    # the factor route's e = 0 fold: 5 is spent on the first block's walk
+    ("count-morphisms", "morphisms_surface_q5", 5, "cone convolution"),
+    ("langweil-report", "langweil_surface_q5", 10, "cone convolution"),
+    ("lattice-minima", "lattice_q5", 10, "ball count system"),
+    ("ratio-lemma", "ratio_q5", 10, "ball count system"),
+    ("cape-lemma", "cape_q5", 10, "ball count system"),
+])
+def test_moduli_and_lattice_tasks_charge_the_run_budget(tmp_path, task, name,
+                                                        left, what):
+    # every task charges [run] budget: the shipped config at budget = 10
+    # exits 3 on the charge that overdraws it, with the same bytes at any
+    # worker count
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        f"{name}.cfg")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if "[run]" in text:
+        text = text.replace("[run]", "[run]\nbudget = 10")
+    else:
+        text += "\n[run]\nbudget = 10\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main([task, "--config", str(cfg), "--workers", workers,
+                     "--out", str(out)]) == 3
+        reports.append((out / f"{task}.csv").read_bytes())
+    assert reports[0] == reports[1]
+    [row] = read_rows(str(tmp_path / "1" / f"{task}.csv"))
+    assert (row["out.status"], row["out.budget"], row["out.detail"]) == \
+        ("budget-exhausted", str(left), what)
 
 
 @pytest.mark.parametrize("ell", [5, 7])
@@ -225,7 +264,7 @@ def test_pointwise_beta_past_the_tail_depth_exits_2(tmp_path, capsys):
 def test_scalar_orbit_failure_exits_1(tmp_path, monkeypatch):
     # a coprime count that F_q^* does not divide is a failed invariant
     monkeypatch.setattr(moduli, "_coprime_solutions",
-                        lambda spec, form, e, method: 1)
+                        lambda spec, form, e, method, budget: 1)
     cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                        "morphisms_surface_q5.cfg")
     code = main(["count-morphisms", "--config", cfg,

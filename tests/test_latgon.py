@@ -161,6 +161,16 @@ def test_count_NaZ_below_window_is_a_precision_error(spec5):
         skew_counts(spec5, [([[g]], 3, 0)])
 
 
+def test_gammas_of_two_sizes_share_one_call(spec5):
+    # the top degrees come from one stack, the 1 x 1 gamma padded with
+    # exact zeros
+    one = random_symmetric_gamma(spec5, 1, 4)
+    two = random_symmetric_gamma(spec5, 2, 5)
+    requests = [(one, 1, 0), (two, Fraction(3, 2), -1), (one, 2, -1)]
+    assert skew_counts(spec5, requests) == \
+        [skew_counts(spec5, [request])[0] for request in requests]
+
+
 def test_nonsquare_matrix_rejected(spec5):
     one = LaurentElement.monomial(spec5, 0)
     with pytest.raises(ConfigError):
@@ -168,16 +178,17 @@ def test_nonsquare_matrix_rejected(spec5):
 
 
 def test_counts_past_the_unknowns_cap_are_budget_records(spec5):
-    # 2 coordinates times 9000 coefficients each: 18000 > 2^14 unknowns
+    # 2 coordinates times 9000 coefficients each: 18000 unknowns, whose
+    # elimination work 18000^3 is past the default budget of 10^9
     with pytest.raises(BudgetExceededError) as exc:
         ball_counts([(diagonal_lattice(spec5, [0, 0]), 9000)])
     assert (exc.value.needed, exc.value.budget, exc.value.what) == \
-        (18000, 1 << 14, "lattice count unknowns")
+        (18000 ** 3, 10 ** 9, "ball count system")
     # |u| < q^9001 and |u'| < q^8999: 9001 + 8999 unknowns
     with pytest.raises(BudgetExceededError) as exc:
         skew_counts(spec5, [([[_zero(spec5)]], 1, 9000)])
     assert (exc.value.needed, exc.value.budget, exc.value.what) == \
-        (18000, 1 << 14, "skew box count unknowns")
+        (18000 ** 3, 10 ** 9, "skew count system")
 
 
 def test_field_indices_must_fit_int16():
@@ -299,9 +310,9 @@ def test_lattice_oracle_work_is_pinned(monkeypatch):
     radii, ranked = [], []
     balls, rank = latgon._ball_systems, linalg.batched_rank
 
-    def counting_balls(requests):
+    def counting_balls(requests, budget):
         radii.append(len(requests))
-        return balls(requests)
+        return balls(requests, budget)
 
     def counting_rank(spec, mats):
         ranked.append(mats.shape)
@@ -418,9 +429,9 @@ def test_capes_convert_each_gamma_once(spec5, monkeypatch):
     built = []
     systems = latgon._skew_systems
 
-    def counting(items):
+    def counting(items, budget):
         built.append(len(items))
-        return systems(items)
+        return systems(items, budget)
 
     monkeypatch.setattr(latgon, "_skew_systems", counting)
     rows = [_element_rows(random_symmetric_gamma(spec5, 2, seed))
@@ -485,9 +496,9 @@ def test_thresholds_match_a_fraction_oracle(spec5, monkeypatch):
     seen = []
     systems = latgon._skew_systems
 
-    def recording(items):
+    def recording(items, budget):
         seen.extend((d1, v2) for _, _, d1, v2 in items)
-        return systems(items)
+        return systems(items, budget)
 
     monkeypatch.setattr(latgon, "_skew_systems", recording)
     gamma = random_symmetric_gamma(spec5, 2, 3)

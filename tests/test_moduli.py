@@ -8,7 +8,7 @@ import pytest
 
 from fflab import forms, moduli
 from fflab.circle import CountingProblem
-from fflab.errors import ConfigError
+from fflab.errors import Budget, ConfigError
 from fflab.fields import FieldSpec
 from fflab.forms import BoxKernel, fermat_form, symmetrize
 from fflab.harness import load_config, run_task
@@ -185,7 +185,8 @@ def test_enumerate_route_matches_the_gcd_oracle(spec5):
             gcd_coprime([BinaryForm(spec5, e, space[c]) for c in row])
             for codes, images in BoxKernel(form, e).box()
             for row in codes[~images.any(axis=1)].tolist())
-        assert moduli._morphisms_enumerate(spec5, form, e) * 4 == oracle
+        assert moduli._morphisms_enumerate(spec5, form, e, Budget()) * 4 \
+            == oracle
 
 
 def test_morphism_counts_make_no_gcd_call(spec5, monkeypatch):
@@ -225,7 +226,7 @@ TWO_MIXED = {(3, 0, 0, 0): 1, (2, 1, 0, 0): 1, (0, 3, 0, 0): 2,
 TWO_BLOCK_TERNARY = {(3, 0, 0): 1, (1, 2, 0): 3, (0, 3, 0): 2, (0, 0, 3): 4}
 
 
-# n = 4 stops at e = 1: its e = 2 box has 5^12 tuples, past _MAX_CELLS.
+# n = 4 stops at e = 1: its e = 2 box has 5^12 tuples, too many to walk here.
 # Fermat forms are given by n, the rest by their monomials
 @pytest.mark.parametrize("ell,n,e,total", [
     pytest.param(1, 2, 1, None, id="1-2-1"),
@@ -267,11 +268,12 @@ def test_counts_do_not_depend_on_block_sizes(spec5, monkeypatch, size):
         return ([a.tolist() for dist in prob.phase_distribution()
                  for a in dist],
                 total_solutions(spec5, mixed, 1, method="enumerate"),
-                moduli._morphisms_enumerate(spec5, mixed, 1),
+                moduli._morphisms_enumerate(spec5, mixed, 1, Budget()),
                 total_solutions(spec5, surface, 1, method="convolve"))
 
     want = counts()
     assert want[3] == 2185
     monkeypatch.setattr(forms, "_BOX_CHUNK", size)
     monkeypatch.setattr(forms, "_FOLD_BLOCK", size)
+    monkeypatch.setattr(forms, "_MERGE_PENDING", size)
     assert counts() == want

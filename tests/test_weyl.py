@@ -7,13 +7,13 @@ from math import prod
 import numpy as np
 import pytest
 
-from fflab import weyl
+from fflab import circle, harness, weyl
 from fflab.audit import kappa_of
 from fflab.circle import CountingProblem
 from fflab.cyclotomic import compare_abs_power
 from fflab.fields import FieldSpec
 from fflab.forms import fermat_form, parse_form_file, symmetrize
-from fflab.harness import _weyl_chunk, load_config
+from fflab.harness import _weyl_chunk, build_problem, load_config, run_task
 from fflab.laurent import LaurentElement
 from fflab.linalg import batched_rank
 from fflab.weyl import (_shape_N, _shape_N_eta, approx_zero_counts,
@@ -428,12 +428,35 @@ def test_one_sweep_chunk_ranks_one_matrix_per_line(ranked):
     config = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
                                       "configs", "weyl_sweep_q5.cfg"))
     tails = list(itertools.product(range(5), repeat=4))
-    out = _weyl_chunk(config, tails)
+    out = _weyl_chunk(build_problem(config), tails)
     assert len(out) == 625 and all(row[1] for row in out)
     # the 625 phases fall into 1 + 624/4 = 157 F_5^*-classes, each ranked
     # once on the (5^2 - 1) / 4 = 6 lines of prefixes of x^3, the one form
     # of both one-variable blocks
     assert sum(ranked) == 157 * 6 == 942
+
+
+def test_one_worker_sweep_builds_its_problem_and_distribution_once(
+        monkeypatch):
+    # the chunks read the problem the sweep charged, with its phase
+    # distribution: nothing is rebuilt or charged again per chunk
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(harness, "build_problem",
+                        counted("problem", harness.build_problem))
+    monkeypatch.setattr(circle, "block_distributions",
+                        counted("distribution", circle.block_distributions))
+    config = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                      "configs", "weyl_sweep_q5.cfg"),
+                         workers=1)
+    assert run_task(config).status == "pass"
+    assert sorted(calls) == ["distribution", "problem"]
 
 
 def test_mixed_sweep_ranks_one_matrix_per_line_of_its_one_block(ranked):
