@@ -232,7 +232,9 @@ def _phase_classes(spec, tails):
     return reps.astype(np.int64), where.reshape(-1)
 
 
-# matrix entries per batched_rank call; bounds the working set of a batch
+# matrix entries per batched_rank call; bounds the working set of a batch.
+# The kernel's peak is its batch-last copy of the stack plus one step
+# temporary of at most as many entries: 2 MiB in int16 at 2^19 entries.
 _MAX_BATCH_ENTRIES = 1 << 19
 
 

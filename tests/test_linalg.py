@@ -3,13 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
+from fflab import latgon, linalg, moduli, weyl
 from fflab.fields import FieldSpec
 from fflab.linalg import batched_nullspace, batched_poly_rank, batched_rank
 from fflab.polys import Polynomial
 
-FIELDS = [(5, 1), (5, 2), (181, 1), (191, 1)]
-SHAPES = [(40, 4, 4), (30, 5, 7), (20, 7, 3), (5, 0, 3), (5, 3, 0),
-          (0, 3, 3)]
+# prime fields take the lazy update, the others the table update
+FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (5, 2), (181, 1),
+          (191, 1)]
+SHAPES = [(40, 4, 4), (30, 5, 7), (20, 7, 3), (25, 1, 6), (5, 0, 3),
+          (5, 3, 0), (0, 3, 3)]
 
 
 def _eliminate(spec, rows, above: bool):
@@ -179,11 +182,45 @@ def _check_both_kernels(spec, mats):
 @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
 @pytest.mark.parametrize("p", [5, 191])
 def test_kernels_leave_their_input_unchanged(p, dtype):
-    # an int16 stack over F_5 is the kernel's own dtype, so batched_rank
-    # reads it without a copy
+    # an int16 stack over F_5 has the kernels' own dtype, so only their
+    # copy keeps them from writing into it; one-row stacks too
     spec = FieldSpec(p)
-    mats = _sparse_stack(spec, np.random.default_rng(5), (30, 4, 5))
-    _check_both_kernels(spec, mats.astype(dtype))
+    for shape in [(30, 4, 5), (30, 1, 5)]:
+        mats = _sparse_stack(spec, np.random.default_rng(5), shape)
+        _check_both_kernels(spec, mats.astype(dtype))
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_kernels_leave_a_fancy_indexed_view_unchanged(spec5, rows):
+    # an int16 Hankel stack cut by fancy indexing, as the complexity
+    # profile's test builds it: its batch-last transpose is already
+    # contiguous at the kernels' dtype, so a kernel that took it as its
+    # working copy would write the caller's digits
+    digits = _sparse_stack(spec5, np.random.default_rng(rows), (60, 7))
+    digits = digits.astype(np.int16)
+    hankel = digits[:, np.arange(rows)[:, None] + np.arange(8 - rows)]
+    assert hankel.transpose(1, 2, 0).flags.c_contiguous
+    _check_both_kernels(spec5, hankel)
+
+
+@pytest.mark.parametrize("p,ncols,dtype", [(5, 2047, np.int16),
+                                           (5, 2048, np.int32),
+                                           (2, 1, np.int16)])
+def test_kernels_at_the_lazy_bound(p, ncols, dtype):
+    # (p-1)(1 + C(p-1)) fits int16 up to C = 2047 over F_5; F_2 with one
+    # column is the smallest prime field and stack
+    spec = FieldSpec(p)
+    mats = _sparse_stack(spec, np.random.default_rng(ncols), (3, 3, ncols))
+    mats[0, 2] = mats[0, 0] + mats[0, 1]
+    assert linalg._batch_last(spec, mats)[1].dtype == dtype
+    _check_both_kernels(spec, mats % p)
+
+
+def test_modules_rank_through_the_linalg_kernels():
+    # the benchmark's tracer wraps these names where they are looked up
+    assert weyl.batched_rank is moduli.batched_rank is batched_rank
+    assert latgon.batched_rank is batched_rank
+    assert latgon.batched_nullspace is batched_nullspace
 
 
 def test_used_pivot_row_is_never_picked_again(spec5):
