@@ -14,25 +14,32 @@ S over theta representatives at character depth B = de+1:  S(alpha) only
 depends on the coefficients of alpha at t^{-1},...,t^{-B} because
 deg(F(x)) <= de.  Everything lands in Z[zeta_p], compared bit-exactly.
 
-S on a list of phases has one fast route,
-CountingProblem.exp_sum_histograms (exp_sums folds its integer rows into
-Q(zeta_p)), and one oracle, _exp_sum_direct, which walks the whole box
-jointly and traces every image.  The route reads S off the distribution
-of each distinct block form's coefficient vectors over its own box
-(forms.block_distributions over form.parts), built once per problem: for
-a stack of tails its kernel (_histograms) accumulates <c, tail> over each
-support through the field tables, counts it by the trace of each value,
-and convolves the blocks' trace histograms over F_p, since the trace of a
-sum over disjoint variables is the sum of the traces.
+S on a list of phases has one oracle, _exp_sum_direct, which walks the
+whole box jointly and traces every image, and two routes, one per density
+of the list.  Both read the distribution of each distinct block form's
+coefficient vectors over its own box (forms.block_distributions over
+form.parts), built once per problem.  CountingProblem.exp_sum_histograms
+(exp_sums folds its integer rows into Q(zeta_p)) charges nothing: it reads
+S off the sum table when one is built, and otherwise goes through the
+kernel, _histograms.  For a stack of tails the kernel accumulates
+<c, tail> over each support through the field tables, counts it by the
+trace of each value, and convolves the blocks' trace histograms over F_p,
+since the trace of a sum over disjoint variables is the sum of the
+traces: 2B + 1 table gathers, p compares and p multiply-adds per (tail,
+support point) cell (_kernel_cost).
 
-S on all q^B tails, the sum table, has one fast route, sum_table, with
-that kernel as its oracle in tests.  Per distinct block form it takes the
+The sum table, S on all q^B tails, has one fast route, sum_table, with
+the kernel as its oracle in tests.  Per distinct block form it takes the
 exact character transform of the distribution over F_q^B = (Z/p)^(fB)
 (_character_transform): the keys go to trace-dual coordinates, and each
 of the fB axes is transformed by p cyclic shifts per cell, as a
 Walsh-Hadamard transform is.  That is f B q^B p^2 integer adds whatever
-the support size, in two (q^B, p) int64 arrays, and it is what the table
-is charged, before any work; the blocks are then convolved per tail.
+the support size (_table_cost), in two (q^B, p) int64 arrays, and it is
+what the table is charged, before any work; the blocks are then convolved
+per tail.  The dissection always builds it.  A weyl sweep builds it when
+it costs no more than the kernel on the sweep's phases, where the sweep
+charges them, before it fans out (weyl._charge_weyl): full sweeps read
+the table, sparse lists (a limit, one alpha) keep the kernel.
 
 The dissection has one fast route, CountingProblem.degree_subtotals, and
 one oracle in tests, the divisor-count identity of the delta method: each
@@ -289,13 +296,35 @@ class CountingProblem:
         int64 array of shape (phases, p) in input order: row a counts the
         box points x with tr <coeffs F(x), tail_a> = v, so S(alpha_a) =
         sum_v row[v] zeta^v.  A phase is a LaurentElement exact to depth B
-        or a depth-B tail tuple; the stacked tails go through the kernel
-        (_histograms).  Charges nothing beyond the phase distribution."""
+        or a depth-B tail tuple.  Once sum_table is built the rows are read
+        off it, at tails @ q^arange(B); until then the stacked tails go
+        through the kernel (_histograms).  Which route a list takes is
+        decided by whoever builds the table, never here, and nothing is
+        charged beyond the phase distribution."""
         tails = [self._tail(alpha) for alpha in alphas]
         if not tails:
             return np.zeros((0, self.spec.p), dtype=np.int64)
-        return self._histograms(np.array(tails, dtype=np.int16).reshape(
-            len(tails), self.char_depth))
+        stack = np.array(tails, dtype=np.int16).reshape(len(tails),
+                                                        self.char_depth)
+        if self._sum_table is not None:
+            return self._sum_table[stack @ self.spec.q ** np.arange(
+                self.char_depth)]
+        return self._histograms(stack)
+
+    def _kernel_cost(self, phases: int) -> int:
+        """The array operations of _histograms on `phases` tails: 2B + 1
+        table gathers, p compares and p multiply-adds per (tail, support
+        point) cell of each distinct block form."""
+        blocks = dict(zip(self.form.parts, self.phase_distribution()))
+        support = sum(len(keys) for keys, _ in blocks.values())
+        return phases * support * (2 * self.char_depth + 1 + 2 * self.spec.p)
+
+    def _table_cost(self) -> int:
+        """What sum_table is charged: f B q^B p^2 adds per distinct block
+        form."""
+        spec, B = self.spec, self.char_depth
+        parts = len(set(self.form.parts))
+        return parts * spec.f * B * spec.q ** B * spec.p ** 2
 
     def _histograms(self, stack: np.ndarray) -> np.ndarray:
         """The S kernel: for a (tails x B) stack of depth-B tails, the int64
@@ -357,17 +386,17 @@ class CountingProblem:
         the base-q digits of i, first digit fastest.  Each distinct block
         form's distribution goes through the exact character transform
         over F_q^B (_character_transform), and the blocks are convolved
-        per tail.  Charged its adds, f B q^B p^2 per distinct block form,
-        before any work.  A transform holds two (q^B, p) int64 arrays; a
-        convolution step holds the block tables, the running product, the
-        next one and a product temporary smaller than one more.
+        per tail.  Charged its adds, f B q^B p^2 per distinct block form
+        (_table_cost), before any work, once.  A transform holds two
+        (q^B, p) int64 arrays; a convolution step holds the block tables,
+        the running product, the next one and a product temporary smaller
+        than one more.  Once built, exp_sum_histograms reads S off it.
         _histograms is its oracle in tests."""
         if self._sum_table is None:
             spec = self.spec
-            q, p, B = spec.q, spec.p, self.char_depth
+            q, B = spec.q, self.char_depth
             blocks = dict(zip(self.form.parts, self.phase_distribution()))
-            self.budget.charge(len(blocks) * spec.f * B * q ** B * p * p,
-                               "sum table build")
+            self.budget.charge(self._table_cost(), "sum table build")
             # a block entry is at most its block's box, a convolved row
             # sums to the whole box
             assert q ** (self.box * self.n) < 1 << 63, \

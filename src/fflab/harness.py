@@ -339,7 +339,8 @@ def _run_major(config: RunConfig):
 def _weyl_chunk(prob: CountingProblem, tails):
     """The reports of one chunk of a sweep, on the problem that charged the
     whole sweep; a worker process gets it pickled with its phase
-    distribution, so nothing is rebuilt or charged again."""
+    distribution and, when S is read off it, its sum table, so nothing is
+    rebuilt or charged again."""
     return [(tail, rep.passed, rep.details["N"], rep.details["bound"],
              rep.details["cmp"])
             for tail, rep in zip(tails, _weyl_reports(prob, tails))]

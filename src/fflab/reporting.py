@@ -29,7 +29,6 @@ __all__ = ["FORMATS", "ReportRecord", "serialize_value", "parse_value",
            "flatten_records", "emit_report", "write_report", "read_rows"]
 
 FORMATS = ("csv", "jsonl")
-_BASE_COLUMNS = ("task", "passed", "budget_spent")
 
 _INT_RE = re.compile(r"-?\d+\Z")
 _FRAC_RE = re.compile(r"-?\d+/-?\d+\Z")

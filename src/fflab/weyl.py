@@ -62,12 +62,15 @@ a Kronecker prefix, so W f (p - 1)^2 < 2^62 bounds it; this is asserted next
 to the product.
 
 A fully naive enumerator (no linear algebra: every Psi_i evaluated on
-every tuple, the norm conditions tested directly) is kept as the
-independent oracle.
+every tuple, the norm conditions tested directly) is the independent
+oracle, in the tests.
 
 The Weyl comparison |S|^(2^(d-1)) <= bound goes through one route,
 compare_abs_powers.  It reads S as its integer trace histogram h
-(CountingProblem.exp_sum_histograms, never folded into Q(zeta_p)), forms
+(CountingProblem.exp_sum_histograms, never folded into Q(zeta_p)): off
+the sum table when _charge_weyl has built it, because the table's adds
+cost no more than the kernel's work on the phase list (a full sweep),
+and through the kernel otherwise (a limit, one alpha).  It forms
 the autocorrelation c_k = sum_v h_v h_(v+k), evaluates |S|^2 = sum_k c_k
 cos(2 pi k / p) in float64 for all phases at once with a stated error
 bound, and decides every phase whose interval lies on one side of the
@@ -78,7 +81,8 @@ which is also the oracle of the float decision in tests.
 Every count charges the problem's budget with its number of prefix tuples
 before any work.  approx_zero_counts itself charges nothing: its callers
 (check_weyl_batch, check_shrink_batch) charge every phase first, in the
-order a loop of one-phase checks would (_charge_counts).
+order a loop of one-phase checks would (_charge_counts), and a Weyl check
+charges the sum table before them when it reads S off it.
 
 Instances: N (boxes e+1, m = e+1) and N_eta (boxes (e+1)eta, m =
 (e+1)(d - (d-1)eta)).
@@ -87,7 +91,6 @@ Instances: N (boxes e+1, m = e+1) and N_eta (boxes (e+1)eta, m =
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -99,8 +102,6 @@ from .audit import eta_choice, gamma_budget, kappa_of
 from .circle import ArcPoint, CountingProblem
 from .cyclotomic import CyclotomicValue, compare_abs_power
 from .errors import ConfigError, PrecisionError
-from .forms import _mul_rows
-from .laurent import LaurentElement
 from .linalg import batched_rank
 from .polys import Polynomial
 
@@ -339,68 +340,6 @@ def _condition_matrices(spec, reps, kmat, nrows, ncols) -> np.ndarray:
     return amat.astype(np.int16).reshape(-1, nrows, ncols)
 
 
-# tuples per block of the naive oracle; bounds its working set
-_NAIVE_CHUNK = 1 << 16
-
-
-def naive_approx_zero_count(prob: CountingProblem, alpha, box_list,
-                            m: int) -> int:
-    """Independent oracle: enumerate every tuple, evaluate every Psi_i on
-    it from form.tensor and test the coefficients of t^-1..t^-m of
-    alpha Psi_i(u) directly.  No linear algebra; the tuples go through the
-    numpy field tables _NAIVE_CHUNK at a time.  Exponentially slower than
-    approx_zero_counts; test use only."""
-    spec = prob.spec
-    q, n, form = spec.q, prob.n, prob.form
-    _check_boxes(prob, box_list)
-    width = sum(box_list) * n
-    prob.budget.charge(q ** width, "naive approx-zero count")
-    assert q ** width < 1 << 63, "tuple numbers overflow int64"
-    np_mul, np_add = spec.tables["np_mul"], spec.tables["np_add"]
-    # a slot of box 0 holds the zero polynomial, one coefficient wide
-    sizes = [max(c, 1) for c in box_list]
-    length = sum(sizes) - len(sizes) + 1     # coefficients of Psi_i(u)
-    if isinstance(alpha, tuple):
-        alpha = LaurentElement.from_tail(spec, alpha)
-    # the t^-k coefficient of alpha P is sum_l P_l alpha_(-k-l)
-    tail = [alpha.coeff(-s) for s in range(1, m + length)]
-    # Psi_i = sum c u_1[j_1] ... u_(d-1)[j_(d-1)] over the orderings
-    # (j_1, ..., j_(d-1), i) of every monomial of the tensor that holds i
-    terms = []
-    for rep, c in form.tensor.items():
-        for i in set(rep):
-            rest = list(rep)
-            rest.remove(i)
-            terms += [(i, c, js) for js in set(itertools.permutations(rest))]
-    starts = np.cumsum([0] + list(box_list)) * n
-    count = 0
-    for lo in range(0, q ** width, _NAIVE_CHUNK):
-        flat = np.arange(lo, min(lo + _NAIVE_CHUNK, q ** width),
-                         dtype=np.int64)
-        digits = (flat[:, None] // q ** np.arange(width) % q).astype(np.int16)
-        # slots[j][:, k] = the coefficients of coordinate k of u_j
-        slots = []
-        for j, c in enumerate(box_list):
-            slot = np.zeros((len(flat), n, sizes[j]), dtype=np.int16)
-            slot[:, :, :c] = digits[:, starts[j]:starts[j + 1]].reshape(
-                len(flat), n, c)
-            slots.append(slot)
-        psi = np.zeros((n, len(flat), length), dtype=np.int16)
-        for i, c, js in terms:
-            value = np.full((len(flat), 1), c, dtype=np.int16)
-            for slot, j in zip(slots, js):
-                value = _mul_rows(spec, value, slot[:, j])
-            psi[i] = np_add[psi[i], value]
-        ok = np.ones(len(flat), dtype=bool)
-        for k in range(m):
-            coeff = np.zeros((n, len(flat)), dtype=np.int16)
-            for l in range(length):
-                coeff = np_add[coeff, np_mul[psi[:, :, l], tail[k + l]]]
-            ok &= (coeff == 0).all(axis=0)
-        count += int(ok.sum())
-    return count
-
-
 # -- the named counters ------------------------------------------------------------
 
 
@@ -438,38 +377,47 @@ class InequalityReport:
 
 
 def _charge_weyl(prob: CountingProblem, phases: int):
-    """Charge the budget of check_weyl_batch on `phases` phases, in the
-    order a loop of one-phase checks would: the phase distribution that S
-    is read from (once, with the first phase), then one count of N per
-    phase.  A sweep charges its whole tail list this way before it fans
-    out, so its status does not depend on how the tails are chunked.  A
-    box whose square reaches 2^63 is refused first (ConfigError)."""
+    """Charge the budget of check_weyl_batch on `phases` phases and choose
+    the route S takes on them.  In order: the phase distribution that S is
+    read from (once, with the first phase); then the sum table, built here,
+    when its adds cost no more than the kernel's work on `phases` tails
+    (CountingProblem._table_cost against _kernel_cost; otherwise S goes
+    through the kernel and is charged nothing more); then one count of N
+    per phase, as a loop of one-phase checks would charge them.  A sweep
+    charges its whole tail list this way before it fans out, and its chunks
+    get the table pickled with the problem, so neither its status nor its
+    route depends on how the tails are chunked.  A box whose square
+    reaches 2^63 is refused first (ConfigError)."""
     prob._refuse_past_int64(2 * prob.box * prob.n, "autocorrelation")
     if phases:
         prob.phase_distribution()
+        if prob._table_cost() <= prob._kernel_cost(phases):
+            prob.sum_table()
     _charge_counts(prob, [_shape_N(prob)], phases)
 
 
 def check_weyl_batch(prob: CountingProblem, alphas) -> list:
     """|S(alpha)|^(2^(d-1)) <= |P|^((2^(d-1)-d+1)n) N(alpha), exactly, at
     every phase of `alphas`, as InequalityReports in input order.  The
-    budget is charged first (_charge_weyl); then the trace histograms of S
-    are taken for all phases in one call, N is counted for all phases at
-    once and the comparisons are decided together (compare_abs_powers)."""
+    budget is charged and S's route chosen first (_charge_weyl); then the
+    trace histograms of S are taken for all phases in one call, N is
+    counted for all phases at once and the comparisons are decided
+    together (compare_abs_powers)."""
     _charge_weyl(prob, len(alphas))
     return _weyl_reports(prob, alphas)
 
 
 def _weyl_reports(prob: CountingProblem, alphas) -> list:
     """check_weyl_batch on phases that _charge_weyl has charged already,
-    such as the chunks of a sweep: charges nothing once the phase
-    distribution is built, as _charge_weyl builds it."""
+    such as the chunks of a sweep: charges nothing, since _charge_weyl has
+    built the phase distribution, and the sum table when S is read off it."""
     d, n, q = prob.d, prob.n, prob.spec.q
     hists = prob.exp_sum_histograms(alphas)
     n_counts = approx_zero_counts(prob, alphas, *_shape_N(prob))
     power = 1 << (d - 1)
     exp = (prob.e + 1) * (power - d + 1) * n
-    bounds = [Fraction(q) ** exp * n_count for n_count in n_counts]
+    scale = Fraction(q) ** exp
+    bounds = [scale * n_count for n_count in n_counts]
     cmps = compare_abs_powers(prob, hists, power, bounds)
     return [InequalityReport(
         cmp <= 0, "weyl", f"|S|^{power}", f"q^{exp} * N",
@@ -583,9 +531,10 @@ def check_shrink_batch(prob: CountingProblem, alphas, eta) -> list:
                     approx_zero_counts(prob, alphas, *small_shape))
     exp = (prob.e + 1) * (prob.d - 1) * prob.n * (1 - eta)
     assert exp.denominator == 1
+    scale = Fraction(prob.spec.q) ** int(exp)
     reports = []
     for big_n, small_n in zip(big_counts, small_counts):
-        rhs = Fraction(prob.spec.q) ** int(exp) * small_n
+        rhs = scale * small_n
         reports.append(InequalityReport(
             big_n <= rhs, "shrink",
             "N", f"q^{int(exp)} * N_eta",

@@ -169,6 +169,13 @@ def test_sum_table_matches_kernel(spec, make):
     # those of i, first fastest
     assert (table.sum(axis=1) == q ** (prob.box * prob.n)).all()
     assert (table[rows] == kernel).all()
+    # once the table is built, exp_sum_histograms reads S off it: every tail
+    # in itertools.product order (last digit fastest; the kernel's tails
+    # above run first digit fastest) gives the kernel's row.  S is the same
+    # at a tail and at its reverse (x(t) -> t^e x(1/t) reverses every F(x)
+    # of the box), so a reversed digit order would pass; a rolled one fails
+    listed = prob.exp_sum_histograms(itertools.product(range(q), repeat=B))
+    assert (listed[tails @ q ** np.arange(B - 1, -1, -1)] == kernel).all()
     # the int64 bound of each block's transform: an entry is at most the
     # block's box, which every row sums to
     for part, (keys, counts) in zip(prob.form.parts,

@@ -272,9 +272,12 @@ def _budget_record(path):
 
 @pytest.mark.parametrize("short", [1, 390000])
 def test_weyl_budget_record_follows_charge_order(tmp_path, short):
-    # per phase, in order: S (the phase distribution, charged once), then N
+    # S once, before any count: the phase distribution, then the sum table
+    # (f B q^B p^2 adds, which cost no more than the kernel on the full
+    # sweep); then N per phase
     q, n, box = 5, 2, 2
-    charges = [(q ** (box * n), "phase distribution build")]
+    charges = [(q ** (box * n), "phase distribution build"),
+               (4 * q ** 4 * q ** 2, "sum table build")]
     charges += [(q ** (box * n), "approx-zero count")] * q ** 4
     budget = sum(cost for cost, _ in charges) - short
     text = BASE.replace("name = count-cone", "name = weyl-check") + \

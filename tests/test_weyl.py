@@ -10,20 +10,87 @@ import pytest
 from fflab import circle, harness, weyl
 from fflab.audit import kappa_of
 from fflab.circle import CountingProblem
+from fflab.cli import main
 from fflab.cyclotomic import compare_abs_power
+from fflab.errors import Budget
 from fflab.fields import FieldSpec
-from fflab.forms import fermat_form, parse_form_file, symmetrize
+from fflab.forms import _mul_rows, fermat_form, parse_form_file, symmetrize
 from fflab.harness import _weyl_chunk, build_problem, load_config, run_task
 from fflab.laurent import LaurentElement
 from fflab.linalg import batched_rank
-from fflab.weyl import (_shape_N, _shape_N_eta, approx_zero_counts,
-                        canonical_point, canonical_shape_report,
-                        check_shrink_batch, check_weyl_batch, eta_from_arc,
-                        measure_pointwise, naive_approx_zero_count)
+from fflab.weyl import (_check_boxes, _shape_N, _shape_N_eta,
+                        approx_zero_counts, canonical_point,
+                        canonical_shape_report, check_shrink_batch,
+                        check_weyl_batch, eta_from_arc, measure_pointwise)
 
 
 def tail_alpha(prob, tail):
     return LaurentElement.from_tail(prob.spec, tail)
+
+
+# -- the naive oracle of the approximate-zero counts ------------------------------
+
+
+# tuples per block of the naive oracle; bounds its working set
+_NAIVE_CHUNK = 1 << 16
+
+
+def naive_approx_zero_count(prob: CountingProblem, alpha, box_list,
+                            m: int) -> int:
+    """Independent oracle: enumerate every tuple, evaluate every Psi_i on
+    it from form.tensor and test the coefficients of t^-1..t^-m of
+    alpha Psi_i(u) directly.  No linear algebra; the tuples go through the
+    numpy field tables _NAIVE_CHUNK at a time.  Exponentially slower than
+    approx_zero_counts."""
+    spec = prob.spec
+    q, n, form = spec.q, prob.n, prob.form
+    _check_boxes(prob, box_list)
+    width = sum(box_list) * n
+    prob.budget.charge(q ** width, "naive approx-zero count")
+    assert q ** width < 1 << 63, "tuple numbers overflow int64"
+    np_mul, np_add = spec.tables["np_mul"], spec.tables["np_add"]
+    # a slot of box 0 holds the zero polynomial, one coefficient wide
+    sizes = [max(c, 1) for c in box_list]
+    length = sum(sizes) - len(sizes) + 1     # coefficients of Psi_i(u)
+    if isinstance(alpha, tuple):
+        alpha = LaurentElement.from_tail(spec, alpha)
+    # the t^-k coefficient of alpha P is sum_l P_l alpha_(-k-l)
+    tail = [alpha.coeff(-s) for s in range(1, m + length)]
+    # Psi_i = sum c u_1[j_1] ... u_(d-1)[j_(d-1)] over the orderings
+    # (j_1, ..., j_(d-1), i) of every monomial of the tensor that holds i
+    terms = []
+    for rep, c in form.tensor.items():
+        for i in set(rep):
+            rest = list(rep)
+            rest.remove(i)
+            terms += [(i, c, js) for js in set(itertools.permutations(rest))]
+    starts = np.cumsum([0] + list(box_list)) * n
+    count = 0
+    for lo in range(0, q ** width, _NAIVE_CHUNK):
+        flat = np.arange(lo, min(lo + _NAIVE_CHUNK, q ** width),
+                         dtype=np.int64)
+        digits = (flat[:, None] // q ** np.arange(width) % q).astype(np.int16)
+        # slots[j][:, k] = the coefficients of coordinate k of u_j
+        slots = []
+        for j, c in enumerate(box_list):
+            slot = np.zeros((len(flat), n, sizes[j]), dtype=np.int16)
+            slot[:, :, :c] = digits[:, starts[j]:starts[j + 1]].reshape(
+                len(flat), n, c)
+            slots.append(slot)
+        psi = np.zeros((n, len(flat), length), dtype=np.int16)
+        for i, c, js in terms:
+            value = np.full((len(flat), 1), c, dtype=np.int16)
+            for slot, j in zip(slots, js):
+                value = _mul_rows(spec, value, slot[:, j])
+            psi[i] = np_add[psi[i], value]
+        ok = np.ones(len(flat), dtype=bool)
+        for k in range(m):
+            coeff = np.zeros((n, len(flat)), dtype=np.int16)
+            for l in range(length):
+                coeff = np_add[coeff, np_mul[psi[:, :, l], tail[k + l]]]
+            ok &= (coeff == 0).all(axis=0)
+        count += int(ok.sum())
+    return count
 
 
 # -- frozen counter values (q = 5, d = 3, n = 2, e = 1) ----------------------------
@@ -457,6 +524,55 @@ def test_one_worker_sweep_builds_its_problem_and_distribution_once(
                          workers=1)
     assert run_task(config).status == "pass"
     assert sorted(calls) == ["distribution", "problem"]
+
+
+@pytest.mark.parametrize("limit,labels", [
+    # all 625 tails: the table's 4 * 5^4 * 5^2 adds cost less than the
+    # kernel's 625 * 25 * (2 * 4 + 1 + 2 * 5) operations
+    (None, ["phase distribution build", "sum table build",
+            "approx-zero count"]),
+    # two tails keep the kernel, which is charged nothing
+    (2, ["phase distribution build", "approx-zero count"]),
+])
+def test_sweep_route_is_charged_once_before_the_fan_out(
+        tmp_path, monkeypatch, limit, labels):
+    # the route is chosen where the sweep is charged, in the parent: the
+    # table is charged and built there once, before any count, and the
+    # charges and the report bytes are the same at one and two workers
+    charged, transforms = [], []
+    charge = Budget.charge
+
+    def logged(self, cost, what):
+        charged.append((cost, what))
+        charge(self, cost, what)
+
+    def counted(*args):
+        transforms.append(args)
+        return character_transform(*args)
+
+    character_transform = circle._character_transform
+    monkeypatch.setattr(Budget, "charge", logged)
+    monkeypatch.setattr(circle, "_character_transform", counted)
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "weyl_sweep_q5.cfg"), encoding="utf-8") as fh:
+        text = fh.read()
+    if limit is not None:
+        text = text.replace("name = weyl-check",
+                            f"name = weyl-check\nlimit = {limit}")
+    cfg = tmp_path / "weyl.cfg"
+    cfg.write_text(text)
+    runs = []
+    for workers in ("1", "2"):
+        del charged[:], transforms[:]
+        out = tmp_path / workers
+        assert main(["weyl-check", "--config", str(cfg), "--workers", workers,
+                     "--out", str(out)]) == 0
+        assert [what for _, what in charged] == labels
+        # one distinct block form, x^3, so one transform when there is a
+        # table
+        assert len(transforms) == labels.count("sum table build")
+        runs.append((list(charged), (out / "weyl-check.csv").read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_mixed_sweep_ranks_one_matrix_per_line_of_its_one_block(ranked):
