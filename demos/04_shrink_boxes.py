@@ -17,7 +17,6 @@ from fflab.circle import CountingProblem
 from fflab.errors import ConfigError
 from fflab.fields import FieldSpec
 from fflab.forms import fermat_form
-from fflab.laurent import LaurentElement
 from fflab.weyl import check_shrink_batch
 
 
@@ -33,9 +32,9 @@ def main():
     spec = FieldSpec(5)
     prob = CountingProblem(spec, fermat_form(spec, 2, 3), 1)
     print()
+    # a phase is its depth-B tail of digits at t^-1, t^-2, ...
     tails = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 1, 3)]
-    alphas = [LaurentElement.from_tail(spec, tail) for tail in tails]
-    reports = {eta: check_shrink_batch(prob, alphas, eta)
+    reports = {eta: check_shrink_batch(prob, tails, eta)
                for eta in admissible(1)}
     for k, tail in enumerate(tails):
         for eta, reps in reports.items():
@@ -46,7 +45,7 @@ def main():
 
     print()
     try:
-        check_shrink_batch(prob, alphas[1:2], Fraction(1, 2))
+        check_shrink_batch(prob, tails[1:2], Fraction(1, 2))
     except ConfigError as exc:
         print(f"eta = 1/2 at e = 1 is rejected: {exc}")
 

@@ -14,10 +14,10 @@ from .cyclotomic import CyclotomicValue, compare_abs_power, real_sign
 from .laurent import LaurentElement, expand_rational
 from .forms import (HypersurfaceForm, fermat_form, parse_form_file,
                     symmetrize)
-from .circle import ArcPoint, CountingProblem
+from .circle import CountingProblem
 from .weyl import (InequalityReport, PointwiseReport, approx_zero_counts,
                    canonical_shape_report, check_shrink_batch,
-                   check_weyl_batch, measure_pointwise)
+                   check_weyl_batch)
 from .audit import (AuditReport, DimReport, audit_minor_arcs, dims,
                     eta_choice, gamma_budget, minor_arc_range, n0, nu_hat)
 from .latgon import (FunctionFieldLattice, LatticeCheck, MinimaProfile,

@@ -14,19 +14,21 @@ S over theta representatives at character depth B = de+1:  S(alpha) only
 depends on the coefficients of alpha at t^{-1},...,t^{-B} because
 deg(F(x)) <= de.  Everything lands in Z[zeta_p], compared bit-exactly.
 
-S on a list of phases has one oracle, _exp_sum_direct, which walks the
-whole box jointly and traces every image, and two routes, one per density
-of the list.  Both read the distribution of each distinct block form's
-coefficient vectors over its own box (forms.block_distributions over
-form.parts), built once per problem.  CountingProblem.exp_sum_histograms
-(exp_sums folds its integer rows into Q(zeta_p)) charges nothing: it reads
-S off the sum table when one is built, and otherwise goes through the
-kernel, _histograms.  For a stack of tails the kernel accumulates
-<c, tail> over each support through the field tables, counts it by the
-trace of each value, and convolves the blocks' trace histograms over F_p,
-since the trace of a sum over disjoint variables is the sum of the
-traces: 2B + 1 table gathers, p compares and p multiply-adds per (tail,
-support point) cell (_kernel_cost).
+A phase is its depth-B tail: the tuple of field indices of the digits of
+alpha at t^-1..t^-B, the only digits S sees; nothing here takes a Laurent
+element.  S on a list of phases has one oracle, _exp_sum_direct, which
+walks the whole box jointly and traces every image, and two routes, one
+per density of the list.  Both read the distribution of each distinct
+block form's coefficient vectors over its own box
+(forms.block_distributions over form.parts), built once per problem.
+CountingProblem.exp_sum_histograms (exp_sums folds its integer rows into
+Q(zeta_p)) charges nothing: it reads S off the sum table when one is
+built, and otherwise goes through the kernel, _histograms.  For a stack
+of tails the kernel accumulates <c, tail> over each support through the
+field tables, counts it by the trace of each value, and convolves the
+blocks' trace histograms over F_p, since the trace of a sum over disjoint
+variables is the sum of the traces: 2B + 1 table gathers, p compares and
+p multiply-adds per (tail, support point) cell (_kernel_cost).
 
 The sum table, S on all q^B tails, has one fast route, sum_table, with
 the kernel as its oracle in tests.  Per distinct block form it takes the
@@ -36,10 +38,11 @@ of the fB axes is transformed by p cyclic shifts per cell, as a
 Walsh-Hadamard transform is.  That is f B q^B p^2 integer adds whatever
 the support size (_table_cost), in two (q^B, p) int64 arrays, and it is
 what the table is charged, before any work; the blocks are then convolved
-per tail.  The dissection always builds it.  A weyl sweep builds it when
-it costs no more than the kernel on the sweep's phases, where the sweep
-charges them, before it fans out (weyl._charge_weyl): full sweeps read
-the table, sparse lists (a limit, one alpha) keep the kernel.
+per tail.  The dissection always builds it.  A weyl sweep reads it when
+it costs no more than the kernel on the sweep's phases; the sweep charges
+the table and then its counts, and only then builds the table, before it
+fans out (weyl._charge_weyl): full sweeps read the table, sparse lists (a
+limit, one alpha) keep the kernel.
 
 The dissection has one fast route, CountingProblem.degree_subtotals, and
 one oracle in tests, the divisor-count identity of the delta method: each
@@ -66,7 +69,6 @@ evaluates F; BoxKernel has eval_form as its scalar oracle in tests.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -76,8 +78,6 @@ from .errors import DEFAULT_BUDGET, Budget, ConfigError, PrecisionError
 from .fields import FieldSpec
 from .forms import (BoxKernel, HypersurfaceForm, block_distributions,
                     decode_keys, zero_count)
-from .laurent import LaurentElement, expand_rational
-from .polys import Polynomial
 
 # (tail, support point) cells per block of the S kernel; bounds its
 # working set
@@ -198,20 +198,6 @@ def arcs_through(q: int, deg: int, k: int, c: np.ndarray) -> np.ndarray:
                              0)).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class ArcPoint:
-    """One Farey arc: the ball {a/r + theta : |theta| <= q^{-y-1}}...
-    precisely {alpha : coeffs of alpha - a/r at t^{-1}..t^{-y} vanish},
-    of measure q^{-y}."""
-    r: Polynomial
-    a: Polynomial
-    y: int
-
-    @property
-    def deg_r(self) -> int:
-        return self.r.degree()
-
-
 class CountingProblem:
     def __init__(self, spec: FieldSpec, form: HypersurfaceForm, e: int,
                  budget: int = DEFAULT_BUDGET):
@@ -250,15 +236,6 @@ class CountingProblem:
 
     # -- the exponential sum -----------------------------------------------------
 
-    def alpha_from_arc(self, arc: ArcPoint, theta_tail=(),
-                       depth: int = None) -> LaurentElement:
-        """a/r + theta as a window-floored Laurent element."""
-        depth = self.char_depth if depth is None else depth
-        alpha = expand_rational(arc.a, arc.r, -depth)
-        if any(theta_tail):
-            alpha = alpha + LaurentElement.from_tail(self.spec, theta_tail)
-        return alpha.truncate(-depth)
-
     def phase_distribution(self) -> list:
         """What S is read from: per block of variables, the distribution of
         its form over its own box (forms.block_distributions), of which
@@ -271,11 +248,8 @@ class CountingProblem:
             self._blocks = block_distributions(self.form, self.e)
         return self._blocks
 
-    def _tail(self, alpha) -> tuple:
-        """The depth-B tail of alpha: a LaurentElement exact to depth B, or
-        a tail tuple of length exactly B."""
-        if not isinstance(alpha, tuple):
-            return alpha.tail_vector(self.char_depth)
+    def _tail(self, alpha: tuple) -> tuple:
+        """The phase alpha, a tail tuple, checked to have length exactly B."""
         if len(alpha) != self.char_depth:
             raise PrecisionError(
                 f"tail of length {len(alpha)}, S needs {self.char_depth}")
@@ -295,10 +269,10 @@ class CountingProblem:
         """The trace histograms of S at every phase of `alphas`, as an
         int64 array of shape (phases, p) in input order: row a counts the
         box points x with tr <coeffs F(x), tail_a> = v, so S(alpha_a) =
-        sum_v row[v] zeta^v.  A phase is a LaurentElement exact to depth B
-        or a depth-B tail tuple.  Once sum_table is built the rows are read
-        off it, at tails @ q^arange(B); until then the stacked tails go
-        through the kernel (_histograms).  Which route a list takes is
+        sum_v row[v] zeta^v.  A phase is a depth-B tail tuple (_tail).
+        Once sum_table is built the rows are read off it, at tails @
+        q^arange(B); until then the stacked tails go through the kernel
+        (_histograms).  Which route a list takes is
         decided by whoever builds the table, never here, and nothing is
         charged beyond the phase distribution."""
         tails = [self._tail(alpha) for alpha in alphas]
@@ -393,19 +367,25 @@ class CountingProblem:
         than one more.  Once built, exp_sum_histograms reads S off it.
         _histograms is its oracle in tests."""
         if self._sum_table is None:
-            spec = self.spec
-            q, B = spec.q, self.char_depth
-            blocks = dict(zip(self.form.parts, self.phase_distribution()))
+            self.phase_distribution()
             self.budget.charge(self._table_cost(), "sum table build")
-            # a block entry is at most its block's box, a convolved row
-            # sums to the whole box
-            assert q ** (self.box * self.n) < 1 << 63, \
-                "sum table overflows int64"
-            tables = {part: _character_transform(spec, keys, counts, B)
-                      for part, (keys, counts) in blocks.items()}
-            self._sum_table = functools.reduce(
-                _convolve, [tables[part] for part in self.form.parts])
+            self._build_sum_table()
         return self._sum_table
+
+    def _build_sum_table(self):
+        """The work of sum_table, on a built phase distribution, charging
+        nothing: for a caller that has charged _table_cost itself."""
+        spec = self.spec
+        blocks = dict(zip(self.form.parts, self.phase_distribution()))
+        # a block entry is at most its block's box, a convolved row sums to
+        # the whole box
+        assert spec.q ** (self.box * self.n) < 1 << 63, \
+            "sum table overflows int64"
+        tables = {part: _character_transform(spec, keys, counts,
+                                             self.char_depth)
+                  for part, (keys, counts) in blocks.items()}
+        self._sum_table = functools.reduce(
+            _convolve, [tables[part] for part in self.form.parts])
 
     # -- the dissection by degree -------------------------------------------------
 

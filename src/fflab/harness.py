@@ -54,28 +54,6 @@ from .work import map_reduce
 __all__ = ["TASKS", "TASK_PARAMS", "RunConfig", "RunResult", "load_config",
            "build_spec", "build_problem", "run_task"]
 
-TASKS = (
-    "dissect-verify", "major-arc", "weyl-check", "shrink-check",
-    "pointwise-measure", "lattice-minima", "ratio-lemma", "cape-lemma",
-    "exponent-audit", "count-cone", "count-morphisms", "langweil-report",
-)
-
-# Allowed [task] keys per task, beyond "name".
-TASK_PARAMS = {
-    "dissect-verify": (),
-    "major-arc": (),
-    "weyl-check": ("alpha", "limit"),
-    "shrink-check": ("eta", "samples"),
-    "pointwise-measure": ("lemma", "r_degree", "beta"),
-    "lattice-minima": ("count", "m"),
-    "ratio-lemma": ("count", "z1", "z2"),
-    "cape-lemma": ("count", "a", "z1", "z2"),
-    "exponent-audit": (),
-    "count-cone": ("ell", "method"),
-    "count-morphisms": ("ell", "method"),
-    "langweil-report": ("ell_max",),
-}
-
 _STATUS_CODES = {"pass": 0, "fail": 1, "budget-exhausted": 3}
 
 
@@ -603,9 +581,10 @@ def _run_morphisms(config: RunConfig):
     mor = count_morphisms(prob, ell, method=method)
     outputs = {"morphisms": mor, "method": method}
     passed = True
+    # cross-check only where its charge fits what the first route left
     tuple_space = prob.spec.q ** (ell * (config.e + 1) * config.n)
     if (len(prob.form.blocks) > 1 and method != "enumerate"
-            and tuple_space <= 2 * 10 ** 6):
+            and tuple_space <= prob.budget.left):
         other = count_morphisms(prob, ell, method="enumerate")
         passed = mor == other
         outputs["enumerate_route"] = other
@@ -628,20 +607,23 @@ def _run_langweil(config: RunConfig):
     return records
 
 
-_TASK_BUILDERS = {
-    "dissect-verify": _run_dissect,
-    "major-arc": _run_major,
-    "weyl-check": _run_weyl,
-    "shrink-check": _run_shrink,
-    "pointwise-measure": _run_pointwise,
-    "lattice-minima": _run_lattice,
-    "ratio-lemma": _run_ratio,
-    "cape-lemma": _run_cape,
-    "exponent-audit": _run_exponent,
-    "count-cone": _run_cone,
-    "count-morphisms": _run_morphisms,
-    "langweil-report": _run_langweil,
+# Each task's builder and its allowed [task] keys, beyond "name".
+_TASKS = {
+    "dissect-verify": (_run_dissect, ()),
+    "major-arc": (_run_major, ()),
+    "weyl-check": (_run_weyl, ("alpha", "limit")),
+    "shrink-check": (_run_shrink, ("eta", "samples")),
+    "pointwise-measure": (_run_pointwise, ("lemma", "r_degree", "beta")),
+    "lattice-minima": (_run_lattice, ("count", "m")),
+    "ratio-lemma": (_run_ratio, ("count", "z1", "z2")),
+    "cape-lemma": (_run_cape, ("count", "a", "z1", "z2")),
+    "exponent-audit": (_run_exponent, ()),
+    "count-cone": (_run_cone, ("ell", "method")),
+    "count-morphisms": (_run_morphisms, ("ell", "method")),
+    "langweil-report": (_run_langweil, ("ell_max",)),
 }
+TASKS = tuple(_TASKS)
+TASK_PARAMS = {name: params for name, (_, params) in _TASKS.items()}
 
 
 # -- driver -----------------------------------------------------------------------
@@ -661,7 +643,7 @@ class RunResult:
 def run_task(config: RunConfig) -> RunResult:
     """Execute one task.  Config problems raise ConfigError; everything
     else is classified into the result status."""
-    builder = _TASK_BUILDERS[config.task]
+    builder, _ = _TASKS[config.task]
     start = time.perf_counter()
     status = "pass"
     try:

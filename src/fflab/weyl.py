@@ -82,7 +82,7 @@ Every count charges the problem's budget with its number of prefix tuples
 before any work.  approx_zero_counts itself charges nothing: its callers
 (check_weyl_batch, check_shrink_batch) charge every phase first, in the
 order a loop of one-phase checks would (_charge_counts), and a Weyl check
-charges the sum table before them when it reads S off it.
+that reads S off the sum table charges it before them, builds it after.
 
 Instances: N (boxes e+1, m = e+1) and N_eta (boxes (e+1)eta, m =
 (e+1)(d - (d-1)eta)).
@@ -99,24 +99,21 @@ import mpmath
 import numpy as np
 
 from .audit import eta_choice, gamma_budget, kappa_of
-from .circle import ArcPoint, CountingProblem
+from .circle import CountingProblem
 from .cyclotomic import CyclotomicValue, compare_abs_power
 from .errors import ConfigError, PrecisionError
 from .linalg import batched_rank
-from .polys import Polynomial
 
 
 # -- core counting ----------------------------------------------------------------
 
 
-def _tail_array(alpha, depth: int):
-    """alpha coefficients at t^{-1}..t^{-depth}."""
-    if isinstance(alpha, tuple):
-        if len(alpha) < depth:
-            raise PrecisionError(
-                f"tail of length {len(alpha)} shorter than needed {depth}")
-        return alpha[:depth]
-    return [alpha.coeff(-k) for k in range(1, depth + 1)]
+def _tail_array(alpha: tuple, depth: int) -> tuple:
+    """The digits of the phase alpha, a tail tuple, at t^-1..t^-depth."""
+    if len(alpha) < depth:
+        raise PrecisionError(
+            f"tail of length {len(alpha)} shorter than needed {depth}")
+    return alpha[:depth]
 
 
 def _check_boxes(prob: CountingProblem, box_list):
@@ -367,9 +364,6 @@ def _shape_N_eta(prob: CountingProblem, eta) -> tuple:
 @dataclass(frozen=True)
 class InequalityReport:
     passed: bool
-    name: str
-    lhs_desc: str
-    rhs_desc: str
     details: dict
 
     def __bool__(self):
@@ -379,21 +373,28 @@ class InequalityReport:
 def _charge_weyl(prob: CountingProblem, phases: int):
     """Charge the budget of check_weyl_batch on `phases` phases and choose
     the route S takes on them.  In order: the phase distribution that S is
-    read from (once, with the first phase); then the sum table, built here,
-    when its adds cost no more than the kernel's work on `phases` tails
+    read from (once, with the first phase); then the sum table, when its
+    adds cost no more than the kernel's work on `phases` tails
     (CountingProblem._table_cost against _kernel_cost; otherwise S goes
     through the kernel and is charged nothing more); then one count of N
-    per phase, as a loop of one-phase checks would charge them.  A sweep
-    charges its whole tail list this way before it fans out, and its chunks
-    get the table pickled with the problem, so neither its status nor its
-    route depends on how the tails are chunked.  A box whose square
-    reaches 2^63 is refused first (ConfigError)."""
+    per phase, as a loop of one-phase checks would charge them.  The table
+    is built only once all of these are charged, so a sweep that overdraws
+    does none of its work.  A sweep charges its whole tail list this way
+    before it fans out, and its chunks get the table pickled with the
+    problem, so neither its status nor its route depends on how the tails
+    are chunked.  A box whose square reaches 2^63 is refused first
+    (ConfigError)."""
     prob._refuse_past_int64(2 * prob.box * prob.n, "autocorrelation")
+    build = False
     if phases:
         prob.phase_distribution()
-        if prob._table_cost() <= prob._kernel_cost(phases):
-            prob.sum_table()
+        build = (prob._sum_table is None
+                 and prob._table_cost() <= prob._kernel_cost(phases))
+        if build:
+            prob.budget.charge(prob._table_cost(), "sum table build")
     _charge_counts(prob, [_shape_N(prob)], phases)
+    if build:
+        prob._build_sum_table()
 
 
 def check_weyl_batch(prob: CountingProblem, alphas) -> list:
@@ -420,8 +421,7 @@ def _weyl_reports(prob: CountingProblem, alphas) -> list:
     bounds = [scale * n_count for n_count in n_counts]
     cmps = compare_abs_powers(prob, hists, power, bounds)
     return [InequalityReport(
-        cmp <= 0, "weyl", f"|S|^{power}", f"q^{exp} * N",
-        {"N": n_count, "bound": bound, "cmp": cmp})
+        cmp <= 0, {"N": n_count, "bound": bound, "cmp": cmp})
         for n_count, bound, cmp in zip(n_counts, bounds, cmps)]
 
 
@@ -536,8 +536,7 @@ def check_shrink_batch(prob: CountingProblem, alphas, eta) -> list:
     for big_n, small_n in zip(big_counts, small_counts):
         rhs = scale * small_n
         reports.append(InequalityReport(
-            big_n <= rhs, "shrink",
-            "N", f"q^{int(exp)} * N_eta",
+            big_n <= rhs,
             {"N": big_n, "N_eta": small_n, "eta": eta, "rhs": rhs}))
     return reports
 
@@ -573,46 +572,58 @@ def eta_from_arc(prob, alpha_deg, beta):
     return eta_choice(gamma_budget(prob.d, prob.e, alpha_deg, beta), prob.e)
 
 
-def _theta_beta(theta_tail) -> int:
-    """|theta| = q^-beta from a tail; None for theta = 0."""
-    for k, c in enumerate(theta_tail, start=1):
-        if c:
-            return k
-    return None
+def _canonical_tail(prob: CountingProblem, r_degree: int, beta) -> tuple:
+    """The depth-B tail of the canonical point a/r + theta, written
+    directly: a/r = 1/t^r_degree is a 1 at digit r_degree, seen when
+    1 <= r_degree <= B (a = 0 when r = 1), and theta = t^-beta adds 1 at
+    digit beta (beta None for theta = 0).  A beta outside 1..B is refused
+    with ValueError."""
+    b = prob.char_depth
+    if beta is not None and not 1 <= beta <= b:
+        raise ValueError("beta out of the representable window")
+    tail = [0] * b
+    if 1 <= r_degree <= b:
+        tail[r_degree - 1] = 1
+    if beta is not None:
+        tail[beta - 1] = prob.spec.add(tail[beta - 1], 1)
+    return tuple(tail)
 
 
-def measure_pointwise(prob: CountingProblem, arc: ArcPoint, theta_tail,
-                      lemma: str) -> PointwiseReport:
-    """Measured |S| vs the shape of one of the three pointwise bounds.
+def canonical_shape_report(prob: CountingProblem, lemma: str, r_degree: int,
+                           beta) -> PointwiseReport:
+    """Measured |S| vs the shape of one of the three pointwise bounds, at
+    the canonical point of the shape: alpha = a/r + theta with r =
+    t^r_degree, a = 1 (a = 0 when r = 1) and theta = t^-beta (beta None
+    for theta = 0), read at its tail (_canonical_tail), whose beta window
+    is checked before any hypothesis.
 
     lemma is one of 'generic' (any arc; bound q^{(e+1)n - L(e+1)eta}),
     'deg-r-positive' (bound q^{(e+1)n - L}), 'deg-r-zero' (same bound,
     r = 1 with a theta window)."""
+    tail = _canonical_tail(prob, r_degree, beta)
     d, e, n, q = prob.d, prob.e, prob.n, prob.spec.q
     kappa = kappa_of(e)
     power = 1 << (d - 1)
     ell = Fraction(n, power)
-    a_deg = arc.deg_r
-    beta = _theta_beta(theta_tail)
     if lemma == "generic":
-        eta_c = eta_from_arc(prob, a_deg, beta)
+        eta_c = eta_from_arc(prob, r_degree, beta)
         if eta_c is None:
             return PointwiseReport(lemma, False, "eta undefined (Gamma < 1 "
                                    "with even e)", q, power)
         sigma = (e + 1) * n - ell * eta_c
     elif lemma == "deg-r-positive":
-        in_i = (a_deg >= 1 and a_deg < d * e + 1 - kappa * (d - 1)
-                and (beta is None or a_deg - beta < -kappa * (d - 1)))
+        in_i = (r_degree >= 1 and r_degree < d * e + 1 - kappa * (d - 1)
+                and (beta is None or r_degree - beta < -kappa * (d - 1)))
         # theta = 0 gives |r theta| = 0 < any positive radius
-        in_ii = (e == 1 and 2 <= a_deg <= d
-                 and (beta is None or a_deg - beta <= -d))
+        in_ii = (e == 1 and 2 <= r_degree <= d
+                 and (beta is None or r_degree - beta <= -d))
         if not (in_i or in_ii):
-            return PointwiseReport(lemma, False,
-                                   f"|r|=q^{a_deg}, |theta|=q^-{beta} outside "
-                                   "both hypothesis branches", q, power)
+            return PointwiseReport(
+                lemma, False, f"|r|=q^{r_degree}, |theta|=q^-{beta} outside "
+                "both hypothesis branches", q, power)
         sigma = (e + 1) * n - ell
     elif lemma == "deg-r-zero":
-        if a_deg != 0:
+        if r_degree != 0:
             return PointwiseReport(lemma, False, "needs r = 1", q, power)
         if beta is None or not (1 + kappa * (d - 1) <= beta <= d * e + 1):
             return PointwiseReport(lemma, False,
@@ -621,31 +632,5 @@ def measure_pointwise(prob: CountingProblem, arc: ArcPoint, theta_tail,
         sigma = (e + 1) * n - ell
     else:
         raise ValueError(f"unknown lemma {lemma!r}")
-    alpha = prob.alpha_from_arc(arc, theta_tail)
-    s_val = prob.exp_sum(alpha)
+    s_val = prob.exp_sum(tail)
     return PointwiseReport(lemma, True, "", q, power, s_val, sigma)
-
-
-def canonical_point(prob: CountingProblem, r_degree: int, beta):
-    """The canonical point of an arc shape: r = t^deg, a = 1 (a = 0 when
-    r = 1), theta = t^-beta.  Returns (arc, theta_tail)."""
-    spec = prob.spec
-    r_poly = Polynomial.one(spec).shift(r_degree)
-    a_poly = Polynomial.one(spec) if r_degree else Polynomial.zero(spec)
-    arc = ArcPoint(r_poly, a_poly, r_degree + prob.arc_floor)
-    b = prob.char_depth
-    if beta is None:
-        tail = (0,) * b
-    else:
-        if not 1 <= beta <= b:
-            raise ValueError("beta out of the representable window")
-        tail = tuple(1 if k == beta else 0 for k in range(1, b + 1))
-    return arc, tail
-
-
-def canonical_shape_report(prob: CountingProblem, lemma: str, r_degree: int,
-                           beta) -> PointwiseReport:
-    """measure_pointwise at the canonical point of the shape."""
-    arc, tail = canonical_point(prob, r_degree, beta)
-    return measure_pointwise(prob, arc, tail, lemma)
-

@@ -19,7 +19,6 @@ from fflab.forms import fermat_form
 from fflab.latgon import (SpecialLatticePair, check_capes, check_ratio_lemmas,
                           check_sandwiches, minima_by_enumeration,
                           random_symmetric_gamma)
-from fflab.laurent import LaurentElement
 from fflab.moduli import count_cone, count_morphisms, enumerate_lines
 from fflab.weyl import (canonical_shape_report, check_shrink_batch,
                         check_weyl_batch)
@@ -46,9 +45,7 @@ def test_weyl_inequality_on_every_atom(prob_n2):
     start = time.monotonic()
     q, depth = prob_n2.spec.q, prob_n2.d * prob_n2.e + 1
     tails = list(itertools.product(range(q), repeat=depth))
-    reports = check_weyl_batch(
-        prob_n2, [LaurentElement.from_tail(prob_n2.spec, tail)
-                  for tail in tails])
+    reports = check_weyl_batch(prob_n2, tails)
     for tail, rep in zip(tails, reports):
         assert rep.passed, (tail, rep.details)
     assert len(reports) == q ** depth == 625
@@ -72,10 +69,9 @@ def test_box_shrinking_inequality_on_sampled_points(spec5):
         assert etas, e
         tails = [tuple(rng.randrange(q) for _ in range(depth))
                  for _ in range(50)]
-        alphas = [LaurentElement.from_tail(spec5, tail) for tail in tails]
         first = None
         for eta in etas:
-            reports = check_shrink_batch(prob, alphas, eta)
+            reports = check_shrink_batch(prob, tails, eta)
             bigs = [rep.details["N"] for rep in reports]
             first = bigs if first is None else first
             assert bigs == first and min(bigs) >= 1

@@ -8,7 +8,7 @@ import pytest
 
 from fflab.cli import main
 from fflab.errors import ConfigError, VerificationFailure
-from fflab.harness import (TASKS, _admissible_etas, _TASK_BUILDERS,
+from fflab.harness import (TASK_PARAMS, TASKS, _admissible_etas, _TASKS,
                            build_problem, load_config, run_task)
 from fflab.reporting import ReportRecord, read_rows
 
@@ -152,7 +152,10 @@ def test_admissible_etas():
 
 
 def test_every_task_has_a_builder():
-    assert set(TASKS) == set(_TASK_BUILDERS)
+    # one table: the task names and their [task] keys are read off it
+    assert TASKS == tuple(_TASKS)
+    assert TASK_PARAMS == {name: keys for name, (_, keys) in _TASKS.items()}
+    assert all(callable(builder) for builder, _ in _TASKS.values())
 
 
 def test_run_task_pass_status(tmp_path):
@@ -179,7 +182,8 @@ def test_run_task_fail_status(tmp_path, monkeypatch):
     def failing(config):
         return [ReportRecord(task=config.task, outputs={"holds": False},
                              passed=False)]
-    monkeypatch.setitem(_TASK_BUILDERS, "count-cone", failing)
+    monkeypatch.setitem(_TASKS, "count-cone",
+                        (failing, TASK_PARAMS["count-cone"]))
     result = run_task(load_config(write_cfg(tmp_path, BASE)))
     assert result.status == "fail"
     assert result.exit_code == 1
@@ -188,10 +192,38 @@ def test_run_task_fail_status(tmp_path, monkeypatch):
 def test_run_task_wraps_verification_failure(tmp_path, monkeypatch):
     def raising(config):
         raise VerificationFailure("identity broke")
-    monkeypatch.setitem(_TASK_BUILDERS, "count-cone", raising)
+    monkeypatch.setitem(_TASKS, "count-cone",
+                        (raising, TASK_PARAMS["count-cone"]))
     result = run_task(load_config(write_cfg(tmp_path, BASE)))
     assert result.status == "fail"
     assert "identity broke" in result.records[0].outputs["detail"]
+
+
+FERMAT_N5_MORPHISMS = BASE.replace("n = 2", "n = 5").replace(
+    "count-cone", "count-morphisms")
+
+
+def test_morphism_cross_check_runs_where_the_budget_allows(tmp_path):
+    # 5^10 = 9,765,625 tuples: past the old fixed cap of 2*10^6, well within
+    # the default budget once the factor route has spent its 17,010
+    result = run_task(load_config(write_cfg(tmp_path, FERMAT_N5_MORPHISMS)))
+    assert result.status == "pass"
+    [record] = result.records
+    assert record.outputs["morphisms"] == 6120
+    assert record.outputs["enumerate_route"] == 6120
+    assert record.outputs["routes_agree"] is True
+
+
+def test_morphism_cross_check_never_overdraws_the_budget(tmp_path):
+    # the enumeration's 5^10 no longer fits once the factor route has run:
+    # the count passes on the factor route alone instead of exiting 3
+    text = FERMAT_N5_MORPHISMS + "\n    [run]\n    budget = 9765625\n"
+    result = run_task(load_config(write_cfg(tmp_path, text)))
+    assert result.status == "pass"
+    [record] = result.records
+    assert record.outputs["morphisms"] == 6120
+    assert "enumerate_route" not in record.outputs
+    assert "routes_agree" not in record.outputs
 
 
 def test_weyl_workers_do_not_change_rows(tmp_path):

@@ -16,16 +16,13 @@ from fflab.errors import Budget
 from fflab.fields import FieldSpec
 from fflab.forms import _mul_rows, fermat_form, parse_form_file, symmetrize
 from fflab.harness import _weyl_chunk, build_problem, load_config, run_task
-from fflab.laurent import LaurentElement
+from fflab.laurent import LaurentElement, expand_rational
 from fflab.linalg import batched_rank
+from fflab.polys import Polynomial
 from fflab.weyl import (_check_boxes, _shape_N, _shape_N_eta,
-                        approx_zero_counts, canonical_point,
+                        _canonical_tail, approx_zero_counts,
                         canonical_shape_report, check_shrink_batch,
-                        check_weyl_batch, eta_from_arc, measure_pointwise)
-
-
-def tail_alpha(prob, tail):
-    return LaurentElement.from_tail(prob.spec, tail)
+                        check_weyl_batch, eta_from_arc)
 
 
 # -- the naive oracle of the approximate-zero counts ------------------------------
@@ -39,9 +36,9 @@ def naive_approx_zero_count(prob: CountingProblem, alpha, box_list,
                             m: int) -> int:
     """Independent oracle: enumerate every tuple, evaluate every Psi_i on
     it from form.tensor and test the coefficients of t^-1..t^-m of
-    alpha Psi_i(u) directly.  No linear algebra; the tuples go through the
-    numpy field tables _NAIVE_CHUNK at a time.  Exponentially slower than
-    approx_zero_counts."""
+    alpha Psi_i(u) directly, for a tail tuple alpha.  No linear algebra;
+    the tuples go through the numpy field tables _NAIVE_CHUNK at a time.
+    Exponentially slower than approx_zero_counts."""
     spec = prob.spec
     q, n, form = spec.q, prob.n, prob.form
     _check_boxes(prob, box_list)
@@ -52,10 +49,10 @@ def naive_approx_zero_count(prob: CountingProblem, alpha, box_list,
     # a slot of box 0 holds the zero polynomial, one coefficient wide
     sizes = [max(c, 1) for c in box_list]
     length = sum(sizes) - len(sizes) + 1     # coefficients of Psi_i(u)
-    if isinstance(alpha, tuple):
-        alpha = LaurentElement.from_tail(spec, alpha)
-    # the t^-k coefficient of alpha P is sum_l P_l alpha_(-k-l)
-    tail = [alpha.coeff(-s) for s in range(1, m + length)]
+    # the t^-k coefficient of alpha P is sum_l P_l alpha_(-k-l); the tail
+    # tuple alpha is exact, zero past its digits
+    tail = [alpha[s - 1] if s <= len(alpha) else 0
+            for s in range(1, m + length)]
     # Psi_i = sum c u_1[j_1] ... u_(d-1)[j_(d-1)] over the orderings
     # (j_1, ..., j_(d-1), i) of every monomial of the tensor that holds i
     terms = []
@@ -97,9 +94,9 @@ def naive_approx_zero_count(prob: CountingProblem, alpha, box_list,
 
 
 def test_count_N_frozen_values(prob_n2):
-    zero = tail_alpha(prob_n2, (0, 0, 0, 0))         # all of the double box
-    t_inv = tail_alpha(prob_n2, (1, 0, 0, 0))        # alpha = 1/t
-    t_inv2 = tail_alpha(prob_n2, (0, 1, 0, 0))       # alpha = 1/t^2
+    zero = (0, 0, 0, 0)         # all of the double box
+    t_inv = (1, 0, 0, 0)        # alpha = 1/t
+    t_inv2 = (0, 1, 0, 0)       # alpha = 1/t^2
     assert approx_zero_counts(prob_n2, [zero, t_inv, t_inv2],
                               *_shape_N(prob_n2)) == [390625, 50625, 4225]
 
@@ -110,7 +107,7 @@ def _shape_M_v(prob, v):
 
 
 def test_count_M_v_frozen_values(prob_n2):
-    t_inv2 = tail_alpha(prob_n2, (0, 1, 0, 0))
+    t_inv2 = (0, 1, 0, 0)
     assert approx_zero_counts(prob_n2, [t_inv2],
                               *_shape_M_v(prob_n2, 2)) == [841]
     assert approx_zero_counts(prob_n2, [t_inv2],
@@ -118,12 +115,12 @@ def test_count_M_v_frozen_values(prob_n2):
 
 
 def test_count_N_oracle_route(prob_n2):
-    t_inv2 = tail_alpha(prob_n2, (0, 1, 0, 0))
+    t_inv2 = (0, 1, 0, 0)
     assert naive_approx_zero_count(prob_n2, t_inv2, *_shape_N(prob_n2)) == 4225
 
 
 def test_count_N_eta_boundary_values(prob_n2):
-    alpha = tail_alpha(prob_n2, (0, 1, 0, 0))
+    alpha = (0, 1, 0, 0)
     # eta = 1 reproduces the full counter
     assert approx_zero_counts(prob_n2, [alpha], *_shape_N_eta(prob_n2, 1)) \
         == approx_zero_counts(prob_n2, [alpha], *_shape_N(prob_n2))
@@ -133,7 +130,7 @@ def test_count_N_eta_boundary_values(prob_n2):
 
 
 def test_curly_N_present(prob_n2):
-    alpha = tail_alpha(prob_n2, (0, 1, 0, 0))
+    alpha = (0, 1, 0, 0)
     assert approx_zero_counts(prob_n2, [alpha],
                               *_curly_shape(prob_n2))[0] >= 1
 
@@ -147,33 +144,31 @@ SAMPLE_TAILS = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 2, 1, 3),
 
 @pytest.mark.parametrize("tail", SAMPLE_TAILS)
 def test_weyl_inequality_samples(prob_n2, tail):
-    [rep] = check_weyl_batch(prob_n2, [tail_alpha(prob_n2, tail)])
+    [rep] = check_weyl_batch(prob_n2, [tail])
     assert rep.passed, rep.details
 
 
 @pytest.mark.parametrize("tail", SAMPLE_TAILS)
 def test_smallbox_chain_samples(prob_n2, tail):
     # |S|^(2^(d-1)) <= |P|^(2^(d-1) n) q^(-(1+kappa)(d-1)n) curly-N
-    alpha = tail_alpha(prob_n2, tail)
-    [curly] = approx_zero_counts(prob_n2, [alpha], *_curly_shape(prob_n2))
+    [curly] = approx_zero_counts(prob_n2, [tail], *_curly_shape(prob_n2))
     kappa = kappa_of(prob_n2.e)
     bound = 5 ** (2 * 4 * 2 - (1 + kappa) * 2 * 2) * curly
     [cmp] = weyl.compare_abs_powers(
-        prob_n2, prob_n2.exp_sum_histograms([alpha]), 4, [bound])
+        prob_n2, prob_n2.exp_sum_histograms([tail]), 4, [bound])
     assert cmp <= 0, (curly, cmp)
     # the certified float decision gives the exact comparison's sign
-    assert cmp == compare_abs_power(prob_n2.exp_sum(alpha), 4, bound)
+    assert cmp == compare_abs_power(prob_n2.exp_sum(tail), 4, bound)
 
 
 @pytest.mark.parametrize("eta", [0, 1])
 def test_shrink_samples(prob_n2, eta):
-    alphas = [tail_alpha(prob_n2, tail) for tail in SAMPLE_TAILS]
-    for rep in check_shrink_batch(prob_n2, alphas, eta):
+    for rep in check_shrink_batch(prob_n2, SAMPLE_TAILS, eta):
         assert rep.passed, rep.details
 
 
 def test_shrink_rejects_bad_eta(prob_n2):
-    alpha = tail_alpha(prob_n2, (0, 0, 0, 0))
+    alpha = (0, 0, 0, 0)
     from fflab.errors import ConfigError
     with pytest.raises(ConfigError):
         check_shrink_batch(prob_n2, [alpha], Fraction(1, 2))   # parity
@@ -224,11 +219,28 @@ def test_eta_from_arc_values(prob_n2):
         eta_from_arc(prob_n2, -1, 0)
 
 
-def test_measure_pointwise_matches_canonical(prob_n2):
-    arc, tail = canonical_point(prob_n2, 2, None)
-    rep = measure_pointwise(prob_n2, arc, tail, "generic")
-    assert rep.sigma == 4
-    assert rep.s_value.abs_squared() == 625
+@pytest.mark.parametrize("spec,e", [
+    (FieldSpec(5), 1), (FieldSpec(5), 2), (FieldSpec(7), 1),
+    (FieldSpec(5, 2), 1),
+], ids=["q5-e1", "q5-e2", "q7-e1", "q25-e1"])
+def test_canonical_tail_matches_the_laurent_expansion(spec, e):
+    # the Laurent layer is the oracle of the directly written tail: a/r +
+    # theta expanded to depth B, r = t^D, a = 1 (a = 0 for D = 0), theta =
+    # t^-beta, for every D up to B + 1 and every beta of the window
+    prob = CountingProblem(spec, fermat_form(spec, 2, 3), e)
+    B = prob.char_depth
+    for deg in range(B + 2):
+        r = Polynomial.one(spec).shift(deg)
+        a = Polynomial.one(spec) if deg else Polynomial.zero(spec)
+        for beta in [None, *range(1, B + 1)]:
+            theta = [int(k == beta) for k in range(1, B + 1)]
+            want = (expand_rational(a, r, -B)
+                    + LaurentElement.from_tail(spec, theta)).tail_vector(B)
+            assert _canonical_tail(prob, deg, beta) == want, (deg, beta)
+    # the window is checked before the hypotheses, which fail at r != 1
+    for beta in (0, B + 1):
+        with pytest.raises(ValueError, match="window"):
+            canonical_shape_report(prob, "deg-r-zero", 2, beta)
 
 
 def _flat_count(prob, c):
@@ -573,6 +585,39 @@ def test_sweep_route_is_charged_once_before_the_fan_out(
         assert len(transforms) == labels.count("sum table build")
         runs.append((list(charged), (out / "weyl-check.csv").read_bytes()))
     assert runs[0] == runs[1]
+
+
+def test_overdrawn_sweep_builds_no_sum_table(tmp_path, monkeypatch):
+    # the full Fermat n = 2, e = 2 sweep over F_5: the table's 7 * 5^7 * 5^2
+    # adds are charged after the phase distribution, then the counts of
+    # 15,625 prefix tuples for each of the 5^7 tails overdraw the default
+    # budget, which the charges leave at exactly 0; the table is built only
+    # after every charge, so no transform runs before exit 3
+    charged, transforms = [], []
+    charge = Budget.charge
+
+    def logged(self, cost, what):
+        charged.append((cost, what))
+        charge(self, cost, what)
+
+    monkeypatch.setattr(Budget, "charge", logged)
+    monkeypatch.setattr(circle, "_character_transform",
+                        lambda *args: transforms.append(args))
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "weyl_sweep_q5.cfg"), encoding="utf-8") as fh:
+        text = fh.read()
+    cfg = tmp_path / "weyl.cfg"
+    cfg.write_text(text.replace("e = 1", "e = 2"))
+    result = run_task(load_config(str(cfg)))
+    assert result.exit_code == 3
+    [record] = result.records
+    assert (record.outputs["needed"], record.outputs["budget"],
+            record.outputs["detail"]) == (15625, 0, "approx-zero count")
+    assert charged == [(15625, "phase distribution build"),
+                       (7 * 5 ** 7 * 5 ** 2, "sum table build"),
+                       (63124 * 15625, "approx-zero count"),
+                       (15625, "approx-zero count")]
+    assert transforms == []
 
 
 def test_mixed_sweep_ranks_one_matrix_per_line_of_its_one_block(ranked):
