@@ -38,11 +38,12 @@ of the fB axes is transformed by p cyclic shifts per cell, as a
 Walsh-Hadamard transform is.  That is f B q^B p^2 integer adds whatever
 the support size (_table_cost), in two (q^B, p) int64 arrays, and it is
 what the table is charged, before any work; the blocks are then convolved
-per tail.  The dissection always builds it.  A weyl sweep reads it when
-it costs no more than the kernel on the sweep's phases; the sweep charges
-the table and then its counts, and only then builds the table, before it
-fans out (weyl._charge_weyl): full sweeps read the table, sparse lists (a
-limit, one alpha) keep the kernel.
+per tail.  The dissection always builds it, after it has charged the
+table and then its brute count (charge_dissection).  A weyl sweep reads
+it when it costs no more than the kernel on the sweep's phases; the sweep
+charges the table and then its counts, and only then builds the table,
+before it fans out (weyl._charge_weyl): full sweeps read the table,
+sparse lists (a limit, one alpha) keep the kernel.
 
 The dissection has one fast route, CountingProblem.degree_subtotals, and
 one oracle in tests, the divisor-count identity of the delta method: each
@@ -354,29 +355,25 @@ class CountingProblem:
                                 minlength=spec.p)
         return CyclotomicValue.from_histogram(spec.p, hist.tolist())
 
-    def sum_table(self) -> np.ndarray:
+    def sum_table(self, charged: bool = False) -> np.ndarray:
         """S on every depth-B tail as one int64 histogram H of shape
         (q^B, p): row i is the histogram of S at the tail whose digits are
         the base-q digits of i, first digit fastest.  Each distinct block
         form's distribution goes through the exact character transform
         over F_q^B (_character_transform), and the blocks are convolved
         per tail.  Charged its adds, f B q^B p^2 per distinct block form
-        (_table_cost), before any work, once.  A transform holds two
-        (q^B, p) int64 arrays; a convolution step holds the block tables,
-        the running product, the next one and a product temporary smaller
-        than one more.  Once built, exp_sum_histograms reads S off it.
-        _histograms is its oracle in tests."""
-        if self._sum_table is None:
-            self.phase_distribution()
-            self.budget.charge(self._table_cost(), "sum table build")
-            self._build_sum_table()
-        return self._sum_table
-
-    def _build_sum_table(self):
-        """The work of sum_table, on a built phase distribution, charging
-        nothing: for a caller that has charged _table_cost itself."""
+        (_table_cost), before any work, once, unless the caller has charged
+        them (charged=True: weyl._charge_weyl, charge_dissection).  A
+        transform holds two (q^B, p) int64 arrays; a convolution step holds
+        the block tables, the running product, the next one and a product
+        temporary smaller than one more.  Once built, exp_sum_histograms
+        reads S off it.  _histograms is its oracle in tests."""
+        if self._sum_table is not None:
+            return self._sum_table
         spec = self.spec
         blocks = dict(zip(self.form.parts, self.phase_distribution()))
+        if not charged:
+            self.budget.charge(self._table_cost(), "sum table build")
         # a block entry is at most its block's box, a convolved row sums to
         # the whole box
         assert spec.q ** (self.box * self.n) < 1 << 63, \
@@ -386,6 +383,7 @@ class CountingProblem:
                   for part, (keys, counts) in blocks.items()}
         self._sum_table = functools.reduce(
             _convolve, [tables[part] for part in self.form.parts])
+        return self._sum_table
 
     # -- the dissection by degree -------------------------------------------------
 
@@ -429,6 +427,20 @@ class CountingProblem:
                       * Fraction(1, q ** max(deg + self.arc_floor, B)))
                 for deg, k in zip(degs, depths)}
 
+    def charge_dissection(self):
+        """Charge dissect-verify before any of its work, in the order it is
+        done: the phase distribution (built as it is charged), the sum
+        table, then the brute count's walk of the box.  A run whose brute
+        count overdraws builds no sum table.  The arc histograms that
+        would overflow int64 are refused first (ConfigError)."""
+        self._refuse_past_int64(self.box * self.n + 2 * self.arc_floor,
+                                "arc histograms")
+        self.phase_distribution()
+        if self._sum_table is None:
+            self.budget.charge(self._table_cost(), "sum table build")
+        self.budget.charge(self.spec.q ** (self.box * self.n),
+                           "brute-force count")
+
     def dissection_total(self) -> CyclotomicValue:
         """Sum of all arc integrals; equals N(P) when everything is exact."""
         total = CyclotomicValue.zero(self.spec.p)
@@ -445,9 +457,12 @@ class CountingProblem:
 
     # -- the independent count ------------------------------------------------------
 
-    def brute_count(self) -> int:
+    def brute_count(self, charged: bool = False) -> int:
         """#{x in box : F(x) = 0} (includes x = 0): the whole box walked
-        jointly (forms.zero_count), with no block split, fold or trace."""
-        self.budget.charge(self.spec.q ** (self.box * self.n),
-                           "brute-force count")
+        jointly (forms.zero_count), with no block split, fold or trace.
+        Charged as a walk of the box unless the caller has charged it
+        (charged=True: charge_dissection)."""
+        if not charged:
+            self.budget.charge(self.spec.q ** (self.box * self.n),
+                               "brute-force count")
         return zero_count(self.form, self.e)

@@ -7,7 +7,8 @@ One invocation runs one task from a config file and writes one report file
 
     0  every asserted invariant held
     1  some asserted invariant failed (the report says which rows)
-    2  invalid configuration, arguments, or form file
+    2  invalid configuration, arguments, or form file, or an output
+       directory that cannot be written
     3  a predicted enumeration cost exceeded the configured budget
 
 FFLAB_WORKERS and FFLAB_OUT override the config file when the matching flag
@@ -56,7 +57,10 @@ def main(argv=None) -> int:
                              out_dir=out_dir, fmt=args.fmt)
         result = run_task(config)
         dest = os.path.join(config.out_dir, f"{config.task}.{config.fmt}")
-        path = write_report(result.records, dest, config.fmt)
+        try:
+            path = write_report(result.records, dest, config.fmt)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report {dest}: {exc}") from exc
     except ConfigError as exc:
         print(f"fflab: config error: {exc}", file=sys.stderr)
         return 2

@@ -281,9 +281,10 @@ def _base_inputs(config: RunConfig, spec: FieldSpec) -> dict:
 def _run_dissect(config: RunConfig):
     prob = build_problem(config)
     base = _base_inputs(config, prob.spec)
-    # the subtotals charge the sum table before the brute count runs
+    prob.charge_dissection()
+    prob.sum_table(charged=True)    # degree_subtotals reads the built table
     subtotals = prob.degree_subtotals()
-    brute = prob.brute_count()
+    brute = prob.brute_count(charged=True)
     records = []
     total = None
     for deg, (arcs, sub) in sorted(subtotals.items()):

@@ -10,7 +10,13 @@ so a rerun with the same config and seed produces byte-identical output.
 CSV columns are task, then input columns in first-seen order, then output
 columns in first-seen order, then passed and budget_spent.  An empty record
 stream still yields the fixed header.  JSONL rows carry the same serialized
-strings under the same keys.
+strings under the same keys; a key a record does not have is left out of
+its JSONL row and is empty in its CSV row.
+
+A report is serialized a column at a time (_columns), top to bottom, before
+anything is written: each value's text comes from a lookup on its exact
+type, and an object repeated down a column, such as the shared inputs of
+a sweep's rows, is serialized once.
 """
 
 from __future__ import annotations
@@ -36,25 +42,49 @@ _FLOAT_RE = re.compile(r"-?(\d+\.\d*|\.\d+|\d+)(e[+-]?\d+)?\Z", re.IGNORECASE)
 
 
 def serialize_value(value) -> str:
-    """Exact text form of one report value.  Rejects lossy types loudly."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, CyclotomicValue):
-        inner = ",".join(f"{c.numerator}/{c.denominator}" for c in value.coeffs)
-        return f"[{inner}]"
-    if isinstance(value, (tuple, list)):
-        return "(" + ",".join(serialize_value(v) for v in value) + ")"
-    if isinstance(value, str):
-        return value
+    """Exact text form of one report value.  Rejects lossy types loudly.
+
+    The text comes from a lookup on the value's exact type (_TEXT); a
+    subclass or an unknown type goes through the isinstance chain
+    (_serialize_by_isinstance), so an IntEnum keeps its int text and an
+    np.int64 raises TypeError."""
+    return _TEXT.get(type(value), _serialize_by_isinstance)(value)
+
+
+def _serialize_by_isinstance(value) -> str:
+    for kind, text in _TEXT.items():
+        if isinstance(value, kind):
+            return text(value)
     raise TypeError(f"cannot serialize report value of type {type(value).__name__}")
+
+
+def _fraction_text(value) -> str:
+    return f"{value.numerator}/{value.denominator}"
+
+
+def _cyclotomic_text(value) -> str:
+    return "[" + ",".join(map(_fraction_text, value.coeffs)) + "]"
+
+
+def _sequence_text(value) -> str:
+    # the entries of one exact type in _TEXT share its text function
+    kinds = set(map(type, value))
+    text = _TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    return "(" + ",".join(map(text or serialize_value, value)) + ")"
+
+
+# In the order of the isinstance chain: bool before int.
+_TEXT = {
+    type(None): lambda value: "",
+    bool: lambda value: "true" if value else "false",
+    int: str,
+    Fraction: _fraction_text,
+    float: repr,
+    CyclotomicValue: _cyclotomic_text,
+    tuple: _sequence_text,
+    list: _sequence_text,
+    str: lambda value: value,
+}
 
 
 def parse_value(text: str):
@@ -96,63 +126,106 @@ class ReportRecord:
     seconds: float = 0.0
     budget_spent: int = 0
 
-    def flat(self) -> dict:
-        row = {"task": self.task}
-        for key, val in self.inputs.items():
-            row[f"in.{key}"] = serialize_value(val)
-        for key, val in self.outputs.items():
-            row[f"out.{key}"] = serialize_value(val)
-        row["passed"] = serialize_value(self.passed)
-        row["budget_spent"] = serialize_value(self.budget_spent)
-        return row
+
+_ABSENT = object()      # the entry of a key that a record does not have
+
+
+def _column(values) -> list:
+    """The texts of one column, top to bottom.  An object repeated down the
+    column is serialized once; an absent key's entry is None."""
+    texts = []
+    last, text = _ABSENT, None
+    for value in values:
+        if value is not last:
+            last = value
+            text = None if value is _ABSENT else serialize_value(value)
+        texts.append(text)
+    return texts
+
+
+def _columns(records):
+    """(names, cols): the column names in their stable order and, per
+    column, the serialized texts of every record."""
+    records = list(records)
+    ins, outs = {}, {}
+    for rec in records:       # update keeps a key where it was first seen
+        ins.update(rec.inputs)
+        outs.update(rec.outputs)
+    names = (["task"] + [f"in.{key}" for key in ins]
+             + [f"out.{key}" for key in outs] + ["passed", "budget_spent"])
+    cols = ([[rec.task for rec in records]]
+            + [_column([rec.inputs.get(key, _ABSENT) for rec in records])
+               for key in ins]
+            + [_column([rec.outputs.get(key, _ABSENT) for rec in records])
+               for key in outs]
+            + [_column([rec.passed for rec in records]),
+               _column([rec.budget_spent for rec in records])])
+    return names, cols
+
+
+def _rows(names, cols):
+    """One {column: text} dict per record, without its absent keys."""
+    return [{name: text for name, text in zip(names, row) if text is not None}
+            for row in zip(*cols)]
 
 
 def flatten_records(records):
     """(columns, rows): stable column order plus fully serialized rows."""
-    rows = [rec.flat() for rec in records]
-    keys = dict.fromkeys(key for row in rows for key in row)
-    columns = (["task"] + [k for k in keys if k.startswith("in.")]
-               + [k for k in keys if k.startswith("out.")]
-               + ["passed", "budget_spent"])
-    return columns, rows
+    names, cols = _columns(records)
+    return names, _rows(names, cols)
+
+
+def _check_format(fmt: str):
+    if fmt not in FORMATS:
+        raise ConfigError(f"unknown report format {fmt!r}; use one of {FORMATS}")
+
+
+def _emit(names, cols, stream, fmt: str) -> int:
+    """Write serialized columns to an open text stream as rows."""
+    if fmt == "csv":
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows(zip(*cols))
+    else:
+        for row in _rows(names, cols):
+            stream.write(json.dumps(row, ensure_ascii=True))
+            stream.write("\n")
+    return len(cols[0])
 
 
 def emit_report(records, stream, fmt: str = "csv") -> int:
     """Write records to an open text stream; returns the row count."""
-    if fmt not in FORMATS:
-        raise ConfigError(f"unknown report format {fmt!r}; use one of {FORMATS}")
-    columns, rows = flatten_records(records)
-    if fmt == "csv":
-        writer = csv.DictWriter(stream, fieldnames=columns, restval="",
-                                lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    else:
-        for row in rows:
-            ordered = {c: row[c] for c in columns if c in row}
-            stream.write(json.dumps(ordered, ensure_ascii=True))
-            stream.write("\n")
-    return len(rows)
+    _check_format(fmt)
+    return _emit(*_columns(records), stream, fmt)
 
 
 def write_report(records, path: str, fmt: str = "csv") -> str:
     """Write a report file atomically.
 
-    Data goes to `path + ".partial"` first and is renamed into place only
-    after a clean finish, so an interrupted run leaves its incomplete output
-    clearly marked instead of masquerading as a finished report."""
+    Every value is serialized before the file is opened, so a value that
+    cannot be serialized leaves nothing on disk.  Data goes to
+    `path + ".partial"` first and is renamed into place only after a clean
+    finish; a write that raises removes the partial file, and a process
+    killed mid-write leaves its incomplete output clearly marked instead of
+    masquerading as a finished report."""
+    _check_format(fmt)
+    names, cols = _columns(records)
     partial = path + ".partial"
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(partial, "w", encoding="utf-8", newline="") as fh:
-        emit_report(records, fh, fmt)
-    os.replace(partial, path)
+    fh = open(partial, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            _emit(names, cols, fh, fmt)
+        os.replace(partial, path)
+    except BaseException:
+        os.remove(partial)
+        raise
     return path
 
 
 def read_rows(path: str, fmt: str = "csv"):
     """Read an emitted report back as a list of {column: string} dicts."""
-    if fmt not in FORMATS:
-        raise ConfigError(f"unknown report format {fmt!r}; use one of {FORMATS}")
+    _check_format(fmt)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         if fmt == "csv":
             return [dict(row) for row in csv.DictReader(fh)]

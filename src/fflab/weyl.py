@@ -394,7 +394,7 @@ def _charge_weyl(prob: CountingProblem, phases: int):
             prob.budget.charge(prob._table_cost(), "sum table build")
     _charge_counts(prob, [_shape_N(prob)], phases)
     if build:
-        prob._build_sum_table()
+        prob.sum_table(charged=True)
 
 
 def check_weyl_batch(prob: CountingProblem, alphas) -> list:

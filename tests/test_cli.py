@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from fflab import moduli
+from fflab import circle, moduli
 from fflab.circle import CountingProblem
 from fflab.errors import Budget
 from fflab.cli import main
@@ -102,6 +102,41 @@ def test_dissection_refuses_its_sum_table_before_the_brute_count(
     assert rows[0]["out.detail"] == "sum table build"
     assert parse_value(rows[0]["out.needed"]) == 78_125_000
     assert parse_value(rows[0]["out.budget"]) == 10 ** 7 - 390_625
+
+
+def test_dissection_charges_its_brute_count_before_any_transform(
+        tmp_path, monkeypatch):
+    # dissect_e2_q5 at a budget that pays the block walk (5^9), the sum
+    # table (3 x 7 x 5^7 x 5^2 = 13,671,875 adds) and all but one of the
+    # brute count's 5^9: the run is refused before the table is built
+    transforms = []
+    monkeypatch.setattr(circle, "_character_transform",
+                        lambda *args: transforms.append(args))
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "dissect_e2_q5.cfg"), encoding="utf-8") as fh:
+        body = fh.read()
+    cfg = write_cfg(tmp_path, body + "\n[run]\nbudget = "
+                    f"{2 * 5 ** 9 + 13_671_875 - 1}\n")
+    code = main(["dissect-verify", "--config", cfg,
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    [row] = read_rows(str(tmp_path / "o" / "dissect-verify.csv"))
+    assert (row["out.needed"], row["out.budget"], row["out.detail"]) == (
+        "1953125", "1953124", "brute-force count")
+    assert transforms == []
+
+
+def test_unwritable_output_directory_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, CONE)
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    code = main(["count-cone", "--config", cfg,
+                 "--out", str(blocker / "sub")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fflab: config error: cannot write report")
+    assert "Traceback" not in err
+    assert blocker.read_text() == "not a directory"
 
 
 @pytest.mark.parametrize("task,n,budget,what", [
