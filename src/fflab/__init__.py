@@ -9,7 +9,7 @@ floating point appears only inside rigorous interval refinement.
 from .errors import (Budget, BudgetExceededError, ConfigError,
                      PrecisionError, VerificationFailure)
 from .fields import FieldElement, FieldSpec, find_irreducible, trace
-from .polys import BinaryForm, Polynomial, poly_gcd
+from .polys import BinaryForm, Polynomial
 from .cyclotomic import CyclotomicValue, compare_abs_power, real_sign
 from .laurent import LaurentElement, expand_rational
 from .forms import (HypersurfaceForm, fermat_form, parse_form_file,
@@ -25,8 +25,8 @@ from .latgon import (FunctionFieldLattice, LatticeCheck, MinimaProfile,
                      check_sandwiches, diagonal_lattice,
                      random_symmetric_gamma, skew_counts)
 from .moduli import (CountReport, count_cone, count_morphisms,
-                     enumerate_lines, extend_spec, gcd_coprime,
-                     langweil_report, rank_coprime, total_solutions)
+                     enumerate_lines, extend_spec, langweil_report,
+                     rank_coprime, total_solutions)
 from .reporting import ReportRecord, emit_report, read_rows, write_report
 from .harness import RunConfig, RunResult, load_config, run_task
 

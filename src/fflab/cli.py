@@ -8,7 +8,7 @@ One invocation runs one task from a config file and writes one report file
     0  every asserted invariant held
     1  some asserted invariant failed (the report says which rows)
     2  invalid configuration, arguments, or form file, or an output
-       directory that cannot be written
+       directory that cannot be made (before the task runs) or written
     3  a predicted enumeration cost exceeded the configured budget
 
 FFLAB_WORKERS and FFLAB_OUT override the config file when the matching flag
@@ -22,6 +22,19 @@ import sys
 from .errors import BudgetExceededError, ConfigError
 from .harness import TASKS, load_config, run_task
 from .reporting import write_report
+
+
+def _make_out_dir(out_dir, dest) -> list:
+    """Make the report directory and its missing parents; returns the ones
+    made, deepest first, for a task refused as a config error to remove."""
+    made, head = [], os.path.abspath(out_dir)
+    while not os.path.lexists(head):
+        made, head = made + [head], os.path.dirname(head)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write report {dest}: {exc}") from exc
+    return made
 
 
 def main(argv=None) -> int:
@@ -55,8 +68,14 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, task=args.task, workers=workers,
                              out_dir=out_dir, fmt=args.fmt)
-        result = run_task(config)
         dest = os.path.join(config.out_dir, f"{config.task}.{config.fmt}")
+        made = _make_out_dir(config.out_dir, dest)      # before any work
+        try:
+            result = run_task(config)
+        except ConfigError:
+            for path in made:
+                os.rmdir(path)
+            raise
         try:
             path = write_report(result.records, dest, config.fmt)
         except OSError as exc:

@@ -167,14 +167,26 @@ class HypersurfaceForm:
 _BOX_CHUNK = 1 << 13
 
 
+def _flat_tables(spec: FieldSpec):
+    """(q, dtype, mul, add): the (q, q) tables raveled, read by 1-D takes
+    at x * q + y <= q^2 - 1, an index built in dtype: int16 while
+    q^2 <= 2^15 (q <= 181), else int32 (q <= 2^15, so q^2 <= 2^30)."""
+    q = spec.q
+    assert q <= 1 << 15, "flat table indices overflow int32"
+    return (q, np.int16 if q * q <= 1 << 15 else np.int32,
+            spec.tables["np_mul"].ravel(), spec.tables["np_add"].ravel())
+
+
 def _mul_rows(spec: FieldSpec, a, b):
     """Row-wise polynomial products of two stacks of coefficient vectors,
-    (N, la) and (N, lb) -> (N, la + lb - 1), through the field tables."""
-    np_mul, np_add = spec.tables["np_mul"], spec.tables["np_add"]
+    (N, la) and (N, lb) -> (N, la + lb - 1), through the flat tables."""
+    q, dtype, mul, add = _flat_tables(spec)
     lb = b.shape[1]
+    aq, b = np.multiply(a, q, dtype=dtype), b.astype(dtype, copy=False)
     out = np.zeros((a.shape[0], a.shape[1] + lb - 1), dtype=np.int16)
     for i in range(a.shape[1]):
-        out[:, i:i + lb] = np_add[out[:, i:i + lb], np_mul[a[:, i:i + 1], b]]
+        window = np.multiply(out[:, i:i + lb], q, dtype=dtype)
+        out[:, i:i + lb] = add.take(window + mul.take(aq[:, i:i + 1] + b))
     return out
 
 
@@ -205,15 +217,16 @@ class BoxKernel:
     def images(self, codes) -> np.ndarray:
         """Coefficient vectors of F at the tuples of an (N, n) code array."""
         spec = self.form.spec
-        np_mul, np_add = spec.tables["np_mul"], spec.tables["np_add"]
+        q, dtype, mul, add = _flat_tables(spec)
         out = np.zeros((codes.shape[0], self.width), dtype=np.int16)
         for exps, c in self.form.monomials.items():
             term = None
             for i, k in enumerate(exps):
                 if k:
-                    g = self.powers[k][codes[:, i]]
+                    g = self.powers[k].take(codes[:, i], axis=0)
                     term = g if term is None else _mul_rows(spec, term, g)
-            out = np_add[out, np_mul[c, term]]
+            out = add.take(np.multiply(out, q, dtype=dtype)
+                           + mul[c * q:(c + 1) * q].take(term))
         return out
 
     def box(self):

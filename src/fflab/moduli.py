@@ -19,8 +19,7 @@ whole stack of tuples with one batched rank: n forms of degree e >= 1 share
 no projective zero exactly when their n e shifted coefficient vectors span
 F_q^{2e} (the degree 2e-1 part of the ideal they generate is everything;
 Cox-Little-O'Shea, Using Algebraic Geometry, ch. 3), which holds for every
-q.  gcd_coprime, a gcd cascade on the dehomogenized forms, is its oracle in
-tests.
+q.  A gcd cascade on the dehomogenized forms is its oracle in the tests.
 
 Counting routes, kept separate so they can cross-check each other:
 
@@ -33,22 +32,26 @@ Counting routes, kept separate so they can cross-check each other:
              (forms.HypersurfaceForm.parts), so the count is a group
              convolution over F_{q^l}^{de+1} of the block distributions
              (forms.block_distributions, one walk over its own box per
-             distinct block form), met in the middle: the first half of the blocks are
-             folded into A and the rest into B (forms.fold, which costs
-             the support pairs it adds), and the count is sum_k A(k) B(-k).
-             auto enumerates a one-block form, which has nothing to meet;
+             distinct block form), met in the middle: the first half of
+             the blocks are folded into A and the rest into B, each from
+             its first block (forms.fold, which costs the support pairs it
+             adds; equal halves share one fold), and the count is
+             sum_k A(k) B(-k).  auto enumerates a one-block form;
   factor     every nonzero solution tuple splits uniquely as (normalized
              common factor) x (coprime solution of lower degree), so
              coprime counts follow from total counts by subtracting
              P_j * coprime(e-j) over the projective form counts P_j.
 
+langweil_report reads both counts off one list of totals per field,
+total(e) then total(0..e-1): cone total(e) - 1, morphisms by factor.
+
 Every route charges the problem's one Budget ([run] budget) before it
-walks: enumerate the q^(n(e+1)) tuples of its box, convolve each fold a
-bound on the support pairs it adds (at least the block's own box, so it
-covers that walk too), and the line oracle n q^k per reduced-row block of
-q^k planes, which it walks forms._BOX_CHUNK planes at a time.  Memory is
-bounded by the code: a block walk or a fold holds its distribution plus
-one pending batch of keys (forms._running_merge).
+walks: enumerate the q^(n(e+1)) tuples of its box, convolve each fold of a
+distinct half a bound on the support pairs it adds (at least the block's
+own box, so it covers that walk too), and the line oracle n q^k per
+reduced-row block of q^k planes, which it walks forms._BOX_CHUNK planes at
+a time.  Memory is bounded by the code: a block walk or a fold holds its
+distribution plus one pending batch of keys (forms._running_merge).
 
 F_{q^l}^* acts freely on coprime solutions; a coprime count it does not
 divide is a failed invariant (VerificationFailure), not a bad config.
@@ -69,7 +72,6 @@ from .forms import (_BOX_CHUNK, BoxKernel, HypersurfaceForm,
                     block_distributions, decode_keys, encode_keys, fold,
                     symmetrize, zero_count)
 from .linalg import batched_rank
-from .polys import poly_gcd
 
 
 # -- extension embedding ----------------------------------------------------------
@@ -109,27 +111,6 @@ def embed_form(form: HypersurfaceForm, ext: FieldSpec) -> HypersurfaceForm:
 
 
 # -- coprimality -----------------------------------------------------------------
-
-
-def gcd_coprime(forms) -> bool:
-    """No common projective zero, by a gcd cascade: the oracle that
-    rank_coprime is checked against in tests.
-
-    Affine zeros (a:1) are common roots of the dehomogenizations; the zero
-    at infinity (1:0) is common exactly when every u^e coefficient dies,
-    i.e. every dehomogenization has degree < e."""
-    degree = forms[0].e
-    polys = [f.dehomogenize() for f in forms if not f.is_zero()]
-    if not polys:
-        return False
-    if all(p.degree() < degree for p in polys):
-        return False
-    g = polys[0]
-    for p in polys[1:]:
-        if g.degree() == 0:
-            break
-        g = poly_gcd(g, p)
-    return g.degree() == 0
 
 
 def rank_coprime(spec: FieldSpec, coeffs) -> np.ndarray:
@@ -175,27 +156,30 @@ def _total_enumerate(spec: FieldSpec, form: HypersurfaceForm, e: int,
 def _total_convolve(spec: FieldSpec, form: HypersurfaceForm, e: int,
                     budget: Budget) -> int:
     """The convolve route of the module docstring: fold the first ceil(b/2)
-    of the b block distributions into A and the rest into B, each from the
-    zero vector, then sum A(k) * B(-k) over the keys the two share.
-
-    Each fold is charged before any walk with a bound on the support pairs
-    it adds: the support of a half so far is at most the product of its
-    boxes and at most q^(de+1), and a block's support at most its box.
-    The bound is at least the block's box, so it caps each walk too."""
+    block distributions into A and the rest into B, each from its first
+    block's (an empty half is the zero vector; equal halves share one fold),
+    and sum A(k) * B(-k).  Each distinct half charges, before any walk, a
+    bound on the support pairs each fold adds: the support so far is at most
+    the product of its boxes and q^(de+1), and a block's at most its box.
+    Its first block is charged its box, which covers the walk."""
     q, width = spec.q, form.d * e + 1
     assert q ** ((e + 1) * form.n) < 1 << 63, "solution counts overflow int64"
-    boxes = [q ** ((e + 1) * len(block)) for block in form.blocks]
-    half = (len(boxes) + 1) // 2
-    for part in (boxes[:half], boxes[half:]):
+    half = (len(form.parts) + 1) // 2
+    split = (form.parts[:half], form.parts[half:])
+    halves = [parts for parts in dict.fromkeys(split) if parts]
+    for parts in halves:
         support = 1
-        for box in part:
+        for part in parts:
+            box = q ** ((e + 1) * part.n)
             budget.charge(support * box, "cone convolution")
             support = min(support * box, q ** width)
-    dists = block_distributions(form, e)
-    zero = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
-    (akeys, acounts), (bkeys, bcounts) = (
-        functools.reduce(lambda a, b: fold(spec, a, b, width), part, zero)
-        for part in (dists[:half], dists[half:]))
+    dists = dict(zip(form.parts, block_distributions(form, e)))
+    folded = {(): (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))}
+    for parts in halves:
+        folded[parts] = functools.reduce(
+            lambda a, b: fold(spec, a, dists[b], width), parts[1:],
+            dists[parts[0]])
+    (akeys, acounts), (bkeys, bcounts) = map(folded.get, split)
     negated = encode_keys(q, spec.tables["np_neg"][
         decode_keys(q, bkeys, width)])
     _, ia, ib = np.intersect1d(akeys, negated, assume_unique=True,
@@ -229,22 +213,27 @@ def count_cone(prob, ell: int = 1, method: str = "auto") -> int:
     return total_solutions(ext, form, prob.e, method, prob.budget) - 1
 
 
-def _coprime_solutions(spec: FieldSpec, form: HypersurfaceForm, e: int,
-                       method: str, budget: Budget) -> int:
-    """#{coprime tuples with F(f) = 0}, by the unique-factorization recursion
-    over the normalized common factor:
+def _coprime_from_totals(q: int, totals) -> int:
+    """#{coprime tuples of degree e with F(f) = 0} from total(0..e), by the
+    unique-factorization recursion over the normalized common factor:
 
         total(j) - 1 = sum_{i=0..j} P_i * coprime(j - i),
 
     P_i = (q^{i+1}-1)/(q-1) the number of degree-i forms up to scalar."""
-    q = spec.q
     coprime = []
-    for j in range(e + 1):
-        nonzero = total_solutions(spec, form, j, method, budget) - 1
+    for j, total in enumerate(totals):
+        nonzero = total - 1
         for i in range(1, j + 1):
             nonzero -= ((q ** (i + 1) - 1) // (q - 1)) * coprime[j - i]
         coprime.append(nonzero)
-    return coprime[e]
+    return coprime[-1]
+
+
+def _coprime_solutions(spec: FieldSpec, form: HypersurfaceForm, e: int,
+                       method: str, budget: Budget) -> int:
+    """#{coprime tuples with F(f) = 0}, from total(0..e)."""
+    return _coprime_from_totals(spec.q, [
+        total_solutions(spec, form, j, method, budget) for j in range(e + 1)])
 
 
 def _morphisms_enumerate(spec: FieldSpec, form: HypersurfaceForm, e: int,
@@ -321,10 +310,7 @@ def enumerate_lines(prob, ell: int = 1) -> int:
         return acc
 
     # d+1 distinct parameter points (s:t): (1:0), (0:1), (1:c) for d-1 values
-    params = [(one, 0), (0, one)]
-    field_scalars = [k for k in range(1, q)]
-    for c in field_scalars[:d - 1]:
-        params.append((one, c))
+    params = [(one, 0), (0, one)] + [(one, c) for c in range(1, d)]
 
     total = 0
     for i, j, free1, free2 in _rref_plane_blocks(q, n):
@@ -370,8 +356,13 @@ def langweil_report(prob, ell_max: int) -> list:
     report = dims(prob.n, prob.d, prob.e, convention="affine")
     rows = []
     for ell in range(1, ell_max + 1):
-        cone = count_cone(prob, ell)
-        mor = count_morphisms(prob, ell)
+        ext, form = _extended(prob, ell)
+        # total(e) first: the first charge is count_cone's
+        last = total_solutions(ext, form, prob.e, budget=prob.budget)
+        totals = [total_solutions(ext, form, j, budget=prob.budget)
+                  for j in range(prob.e)] + [last]
+        cone = last - 1
+        mor = _scalar_orbits(_coprime_from_totals(ext.q, totals), ext.q)
         q_ell = Fraction(prob.spec.q) ** ell
         rows.append(CountReport(
             ell, cone, mor,

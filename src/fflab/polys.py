@@ -55,9 +55,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_one(self) -> bool:
-        return self.coeffs == (1,)
-
     def coeff(self, k: int) -> int:
         """Coefficient index at degree k (0 outside the support)."""
         if 0 <= k < len(self.coeffs):
@@ -203,15 +200,6 @@ class Polynomial:
             else:
                 parts.append(f"{cs}t^{k}")
         return " + ".join(parts)
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd.  gcd(0, 0) is undefined and raises."""
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
 
 
 class BinaryForm:

@@ -16,7 +16,8 @@ its JSONL row and is empty in its CSV row.
 A report is serialized a column at a time (_columns), top to bottom, before
 anything is written: each value's text comes from a lookup on its exact
 type, and an object repeated down a column, such as the shared inputs of
-a sweep's rows, is serialized once.
+a sweep's rows, is serialized once.  A JSONL line is joined from the JSON
+of its cells, each distinct text of a column encoded once.
 """
 
 from __future__ import annotations
@@ -187,9 +188,14 @@ def _emit(names, cols, stream, fmt: str) -> int:
         writer.writerow(names)
         writer.writerows(zip(*cols))
     else:
-        for row in _rows(names, cols):
-            stream.write(json.dumps(row, ensure_ascii=True))
-            stream.write("\n")
+        cells = []      # `"name": "text"` per cell, None where absent
+        for name, col in zip(names, cols):
+            head = json.dumps(name) + ": "
+            json_of = {text: head + json.dumps(text)
+                       for text in set(col) - {None}}
+            cells.append(list(map(json_of.get, col)))
+        stream.writelines("{" + ", ".join(filter(None, row)) + "}\n"
+                          for row in zip(*cells))
     return len(cols[0])
 
 

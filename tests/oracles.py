@@ -1,0 +1,35 @@
+"""Slow, obviously correct routes that the tests check fflab's fast routes
+against.  They live here because no code in fflab calls them."""
+
+from fflab.polys import Polynomial
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd by Euclid's algorithm.  gcd(0, 0) is undefined and
+    raises."""
+    if a.is_zero() and b.is_zero():
+        raise ValueError("gcd(0, 0) is undefined")
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def gcd_coprime(forms) -> bool:
+    """No common projective zero, by a gcd cascade: the oracle of
+    moduli.rank_coprime.
+
+    Affine zeros (a:1) are common roots of the dehomogenizations; the zero
+    at infinity (1:0) is common exactly when every u^e coefficient dies,
+    i.e. every dehomogenization has degree < e."""
+    degree = forms[0].e
+    polys = [f.dehomogenize() for f in forms if not f.is_zero()]
+    if not polys:
+        return False
+    if all(p.degree() < degree for p in polys):
+        return False
+    g = polys[0]
+    for p in polys[1:]:
+        if g.degree() == 0:
+            break
+        g = poly_gcd(g, p)
+    return g.degree() == 0

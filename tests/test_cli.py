@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from fflab import circle, moduli
+from fflab import circle, cli, moduli
 from fflab.circle import CountingProblem
 from fflab.errors import Budget
 from fflab.cli import main
@@ -136,6 +136,23 @@ def test_unwritable_output_directory_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("fflab: config error: cannot write report")
     assert "Traceback" not in err
+    assert blocker.read_text() == "not a directory"
+
+
+def test_output_directory_is_made_before_the_task_runs(tmp_path, capsys,
+                                                        monkeypatch):
+    def run_task(config):
+        raise AssertionError("the task ran before its output directory")
+
+    monkeypatch.setattr(cli, "run_task", run_task)
+    cfg = write_cfg(tmp_path, CONE)
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    code = main(["count-cone", "--config", cfg,
+                 "--out", str(blocker / "sub")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fflab: config error: cannot write report")
     assert blocker.read_text() == "not a directory"
 
 

@@ -80,7 +80,7 @@ def test_parts_sum_back_to_the_form(f):
     # F at a point is the sum of its parts at that point's block
     # coordinates, for the forms of test_variable_blocks and the two
     # kernel forms (over F_25 the mixed one has a coefficient outside F_5)
-    spec, forms = _kernel_forms(f)
+    spec, forms = _kernel_forms(5, f)
     forms += [symmetrize(spec, n, 3, monomials)
               for n, monomials, _ in VARIABLE_BLOCKS]
     rng = random.Random(f)
@@ -211,18 +211,22 @@ MIXED_CUBIC = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                            "forms", "mixed_cubic_n2.form")
 
 
-def _kernel_forms(f):
-    spec = FieldSpec(5, f)
+def _kernel_forms(p, f):
+    spec = FieldSpec(p, f)
     mixed = {(3, 0, 0): 1, (2, 1, 0): 1, (1, 1, 1): 3, (0, 0, 3): 2}
     if f > 1:
-        mixed[(0, 1, 2)] = (2, 1)     # a coefficient outside F_5
+        mixed[(0, 1, 2)] = (2, 1) + (0,) * (f - 2)    # outside F_p
     return spec, [fermat_form(spec, 3, 3), symmetrize(spec, 3, 3, mixed)]
 
 
-@pytest.mark.parametrize("e", [1, 2, 3])
-@pytest.mark.parametrize("f", [1, 2])
-def test_box_kernel_matches_eval_form(f, e):
-    spec, forms = _kernel_forms(f)
+@pytest.mark.parametrize("p,f,e", [
+    pytest.param(5, f, e, id=f"{f}-{e}") for f in (1, 2) for e in (1, 2, 3)
+] + [
+    # q^2 = 117,649 > 2^15: the flat table index is built in int32
+    pytest.param(7, 3, 1, id="343-1"),
+])
+def test_box_kernel_matches_eval_form(p, f, e):
+    spec, forms = _kernel_forms(p, f)
     q = spec.q
     size = q ** (e + 1)
     rng = random.Random(f"{f}:{e}")

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import os
 import random
@@ -6,19 +7,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fflab import forms, moduli
+import fflab
+from fflab import forms, moduli, polys
 from fflab.circle import CountingProblem
 from fflab.errors import Budget, ConfigError
 from fflab.fields import FieldSpec
 from fflab.forms import BoxKernel, fermat_form, symmetrize
 from fflab.harness import load_config, run_task
 from fflab.moduli import (count_cone, count_morphisms, embed_form,
-                          enumerate_lines, extend_spec, gcd_coprime,
-                          langweil_report, rank_coprime, total_solutions)
+                          enumerate_lines, extend_spec, langweil_report,
+                          rank_coprime, total_solutions)
 from fflab.polys import BinaryForm
+from oracles import gcd_coprime
 
-SURFACE_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
-                              "morphisms_surface_q5.cfg")
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SURFACE_CONFIG = os.path.join(CONFIGS, "morphisms_surface_q5.cfg")
 
 # a non-diagonal ternary cubic: count_morphisms enumerates it
 MIXED_TERNARY = {(3, 0, 0): 1, (0, 3, 0): 2, (0, 0, 3): 3, (2, 1, 0): 4,
@@ -189,17 +192,15 @@ def test_enumerate_route_matches_the_gcd_oracle(spec5):
             == oracle
 
 
-def test_morphism_counts_make_no_gcd_call(spec5, monkeypatch):
-    def forbidden(forms):
-        raise AssertionError("gcd_coprime called outside the tests")
-
-    monkeypatch.setattr(moduli, "gcd_coprime", forbidden)
+def test_morphism_counts_make_no_gcd_call():
+    # the gcd cascade is an oracle of the tests: fflab defines none
+    for module in (fflab, moduli, polys):
+        assert not hasattr(module, "gcd_coprime")
+        assert not hasattr(module, "poly_gcd")
     # the shipped config runs the factor route and the enumerate cross-check
     result = run_task(load_config(SURFACE_CONFIG))
     assert result.status == "pass"
     assert result.records[0].outputs["enumerate_route"] == 360
-    mixed = symmetrize(spec5, 3, 3, MIXED_TERNARY)
-    count_morphisms(CountingProblem(spec5, mixed, 1))
 
 
 def test_extension_tower_rejected(spec5):
@@ -277,3 +278,69 @@ def test_counts_do_not_depend_on_block_sizes(spec5, monkeypatch, size):
     monkeypatch.setattr(forms, "_FOLD_BLOCK", size)
     monkeypatch.setattr(forms, "_MERGE_PENDING", size)
     assert counts() == want
+
+
+@pytest.mark.parametrize("ell,total,spent", [
+    # one half [b, b] charged once: the box 25, then 25 x 25 support pairs
+    (1, 2185, 25 + 25 * 25),
+    (2, 10608625, 625 + 625 * 625),
+])
+def test_equal_halves_share_one_fold(spec5, monkeypatch, ell, total, spent):
+    # Fermat n = 4 splits into the halves [b, b] and [b, b]: one fold of
+    # b with b, and none from the zero vector
+    ext = extend_spec(spec5, ell)
+    form = embed_form(fermat_form(spec5, 4, 3), ext)
+    folds = []
+
+    def counting(spec, left, right, width):
+        folds.append([dist[0].tolist() for dist in (left, right)])
+        return forms.fold(spec, left, right, width)
+
+    monkeypatch.setattr(moduli, "fold", counting)
+    budget = Budget()
+    assert total_solutions(ext, form, 1, "convolve", budget) == total
+    assert len(folds) == 1 and [0] not in folds[0]
+    assert budget.spent == spent
+
+
+@pytest.mark.parametrize("monomials,ell_max", [
+    pytest.param(None, 2, id="fermat_n4"),
+    pytest.param(TWO_MIXED, 1, id="two_mixed_cubics_n4"),
+    pytest.param(MIXED_TERNARY, 1, id="one_block_mixed_ternary"),
+])
+def test_langweil_report_matches_the_separate_counts(spec5, monomials,
+                                                     ell_max):
+    # count_cone and count_morphisms keep their own routes: enumeration for
+    # a one-block form, which langweil_report counts by factor
+    form = (fermat_form(spec5, 4, 3) if monomials is None else
+            symmetrize(spec5, len(next(iter(monomials))), 3, monomials))
+    prob = CountingProblem(spec5, form, 1)
+    rows = [(row.ell, row.raw_cone, row.morphisms)
+            for row in langweil_report(prob, ell_max)]
+    assert rows == [(ell, count_cone(prob, ell), count_morphisms(prob, ell))
+                    for ell in range(1, ell_max + 1)]
+
+
+def test_langweil_report_makes_each_total_once(monkeypatch):
+    # langweil_surface_q5 (Fermat n = 4, e = 1, ell_max = 2) needs total(1)
+    # and total(0) per field, each one fold of equal halves and one block
+    # walk: 4 of each, where separate cone and morphism counts made 6
+    # totals, 6 walks and 24 folds
+    calls = collections.Counter()
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(moduli, "fold", counted("fold", moduli.fold))
+    monkeypatch.setattr(moduli, "total_solutions",
+                        counted("total", moduli.total_solutions))
+    monkeypatch.setattr(BoxKernel, "box", counted("walk", BoxKernel.box))
+    result = run_task(load_config(os.path.join(CONFIGS,
+                                               "langweil_surface_q5.cfg")))
+    assert result.status == "pass"
+    assert [rec.outputs["morphisms"] for rec in result.records] == \
+        [360, 421200]
+    assert calls == {"fold": 4, "total": 4, "walk": 4}
