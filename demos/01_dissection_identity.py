@@ -21,7 +21,17 @@ from fractions import Fraction
 from fflab.circle import CountingProblem
 from fflab.fields import FieldSpec
 from fflab.forms import BoxKernel, fermat_form
-from fflab.polys import Polynomial
+
+
+def low_digits(spec, m, h, width):
+    """The coefficients of t^0..t^(width-1) of the product m h of two
+    coefficient tuples (low degree first), through the field tables."""
+    mul, add = spec.tables["mul"], spec.tables["add"]
+    out = [0] * width
+    for i, a in enumerate(m):
+        for j, b in enumerate(h[:max(0, width - i)]):
+            out[i + j] = add[out[i + j]][mul[a][b]]
+    return tuple(out)
 
 
 def divisor_count_subtotals(prob):
@@ -33,12 +43,10 @@ def divisor_count_subtotals(prob):
 
     def multiples(deg, width):
         # sum of V(m h) over monic m of degree deg and h of degree < width
-        ms = [Polynomial(spec, low + (1,))
+        ms = [low + (1,)
               for low in itertools.product(range(spec.q), repeat=deg)]
-        hs = [Polynomial(spec, cs)
-              for cs in itertools.product(range(spec.q), repeat=width)]
-        return sum(values[tuple((m * h).coeff(k) for k in range(B))]
-                   for m in ms for h in hs)
+        hs = list(itertools.product(range(spec.q), repeat=width))
+        return sum(values[low_digits(spec, m, h, B)] for m in ms for h in hs)
 
     out = {}
     for deg in range(floor_q + 1):

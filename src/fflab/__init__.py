@@ -1,17 +1,18 @@
 """fflab: exact verification laboratory for counting problems over F_q[t].
 
-Exact-arithmetic building blocks (finite fields, Laurent windows, cyclotomic
-character sums) plus the counting, dissection, averaging, lattice and moduli
-layers built on them.  Everything is deterministic and integer/rational exact;
-floating point appears only inside rigorous interval refinement.
+Exact-arithmetic building blocks (finite fields as numpy index tables,
+cyclotomic character sums, batched linear algebra mod q) plus the counting,
+dissection, averaging, lattice and moduli layers built on them.  Field data
+is held as numpy index arrays throughout: a polynomial, a binary form or a
+Laurent matrix is an array of coefficient indices, never an object per
+element.  Everything is deterministic and integer/rational exact; floating
+point appears only inside rigorous interval refinement.
 """
 
 from .errors import (Budget, BudgetExceededError, ConfigError,
                      PrecisionError, VerificationFailure)
 from .fields import FieldElement, FieldSpec, find_irreducible, trace
-from .polys import BinaryForm, Polynomial
 from .cyclotomic import CyclotomicValue, compare_abs_power, real_sign
-from .laurent import LaurentElement, expand_rational
 from .forms import (HypersurfaceForm, fermat_form, parse_form_file,
                     symmetrize)
 from .circle import CountingProblem
@@ -22,8 +23,7 @@ from .audit import (AuditReport, DimReport, audit_minor_arcs, dims,
                     eta_choice, gamma_budget, minor_arc_range, n0, nu_hat)
 from .latgon import (FunctionFieldLattice, LatticeCheck, MinimaProfile,
                      SpecialLatticePair, check_capes, check_ratio_lemmas,
-                     check_sandwiches, diagonal_lattice,
-                     random_symmetric_gamma, skew_counts)
+                     check_sandwiches, random_symmetric_gamma, skew_counts)
 from .moduli import (CountReport, count_cone, count_morphisms,
                      enumerate_lines, extend_spec, langweil_report,
                      rank_coprime, total_solutions)

@@ -16,7 +16,7 @@ deg(F(x)) <= de.  Everything lands in Z[zeta_p], compared bit-exactly.
 
 A phase is its depth-B tail: the tuple of field indices of the digits of
 alpha at t^-1..t^-B, the only digits S sees; nothing here takes a Laurent
-element.  S on a list of phases has one oracle, _exp_sum_direct, which
+element.  S on a list of phases has one oracle, in the tests, which
 walks the whole box jointly and traces every image, and two routes, one
 per density of the list.  Both read the distribution of each distinct
 block form's coefficient vectors over its own box
@@ -64,7 +64,8 @@ brute_count (forms.zero_count), which walks the whole box jointly and
 shares nothing with the fast route after evaluation.  The identity
 integral over T of psi(<c(x), alpha>) = [c(x) = 0] holds for any map c, so
 dissect-verify checks the dissection, the arcs and the quadrature whatever
-evaluates F; BoxKernel has eval_form as its scalar oracle in tests.
+evaluates F; BoxKernel's own oracle, eval_form in tests/oracles.py,
+evaluates F one monomial at a time on scalar polynomials.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ import numpy as np
 from .cyclotomic import CyclotomicValue
 from .errors import DEFAULT_BUDGET, Budget, ConfigError, PrecisionError
 from .fields import FieldSpec
-from .forms import (BoxKernel, HypersurfaceForm, block_distributions,
-                    decode_keys, zero_count)
+from .forms import (HypersurfaceForm, block_distributions, decode_keys,
+                    zero_count)
 
 # (tail, support point) cells per block of the S kernel; bounds its
 # working set
@@ -337,23 +338,6 @@ class CountingProblem:
             hists.append(functools.reduce(_convolve, [
                 rows[part] for part in self.form.parts]))
         return np.concatenate(hists)
-
-    def _exp_sum_direct(self, tail: tuple) -> CyclotomicValue:
-        """Oracle: S at one depth-B tail by a walk of the whole box
-        (BoxKernel.box), with no block split, fold or convolution: the
-        histogram of tr <coeffs F(x), tail> over every x."""
-        spec = self.spec
-        self.budget.charge(spec.q ** (self.box * self.n),
-                           "direct S evaluation")
-        np_mul, np_add = spec.tables["np_mul"], spec.tables["np_add"]
-        hist = np.zeros(spec.p, dtype=np.int64)
-        for _, images in BoxKernel(self.form, self.e).box():
-            acc = np.zeros(len(images), dtype=np.int16)
-            for k, digit in enumerate(tail):
-                acc = np_add[acc, np_mul[images[:, k], digit]]
-            hist += np.bincount(spec.tables["np_trace"][acc],
-                                minlength=spec.p)
-        return CyclotomicValue.from_histogram(spec.p, hist.tolist())
 
     def sum_table(self, charged: bool = False) -> np.ndarray:
         """S on every depth-B tail as one int64 histogram H of shape

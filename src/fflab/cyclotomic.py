@@ -23,7 +23,6 @@ import mpmath
 from .errors import PrecisionError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class CyclotomicValue:
@@ -45,17 +44,6 @@ class CyclotomicValue:
     @classmethod
     def from_rational(cls, p: int, value):
         cs = [Fraction(value)] + [_ZERO] * (p - 2)
-        return cls(p, cs)
-
-    @classmethod
-    def root_power(cls, p: int, k: int):
-        """zeta^k, any integer k."""
-        k %= p
-        cs = [_ZERO] * (p - 1)
-        if k < p - 1:
-            cs[k] = _ONE
-        else:
-            cs = [-_ONE] * (p - 1)
         return cls(p, cs)
 
     @classmethod

@@ -15,13 +15,12 @@ multilinear forms in d-1 vector arguments that the Weyl layer reads,
 
 satisfying sum_i x_i Psi_i(x,...,x) = F(x) identically.
 
-Evaluation is ring-generic: vectors of field elements, Polynomial, BinaryForm
-or LaurentElement all work (anything with +, * and scale_idx).  BoxKernel
-is the one walk of a coefficient box: it evaluates F(f_1,...,f_n) on
-blocks of tuples of degree-e forms at once, through the numpy field
-tables, and every count over a box reads it (zero_count, the block
-distributions, the direct S oracle).  eval_form is its scalar oracle in
-tests.
+Evaluation works on numpy index arrays only.  BoxKernel is the one walk
+of a coefficient box: it evaluates F(f_1,...,f_n) on blocks of tuples of
+degree-e forms at once, through the flat field tables, and every count
+over a box reads it (zero_count, the block distributions, the direct S
+oracle).  Its oracle in the tests evaluates F one monomial at a time on
+scalar polynomials.
 
 F is the sum of its `parts`, one form per block of variables (`blocks`),
 the one block split of F that S, the Weyl counts and the moduli counts
@@ -36,7 +35,7 @@ from math import factorial, prod
 import numpy as np
 
 from .errors import ConfigError
-from .fields import FieldElement, FieldSpec
+from .fields import FieldSpec
 
 
 def _multiplicity(rep) -> int:
@@ -119,48 +118,6 @@ class HypersurfaceForm:
     def __hash__(self):
         return hash((self.spec, self.n, self.d,
                      tuple(sorted(self.monomials.items()))))
-
-    # -- evaluation ---------------------------------------------------------
-
-    def __call__(self, x):
-        return self.eval_form(x)
-
-    def eval_form(self, x):
-        """F at a length-n vector of field elements or ring elements."""
-        if len(x) != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {len(x)}")
-        if all(isinstance(c, (FieldElement, int)) for c in x):
-            spec = self.spec
-            return spec.from_index(self.eval_indices(
-                [spec.element(c).idx for c in x], spec))
-        return self._eval_ring(x)
-
-    def _eval_ring(self, x):
-        acc = None
-        for exps, c in self.monomials.items():
-            term = None
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    term = x[i] if term is None else term * x[i]
-            term = term.scale_idx(c)
-            acc = term if acc is None else acc + term
-        return acc
-
-    def eval_indices(self, idxs, spec):
-        """F at a point of an extension field, coordinates as indices."""
-        mul, add = spec.tables["mul"], spec.tables["add"]
-        acc = 0
-        for exps, c in self.monomials.items():
-            term = c
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    term = mul[term][idxs[i]]
-                    if term == 0:
-                        break
-                if term == 0:
-                    break
-            acc = add[acc][term]
-        return acc
 
 
 # tuples per kernel block: bounds every array BoxKernel.box makes

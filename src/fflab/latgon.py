@@ -4,9 +4,12 @@ A lattice here is the image of O^N, O = F_q[t], under an invertible N x N
 generator matrix over K.  Everything is exact.  A matrix is held as one
 int16 array (rows, cols, W) of field indices, the t-coefficients of every
 entry on one exponent window, with the exponent of the window's first
-coefficient and a floor per entry (LaurentMatrix); random_symmetric_gamma
-draws straight into one.  Each quantity has one fast route, a kernel
-batched over as many matrices as the caller hands it, and one oracle:
+coefficient and a floor per entry (LaurentMatrix).  It is the only matrix
+input the module takes, for generators, inverse hints and gammas alike;
+random_symmetric_gamma draws straight into one, and every gamma is checked
+square and symmetric on its known coefficients.  Each quantity has one
+fast route, a kernel batched over as many matrices as the caller hands
+it, and one oracle:
 
   * products of Laurent matrices are table-driven convolutions; they
     certify inverse hints and the adjoint identity L_m^T M_m = I;
@@ -61,9 +64,8 @@ import numpy as np
 
 from .errors import Budget, ConfigError, PrecisionError, VerificationFailure
 from .fields import FieldSpec
-from .laurent import LaurentElement
+from .forms import _flat_tables
 from .linalg import batched_nullspace, batched_poly_rank, batched_rank
-from .polys import Polynomial
 
 # one stack handed to a batched kernel holds at most this many int16 cells
 _STACK_CELLS = 1 << 20
@@ -94,16 +96,6 @@ def _ratio_vs_power(count1: int, count2: int, q: int, k: int) -> int:
     return count1 * q ** max(0, -k) - count2 * q ** max(0, k)
 
 
-def _as_laurent(spec: FieldSpec, value) -> LaurentElement:
-    if isinstance(value, LaurentElement):
-        if value.spec != spec:
-            raise ConfigError("mixed field specs in lattice data")
-        return value
-    if isinstance(value, Polynomial):
-        return LaurentElement.from_poly(value)
-    raise ConfigError(f"expected a Laurent element, got {value!r}")
-
-
 # -- matrices on coefficient arrays ---------------------------------------------
 
 
@@ -118,21 +110,18 @@ class LaurentMatrix:
         self.spec, self.coeffs, self.lo, self.floors = spec, coeffs, lo, floors
 
 
-def _laurent_matrix(spec: FieldSpec, rows) -> LaurentMatrix:
-    """A LaurentMatrix from rows of LaurentElement or Polynomial entries."""
-    els = [[_as_laurent(spec, e) for e in row] for row in rows]
-    exps = [e for row in els for el in row for e in el.coeffs]
-    lo = min(exps, default=0)
-    coeffs = np.zeros((len(els), len(els[0]), max(exps, default=0) - lo + 1),
-                      dtype=np.int16)
-    floors = np.full(coeffs.shape[:2], _NO_FLOOR, dtype=np.int64)
-    for i, row in enumerate(els):
-        for j, el in enumerate(row):
-            for e, c in el.coeffs.items():
-                coeffs[i, j, e - lo] = c
-            if el.floor is not None:
-                floors[i, j] = el.floor
-    return LaurentMatrix(spec, coeffs, lo, floors)
+def _square(spec: FieldSpec, mat, what: str) -> LaurentMatrix:
+    """mat, checked to be a nonempty square LaurentMatrix over spec."""
+    if not isinstance(mat, LaurentMatrix):
+        raise ConfigError(f"{what} must be a LaurentMatrix, got "
+                          f"{type(mat).__name__}")
+    if mat.spec != spec:
+        raise ConfigError("mixed field specs in lattice data")
+    rows, cols = mat.coeffs.shape[:2]
+    if not 0 < rows == cols:
+        raise ConfigError(f"{what} must be a nonempty square matrix, got "
+                          f"{rows} x {cols}")
+    return mat
 
 
 def _stack(mats):
@@ -153,7 +142,7 @@ def _stack(mats):
 def _known_tops(coeffs, lo, floors):
     """Largest exponent of a known nonzero coefficient of every entry;
     floor - 1 where the known part of a windowed entry vanishes, _NO_FLOOR
-    for an exact zero (LaurentElement.known_top)."""
+    for an exact zero."""
     nz = coeffs != 0
     top = lo + coeffs.shape[-1] - 1 - np.argmax(nz[..., ::-1], axis=-1)
     return np.where(nz.any(axis=-1), top,
@@ -171,22 +160,24 @@ def _entry_degrees(coeffs, lo, floors, what: str):
 
 def _matmul(spec: FieldSpec, a, alo, afl, b, blo, bfl):
     """Products of two stacks of Laurent matrices, a (B, R, K, Wa) at
-    exponent alo times b (B, K, C, Wb) at blo, by field-table convolution.
-    Floors follow LaurentElement: a product is exact down to
+    exponent alo times b (B, K, C, Wb) at blo, by convolution through the
+    flat field tables.  Floors are pessimistic: a product is exact down to
     max(top(x) + floor(y), floor(x) + top(y)), a sum down to the largest
     floor of its terms.  Returns (coeffs, lo, floors)."""
-    np_mul = spec.tables["np_mul"]
-    np_add = spec.tables["np_add"]
+    q, dtype, mul, add = _flat_tables(spec)
     bsz, nrows, inner, wa = a.shape
     wb = b.shape[3]
+    aq = np.multiply(a, q, dtype=dtype)
+    b = b.astype(dtype, copy=False)
     out = np.zeros((bsz, nrows, b.shape[2], wa + wb - 1), dtype=np.int16)
     for k in range(inner):
         bk = b[:, None, k]
         for s in range(wa):
-            ak = a[:, :, k, s]
+            ak = aq[:, :, k, s]
             if ak.any():
-                out[..., s:s + wb] = np_add[out[..., s:s + wb],
-                                            np_mul[ak[:, :, None, None], bk]]
+                window = np.multiply(out[..., s:s + wb], q, dtype=dtype)
+                out[..., s:s + wb] = add.take(
+                    window + mul.take(ak[:, :, None, None] + bk))
     ta = _known_tops(a, alo, afl)
     tb = _known_tops(b, blo, bfl)
     fl = np.maximum(ta[..., None] + bfl[:, None],
@@ -294,18 +285,16 @@ class LatticeCheck:
 class FunctionFieldLattice:
     """The O-module {B u : u in O^N} for an invertible matrix B over K.
 
-    Rows of `matrix` are coordinates; columns are the generators.  An exact
-    inverse may be supplied as a degree-bound hint; it is verified against
-    the generator before use, so a wrong hint raises instead of corrupting
-    counts.  Without one, the lattice is reduced on construction: that
+    Rows of the LaurentMatrix `matrix` are coordinates; columns are the
+    generators.  An exact inverse, a LaurentMatrix of the same size, may be
+    supplied as a degree-bound hint; it is verified against the generator
+    before use, so a wrong hint raises instead of corrupting counts.  Without one, the lattice is reduced on construction: that
     certifies B nonsingular and gives deg det B as the sum of the reduced
     degrees."""
 
-    def __init__(self, spec: FieldSpec, matrix, inverse=None):
-        dim = len(matrix)
-        if dim == 0 or any(len(row) != dim for row in matrix):
-            raise ConfigError("generator matrix must be square")
-        gen = _laurent_matrix(spec, matrix)
+    def __init__(self, spec: FieldSpec, matrix: LaurentMatrix,
+                 inverse: LaurentMatrix = None):
+        gen = _square(spec, matrix, "generator matrix")
         self._setup(gen, _entry_degrees(gen.coeffs, gen.lo, gen.floors,
                                         "generator entry"))
         self._inv_top = None
@@ -313,9 +302,9 @@ class FunctionFieldLattice:
             reduce_lattices([self])
             self._det_deg = sum(self._degrees)
             return
-        if len(inverse) != dim or any(len(row) != dim for row in inverse):
+        inv = _square(spec, inverse, "inverse hint")
+        if inv.coeffs.shape[0] != self.dim:
             raise ConfigError("inverse hint must be square of the same size")
-        inv = _laurent_matrix(spec, inverse)
         prod = _matmul(spec, inv.coeffs[None], inv.lo, inv.floors[None],
                        gen.coeffs[None], gen.lo, gen.floors[None])
         bad = np.argwhere(_identity_defects(*prod)[0])
@@ -467,8 +456,7 @@ def _reduce(spec: FieldSpec, coeffs, lo: int, floors):
     never grows and every column degree stays >= lo: a lattice takes at
     most (degree sum) - N lo passes, and one that takes more raises
     VerificationFailure."""
-    np_mul = spec.tables["np_mul"]
-    np_add = spec.tables["np_add"]
+    q, dtype, mul, add = _flat_tables(spec)
     c = coeffs.copy()
     fl = floors.copy()
     size, width = c.shape[1], c.shape[3]
@@ -497,10 +485,11 @@ def _reduce(spec: FieldSpec, coeffs, lo: int, floors):
             c[live], np.clip(widx, 0, width - 1)[:, None], axis=3)
         moved = np.where(((widx >= 0) & support[:, :, None])[:, None],
                          moved, 0)
-        terms = np_mul[combo[:, None, :, None], moved]
+        terms = mul.take(np.multiply(combo, q, dtype=dtype)[:, None, :, None]
+                         + moved)
         new = terms[:, :, 0]
         for j in range(1, size):
-            new = np_add[new, terms[:, :, j]]
+            new = add.take(np.multiply(new, q, dtype=dtype) + terms[:, :, j])
         newfl = np.where(support[:, None, :], fl[live] + shift[:, None, :],
                          _NO_FLOOR).max(axis=2)
         newfl = np.where(newfl < _NO_FLOOR // 2, _NO_FLOOR, newfl)
@@ -571,51 +560,26 @@ def ball_counts(requests, budget: Budget = None) -> list:
     return [lat._counts[zc] for lat, zc in wanted]
 
 
-def diagonal_lattice(spec: FieldSpec, exponents) -> FunctionFieldLattice:
-    """Lattice generated by t^{e_1}, ..., t^{e_N} on the axes."""
-    size = len(exponents)
-    rows = [[LaurentElement.monomial(spec, exponents[i]) if i == j
-             else LaurentElement.zero(spec) for j in range(size)]
-            for i in range(size)]
-    inv = [[LaurentElement.monomial(spec, -exponents[i]) if i == j
-            else LaurentElement.zero(spec) for j in range(size)]
-           for i in range(size)]
-    return FunctionFieldLattice(spec, rows, inverse=inv)
-
-
 # -- the special pair -------------------------------------------------------------
 
 
-def _coerce_gamma(spec: FieldSpec, gamma) -> LaurentMatrix:
-    """gamma as a LaurentMatrix, checked square and symmetric.  A
-    LaurentMatrix is a gamma this function made before (a pair's `gamma`)
-    or random_symmetric_gamma drew, and is passed through."""
-    if isinstance(gamma, LaurentMatrix):
-        if gamma.spec != spec:
-            raise ConfigError("mixed field specs in lattice data")
-        return gamma
-    n = len(gamma)
-    if n == 0 or any(len(row) != n for row in gamma):
-        raise ConfigError("gamma must be a nonempty square matrix")
-    mat = _laurent_matrix(spec, gamma)
-    c, fl = mat.coeffs, mat.floors
-    known = mat.lo + np.arange(c.shape[2]) >= np.maximum(fl, fl.T)[..., None]
-    bad = np.argwhere(np.triu(((c != c.transpose(1, 0, 2)) & known)
-                              .any(axis=2)))
+def _check_gammas(spec: FieldSpec, gammas):
+    """The distinct gammas of `gammas` on one stack (_stack), each checked
+    to be a square LaurentMatrix over spec that is symmetric wherever an
+    entry and its mirror both know the coefficient: (distinct gammas,
+    coeffs, lo, floors)."""
+    distinct = list({id(gamma): gamma for gamma in gammas}.values())
+    for gamma in distinct:
+        _square(spec, gamma, "gamma")
+    c, lo, fl = _stack(distinct)
+    known = (lo + np.arange(c.shape[3])
+             >= np.maximum(fl, fl.transpose(0, 2, 1))[..., None])
+    # the first hit in row-major order lies above the diagonal
+    bad = np.argwhere(((c != c.transpose(0, 2, 1, 3)) & known).any(axis=3))
     if len(bad):
-        i, j = bad[0].tolist()
+        _, i, j = bad[0].tolist()
         raise ConfigError(f"gamma is not symmetric at ({i},{j})")
-    return mat
-
-
-def _coerce_gammas(spec: FieldSpec, gammas) -> list:
-    """_coerce_gamma of every gamma, each input object converted once, so
-    that items sharing a gamma share one matrix."""
-    mats = {}
-    for gamma in gammas:
-        if id(gamma) not in mats:
-            mats[id(gamma)] = _coerce_gamma(spec, gamma)
-    return [mats[id(gamma)] for gamma in gammas]
+    return distinct, c, lo, fl
 
 
 class SpecialLatticePair:
@@ -629,13 +593,13 @@ class SpecialLatticePair:
     `suite` builds many pairs on one coefficient stack with one batched
     product; a pair built alone is a suite of one."""
 
-    def __init__(self, spec: FieldSpec, gamma, m: int):
+    def __init__(self, spec: FieldSpec, gamma: LaurentMatrix, m: int):
         _build_pairs(spec, [self], [(gamma, m)])
 
     @classmethod
     def suite(cls, spec: FieldSpec, gammas, ms) -> list:
-        """One pair per (gamma, m), all of one size n, built and certified
-        together."""
+        """One pair per (gamma, m), gamma a LaurentMatrix, all of one size
+        n, built and certified together."""
         items = list(zip(gammas, ms))
         pairs = [cls.__new__(cls) for _ in items]
         if pairs:
@@ -674,10 +638,12 @@ def _build_pairs(spec: FieldSpec, pairs, items) -> None:
         if not isinstance(m, int) or m < 1:
             raise ConfigError(f"block scale m must be a positive integer, "
                               f"got {m}")
-    mats = _coerce_gammas(spec, gammas)
-    if len({mat.coeffs.shape[0] for mat in mats}) > 1:
+    distinct, g, glo, gfl = _check_gammas(spec, gammas)
+    if len({mat.coeffs.shape[0] for mat in distinct}) > 1:
         raise ConfigError("a suite of lattice pairs needs one size n")
-    g, glo, gfl = _stack(mats)
+    where = {id(mat): k for k, mat in enumerate(distinct)}
+    at = [where[id(gamma)] for gamma in gammas]
+    g, gfl = g[at], gfl[at]
     bsz, n, _, wg = g.shape
     lo = min(-max(ms), min(ms) + glo)
     width = max(ms) + max(0, glo + wg - 1) - lo + 1
@@ -699,8 +665,8 @@ def _build_pairs(spec: FieldSpec, pairs, items) -> None:
     l_fl = m_fl.copy()
     m_fl[:, n:, :n] = shifted
     l_fl[:, :n, n:] = shifted
-    for pair, mat, m in zip(pairs, mats, ms):
-        pair.spec, pair.m, pair.gamma, pair.n = spec, m, mat, n
+    for pair, gamma, m in zip(pairs, gammas, ms):
+        pair.spec, pair.m, pair.gamma, pair.n = spec, m, gamma, n
     _certify_pairs(pairs, spec, lo, m_c, m_fl, l_c, l_fl)
 
 
@@ -828,25 +794,24 @@ def skew_counts(spec: FieldSpec, requests, budget: Budget = None) -> list:
                                            |L_j(u) + u'_j| < q^{z-a} for all j},
 
     where L_j(u) = sum_k gamma[j][k] u_k, for every (gamma, a, z) of
-    `requests`, in order.  a and z may be half-integers; every threshold
-    enters through a single ceiling of a doubled integer exponent.  Each
-    gamma object is converted once (a LaurentMatrix, such as a pair's
-    `gamma`, not at all), and the top degrees of the distinct gammas come
-    from one stack; each distinct (gamma, ceil(a + z), ceil(z - a)) is
-    counted once, its system charged to `budget` (a fresh default Budget
-    when None), and all systems are ranked together."""
+    `requests`, gamma a LaurentMatrix, in order.  a and z may be
+    half-integers; every threshold enters through a single ceiling of a
+    doubled integer exponent.  The distinct gammas are checked and their
+    top degrees taken on one stack (_check_gammas); each distinct (gamma,
+    ceil(a + z), ceil(z - a)) is counted once, its system charged to
+    `budget` (a fresh default Budget when None), and all systems are
+    ranked together."""
     budget = Budget() if budget is None else budget
     keys, distinct, gtops = [], {}, {}
-    mats = _coerce_gammas(spec, [gamma for gamma, _, _ in requests])
-    if mats:
-        gammas = list({id(mat): mat for mat in mats}.values())
-        tops = _entry_degrees(*_stack(gammas), "gamma").max(axis=(1, 2))
+    if requests:
+        gammas, *stack = _check_gammas(spec, [g for g, _, _ in requests])
+        tops = _entry_degrees(*stack, "gamma").max(axis=(1, 2))
         gtops = dict(zip(map(id, gammas), tops.tolist()))
-    for mat, (_, a, z) in zip(mats, requests):
+    for gamma, a, z in requests:
         a2, z2 = _half(a, "a"), _half(z, "z")
-        key = (id(mat), _ceil_half(a2 + z2) - 1, _ceil_half(z2 - a2))
+        key = (id(gamma), _ceil_half(a2 + z2) - 1, _ceil_half(z2 - a2))
         if key not in distinct:
-            distinct[key] = (mat, gtops[id(mat)]) + key[1:]
+            distinct[key] = (gamma, gtops[id(gamma)]) + key[1:]
         keys.append(key)
     systems = [(spec, system)
                for system in _skew_systems(list(distinct.values()), budget)]
@@ -896,14 +861,12 @@ def check_capes(spec: FieldSpec, items, budget: Budget = None) -> list:
         if not d1 <= d2 <= 0:
             raise ConfigError(f"need z1 <= z2 <= 0, got {z1}, {z2}")
         capes.append(_ceil_half(d1 - a2 % 2) - _ceil_half(d2 + a2 % 2))
-    mats = _coerce_gammas(spec, [gamma for gamma, _, _, _ in items])
-    counts = skew_counts(spec, [(mat, a, z) for mat, (_, a, z1, z2)
-                                in zip(mats, items) for z in (z1, z2)],
-                         budget)
+    counts = skew_counts(spec, [(gamma, a, z) for gamma, a, z1, z2 in items
+                                for z in (z1, z2)], budget)
     out = []
-    for k, (mat, (_, a, z1, z2), cape) in enumerate(zip(mats, items, capes)):
+    for k, ((gamma, a, z1, z2), cape) in enumerate(zip(items, capes)):
         count1, count2 = counts[2 * k], counts[2 * k + 1]
-        n = mat.coeffs.shape[0]
+        n = gamma.coeffs.shape[0]
         out.append(LatticeCheck(
             _ratio_vs_power(count1, count2, spec.q, n * cape) >= 0,
             "cape-decay", {"a": str(a), "z1": str(z1), "z2": str(z2),

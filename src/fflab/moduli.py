@@ -117,10 +117,11 @@ def rank_coprime(spec: FieldSpec, coeffs) -> np.ndarray:
     """No common projective zero, for a stack of tuples at once.
 
     coeffs has shape (N, n, e+1), e >= 1: coefficient indices of n binary
-    forms of degree e per tuple, in BinaryForm.coeffs order.  The forms
-    share no zero exactly when (g_i) -> sum g_i f_i maps (S_{e-1})^n onto
-    S_{2e-1}, i.e. when the n e shifted coefficient vectors t^s f_i
-    (0 <= s < e) span F_q^{2e}; for n = 2 this is the Sylvester matrix.
+    forms of degree e per tuple, entry i the coefficient of u^i v^(e-i).
+    The forms share no zero exactly when (g_i) -> sum g_i f_i maps
+    (S_{e-1})^n onto S_{2e-1}, i.e. when the n e shifted coefficient
+    vectors t^s f_i (0 <= s < e) span F_q^{2e}; for n = 2 this is the
+    Sylvester matrix.
     Rank does not change under field extension, so the test is exact for
     every q.  Returns a boolean array of length N."""
     count, n, width = coeffs.shape

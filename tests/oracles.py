@@ -1,7 +1,7 @@
 """Slow, obviously correct routes that the tests check fflab's fast routes
 against.  They live here because no code in fflab calls them."""
 
-from fflab.polys import Polynomial
+from scalars import Polynomial
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -33,3 +33,21 @@ def gcd_coprime(forms) -> bool:
             break
         g = poly_gcd(g, p)
     return g.degree() == 0
+
+
+def eval_form(form, x):
+    """F at a length-n vector x, one monomial at a time: field indices give
+    a field index, Polynomial or BinaryForm entries give one of those (None
+    for a form with no monomials).  The scalar oracle of forms.BoxKernel."""
+    if all(isinstance(c, int) for c in x):
+        value = eval_form(form, [Polynomial(form.spec, [c]) for c in x])
+        return 0 if value is None else value.coeff(0)
+    acc = None
+    for exps, c in form.monomials.items():
+        term = None
+        for i, k in enumerate(exps):
+            for _ in range(k):
+                term = x[i] if term is None else term * x[i]
+        term = term.scale_idx(c)
+        acc = term if acc is None else acc + term
+    return acc

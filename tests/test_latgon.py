@@ -14,17 +14,28 @@ from fflab.fields import FieldSpec
 from fflab.harness import load_config, run_task
 from fflab.latgon import (FunctionFieldLattice, SpecialLatticePair,
                           ball_counts, check_capes, check_ratio_lemmas,
-                          check_sandwiches, diagonal_lattice,
-                          minima_by_enumeration, random_symmetric_gamma,
-                          reduce_lattices, skew_counts)
-from fflab.laurent import LaurentElement
-from fflab.polys import Polynomial
+                          check_sandwiches, minima_by_enumeration,
+                          random_symmetric_gamma, reduce_lattices,
+                          skew_counts)
+from scalars import LaurentElement, laurent_matrix
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
-def _zero(spec):
-    return LaurentElement.zero(spec)
+def _zero_gamma(spec):
+    """gamma = 0, n = 1."""
+    return laurent_matrix(spec, [[LaurentElement.zero(spec)]])
+
+
+def diagonal_lattice(spec, exponents):
+    """The lattice generated by t^{e_1}, ..., t^{e_N} on the axes, with its
+    inverse as the hint."""
+    def diagonal(sign):
+        return laurent_matrix(spec, [
+            [LaurentElement.monomial(spec, sign * e) if i == j
+             else LaurentElement.zero(spec) for j in range(len(exponents))]
+            for i, e in enumerate(exponents)])
+    return FunctionFieldLattice(spec, diagonal(1), inverse=diagonal(-1))
 
 
 def test_identity_lattice_counts(spec5):
@@ -33,7 +44,7 @@ def test_identity_lattice_counts(spec5):
 
 
 def test_diagonal_pair_basics(spec5):
-    pair = SpecialLatticePair(spec5, [[_zero(spec5)]], 2)     # gamma = 0, n = 1
+    pair = SpecialLatticePair(spec5, _zero_gamma(spec5), 2)
     assert ball_counts([(pair.m_lattice, 0)]) == [25]
     closed = pair.minima("M", convention="closed")
     assert closed.exponents == (-2, 2)
@@ -46,7 +57,7 @@ def test_diagonal_pair_basics(spec5):
 
 
 def test_ratio_lemma_straddles_first_minimum(spec5):
-    pair = SpecialLatticePair(spec5, [[_zero(spec5)]], 1)
+    pair = SpecialLatticePair(spec5, _zero_gamma(spec5), 1)
     [rep] = check_ratio_lemmas([(pair, -1, 0)])
     assert rep.passed
     det = rep.details
@@ -56,7 +67,7 @@ def test_ratio_lemma_straddles_first_minimum(spec5):
 
 
 def test_ratio_lemma_validates_z_order(spec5):
-    pair = SpecialLatticePair(spec5, [[_zero(spec5)]], 1)
+    pair = SpecialLatticePair(spec5, _zero_gamma(spec5), 1)
     with pytest.raises(ConfigError):
         check_ratio_lemmas([(pair, 0, -1)])
     with pytest.raises(ConfigError):
@@ -64,22 +75,22 @@ def test_ratio_lemma_validates_z_order(spec5):
 
 
 def test_count_NaZ_gamma_zero(spec5):
-    assert skew_counts(spec5, [([[_zero(spec5)]], 1, 0)]) == [5]
+    gamma = _zero_gamma(spec5)
+    assert skew_counts(spec5, [(gamma, 1, 0)]) == [5]
     # at a = m the skew box coincides with the pair lattice box
-    gamma = [[_zero(spec5)]]
     assert skew_counts(spec5, [(gamma, 2, z) for z in (0, -1, -2)]) == \
         [25, 5, 1]
 
 
 def test_sandwich_gamma_zero(spec5):
     for a in (1, 2, Fraction(3, 2)):
-        pair = SpecialLatticePair(spec5, [[_zero(spec5)]], math.floor(a))
+        pair = SpecialLatticePair(spec5, _zero_gamma(spec5), math.floor(a))
         for rep in check_sandwiches([(pair, a, z) for z in (0, -1)]):
             assert rep.passed, rep.details
 
 
 def test_sandwich_needs_a_at_least_one(spec5):
-    pair = SpecialLatticePair(spec5, [[_zero(spec5)]], 1)
+    pair = SpecialLatticePair(spec5, _zero_gamma(spec5), 1)
     with pytest.raises(ConfigError):
         check_sandwiches([(pair, Fraction(1, 2), 0)])
 
@@ -119,9 +130,10 @@ def test_seeded_ratio_and_cape_suite(spec5):
 def test_problem_gamma_cape_instance(spec5):
     # alpha * Psi_i(v, e_k) for the diagonal cubic at v = (1 + 2t, t) and
     # alpha = 2 t^-2 + t^-3 + 3 t^-4: alpha * diag(1 + 2t, t)
-    zero = _zero(spec5)
-    gamma = [[LaurentElement(spec5, {-1: 4, -2: 4, -3: 2, -4: 3}), zero],
-             [zero, LaurentElement(spec5, {-1: 2, -2: 1, -3: 3})]]
+    zero = LaurentElement.zero(spec5)
+    gamma = laurent_matrix(spec5, [
+        [LaurentElement(spec5, {-1: 4, -2: 4, -3: 2, -4: 3}), zero],
+        [zero, LaurentElement(spec5, {-1: 2, -2: 1, -3: 3})]])
     [rep] = check_capes(spec5, [(gamma, 2, -1, 0)])
     assert rep.passed
     det = rep.details
@@ -137,28 +149,52 @@ def test_gamma_must_be_symmetric(spec5):
     zero = LaurentElement.zero(spec5)
     one = LaurentElement.monomial(spec5, 0)
     with pytest.raises(ConfigError):
-        SpecialLatticePair(spec5, [[zero, t], [one, zero]], 1)
+        SpecialLatticePair(spec5,
+                           laurent_matrix(spec5, [[zero, t], [one, zero]]), 1)
+
+
+def test_malformed_gamma_matrices_are_config_errors(spec5):
+    # a gamma is checked square and symmetric whatever made it; nested
+    # rows of elements are no longer a gamma at all
+    one = LaurentElement.monomial(spec5, 0)
+    t = LaurentElement.monomial(spec5, 1)
+    skew = laurent_matrix(spec5, [[one, t], [one, one]])
+    wide = laurent_matrix(spec5, [[one, one, one], [one, one, one]])
+    for gamma in (skew, wide, [[one]]):
+        with pytest.raises(ConfigError):
+            check_capes(spec5, [(gamma, 1, -1, 0)])
+        with pytest.raises(ConfigError):
+            skew_counts(spec5, [(gamma, 1, 0)])
+        with pytest.raises(ConfigError):
+            SpecialLatticePair(spec5, gamma, 1)
+    # mirror entries need agree only where both are known: t^-2 is below
+    # the (1, 0) entry's floor
+    known = laurent_matrix(spec5, [
+        [one, LaurentElement(spec5, {0: 1, -2: 3}, floor=-2)],
+        [LaurentElement(spec5, {0: 1}, floor=-1), one]])
+    assert skew_counts(spec5, [(known, 1, 0)])[0] >= 1
 
 
 def test_singular_generator_rejected(spec5):
     one = LaurentElement.monomial(spec5, 0)
     with pytest.raises(ConfigError):
-        FunctionFieldLattice(spec5, [[one, one], [one, one]])
+        FunctionFieldLattice(spec5, laurent_matrix(spec5, [[one, one],
+                                                          [one, one]]))
 
 
 def test_windowed_singularity_is_a_precision_error(spec5):
     windowed = LaurentElement.zero(spec5, floor=-3)
     with pytest.raises(PrecisionError):
-        FunctionFieldLattice(spec5, [[windowed]])
+        FunctionFieldLattice(spec5, laurent_matrix(spec5, [[windowed]]))
 
 
 def test_count_NaZ_below_window_is_a_precision_error(spec5):
     # a gamma entry truncated at t^-3 cannot certify a box that reads
     # coefficients at t^-5
-    g = LaurentElement(spec5, {-1: 2}, floor=-3)
-    assert skew_counts(spec5, [([[g]], 2, 0)])[0] >= 1
+    g = laurent_matrix(spec5, [[LaurentElement(spec5, {-1: 2}, floor=-3)]])
+    assert skew_counts(spec5, [(g, 2, 0)])[0] >= 1
     with pytest.raises(PrecisionError):
-        skew_counts(spec5, [([[g]], 3, 0)])
+        skew_counts(spec5, [(g, 3, 0)])
 
 
 def test_gammas_of_two_sizes_share_one_call(spec5):
@@ -174,7 +210,7 @@ def test_gammas_of_two_sizes_share_one_call(spec5):
 def test_nonsquare_matrix_rejected(spec5):
     one = LaurentElement.monomial(spec5, 0)
     with pytest.raises(ConfigError):
-        FunctionFieldLattice(spec5, [[one, one]])
+        FunctionFieldLattice(spec5, laurent_matrix(spec5, [[one, one]]))
 
 
 def test_counts_past_the_unknowns_cap_are_budget_records(spec5):
@@ -186,7 +222,7 @@ def test_counts_past_the_unknowns_cap_are_budget_records(spec5):
         (18000 ** 3, 10 ** 9, "ball count system")
     # |u| < q^9001 and |u'| < q^8999: 9001 + 8999 unknowns
     with pytest.raises(BudgetExceededError) as exc:
-        skew_counts(spec5, [([[_zero(spec5)]], 1, 9000)])
+        skew_counts(spec5, [(_zero_gamma(spec5), 1, 9000)])
     assert (exc.value.needed, exc.value.budget, exc.value.what) == \
         (18000 ** 3, 10 ** 9, "skew count system")
 
@@ -250,8 +286,9 @@ def test_windowed_lattice_reads_below_its_floor_raise(spec5):
     one = LaurentElement.monomial(spec5, 0)
     zero = LaurentElement.zero(spec5)
     lat = FunctionFieldLattice(
-        spec5, [[windowed, zero], [zero, one]],
-        inverse=[[LaurentElement.monomial(spec5, -3), zero], [zero, one]])
+        spec5, laurent_matrix(spec5, [[windowed, zero], [zero, one]]),
+        inverse=laurent_matrix(spec5, [[LaurentElement.monomial(spec5, -3),
+                                        zero], [zero, one]]))
     assert lat.successive_minima().exponents == (0, 3)
     with pytest.raises(PrecisionError):
         ball_counts([(lat, 1)])
@@ -259,7 +296,8 @@ def test_windowed_lattice_reads_below_its_floor_raise(spec5):
     # whose vanishing the window cannot decide
     fuzzy = LaurentElement(spec5, {0: 1}, floor=-1)
     with pytest.raises(PrecisionError):
-        FunctionFieldLattice(spec5, [[one, one], [one, fuzzy]])
+        FunctionFieldLattice(spec5, laurent_matrix(spec5, [[one, one],
+                                                          [one, fuzzy]]))
 
 
 @pytest.mark.parametrize("name,task,digest,reduced,pairs", [
@@ -276,13 +314,8 @@ def test_windowed_lattice_reads_below_its_floor_raise(spec5):
 def test_suites_reduce_each_lattice_once_on_arrays(tmp_path, monkeypatch, name,
                                                    task, digest, reduced,
                                                    pairs):
-    # one reduction per distinct lattice, one pair per instance, counted in
-    # the generator stack the certification receives, and no Laurent element
-    # at all: the gammas are drawn into arrays and the pairs built on them
-    def no_elements(*args):
-        raise AssertionError("a Laurent element on the array route")
-
-    monkeypatch.setattr(LaurentElement, "__init__", no_elements)
+    # one reduction per distinct lattice and one pair per instance, counted
+    # in the generator stack the certification receives
     seen = {"reduced": 0, "pairs": 0}
     reduce, certify = latgon._reduce, latgon._certify_pairs
 
@@ -337,7 +370,6 @@ def test_the_oracle_neither_reduces_nor_builds_polynomials(spec5,
         raise AssertionError("the oracle left its own route")
 
     monkeypatch.setattr(latgon, "_reduce", forbidden)
-    monkeypatch.setattr(Polynomial, "__init__", forbidden)
     enumerated = minima_by_enumeration([pair.m_lattice for pair in pairs])
     monkeypatch.undo()
     assert enumerated == [list(pair.minima("M").exponents) for pair in pairs]
@@ -392,40 +424,46 @@ def _pair_oracle(spec, gamma, m):
     l_rows = ([diagonal_row(up, i) + [-x for x in sheared[i]]
                for i in range(n)]
               + [[zero] * n + diagonal_row(down, i) for i in range(n)])
-    return (latgon._laurent_matrix(spec, m_rows),
-            latgon._laurent_matrix(spec, l_rows))
+    return laurent_matrix(spec, m_rows), laurent_matrix(spec, l_rows)
 
 
-@pytest.mark.parametrize("p,f", [(5, 1), (7, 1), (5, 2)])
+# F_343: q^2 > 2^15, so the duality product and the reduction read the
+# flat field tables at int32 indices
+@pytest.mark.parametrize("p,f", [(5, 1), (7, 1), (5, 2), (7, 3)])
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_suite_generators_match_the_per_pair_oracle(p, f, n):
-    # one suite mixes m = 1, 2, 3, drawn gammas, a gamma of nested Laurent
-    # elements and a windowed one; every generator equals the oracle's on a
-    # shared window, floors included
+    # one suite mixes m = 1, 2, 3, drawn gammas, one converted from Laurent
+    # elements onto the window of its nonzero coefficients and a windowed
+    # one; every generator equals the oracle's on a shared window, floors
+    # included
     spec = FieldSpec(p, f)
-    gammas = [random_symmetric_gamma(spec, n, seed) for seed in range(4)]
-    gammas += [_element_rows(random_symmetric_gamma(spec, n, 9, -1, 4)),
-               _windowed_gamma(spec, n, 11)]
+    drawn = [random_symmetric_gamma(spec, n, seed) for seed in range(4)]
+    rows = [_element_rows(gamma) for gamma in drawn]
+    rows += [_element_rows(random_symmetric_gamma(spec, n, 9, -1, 4)),
+             _windowed_gamma(spec, n, 11)]
+    gammas = drawn + [laurent_matrix(spec, r) for r in rows[4:]]
     ms = [1, 2, 3, 1, 2, 3]
     pairs = SpecialLatticePair.suite(spec, gammas, ms)
     assert all(pair.duality.passed for pair in pairs)
-    for pair, gamma, m in zip(pairs, gammas, ms):
-        rows = (_element_rows(gamma)
-                if isinstance(gamma, latgon.LaurentMatrix) else gamma)
+    for pair, gamma_rows, m in zip(pairs, rows, ms):
         for built, oracle in zip((pair.m_lattice.gen,
                                   pair.adjoint_lattice.gen),
-                                 _pair_oracle(spec, rows, m)):
+                                 _pair_oracle(spec, gamma_rows, m)):
             coeffs, _, floors = latgon._stack([built, oracle])
             assert np.array_equal(coeffs[0], coeffs[1])
             assert np.array_equal(floors[0], floors[1])
     windowed = pairs[-1].m_lattice.gen.floors
     assert (windowed != latgon._NO_FLOOR).sum() == n * n
+    if n <= 2:
+        drawn_lattices = [pair.m_lattice for pair in pairs[:4]]
+        assert minima_by_enumeration(drawn_lattices) == [
+            list(lat.successive_minima().exponents) for lat in drawn_lattices]
 
 
 def test_capes_convert_each_gamma_once(spec5, monkeypatch):
     # ten gammas, each at two (z1, z2) pairs over z in {-2, -1, 0}: three
-    # distinct skew systems per gamma, whether the gammas come as nested
-    # Laurent elements or as the pairs' matrices
+    # distinct skew systems per gamma, whether the gammas come converted
+    # from Laurent elements or as the pairs' matrices
     built = []
     systems = latgon._skew_systems
 
@@ -434,11 +472,12 @@ def test_capes_convert_each_gamma_once(spec5, monkeypatch):
         return systems(items, budget)
 
     monkeypatch.setattr(latgon, "_skew_systems", counting)
-    rows = [_element_rows(random_symmetric_gamma(spec5, 2, seed))
-            for seed in range(10)]
-    pairs = SpecialLatticePair.suite(spec5, rows, [1] * 10)
+    drawn = [random_symmetric_gamma(spec5, 2, seed) for seed in range(10)]
+    pairs = SpecialLatticePair.suite(spec5, drawn, [1] * 10)
+    converted = [laurent_matrix(spec5, _element_rows(gamma))
+                 for gamma in drawn]
     reports = []
-    for gammas in (rows, [pair.gamma for pair in pairs]):
+    for gammas in (converted, [pair.gamma for pair in pairs]):
         built.clear()
         reports.append([rep.details for rep in check_capes(
             spec5, [(gamma, 1, z1, z2) for gamma in gammas
@@ -461,7 +500,7 @@ def test_thresholds_match_a_fraction_oracle(spec5, monkeypatch):
     # ceiling of the oracle is taken on Fractions, also at the negative
     # half-integers
     q = spec5.q
-    zero = [[_zero(spec5)]]
+    zero = _zero_gamma(spec5)
 
     def skew(a, z):
         return q ** (max(0, _ceil(a + z)) + max(0, _ceil(z - a)))
@@ -508,7 +547,7 @@ def test_thresholds_match_a_fraction_oracle(spec5, monkeypatch):
 
 
 def test_thresholds_refuse_thirds_and_quarters(spec5):
-    zero = [[_zero(spec5)]]
+    zero = _zero_gamma(spec5)
     pair = SpecialLatticePair(spec5, zero, 1)
     for a, z in ((Fraction(1, 3), 0), (1, 0.25)):
         with pytest.raises(ConfigError):

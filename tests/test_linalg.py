@@ -6,7 +6,7 @@ import pytest
 from fflab import latgon, linalg, moduli, weyl
 from fflab.fields import FieldSpec
 from fflab.linalg import batched_nullspace, batched_poly_rank, batched_rank
-from fflab.polys import Polynomial
+from scalars import Polynomial
 
 # prime fields take the lazy update, the others the table update
 FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (5, 2), (181, 1),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fflab
-from fflab import forms, moduli, polys
+from fflab import forms, moduli
 from fflab.circle import CountingProblem
 from fflab.errors import Budget, ConfigError
 from fflab.fields import FieldSpec
@@ -17,8 +17,8 @@ from fflab.harness import load_config, run_task
 from fflab.moduli import (count_cone, count_morphisms, embed_form,
                           enumerate_lines, extend_spec, langweil_report,
                           rank_coprime, total_solutions)
-from fflab.polys import BinaryForm
-from oracles import gcd_coprime
+from oracles import eval_form, gcd_coprime
+from scalars import BinaryForm
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SURFACE_CONFIG = os.path.join(CONFIGS, "morphisms_surface_q5.cfg")
@@ -114,8 +114,8 @@ def test_morphism_tuple_on_a_known_line(prob_surface, spec5):
     line = (u, neg * u, v, neg * v)
     assert _rank_route([line]) == [True]
     assert gcd_coprime(line)
-    assert prob_surface.form.eval_form(list(line)).is_zero()
-    assert not prob_surface.form.eval_form([u, u, u, u]).is_zero()
+    assert eval_form(prob_surface.form, list(line)).is_zero()
+    assert not eval_form(prob_surface.form, [u, u, u, u]).is_zero()
 
 
 @pytest.mark.parametrize("n,e", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
@@ -194,7 +194,7 @@ def test_enumerate_route_matches_the_gcd_oracle(spec5):
 
 def test_morphism_counts_make_no_gcd_call():
     # the gcd cascade is an oracle of the tests: fflab defines none
-    for module in (fflab, moduli, polys):
+    for module in (fflab, moduli):
         assert not hasattr(module, "gcd_coprime")
         assert not hasattr(module, "poly_gcd")
     # the shipped config runs the factor route and the enumerate cross-check

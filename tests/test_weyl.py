@@ -16,13 +16,12 @@ from fflab.errors import Budget
 from fflab.fields import FieldSpec
 from fflab.forms import _mul_rows, fermat_form, parse_form_file, symmetrize
 from fflab.harness import _weyl_chunk, build_problem, load_config, run_task
-from fflab.laurent import LaurentElement, expand_rational
 from fflab.linalg import batched_rank
-from fflab.polys import Polynomial
 from fflab.weyl import (_check_boxes, _shape_N, _shape_N_eta,
                         _canonical_tail, approx_zero_counts,
                         canonical_shape_report, check_shrink_batch,
                         check_weyl_batch, eta_from_arc)
+from scalars import LaurentElement, Polynomial, expand_rational
 
 
 # -- the naive oracle of the approximate-zero counts ------------------------------
