@@ -8,8 +8,6 @@ point counting happens here, which is why three full grids finish in
 well under a second.
 """
 
-import time
-
 from fflab.audit import audit_minor_arcs, minor_arc_range, n0
 
 
@@ -30,7 +28,6 @@ def main():
     print(f"grid d=3, n=4 (below threshold): passed: {small.passed} "
           f"({len(small.failures)} failing cells, reported honestly)")
 
-    start = time.monotonic()
     cells = 0
     mismatches = 0
     worst = None
@@ -43,13 +40,11 @@ def main():
             mismatches += sum(1 for c in r.cells if not c.case_eta_match)
             if worst is None or r.min_saving < worst[0]:
                 worst = (r.min_saving, d, n, e)
-    elapsed = time.monotonic() - start
     print(f"full sweep d in (3,4,5) x e in 1..8: {cells} cells, "
           f"{mismatches} cells where the case label and the eta count "
           f"disagree (both routes still valid)")
     print(f"smallest saving anywhere: {worst[0]} at d={worst[1]}, "
           f"n={worst[2]}, e={worst[3]}")
-    print(f"elapsed: {elapsed:.2f}s")
 
     cells_11 = list(minor_arc_range(3, 1))
     print(f"minor-arc cell range at (d,e) = (3,1): {len(cells_11)} cells")

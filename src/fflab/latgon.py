@@ -37,6 +37,15 @@ it, and one oracle:
     adjoint to each other (L_m^T M_m = I), whose minima exponents satisfy
     R_v + R_{2n-v+1} = 0; a suite of pairs is one stack of generators,
     scattered from the stacked gammas and certified by one product;
+  * gamma counts only mod O.  For a polynomial matrix P,
+    M_m(gamma) [[I, 0], [-P, I]] = M_m(gamma - P) and
+    L_m(gamma) [[I, P], [0, I]] = L_m(gamma - P), with right factors in
+    GL_2n(O), so the lattices are the same; and u' -> u' + P u is a
+    bijection of O^n in N(a, Z).  _check_gammas checks symmetry on the
+    whole gamma, then drops the polynomial part of every exact gamma, and
+    pairs and skew systems are built from that stack.  A gamma with a
+    windowed entry keeps its polynomial part (P = 0): an entry known only
+    at t^>=0 would lose its decidable vanishing;
   * checkers for the count-ratio decay bound (with its piecewise equality
     formula as a cross-check), the skew box count N(a,Z) at half-integral
     a and Z, its M_m sandwich, and the cape-shaped decay bound, each
@@ -566,19 +575,28 @@ def ball_counts(requests, budget: Budget = None) -> list:
 def _check_gammas(spec: FieldSpec, gammas):
     """The distinct gammas of `gammas` on one stack (_stack), each checked
     to be a square LaurentMatrix over spec that is symmetric wherever an
-    entry and its mirror both know the coefficient: (distinct gammas,
-    coeffs, lo, floors)."""
+    entry and its mirror both know the coefficient, polynomial part
+    included, then reduced mod O: an exact gamma drops its coefficients at
+    t^0 and up, and when every gamma is exact the window narrows to the
+    exponents < 0 (to one column of zeros if it starts at t^0 or above).
+    A gamma with a windowed entry keeps its polynomial part: dropping it
+    would leave an entry known only at t^>=0 with undecidable vanishing.
+    Returns (distinct gammas, coeffs, lo, floors)."""
     distinct = list({id(gamma): gamma for gamma in gammas}.values())
     for gamma in distinct:
         _square(spec, gamma, "gamma")
     c, lo, fl = _stack(distinct)
-    known = (lo + np.arange(c.shape[3])
-             >= np.maximum(fl, fl.transpose(0, 2, 1))[..., None])
+    exps = lo + np.arange(c.shape[3])
+    known = exps >= np.maximum(fl, fl.transpose(0, 2, 1))[..., None]
     # the first hit in row-major order lies above the diagonal
     bad = np.argwhere(((c != c.transpose(0, 2, 1, 3)) & known).any(axis=3))
     if len(bad):
         _, i, j = bad[0].tolist()
         raise ConfigError(f"gamma is not symmetric at ({i},{j})")
+    exact = (fl == _NO_FLOOR).all(axis=(1, 2))
+    c = np.where(exact[:, None, None, None] & (exps >= 0), 0, c)
+    if exact.all():
+        c = c[..., :max(1, -lo)]
     return distinct, c, lo, fl
 
 
@@ -591,7 +609,13 @@ class SpecialLatticePair:
     entry on the joint window, and kept as the LatticeCheck `duality`; it
     makes L_m^T the certified inverse of M_m and M_m^T that of L_m.
     `suite` builds many pairs on one coefficient stack with one batched
-    product; a pair built alone is a suite of one."""
+    product; a pair built alone is a suite of one.
+
+    The generators are built from gamma mod O (_check_gammas): gamma and
+    gamma - P, P polynomial, give the same lattices, since
+    M_m(gamma) [[I, 0], [-P, I]] = M_m(gamma - P) with the right factor in
+    GL_2n(O).  A gamma with a windowed entry keeps its polynomial part.
+    `gamma` stays the caller's matrix."""
 
     def __init__(self, spec: FieldSpec, gamma: LaurentMatrix, m: int):
         _build_pairs(spec, [self], [(gamma, m)])
@@ -632,7 +656,8 @@ def _build_pairs(spec: FieldSpec, pairs, items) -> None:
     """The generators of M_m and L_m of every (gamma, m) of `items`, written
     into two stacks (B, 2n, 2n, W) on one exponent window: the t^(-m) and
     t^m diagonals and the t^m gamma and -t^m gamma blocks, each by one
-    scatter at per-pair offsets; then certified."""
+    scatter at per-pair offsets from the stack of gammas mod O
+    (_check_gammas); then certified."""
     gammas, ms = zip(*items)
     for m in ms:
         if not isinstance(m, int) or m < 1:
@@ -747,9 +772,10 @@ def check_ratio_lemmas(items, budget: Budget = None) -> list:
     return out
 
 
-def _skew_systems(items, budget: Budget) -> list:
-    """The coefficient system of N(a, z) for every (gamma, gtop, d1, v2) of
-    `items`, with gtop the top degree of gamma (_NO_FLOOR when gamma = 0),
+def _skew_systems(stack, items, budget: Budget) -> list:
+    """The coefficient system of N(a, z) for every (k, n, gtop, d1, v2) of
+    `items`, where gamma is the leading n x n block of matrix k of `stack`
+    (coeffs, lo, floors), gtop its top degree (_NO_FLOOR when gamma = 0),
     d1 = ceil(a + z) - 1 and v2 = ceil(z - a): the unknowns are the
     coefficients of u (deg <= d1), then of u' (deg <= d2, the top degree
     of L(u) + u'), the rows the coefficients of L_j(u) + u'_j at exponents
@@ -757,19 +783,18 @@ def _skew_systems(items, budget: Budget) -> list:
     is built; the systems of one shape are built together."""
     out = [None] * len(items)
     groups = {}
-    for k, (gamma, gtop, d1, v2) in enumerate(items):
-        n = gamma.coeffs.shape[0]
+    for i, (k, n, gtop, d1, v2) in enumerate(items):
         ltop = gtop + d1 if gtop != _NO_FLOOR and d1 >= 0 else v2 - 1
         d2 = max(v2 - 1, ltop)
         w1 = max(0, d1 + 1)
         w2 = max(0, d2 + 1)
         _charge_system(budget, n * max(0, d2 - v2 + 1), n * (w1 + w2),
                        "skew count system")
-        if d2 >= v2 and w1 > 0 and gamma.floors.max() > v2 - w1 + 1:
+        if d2 >= v2 and w1 > 0 and stack[2][k].max() > v2 - w1 + 1:
             raise PrecisionError(
                 f"skew box with deg u <= {d1} read from t^{v2} reads gamma "
                 f"coefficients below the window floor")
-        groups.setdefault((n, v2, d2, w1, w2), []).append(k)
+        groups.setdefault((n, v2, d2, w1, w2), []).append(i)
     for (n, v2, d2, w1, w2), members in groups.items():
         nw = d2 - v2 + 1
         shear = np.zeros((n * nw, n * w2), dtype=np.int16)
@@ -777,13 +802,13 @@ def _skew_systems(items, budget: Budget) -> list:
         hit = (w >= 0) & (w < w2)
         for j in range(n):
             shear[j * nw + np.nonzero(hit)[0], j * w2 + w[hit]] = 1
-        coeffs, lo, _ = _stack([items[k][0] for k in members])
-        left = _toeplitz(coeffs, lo, v2, nw, w1)
+        at = [items[i][0] for i in members]
+        left = _toeplitz(stack[0][at, :n, :n], stack[1], v2, nw, w1)
         systems = np.concatenate(
             [left, np.broadcast_to(shear, (len(members),) + shear.shape)],
             axis=2)
-        for k, system in zip(members, systems):
-            out[k] = system
+        for i, system in zip(members, systems):
+            out[i] = system
     return out
 
 
@@ -796,25 +821,28 @@ def skew_counts(spec: FieldSpec, requests, budget: Budget = None) -> list:
     where L_j(u) = sum_k gamma[j][k] u_k, for every (gamma, a, z) of
     `requests`, gamma a LaurentMatrix, in order.  a and z may be
     half-integers; every threshold enters through a single ceiling of a
-    doubled integer exponent.  The distinct gammas are checked and their
-    top degrees taken on one stack (_check_gammas); each distinct (gamma,
-    ceil(a + z), ceil(z - a)) is counted once, its system charged to
-    `budget` (a fresh default Budget when None), and all systems are
-    ranked together."""
+    doubled integer exponent.  The distinct gammas are checked and reduced
+    mod O on one stack (_check_gammas), and the systems are built from it:
+    u' -> u' + P u is a bijection of O^n, so gamma and gamma - P, P
+    polynomial, count the same, and a gamma with a windowed entry keeps its
+    polynomial part.  Each distinct (gamma, ceil(a + z), ceil(z - a)) is
+    counted once, its system charged to `budget` (a fresh default Budget
+    when None), and all systems are ranked together."""
     budget = Budget() if budget is None else budget
-    keys, distinct, gtops = [], {}, {}
+    keys, distinct, stack = [], {}, None
     if requests:
         gammas, *stack = _check_gammas(spec, [g for g, _, _ in requests])
-        tops = _entry_degrees(*stack, "gamma").max(axis=(1, 2))
-        gtops = dict(zip(map(id, gammas), tops.tolist()))
+        tops = _entry_degrees(*stack, "gamma").max(axis=(1, 2)).tolist()
+        where = {id(gamma): (k, gamma.coeffs.shape[0], top)
+                 for k, (gamma, top) in enumerate(zip(gammas, tops))}
     for gamma, a, z in requests:
         a2, z2 = _half(a, "a"), _half(z, "z")
         key = (id(gamma), _ceil_half(a2 + z2) - 1, _ceil_half(z2 - a2))
         if key not in distinct:
-            distinct[key] = (gamma, gtops[id(gamma)]) + key[1:]
+            distinct[key] = where[id(gamma)] + key[1:]
         keys.append(key)
-    systems = [(spec, system)
-               for system in _skew_systems(list(distinct.values()), budget)]
+    systems = [(spec, system) for system
+               in _skew_systems(stack, list(distinct.values()), budget)]
     counts = dict(zip(distinct, _solution_counts(systems)))
     return [counts[key] for key in keys]
 

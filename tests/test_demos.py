@@ -1,4 +1,5 @@
-"""Every demo runs to the end as a script, with no arguments."""
+"""Every demo runs to the end as a script, with no arguments, and prints
+the same bytes each time it runs."""
 
 import glob
 import os
@@ -18,5 +19,9 @@ def test_demos_are_found():
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_runs(path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [path])
-    runpy.run_path(path, run_name="__main__")
-    assert capsys.readouterr().out
+    outputs = []
+    for _ in range(2):
+        runpy.run_path(path, run_name="__main__")
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0]
+    assert outputs[0] == outputs[1]

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import os
 from fractions import Fraction
@@ -6,10 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fflab import latgon, linalg
+from fflab import harness, latgon, linalg
 from fflab.cli import main
-from fflab.errors import (BudgetExceededError, ConfigError, PrecisionError,
-                         VerificationFailure)
+from fflab.errors import (Budget, BudgetExceededError, ConfigError,
+                          PrecisionError, VerificationFailure)
 from fflab.fields import FieldSpec
 from fflab.harness import load_config, run_task
 from fflab.latgon import (FunctionFieldLattice, SpecialLatticePair,
@@ -17,6 +18,7 @@ from fflab.latgon import (FunctionFieldLattice, SpecialLatticePair,
                           check_sandwiches, minima_by_enumeration,
                           random_symmetric_gamma, reduce_lattices,
                           skew_counts)
+from fflab.reporting import emit_report
 from scalars import LaurentElement, laurent_matrix
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -337,9 +339,11 @@ def test_suites_reduce_each_lattice_once_on_arrays(tmp_path, monkeypatch, name,
 
 
 def test_lattice_oracle_work_is_pinned(monkeypatch):
-    # configs/lattice_q5.cfg: the oracle solves 568 balls in 7 radius
-    # steps, and the K-rank hands batched_rank 8 stacks of 2,424 evaluated
-    # matrices and 44,768 cells in all (P = min(k, N) D + 1 points each)
+    # configs/lattice_q5.cfg: the oracle solves 269 balls in 4 radius
+    # steps, and the K-rank hands batched_rank 7 stacks of 940 evaluated
+    # matrices and 18,072 cells in all (P = min(k, N) D + 1 points each);
+    # with the polynomial part of every gamma kept, it was 568 balls in 7
+    # steps and 8 stacks of 2,424 matrices and 44,768 cells
     radii, ranked = [], []
     balls, rank = latgon._ball_systems, linalg.batched_rank
 
@@ -355,9 +359,32 @@ def test_lattice_oracle_work_is_pinned(monkeypatch):
     monkeypatch.setattr(linalg, "batched_rank", counting_rank)
     result = run_task(load_config(os.path.join(CONFIGS, "lattice_q5.cfg")))
     assert result.status == "pass"
-    assert (sum(radii), len(radii)) == (568, 7)
+    assert (sum(radii), len(radii)) == (269, 4)
     assert (len(ranked), sum(shape[0] for shape in ranked),
-            sum(math.prod(shape) for shape in ranked)) == (8, 2424, 44768)
+            sum(math.prod(shape) for shape in ranked)) == (7, 940, 18072)
+
+
+@pytest.mark.parametrize("name,charged", [
+    ("lattice_q5", {"ball count system": 267712}),
+    ("ratio_q5", {"ball count system": 19200}),
+    ("cape_q5", {"ball count system": 185600, "skew count system": 81200}),
+    ("lattice_q5_n4", {"ball count system": 2076160}),
+    ("lattice_f25_n4", {"ball count system": 337920}),
+])
+def test_shipped_lattice_configs_charge_pinned_totals(monkeypatch, name,
+                                                      charged):
+    # every system's elimination work, summed per label over the whole run
+    spent = {}
+    charge = Budget.charge
+
+    def recording(budget, cost, what):
+        charge(budget, cost, what)
+        spent[what] = spent.get(what, 0) + cost
+
+    monkeypatch.setattr(Budget, "charge", recording)
+    result = run_task(load_config(os.path.join(CONFIGS, f"{name}.cfg")))
+    assert result.status == "pass"
+    assert spent == charged
 
 
 def test_the_oracle_neither_reduces_nor_builds_polynomials(spec5,
@@ -407,6 +434,14 @@ def _windowed_gamma(spec, n, seed):
             for i in range(n)]
 
 
+def _fractional_rows(rows):
+    """{gamma} for rows of exact Laurent elements: every coefficient at t^0
+    and up dropped."""
+    return [[LaurentElement(el.spec, {e: c for e, c in el.coeffs.items()
+                                      if e < 0}) for el in row]
+            for row in rows]
+
+
 def _pair_oracle(spec, gamma, m):
     """M_m and L_m of a pair, built entry by entry from Laurent elements:
     t^-m, t^m gamma_ij, t^m and -t^m gamma_ij."""
@@ -435,7 +470,9 @@ def test_suite_generators_match_the_per_pair_oracle(p, f, n):
     # one suite mixes m = 1, 2, 3, drawn gammas, one converted from Laurent
     # elements onto the window of its nonzero coefficients and a windowed
     # one; every generator equals the oracle's on a shared window, floors
-    # included
+    # included.  An exact gamma's generators are the oracle's of {gamma},
+    # its polynomial part dropped; the windowed gamma keeps all of it, so
+    # its generators are the oracle's of the full gamma
     spec = FieldSpec(p, f)
     drawn = [random_symmetric_gamma(spec, n, seed) for seed in range(4)]
     rows = [_element_rows(gamma) for gamma in drawn]
@@ -445,7 +482,8 @@ def test_suite_generators_match_the_per_pair_oracle(p, f, n):
     ms = [1, 2, 3, 1, 2, 3]
     pairs = SpecialLatticePair.suite(spec, gammas, ms)
     assert all(pair.duality.passed for pair in pairs)
-    for pair, gamma_rows, m in zip(pairs, rows, ms):
+    oracle_rows = [_fractional_rows(r) for r in rows[:5]] + rows[5:]
+    for pair, gamma_rows, m in zip(pairs, oracle_rows, ms):
         for built, oracle in zip((pair.m_lattice.gen,
                                   pair.adjoint_lattice.gen),
                                  _pair_oracle(spec, gamma_rows, m)):
@@ -460,6 +498,90 @@ def test_suite_generators_match_the_per_pair_oracle(p, f, n):
             list(lat.successive_minima().exponents) for lat in drawn_lattices]
 
 
+def _transpose(mat):
+    return latgon.LaurentMatrix(mat.spec, mat.coeffs.transpose(1, 0, 2),
+                                mat.lo, mat.floors.T)
+
+
+def _full_gamma_lattices(spec, gamma, m):
+    """M_m(gamma) and L_m(gamma) built by _pair_oracle from the whole of
+    gamma, polynomial part included, each with the transpose of the other
+    as its inverse hint (L_m^T M_m = I)."""
+    m_gen, l_gen = _pair_oracle(spec, _element_rows(gamma), m)
+    return (FunctionFieldLattice(spec, m_gen, inverse=_transpose(l_gen)),
+            FunctionFieldLattice(spec, l_gen, inverse=_transpose(m_gen)))
+
+
+def _full_gamma_skew_counts(spec, requests):
+    """N(a, z) for every (gamma, a, z) of `requests`, from the systems of
+    the unreduced stack of the whole gammas."""
+    gammas = list({id(gamma): gamma for gamma, _, _ in requests}.values())
+    stack = latgon._stack(gammas)
+    tops = latgon._entry_degrees(*stack, "gamma").max(axis=(1, 2)).tolist()
+    at = {id(gamma): k for k, gamma in enumerate(gammas)}
+    items = [(at[id(gamma)], gamma.coeffs.shape[0], tops[at[id(gamma)]],
+              math.ceil(a + z) - 1, math.ceil(z - a))
+             for gamma, a, z in requests]
+    systems = latgon._skew_systems(stack, items, Budget())
+    return latgon._solution_counts([(spec, system) for system in systems])
+
+
+@pytest.mark.parametrize("p,f", [(5, 1), (7, 1), (5, 2)])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_gamma_mod_O_matches_the_full_gamma_oracle(p, f, n):
+    # a suite builds its pairs and skew systems from {gamma}; the literal
+    # M_m and L_m of the whole gamma generate the same lattices, so their
+    # enumerated minima are the suite's reduced ones, their ball counts
+    # agree at every radius the ratio (z1, z2 in -3..0) and sandwich
+    # (ceil(z -+ {a}), z in {-1, 0}) checks read, and the skew systems of
+    # the whole gammas count what skew_counts does
+    spec = FieldSpec(p, f)
+    count = 6 if n < 4 else 3
+    gammas = [random_symmetric_gamma(spec, n, seed) for seed in range(count)]
+    ms = [1 + seed % 2 for seed in range(count)]
+    pairs = SpecialLatticePair.suite(spec, gammas, ms)
+    assert [pair.gamma for pair in pairs] == gammas
+    built = [lat for pair in pairs
+             for lat in (pair.m_lattice, pair.adjoint_lattice)]
+    full = [lat for gamma, m in zip(gammas, ms)
+            for lat in _full_gamma_lattices(spec, gamma, m)]
+    assert minima_by_enumeration(full) == [
+        list(lat.successive_minima().exponents) for lat in built]
+    radii = range(-3, 2)
+    assert ball_counts([(lat, z) for lat in full for z in radii]) == \
+        ball_counts([(lat, z) for lat in built for z in radii])
+    requests = [(gamma, a, z) for gamma in gammas
+                for a in (1, Fraction(3, 2), 2, Fraction(5, 2))
+                for z in (-3, -2, -1, Fraction(-1, 2), 0)]
+    assert skew_counts(spec, requests) == \
+        _full_gamma_skew_counts(spec, requests)
+
+
+@pytest.mark.parametrize("name", ["lattice_q5", "ratio_q5", "cape_q5"])
+def test_a_polynomial_shift_of_gamma_keeps_the_report(monkeypatch, name):
+    # gamma + P, P a symmetric polynomial matrix drawn on t^0..t^5, gives
+    # the report rows of gamma: only {gamma} reaches the lattices
+    config = load_config(os.path.join(CONFIGS, f"{name}.cfg"))
+    draw = harness.random_symmetric_gamma
+
+    def shifted(spec, n, seed):
+        gamma = draw(spec, n, seed)
+        poly = draw(spec, n, seed + 1000, 0, 5)
+        c, lo, floors = latgon._stack([gamma, poly])
+        return latgon.LaurentMatrix(
+            spec, spec.tables["np_add"][c[0], c[1]], lo, floors[0])
+
+    reports = []
+    for draws in (draw, shifted):
+        monkeypatch.setattr(harness, "random_symmetric_gamma", draws)
+        result = run_task(config)
+        assert result.status == "pass"
+        stream = io.StringIO()
+        emit_report(result.records, stream)
+        reports.append(stream.getvalue())
+    assert reports[0] == reports[1]
+
+
 def test_capes_convert_each_gamma_once(spec5, monkeypatch):
     # ten gammas, each at two (z1, z2) pairs over z in {-2, -1, 0}: three
     # distinct skew systems per gamma, whether the gammas come converted
@@ -467,9 +589,9 @@ def test_capes_convert_each_gamma_once(spec5, monkeypatch):
     built = []
     systems = latgon._skew_systems
 
-    def counting(items, budget):
+    def counting(stack, items, budget):
         built.append(len(items))
-        return systems(items, budget)
+        return systems(stack, items, budget)
 
     monkeypatch.setattr(latgon, "_skew_systems", counting)
     drawn = [random_symmetric_gamma(spec5, 2, seed) for seed in range(10)]
@@ -535,9 +657,9 @@ def test_thresholds_match_a_fraction_oracle(spec5, monkeypatch):
     seen = []
     systems = latgon._skew_systems
 
-    def recording(items, budget):
-        seen.extend((d1, v2) for _, _, d1, v2 in items)
-        return systems(items, budget)
+    def recording(stack, items, budget):
+        seen.extend((d1, v2) for *_, d1, v2 in items)
+        return systems(stack, items, budget)
 
     monkeypatch.setattr(latgon, "_skew_systems", recording)
     gamma = random_symmetric_gamma(spec5, 2, 3)
