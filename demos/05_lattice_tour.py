@@ -11,13 +11,13 @@ from fractions import Fraction
 from fflab.fields import FieldSpec
 from fflab.latgon import (SpecialLatticePair, check_capes, check_ratio_lemmas,
                           check_sandwiches, minima_by_enumeration,
-                          random_symmetric_gamma, reduce_lattices)
+                          random_symmetric_gammas, reduce_lattices)
 
 
 def main():
     spec = FieldSpec(5)
 
-    gamma = random_symmetric_gamma(spec, 2, 7)
+    [gamma] = random_symmetric_gammas(spec, 2, [7])
     pair = SpecialLatticePair(spec, gamma, 2)
     closed = pair.minima("M", convention="closed")
     opened = pair.minima("M", convention="open")
@@ -47,9 +47,10 @@ def main():
     print(f"sandwich at a = {a}, z = 0: holds: {sand.passed}")
 
     print("minima profiles over 100 seeded matrices (closed convention):")
-    # a whole suite: one batched duality product and one batched reduction
+    # a whole suite: one batched draw, one batched duality product and one
+    # batched reduction
     pairs = SpecialLatticePair.suite(
-        spec, [random_symmetric_gamma(spec, 2, seed) for seed in range(100)],
+        spec, random_symmetric_gammas(spec, 2, range(100)),
         [1 + (seed % 2) for seed in range(100)])
     reduce_lattices([p.m_lattice for p in pairs])
     histogram = {}

@@ -23,7 +23,8 @@ from .audit import (AuditReport, DimReport, audit_minor_arcs, dims,
                     eta_choice, gamma_budget, minor_arc_range, n0, nu_hat)
 from .latgon import (FunctionFieldLattice, LatticeCheck, MinimaProfile,
                      SpecialLatticePair, check_capes, check_ratio_lemmas,
-                     check_sandwiches, random_symmetric_gamma, skew_counts)
+                     check_sandwiches, random_symmetric_gammas,
+                     skew_counts)
 from .moduli import (CountReport, count_cone, count_morphisms,
                      enumerate_lines, extend_spec, langweil_report,
                      rank_coprime, total_solutions)

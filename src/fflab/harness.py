@@ -44,7 +44,7 @@ from .fields import FieldSpec
 from .forms import fermat_form, parse_form_file
 from .latgon import (SpecialLatticePair, check_capes, check_ratio_lemmas,
                      check_sandwiches, minima_by_enumeration,
-                     random_symmetric_gamma, reduce_lattices)
+                     random_symmetric_gammas, reduce_lattices)
 from .moduli import count_cone, count_morphisms, langweil_report
 from .reporting import ReportRecord
 from .weyl import (_charge_weyl, _weyl_reports, canonical_shape_report,
@@ -428,6 +428,14 @@ def _run_pointwise(config: RunConfig):
                          budget_spent=prob.budget_spent)]
 
 
+def _seeded_pairs(config: RunConfig, spec, ms) -> list:
+    """One suite of lattice pairs, pair i with m = ms[i] and gamma drawn
+    from seed [run] seed + i, all gammas in one batched draw."""
+    seeds = range(config.seed, config.seed + len(ms))
+    return SpecialLatticePair.suite(
+        spec, random_symmetric_gammas(spec, config.n, seeds), ms)
+
+
 def _run_lattice(config: RunConfig):
     spec = build_spec(config)
     base = _base_inputs(config, spec)
@@ -435,9 +443,7 @@ def _run_lattice(config: RunConfig):
     m_fixed = config.param_int("m", minimum=1)
     ms = [m_fixed if m_fixed is not None else 1 + (i % 2)
           for i in range(count)]
-    pairs = SpecialLatticePair.suite(
-        spec, [random_symmetric_gamma(spec, config.n, config.seed + i)
-               for i in range(count)], ms)
+    pairs = _seeded_pairs(config, spec, ms)
     reduce_lattices([lat for pair in pairs
                      for lat in (pair.m_lattice, pair.adjoint_lattice)])
     enumerated = minima_by_enumeration([pair.m_lattice for pair in pairs],
@@ -479,9 +485,7 @@ def _run_ratio(config: RunConfig):
     base = _base_inputs(config, spec)
     count = config.param_int("count", default=100, minimum=1)
     ms = [1 + (i % 2) for i in range(count)]
-    pairs = SpecialLatticePair.suite(
-        spec, [random_symmetric_gamma(spec, config.n, config.seed + i)
-               for i in range(count)], ms)
+    pairs = _seeded_pairs(config, spec, ms)
     items = [(i, pair, z1, z2) for i, pair in enumerate(pairs)
              for z1, z2 in _z_pairs(config, i)]
     reps = check_ratio_lemmas([(pair, z1, z2) for _, pair, z1, z2 in items],
@@ -514,9 +518,7 @@ def _run_cape(config: RunConfig):
     avals = [a_fixed if a_fixed is not None
              else 1 + (i % 2) + Fraction(i % 2, 2) for i in range(count)]
     # one pair per instance, with m = floor(a), serves both z of the sandwich
-    pairs = SpecialLatticePair.suite(
-        spec, [random_symmetric_gamma(spec, config.n, config.seed + i)
-               for i in range(count)], [math.floor(a) for a in avals])
+    pairs = _seeded_pairs(config, spec, [math.floor(a) for a in avals])
     budget = Budget(config.budget)
     sands = check_sandwiches([(pair, a, z) for pair, a in zip(pairs, avals)
                               for z in (0, -1)], budget)

@@ -5,11 +5,15 @@ generator matrix over K.  Everything is exact.  A matrix is held as one
 int16 array (rows, cols, W) of field indices, the t-coefficients of every
 entry on one exponent window, with the exponent of the window's first
 coefficient and a floor per entry (LaurentMatrix).  It is the only matrix
-input the module takes, for generators, inverse hints and gammas alike;
-random_symmetric_gamma draws straight into one, and every gamma is checked
-square and symmetric on its known coefficients.  Each quantity has one
-fast route, a kernel batched over as many matrices as the caller hands
-it, and one oracle:
+input the module takes, for generators, inverse hints and gammas alike.
+A matrix may be a read-only view of a stack (B, rows, cols, W) that knows
+the stack and its row (_views), and views of one stack are gathered by
+one index: random_symmetric_gammas draws a whole suite of gammas into one
+stack, and a suite's generators are one stack.  Every gamma is checked
+square and symmetric on its known coefficients; the check of a set of
+views of one stack is made once and kept on the stack.  Each quantity has
+one fast route, a kernel batched over as many matrices as the caller
+hands it, and one oracle:
 
   * products of Laurent matrices are table-driven convolutions; they
     certify inverse hints and the adjoint identity L_m^T M_m = I;
@@ -112,11 +116,34 @@ class LaurentMatrix:
     """A matrix over K: entry (i, j) is sum_w coeffs[i, j, w] t^(lo + w),
     with coeffs an int16 (rows, cols, W) array of field indices, exact at
     exponents >= floors[i, j] (int64; _NO_FLOOR: exact everywhere), with 0
-    stored below the floor."""
-    __slots__ = ("spec", "coeffs", "lo", "floors")
+    stored below the floor.  A view of a stack (_views) knows its
+    _SharedStack and its row there; a matrix built alone has stack None."""
+    __slots__ = ("spec", "coeffs", "lo", "floors", "stack", "row")
 
-    def __init__(self, spec: FieldSpec, coeffs, lo: int, floors):
+    def __init__(self, spec: FieldSpec, coeffs, lo: int, floors,
+                 stack=None, row=None):
         self.spec, self.coeffs, self.lo, self.floors = spec, coeffs, lo, floors
+        self.stack, self.row = stack, row
+
+
+class _SharedStack:
+    """Read-only matrices on one exponent window, coeffs (B, R, C, W) and
+    floors (B, R, C).  `checked` maps the rows of each set of views that a
+    call checked as gammas to that check, reduced mod O (_check_gammas);
+    the arrays cannot change, so a check stays true."""
+
+    def __init__(self, coeffs, lo: int, floors):
+        self.coeffs, self.lo, self.floors = coeffs, lo, floors
+        self.checked = {}
+
+
+def _views(spec: FieldSpec, coeffs, lo: int, floors) -> list:
+    """The matrices of a stack, made read-only, as LaurentMatrix views
+    that know their stack and row."""
+    coeffs.flags.writeable = floors.flags.writeable = False
+    stack = _SharedStack(coeffs, lo, floors)
+    return [LaurentMatrix(spec, coeffs[b], lo, floors[b], stack, b)
+            for b in range(len(coeffs))]
 
 
 def _square(spec: FieldSpec, mat, what: str) -> LaurentMatrix:
@@ -146,6 +173,16 @@ def _stack(mats):
         out[b, :r, :c, m.lo - lo:m.lo - lo + w] = m.coeffs
         floors[b, :r, :c] = m.floors
     return out, lo, floors
+
+
+def _gather(mats):
+    """_stack(mats), by one index when all of them are views of one
+    stack."""
+    stack = mats[0].stack
+    if stack is None or any(m.stack is not stack for m in mats):
+        return _stack(mats)
+    at = [m.row for m in mats]
+    return stack.coeffs[at], stack.lo, stack.floors[at]
 
 
 def _known_tops(coeffs, lo, floors):
@@ -304,8 +341,10 @@ class FunctionFieldLattice:
     def __init__(self, spec: FieldSpec, matrix: LaurentMatrix,
                  inverse: LaurentMatrix = None):
         gen = _square(spec, matrix, "generator matrix")
-        self._setup(gen, _entry_degrees(gen.coeffs, gen.lo, gen.floors,
-                                        "generator entry"))
+        tops = _entry_degrees(gen.coeffs, gen.lo, gen.floors,
+                              "generator entry")
+        self._setup(gen, tops.max(axis=1), int(tops.max()),
+                    int(gen.floors.max()))
         self._inv_top = None
         if inverse is None:
             reduce_lattices([self])
@@ -324,21 +363,24 @@ class FunctionFieldLattice:
                                            "inverse hint").max())
 
     @classmethod
-    def _certified(cls, gen: LaurentMatrix, tops, inv_top: int):
-        """A lattice with entry degrees `tops` whose inverse, of top degree
-        inv_top, the caller has already verified."""
+    def _certified(cls, gen: LaurentMatrix, row_tops, max_top: int,
+                   window: int, inv_top: int):
+        """A lattice whose inverse, of top degree inv_top, the caller has
+        already verified, with the top degree of each generator row, of the
+        whole generator and its largest floor given by the caller."""
         lat = cls.__new__(cls)
-        lat._setup(gen, tops)
+        lat._setup(gen, row_tops, max_top, window)
         lat._inv_top = inv_top
         return lat
 
-    def _setup(self, gen: LaurentMatrix, tops):
+    def _setup(self, gen: LaurentMatrix, row_tops, max_top: int,
+               window: int):
         self.spec = gen.spec
         self.dim = gen.coeffs.shape[0]
         self.gen = gen
-        self._row_tops = tops.max(axis=1)
-        self._max_top = int(tops.max())
-        self._window = int(gen.floors.max())   # _NO_FLOOR when exact
+        self._row_tops = row_tops
+        self._max_top = max_top
+        self._window = window                  # _NO_FLOOR when exact
         if self._max_top == _NO_FLOOR:
             raise ConfigError("generator matrix is singular")
         self._degrees = None          # sorted reduced degrees, once known
@@ -431,14 +473,15 @@ def minima_by_enumeration(lattices, budget: Budget = None) -> list:
 def reduce_lattices(lattices) -> None:
     """Reduce every lattice of `lattices` not reduced yet, in one batched
     kernel per field and dimension, and keep its sorted reduced degrees on
-    the lattice."""
+    the lattice.  The generators of a suite are gathered from their stack
+    by one index (_gather)."""
     groups = {}
     for lat in lattices:
         if lat._degrees is None:
             groups.setdefault((lat.spec, lat.dim), {})[id(lat)] = lat
     for (spec, _), members in groups.items():
         lats = list(members.values())
-        coeffs, lo, floors = _stack([lat.gen for lat in lats])
+        coeffs, lo, floors = _gather([lat.gen for lat in lats])
         for lat, degs in zip(lats, _reduce(spec, coeffs, lo, floors)):
             lat._degrees = degs
 
@@ -541,7 +584,7 @@ def _ball_systems(requests, budget: Budget) -> list:
         groups.setdefault((lat.spec, lat.dim, zc, dbound + 1, nw),
                           []).append(k)
     for (_, _, zc, width, nw), members in groups.items():
-        coeffs, lo, _ = _stack([requests[k][0].gen for k in members])
+        coeffs, lo, _ = _gather([requests[k][0].gen for k in members])
         systems = _toeplitz(coeffs, lo, zc, nw, width)
         systems = systems[:, systems.any(axis=(0, 2))]
         for k, system in zip(members, systems):
@@ -572,20 +615,16 @@ def ball_counts(requests, budget: Budget = None) -> list:
 # -- the special pair -------------------------------------------------------------
 
 
-def _check_gammas(spec: FieldSpec, gammas):
-    """The distinct gammas of `gammas` on one stack (_stack), each checked
-    to be a square LaurentMatrix over spec that is symmetric wherever an
-    entry and its mirror both know the coefficient, polynomial part
-    included, then reduced mod O: an exact gamma drops its coefficients at
-    t^0 and up, and when every gamma is exact the window narrows to the
-    exponents < 0 (to one column of zeros if it starts at t^0 or above).
-    A gamma with a windowed entry keeps its polynomial part: dropping it
-    would leave an entry known only at t^>=0 with undecidable vanishing.
-    Returns (distinct gammas, coeffs, lo, floors)."""
-    distinct = list({id(gamma): gamma for gamma in gammas}.values())
-    for gamma in distinct:
-        _square(spec, gamma, "gamma")
-    c, lo, fl = _stack(distinct)
+def _check_gammas(gammas):
+    """The square gammas of `gammas` (distinct) on one stack (_gather),
+    each checked to be symmetric wherever an entry and its mirror both
+    know the coefficient, polynomial part included, then reduced mod O: an
+    exact gamma drops its coefficients at t^0 and up, and when every gamma
+    is exact the window narrows to the exponents < 0 (to one column of
+    zeros if it starts at t^0 or above).  A gamma with a windowed entry
+    keeps its polynomial part: dropping it would leave an entry known only
+    at t^>=0 with undecidable vanishing.  Returns (coeffs, lo, floors)."""
+    c, lo, fl = _gather(gammas)
     exps = lo + np.arange(c.shape[3])
     known = exps >= np.maximum(fl, fl.transpose(0, 2, 1))[..., None]
     # the first hit in row-major order lies above the diagonal
@@ -597,7 +636,26 @@ def _check_gammas(spec: FieldSpec, gammas):
     c = np.where(exact[:, None, None, None] & (exps >= 0), 0, c)
     if exact.all():
         c = c[..., :max(1, -lo)]
-    return distinct, c, lo, fl
+    return c, lo, fl
+
+
+def _gamma_stack(spec: FieldSpec, gammas):
+    """The distinct gammas of `gammas`, each a square LaurentMatrix over
+    spec, and their stack, checked and reduced mod O (_check_gammas):
+    (distinct gammas, coeffs, lo, floors).  When they are all views of one
+    stack, the check of those rows is kept on the stack
+    (_SharedStack.checked) and a later call on the same views reads it;
+    any other gammas are checked on every call."""
+    distinct = list({id(gamma): gamma for gamma in gammas}.values())
+    for gamma in distinct:
+        _square(spec, gamma, "gamma")
+    stack = distinct[0].stack
+    if stack is None or any(gamma.stack is not stack for gamma in distinct):
+        return (distinct, *_check_gammas(distinct))
+    rows = tuple(gamma.row for gamma in distinct)
+    if rows not in stack.checked:
+        stack.checked[rows] = _check_gammas(distinct)
+    return (distinct, *stack.checked[rows])
 
 
 class SpecialLatticePair:
@@ -654,16 +712,16 @@ class SpecialLatticePair:
 
 def _build_pairs(spec: FieldSpec, pairs, items) -> None:
     """The generators of M_m and L_m of every (gamma, m) of `items`, written
-    into two stacks (B, 2n, 2n, W) on one exponent window: the t^(-m) and
-    t^m diagonals and the t^m gamma and -t^m gamma blocks, each by one
-    scatter at per-pair offsets from the stack of gammas mod O
-    (_check_gammas); then certified."""
+    into one stack (2B, 2n, 2n, W) on one exponent window, the M_m first:
+    the t^(-m) and t^m diagonals and the t^m gamma and -t^m gamma blocks,
+    each by one scatter at per-pair offsets from the stack of gammas mod O
+    (_gamma_stack); then certified."""
     gammas, ms = zip(*items)
     for m in ms:
         if not isinstance(m, int) or m < 1:
             raise ConfigError(f"block scale m must be a positive integer, "
                               f"got {m}")
-    distinct, g, glo, gfl = _check_gammas(spec, gammas)
+    distinct, g, glo, gfl = _gamma_stack(spec, gammas)
     if len({mat.coeffs.shape[0] for mat in distinct}) > 1:
         raise ConfigError("a suite of lattice pairs needs one size n")
     where = {id(mat): k for k, mat in enumerate(distinct)}
@@ -675,8 +733,8 @@ def _build_pairs(spec: FieldSpec, pairs, items) -> None:
     scale = np.array(ms, dtype=np.int64)
     down, up = (-scale - lo)[:, None], (scale - lo)[:, None]
     rows, eye = np.arange(bsz)[:, None], np.arange(n)
-    m_c = np.zeros((bsz, 2 * n, 2 * n, width), dtype=np.int16)
-    l_c = np.zeros_like(m_c)
+    gens = np.zeros((2 * bsz, 2 * n, 2 * n, width), dtype=np.int16)
+    m_c, l_c = gens[:bsz], gens[bsz:]
     m_c[rows, eye, eye, down] = 1
     m_c[rows, n + eye, n + eye, up] = 1
     l_c[rows, eye, eye, up] = 1
@@ -686,26 +744,32 @@ def _build_pairs(spec: FieldSpec, pairs, items) -> None:
     m_c[rows, n:, :n, at] = g.transpose(0, 3, 1, 2)
     l_c[rows, :n, n:, at] = spec.tables["np_neg"][g].transpose(0, 3, 1, 2)
     shifted = np.where(gfl == _NO_FLOOR, _NO_FLOOR, gfl + scale[:, None, None])
-    m_fl = np.full((bsz, 2 * n, 2 * n), _NO_FLOOR, dtype=np.int64)
-    l_fl = m_fl.copy()
-    m_fl[:, n:, :n] = shifted
-    l_fl[:, :n, n:] = shifted
+    floors = np.full((2 * bsz, 2 * n, 2 * n), _NO_FLOOR, dtype=np.int64)
+    floors[:bsz, n:, :n] = floors[bsz:, :n, n:] = shifted
     for pair, gamma, m in zip(pairs, gammas, ms):
         pair.spec, pair.m, pair.gamma, pair.n = spec, m, gamma, n
-    _certify_pairs(pairs, spec, lo, m_c, m_fl, l_c, l_fl)
+    _certify_pairs(pairs, spec, lo, gens, floors)
 
 
-def _certify_pairs(pairs, spec: FieldSpec, lo: int, m_c, m_fl, l_c,
-                   l_fl) -> None:
-    """One batched product L_m^T M_m over the generator stacks of all
-    pairs; a pair passes when it is the identity on the known coefficients,
-    and then gets its lattices, views of the stacks."""
-    bad = _identity_defects(*_matmul(spec, l_c.transpose(0, 2, 1, 3), lo,
-                                     l_fl.transpose(0, 2, 1), m_c, lo, m_fl))
-    m_tops = _entry_degrees(m_c, lo, m_fl, "generator entry")
-    l_tops = _entry_degrees(l_c, lo, l_fl, "generator entry")
-    m_inv = l_tops.max(axis=(1, 2)).tolist()
-    l_inv = m_tops.max(axis=(1, 2)).tolist()
+def _certify_pairs(pairs, spec: FieldSpec, lo: int, gens, floors) -> None:
+    """One batched product L_m^T M_m over the generator stack of all pairs,
+    M_m in its first half and L_m in its second; a pair passes when it is
+    the identity on the known coefficients, and then gets its lattices,
+    views of the stack whose degrees and floors are read off the whole
+    stack at once."""
+    bsz = len(pairs)
+    bad = _identity_defects(*_matmul(
+        spec, gens[bsz:].transpose(0, 2, 1, 3), lo,
+        floors[bsz:].transpose(0, 2, 1), gens[:bsz], lo, floors[:bsz]))
+    tops = _entry_degrees(gens, lo, floors, "generator entry")
+    row_tops = tops.max(axis=2)
+    max_tops = row_tops.max(axis=1).tolist()
+    windows = floors.max(axis=(1, 2)).tolist()
+    # the inverse of M_m is L_m^T and that of L_m is M_m^T: the top degree
+    # of the other half's lattice, at b - bsz
+    lattices = [FunctionFieldLattice._certified(
+        view, row_tops[b], max_tops[b], windows[b], max_tops[b - bsz])
+        for b, view in enumerate(_views(spec, gens, lo, floors))]
     failed = bad.any(axis=(1, 2)).tolist()
     for b, pair in enumerate(pairs):
         entries = ([tuple(ix) for ix in np.argwhere(bad[b]).tolist()]
@@ -716,10 +780,7 @@ def _certify_pairs(pairs, spec: FieldSpec, lo: int, m_c, m_fl, l_c,
         if entries:
             raise ConfigError(
                 f"adjoint identity fails: {pair.duality.details}")
-        pair.m_lattice = FunctionFieldLattice._certified(
-            LaurentMatrix(spec, m_c[b], lo, m_fl[b]), m_tops[b], m_inv[b])
-        pair.adjoint_lattice = FunctionFieldLattice._certified(
-            LaurentMatrix(spec, l_c[b], lo, l_fl[b]), l_tops[b], l_inv[b])
+        pair.m_lattice, pair.adjoint_lattice = lattices[b], lattices[bsz + b]
 
 
 # -- lemma checks -------------------------------------------------------------------
@@ -822,16 +883,17 @@ def skew_counts(spec: FieldSpec, requests, budget: Budget = None) -> list:
     `requests`, gamma a LaurentMatrix, in order.  a and z may be
     half-integers; every threshold enters through a single ceiling of a
     doubled integer exponent.  The distinct gammas are checked and reduced
-    mod O on one stack (_check_gammas), and the systems are built from it:
-    u' -> u' + P u is a bijection of O^n, so gamma and gamma - P, P
-    polynomial, count the same, and a gamma with a windowed entry keeps its
-    polynomial part.  Each distinct (gamma, ceil(a + z), ceil(z - a)) is
-    counted once, its system charged to `budget` (a fresh default Budget
-    when None), and all systems are ranked together."""
+    mod O on one stack (_gamma_stack: a set of views of one stack is
+    checked once), and the systems are built from it: u' -> u' + P u is a
+    bijection of O^n, so gamma and gamma - P, P polynomial, count the same,
+    and a gamma with a windowed entry keeps its polynomial part.  Each
+    distinct (gamma, ceil(a + z), ceil(z - a)) is counted once, its system
+    charged to `budget` (a fresh default Budget when None), and all systems
+    are ranked together."""
     budget = Budget() if budget is None else budget
     keys, distinct, stack = [], {}, None
     if requests:
-        gammas, *stack = _check_gammas(spec, [g for g, _, _ in requests])
+        gammas, *stack = _gamma_stack(spec, [g for g, _, _ in requests])
         tops = _entry_degrees(*stack, "gamma").max(axis=(1, 2)).tolist()
         where = {id(gamma): (k, gamma.coeffs.shape[0], top)
                  for k, (gamma, top) in enumerate(zip(gammas, tops))}
@@ -903,17 +965,44 @@ def check_capes(spec: FieldSpec, items, budget: Budget = None) -> list:
     return out
 
 
-def random_symmetric_gamma(spec: FieldSpec, n: int, seed: int,
-                           lo: int = -3, hi: int = 3) -> LaurentMatrix:
-    """Deterministic symmetric n x n matrix with entry support in [lo, hi],
-    drawn straight into a LaurentMatrix on that window: entry (i, j >= i)
-    takes the coefficients of t^lo..t^hi, in that order, from
-    random.Random(seed)."""
-    rng = random.Random(seed)
-    coeffs = np.zeros((n, n, hi - lo + 1), dtype=np.int16)
-    for i in range(n):
-        for j in range(i, n):
-            coeffs[i, j] = coeffs[j, i] = [rng.randrange(spec.q)
-                                           for _ in range(lo, hi + 1)]
-    return LaurentMatrix(spec, coeffs, lo,
-                         np.full((n, n), _NO_FLOOR, dtype=np.int64))
+def _draw_words(need: int, q: int) -> int:
+    """32-bit words to take at once for `need` values below q: a quarter
+    more than the mean number, mean = need 2^k / q with k = q.bit_length(),
+    and 16.  That is at least 4 sqrt(mean), and so four standard
+    deviations, as q > 2^(k-1)."""
+    return need * (1 << q.bit_length()) // q * 5 // 4 + 16
+
+
+def random_symmetric_gammas(spec: FieldSpec, n: int, seeds, lo: int = -3,
+                            hi: int = 3) -> list:
+    """One deterministic symmetric n x n matrix per seed, with entry
+    support in [lo, hi], as LaurentMatrix views of one stack on that
+    window.  Each seed draws what a loop of rng.randrange(q) calls on
+    rng = random.Random(seed) would: entry (i, j >= i), in row-major
+    order, takes the coefficients of t^lo..t^hi, in that order, and entry
+    (j, i) copies it.
+
+    randrange(q) reads a 32-bit word of the Mersenne Twister, keeps its top
+    k = q.bit_length() bits and draws again while the value is >= q.  Here
+    getrandbits(32 W) takes the next W words of every seed at once (least
+    significant word first, so in the order randrange reads them), and the
+    same rejection runs on the (seeds, words) array; while a seed has too
+    few accepted values, every seed draws W more words."""
+    q, width = spec.q, hi - lo + 1
+    i, j = np.triu_indices(n)
+    need = len(i) * width
+    rngs = [random.Random(seed) for seed in seeds]
+    tried = np.zeros((len(rngs), 0), dtype=np.uint32)
+    while ((tried < q).sum(axis=1) < need).any():
+        words = _draw_words(need, q)
+        raw = b"".join(rng.getrandbits(32 * words).to_bytes(4 * words,
+                                                             "little")
+                       for rng in rngs)
+        tried = np.hstack([tried, np.frombuffer(raw, "<u4").reshape(
+            -1, words) >> (32 - q.bit_length())])
+    ok = tried < q
+    coeffs = np.zeros((len(rngs), n, n, width), dtype=np.int16)
+    coeffs[:, i, j] = coeffs[:, j, i] = tried[
+        ok & (ok.cumsum(axis=1) <= need)].reshape(-1, len(i), width)
+    return _views(spec, coeffs, lo,
+                  np.full(coeffs.shape[:3], _NO_FLOOR, dtype=np.int64))

@@ -1,6 +1,11 @@
 """Slow, obviously correct routes that the tests check fflab's fast routes
 against.  They live here because no code in fflab calls them."""
 
+import random
+
+import numpy as np
+
+from fflab.latgon import _NO_FLOOR, LaurentMatrix
 from scalars import Polynomial
 
 
@@ -51,3 +56,19 @@ def eval_form(form, x):
         term = term.scale_idx(c)
         acc = term if acc is None else acc + term
     return acc
+
+
+def random_symmetric_gamma(spec, n, seed, lo=-3, hi=3):
+    """Symmetric n x n matrix with entry support in [lo, hi], one
+    randrange(q) call per coefficient: entry (i, j >= i), in row-major
+    order, takes the coefficients of t^lo..t^hi from random.Random(seed).
+    The scalar oracle of latgon.random_symmetric_gammas; the matrix is
+    built alone, on no shared stack."""
+    rng = random.Random(seed)
+    coeffs = np.zeros((n, n, hi - lo + 1), dtype=np.int16)
+    for i in range(n):
+        for j in range(i, n):
+            coeffs[i, j] = coeffs[j, i] = [rng.randrange(spec.q)
+                                           for _ in range(lo, hi + 1)]
+    return LaurentMatrix(spec, coeffs, lo,
+                         np.full((n, n), _NO_FLOOR, dtype=np.int64))

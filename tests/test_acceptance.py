@@ -18,7 +18,7 @@ from fflab.fields import FieldSpec
 from fflab.forms import fermat_form
 from fflab.latgon import (SpecialLatticePair, check_capes, check_ratio_lemmas,
                           check_sandwiches, minima_by_enumeration,
-                          random_symmetric_gamma)
+                          random_symmetric_gammas)
 from fflab.moduli import count_cone, count_morphisms, enumerate_lines
 from fflab.weyl import (canonical_shape_report, check_shrink_batch,
                         check_weyl_batch)
@@ -90,7 +90,7 @@ def test_lattice_suite_on_hundred_seeds(spec5):
     start = time.monotonic()
     seeds = range(100)
     ms = [1 + (seed % 2) for seed in seeds]
-    gammas = [random_symmetric_gamma(spec5, 2, seed) for seed in seeds]
+    gammas = random_symmetric_gammas(spec5, 2, seeds)
     pairs = SpecialLatticePair.suite(spec5, gammas, ms)
     histogram = {}
     enumerated = minima_by_enumeration([pair.m_lattice for pair in pairs])

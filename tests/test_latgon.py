@@ -16,9 +16,10 @@ from fflab.harness import load_config, run_task
 from fflab.latgon import (FunctionFieldLattice, SpecialLatticePair,
                           ball_counts, check_capes, check_ratio_lemmas,
                           check_sandwiches, minima_by_enumeration,
-                          random_symmetric_gamma, reduce_lattices,
+                          random_symmetric_gammas, reduce_lattices,
                           skew_counts)
 from fflab.reporting import emit_report
+from oracles import random_symmetric_gamma
 from scalars import LaurentElement, laurent_matrix
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -101,7 +102,7 @@ def test_seeded_suite_profiles_frozen(spec5):
     histogram = {}
     for seed in range(100):
         m = 1 + (seed % 2)
-        gamma = random_symmetric_gamma(spec5, 2, seed)
+        [gamma] = random_symmetric_gammas(spec5, 2, [seed])
         pair = SpecialLatticePair(spec5, gamma, m)
         assert pair.duality.passed
         assert pair.check_minima_symmetry("closed").passed
@@ -118,7 +119,7 @@ def test_seeded_suite_profiles_frozen(spec5):
 def test_seeded_ratio_and_cape_suite(spec5):
     for seed in range(25):
         m = 1 + (seed % 2)
-        gamma = random_symmetric_gamma(spec5, 2, seed)
+        [gamma] = random_symmetric_gammas(spec5, 2, [seed])
         pair = SpecialLatticePair(spec5, gamma, m)
         assert all(check_ratio_lemmas(
             [(pair, z1, z2) for z1, z2 in [(-1, 0), (-2, 0), (-2, -1),
@@ -202,8 +203,8 @@ def test_count_NaZ_below_window_is_a_precision_error(spec5):
 def test_gammas_of_two_sizes_share_one_call(spec5):
     # the top degrees come from one stack, the 1 x 1 gamma padded with
     # exact zeros
-    one = random_symmetric_gamma(spec5, 1, 4)
-    two = random_symmetric_gamma(spec5, 2, 5)
+    [one] = random_symmetric_gammas(spec5, 1, [4])
+    [two] = random_symmetric_gammas(spec5, 2, [5])
     requests = [(one, 1, 0), (two, Fraction(3, 2), -1), (one, 2, -1)]
     assert skew_counts(spec5, requests) == \
         [skew_counts(spec5, [request])[0] for request in requests]
@@ -257,8 +258,8 @@ def test_extension_field_suite_reduction_matches_enumeration():
     # histogram is the one the dict-based reduction gave)
     spec = FieldSpec(5, 2)
     pairs = SpecialLatticePair.suite(
-        spec, [random_symmetric_gamma(spec, 2, seed, -1, 1)
-               for seed in range(40)], [1 + seed % 2 for seed in range(40)])
+        spec, random_symmetric_gammas(spec, 2, range(40), -1, 1),
+        [1 + seed % 2 for seed in range(40)])
     assert all(pair.duality.passed for pair in pairs)
     lattices = [lat for pair in pairs
                 for lat in (pair.m_lattice, pair.adjoint_lattice)]
@@ -325,9 +326,10 @@ def test_suites_reduce_each_lattice_once_on_arrays(tmp_path, monkeypatch, name,
         seen["reduced"] += len(coeffs)
         return reduce(spec, coeffs, lo, floors)
 
-    def counting_certify(pair_list, spec, lo, m_c, *stacks):
-        seen["pairs"] += len(m_c)
-        return certify(pair_list, spec, lo, m_c, *stacks)
+    def counting_certify(pair_list, spec, lo, gens, floors):
+        # M_m and L_m of every pair share the one stack
+        seen["pairs"] += len(gens) // 2
+        return certify(pair_list, spec, lo, gens, floors)
 
     monkeypatch.setattr(latgon, "_reduce", counting_reduce)
     monkeypatch.setattr(latgon, "_certify_pairs", counting_certify)
@@ -390,7 +392,7 @@ def test_shipped_lattice_configs_charge_pinned_totals(monkeypatch, name,
 def test_the_oracle_neither_reduces_nor_builds_polynomials(spec5,
                                                             monkeypatch):
     pairs = SpecialLatticePair.suite(
-        spec5, [random_symmetric_gamma(spec5, 2, seed) for seed in range(20)],
+        spec5, random_symmetric_gammas(spec5, 2, range(20)),
         [1 + seed % 2 for seed in range(20)])
 
     def forbidden(*args):
@@ -474,9 +476,9 @@ def test_suite_generators_match_the_per_pair_oracle(p, f, n):
     # its polynomial part dropped; the windowed gamma keeps all of it, so
     # its generators are the oracle's of the full gamma
     spec = FieldSpec(p, f)
-    drawn = [random_symmetric_gamma(spec, n, seed) for seed in range(4)]
+    drawn = random_symmetric_gammas(spec, n, range(4))
     rows = [_element_rows(gamma) for gamma in drawn]
-    rows += [_element_rows(random_symmetric_gamma(spec, n, 9, -1, 4)),
+    rows += [_element_rows(random_symmetric_gammas(spec, n, [9], -1, 4)[0]),
              _windowed_gamma(spec, n, 11)]
     gammas = drawn + [laurent_matrix(spec, r) for r in rows[4:]]
     ms = [1, 2, 3, 1, 2, 3]
@@ -537,7 +539,7 @@ def test_gamma_mod_O_matches_the_full_gamma_oracle(p, f, n):
     # the whole gammas count what skew_counts does
     spec = FieldSpec(p, f)
     count = 6 if n < 4 else 3
-    gammas = [random_symmetric_gamma(spec, n, seed) for seed in range(count)]
+    gammas = random_symmetric_gammas(spec, n, range(count))
     ms = [1 + seed % 2 for seed in range(count)]
     pairs = SpecialLatticePair.suite(spec, gammas, ms)
     assert [pair.gamma for pair in pairs] == gammas
@@ -562,18 +564,20 @@ def test_a_polynomial_shift_of_gamma_keeps_the_report(monkeypatch, name):
     # gamma + P, P a symmetric polynomial matrix drawn on t^0..t^5, gives
     # the report rows of gamma: only {gamma} reaches the lattices
     config = load_config(os.path.join(CONFIGS, f"{name}.cfg"))
-    draw = harness.random_symmetric_gamma
+    draw = harness.random_symmetric_gammas
 
-    def shifted(spec, n, seed):
-        gamma = draw(spec, n, seed)
-        poly = draw(spec, n, seed + 1000, 0, 5)
-        c, lo, floors = latgon._stack([gamma, poly])
-        return latgon.LaurentMatrix(
-            spec, spec.tables["np_add"][c[0], c[1]], lo, floors[0])
+    def shifted(spec, n, seeds):
+        sums = []
+        for gamma, poly in zip(draw(spec, n, seeds),
+                               draw(spec, n, [s + 1000 for s in seeds], 0, 5)):
+            c, lo, floors = latgon._stack([gamma, poly])
+            sums.append(latgon.LaurentMatrix(
+                spec, spec.tables["np_add"][c[0], c[1]], lo, floors[0]))
+        return sums
 
     reports = []
     for draws in (draw, shifted):
-        monkeypatch.setattr(harness, "random_symmetric_gamma", draws)
+        monkeypatch.setattr(harness, "random_symmetric_gammas", draws)
         result = run_task(config)
         assert result.status == "pass"
         stream = io.StringIO()
@@ -594,7 +598,7 @@ def test_capes_convert_each_gamma_once(spec5, monkeypatch):
         return systems(stack, items, budget)
 
     monkeypatch.setattr(latgon, "_skew_systems", counting)
-    drawn = [random_symmetric_gamma(spec5, 2, seed) for seed in range(10)]
+    drawn = random_symmetric_gammas(spec5, 2, range(10))
     pairs = SpecialLatticePair.suite(spec5, drawn, [1] * 10)
     converted = [laurent_matrix(spec5, _element_rows(gamma))
                  for gamma in drawn]
@@ -662,7 +666,7 @@ def test_thresholds_match_a_fraction_oracle(spec5, monkeypatch):
         return systems(stack, items, budget)
 
     monkeypatch.setattr(latgon, "_skew_systems", recording)
-    gamma = random_symmetric_gamma(spec5, 2, 3)
+    [gamma] = random_symmetric_gammas(spec5, 2, [3])
     skew_counts(spec5, [(gamma, a, z) for a, z in cells])
     assert seen == list(dict.fromkeys((_ceil(a + z) - 1, _ceil(z - a))
                                       for a, z in cells))
@@ -678,3 +682,103 @@ def test_thresholds_refuse_thirds_and_quarters(spec5):
             check_sandwiches([(pair, a, z)])
         with pytest.raises(ConfigError):
             check_capes(spec5, [(zero, a, z, 0)])
+
+
+# F_17 keeps 17 of the 32 values of its 5 bits, the heaviest rejection;
+# F_4 and F_343 are extension fields, F_191 needs 8 bits
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (5, 1), (17, 1),
+                                 (5, 2), (191, 1), (7, 3)])
+def test_batched_draw_matches_the_scalar_oracle(p, f):
+    spec = FieldSpec(p, f)
+    seeds = range(40)
+    for n in range(1, 5):
+        for lo, hi in ((-3, 3), (-1, 1), (0, 5)):
+            drawn = random_symmetric_gammas(spec, n, seeds, lo, hi)
+            assert len(drawn) == len(seeds)
+            for seed, gamma in zip(seeds, drawn):
+                oracle = random_symmetric_gamma(spec, n, seed, lo, hi)
+                assert gamma.coeffs.dtype == oracle.coeffs.dtype
+                assert np.array_equal(gamma.coeffs, oracle.coeffs)
+                assert np.array_equal(gamma.floors, oracle.floors)
+                assert (gamma.lo, gamma.stack) == (lo, drawn[0].stack)
+
+
+def test_batched_draw_refills_short_rows(monkeypatch):
+    # one word at first and one more per refill: every value comes from
+    # the refill path
+    monkeypatch.setattr(latgon, "_draw_words", lambda need, q: 1)
+    for spec in (FieldSpec(17), FieldSpec(2), FieldSpec(5, 2)):
+        drawn = random_symmetric_gammas(spec, 3, [0, 7, 12345], -2, 2)
+        for seed, gamma in zip([0, 7, 12345], drawn):
+            assert np.array_equal(
+                gamma.coeffs, random_symmetric_gamma(spec, 3, seed, -2, 2)
+                .coeffs)
+    assert random_symmetric_gammas(FieldSpec(5), 2, []) == []
+
+
+def _mixed_lattices(spec):
+    """Eight 4 x 4 lattices from four sources: two suites with different m
+    and gamma windows, a lattice built alone with its inverse hint and one
+    built alone without."""
+    first = SpecialLatticePair.suite(
+        spec, random_symmetric_gammas(spec, 2, [1, 2]), [1, 2])
+    second = SpecialLatticePair.suite(
+        spec, random_symmetric_gammas(spec, 2, [3, 4], -1, 1), [2, 2])
+    [gamma] = random_symmetric_gammas(spec, 2, [5], -2, 0)
+    hinted, _ = _full_gamma_lattices(spec, gamma, 1)
+    m_gen, _ = _pair_oracle(spec, _element_rows(gamma), 3)
+    alone = FunctionFieldLattice(spec, m_gen)
+    return [first[0].m_lattice, second[1].adjoint_lattice, hinted,
+            first[1].adjoint_lattice, alone, second[0].m_lattice,
+            first[0].adjoint_lattice, second[1].m_lattice]
+
+
+def test_mixed_sources_give_each_lattice_its_own_results(spec5):
+    # one call over lattices of two stacks and two built alone gives every
+    # lattice what a call of its own gives a fresh copy of it
+    radii = range(-2, 3)
+    mixed = _mixed_lattices(spec5)
+    reduce_lattices(mixed)
+    degrees = [lat._degrees for lat in mixed]
+    counts = ball_counts([(lat, z) for lat in mixed for z in radii])
+    minima = minima_by_enumeration(mixed)
+    for k, lat in enumerate(_mixed_lattices(spec5)):
+        [own] = minima_by_enumeration([lat])
+        assert own == minima[k]
+        reduce_lattices([lat])
+        assert lat._degrees == degrees[k]
+        assert ball_counts([(lat, z) for z in radii]) == \
+            counts[k * len(radii):(k + 1) * len(radii)]
+    assert [list(degs) for degs in degrees] == minima
+
+
+@pytest.mark.parametrize("name", ["lattice_q5", "ratio_q5", "cape_q5"])
+def test_a_task_checks_its_gammas_once_and_never_restacks(monkeypatch, name):
+    # the suite's gammas are checked once, and the cape task's two skew
+    # count calls read that check; every generator is read from its stack
+    # by index, never copied into a new one by _stack
+    checks, stacked, generators = [], [], []
+    check, stack = latgon._check_gammas, latgon._stack
+    certified = FunctionFieldLattice._certified.__func__
+
+    def counting_check(*args):
+        checks.append(len(args[-1]))
+        return check(*args)
+
+    def recording_stack(mats):
+        stacked.extend(mats)
+        return stack(mats)
+
+    def recording_certified(cls, gen, *args):
+        generators.append(gen)
+        return certified(cls, gen, *args)
+
+    monkeypatch.setattr(latgon, "_check_gammas", counting_check)
+    monkeypatch.setattr(latgon, "_stack", recording_stack)
+    monkeypatch.setattr(FunctionFieldLattice, "_certified",
+                        classmethod(recording_certified))
+    result = run_task(load_config(os.path.join(CONFIGS, f"{name}.cfg")))
+    assert result.status == "pass"
+    assert checks == [100]
+    assert len({id(gen) for gen in generators}) == 200
+    assert not {id(gen) for gen in generators} & {id(mat) for mat in stacked}
