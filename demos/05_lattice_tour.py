@@ -1,9 +1,11 @@
 """Tour of the special lattice pair attached to a symmetric phase matrix.
 
 A symmetric gamma over F_q((1/t)) defines a pair of dual lattices in
-dimension 2n.  We inspect successive minima under both counting
-conventions, confirm the duality and symmetry identities, then exercise
-the ratio and cape lemmas that control point counts in skew boxes.
+dimension 2n.  We read the successive minima exponents R_v off
+reduce_lattices, check them against the enumeration oracle, print them
+also in the open convention (R_v + 1, for |x| < q^{R_v}), confirm the
+duality and symmetry identities, then exercise the ratio and cape lemmas
+that control point counts in skew boxes.
 """
 
 from fractions import Fraction
@@ -14,21 +16,26 @@ from fflab.latgon import (SpecialLatticePair, check_capes, check_ratio_lemmas,
                           random_symmetric_gammas, reduce_lattices)
 
 
+def _mirror_sums_are(exps, target):
+    return all(r + s == target for r, s in zip(exps, reversed(exps)))
+
+
 def main():
     spec = FieldSpec(5)
 
     [gamma] = random_symmetric_gammas(spec, 2, [7])
     pair = SpecialLatticePair(spec, gamma, 2)
-    closed = pair.minima("M", convention="closed")
-    opened = pair.minima("M", convention="open")
+    [closed] = reduce_lattices([pair.m_lattice])
+    opened = tuple(r + 1 for r in closed)
     [enum] = minima_by_enumeration([pair.m_lattice])
     print(f"seed 7, m = 2")
-    print(f"  minima (closed): {closed.exponents}  "
-          f"reduce == enumerate: {closed.exponents == tuple(enum)}")
-    print(f"  minima (open):   {opened.exponents}")
+    print(f"  minima (closed): {closed}  "
+          f"reduce == enumerate: {closed == tuple(enum)}")
+    print(f"  minima (open):   {opened}")
     print(f"  duality check:   {pair.duality.passed}")
-    print(f"  symmetry closed: {pair.check_minima_symmetry('closed').passed}, "
-          f"open: {pair.check_minima_symmetry('open').passed}")
+    # R_v + R_{2n-v+1} is 0 for the closed exponents, 2 for the open ones
+    print(f"  symmetry closed: {_mirror_sums_are(closed, 0)}, "
+          f"open: {_mirror_sums_are(opened, 2)}")
 
     print("ratio lemma across box pairs:")
     zs = [(-1, 0), (-2, 0), (-2, -1), (0, 0)]
@@ -52,11 +59,9 @@ def main():
     pairs = SpecialLatticePair.suite(
         spec, random_symmetric_gammas(spec, 2, range(100)),
         [1 + (seed % 2) for seed in range(100)])
-    reduce_lattices([p.m_lattice for p in pairs])
     histogram = {}
-    for p in pairs:
-        prof = p.minima("M", convention="closed")
-        histogram[prof.exponents] = histogram.get(prof.exponents, 0) + 1
+    for prof in reduce_lattices([p.m_lattice for p in pairs]):
+        histogram[prof] = histogram.get(prof, 0) + 1
     for profile, freq in sorted(histogram.items(), key=lambda kv: -kv[1]):
         print(f"  {profile}: {freq}")
 

@@ -10,21 +10,20 @@ point appears only inside rigorous interval refinement.
 """
 
 from .errors import (Budget, BudgetExceededError, ConfigError,
-                     PrecisionError, VerificationFailure)
+                     InequalityReport, PrecisionError, VerificationFailure)
 from .fields import FieldElement, FieldSpec, find_irreducible, trace
 from .cyclotomic import CyclotomicValue, compare_abs_power, real_sign
 from .forms import (HypersurfaceForm, fermat_form, parse_form_file,
                     symmetrize)
 from .circle import CountingProblem
-from .weyl import (InequalityReport, PointwiseReport, approx_zero_counts,
+from .weyl import (PointwiseReport, approx_zero_counts,
                    canonical_shape_report, check_shrink_batch,
                    check_weyl_batch)
 from .audit import (AuditReport, DimReport, audit_minor_arcs, dims,
                     eta_choice, gamma_budget, minor_arc_range, n0, nu_hat)
-from .latgon import (FunctionFieldLattice, LatticeCheck, MinimaProfile,
-                     SpecialLatticePair, check_capes, check_ratio_lemmas,
-                     check_sandwiches, random_symmetric_gammas,
-                     skew_counts)
+from .latgon import (FunctionFieldLattice, SpecialLatticePair, check_capes,
+                     check_ratio_lemmas, check_sandwiches,
+                     random_symmetric_gammas, skew_counts)
 from .moduli import (CountReport, count_cone, count_morphisms,
                      enumerate_lines, extend_spec, langweil_report,
                      rank_coprime, total_solutions)

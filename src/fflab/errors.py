@@ -1,4 +1,4 @@
-"""Shared exception types, and the one run budget.
+"""Shared exception types, the one run budget and the one check record.
 
 The distinction matters for the CLI exit codes: verification failures map to
 exit 1, configuration problems to 2, and budget exhaustion to 3.  Precision
@@ -9,6 +9,8 @@ Budget is the only place a budget charge is decided: every layer charges
 its predicted cost there before it does the work, and Budget.charge is the
 one site that raises BudgetExceededError.
 """
+
+from dataclasses import dataclass
 
 DEFAULT_BUDGET = 10 ** 9         # when no [run] budget is configured
 
@@ -56,3 +58,14 @@ class ConfigError(ValueError):
 
 class VerificationFailure(AssertionError):
     """An asserted identity or inequality failed on real data."""
+
+
+@dataclass(frozen=True)
+class InequalityReport:
+    """One checked identity or inequality: whether it holds, and the
+    quantities it was decided on.  Truthy when it holds."""
+    passed: bool
+    details: dict
+
+    def __bool__(self) -> bool:
+        return self.passed

@@ -42,13 +42,14 @@ from .errors import (DEFAULT_BUDGET, Budget, BudgetExceededError, ConfigError,
                      VerificationFailure)
 from .fields import FieldSpec
 from .forms import fermat_form, parse_form_file
-from .latgon import (SpecialLatticePair, check_capes, check_ratio_lemmas,
-                     check_sandwiches, minima_by_enumeration,
-                     random_symmetric_gammas, reduce_lattices)
+from .latgon import (SpecialLatticePair, _half, check_capes,
+                     check_ratio_lemmas, check_sandwiches,
+                     minima_by_enumeration, random_symmetric_gammas,
+                     reduce_lattices)
 from .moduli import count_cone, count_morphisms, langweil_report
 from .reporting import ReportRecord
-from .weyl import (_charge_weyl, _weyl_reports, canonical_shape_report,
-                   check_shrink_batch)
+from .weyl import (_charge_weyl, _shrink_eta, _weyl_reports,
+                   canonical_shape_report, check_shrink_batch)
 from .work import map_reduce
 
 __all__ = ["TASKS", "TASK_PARAMS", "RunConfig", "RunResult", "load_config",
@@ -105,6 +106,13 @@ class RunConfig:
                 f"{self.path}: [task] {key}: expected one of {choices}, "
                 f"got {raw!r}")
         return raw
+
+    def param_checked(self, key: str, check, *args):
+        """check(*args), its ConfigError naming the file, section and key."""
+        try:
+            return check(*args)
+        except ConfigError as exc:
+            raise ConfigError(f"{self.path}: [task] {key}: {exc}") from None
 
     def param_tail(self, key: str):
         """Comma separated field-index digits, or None if absent."""
@@ -380,7 +388,8 @@ def _run_shrink(config: RunConfig):
     spec = prob.spec
     base = _base_inputs(config, spec)
     eta_param = config.param_fraction("eta")
-    etas = [eta_param] if eta_param is not None else _admissible_etas(config.e)
+    etas = ([config.param_checked("eta", _shrink_eta, config.e, eta_param)]
+            if eta_param is not None else _admissible_etas(config.e))
     samples = config.param_int("samples", default=50, minimum=1)
     rng = random.Random(config.seed)
     records = []
@@ -444,28 +453,31 @@ def _run_lattice(config: RunConfig):
     ms = [m_fixed if m_fixed is not None else 1 + (i % 2)
           for i in range(count)]
     pairs = _seeded_pairs(config, spec, ms)
-    reduce_lattices([lat for pair in pairs
-                     for lat in (pair.m_lattice, pair.adjoint_lattice)])
+    minima = reduce_lattices([lat for pair in pairs
+                              for lat in (pair.m_lattice,
+                                          pair.adjoint_lattice)])
     enumerated = minima_by_enumeration([pair.m_lattice for pair in pairs],
                                        Budget(config.budget))
     records = []
     for i, (pair, m) in enumerate(zip(pairs, ms)):
-        duality = pair.duality
-        prof_red = pair.minima("M", convention="closed")
-        adj_prof = pair.minima("adjoint", convention="closed")
-        agree = prof_red.exponents == tuple(enumerated[i])
-        sym_closed = pair.check_minima_symmetry("closed")
-        sym_open = pair.check_minima_symmetry("open")
-        ok = bool(duality) and agree and bool(sym_closed) and bool(sym_open)
+        profile = minima[2 * i]
+        agree = profile == tuple(enumerated[i])
+        duality = pair.duality.passed
+        sym_closed = _mirror_sums_are(profile, 0)
+        sym_open = _mirror_sums_are([r + 1 for r in profile], 2)
         records.append(ReportRecord(
             task=config.task, inputs={**base, "instance": i, "m": m},
-            outputs={"profile": prof_red.exponents,
-                     "adjoint_profile": adj_prof.exponents,
-                     "methods_agree": agree, "duality": bool(duality),
-                     "symmetry_closed": bool(sym_closed),
-                     "symmetry_open": bool(sym_open)},
-            passed=ok))
+            outputs={"profile": profile, "adjoint_profile": minima[2 * i + 1],
+                     "methods_agree": agree, "duality": duality,
+                     "symmetry_closed": sym_closed,
+                     "symmetry_open": sym_open},
+            passed=duality and agree and sym_closed and sym_open))
     return records
+
+
+def _mirror_sums_are(exps, target: int) -> bool:
+    """R_v + R_{2n-v+1} == target for every v, exps = (R_1, ..., R_2n)."""
+    return all(r + s == target for r, s in zip(exps, reversed(exps)))
 
 
 def _z_pairs(config: RunConfig, i: int):
@@ -511,10 +523,12 @@ def _run_cape(config: RunConfig):
     base = _base_inputs(config, spec)
     count = config.param_int("count", default=100, minimum=1)
     a_fixed = config.param_fraction("a")
-    if a_fixed is not None and a_fixed < 1:
-        raise ConfigError(
-            f"{config.path}: [task] a: the sandwich needs a >= 1, "
-            f"got {a_fixed}")
+    if a_fixed is not None:
+        if a_fixed < 1:
+            raise ConfigError(
+                f"{config.path}: [task] a: the sandwich needs a >= 1, "
+                f"got {a_fixed}")
+        config.param_checked("a", _half, a_fixed, "a")
     avals = [a_fixed if a_fixed is not None
              else 1 + (i % 2) + Fraction(i % 2, 2) for i in range(count)]
     # one pair per instance, with m = floor(a), serves both z of the sandwich

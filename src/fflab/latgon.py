@@ -22,8 +22,9 @@ hands it, and one oracle:
     (weak Popov) step of Mulders and Storjohann, "On lattice reduction for
     polynomial matrices", J. Symbolic Comput. 35 (2003).  Each pass
     cancels one dependence per lattice, a nullspace vector of its leading
-    coefficient matrix.  The sorted column degrees are kept on the
-    lattice, so each lattice is reduced once.  The oracle,
+    coefficient matrix.  reduce_lattices returns the sorted column
+    degrees, one tuple per lattice, and keeps them on the lattice, so each
+    lattice is reduced once.  The oracle,
     minima_by_enumeration, never reduces: it takes the whole solution
     space of growing balls and measures its K-linear rank by definition,
     evaluating the polynomial basis at more points of F_q (or of an
@@ -60,22 +61,23 @@ Precision stays explicit: an entry known only down to a floor stores 0
 below it, and reading a coefficient there, or deciding the vanishing of
 an entry whose known part is 0, raises PrecisionError.
 
-Minima convention: R_v is the least integer R such that v K-linearly
-independent lattice vectors all have degree <= R ("closed", the default).
-The "open" convention asks for |x| < q^{R_v} instead, which shifts every
-exponent up by one and turns the pair symmetry into R_v + R_{2n-v+1} = 2.
-Both are exposed; ball counts always use the strict |x| < q^Z.
+Minima: R_v is the least integer R such that v K-linearly independent
+lattice vectors all have degree <= R (the closed convention), as
+reduce_lattices and minima_by_enumeration return it.  The open
+convention, |x| < q^{R_v}, is the relabeling R_v + 1, with pair symmetry
+R_v + R_{2n-v+1} = 2; the lattice-minima report carries it as
+symmetry_open.  Ball counts always use the strict |x| < q^Z.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import Budget, ConfigError, PrecisionError, VerificationFailure
+from .errors import (Budget, ConfigError, InequalityReport, PrecisionError,
+                     VerificationFailure)
 from .fields import FieldSpec
 from .forms import _flat_tables
 from .linalg import batched_nullspace, batched_poly_rank, batched_rank
@@ -305,38 +307,15 @@ def _solution_counts(systems) -> list:
 # -- lattices ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinimaProfile:
-    """Successive minima exponents R_1 <= ... <= R_N (minima are q^{R_v})."""
-    exponents: tuple
-    convention: str
-
-    def __post_init__(self):
-        if self.convention not in ("closed", "open"):
-            raise ConfigError(f"unknown minima convention {self.convention}")
-        if list(self.exponents) != sorted(self.exponents):
-            raise ConfigError("minima exponents must be non-decreasing")
-
-
-@dataclass(frozen=True)
-class LatticeCheck:
-    passed: bool
-    name: str
-    details: dict = field(default_factory=dict)
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
 class FunctionFieldLattice:
     """The O-module {B u : u in O^N} for an invertible matrix B over K.
 
     Rows of the LaurentMatrix `matrix` are coordinates; columns are the
     generators.  An exact inverse, a LaurentMatrix of the same size, may be
     supplied as a degree-bound hint; it is verified against the generator
-    before use, so a wrong hint raises instead of corrupting counts.  Without one, the lattice is reduced on construction: that
-    certifies B nonsingular and gives deg det B as the sum of the reduced
-    degrees."""
+    before use, so a wrong hint raises instead of corrupting counts.
+    Without one, the lattice is reduced on construction: that certifies B
+    nonsingular and gives deg det B as the sum of the reduced degrees."""
 
     def __init__(self, spec: FieldSpec, matrix: LaurentMatrix,
                  inverse: LaurentMatrix = None):
@@ -347,8 +326,8 @@ class FunctionFieldLattice:
                     int(gen.floors.max()))
         self._inv_top = None
         if inverse is None:
-            reduce_lattices([self])
-            self._det_deg = sum(self._degrees)
+            [degrees] = reduce_lattices([self])
+            self._det_deg = sum(degrees)
             return
         inv = _square(spec, inverse, "inverse hint")
         if inv.coeffs.shape[0] != self.dim:
@@ -396,22 +375,6 @@ class FunctionFieldLattice:
         if self._inv_top is not None:
             return self._inv_top + z_ceil - 1
         return (self.dim - 1) * self._max_top + z_ceil - 1 - self._det_deg
-
-    # -- minima -----------------------------------------------------------------
-
-    def successive_minima(self, convention: str = "closed") -> MinimaProfile:
-        """R_v = least R with v K-independent lattice vectors of deg <= R,
-        read off the degrees of the reduced basis (reducing the lattice if
-        it is not reduced yet).  minima_by_enumeration is the independent
-        oracle."""
-        reduce_lattices([self])
-        degs = self._degrees
-        profile = MinimaProfile(tuple(degs), "closed")
-        if convention == "open":
-            profile = MinimaProfile(tuple(r + 1 for r in degs), "open")
-        elif convention != "closed":
-            raise ConfigError(f"unknown minima convention {convention}")
-        return profile
 
     def _enumeration_start(self) -> int:
         """A radius below the first minimum: a nonzero x = B u has
@@ -470,11 +433,13 @@ def minima_by_enumeration(lattices, budget: Budget = None) -> list:
     return degs
 
 
-def reduce_lattices(lattices) -> None:
-    """Reduce every lattice of `lattices` not reduced yet, in one batched
-    kernel per field and dimension, and keep its sorted reduced degrees on
-    the lattice.  The generators of a suite are gathered from their stack
-    by one index (_gather)."""
+def reduce_lattices(lattices) -> list:
+    """The minima exponents R_1 <= ... <= R_N of every lattice of
+    `lattices`, one tuple per lattice, in order: the sorted degrees of its
+    reduced basis.  A lattice not reduced yet is reduced, in one batched
+    kernel per field and dimension, its generators gathered from their
+    stack by one index (_gather), and its degrees are kept on it.
+    minima_by_enumeration is the independent oracle."""
     groups = {}
     for lat in lattices:
         if lat._degrees is None:
@@ -484,6 +449,7 @@ def reduce_lattices(lattices) -> None:
         coeffs, lo, floors = _gather([lat.gen for lat in lats])
         for lat, degs in zip(lats, _reduce(spec, coeffs, lo, floors)):
             lat._degrees = degs
+    return [lat._degrees for lat in lattices]
 
 
 def _column_degrees(coeffs, lo, floors):
@@ -664,7 +630,8 @@ class SpecialLatticePair:
     M_m expands the first block of coordinates by t^-m and contracts the
     second by t^m after shearing with gamma; L_m undoes it.  The adjoint
     identity L_m^T M_m = I is verified once, on construction, entry by
-    entry on the joint window, and kept as the LatticeCheck `duality`; it
+    entry on the joint window, and kept as the InequalityReport `duality`;
+    it
     makes L_m^T the certified inverse of M_m and M_m^T that of L_m.
     `suite` builds many pairs on one coefficient stack with one batched
     product; a pair built alone is a suite of one.
@@ -687,27 +654,6 @@ class SpecialLatticePair:
         if pairs:
             _build_pairs(spec, pairs, items)
         return pairs
-
-    def minima(self, which: str = "M",
-               convention: str = "closed") -> MinimaProfile:
-        if which == "M":
-            return self.m_lattice.successive_minima(convention)
-        if which == "adjoint":
-            return self.adjoint_lattice.successive_minima(convention)
-        raise ConfigError(f"unknown lattice selector {which}")
-
-    def check_minima_symmetry(self,
-                              convention: str = "closed") -> LatticeCheck:
-        """R_v + R_{2n-v+1} = 0 (closed) or = 2 (open), v = 1..n."""
-        profile = self.minima("M", convention)
-        exps = profile.exponents
-        target = 0 if convention == "closed" else 2
-        sums = tuple(exps[v - 1] + exps[2 * self.n - v]
-                     for v in range(1, self.n + 1))
-        return LatticeCheck(all(s == target for s in sums),
-                            "minima-symmetry",
-                            {"exponents": exps, "sums": sums,
-                             "target": target, "convention": convention})
 
 
 def _build_pairs(spec: FieldSpec, pairs, items) -> None:
@@ -774,9 +720,8 @@ def _certify_pairs(pairs, spec: FieldSpec, lo: int, gens, floors) -> None:
     for b, pair in enumerate(pairs):
         entries = ([tuple(ix) for ix in np.argwhere(bad[b]).tolist()]
                    if failed[b] else [])
-        pair.duality = LatticeCheck(not entries, "adjoint-identity",
-                                    {"dim": 2 * pair.n,
-                                     "bad_entries": entries})
+        pair.duality = InequalityReport(not entries, {
+            "dim": 2 * pair.n, "bad_entries": entries})
         if entries:
             raise ConfigError(
                 f"adjoint identity fails: {pair.duality.details}")
@@ -795,14 +740,14 @@ def check_ratio_lemmas(items, budget: Budget = None) -> list:
     is q^{sum(R_{mu+1..nu}) + mu z1 - nu z2}), and that each count equals
     q^{sum_j max(0, z - R_j)}.  The minima of all M_m come from one batched
     reduction, and every distinct (lattice, z) count from one batched rank,
-    charged to `budget` (ball_counts).  Returns one LatticeCheck per item,
-    in order."""
+    charged to `budget` (ball_counts).  Returns one InequalityReport per
+    item, in order."""
     for _, z1, z2 in items:
         if not (isinstance(z1, int) and isinstance(z2, int)):
             raise ConfigError("ratio lemma thresholds must be integers")
         if not z1 <= z2 <= 0:
             raise ConfigError(f"need z1 <= z2 <= 0, got {z1}, {z2}")
-    reduce_lattices([pair.m_lattice for pair, _, _ in items])
+    minima = reduce_lattices([pair.m_lattice for pair, _, _ in items])
     counts = ball_counts([(pair.m_lattice, z) for pair, z1, z2 in items
                           for z in (z1, z2)], budget)
     out = []
@@ -810,7 +755,7 @@ def check_ratio_lemmas(items, budget: Budget = None) -> list:
         c1, c2 = counts[2 * k], counts[2 * k + 1]
         q = pair.spec.q
         n = pair.n
-        exps = pair.m_lattice._degrees
+        exps = minima[k]
         mu = sum(1 for r in exps if r < z1)
         nu = sum(1 for r in exps if r < z2)
         if nu == 0:
@@ -825,7 +770,7 @@ def check_ratio_lemmas(items, budget: Budget = None) -> list:
         pred2 = q ** sum(max(0, z2 - r) for r in exps)
         passed = (_ratio_vs_power(c1, c2, q, n * (z1 - z2)) >= 0 and matches
                   and c1 == pred1 and c2 == pred2)
-        out.append(LatticeCheck(passed, "count-ratio", {
+        out.append(InequalityReport(passed, {
             "z1": z1, "z2": z2, "count1": c1, "count2": c2,
             "bound_exponent": n * (z1 - z2), "case": case,
             "ratio_matches_formula": matches,
@@ -913,7 +858,7 @@ def check_sandwiches(items, budget: Budget = None) -> list:
     """M_m(z - {a}) <= N(a, z) <= M_m(z + {a}) with m = floor(a) >= 1, at
     every (pair, a, z) of `items`, where pair.m must be floor(a): the M_m
     counts and the skew counts each in one batch, charged to `budget`.
-    Returns one LatticeCheck per item, in order."""
+    Returns one InequalityReport per item, in order."""
     budget = Budget() if budget is None else budget
     bounds = []
     for pair, a, z in items:
@@ -934,7 +879,7 @@ def check_sandwiches(items, budget: Budget = None) -> list:
     out = []
     for k, (pair, a, z) in enumerate(items):
         lower, upper, mid = bounds[2 * k], bounds[2 * k + 1], mids[k]
-        out.append(LatticeCheck(lower <= mid <= upper, "skew-box-sandwich", {
+        out.append(InequalityReport(lower <= mid <= upper, {
             "a": str(a), "z": str(z), "m": pair.m,
             "lower": lower, "middle": mid, "upper": upper}))
     return out
@@ -944,7 +889,7 @@ def check_capes(spec: FieldSpec, items, budget: Budget = None) -> list:
     """N(a, z1)/N(a, z2) >= q^{nK}, K = ceil(z1 - {a}) - ceil(z2 + {a}),
     for z1 <= z2 <= 0, at every (gamma, a, z1, z2) of `items`, with all
     skew counts in one batch, charged to `budget`.  Returns one
-    LatticeCheck per item, in order."""
+    InequalityReport per item, in order."""
     capes = []
     for _, a, z1, z2 in items:
         a2, d1, d2 = _half(a, "a"), _half(z1, "z1"), _half(z2, "z2")
@@ -957,11 +902,11 @@ def check_capes(spec: FieldSpec, items, budget: Budget = None) -> list:
     for k, ((gamma, a, z1, z2), cape) in enumerate(zip(items, capes)):
         count1, count2 = counts[2 * k], counts[2 * k + 1]
         n = gamma.coeffs.shape[0]
-        out.append(LatticeCheck(
+        out.append(InequalityReport(
             _ratio_vs_power(count1, count2, spec.q, n * cape) >= 0,
-            "cape-decay", {"a": str(a), "z1": str(z1), "z2": str(z2),
-                           "K": cape, "count1": count1, "count2": count2,
-                           "bound_exponent": n * cape}))
+            {"a": str(a), "z1": str(z1), "z2": str(z2), "K": cape,
+             "count1": count1, "count2": count2,
+             "bound_exponent": n * cape}))
     return out
 
 

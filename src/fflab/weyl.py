@@ -101,7 +101,7 @@ import numpy as np
 from .audit import eta_choice, gamma_budget, kappa_of
 from .circle import CountingProblem
 from .cyclotomic import CyclotomicValue, compare_abs_power
-from .errors import ConfigError, PrecisionError
+from .errors import ConfigError, InequalityReport, PrecisionError
 from .linalg import batched_rank
 
 
@@ -361,15 +361,6 @@ def _shape_N_eta(prob: CountingProblem, eta) -> tuple:
 # -- inequality checks ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    passed: bool
-    details: dict
-
-    def __bool__(self):
-        return self.passed
-
-
 def _charge_weyl(prob: CountingProblem, phases: int):
     """Charge the budget of check_weyl_batch on `phases` phases and choose
     the route S takes on them.  In order: the phase distribution that S is
@@ -511,6 +502,18 @@ def _float_or_nan(value) -> float:
         return float("nan")
 
 
+def _shrink_eta(e: int, eta) -> Fraction:
+    """eta as a Fraction, checked to satisfy the hypotheses of the
+    shrinking inequality: (e+1)(eta+1)/2 integral and 0 <= eta <= 1."""
+    eta = Fraction(eta)
+    hyp = (e + 1) * (eta + 1) / 2
+    if hyp.denominator != 1:
+        raise ConfigError(f"(e+1)(eta+1)/2 = {hyp} is not an integer")
+    if not 0 <= eta <= 1:
+        raise ConfigError("eta must lie in [0, 1]")
+    return eta
+
+
 def check_shrink_batch(prob: CountingProblem, alphas, eta) -> list:
     """N(alpha) <= |P|^((n - eta n)(d-1)) N_eta(alpha) under the parity
     hypothesis (e+1)(eta+1)/2 integral, at every phase of `alphas`, as
@@ -518,12 +521,7 @@ def check_shrink_batch(prob: CountingProblem, alphas, eta) -> list:
     N_eta per phase (_charge_counts); then each count is made for all
     phases at once, and at eta = 1, where N_eta has N's boxes and m, N is
     reused."""
-    eta = Fraction(eta)
-    hyp = (prob.e + 1) * (eta + 1) / 2
-    if hyp.denominator != 1:
-        raise ConfigError(f"(e+1)(eta+1)/2 = {hyp} is not an integer")
-    if not 0 <= eta <= 1:
-        raise ConfigError("eta must lie in [0, 1]")
+    eta = _shrink_eta(prob.e, eta)
     big_shape, small_shape = _shape_N(prob), _shape_N_eta(prob, eta)
     _charge_counts(prob, [big_shape, small_shape], len(alphas))
     big_counts = approx_zero_counts(prob, alphas, *big_shape)

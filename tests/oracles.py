@@ -72,3 +72,10 @@ def random_symmetric_gamma(spec, n, seed, lo=-3, hi=3):
                                            for _ in range(lo, hi + 1)]
     return LaurentMatrix(spec, coeffs, lo,
                          np.full((n, n), _NO_FLOOR, dtype=np.int64))
+
+
+def mirror_sums(exps) -> set:
+    """The sums R_v + R_{2n-v+1}, v = 1..n, of minima exponents
+    (R_1, ..., R_2n): {0} for the closed exponents of a special pair, {2}
+    for the open ones, R_v + 1."""
+    return {exps[v] + exps[-1 - v] for v in range(len(exps) // 2)}

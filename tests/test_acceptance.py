@@ -18,10 +18,12 @@ from fflab.fields import FieldSpec
 from fflab.forms import fermat_form
 from fflab.latgon import (SpecialLatticePair, check_capes, check_ratio_lemmas,
                           check_sandwiches, minima_by_enumeration,
-                          random_symmetric_gammas)
+                          random_symmetric_gammas, reduce_lattices)
 from fflab.moduli import count_cone, count_morphisms, enumerate_lines
 from fflab.weyl import (canonical_shape_report, check_shrink_batch,
                         check_weyl_batch)
+
+from oracles import mirror_sums
 
 pytestmark = pytest.mark.acceptance
 
@@ -93,14 +95,14 @@ def test_lattice_suite_on_hundred_seeds(spec5):
     gammas = random_symmetric_gammas(spec5, 2, seeds)
     pairs = SpecialLatticePair.suite(spec5, gammas, ms)
     histogram = {}
-    enumerated = minima_by_enumeration([pair.m_lattice for pair in pairs])
-    for pair, enum in zip(pairs, enumerated):
+    lattices = [pair.m_lattice for pair in pairs]
+    enumerated = minima_by_enumeration(lattices)
+    for pair, prof, enum in zip(pairs, reduce_lattices(lattices), enumerated):
         assert pair.duality.passed
-        assert pair.check_minima_symmetry("closed").passed
-        assert pair.check_minima_symmetry("open").passed
-        prof = pair.minima("M", convention="closed")
-        assert prof.exponents == tuple(enum)
-        histogram[prof.exponents] = histogram.get(prof.exponents, 0) + 1
+        assert mirror_sums(prof) == {0}
+        assert mirror_sums(tuple(r + 1 for r in prof)) == {2}
+        assert prof == tuple(enum)
+        histogram[prof] = histogram.get(prof, 0) + 1
     assert histogram == {(0, 0, 0, 0): 81, (-1, 0, 0, 1): 18,
                          (-1, -1, 1, 1): 1}
     assert all(check_ratio_lemmas(

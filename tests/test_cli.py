@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from fflab import circle, cli, moduli
+from fflab import circle, cli, harness, moduli
 from fflab.circle import CountingProblem
 from fflab.errors import Budget
 from fflab.cli import main
@@ -191,6 +191,28 @@ def test_weyl_alpha_digit_out_of_range_exit_2(tmp_path, capsys, alpha):
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert "[task] alpha" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("task,key,value,late", [
+    ("cape-lemma", "a", "4/3", "random_symmetric_gammas"),
+    ("shrink-check", "eta", "1/3", "check_shrink_batch")])
+def test_task_value_refused_before_any_work_exit_2(tmp_path, capsys,
+                                                   monkeypatch, task, key,
+                                                   value, late):
+    # a is not a half-integer; at e = 1, (e+1)(eta+1)/2 = 4/3 is not an
+    # integer: both are refused, naming the file and key, before the task
+    # draws its gammas or its tails
+    def drawn(*args, **kwargs):
+        raise AssertionError(f"{late} ran before [task] {key} was checked")
+
+    monkeypatch.setattr(harness, late, drawn)
+    body = CONE.replace("name = count-cone",
+                        f"name = {task}\n    {key} = {value}")
+    cfg = write_cfg(tmp_path, body)
+    code = main([task, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{cfg}: [task] {key}: " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

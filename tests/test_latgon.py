@@ -19,7 +19,7 @@ from fflab.latgon import (FunctionFieldLattice, SpecialLatticePair,
                           random_symmetric_gammas, reduce_lattices,
                           skew_counts)
 from fflab.reporting import emit_report
-from oracles import random_symmetric_gamma
+from oracles import mirror_sums, random_symmetric_gamma
 from scalars import LaurentElement, laurent_matrix
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -49,13 +49,13 @@ def test_identity_lattice_counts(spec5):
 def test_diagonal_pair_basics(spec5):
     pair = SpecialLatticePair(spec5, _zero_gamma(spec5), 2)
     assert ball_counts([(pair.m_lattice, 0)]) == [25]
-    closed = pair.minima("M", convention="closed")
-    assert closed.exponents == (-2, 2)
+    [closed] = reduce_lattices([pair.m_lattice])
+    assert closed == (-2, 2)
     assert minima_by_enumeration([pair.m_lattice]) == [[-2, 2]]
-    opened = pair.minima("M", convention="open")
-    assert opened.exponents == (-1, 3)
-    assert pair.check_minima_symmetry("closed").passed
-    assert pair.check_minima_symmetry("open").passed
+    opened = tuple(r + 1 for r in closed)
+    assert opened == (-1, 3)
+    assert mirror_sums(closed) == {0}
+    assert mirror_sums(opened) == {2}
     assert pair.duality.passed
 
 
@@ -105,13 +105,12 @@ def test_seeded_suite_profiles_frozen(spec5):
         [gamma] = random_symmetric_gammas(spec5, 2, [seed])
         pair = SpecialLatticePair(spec5, gamma, m)
         assert pair.duality.passed
-        assert pair.check_minima_symmetry("closed").passed
-        assert pair.check_minima_symmetry("open").passed
-        prof = pair.minima("M", convention="closed")
+        [prof] = reduce_lattices([pair.m_lattice])
+        assert mirror_sums(prof) == {0}
+        assert mirror_sums(tuple(r + 1 for r in prof)) == {2}
         [enum] = minima_by_enumeration([pair.m_lattice])
-        assert prof.exponents == tuple(enum)
-        key = prof.exponents
-        histogram[key] = histogram.get(key, 0) + 1
+        assert prof == tuple(enum)
+        histogram[prof] = histogram.get(prof, 0) + 1
     assert histogram == {(0, 0, 0, 0): 81, (-1, 0, 0, 1): 18,
                          (-1, -1, 1, 1): 1}
 
@@ -250,7 +249,7 @@ def test_column_reduction_that_never_ends_is_a_failure(spec5, monkeypatch):
 
     monkeypatch.setattr(latgon, "batched_nullspace", trivial_move)
     with pytest.raises(VerificationFailure):
-        lat.successive_minima()
+        reduce_lattices([lat])
 
 
 def test_extension_field_suite_reduction_matches_enumeration():
@@ -263,20 +262,20 @@ def test_extension_field_suite_reduction_matches_enumeration():
     assert all(pair.duality.passed for pair in pairs)
     lattices = [lat for pair in pairs
                 for lat in (pair.m_lattice, pair.adjoint_lattice)]
-    reduce_lattices(lattices)
-    for lat, enum in zip(lattices, minima_by_enumeration(lattices)):
-        assert lat.successive_minima().exponents == tuple(enum)
+    minima = reduce_lattices(lattices)
+    for degs, enum in zip(minima, minima_by_enumeration(lattices)):
+        assert degs == tuple(enum)
+    # the M_m of every pair
+    profiles = minima[::2]
     histogram = {}
-    for pair in pairs:
-        prof = pair.minima("M").exponents
+    for prof in profiles:
         histogram[prof] = histogram.get(prof, 0) + 1
-        assert pair.check_minima_symmetry("closed").passed
+        assert mirror_sums(prof) == {0}
     assert histogram == {(0, 0, 0, 0): 19, (-1, -1, 1, 1): 19,
                          (-1, 0, 0, 1): 1, (-2, -1, 1, 2): 1}
     zs = (-2, -1, 0, 1)
     counts = ball_counts([(pair.m_lattice, z) for pair in pairs for z in zs])
-    for k, pair in enumerate(pairs):
-        exps = pair.minima("M").exponents
+    for k, exps in enumerate(profiles):
         for j, z in enumerate(zs):
             assert counts[k * len(zs) + j] == \
                 spec.q ** sum(max(0, z - r) for r in exps)
@@ -292,7 +291,7 @@ def test_windowed_lattice_reads_below_its_floor_raise(spec5):
         spec5, laurent_matrix(spec5, [[windowed, zero], [zero, one]]),
         inverse=laurent_matrix(spec5, [[LaurentElement.monomial(spec5, -3),
                                         zero], [zero, one]]))
-    assert lat.successive_minima().exponents == (0, 3)
+    assert reduce_lattices([lat]) == [(0, 3)]
     with pytest.raises(PrecisionError):
         ball_counts([(lat, 1)])
     # [[1, 1], [1, 1 + O(t^-1)]]: the one reduction step leaves a column
@@ -401,7 +400,25 @@ def test_the_oracle_neither_reduces_nor_builds_polynomials(spec5,
     monkeypatch.setattr(latgon, "_reduce", forbidden)
     enumerated = minima_by_enumeration([pair.m_lattice for pair in pairs])
     monkeypatch.undo()
-    assert enumerated == [list(pair.minima("M").exponents) for pair in pairs]
+    assert enumerated == [
+        list(degs)
+        for degs in reduce_lattices([pair.m_lattice for pair in pairs])]
+
+
+def test_a_reduced_suite_is_read_without_reducing_again(spec5, monkeypatch):
+    # the degrees of a reduced lattice are kept on it: a second call reads
+    # them back and runs no reduction kernel
+    pairs = SpecialLatticePair.suite(
+        spec5, random_symmetric_gammas(spec5, 2, range(20)),
+        [1 + seed % 2 for seed in range(20)])
+    lattices = [lat for pair in pairs
+                for lat in (pair.m_lattice, pair.adjoint_lattice)]
+    first = reduce_lattices(lattices)
+    calls = []
+    monkeypatch.setattr(latgon, "_reduce", lambda *args: calls.append(args))
+    assert reduce_lattices(lattices) == first
+    assert reduce_lattices(lattices[::-1]) == first[::-1]
+    assert calls == []
 
 
 def test_an_oracle_overrun_is_a_verification_failure(tmp_path, monkeypatch):
@@ -497,7 +514,7 @@ def test_suite_generators_match_the_per_pair_oracle(p, f, n):
     if n <= 2:
         drawn_lattices = [pair.m_lattice for pair in pairs[:4]]
         assert minima_by_enumeration(drawn_lattices) == [
-            list(lat.successive_minima().exponents) for lat in drawn_lattices]
+            list(degs) for degs in reduce_lattices(drawn_lattices)]
 
 
 def _transpose(mat):
@@ -548,7 +565,7 @@ def test_gamma_mod_O_matches_the_full_gamma_oracle(p, f, n):
     full = [lat for gamma, m in zip(gammas, ms)
             for lat in _full_gamma_lattices(spec, gamma, m)]
     assert minima_by_enumeration(full) == [
-        list(lat.successive_minima().exponents) for lat in built]
+        list(degs) for degs in reduce_lattices(built)]
     radii = range(-3, 2)
     assert ball_counts([(lat, z) for lat in full for z in radii]) == \
         ball_counts([(lat, z) for lat in built for z in radii])
@@ -738,15 +755,13 @@ def test_mixed_sources_give_each_lattice_its_own_results(spec5):
     # lattice what a call of its own gives a fresh copy of it
     radii = range(-2, 3)
     mixed = _mixed_lattices(spec5)
-    reduce_lattices(mixed)
-    degrees = [lat._degrees for lat in mixed]
+    degrees = reduce_lattices(mixed)
     counts = ball_counts([(lat, z) for lat in mixed for z in radii])
     minima = minima_by_enumeration(mixed)
     for k, lat in enumerate(_mixed_lattices(spec5)):
         [own] = minima_by_enumeration([lat])
         assert own == minima[k]
-        reduce_lattices([lat])
-        assert lat._degrees == degrees[k]
+        assert reduce_lattices([lat]) == [degrees[k]]
         assert ball_counts([(lat, z) for z in radii]) == \
             counts[k * len(radii):(k + 1) * len(radii)]
     assert [list(degs) for degs in degrees] == minima

@@ -21,6 +21,11 @@ MOVED = {"Polynomial", "BinaryForm", "LaurentElement", "expand_rational",
          "diagonal_lattice", "eval_form", "poly_gcd", "gcd_coprime",
          "random_symmetric_gamma"}
 
+# minima are the tuples reduce_lattices returns, and checks of every layer
+# are errors.InequalityReport: names deleted from the library
+DELETED = {"MinimaProfile", "LatticeCheck"}
+DELETED_METHODS = {"successive_minima", "minima", "check_minima_symmetry"}
+
 
 def test_library_stays_below_the_line_cap():
     paths = glob.glob(SOURCES)
@@ -57,3 +62,10 @@ def test_library_holds_no_scalar_object_model():
                         (latgon, "diagonal_lattice"),
                         (latgon, "random_symmetric_gamma")]:
         assert name not in vars(owner), name
+
+
+def test_deleted_minima_and_check_types_stay_gone():
+    assert not DELETED & set(dir(fflab))
+    assert not DELETED & set(vars(latgon))
+    for owner in (latgon.FunctionFieldLattice, latgon.SpecialLatticePair):
+        assert not DELETED_METHODS & set(vars(owner)), owner
