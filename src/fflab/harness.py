@@ -334,11 +334,15 @@ def _weyl_chunk(prob: CountingProblem, tails):
 
 
 def _run_weyl(config: RunConfig):
+    single = config.param_tail("alpha")
+    if single is not None and config.params.get("limit") is not None:
+        raise ConfigError(
+            f"{config.path}: [task] alpha, limit: limit bounds a sweep and "
+            f"alpha names one tail; give at most one of them")
     prob = build_problem(config)
     spec = prob.spec
     base = _base_inputs(config, spec)
     depth = prob.char_depth
-    single = config.param_tail("alpha")
     if single is not None:
         if len(single) != depth:
             raise ConfigError(
@@ -378,9 +382,14 @@ def _run_weyl(config: RunConfig):
 
 
 def _admissible_etas(e: int):
-    """eta = k/(e+1) in [0, 1] with (e+1)(eta+1)/2 integral."""
-    return [Fraction(k, e + 1) for k in range(e + 2)
-            if (k + e + 1) % 2 == 0]
+    """Every eta = k/(e+1), k = 0..e+1, that _shrink_eta accepts."""
+    etas = []
+    for k in range(e + 2):
+        try:
+            etas.append(_shrink_eta(e, Fraction(k, e + 1)))
+        except ConfigError:
+            pass
+    return etas
 
 
 def _run_shrink(config: RunConfig):

@@ -38,13 +38,18 @@ q = p^f and every box size:
   are sorted on each run of equal boxes are ranked, each weighted by the
   size of its orbit (a multinomial): at d = 4 with equal boxes, L(L+1)/2
   pairs of the L lines instead of L^2.
-* Phase classes.  K is linear in the tail, so the condition matrices of
-  c alpha, c in F_q^*, are c times those of alpha and every count is
-  constant on the class {c alpha}.  approx_zero_counts reads only the tail
-  digits t^-1..t^-depth its conditions see, scales each tail so that its
-  first nonzero digit is 1, counts each distinct scaled tail once and maps
-  the counts back in input order: a full sweep of q^depth tails ranks
-  1 + (q^depth - 1)/(q - 1) phases.
+* Phase classes.  Every count is constant on the orbit of alpha under
+  alpha -> b alpha (b in F_q^*) and the substitutions phi: t -> c t + a
+  (c in F_q^*, a in F_q).  K is linear in the tail, so the condition
+  matrices of b alpha are b times those of alpha.  phi is an automorphism
+  of F_q((1/t)) that fixes F_q, keeps |.|, F_q[t] and every degree box,
+  and commutes with each Psi_i since F has constant coefficients: so
+  || alpha Psi_i(u) || = || phi(alpha) Psi_i(phi(u)) ||, and summing over
+  the boxes gives N(alpha) = N(phi(alpha)).  approx_zero_counts reads only
+  the tail digits t^-1..t^-depth its conditions see (phi maps them by a
+  lower-triangular matrix), counts one representative per orbit
+  (_phase_classes) and maps the counts back in input order: the 625
+  depth-4 tails over F_5 form 14 orbits, the 2,401 over F_7 18.
 * Batching across phases.  approx_zero_counts takes a stack of phases that
   share boxes and m.  It builds K for every phase at once, multiplies the
   prefix representatives into it and ranks matrices of many phases in one
@@ -93,7 +98,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 import mpmath
 import numpy as np
@@ -215,19 +220,142 @@ def _block_counts(spec, g, tails, boxes, m) -> list:
 
 
 def _phase_classes(spec, tails):
-    """The F_q^*-classes of a list of tails (digits t^-1..t^-depth): one
-    representative per class, the tail scaled so that its first nonzero
-    digit is 1 (the zero tail is its own class), as an int64 array of
-    shape (classes, depth), and the class of each input tail.  K is
-    linear in the tail, so the condition matrices of c alpha are c times
-    those of alpha and have the same ranks: every count is constant on a
-    class."""
-    digits = np.array(tails, dtype=np.int64).reshape(len(tails), -1)
-    lead = digits[np.arange(len(digits)), (digits != 0).argmax(axis=1)]
-    scaled = spec.tables["np_mul"][spec.tables["np_inv"][lead][:, None],
-                                   digits]
-    reps, where = np.unique(scaled, axis=0, return_inverse=True)
-    return reps.astype(np.int64), where.reshape(-1)
+    """The orbits of a list of tails (digits t^-1..t^-depth) under the
+    group generated by alpha -> b alpha (b in F_q^*) and the substitutions
+    phi: t -> c t + a (c in F_q^*, a in F_q): one representative per
+    orbit, as an int64 array of shape (orbits, depth), and the orbit of
+    each input tail.
+
+    Every count is constant on an orbit.  K is linear in the tail, so the
+    condition matrices of b alpha are b times those of alpha and have the
+    same ranks.  phi is a field automorphism of F_q((1/t)) that fixes F_q,
+    maps F_q[t] onto itself and keeps every degree, so it keeps |.|, the
+    norm || . || and each box, and it commutes with each Psi_i, whose
+    coefficients are constants: || alpha Psi_i(u) || = || phi(alpha)
+    Psi_i(phi(u)) ||, and as u runs over the boxes so does phi(u).  So
+    N(alpha) = N(phi(alpha)) for every count of this module.
+
+    The tails are first scaled so that their first nonzero digit is 1 and
+    deduplicated by their integer keys (_tail_keys); then each scaled
+    tail's orbit is named by the least key of a set of its scaled images
+    that every member of the orbit shares (_least_image_keys), and that
+    image is the representative.  The classes go through that map
+    _MAX_IMAGE_ENTRIES image digits at a time.  The zero tail is its own
+    orbit."""
+    depth = len(tails[0])
+    digits = np.array(tails, dtype=np.int16).reshape(len(tails), depth)
+    classes, where = np.unique(_tail_keys(spec, digits), return_inverse=True)
+    per_chunk = max(1, _MAX_IMAGE_ENTRIES // (spec.q * (spec.q - 1) * depth
+                                             * spec.f))
+    least = np.concatenate([
+        _least_image_keys(spec, _key_digits(spec.q, classes[lo:lo + per_chunk],
+                                            depth))
+        for lo in range(0, len(classes), per_chunk)])
+    keys, orbit = np.unique(least, return_inverse=True)
+    return _key_digits(spec.q, keys, depth).astype(np.int64), orbit[where]
+
+
+# int64 entries of the substitution images of one chunk of classes; bounds
+# the working set of _phase_classes (4 MiB an image array)
+_MAX_IMAGE_ENTRIES = 1 << 19
+
+
+@functools.lru_cache(maxsize=None)
+def _key_powers(q: int, depth: int) -> np.ndarray:
+    """q^(depth-1), ..., q, 1, the place values of a tail key, in int64
+    when q^depth fits, else as Python ints (an object array), so the key
+    of a deep tail stays exact."""
+    powers = np.array([q ** k for k in range(depth - 1, -1, -1)],
+                      dtype=np.int64 if q ** depth <= 1 << 63 else object)
+    powers.setflags(write=False)
+    return powers
+
+
+def _tail_keys(spec, digits) -> np.ndarray:
+    """The key sum_k x_k q^(depth-1-k) of every row of `digits` (field
+    indices, shape (..., depth)) after scaling the row so that its first
+    nonzero digit is 1; keys order like the scaled rows, lexicographically."""
+    lead = np.take_along_axis(digits, (digits != 0).argmax(axis=-1)[..., None],
+                              axis=-1)
+    scaled = spec.tables["np_mul"][spec.tables["np_inv"][lead], digits]
+    return scaled @ _key_powers(spec.q, digits.shape[-1])
+
+
+def _key_digits(q: int, keys, depth: int) -> np.ndarray:
+    """The rows of field indices whose keys are `keys` (no scaling)."""
+    return (keys[:, None] // _key_powers(q, depth) % q).astype(np.int16)
+
+
+def _least_image_keys(spec, digits) -> np.ndarray:
+    """A key that names the orbit of every row x of `digits` (scaled
+    tails): the least scaled key over a set of images of x that is the
+    same set for every x of one orbit.  phi keeps the position j of the
+    first nonzero digit, and as x_j = 1, digit j + 1 of phi_{1,a}(x) is
+    x_(j+1) - j a (_substitution_maps).  So when p does not divide j <
+    depth, a = x_(j+1)
+    / j is the one translation that clears digit j + 1, t -> c t keeps it
+    clear, and the set is the images under phi_{c,a} = (t -> c t) o (t ->
+    t + a), c in F_q^*; for the other rows it is all q(q - 1) images."""
+    q, p = spec.q, spec.p
+    depth = digits.shape[1]
+    maps = _substitution_maps(spec, depth)
+    lead = (digits != 0).argmax(axis=1) + 1
+    one = digits.any(axis=1) & (lead < depth) & (lead % p != 0)
+    shift = spec.tables["np_mul"][
+        digits[np.arange(len(digits)), np.minimum(lead, depth - 1)],
+        spec.tables["np_inv"][lead % p]]
+    keys = np.empty(len(digits), dtype=_key_powers(q, depth).dtype)
+    for rows, row_maps in [(one, maps[:, shift[one]].swapaxes(0, 1)),
+                           (~one, maps[None])]:
+        if rows.any():
+            keys[rows] = _tail_keys(spec, _images(spec, digits[rows],
+                                                  row_maps)).min(axis=1)
+    return keys
+
+
+def _images(spec, digits, maps) -> np.ndarray:
+    """The images of every row of `digits` under the maps of `maps`, of
+    shape (rows or 1, depth f, ..., depth f): the maps of each row, or
+    one set for all.  Field indices of shape (rows, maps, depth), by
+    _condition_matrices with the coordinates of each row as its prefix."""
+    p, f = spec.p, spec.f
+    depth = digits.shape[1]
+    count = prod(maps.shape[2:-1])
+    coords = (digits[:, :, None] // p ** np.arange(f) % p).reshape(
+        len(digits), 1, depth * f)
+    return _condition_matrices(spec, coords, maps.reshape(
+        len(maps), depth * f, count * depth * f), count, depth)
+
+
+@functools.lru_cache(maxsize=None)
+def _substitution_maps(spec, depth: int) -> np.ndarray:
+    """The digit maps of the substitutions phi_{c,a}: t -> c t + a on
+    tails of `depth` digits, in F_p coordinates: maps[:, a, c - 1] (by
+    field index) is the (depth f, depth f) matrix with coords(x) @ it =
+    coords(phi_{c,a}(x)).  (c t + a)^-(k+1) = c^-(k+1) sum_j C(-(k+1), j)
+    (a/c)^j t^-(k+1+j), so digit i of phi(x) is sum_(k <= i) C(-(k+1),
+    i-k) a^(i-k) c^-(i+1) x_k: lower triangular, c^-(i+1) on the
+    diagonal."""
+    q, p, f = spec.q, spec.p, spec.f
+    mul = spec.tables["np_mul"]
+    i, k = np.indices((depth, depth))
+    # C(-(k+1), i-k) = (-1)^(i-k) C(i, i-k), an element of F_p: its index
+    binom = np.array([[(-1) ** (a - b) * comb(a, a - b) % p if a >= b else 0
+                       for b in range(depth)] for a in range(depth)])
+    log, exp = np.array(spec.tables["log"]), np.array(spec.tables["exp"])
+    # a^j (0^0 = 1) and c^-(i+1), by the log tables
+    a_pow = np.where(np.arange(depth) == 0, 1, exp[
+        log[:, None] * np.arange(depth) % (q - 1)])
+    a_pow[0, 1:] = 0
+    c_inv = exp[-log[1:, None] * np.arange(1, depth + 1) % (q - 1)]
+    entry = mul[mul[binom, a_pow[:, np.maximum(i - k, 0)]],
+                c_inv[:, None, :, None]]
+    # entry[c, a, i, k]; K[w, col] = M[col, w] so that image = x K
+    kmat = entry.transpose(1, 0, 3, 2).reshape(-1, depth, depth)
+    maps = _coordinate_maps(spec, kmat).reshape(
+        q, q - 1, depth * f, depth * f).transpose(2, 0, 1, 3).copy()
+    maps.setflags(write=False)
+    return maps
 
 
 # matrix entries per batched_rank call; bounds the working set of a batch.
@@ -329,7 +457,7 @@ def _condition_matrices(spec, reps, kmat, nrows, ncols) -> np.ndarray:
     indices with the powers of p."""
     p, f = spec.p, spec.f
     # each entry is a sum of (prefix width) * f products of residues below p
-    assert reps.shape[1] * (p - 1) ** 2 < 1 << 62   # int64 bound of u K
+    assert reps.shape[-1] * (p - 1) ** 2 < 1 << 62  # int64 bound of u K
     amat = np.matmul(reps, kmat)
     amat %= p
     if f > 1:   # for f = 1 the one coordinate is the index
@@ -345,16 +473,12 @@ def _shape_N(prob: CountingProblem) -> tuple:
     return [prob.e + 1] * (prob.d - 1), prob.e + 1
 
 
-def _eta_box(prob, eta) -> int:
-    c = Fraction(eta) * (prob.e + 1)
-    if c.denominator != 1 or c < 0:
-        raise ConfigError(f"(e+1)*eta = {c} must be a nonnegative integer")
-    return int(c)
-
-
 def _shape_N_eta(prob: CountingProblem, eta) -> tuple:
-    """(boxes, m) of N_eta."""
-    c = _eta_box(prob, eta)
+    """(boxes, m) of N_eta, for an eta that _shrink_eta accepts: (e+1) eta
+    = 2 (e+1)(eta+1)/2 - (e+1) is then a nonnegative integer."""
+    c = Fraction(eta) * (prob.e + 1)
+    assert c.denominator == 1 and c >= 0, "eta fails the shrinking hypothesis"
+    c = int(c)
     return [c] * (prob.d - 1), (prob.e + 1) * prob.d - (prob.d - 1) * c
 
 
@@ -408,11 +532,12 @@ def _weyl_reports(prob: CountingProblem, alphas) -> list:
     n_counts = approx_zero_counts(prob, alphas, *_shape_N(prob))
     power = 1 << (d - 1)
     exp = (prob.e + 1) * (power - d + 1) * n
-    scale = Fraction(q) ** exp
+    assert exp >= 0     # 2^(d-1) >= d - 1: the bound is an integer
+    scale = q ** exp
     bounds = [scale * n_count for n_count in n_counts]
     cmps = compare_abs_powers(prob, hists, power, bounds)
     return [InequalityReport(
-        cmp <= 0, {"N": n_count, "bound": bound, "cmp": cmp})
+        cmp <= 0, {"N": n_count, "bound": Fraction(bound), "cmp": cmp})
         for n_count, bound, cmp in zip(n_counts, bounds, cmps)]
 
 
@@ -528,14 +653,14 @@ def check_shrink_batch(prob: CountingProblem, alphas, eta) -> list:
     small_counts = (big_counts if small_shape == big_shape else
                     approx_zero_counts(prob, alphas, *small_shape))
     exp = (prob.e + 1) * (prob.d - 1) * prob.n * (1 - eta)
-    assert exp.denominator == 1
-    scale = Fraction(prob.spec.q) ** int(exp)
+    assert exp.denominator == 1 and exp >= 0    # the rhs is an integer
+    scale = prob.spec.q ** int(exp)
     reports = []
     for big_n, small_n in zip(big_counts, small_counts):
         rhs = scale * small_n
         reports.append(InequalityReport(
             big_n <= rhs,
-            {"N": big_n, "N_eta": small_n, "eta": eta, "rhs": rhs}))
+            {"N": big_n, "N_eta": small_n, "eta": eta, "rhs": Fraction(rhs)}))
     return reports
 
 

@@ -194,6 +194,26 @@ def test_weyl_alpha_digit_out_of_range_exit_2(tmp_path, capsys, alpha):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("limit", ["0", "2"])
+def test_weyl_alpha_with_a_limit_exits_2_before_any_work(tmp_path, capsys,
+                                                         monkeypatch, limit):
+    # limit bounds a sweep and alpha names one tail: the pair is refused,
+    # naming both keys, before the problem is built, whatever the limit
+    def built(*args, **kwargs):
+        raise AssertionError("the problem was built before the keys were "
+                             "checked")
+
+    monkeypatch.setattr(harness, "build_problem", built)
+    body = CONE.replace("name = count-cone", "name = weyl-check\n"
+                        f"    alpha = 0,0,0,1\n    limit = {limit}")
+    cfg = write_cfg(tmp_path, body)
+    code = main(["weyl-check", "--config", cfg,
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{cfg}: [task] alpha, limit: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("task,key,value,late", [
     ("cape-lemma", "a", "4/3", "random_symmetric_gammas"),
     ("shrink-check", "eta", "1/3", "check_shrink_batch")])

@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 from math import prod
 
@@ -508,10 +509,10 @@ def test_one_sweep_chunk_ranks_one_matrix_per_line(ranked):
     tails = list(itertools.product(range(5), repeat=4))
     out = _weyl_chunk(build_problem(config), tails)
     assert len(out) == 625 and all(row[1] for row in out)
-    # the 625 phases fall into 1 + 624/4 = 157 F_5^*-classes, each ranked
-    # once on the (5^2 - 1) / 4 = 6 lines of prefixes of x^3, the one form
-    # of both one-variable blocks
-    assert sum(ranked) == 157 * 6 == 942
+    # the 625 phases fall into 14 orbits of alpha -> b phi(alpha), phi: t ->
+    # c t + a, each ranked once on the (5^2 - 1) / 4 = 6 lines of prefixes
+    # of x^3, the one form of both one-variable blocks
+    assert sum(ranked) == 14 * 6 == 84
 
 
 def test_one_worker_sweep_builds_its_problem_and_distribution_once(
@@ -621,11 +622,11 @@ def test_overdrawn_sweep_builds_no_sum_table(tmp_path, monkeypatch):
 
 def test_mixed_sweep_ranks_one_matrix_per_line_of_its_one_block(ranked):
     # the mixed cubic is one block of two variables: (5^4 - 1) / 4 = 156
-    # lines of prefixes for each of the 157 classes
+    # lines of prefixes for each of the 14 orbits
     reports = check_weyl_batch(_problem("mixed", 1),
                                list(itertools.product(range(5), repeat=4)))
     assert all(reports)
-    assert sum(ranked) == 157 * 156 == 24492
+    assert sum(ranked) == 14 * 156 == 2184
 
 
 @pytest.mark.parametrize("name", ["fermat2", "mixed"])
@@ -642,7 +643,7 @@ def test_full_sweep_falls_back_to_the_exact_comparison_once(exact_bounds,
 
 
 def _each_tail_its_own_class(spec, tails):
-    """_phase_classes without the scaling: no two tails share a count."""
+    """_phase_classes without the orbits: no two tails share a count."""
     digits = np.array(tails, dtype=np.int64).reshape(len(tails), -1)
     return digits, np.arange(len(tails))
 
@@ -697,6 +698,142 @@ def test_one_count_ranks_one_matrix_per_tuple_of_lines(ranked, name, lines):
     tails = _random_tails(prob, 2, seed=5)
     approx_zero_counts(prob, tails, *_shape_N(prob))
     assert sum(ranked) == 2 * lines
+
+
+# -- counts on the orbits of alpha -> b phi(alpha), phi: t -> c t + a ------------
+
+
+def _substituted(spec, tail, b, c, a):
+    """b phi(alpha) for phi: t -> c t + a, at the digits of `tail`, by the
+    Laurent layer: alpha = P(t) / t^D with D = len(tail), so phi(alpha) =
+    P(c t + a) / (c t + a)^D."""
+    lin = Polynomial(spec, [a, c])
+    num, den = Polynomial.zero(spec), Polynomial.one(spec)
+    for digit in tail:      # P = sum_k alpha_k t^(D-k), by Horner
+        num = num * lin + Polynomial(spec, [digit])
+        den = den * lin
+    return expand_rational(num.scale_idx(b), den, -len(tail)).tail_vector(
+        len(tail))
+
+
+def _orbit_problem(form, q, d, e):
+    """The Fermat form in two variables, or the mixed cubic (d = 3) or the
+    non-separable binary quartic of FORMS (d = 4), over F_q, q in 5, 7, 25."""
+    spec = FieldSpec(5, 2) if q == 25 else FieldSpec(q)
+    if form == "fermat":
+        return CountingProblem(spec, fermat_form(spec, 2, d), e)
+    if d == 3:
+        return _mixed_problem(spec, e)
+    return CountingProblem(spec, symmetrize(spec, *FORMS["quartic"]), e)
+
+
+def _with_images(prob, tails, per_tail, seed):
+    """Each tail followed by `per_tail` images b phi_{c,a}(tail) at random
+    b, c in F_q^* and a in F_q."""
+    q = prob.spec.q
+    rng = random.Random(seed)
+    return [image for tail in tails for image in [tail] + [
+        _substituted(prob.spec, tail, rng.randrange(1, q), rng.randrange(1, q),
+                     rng.randrange(q)) for _ in range(per_tail)]]
+
+
+@pytest.mark.parametrize("form,q,d,e,shape", [
+    ("fermat", 5, 3, 1, "N"), ("mixed", 5, 3, 1, "N"),
+    ("fermat", 5, 3, 2, "N"), ("mixed", 5, 3, 2, "N"),
+    ("fermat", 5, 3, 2, "curly"), ("mixed", 5, 3, 1, "M_2"),
+    ("fermat", 7, 3, 1, "N"), ("mixed", 7, 3, 1, "N"),
+    ("fermat", 7, 3, 2, "N"), ("mixed", 7, 3, 2, "N"),
+    ("fermat", 25, 3, 1, "N"), ("mixed", 25, 3, 1, "N"),
+    ("fermat", 5, 4, 1, "N"), ("mixed", 5, 4, 1, "N"),
+    ("fermat", 5, 4, 2, "N"), ("fermat", 7, 4, 1, "N"),
+    ("fermat", 25, 4, 1, "N"),
+])
+def test_counts_are_constant_on_substitution_orbits(monkeypatch, form, q, d,
+                                                    e, shape):
+    # the count at each sampled tail equals the count at its images b
+    # phi_{c,a}(tail), each counted as a phase of its own; the orbit route
+    # gives the same counts
+    prob = _orbit_problem(form, q, d, e)
+    boxes, m = _shape(prob, shape)
+    batch = _with_images(prob, _random_tails(prob, 3, seed=q + d + e), 3,
+                         seed=len(form))
+    with monkeypatch.context() as patch:
+        patch.setattr(weyl, "_phase_classes", _each_tail_its_own_class)
+        each = approx_zero_counts(prob, batch, boxes, m)
+    assert each == [count for count in each[::4] for _ in range(4)]
+    assert approx_zero_counts(prob, batch, boxes, m) == each
+
+
+@pytest.mark.parametrize("name", ["mixed", "fermat1_q25"])
+def test_substitution_orbits_against_the_naive_oracle(name):
+    # a tail and two of its images, counted by enumerating the whole box:
+    # 5^8 and 25^4 tuples
+    prob = _problem(name, 1)
+    boxes, m = _shape_N(prob)
+    batch = _with_images(prob, _random_tails(prob, 1, seed=7), 2, seed=7)
+    want = [naive_approx_zero_count(prob, tail, boxes, m) for tail in batch]
+    assert approx_zero_counts(prob, batch, boxes, m) == want
+    assert len(set(want)) == 1
+
+
+@pytest.mark.parametrize("spec,depth", [
+    (FieldSpec(2), 6), (FieldSpec(3), 5), (FieldSpec(5), 3)])
+def test_phase_classes_are_the_substitution_orbits(spec, depth):
+    # the orbits by brute force over the group, with the substitutions
+    # from the Laurent layer; p | j for a first nonzero digit j happens at
+    # p = 2 and 3
+    q = spec.q
+    tails = list(itertools.product(range(q), repeat=depth))
+    orbit_of = {}
+    for tail in tails:
+        if tail not in orbit_of:
+            for b, c, a in itertools.product(range(1, q), range(1, q),
+                                             range(q)):
+                orbit_of[_substituted(spec, tail, b, c, a)] = tail
+    reps, where = weyl._phase_classes(spec, tails)
+    assert len(reps) == len(set(orbit_of.values()))
+    # each representative lies in its tail's orbit, and orbits do not merge
+    assert [orbit_of[tuple(reps[k])] for k in where.tolist()] == [
+        orbit_of[tail] for tail in tails]
+
+
+@pytest.mark.parametrize("q,orbits", [(5, 14), (7, 18)])
+def test_depth_4_sweeps_fall_into_few_orbits(q, orbits):
+    # 625 tails over F_5 in 157 scaling classes, 2,401 over F_7 in 401
+    tails = list(itertools.product(range(q), repeat=4))
+    reps, where = weyl._phase_classes(FieldSpec(q), tails)
+    assert len(reps) == orbits
+    assert sorted(set(where.tolist())) == list(range(orbits))
+
+
+def test_phase_classes_of_a_full_f25_sweep_keep_a_bounded_working_set():
+    # 390,625 depth-4 tails over F_25, 16,276 scaling classes in 36 orbits;
+    # all q(q - 1) = 600 images at once would hold about 300 MB
+    tails = list(itertools.product(range(25), repeat=4))
+    spec = FieldSpec(5, 2)
+    spec.tables
+    tracemalloc.start()
+    try:
+        reps, _ = weyl._phase_classes(spec, tails)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reps) == 36
+    assert peak < 64 << 20
+
+
+def test_deep_tails_take_exact_keys():
+    # 25^16 >= 2^63: the keys of depth-16 tails are Python ints; an image
+    # still shares its tail's orbit, after the zero tail's
+    spec = FieldSpec(5, 2)
+    rng = random.Random(16)
+    tail = tuple(rng.randrange(1, 25) for _ in range(16))
+    image = _substituted(spec, tail, 3, 7, 11)
+    reps, where = weyl._phase_classes(spec, [tail, image, (0,) * 16])
+    assert where.tolist() == [1, 1, 0] and reps.dtype == np.int64
+    # the representative is its own orbit's representative
+    rep = reps[1].tolist()
+    assert weyl._phase_classes(spec, [tuple(rep)])[0].tolist() == [rep]
 
 
 # -- the certified float comparison against the exact one ----------------------
