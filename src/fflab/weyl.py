@@ -237,11 +237,11 @@ def _phase_classes(spec, tails):
 
     The tails are first scaled so that their first nonzero digit is 1 and
     deduplicated by their integer keys (_tail_keys); then each scaled
-    tail's orbit is named by the least key of a set of its scaled images
-    that every member of the orbit shares (_least_image_keys), and that
-    image is the representative.  The classes go through that map
-    _MAX_IMAGE_ENTRIES image digits at a time.  The zero tail is its own
-    orbit."""
+    tail's orbit is named by the least key of its scaled images under all
+    q(q - 1) substitutions, the same set for every member of the orbit
+    (_least_image_keys), and that image is the representative.  The
+    classes go through that map _MAX_IMAGE_ENTRIES image digits at a time.
+    The zero tail is its own orbit."""
     depth = len(tails[0])
     digits = np.array(tails, dtype=np.int16).reshape(len(tails), depth)
     classes, where = np.unique(_tail_keys(spec, digits), return_inverse=True)
@@ -287,44 +287,25 @@ def _key_digits(q: int, keys, depth: int) -> np.ndarray:
 
 
 def _least_image_keys(spec, digits) -> np.ndarray:
-    """A key that names the orbit of every row x of `digits` (scaled
-    tails): the least scaled key over a set of images of x that is the
-    same set for every x of one orbit.  phi keeps the position j of the
-    first nonzero digit, and as x_j = 1, digit j + 1 of phi_{1,a}(x) is
-    x_(j+1) - j a (_substitution_maps).  So when p does not divide j <
-    depth, a = x_(j+1)
-    / j is the one translation that clears digit j + 1, t -> c t keeps it
-    clear, and the set is the images under phi_{c,a} = (t -> c t) o (t ->
-    t + a), c in F_q^*; for the other rows it is all q(q - 1) images."""
-    q, p = spec.q, spec.p
-    depth = digits.shape[1]
-    maps = _substitution_maps(spec, depth)
-    lead = (digits != 0).argmax(axis=1) + 1
-    one = digits.any(axis=1) & (lead < depth) & (lead % p != 0)
-    shift = spec.tables["np_mul"][
-        digits[np.arange(len(digits)), np.minimum(lead, depth - 1)],
-        spec.tables["np_inv"][lead % p]]
-    keys = np.empty(len(digits), dtype=_key_powers(q, depth).dtype)
-    for rows, row_maps in [(one, maps[:, shift[one]].swapaxes(0, 1)),
-                           (~one, maps[None])]:
-        if rows.any():
-            keys[rows] = _tail_keys(spec, _images(spec, digits[rows],
-                                                  row_maps)).min(axis=1)
-    return keys
+    """A key that names the orbit of every row of `digits` (scaled
+    tails): the least scaled key over its q(q - 1) images phi_{c,a}(x),
+    which are the same set for every x of one orbit."""
+    maps = _substitution_maps(spec, digits.shape[1])
+    return _tail_keys(spec, _images(spec, digits, maps)).min(axis=1)
 
 
 def _images(spec, digits, maps) -> np.ndarray:
-    """The images of every row of `digits` under the maps of `maps`, of
-    shape (rows or 1, depth f, ..., depth f): the maps of each row, or
-    one set for all.  Field indices of shape (rows, maps, depth), by
-    _condition_matrices with the coordinates of each row as its prefix."""
+    """The images of every row of `digits` under every substitution of
+    `maps` (_substitution_maps), as field indices of shape (rows, q(q - 1),
+    depth), by _condition_matrices with the coordinates of each row as its
+    prefix."""
     p, f = spec.p, spec.f
     depth = digits.shape[1]
-    count = prod(maps.shape[2:-1])
+    count = prod(maps.shape[1:-1])
     coords = (digits[:, :, None] // p ** np.arange(f) % p).reshape(
         len(digits), 1, depth * f)
     return _condition_matrices(spec, coords, maps.reshape(
-        len(maps), depth * f, count * depth * f), count, depth)
+        1, depth * f, count * depth * f), count, depth)
 
 
 @functools.lru_cache(maxsize=None)

@@ -780,8 +780,7 @@ def test_substitution_orbits_against_the_naive_oracle(name):
     (FieldSpec(2), 6), (FieldSpec(3), 5), (FieldSpec(5), 3)])
 def test_phase_classes_are_the_substitution_orbits(spec, depth):
     # the orbits by brute force over the group, with the substitutions
-    # from the Laurent layer; p | j for a first nonzero digit j happens at
-    # p = 2 and 3
+    # from the Laurent layer
     q = spec.q
     tails = list(itertools.product(range(q), repeat=depth))
     orbit_of = {}
